@@ -66,7 +66,6 @@ from .commutant import (
     is_invariant,
     membership,
     monomial_basis,
-    operator_matrix,
     poisson_center_basis,
     relation_basis,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -64,8 +63,13 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # No option starts with "-<digit>", so such an argument is a value:
+        # a number or a vector like "-0.5,0.1,0.2" for --x0 and --shift.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_INPUT)
 
@@ -74,20 +78,8 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     command: str
     seed: int
-    threads: int
     out: str | None
     options: argparse.Namespace
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("POISCHAIN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"POISCHAIN_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise CliError("POISCHAIN_THREADS must be at least 1")
-    return value
 
 
 def build_parser() -> _Parser:
@@ -185,7 +177,6 @@ def parse_cli(argv: list[str]) -> RunConfig:
     return RunConfig(
         command=command,
         seed=getattr(ns, "seed", DEFAULT_SEED),
-        threads=_env_threads(),
         out=getattr(ns, "out", None),
         options=ns,
     )

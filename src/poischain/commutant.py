@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .algebra import LieAlgebra, SubalgebraSpec
@@ -197,42 +197,20 @@ def _ordered_actions(
     return [a for _, a in sorted(enumerate(actions), key=sort_key)]
 
 
-@dataclass
-class InvariantOperator:
-    """Sparse matrix of one invariance operator on a degree-k monomial basis."""
-
-    vector_index: int
-    degree: int
-    basis: list[Monomial]
-    entries: dict[tuple[int, int], Fraction]
-
-    def apply_to_vector(self, coeffs: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * len(self.basis)
-        for (r, c), v in self.entries.items():
-            if coeffs[c]:
-                out[r] += v * coeffs[c]
-        return out
-
-
-def operator_matrix(
-    alg: LieAlgebra, sub: SubalgebraSpec, j: int, k: int
-) -> InvariantOperator:
-    """Matrix of L_(H_j) on the degree-k monomial basis (graded-lex order)."""
-    if not 0 <= j < sub.size:
-        raise IndexError("subalgebra vector index out of range")
-    basis = monomial_basis(alg.dim, k)
-    index = {m: i for i, m in enumerate(basis)}
-    action = _contracted_action(alg, sub.vectors[j])
-    entries: dict[tuple[int, int], Fraction] = {}
-    for col, mono in enumerate(basis):
-        image = _apply_contracted(action, Polynomial(alg.dim, {mono: Fraction(1)}))
-        for m2, c in image.terms.items():
-            entries[(index[m2], col)] = c
-    return InvariantOperator(j, k, basis, entries)
-
-
 # ---------------------------------------------------------------------------
 # kernels
+
+
+def _kernel_of_images(
+    images: Iterable[Polynomial], ncols: int
+) -> list[dict[int, Fraction]]:
+    """Kernel of the linear map sending column i to the i-th image polynomial."""
+    rows_by_mono: dict[Monomial, dict[int, Fraction]] = {}
+    for col, img in enumerate(images):
+        for mono, c in img.terms.items():
+            rows_by_mono.setdefault(mono, {})[col] = c
+    rows = [linalg.row_from_rationals(entries) for entries in rows_by_mono.values()]
+    return linalg.nullspace(rows, ncols)
 
 
 def _kernel_of_map(
@@ -242,15 +220,8 @@ def _kernel_of_map(
     if not basis:
         return []
     dim = basis[0].dim
-    rows_by_mono: dict[Monomial, dict[int, Fraction]] = {}
-    for col, b in enumerate(basis):
-        img = image_of(b)
-        for mono, c in img.terms.items():
-            rows_by_mono.setdefault(mono, {})[col] = c
-    rows = [linalg.row_from_rationals(entries) for entries in rows_by_mono.values()]
-    kernel = linalg.nullspace(rows, len(basis))
     out = []
-    for vec in kernel:
+    for vec in _kernel_of_images(map(image_of, basis), len(basis)):
         acc = Polynomial.zero(dim)
         for col, c in vec.items():
             acc = acc + basis[col].scale(c)
@@ -258,24 +229,31 @@ def _kernel_of_map(
     return out
 
 
-def _canonical_polys(
-    polys: Sequence[Polynomial], dim: int
-) -> list[Polynomial]:
-    """Reduced echelon normalization of a list of polynomials, graded-lex pivots."""
+def _graded_lex_index(
+    polys: Iterable[Polynomial], dim: int
+) -> tuple[list[Monomial], dict[Monomial, int]]:
+    """The monomials of the polynomials in graded-lex descending order, and
+    the column index of each."""
     monos = sorted(
         {m for p in polys for m in p.terms},
         key=lambda m: m.sort_key(dim),
         reverse=True,
     )
-    index = {m: i for i, m in enumerate(monos)}
-    vectors = [
-        {index[m]: c for m, c in p.terms.items()} for p in polys if not p.is_zero()
+    return monos, {m: i for i, m in enumerate(monos)}
+
+
+def _canonical_polys(
+    polys: Sequence[Polynomial], dim: int
+) -> list[Polynomial]:
+    """The reduced echelon basis of the span of the polynomials, with
+    graded-lex pivots: equal spans give equal lists."""
+    monos, index = _graded_lex_index(polys, dim)
+    reduced = linalg.canonical_rref(
+        {index[m]: c for m, c in p.terms.items()} for p in polys
+    )
+    return [
+        Polynomial(dim, {monos[i]: c for i, c in row.items()}) for row in reduced
     ]
-    reduced = linalg.canonical_rref(vectors)
-    out = []
-    for row in reduced:
-        out.append(Polynomial(dim, {monos[i]: c for i, c in row.items()}))
-    return out
 
 
 def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polynomial]:
@@ -300,27 +278,24 @@ def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polyno
     return _canonical_polys(basis, alg.dim)
 
 
-def _products_of_degree(
-    previous: Sequence[Generator], k: int
-) -> list[Polynomial]:
-    """All products of earlier generators with total degree exactly k."""
-    gens = sorted(previous, key=lambda g: (g.degree, g.label))
-    out: list[Polynomial] = []
+def _generator_products(
+    gens: Sequence[Generator], max_degree: int
+) -> Iterator[tuple[int, Polynomial]]:
+    """Every product of one or more of the generators (repeats allowed) with
+    total degree at most max_degree, as (degree, product) pairs, lazily and
+    depth first in generator order."""
 
-    def rec(start: int, remaining: int, acc: Polynomial | None) -> None:
+    def rec(start: int, degree: int, acc: Polynomial | None):
         for idx in range(start, len(gens)):
             g = gens[idx]
-            if g.degree > remaining or g.degree >= k:
+            total = degree + g.degree
+            if total > max_degree:
                 continue
             prod = g.poly if acc is None else acc * g.poly
-            if g.degree == remaining:
-                # degree-k singletons never reach here: g.degree >= k is skipped
-                out.append(prod)
-            else:
-                rec(idx, remaining - g.degree, prod)
+            yield total, prod
+            yield from rec(idx, total, prod)
 
-    rec(0, k, None)
-    return out
+    return rec(0, 0, None)
 
 
 def indecomposables(
@@ -337,14 +312,14 @@ def indecomposables(
     if not inv:
         return []
     dim = alg.dim
-    monos = sorted(
-        {m for p in inv for m in p.terms},
-        key=lambda m: m.sort_key(dim),
-        reverse=True,
+    monos, index = _graded_lex_index(inv, dim)
+    lower = sorted(
+        (g for g in previous if g.degree < k), key=lambda g: (g.degree, g.label)
     )
-    index = {m: i for i, m in enumerate(monos)}
     ech = linalg.Echelon()
-    for prod in _products_of_degree(previous, k):
+    for degree, prod in _generator_products(lower, k):
+        if degree < k:
+            continue
         entries: dict[int, Fraction] = {}
         for m, c in prod.terms.items():
             if m not in index:
@@ -494,13 +469,9 @@ def relation_basis(
             raise BudgetExceededError(
                 f"{len(cols)} formal monomials at weighted degree {d}", degree=d
             )
-        rows_by_mono: dict[Monomial, dict[int, Fraction]] = {}
-        for ci, exps in enumerate(cols):
-            expansion = _expand_formal(gens, exps)
-            for mono, c in expansion.terms.items():
-                rows_by_mono.setdefault(mono, {})[ci] = c
-        rows = [linalg.row_from_rationals(r) for r in rows_by_mono.values()]
-        kernel = linalg.nullspace(rows, len(cols))
+        kernel = _kernel_of_images(
+            (_expand_formal(gens, exps) for exps in cols), len(cols)
+        )
         if not kernel:
             continue
         col_index = {exps: i for i, exps in enumerate(cols)}
@@ -570,6 +541,13 @@ def membership(
         return MembershipResult("not_invariant")
     weights = gens.degrees()
     nformal = len(gens.generators)
+    mono_ids: dict[Monomial, int] = {}
+
+    def row_of(poly: Polynomial) -> linalg.Row:
+        return linalg.row_from_rationals(
+            {mono_ids.setdefault(m, len(mono_ids)): c for m, c in poly.terms.items()}
+        )
+
     expression = Polynomial.zero(nformal)
     for d, component in p.homogeneous_components().items():
         if d == 0:
@@ -581,18 +559,8 @@ def membership(
         cols.sort(key=_formal_key, reverse=True)
         if not cols:
             return MembershipResult("not_found_up_to_budget")
-        expansions = []
-        for exps in cols:
-            expansion = _expand_formal(gens, exps)
-            expansions.append(
-                linalg.row_from_rationals(
-                    {_mono_id(m): c for m, c in expansion.terms.items()}
-                )
-            )
-        target = linalg.row_from_rationals(
-            {_mono_id(m): c for m, c in component.terms.items()}
-        )
-        coeffs = linalg.express_in_rowspace(expansions, target)
+        expansions = [row_of(_expand_formal(gens, exps)) for exps in cols]
+        coeffs = linalg.express_in_rowspace(expansions, row_of(component))
         if coeffs is None:
             return MembershipResult("not_found_up_to_budget")
         for exps, c in zip(cols, coeffs):
@@ -601,18 +569,6 @@ def membership(
                     nformal, {_formal_monomial(exps): c}
                 )
     return MembershipResult("found", expression)
-
-
-_MONO_IDS: dict[Monomial, int] = {}
-
-
-def _mono_id(mono: Monomial) -> int:
-    """A process-stable integer id per monomial (row keys for elimination)."""
-    out = _MONO_IDS.get(mono)
-    if out is None:
-        out = len(_MONO_IDS)
-        _MONO_IDS[mono] = out
-    return out
 
 
 @dataclass

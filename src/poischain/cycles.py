@@ -14,15 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Iterable, Sequence
 
-from . import linalg
 from .algebra import LieAlgebra, builtin_sl, cartan_subalgebra, sl_size, _sl_matrix_coords
 from .commutant import (
     BudgetExceededError,
     Generator,
     GeneratorSet,
+    _canonical_polys,
+    _generator_products,
     invariant_basis,
     monomial_basis,
 )
@@ -447,7 +448,9 @@ def oracle_cross_check(n: int, k_max: int) -> OracleReport:
         ]
         kernel = invariant_basis(alg, sub, k)
         balanced_polys = [Polynomial(alg.dim, {m: Fraction(1)}) for m in balanced]
-        equal = _same_span(balanced_polys, kernel, alg.dim)
+        equal = _canonical_polys(balanced_polys, alg.dim) == _canonical_polys(
+            kernel, alg.dim
+        )
         results.append(
             OracleDegreeResult(
                 degree=k,
@@ -457,24 +460,6 @@ def oracle_cross_check(n: int, k_max: int) -> OracleReport:
             )
         )
     return OracleReport(n=n, per_degree=results)
-
-
-def _same_span(
-    left: Sequence[Polynomial], right: Sequence[Polynomial], dim: int
-) -> bool:
-    monos = sorted(
-        {m for p in [*left, *right] for m in p.terms},
-        key=lambda m: m.sort_key(dim),
-        reverse=True,
-    )
-    index = {m: i for i, m in enumerate(monos)}
-
-    def rref(polys: Sequence[Polynomial]) -> list[dict[int, Fraction]]:
-        return linalg.canonical_rref(
-            [{index[m]: c for m, c in p.terms.items()} for p in polys]
-        )
-
-    return rref(left) == rref(right)
 
 
 # ---------------------------------------------------------------------------
@@ -532,29 +517,6 @@ def reynolds_average(alg: LieAlgebra, p: Polynomial) -> Polynomial:
     return total.scale(Fraction(1, count))
 
 
-def _bounded_products(gens: Sequence[Generator], cap: int, budget: int) -> list[Polynomial]:
-    """All products of the generators (repeats allowed, single factors
-    included) with total degree at most the cap."""
-    out: list[Polynomial] = []
-
-    def rec(start: int, remaining: int, acc: Polynomial | None) -> None:
-        for idx in range(start, len(gens)):
-            g = gens[idx]
-            if g.degree > remaining:
-                continue
-            prod = g.poly if acc is None else acc * g.poly
-            out.append(prod)
-            if len(out) > budget:
-                raise BudgetExceededError(
-                    f"more than {budget} generator products below degree {cap}"
-                )
-            if g.degree < remaining:
-                rec(idx, remaining - g.degree, prod)
-
-    rec(0, cap, None)
-    return out
-
-
 def reynolds_sl(
     alg: LieAlgebra,
     gens: GeneratorSet,
@@ -567,8 +529,15 @@ def reynolds_sl(
     returns a reduced echelon basis per degree.  Applied to torus generators
     this produces the invariants of the torus normalizer.
     """
+    products = list(
+        islice(_generator_products(gens.generators, max_degree), product_budget + 1)
+    )
+    if len(products) > product_budget:
+        raise BudgetExceededError(
+            f"more than {product_budget} generator products below degree {max_degree}"
+        )
     averaged: dict[int, list[Polynomial]] = {}
-    for prod in _bounded_products(gens.generators, max_degree, product_budget):
+    for _, prod in products:
         avg = reynolds_average(alg, prod)
         if avg.is_zero():
             continue
@@ -576,17 +545,8 @@ def reynolds_sl(
         averaged.setdefault(deg, []).append(avg)
     out: list[Generator] = []
     for deg in sorted(averaged):
-        monos = sorted(
-            {m for p in averaged[deg] for m in p.terms},
-            key=lambda m: m.sort_key(alg.dim),
-            reverse=True,
-        )
-        index = {m: i for i, m in enumerate(monos)}
-        basis = linalg.canonical_rref(
-            [{index[m]: c for m, c in p.terms.items()} for p in averaged[deg]]
-        )
-        for i, row in enumerate(basis, start=1):
-            poly = Polynomial(alg.dim, {monos[c]: v for c, v in row.items()})
+        basis = _canonical_polys(averaged[deg], alg.dim)
+        for i, poly in enumerate(basis, start=1):
             label = f"w{deg}_{i}" if len(basis) > 1 else f"w{deg}"
             out.append(
                 Generator(poly=poly, degree=deg, label=label, indecomposable=False)

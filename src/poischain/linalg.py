@@ -5,6 +5,11 @@ combines rows by cross multiplication and re-extracts integer content, so the
 whole pipeline stays in arbitrary-precision integers; rationals only appear
 when a result is normalized for presentation.
 
+Echelon is the one elimination core: rank, nullspace, canonical_rref and
+express_in_rowspace all insert rows into it.  Only det_exact and
+matrix_inverse, which work on small dense rational matrices, eliminate on
+their own.
+
 Column indices at or above TAG_BASE are bookkeeping tags carried through the
 elimination (used to express a vector in a row space); they never become
 pivots.
@@ -144,10 +149,14 @@ def rank_of_matrix(matrix: Sequence[Sequence[Fraction]]) -> int:
 
 
 def nullspace(rows: Iterable[Row], ncols: int) -> list[dict[int, Fraction]]:
-    """Canonical kernel basis of the column action x -> (row . x for each row).
+    """Kernel basis of the column action x -> (row . x for each row).
 
-    Returns the reduced echelon basis of the kernel with respect to ascending
-    column order, each vector normalized to pivot coefficient one.
+    One vector per free (non-pivot) column f, in ascending order of f: it has
+    coefficient one at f, zero at every other free column, and its pivot
+    entries are read off the reduced echelon rows.  The basis depends only on
+    the row space (not on the order, scaling or repetition of the rows), but
+    it is not the reduced echelon basis of the kernel: pass it to
+    canonical_rref for that.
     """
     ech = Echelon()
     for row in rows:
@@ -161,7 +170,7 @@ def nullspace(rows: Iterable[Row], ncols: int) -> list[dict[int, Fraction]]:
             if f in prow:
                 v[pc] = Fraction(-prow[f], prow[pc])
         vectors.append(v)
-    return canonical_rref(vectors)
+    return vectors
 
 
 def canonical_rref(
@@ -169,35 +178,16 @@ def canonical_rref(
 ) -> list[dict[int, Fraction]]:
     """The unique reduced row echelon basis of the span of the given vectors.
 
-    Pivots are the leftmost possible columns; pivot entries are one; rows are
-    sorted by pivot column.  The output depends only on the spanned subspace.
+    The vectors go into an Echelon, whose rows are already fully reduced with
+    leftmost pivots; each row is then scaled to pivot entry one and the rows
+    are sorted by pivot column.  The output depends only on the spanned
+    subspace.
     """
-    pool: list[Row] = []
+    ech = Echelon()
     for vec in vectors:
-        row = row_from_rationals(dict(vec))
-        if row:
-            pool.append(row)
-    pivot_rows: list[tuple[int, Row]] = []
-    all_cols = sorted({c for row in pool for c in row})
-    for col in all_cols:
-        chosen = None
-        for row in pool:
-            if col in row:
-                chosen = row
-                break
-        if chosen is None:
-            continue
-        pool.remove(chosen)
-        for row in pool:
-            if col in row:
-                _eliminate(row, chosen, col)
-        for _, prow in pivot_rows:
-            if col in prow:
-                _eliminate(prow, chosen, col)
-        pool = [row for row in pool if row]
-        pivot_rows.append((col, chosen))
+        ech.insert(row_from_rationals(vec))
     out = []
-    for col, row in sorted(pivot_rows):
+    for col, row in sorted(ech.pivots.items()):
         piv = row[col]
         out.append({c: Fraction(v, piv) for c, v in sorted(row.items())})
     return out

@@ -32,12 +32,6 @@ def test_parse_cli_defaults():
     assert cfg.out is None
 
 
-def test_threads_env_var(monkeypatch):
-    monkeypatch.setenv("POISCHAIN_THREADS", "4")
-    cfg = parse_cli(["cycles", "--n", "3"])
-    assert cfg.threads == 4
-
-
 def test_algebra_check(capsys):
     assert run(["algebra", "check", "--algebra", "sl3"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -258,6 +252,29 @@ def test_input_errors_exit_three(tmp_path, capsys):
         )
         == EXIT_INPUT
     )
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["flow", "--algebra", "sl2", "--hamiltonian", "h1", "--t", "0.1",
+          "--dt", "0.01"], "--x0", "-0.5,0.1,0.2"),
+        (["mf", "--algebra", "sl2"], "--shift", "-1,0,0"),
+    ],
+)
+def test_vector_flag_with_negative_leading_coordinate(tmp_path, argv, flag, value):
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert run(argv + [flag, value, "--out", str(spaced)]) == EXIT_OK
+    assert run(argv + [f"{flag}={value}", "--out", str(joined)]) == EXIT_OK
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_argparse_error_is_one_stderr_line(capsys):
+    argv = ["commutant", "--algebra", "sl3", "--subalgebra", "cartan", "--max-degree", "0"]
+    assert run(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_argparse_errors_mapped_to_input_code():

@@ -27,7 +27,6 @@ from poischain.commutant import (
     BudgetExceededError,
     GeneratorSet,
     apply_invariance_operator,
-    operator_matrix,
     weighted_exponents,
 )
 
@@ -56,12 +55,6 @@ def test_invariance_operator_is_a_derivation(sl3):
             sl3, vec, q
         )
         assert lhs == rhs
-
-
-def test_operator_matrix_sl2_degree_one(sl2):
-    op = operator_matrix(sl2, cartan_subalgebra(sl2), 0, 1)
-    assert op.entries == {(1, 1): F(2), (2, 2): F(-2)}
-    assert [m.exps for m in op.basis] == [((0, 1),), ((1, 1),), ((2, 1),)]
 
 
 def test_invariant_basis_sl2_torus(sl2):

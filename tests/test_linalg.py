@@ -58,6 +58,24 @@ def test_nullspace_vectors_annihilate_rows():
                 assert dot == 0
 
 
+def test_nullspace_depends_only_on_the_row_space():
+    """Shuffled, scaled or duplicated rows give the same kernel basis."""
+    rng = random.Random(5)
+    for _ in range(20):
+        ncols = rng.randint(2, 7)
+        rows = [
+            row([rng.randint(-3, 3) for _ in range(ncols)])
+            for _ in range(rng.randint(1, 5))
+        ]
+        base = nullspace(rows, ncols)
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        scaled = [{c: -3 * v for c, v in r.items()} for r in shuffled]
+        duplicated = rows + [dict(r) for r in rows[::2]]
+        for variant in (shuffled, scaled, duplicated):
+            assert nullspace(variant, ncols) == base
+
+
 def test_canonical_rref_is_representation_independent():
     """Shuffling, scaling and mixing the spanning set leaves the output alone."""
     vectors = [
