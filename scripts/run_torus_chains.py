@@ -16,7 +16,7 @@ from poischain import builtin_sl, torus_chain
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-n", type=int, default=4, help="largest sl(n) to run")
+    ap.add_argument("--max-n", type=int, default=5, help="largest sl(n) to run")
     ap.add_argument("--max-degree", type=int, default=None,
                     help="override the per-algebra degree cap")
     ap.add_argument("--out", type=str, default=None,

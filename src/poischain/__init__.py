@@ -92,7 +92,9 @@ from .poly import (
     Monomial,
     Polynomial,
     dump_json,
+    apply_vector_field,
     gradient_matrix,
+    hamiltonian_field,
     lie_poisson_bracket,
     parse_polynomial,
     render_polynomial,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -54,38 +55,28 @@ class LieAlgebra:
             self.cartan_indices = tuple(self.cartan_indices)
             if any(not 0 <= i < self.dim for i in self.cartan_indices):
                 raise ValueError("Cartan index out of range")
-        self._bracket_cache: dict[tuple[int, int], dict[int, Fraction]] = {}
-        self._coord_bracket_cache: dict[tuple[int, int], Polynomial] = {}
+        self._rows: tuple[list[dict[int, dict[int, int]]], int] | None = None
 
     # -- structure access ---------------------------------------------------
 
+    def bracket_rows(self) -> tuple[list[dict[int, dict[int, int]]], int]:
+        """The structure constants as integers over one common denominator d:
+        rows[i] maps every j with [X_i, X_j] != 0 to {k: d * C_ijk}
+        (antisymmetry applied).  Indexed once; callers must not mutate it."""
+        if self._rows is None:
+            den = lcm(*(c.denominator for c in self.structure.values()))
+            rows: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+            for (i, j, k), c in self.structure.items():
+                num = c.numerator * (den // c.denominator)
+                rows[i].setdefault(j, {})[k] = num
+                rows[j].setdefault(i, {})[k] = -num
+            self._rows = (rows, den)
+        return self._rows
+
     def bracket_coeffs(self, i: int, j: int) -> dict[int, Fraction]:
         """Coefficients of [X_i, X_j] in the basis, antisymmetry applied."""
-        if i == j:
-            return {}
-        key = (i, j) if i < j else (j, i)
-        cached = self._bracket_cache.get(key)
-        if cached is None:
-            cached = {}
-            for (a, b, k), c in self.structure.items():
-                if (a, b) == key:
-                    cached[k] = c
-            self._bracket_cache[key] = cached
-        if i < j:
-            return dict(cached)
-        return {k: -c for k, c in cached.items()}
-
-    def coordinate_bracket(self, i: int, j: int) -> Polynomial:
-        """{x_i, x_j} as a linear polynomial."""
-        key = (i, j)
-        cached = self._coord_bracket_cache.get(key)
-        if cached is None:
-            cached = Polynomial(
-                self.dim,
-                {Monomial.variable(k): c for k, c in self.bracket_coeffs(i, j).items()},
-            )
-            self._coord_bracket_cache[key] = cached
-        return cached
+        rows, den = self.bracket_rows()
+        return {k: Fraction(c, den) for k, c in rows[i].get(j, {}).items()}
 
     def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         """[u, v] for coordinate vectors u, v on the algebra."""
@@ -348,9 +339,21 @@ def form_invariance_witness(
 # special linear family
 
 
+def _sl_labels(n: int, separator: str) -> list[str]:
+    """h1..h(n-1), then e<i><separator><j> for the matrix units row by row."""
+    return [f"h{i}" for i in range(1, n)] + [
+        f"e{i}{separator}{j}"
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    ]
+
+
 def _sl_matrix_basis(n: int) -> tuple[list[list[list[Fraction]]], list[str]]:
+    """The h/e basis matrices of sl(n) and their labels.  From n = 10 on the
+    two indices of e_ij are separated by "_" (e1_11, not the ambiguous e111),
+    as in the cycle labels."""
     mats: list[list[list[Fraction]]] = []
-    labels: list[str] = []
 
     def zeros() -> list[list[Fraction]]:
         return [[Fraction(0)] * n for _ in range(n)]
@@ -360,7 +363,6 @@ def _sl_matrix_basis(n: int) -> tuple[list[list[list[Fraction]]], list[str]]:
         m[i - 1][i - 1] = Fraction(1)
         m[i][i] = Fraction(-1)
         mats.append(m)
-        labels.append(f"h{i}")
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -368,8 +370,7 @@ def _sl_matrix_basis(n: int) -> tuple[list[list[list[Fraction]]], list[str]]:
             m = zeros()
             m[i - 1][j - 1] = Fraction(1)
             mats.append(m)
-            labels.append(f"e{i}{j}")
-    return mats, labels
+    return mats, _sl_labels(n, "_" if n >= 10 else "")
 
 
 def _sl_matrix_coords(m: list[list[Fraction]], n: int) -> list[Fraction]:
@@ -422,14 +423,15 @@ def builtin_sl(n: int) -> LieAlgebra:
 
 
 def sl_size(alg: LieAlgebra) -> int | None:
-    """n if the algebra is a built-in sl(n) layout, else None."""
+    """n if the algebra is a built-in sl(n) layout, else None.  The labels
+    may take either form, e12 or e1_2."""
     if alg.cartan_indices is None:
         return None
     n = len(alg.cartan_indices) + 1
     if alg.dim != n * n - 1:
         return None
-    _, labels = _sl_matrix_basis(n)
-    return n if tuple(labels) == alg.labels else None
+    forms = (tuple(_sl_labels(n, "")), tuple(_sl_labels(n, "_")))
+    return n if alg.labels in forms else None
 
 
 def trace_form_sl(n: int) -> BilinearForm:

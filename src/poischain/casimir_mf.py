@@ -36,7 +36,13 @@ from .commutant import (
     is_invariant,
     relation_basis,
 )
-from .poly import Polynomial, as_point, lie_poisson_bracket, render_polynomial
+from .poly import (
+    Polynomial,
+    apply_vector_field,
+    as_point,
+    hamiltonian_field,
+    render_polynomial,
+)
 from .sampling import DEFAULT_SEED, generic_jacobian_rank
 
 REGULARITY_NOTE = (
@@ -286,9 +292,10 @@ def mf_commutativity_check(mf: MFAlgebra) -> CommutativityReport:
     count = 0
     gens = mf.generators
     for i, gi in enumerate(gens):
+        field_i = hamiltonian_field(gi.poly, alg)
         for gj in gens[i + 1 :]:
             count += 1
-            if not lie_poisson_bracket(gi.poly, gj.poly, alg).is_zero():
+            if not apply_vector_field(field_i, gj.poly).is_zero():
                 bad.append((gi.label, gj.label))
     return CommutativityReport(pair_count=count, nonzero_pairs=bad)
 

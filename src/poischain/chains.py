@@ -31,7 +31,12 @@ from .commutant import (
     membership,
     poisson_center_basis,
 )
-from .poly import Polynomial, lie_poisson_bracket, render_polynomial
+from .poly import (
+    Polynomial,
+    apply_vector_field,
+    hamiltonian_field,
+    render_polynomial,
+)
 from .sampling import DEFAULT_SEED, generic_jacobian_rank
 
 
@@ -93,9 +98,10 @@ def base_center_check(spec: ChainSpec) -> CentralityReport:
     failures = []
     count = 0
     for b in spec.base.generators:
+        field_b = hamiltonian_field(b.poly, alg)
         for a in spec.intermediate.generators:
             count += 1
-            br = lie_poisson_bracket(b.poly, a.poly, alg)
+            br = apply_vector_field(field_b, a.poly)
             if not br.is_zero():
                 failures.append(
                     {
@@ -486,8 +492,9 @@ def j_map_casimir_check(
     failures = []
     zero_count = 0
     for name, comp in components:
+        field_comp = hamiltonian_field(comp, alg)
         for g in torus.generators:
-            br = lie_poisson_bracket(comp, g.poly, alg)
+            br = apply_vector_field(field_comp, g.poly)
             if br.is_zero():
                 zero_count += 1
             else:

@@ -2,14 +2,16 @@
 
 Exit codes: 0 success (for `chain verify`: superintegrable), 1 negative
 result (not superintegrable / failed check), 2 inconclusive, 3 invalid
-input.  Reports are deterministic JSON (sorted keys, canonical polynomial
-text); a short human summary always goes to standard output.
+input, 141 standard output closed by its reader (128 + SIGPIPE).  Reports
+are deterministic JSON (sorted keys, canonical polynomial text); a short
+human summary always goes to standard output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -54,6 +56,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `| head`
 
 _SL_PATTERN = re.compile(r"^sl(\d+)$")
 
@@ -547,7 +550,12 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         cfg = parse_cli(list(argv))
-        return _HANDLERS[cfg.command](cfg)
+        code = _HANDLERS[cfg.command](cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_BROKEN_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -557,6 +565,21 @@ def main(argv: list[str] | None = None) -> int:
     except FlowDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
+
+
+def _stdout_to_devnull() -> None:
+    """Point standard output at the null device after its reader went away,
+    so that the flush at interpreter exit cannot raise BrokenPipeError again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        # no file descriptor behind sys.stdout: replace the object; it stays
+        # open for the rest of the process, as standard output would
+        sys.stdout = open(os.devnull, "w")
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def console_main() -> None:

@@ -2,18 +2,28 @@
 
 A polynomial p is invariant under a subalgebra element H exactly when the
 derivation L_H(p) = {l_H, p} vanishes, where l_H is the linear coordinate of
-H.  The degree-k invariants are therefore the simultaneous kernel of finitely
-many sparse linear operators on the degree-k monomial space; we intersect the
-kernels one operator at a time (diagonal operators first, which collapses the
-dimension immediately for torus actions) and normalize the result to the
-unique reduced echelon basis in graded-lex order.
+H; L_H differentiates along the Hamiltonian field of l_H.  The degree-k
+invariants are the joint kernel of these operators on the degree-k part.
+
+Each operator is first classified from its own action.  A diagonal one
+scales every coordinate, x_v -> c_v x_v (a Cartan element in a weight basis,
+as for the built-in sl(n)), so monomials are its eigenvectors and its kernel
+is spanned by the monomials of weight sum_v e_v c_v = 0.  The joint kernel
+of all diagonal operators is therefore enumerated directly: the zero-weight
+monomials of degree k, with no elimination.  The non-diagonal operators
+(root vectors, operators read from files) are then eliminated one at a time
+on that smaller space, and the result is normalized to the unique reduced
+echelon basis with graded-lex pivots.  Without non-diagonal operators the
+zero-weight monomials already are that basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
@@ -21,7 +31,9 @@ from .algebra import LieAlgebra, SubalgebraSpec
 from .poly import (
     Monomial,
     Polynomial,
+    apply_vector_field,
     as_fraction,
+    hamiltonian_field,
     lie_poisson_bracket,
     parse_polynomial,
     polynomial_from_json,
@@ -133,68 +145,86 @@ def monomial_basis(dim: int, k: int) -> list[Monomial]:
     return monos
 
 
-def _contracted_action(
-    alg: LieAlgebra, vec: Sequence[Fraction]
-) -> dict[int, dict[int, Fraction]]:
-    """Per-coordinate action of L_H: maps v to the terms of {l_H, x_v}."""
-    out: dict[int, dict[int, Fraction]] = {}
-    for a, ha in enumerate(vec):
-        if not ha:
-            continue
-        for v in range(alg.dim):
-            if v == a:
-                continue
-            for l, c in alg.bracket_coeffs(a, v).items():
-                row = out.setdefault(v, {})
-                nv = row.get(l, Fraction(0)) + ha * c
-                if nv:
-                    row[l] = nv
-                else:
-                    del row[l]
-    return {v: row for v, row in out.items() if row}
-
-
-def _apply_contracted(
-    action: dict[int, dict[int, Fraction]], p: Polynomial
-) -> Polynomial:
-    """Apply the derivation with the given coordinate action by the Leibniz rule."""
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        for v, e in mono.exps:
-            row = action.get(v)
-            if not row:
-                continue
-            base = mono.lowered(v)
-            for l, c in row.items():
-                m2 = base.raised(l)
-                nv = out.get(m2, Fraction(0)) + coeff * e * c
-                if nv:
-                    out[m2] = nv
-                else:
-                    del out[m2]
-    return Polynomial(p.dim, out)
-
-
 def apply_invariance_operator(
     alg: LieAlgebra, vec: Sequence[Fraction], p: Polynomial
 ) -> Polynomial:
-    """L_H(p) = {l_H, p} for the subalgebra element with the given coordinates."""
-    return _apply_contracted(_contracted_action(alg, vec), p)
+    """L_H(p) = {l_H, p} for the subalgebra element with the given coordinates:
+    p differentiated along the Hamiltonian field of the linear form l_H."""
+    return apply_vector_field(hamiltonian_field(alg.linear_form(vec), alg), p)
 
 
-def _ordered_actions(
-    alg: LieAlgebra, sub: SubalgebraSpec
-) -> list[dict[int, dict[int, Fraction]]]:
-    """Operator actions for the spanning vectors, diagonal-like ones first."""
-    actions = [_contracted_action(alg, vec) for vec in sub.vectors]
+def _diagonal_weights(field: Sequence[Polynomial]) -> list[Fraction] | None:
+    """The weights c_v when the field scales every coordinate, x_v -> c_v x_v
+    (as the field of a Cartan element does in a weight basis); else None."""
+    weights = []
+    for v, component in enumerate(field):
+        x_v = Monomial.variable(v)
+        if component.terms.keys() - {x_v}:
+            return None
+        weights.append(component.terms.get(x_v, Fraction(0)))
+    return weights
 
-    def sort_key(pair):
-        idx, action = pair
-        diagonal = all(set(row) <= {v} for v, row in action.items())
-        nnz = sum(len(row) for row in action.values())
-        return (not diagonal, nnz, idx)
 
-    return [a for _, a in sorted(enumerate(actions), key=sort_key)]
+def _integer_weights(
+    diagonal: Sequence[Sequence[Fraction]], dim: int
+) -> list[tuple[int, ...]]:
+    """Per coordinate v, its weights under the diagonal fields, each field's
+    weights scaled by their common denominator (exact, and it keeps the
+    zero-weight monomials unchanged)."""
+    columns = []
+    for weights in diagonal:
+        scale = lcm(*(w.denominator for w in weights))
+        columns.append([int(w * scale) for w in weights])
+    return [tuple(col[v] for col in columns) for v in range(dim)]
+
+
+def _zero_weight_monomials(
+    weights: Sequence[tuple[int, ...]], k: int
+) -> list[Monomial]:
+    """The degree-k monomials of weight zero, sum_v e_v * weights[v] = 0, in
+    graded-lex descending order.
+
+    A (degree, weight) state is packed into one integer, degree plus (k + 1)
+    times the weight digits in a base wide enough that no partial sum of at
+    most k weights carries; the state of a monomial is then the sum of its
+    coordinates' steps.  reach[v] holds every state the coordinates v.. can
+    make with degree at most k, so the depth-first walk (largest exponent
+    first) only enters branches that still end at degree k and weight zero.
+    """
+    dim = len(weights)
+    bound = max((abs(w) for wt in weights for w in wt), default=0)
+    base = 2 * k * bound + 1
+    steps = [
+        1 + (k + 1) * sum(w * base**a for a, w in enumerate(wt)) for wt in weights
+    ]
+    reach: list[set[int]] = [set() for _ in range(dim)] + [{0}]
+    for v in range(dim - 1, -1, -1):
+        states = reach[v]
+        step = steps[v]
+        for s in reach[v + 1]:
+            for e in range(k - s % (k + 1) + 1):
+                states.add(s + e * step)
+    out: list[Monomial] = []
+    exps: list[tuple[int, int]] = []
+
+    def walk(v: int, state: int, left: int) -> None:
+        if v == dim:
+            out.append(Monomial(exps))
+            return
+        step, after = steps[v], reach[v + 1]
+        for e in range(left, -1, -1):
+            nxt = state + e * step
+            if k - nxt not in after:
+                continue
+            if e:
+                exps.append((v, e))
+            walk(v + 1, nxt, left - e)
+            if e:
+                exps.pop()
+
+    if k in reach[0]:
+        walk(0, 0, k)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +249,17 @@ def _kernel_of_map(
     """Basis of the kernel of a linear map given by images of basis polynomials."""
     if not basis:
         return []
+    images = [image_of(p) for p in basis]
+    if all(img.is_zero() for img in images):
+        return list(basis)
     dim = basis[0].dim
     out = []
-    for vec in _kernel_of_images(map(image_of, basis), len(basis)):
-        acc = Polynomial.zero(dim)
+    for vec in _kernel_of_images(images, len(basis)):
+        acc: dict[Monomial, Fraction] = {}
         for col, c in vec.items():
-            acc = acc + basis[col].scale(c)
-        out.append(acc)
+            for m, v in basis[col].terms.items():
+                acc[m] = acc.get(m, 0) + c * v
+        out.append(Polynomial(dim, acc))
     return out
 
 
@@ -266,15 +300,27 @@ def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polyno
         raise ValueError("degree must be nonnegative")
     if k == 0:
         return [Polynomial.one(alg.dim)]
-    basis: list[Polynomial] = [
-        Polynomial(alg.dim, {m: Fraction(1)}) for m in monomial_basis(alg.dim, k)
+    fields = [
+        field
+        for field in (hamiltonian_field(alg.linear_form(v), alg) for v in sub.vectors)
+        if any(component.terms for component in field)
     ]
-    for action in _ordered_actions(alg, sub):
+    weights = [_diagonal_weights(field) for field in fields]
+    diagonal = [w for w in weights if w is not None]
+    basis = [
+        Polynomial(alg.dim, {m: 1})
+        for m in _zero_weight_monomials(_integer_weights(diagonal, alg.dim), k)
+    ]
+    others = sorted(
+        (field for field, w in zip(fields, weights) if w is None),
+        key=lambda field: sum(len(component.terms) for component in field),
+    )
+    if not others:
+        return basis
+    for field in others:
         if not basis:
             break
-        if not action:
-            continue
-        basis = _kernel_of_map(basis, lambda p, a=action: _apply_contracted(a, p))
+        basis = _kernel_of_map(basis, partial(apply_vector_field, field))
     return _canonical_polys(basis, alg.dim)
 
 
@@ -548,12 +594,11 @@ def membership(
             {mono_ids.setdefault(m, len(mono_ids)): c for m, c in poly.terms.items()}
         )
 
-    expression = Polynomial.zero(nformal)
+    # formal monomials of different weighted degrees never coincide
+    expression: dict[Monomial, Fraction] = {}
     for d, component in p.homogeneous_components().items():
         if d == 0:
-            expression = expression + Polynomial.constant(
-                component.terms[Monomial.one()], nformal
-            )
+            expression[Monomial.one()] = component.terms[Monomial.one()]
             continue
         cols = weighted_exponents(weights, d)
         cols.sort(key=_formal_key, reverse=True)
@@ -565,10 +610,8 @@ def membership(
             return MembershipResult("not_found_up_to_budget")
         for exps, c in zip(cols, coeffs):
             if c:
-                expression = expression + Polynomial(
-                    nformal, {_formal_monomial(exps): c}
-                )
-    return MembershipResult("found", expression)
+                expression[_formal_monomial(exps)] = c
+    return MembershipResult("found", Polynomial(nformal, expression))
 
 
 @dataclass
@@ -652,7 +695,8 @@ def poisson_center_basis(
     for g in gens.generators:
         if not basis:
             break
+        # {p, g} = -{g, p}: the same kernel as p -> X_g(p)
         basis = _kernel_of_map(
-            basis, lambda p, q=g.poly: lie_poisson_bracket(p, q, alg)
+            basis, partial(apply_vector_field, hamiltonian_field(g.poly, alg))
         )
     return _canonical_polys(basis, alg.dim)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .algebra import LieAlgebra
-from .poly import Polynomial, lie_poisson_bracket
+from .poly import Polynomial, hamiltonian_field
 
 CompiledPoly = list[tuple[float, tuple[tuple[int, int], ...]]]
 
@@ -31,10 +31,7 @@ class FlowDivergenceError(RuntimeError):
 
 def hamiltonian_vector_field(alg: LieAlgebra, h: Polynomial) -> list[Polynomial]:
     """Exact symbolic components of the flow: component k is {H, x_k}."""
-    return [
-        lie_poisson_bracket(h, Polynomial.variable(k, alg.dim), alg)
-        for k in range(alg.dim)
-    ]
+    return hamiltonian_field(h, alg)
 
 
 def compile_polynomial(p: Polynomial) -> CompiledPoly:

@@ -56,6 +56,14 @@ class Monomial:
         self.exps = tuple(cleaned)
 
     @classmethod
+    def _of(cls, exps: tuple[tuple[int, int], ...]) -> "Monomial":
+        """Wrap an exponent tuple that is already sorted by variable and free
+        of zero exponents, without checking it again."""
+        mono = object.__new__(cls)
+        mono.exps = exps
+        return mono
+
+    @classmethod
     def one(cls) -> "Monomial":
         return cls(())
 
@@ -79,22 +87,27 @@ class Monomial:
         return not self.exps
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        if not other.exps:
+            return self
         merged = dict(self.exps)
         for v, e in other.exps:
             merged[v] = merged.get(v, 0) + e
-        return Monomial(merged.items())
+        return Monomial._of(tuple(sorted(merged.items())))
 
     def lowered(self, var: int) -> "Monomial":
         """The monomial with the exponent of ``var`` reduced by one."""
-        out = []
-        for v, e in self.exps:
-            out.append((v, e - 1) if v == var else (v, e))
-        return Monomial(out)
+        return Monomial._of(
+            tuple(
+                (v, e - 1) if v == var else (v, e)
+                for v, e in self.exps
+                if v != var or e > 1
+            )
+        )
 
     def raised(self, var: int) -> "Monomial":
         merged = dict(self.exps)
         merged[var] = merged.get(var, 0) + 1
-        return Monomial(merged.items())
+        return Monomial._of(tuple(sorted(merged.items())))
 
     def dense(self, dim: int) -> tuple[int, ...]:
         out = [0] * dim
@@ -135,6 +148,15 @@ class Polynomial:
                     raise ValueError("variable index out of range")
                 clean[mono] = coeff
         self.terms = clean
+
+    @classmethod
+    def _of(cls, dim: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap a term dict built by this module's own arithmetic (Fraction
+        coefficients, none zero, variables in range) without copying it."""
+        poly = object.__new__(cls)
+        poly.dim = dim
+        poly.terms = terms
+        return poly
 
     @classmethod
     def zero(cls, dim: int) -> "Polynomial":
@@ -178,29 +200,40 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.dim, out)
+            if m in out:
+                nv = out[m] + c
+                if nv:
+                    out[m] = nv
+                else:
+                    del out[m]
+            else:
+                out[m] = c
+        return Polynomial._of(self.dim, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dim, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(self.dim, {m: -c for m, c in self.terms.items()})
 
     def scale(self, value) -> "Polynomial":
         value = as_fraction(value)
-        return Polynomial(self.dim, {m: c * value for m, c in self.terms.items()})
+        if not value:
+            return Polynomial.zero(self.dim)
+        return Polynomial._of(self.dim, {m: c * value for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        left, den_left = _numerators(self.terms)
+        right, den_right = _numerators(other.terms)
+        out: dict[Monomial, int] = {}
+        for m1, c1 in left:
+            for m2, c2 in right:
                 m = m1 * m2
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.dim, out)
+                out[m] = out.get(m, 0) + c1 * c2
+        return _over(self.dim, out, den_left * den_right)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -329,28 +362,86 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
+def _numerators(
+    terms: Mapping[Monomial, Fraction],
+) -> tuple[list[tuple[Monomial, int]], int]:
+    """The terms as integer numerators over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
+
+
+def _over(dim: int, acc: dict[Monomial, int], den: int) -> Polynomial:
+    """The polynomial with coefficients acc[m] / den (zero entries dropped)."""
+    return Polynomial._of(dim, {m: Fraction(v, den) for m, v in acc.items() if v})
+
+
+def hamiltonian_field(p: Polynomial, alg) -> list[Polynomial]:
+    """The Hamiltonian vector field of p: component j is {p, x_j}.
+
+    {p, x_j} = sum_i d_i(p) {x_i, x_j}, and {x_i, x_j} is the linear form of
+    [X_i, X_j]; one Leibniz pass over the terms of p fills every component,
+    in integers over one denominator.
+    """
+    if p.dim != alg.dim:
+        raise ValueError("polynomial dimension does not match the algebra")
+    rows, den = alg.bracket_rows()
+    terms, den_p = _numerators(p.terms)
+    out: list[dict[Monomial, int]] = [{} for _ in range(alg.dim)]
+    for mono, num in terms:
+        for i, e in mono.exps:
+            row = rows[i]
+            if not row:
+                continue
+            base = mono.lowered(i)
+            raised: dict[int, Monomial] = {}
+            ne = num * e
+            for j, bracket in row.items():
+                acc = out[j]
+                for k, c in bracket.items():
+                    m2 = raised.get(k)
+                    if m2 is None:
+                        m2 = raised[k] = base.raised(k)
+                    acc[m2] = acc.get(m2, 0) + ne * c
+    return [_over(alg.dim, acc, den * den_p) for acc in out]
+
+
+def apply_vector_field(field: Sequence[Polynomial], q: Polynomial) -> Polynomial:
+    """The derivative of q along the vector field: sum_j field[j] * d_j(q)."""
+    if len(field) != q.dim:
+        raise ValueError("vector field dimension does not match the polynomial")
+    used = {j for mono in q.terms for j, _ in mono.exps if field[j].terms}
+    den = math.lcm(*(c.denominator for j in used for c in field[j].terms.values()))
+    components = {
+        j: [(m, c.numerator * (den // c.denominator)) for m, c in field[j].terms.items()]
+        for j in used
+    }
+    terms, den_q = _numerators(q.terms)
+    out: dict[Monomial, int] = {}
+    for mono, num in terms:
+        for j, e in mono.exps:
+            component = components.get(j)
+            if component is None:
+                continue
+            base = mono.lowered(j)
+            ne = num * e
+            for m, c in component:
+                m2 = base * m
+                out[m2] = out.get(m2, 0) + ne * c
+    return _over(q.dim, out, den * den_q)
+
+
 def lie_poisson_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
     """Linear Poisson bracket {p, q} induced by the structure constants of alg.
 
     On coordinates {x_i, x_j} is the linear form with the structure constants
-    of [X_i, X_j]; the bracket extends by the Leibniz rule in each slot.
+    of [X_i, X_j]; the bracket extends by the Leibniz rule in each slot, so
+    {p, q} = sum_j {p, x_j} d_j(q): q differentiated along the Hamiltonian
+    field of p.  Callers bracketing one p against many q compute
+    hamiltonian_field(p, alg) once and apply it to each q.
     """
-    if p.dim != alg.dim or q.dim != alg.dim:
+    if q.dim != alg.dim:
         raise ValueError("polynomial dimension does not match the algebra")
-    out = Polynomial.zero(alg.dim)
-    dps = {i: p.partial_derivative(i) for i in p.variables()}
-    dqs = {j: q.partial_derivative(j) for j in q.variables()}
-    for i, dpi in dps.items():
-        if dpi.is_zero():
-            continue
-        for j, dqj in dqs.items():
-            if i == j or dqj.is_zero():
-                continue
-            cb = alg.coordinate_bracket(i, j)
-            if cb.is_zero():
-                continue
-            out = out + dpi * dqj * cb
-    return out
+    return apply_vector_field(hamiltonian_field(p, alg), q)
 
 
 def gradient_matrix(

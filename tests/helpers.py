@@ -1,12 +1,13 @@
-"""Shared helpers for the test suite: random polynomials and span fingerprints."""
+"""Shared helpers for the test suite: random polynomials, span fingerprints,
+and slow reference routes for the kernel and bracket computations."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from poischain import Polynomial
-from poischain.linalg import canonical_rref
+from poischain import Monomial, Polynomial, monomial_basis
+from poischain.linalg import canonical_rref, nullspace, row_from_rationals
 
 
 def random_polynomial(
@@ -55,3 +56,51 @@ def same_span(polys_a, polys_b) -> bool:
 def rendered_set(gens, labels) -> set[str]:
     """Render every generator polynomial against coordinate labels."""
     return {g.poly.render(labels) for g in gens.generators}
+
+
+def full_basis_invariants(alg, sub, k: int) -> list[Polynomial]:
+    """Reference route for invariant_basis: start from every degree-k
+    monomial and intersect the kernels of the subalgebra's operators one at a
+    time, then take the reduced echelon basis with graded-lex pivots.  The
+    operator of H is p -> {l_H, p}, by the double-sum bracket below."""
+    if k == 0:
+        return [Polynomial.one(alg.dim)]
+    basis = [Polynomial(alg.dim, {m: 1}) for m in monomial_basis(alg.dim, k)]
+    for vec in sub.vectors:
+        l_h = alg.linear_form(vec)
+        rows: dict[Monomial, dict[int, Fraction]] = {}
+        for col, p in enumerate(basis):
+            image = double_sum_bracket(l_h, p, alg)
+            for m, c in image.terms.items():
+                rows.setdefault(m, {})[col] = c
+        kernel = nullspace(
+            [row_from_rationals(r) for r in rows.values()], len(basis)
+        )
+        basis = [
+            sum((basis[col].scale(c) for col, c in v.items()), Polynomial.zero(alg.dim))
+            for v in kernel
+        ]
+    monos = monomial_basis(alg.dim, k)  # graded-lex descending: column order
+    index = {m: i for i, m in enumerate(monos)}
+    reduced = canonical_rref(
+        {index[m]: c for m, c in p.terms.items()} for p in basis
+    )
+    return [
+        Polynomial(alg.dim, {monos[i]: c for i, c in v.items()}) for v in reduced
+    ]
+
+
+def double_sum_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
+    """Reference Lie-Poisson bracket: the sum over coordinate pairs of
+    d_i(p) * d_j(q) * {x_i, x_j}."""
+    out = Polynomial.zero(alg.dim)
+    for i in sorted(p.variables()):
+        dpi = p.partial_derivative(i)
+        for j in sorted(q.variables()):
+            cb = Polynomial(
+                alg.dim,
+                {Monomial.variable(k): c for k, c in alg.bracket_coeffs(i, j).items()},
+            )
+            if not cb.is_zero():
+                out = out + dpi * q.partial_derivative(j) * cb
+    return out

@@ -23,6 +23,7 @@ from poischain import (
     validate_subalgebra,
 )
 from poischain.algebra import (
+    _sl_matrix_basis,
     dual_transport_inverse,
     form_invariance_witness,
     moment_map_form,
@@ -211,3 +212,29 @@ def test_ad_matrix_reproduces_brackets(sl3):
 def test_builtin_sl_rejects_bad_n():
     with pytest.raises(ValueError):
         builtin_sl(1)
+
+
+def test_sl_labels_unique_from_ten_and_unchanged_below():
+    for n in (11, 12):
+        _, labels = _sl_matrix_basis(n)
+        assert len(set(labels)) == len(labels) == n * n - 1
+        assert {"e1_11", "e11_1", "h10"} <= set(labels)
+    for n in range(2, 10):
+        _, labels = _sl_matrix_basis(n)
+        assert labels == [f"h{i}" for i in range(1, n)] + [
+            f"e{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+        ]
+
+
+def test_sl_size_accepts_both_label_forms(sl3):
+    separated = tuple(
+        f"e{lab[1]}_{lab[2]}" if lab.startswith("e") else lab for lab in sl3.labels
+    )
+    alg = LieAlgebra(
+        name="sl3",
+        dim=sl3.dim,
+        labels=separated,
+        structure=sl3.structure,
+        cartan_indices=sl3.cartan_indices,
+    )
+    assert sl_size(sl3) == sl_size(alg) == 3

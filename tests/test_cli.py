@@ -1,11 +1,16 @@
 """Command-line surface: parsing, exit codes, report files, determinism."""
 
+import errno
+import io
 import json
+import os
+import sys
 
 import pytest
 
 from poischain import builtin_sl, dump_json, parse_polynomial
 from poischain.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
     EXIT_NEGATIVE,
@@ -311,3 +316,25 @@ def test_subalgebra_file_round_trip(tmp_path):
         ["chain", "verify", "--algebra", "sl3", "--subalgebra", str(path), "--base", "moment-map"]
     )
     assert code == EXIT_OK
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A standard output whose reader has gone away."""
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_stdout_exits_141_with_nothing_on_stderr(monkeypatch):
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", err)
+    code = main(["mf", "--algebra", "sl3", "--shift", "-1,2,0,0,0,0,0,0"])
+    redirected = sys.stdout
+    assert code == EXIT_BROKEN_PIPE == 141
+    assert err.getvalue() == ""
+    assert redirected.name == os.devnull
+    redirected.close()

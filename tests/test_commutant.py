@@ -1,5 +1,6 @@
 """Invariant subalgebra pipeline: kernels, generators, relations, membership."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -7,6 +8,7 @@ from math import comb
 import pytest
 
 from poischain import (
+    LieAlgebra,
     Polynomial,
     bracket_closure_check,
     cartan_subalgebra,
@@ -22,6 +24,7 @@ from poischain import (
     poisson_center_basis,
     relation_basis,
     span_subalgebra,
+    validate_algebra,
 )
 from poischain.commutant import (
     BudgetExceededError,
@@ -30,7 +33,7 @@ from poischain.commutant import (
     weighted_exponents,
 )
 
-from helpers import random_polynomial, same_span
+from helpers import full_basis_invariants, random_polynomial, same_span
 
 F = Fraction
 
@@ -236,3 +239,73 @@ def test_kernel_dims_stable_under_budget_extension(sl2):
     assert [g.poly for g in low.generators] == [
         g.poly for g in high.generators if g.degree <= 2
     ]
+
+
+# ---------------------------------------------------------------------------
+# weight-space start against the full monomial basis
+
+
+def _unit(dim: int, i: int) -> list[Fraction]:
+    return [Fraction(int(j == i)) for j in range(dim)]
+
+
+def _torus_line(alg):
+    # rational weights, so the integer scaling of the weights is exercised
+    direction = [Fraction(1, 2), Fraction(-1, 3), Fraction(2)][: alg.rank()]
+    return span_subalgebra(
+        [direction + [Fraction(0)] * (alg.dim - len(direction))], abelian=True
+    )
+
+
+SUBALGEBRA_KINDS = {
+    "cartan": cartan_subalgebra,
+    "full": full_subalgebra,
+    "torus-line": _torus_line,
+    # the first off-diagonal coordinate is e12: one root vector
+    "root-vector": lambda alg: span_subalgebra([_unit(alg.dim, alg.rank())]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUBALGEBRA_KINDS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_weight_space_route_matches_full_basis_route(request, n, kind):
+    alg = request.getfixturevalue(f"sl{n}")
+    sub = SUBALGEBRA_KINDS[kind](alg)
+    for k in range(5):
+        assert invariant_basis(alg, sub, k) == full_basis_invariants(alg, sub, k), k
+
+
+def _sl2_rotated() -> LieAlgebra:
+    """sl(2) in the basis (h, u, w) = (h, e + f, e - f), read from JSON."""
+    text = json.dumps(
+        {
+            "name": "sl2-rotated",
+            "dim": 3,
+            "labels": ["h", "u", "w"],
+            "structure": [
+                {"i": 0, "j": 1, "k": 2, "c": "2"},
+                {"i": 0, "j": 2, "k": 1, "c": "2"},
+                {"i": 1, "j": 2, "k": 0, "c": "-2"},
+            ],
+            "cartan_indices": [0],
+        }
+    )
+    return LieAlgebra.from_json(json.loads(text))
+
+
+@pytest.mark.parametrize("kind", ["cartan", "full"])
+def test_non_diagonal_cartan_matches_full_basis_route(kind):
+    alg = _sl2_rotated()
+    assert validate_algebra(alg).passed
+    h_vec = cartan_subalgebra(alg).vectors[0]
+    u, w = Polynomial.variable(1, 3), Polynomial.variable(2, 3)
+    # {x_h, x_u} = 2 x_w: the Cartan element does not scale the coordinates
+    assert apply_invariance_operator(alg, h_vec, u) == w.scale(2)
+    sub = SUBALGEBRA_KINDS[kind](alg)
+    for k in range(5):
+        assert invariant_basis(alg, sub, k) == full_basis_invariants(alg, sub, k), k
+    if kind == "cartan":
+        assert [p.render(alg.labels) for p in invariant_basis(alg, sub, 2)] == [
+            "h^2",
+            "u^2 - w^2",
+        ]

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poischain import Monomial, Polynomial, lie_poisson_bracket, parse_polynomial
+from poischain import (
+    Monomial,
+    Polynomial,
+    apply_vector_field,
+    casimirs_by_kernel,
+    direct_sum,
+    hamiltonian_field,
+    lie_poisson_bracket,
+    parse_polynomial,
+)
 from poischain.poly import (
     dump_json,
     polynomial_from_json,
@@ -15,7 +24,7 @@ from poischain.poly import (
     render_polynomial,
 )
 
-from helpers import random_polynomial
+from helpers import double_sum_bracket, random_polynomial
 
 
 def poly_strategy(dim=3, max_degree=3):
@@ -175,3 +184,26 @@ def test_dump_json_is_sorted_and_newline_terminated():
     out = dump_json({"b": 1, "a": [2, 3]})
     assert out.endswith("\n")
     assert out.index('"a"') < out.index('"b"')
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl2+sl3"])
+def test_bracket_matches_double_sum_reference(name, sl2, sl3):
+    alg = {"sl2": sl2, "sl3": sl3, "sl2+sl3": direct_sum(sl2, sl3)}[name]
+    rng = random.Random(len(name) * 101 + alg.dim)
+    for _ in range(30):
+        p = random_polynomial(rng, alg.dim, max_degree=3, n_terms=4)
+        p = p.scale(Fraction(1, rng.randint(1, 3)))
+        q = random_polynomial(rng, alg.dim, max_degree=3, n_terms=4)
+        assert lie_poisson_bracket(p, q, alg) == double_sum_bracket(p, q, alg)
+        field = hamiltonian_field(p, alg)
+        assert apply_vector_field(field, q) == double_sum_bracket(p, q, alg)
+        for j, component in enumerate(field):
+            x_j = Polynomial.variable(j, alg.dim)
+            assert component == double_sum_bracket(p, x_j, alg)
+
+
+def test_casimir_hamiltonian_fields_vanish(sl4):
+    cas = casimirs_by_kernel(sl4, 4)
+    assert len(cas) == 3
+    for g in cas.generators:
+        assert all(c.is_zero() for c in hamiltonian_field(g.poly, sl4)), g.label
