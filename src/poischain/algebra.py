@@ -80,16 +80,17 @@ class LieAlgebra:
 
     def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         """[u, v] for coordinate vectors u, v on the algebra."""
+        rows, den = self.bracket_rows()
         out = [Fraction(0)] * self.dim
         for i, ui in enumerate(u):
             if not ui:
                 continue
-            for j, vj in enumerate(v):
-                if not vj or i == j:
-                    continue
-                for k, c in self.bracket_coeffs(i, j).items():
-                    out[k] += ui * vj * c
-        return tuple(out)
+            for j, coeffs in rows[i].items():
+                if v[j]:
+                    w = ui * v[j]
+                    for k, c in coeffs.items():
+                        out[k] += w * c
+        return tuple(x / den for x in out)
 
     def linear_form(self, vec: Sequence[Fraction]) -> Polynomial:
         """The linear coordinate function of a basis-coordinate vector."""
@@ -101,14 +102,6 @@ class LieAlgebra:
                 if as_fraction(v)
             },
         )
-
-    def ad_matrix(self, i: int) -> list[list[Fraction]]:
-        """Matrix of ad(X_i); entry [k][j] is the X_k coefficient of [X_i, X_j]."""
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for k, c in self.bracket_coeffs(i, j).items():
-                out[k][j] = c
-        return out
 
     def label_index(self, label: str) -> int:
         try:
@@ -213,32 +206,11 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
         )
     )
 
-    jacobi = CheckResult("jacobi", True, "holds on all basis triples")
-    unit = [
-        tuple(Fraction(int(a == b)) for a in range(alg.dim)) for b in range(alg.dim)
-    ]
-    done = False
-    for i in range(alg.dim):
-        if done:
-            break
-        for j in range(i + 1, alg.dim):
-            if done:
-                break
-            for k in range(j + 1, alg.dim):
-                s1 = alg.bracket_vectors(unit[i], alg.bracket_vectors(unit[j], unit[k]))
-                s2 = alg.bracket_vectors(unit[j], alg.bracket_vectors(unit[k], unit[i]))
-                s3 = alg.bracket_vectors(unit[k], alg.bracket_vectors(unit[i], unit[j]))
-                total = [a + b + c for a, b, c in zip(s1, s2, s3)]
-                bad = next((l for l, v in enumerate(total) if v), None)
-                if bad is not None:
-                    jacobi = CheckResult(
-                        "jacobi",
-                        False,
-                        "Jacobi identity fails",
-                        (alg.labels[i], alg.labels[j], alg.labels[k], alg.labels[bad]),
-                    )
-                    done = True
-                    break
+    witness = _jacobi_witness(alg)
+    if witness is None:
+        jacobi = CheckResult("jacobi", True, "holds on all basis triples")
+    else:
+        jacobi = CheckResult("jacobi", False, "Jacobi identity fails", witness)
     checks.append(jacobi)
 
     killing = killing_form(alg)
@@ -251,6 +223,32 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
         )
     )
     return ValidationReport(alg.name, checks)
+
+
+def _jacobi_witness(alg: LieAlgebra) -> tuple[str, str, str, str] | None:
+    """Labels of the first basis triple i < j < k on which the Jacobi sum
+    [X_i, [X_j, X_k]] + [X_j, [X_k, X_i]] + [X_k, [X_i, X_j]] is nonzero,
+    followed by its smallest nonzero coordinate; None if there is none.
+    Summed in the integer structure constants (scaled by the denominator
+    squared, which does not move a zero)."""
+    rows, _ = alg.bracket_rows()
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            ij = rows[i].get(j)
+            for k in range(j + 1, alg.dim):
+                jk, ki = rows[j].get(k), rows[k].get(i)
+                if not (ij or jk or ki):
+                    continue
+                total: dict[int, int] = {}
+                for a, inner in ((i, jk), (j, ki), (k, ij)):
+                    for m, x in (inner or {}).items():
+                        for l, y in rows[a].get(m, {}).items():
+                            total[l] = total.get(l, 0) + x * y
+                bad = min((l for l, v in total.items() if v), default=None)
+                if bad is not None:
+                    labels = alg.labels
+                    return (labels[i], labels[j], labels[k], labels[bad])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -281,39 +279,22 @@ class BilinearForm:
             self._inverse = linalg.matrix_inverse(self.matrix)
         return self._inverse
 
-    def pair(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.matrix[i]
-            for j, vj in enumerate(v):
-                if vj:
-                    total += ui * row[j] * vj
-        return total
-
 
 def killing_form(alg: LieAlgebra) -> BilinearForm:
-    """B(X, Y) = trace(ad X . ad Y), computed exactly from the structure constants."""
-    ads = []
-    for i in range(alg.dim):
-        sparse: dict[int, dict[int, Fraction]] = {}
-        for j in range(alg.dim):
-            for k, c in alg.bracket_coeffs(i, j).items():
-                sparse.setdefault(j, {})[k] = c
-        ads.append(sparse)
+    """B(X, Y) = trace(ad X . ad Y), computed exactly from the structure constants:
+    B(X_i, X_j) = sum over a, b of C_iab C_jba."""
+    rows, den = alg.bracket_rows()
     matrix = []
     for i in range(alg.dim):
         row = []
         for j in range(alg.dim):
-            total = Fraction(0)
-            for a, outs in ads[i].items():
-                adj_a = ads[j]
+            total = 0
+            for a, outs in rows[i].items():
                 for b, c in outs.items():
-                    c2 = adj_a.get(b, {}).get(a)
+                    c2 = rows[j].get(b, {}).get(a)
                     if c2:
                         total += c * c2
-            row.append(total)
+            row.append(Fraction(total, den * den))
         matrix.append(tuple(row))
     return BilinearForm("killing", tuple(matrix))
 
@@ -322,15 +303,16 @@ def form_invariance_witness(
     alg: LieAlgebra, form: BilinearForm
 ) -> tuple[str, str, str] | None:
     """First basis triple violating B([z,x],y) + B(x,[z,y]) = 0, if any."""
-    unit = [
-        tuple(Fraction(int(a == b)) for a in range(alg.dim)) for b in range(alg.dim)
-    ]
+    rows, _ = alg.bracket_rows()
+    m = form.matrix
     for z in range(alg.dim):
         for x in range(alg.dim):
-            zx = alg.bracket_vectors(unit[z], unit[x])
+            zx = rows[z].get(x, {})
             for y in range(alg.dim):
-                zy = alg.bracket_vectors(unit[z], unit[y])
-                if form.pair(zx, unit[y]) + form.pair(unit[x], zy) != 0:
+                zy = rows[z].get(y, {})
+                if sum(c * m[k][y] for k, c in zx.items()) + sum(
+                    c * m[x][k] for k, c in zy.items()
+                ):
                     return (alg.labels[z], alg.labels[x], alg.labels[y])
     return None
 
@@ -349,50 +331,41 @@ def _sl_labels(n: int, separator: str) -> list[str]:
     ]
 
 
-def _sl_matrix_basis(n: int) -> tuple[list[list[list[Fraction]]], list[str]]:
-    """The h/e basis matrices of sl(n) and their labels.  From n = 10 on the
-    two indices of e_ij are separated by "_" (e1_11, not the ambiguous e111),
-    as in the cycle labels."""
-    mats: list[list[list[Fraction]]] = []
+SparseMatrix = dict[tuple[int, int], int]
 
-    def zeros() -> list[list[Fraction]]:
-        return [[Fraction(0)] * n for _ in range(n)]
 
-    for i in range(1, n):
-        m = zeros()
-        m[i - 1][i - 1] = Fraction(1)
-        m[i][i] = Fraction(-1)
-        mats.append(m)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            m = zeros()
-            m[i - 1][j - 1] = Fraction(1)
-            mats.append(m)
+def _sl_matrix_basis(n: int) -> tuple[list[SparseMatrix], list[str]]:
+    """The h/e basis matrices of sl(n), as sparse {(row, col): entry} maps
+    with 0-based indices, and their labels.  From n = 10 on the two indices
+    of e_ij are separated by "_" (e1_11, not the ambiguous e111), as in the
+    cycle labels."""
+    mats: list[SparseMatrix] = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+    mats += [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
     return mats, _sl_labels(n, "_" if n >= 10 else "")
 
 
-def _sl_matrix_coords(m: list[list[Fraction]], n: int) -> list[Fraction]:
-    """Coordinates of a traceless matrix in the h/e basis built above."""
-    coords = [Fraction(0)] * (n * n - 1)
-    running = Fraction(0)
-    for i in range(n - 1):
-        running += m[i][i]
-        coords[i] = running
-    idx = n - 1
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            coords[idx] = m[i][j]
-            idx += 1
+def _sl_matrix_coords(m: SparseMatrix, n: int) -> dict[int, int]:
+    """Nonzero coordinates, in ascending index order, of a traceless sparse
+    matrix in the h/e basis built above: h_i carries the running sum of the
+    first i diagonal entries, and e_ij the (i, j) entry."""
+    coords: dict[int, int] = {}
+    diagonal = {r: v for (r, c), v in m.items() if r == c}
+    running = 0
+    for i in range(min(diagonal, default=n - 1), n - 1):
+        running += diagonal.get(i, 0)
+        if running:
+            coords[i] = running
+    for (r, c), v in sorted(m.items()):
+        if r != c and v:
+            coords[n - 1 + r * (n - 1) + (c if c < r else c - 1)] = v
     return coords
 
 
 def builtin_sl(n: int) -> LieAlgebra:
     """sl(n) in the basis h_i = E_ii - E_(i+1)(i+1), followed by the E_ij row
-    by row; the h block is the flagged Cartan subalgebra."""
+    by row; the h block is the flagged Cartan subalgebra.  Every basis matrix
+    has at most two entries, so each commutator takes a constant number of
+    products."""
     if n < 2:
         raise ValueError("sl(n) needs n >= 2")
     mats, labels = _sl_matrix_basis(n)
@@ -400,19 +373,14 @@ def builtin_sl(n: int) -> LieAlgebra:
     structure: dict[tuple[int, int, int], Fraction] = {}
     for a in range(dim):
         for b in range(a + 1, dim):
-            comm = [
-                [
-                    sum(
-                        mats[a][r][t] * mats[b][t][c] - mats[b][r][t] * mats[a][t][c]
-                        for t in range(n)
-                    )
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-            for k, c in enumerate(_sl_matrix_coords(comm, n)):
-                if c:
-                    structure[(a, b, k)] = c
+            comm: SparseMatrix = {}
+            for left, right, sign in ((mats[a], mats[b], 1), (mats[b], mats[a], -1)):
+                for (r, t), x in left.items():
+                    for (t2, c), y in right.items():
+                        if t == t2:
+                            comm[(r, c)] = comm.get((r, c), 0) + sign * x * y
+            for k, c in _sl_matrix_coords(comm, n).items():
+                structure[(a, b, k)] = c
     return LieAlgebra(
         name=f"sl{n}",
         dim=dim,
@@ -437,16 +405,13 @@ def sl_size(alg: LieAlgebra) -> int | None:
 def trace_form_sl(n: int) -> BilinearForm:
     """The defining-representation trace form of sl(n)."""
     mats, _ = _sl_matrix_basis(n)
-    dim = n * n - 1
-    matrix = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            row.append(
-                sum(mats[a][r][c] * mats[b][c][r] for r in range(n) for c in range(n))
-            )
-        matrix.append(tuple(row))
-    return BilinearForm("trace", tuple(matrix))
+    matrix = tuple(
+        tuple(
+            sum(v * mb.get((c, r), 0) for (r, c), v in ma.items()) for mb in mats
+        )
+        for ma in mats
+    )
+    return BilinearForm("trace", matrix)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
@@ -587,12 +552,11 @@ def validate_subalgebra(alg: LieAlgebra, sub: SubalgebraSpec) -> ValidationRepor
 def commutator_matrix(alg: LieAlgebra, point: Sequence[Fraction]) -> list[list[Fraction]]:
     """The matrix A_ij(x) = sum_k C_ijk x_k at the given point."""
     pt = as_point(point, alg.dim)
+    rows, den = alg.bracket_rows()
     out = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
-    for (i, j, k), c in alg.structure.items():
-        if pt[k]:
-            v = c * pt[k]
-            out[i][j] += v
-            out[j][i] -= v
+    for i, row in enumerate(rows):
+        for j, coeffs in row.items():
+            out[i][j] = sum(c * pt[k] for k, c in coeffs.items()) / den
     return out
 
 

@@ -89,10 +89,8 @@ def _symbolic_sl_matrix(n: int, dim: int) -> list[list[Polynomial]]:
     entries = [[Polynomial.zero(dim) for _ in range(n)] for _ in range(n)]
     for i, mat in enumerate(matrices):
         coord = Polynomial.variable(i, dim)
-        for r in range(n):
-            for c in range(n):
-                if mat[r][c]:
-                    entries[r][c] = entries[r][c] + coord.scale(mat[r][c])
+        for (r, c), v in mat.items():
+            entries[r][c] = entries[r][c] + coord.scale(v)
     return entries
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
+import math
 import os
 import re
 import sys
@@ -173,10 +175,13 @@ def parse_cli(argv: list[str]) -> RunConfig:
             parser.error(f"--{attr.replace('_', '-')} must be at least 1")
     if getattr(ns, "n", None) is not None and ns.n < 2:
         parser.error("--n must be at least 2")
-    if getattr(ns, "dt", None) is not None and ns.dt <= 0:
-        parser.error("--dt must be positive")
-    if getattr(ns, "t", None) is not None and ns.t <= 0:
-        parser.error("--t must be positive")
+    if getattr(ns, "dt", None) is not None:
+        if not 0 < ns.dt < math.inf:
+            parser.error("--dt must be positive and finite")
+        if not 0 < ns.t < math.inf:
+            parser.error("--t must be positive and finite")
+        if not math.isfinite(ns.t / ns.dt):
+            parser.error("--t / --dt must be a finite number of steps")
     return RunConfig(
         command=command,
         seed=getattr(ns, "seed", DEFAULT_SEED),
@@ -187,6 +192,17 @@ def parse_cli(argv: list[str]) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # input resolution
+
+
+def _read_json_file(path: str, what: str, parse):
+    """parse(data) for the JSON content of the file; a file that cannot be
+    read, or content of the wrong shape or type, is invalid input."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path!r}: {exc.strerror}")
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise CliError(f"cannot parse {what} {path!r}: {exc}")
 
 
 def load_algebra(spec: str) -> LieAlgebra:
@@ -201,15 +217,9 @@ def load_algebra(spec: str) -> LieAlgebra:
                 "larger algebras can be supplied as structure-constant files"
             )
         return builtin_sl(n)
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise CliError(f"algebra {spec!r} is neither slN nor an existing file")
-    import json
-
-    try:
-        return LieAlgebra.from_json(json.loads(path.read_text()))
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"cannot parse algebra file {spec!r}: {exc}")
+    return _read_json_file(spec, "algebra file", LieAlgebra.from_json)
 
 
 def load_subalgebra(spec: str, alg: LieAlgebra) -> SubalgebraSpec:
@@ -217,18 +227,16 @@ def load_subalgebra(spec: str, alg: LieAlgebra) -> SubalgebraSpec:
         return cartan_subalgebra(alg)
     if spec == "full":
         return full_subalgebra(alg)
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise CliError(
             f"subalgebra {spec!r} is not cartan/full or an existing file"
         )
-    import json
 
-    try:
-        sub = SubalgebraSpec.from_json(json.loads(path.read_text()))
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"cannot parse subalgebra file {spec!r}: {exc}")
-    report = validate_subalgebra(alg, sub)
+    def parse(data):
+        sub = SubalgebraSpec.from_json(data)
+        return sub, validate_subalgebra(alg, sub)  # checks the dimension first
+
+    sub, report = _read_json_file(spec, "subalgebra file", parse)
     if not report.passed:
         bad = "; ".join(c.name for c in report.checks if not c.passed)
         raise CliError(f"subalgebra file {spec!r} failed validation: {bad}")
@@ -259,16 +267,10 @@ def parse_shift(text: str, alg: LieAlgebra) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def _load_generator_file(path_str: str, alg: LieAlgebra) -> GeneratorSet:
-    import json
-
-    path = Path(path_str)
-    if not path.exists():
-        raise CliError(f"generator file {path_str!r} does not exist")
-    try:
-        return GeneratorSet.from_json(json.loads(path.read_text()), alg)
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"cannot parse generator file {path_str!r}: {exc}")
+def _load_generator_file(path: str, alg: LieAlgebra) -> GeneratorSet:
+    return _read_json_file(
+        path, "generator file", lambda data: GeneratorSet.from_json(data, alg)
+    )
 
 
 def emit_report(report: dict, path: str | None) -> None:
@@ -499,6 +501,8 @@ def cmd_flow(cfg: RunConfig) -> int:
         x0 = [float(v) for v in ns.x0.split(",")]
     except ValueError:
         raise CliError(f"cannot parse initial point {ns.x0!r}")
+    if not all(math.isfinite(v) for v in x0):
+        raise CliError(f"initial point {ns.x0!r} is not finite")
     if len(x0) != alg.dim:
         raise CliError(f"initial point needs {alg.dim} coordinates")
     monitors = _resolve_monitors(ns.monitor, alg)

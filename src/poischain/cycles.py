@@ -488,14 +488,10 @@ def sl_weyl_images(alg: LieAlgebra, sigma: Sequence[int]) -> list[Polynomial]:
             images.append(Polynomial.variable(edge_index(n)[(si, sj)], alg.dim))
         else:
             i = role[1]
-            mat = [[Fraction(0)] * n for _ in range(n)]
-            mat[sigma[i - 1]][sigma[i - 1]] = Fraction(1)
-            mat[sigma[i]][sigma[i]] = Fraction(-1)
-            coords = _sl_matrix_coords(mat, n)
+            mat = {(sigma[i - 1], sigma[i - 1]): 1, (sigma[i], sigma[i]): -1}
             acc = Polynomial.zero(alg.dim)
-            for v, c in enumerate(coords):
-                if c:
-                    acc = acc + Polynomial.variable(v, alg.dim).scale(c)
+            for v, c in _sl_matrix_coords(mat, n).items():
+                acc = acc + Polynomial.variable(v, alg.dim).scale(c)
             images.append(acc)
     return images
 

@@ -5,10 +5,10 @@ combines rows by cross multiplication and re-extracts integer content, so the
 whole pipeline stays in arbitrary-precision integers; rationals only appear
 when a result is normalized for presentation.
 
-Echelon is the one elimination core: rank, nullspace, canonical_rref and
-express_in_rowspace all insert rows into it.  Only det_exact and
-matrix_inverse, which work on small dense rational matrices, eliminate on
-their own.
+Echelon is the one elimination core: rank, nullspace, canonical_rref,
+express_in_rowspace and matrix_inverse all insert rows into it.  Only
+det_exact eliminates on its own: Echelon keeps its rows primitive, which
+drops the row scales a determinant needs.
 
 Column indices at or above TAG_BASE are bookkeeping tags carried through the
 elimination (used to express a vector in a row space); they never become
@@ -249,19 +249,26 @@ def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 def matrix_inverse(
     matrix: Sequence[Sequence[Fraction]],
 ) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan; raises on singular input."""
+    """Exact inverse; raises on singular input.
+
+    Row i goes into an Echelon tagged with column TAG_BASE + 1 + i, as in
+    express_in_rowspace.  For an invertible matrix every echelon row is its
+    pivot entry at the pivot column plus tags recording which combination of
+    the input rows gives it, so row j of the inverse is the tags of pivot
+    row j over its pivot.
+    """
     n = len(matrix)
-    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        piv = m[col][col]
-        m[col] = [v / piv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    if any(len(r) != n for r in matrix):
+        raise ValueError("inverse needs a square matrix")
+    ech = Echelon()
+    for i, dense in enumerate(matrix):
+        tagged = {c: v for c, v in enumerate(dense) if v}
+        tagged[TAG_BASE + 1 + i] = Fraction(1)
+        ech.insert(row_from_rationals(tagged))
+    if len(ech) < n:
+        raise ValueError("matrix is singular")
+    out = []
+    for j in range(n):
+        row = ech.pivots[j]
+        out.append([Fraction(row.get(TAG_BASE + 1 + i, 0), row[j]) for i in range(n)])
+    return out

@@ -82,6 +82,8 @@ def test_validation_catches_jacobi_violation(sl2):
     rep = validate_algebra(alg)
     failed = {c.name for c in rep.checks if not c.passed}
     assert "jacobi" in failed
+    jacobi = next(c for c in rep.checks if c.name == "jacobi")
+    assert jacobi.witness == ("h1", "e12", "e21", "h1")
 
 
 def test_killing_form_sl2(sl2):
@@ -200,13 +202,32 @@ def test_subalgebra_json_round_trip(sl3):
     assert back == spec
 
 
-def test_ad_matrix_reproduces_brackets(sl3):
-    for i in range(sl3.dim):
-        ad = sl3.ad_matrix(i)
-        for j in range(sl3.dim):
-            expected = sl3.bracket_coeffs(i, j)
-            col = {k: ad[k][j] for k in range(sl3.dim) if ad[k][j]}
-            assert col == expected
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_structure_constants_match_dense_commutators(n):
+    """sum_k C_abk M_k equals [M_a, M_b] for the basis matrices M, with
+    the commutator taken densely."""
+    alg = builtin_sl(n)
+    sparse, _ = _sl_matrix_basis(n)
+    mats = [
+        [[F(m.get((r, c), 0)) for c in range(n)] for r in range(n)] for m in sparse
+    ]
+
+    def product(x, y):
+        return [
+            [sum(x[r][t] * y[t][c] for t in range(n)) for c in range(n)]
+            for r in range(n)
+        ]
+
+    for a in range(alg.dim):
+        for b in range(alg.dim):
+            ab, ba = product(mats[a], mats[b]), product(mats[b], mats[a])
+            expected = [[ab[r][c] - ba[r][c] for c in range(n)] for r in range(n)]
+            combined = [[F(0)] * n for _ in range(n)]
+            for k, coeff in alg.bracket_coeffs(a, b).items():
+                for r in range(n):
+                    for c in range(n):
+                        combined[r][c] += coeff * mats[k][r][c]
+            assert combined == expected, (alg.labels[a], alg.labels[b])
 
 
 def test_builtin_sl_rejects_bad_n():

@@ -338,3 +338,60 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(monkeypatch):
     assert err.getvalue() == ""
     assert redirected.name == os.devnull
     redirected.close()
+
+
+# "@name" in an argument stands for the file of that name in a scratch directory
+_MALFORMED_FILES = {
+    "float_c.json": {"dim": 2, "labels": ["a", "b"],
+                     "structure": [{"i": 0, "j": 1, "k": 1, "c": 1.5}]},
+    "list.json": [1, 2, 3],
+    "short_sub.json": {"vectors": [["1", "0"]]},
+    "zero_sub.json": {"vectors": [["1/0", "0", "0"]]},
+    "float_gen.json": {"generators": [{"poly": [{"coeff": 1.5, "exps": {"0": 1}}]}]},
+}
+
+_FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["algebra", "check", "--algebra", "@float_c.json"],
+                     id="float-structure-constant"),
+        pytest.param(["algebra", "check", "--algebra", "@list.json"],
+                     id="algebra-file-is-a-list"),
+        pytest.param(["chain", "verify", "--algebra", "sl2", "--subalgebra",
+                      "@short_sub.json", "--base", "casimirs"],
+                     id="chain-verify-short-subalgebra-vector"),
+        pytest.param(["commutant", "--algebra", "sl2", "--subalgebra",
+                      "@short_sub.json"], id="commutant-short-subalgebra-vector"),
+        pytest.param(["commutant", "--algebra", "sl2", "--subalgebra",
+                      "@zero_sub.json"], id="subalgebra-entry-divides-by-zero"),
+        pytest.param(["chain", "verify", "--algebra", "sl2", "--subalgebra", "cartan",
+                      "--base", "file:@float_gen.json"], id="float-generator-base"),
+        pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "0.1",
+                              "--monitor", "@float_gen.json"],
+                     id="float-generator-monitor"),
+        pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "1e308", "--dt", "1e-308"],
+                     id="infinite-step-count"),
+        pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "inf"],
+                     id="infinite-step"),
+        pytest.param(_FLOW + ["--x0", "nan,1,1", "--t", "1", "--dt", "0.1"],
+                     id="nan-initial-point"),
+    ],
+)
+def test_malformed_input_exits_three_with_one_line(tmp_path, capsys, argv):
+    for name, data in _MALFORMED_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    argv = [a.replace("@", f"{tmp_path}{os.sep}") for a in argv]
+    assert run(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_algebra_check_sl12_passes(capsys):
+    assert run(["algebra", "check", "--algebra", "sl12"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("antisymmetry", "jacobi", "killing_nondegenerate"):
+        assert f"{name}: pass" in lines

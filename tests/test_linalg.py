@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,6 +174,16 @@ def test_matrix_inverse_round_trip():
         for i in range(2)
     ]
     assert prod == [[F(1), F(0)], [F(0), F(1)]]
+    # a zero leading entry needs a row swap
+    m = [[F(0), F(1, 2), F(1)], [F(3), F(0), F(-1)], [F(1), F(1), F(0)]]
+    inv = matrix_inverse(m)
+    prod = [
+        [sum(m[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
+        for i in range(3)
+    ]
+    assert prod == [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError):
+        matrix_inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
 def test_echelon_reduction_clears_pivot_columns():
