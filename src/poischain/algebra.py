@@ -138,11 +138,11 @@ class LieAlgebra:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "LieAlgebra":
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"], "dim")
         labels = tuple(data.get("labels") or (f"x{i + 1}" for i in range(dim)))
         structure: dict[tuple[int, int, int], Fraction] = {}
         for entry in data.get("structure", ()):
-            key = (int(entry["i"]), int(entry["j"]), int(entry["k"]))
+            key = tuple(_json_int(entry[a], f"structure index {a}") for a in "ijk")
             if key in structure:
                 raise ValueError(f"duplicate structure entry for {key}")
             structure[key] = as_fraction(entry["c"])
@@ -152,8 +152,20 @@ class LieAlgebra:
             dim=dim,
             labels=labels,
             structure=structure,
-            cartan_indices=tuple(cartan) if cartan is not None else None,
+            cartan_indices=(
+                tuple(_json_int(i, "Cartan index") for i in cartan)
+                if cartan is not None
+                else None
+            ),
         )
+
+
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; floats, booleans and strings are rejected
+    rather than truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -232,11 +232,13 @@ def _zero_weight_monomials(
 
 
 def _kernel_of_images(
-    images: Iterable[Polynomial], ncols: int
+    images: Iterable[tuple[int, Polynomial]], ncols: int
 ) -> list[dict[int, Fraction]]:
-    """Kernel of the linear map sending column i to the i-th image polynomial."""
+    """Kernel of the linear map sending column i to its image polynomial,
+    given as (i, image) pairs in any order: the kernel depends only on the
+    row space, not on the order of the rows."""
     rows_by_mono: dict[Monomial, dict[int, Fraction]] = {}
-    for col, img in enumerate(images):
+    for col, img in images:
         for mono, c in img.terms.items():
             rows_by_mono.setdefault(mono, {})[col] = c
     rows = [linalg.row_from_rationals(entries) for entries in rows_by_mono.values()]
@@ -254,7 +256,7 @@ def _kernel_of_map(
         return list(basis)
     dim = basis[0].dim
     out = []
-    for vec in _kernel_of_images(images, len(basis)):
+    for vec in _kernel_of_images(enumerate(images), len(basis)):
         acc: dict[Monomial, Fraction] = {}
         for col, c in vec.items():
             for m, v in basis[col].terms.items():
@@ -325,23 +327,41 @@ def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polyno
 
 
 def _generator_products(
-    gens: Sequence[Generator], max_degree: int
-) -> Iterator[tuple[int, Polynomial]]:
-    """Every product of one or more of the generators (repeats allowed) with
-    total degree at most max_degree, as (degree, product) pairs, lazily and
-    depth first in generator order."""
+    gens: Sequence[Generator], degree: int
+) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
+    """Every product of the generators (repeats allowed) of weighted degree
+    exactly `degree`, each generator weighing its degree, as (exponent
+    vector, product) pairs, lazily and depth first in generator order.
 
-    def rec(start: int, degree: int, acc: Polynomial | None):
-        for idx in range(start, len(gens)):
-            g = gens[idx]
-            total = degree + g.degree
-            if total > max_degree:
+    Each product is its prefix on the walk's stack times one generator, so
+    it costs one multiplication.  reach[i] holds the degrees that generators
+    i.. can make together, so the walk only enters prefixes that can still
+    end at `degree`.
+    """
+    weights = [g.degree for g in gens]
+    if any(w < 1 for w in weights):
+        raise ValueError("generator degrees must be positive")
+    n = len(gens)
+    reach: list[set[int]] = [set() for _ in range(n)] + [{0}]
+    for i in range(n - 1, -1, -1):
+        for t in reach[i + 1]:
+            reach[i].update(range(t, degree + 1, weights[i]))
+    exps = [0] * n
+
+    def walk(start: int, left: int, acc: Polynomial | None):
+        for i in range(start, n):
+            w = weights[i]
+            if left - w not in reach[i]:
                 continue
-            prod = g.poly if acc is None else acc * g.poly
-            yield total, prod
-            yield from rec(idx, total, prod)
+            prod = gens[i].poly if acc is None else acc * gens[i].poly
+            exps[i] += 1
+            if left == w:
+                yield tuple(exps), prod
+            else:
+                yield from walk(i, left - w, prod)
+            exps[i] -= 1
 
-    return rec(0, 0, None)
+    return walk(0, degree, None)
 
 
 def indecomposables(
@@ -363,9 +383,7 @@ def indecomposables(
         (g for g in previous if g.degree < k), key=lambda g: (g.degree, g.label)
     )
     ech = linalg.Echelon()
-    for degree, prod in _generator_products(lower, k):
-        if degree < k:
-            continue
+    for _, prod in _generator_products(lower, k):
         entries: dict[int, Fraction] = {}
         for m, c in prod.terms.items():
             if m not in index:
@@ -425,20 +443,21 @@ def generate(
 def weighted_exponents(weights: Sequence[int], total: int) -> list[tuple[int, ...]]:
     """All exponent tuples e with sum(w_i * e_i) == total, lex descending."""
     out: list[tuple[int, ...]] = []
+    acc = [0] * len(weights)
 
-    def rec(idx: int, remaining: int, acc: list[int]) -> None:
+    def rec(idx: int, remaining: int) -> None:
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
         if idx == len(weights):
-            if remaining == 0:
-                out.append(tuple(acc))
             return
         w = weights[idx]
-        top = remaining // w
-        for e in range(top, -1, -1):
-            acc.append(e)
-            rec(idx + 1, remaining - e * w, acc)
-            acc.pop()
+        for e in range(remaining // w, -1, -1):
+            acc[idx] = e
+            rec(idx + 1, remaining - e * w)
+        acc[idx] = 0
 
-    rec(0, total, [])
+    rec(0, total)
     return out
 
 
@@ -448,14 +467,6 @@ def _formal_key(exps: tuple[int, ...]) -> tuple:
 
 def _formal_monomial(exps: tuple[int, ...]) -> Monomial:
     return Monomial([(i, e) for i, e in enumerate(exps) if e])
-
-
-def _expand_formal(gens: GeneratorSet, exps: tuple[int, ...]) -> Polynomial:
-    acc = Polynomial.one(gens.algebra.dim)
-    for i, e in enumerate(exps):
-        if e:
-            acc = acc * gens.generators[i].poly.power(e)
-    return acc
 
 
 @dataclass
@@ -498,8 +509,12 @@ def relation_basis(
 
     A relation of weighted degree d is a linear dependency among the
     expansions of the formal generator monomials of weighted degree d (the
-    weight of a generator is its degree).  Multiples of relations found in
-    lower degree are reduced away, so every reported relation is new.
+    weight of a generator is its degree).  The expansions of one degree come
+    from one depth-first walk over the generator products, each product one
+    multiplication; nothing is kept from one degree to the next.  Multiples
+    of relations found in lower degree are reduced away, so every reported
+    relation is new; it is given in reduced echelon form over the formal
+    monomials, ordered by (total degree, exponents) descending.
     """
     weights = gens.degrees()
     if weights and max_total_degree < max(weights):
@@ -515,19 +530,26 @@ def relation_basis(
             raise BudgetExceededError(
                 f"{len(cols)} formal monomials at weighted degree {d}", degree=d
             )
+        col_index = {exps: i for i, exps in enumerate(cols)}
         kernel = _kernel_of_images(
-            (_expand_formal(gens, exps) for exps in cols), len(cols)
+            (
+                (col_index[exps], prod)
+                for exps, prod in _generator_products(gens.generators, d)
+            ),
+            len(cols),
         )
         if not kernel:
             continue
-        col_index = {exps: i for i, exps in enumerate(cols)}
         old = linalg.Echelon()
+        multipliers: dict[int, list[tuple[int, ...]]] = {}
         for rel in relations:
             shift = d - rel.weighted_degree
-            for mult in weighted_exponents(weights, shift):
+            if shift not in multipliers:
+                multipliers[shift] = weighted_exponents(weights, shift)
+            terms = [(mono.dense(nformal), c) for mono, c in rel.formal.terms.items()]
+            for mult in multipliers[shift]:
                 vec: dict[int, Fraction] = {}
-                for mono, c in rel.formal.terms.items():
-                    dense = list(mono.dense(nformal))
+                for dense, c in terms:
                     combined = tuple(a + b for a, b in zip(dense, mult))
                     vec[col_index[combined]] = c
                 old.insert(linalg.row_from_rationals(vec))
@@ -604,7 +626,10 @@ def membership(
         cols.sort(key=_formal_key, reverse=True)
         if not cols:
             return MembershipResult("not_found_up_to_budget")
-        expansions = [row_of(_expand_formal(gens, exps)) for exps in cols]
+        col_index = {exps: i for i, exps in enumerate(cols)}
+        expansions: list[linalg.Row] = [{}] * len(cols)
+        for exps, prod in _generator_products(gens.generators, d):
+            expansions[col_index[exps]] = row_of(prod)
         coeffs = linalg.express_in_rowspace(expansions, row_of(component))
         if coeffs is None:
             return MembershipResult("not_found_up_to_budget")

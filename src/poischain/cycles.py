@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .algebra import LieAlgebra, builtin_sl, cartan_subalgebra, sl_size, _sl_matrix_coords
@@ -523,22 +523,26 @@ def reynolds_sl(
 
     Averages every product of the given generators up to the degree cap and
     returns a reduced echelon basis per degree.  Applied to torus generators
-    this produces the invariants of the torus normalizer.
+    this produces the invariants of the torus normalizer.  The products are
+    counted (by weighted degree) before any is formed, so an over-budget
+    call fails at once.
     """
-    products = list(
-        islice(_generator_products(gens.generators, max_degree), product_budget + 1)
-    )
-    if len(products) > product_budget:
+    count = [1] + [0] * max_degree
+    for g in gens.generators:
+        for t in range(g.degree, max_degree + 1):
+            count[t] += count[t - g.degree]
+    if sum(count[1:]) > product_budget:
         raise BudgetExceededError(
             f"more than {product_budget} generator products below degree {max_degree}"
         )
     averaged: dict[int, list[Polynomial]] = {}
-    for _, prod in products:
-        avg = reynolds_average(alg, prod)
-        if avg.is_zero():
-            continue
-        deg = avg.degree or 0
-        averaged.setdefault(deg, []).append(avg)
+    for d in range(1, max_degree + 1):
+        for _, prod in _generator_products(gens.generators, d):
+            avg = reynolds_average(alg, prod)
+            if avg.is_zero():
+                continue
+            deg = avg.degree or 0
+            averaged.setdefault(deg, []).append(avg)
     out: list[Generator] = []
     for deg in sorted(averaged):
         basis = _canonical_polys(averaged[deg], alg.dim)

@@ -6,9 +6,12 @@ whole pipeline stays in arbitrary-precision integers; rationals only appear
 when a result is normalized for presentation.
 
 Echelon is the one elimination core: rank, nullspace, canonical_rref,
-express_in_rowspace and matrix_inverse all insert rows into it.  Only
-det_exact eliminates on its own: Echelon keeps its rows primitive, which
-drops the row scales a determinant needs.
+express_in_rowspace and matrix_inverse all insert rows into it.  A row is
+reduced forward only when it goes in; the one backward pass that makes the
+stored rows mutually reduced runs later, once per batch, and only when a
+caller reads the rows (nullspace's kernel read-off, canonical_rref,
+matrix_inverse).  Only det_exact eliminates on its own: Echelon keeps its
+rows primitive, which drops the row scales a determinant needs.
 
 Column indices at or above TAG_BASE are bookkeeping tags carried through the
 elimination (used to express a vector in a row space); they never become
@@ -18,6 +21,7 @@ pivots.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -79,59 +83,76 @@ def _eliminate(target: Row, source: Row, col: int) -> None:
 
 
 class Echelon:
-    """Incrementally maintained echelon basis of a row space.
+    """Echelon basis of a row space, filled by forward insertion.
 
-    Every stored row is primitive, owns a distinct pivot column, and carries a
-    zero in every other pivot column (they are kept mutually reduced), which
-    makes back substitution a single lookup.
+    Every stored row is primitive and owns a distinct pivot column, its
+    least real column.  insert reduces a row against the stored pivots and
+    stores it without touching the other rows, so a batch of inserts pays
+    only for its own reductions.  One backward pass, run when the rows are
+    next read through pivots, clears every pivot column from the other rows,
+    which makes back substitution a single lookup.  The rows read are the
+    same however inserts and reads interleave: primitive multiples of the
+    reduced row echelon rows of the span.
     """
 
     def __init__(self) -> None:
-        self.pivots: dict[int, Row] = {}
-        self._touch: dict[int, set[int]] = {}
+        self._rows: dict[int, Row] = {}
+        self._reduced = True
 
     def __len__(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
 
-    def _register(self, pivcol: int, row: Row) -> None:
-        for c in row:
-            if c < TAG_BASE:
-                self._touch.setdefault(c, set()).add(pivcol)
-
-    def _unregister(self, pivcol: int, row: Row) -> None:
-        for c in row:
-            if c < TAG_BASE:
-                cell = self._touch.get(c)
-                if cell:
-                    cell.discard(pivcol)
+    @property
+    def pivots(self) -> dict[int, Row]:
+        """Pivot column -> stored row, after the pending backward pass."""
+        if not self._reduced:
+            rows = self._rows
+            # from the last pivot up: the rows below are already clear, so
+            # no pivot column comes back into a row once it is cleared
+            for piv in sorted(rows, reverse=True):
+                row = rows[piv]
+                for col in sorted(c for c in row if c != piv and c in rows):
+                    _eliminate(row, rows[col], col)
+            self._reduced = True
+        return self._rows
 
     def reduce(self, row: Row) -> Row:
-        """Return a copy of row reduced against every pivot."""
+        """Return a copy of row reduced against every pivot.
+
+        Pivot columns are cleared smallest first; a stored row has no entry
+        left of its pivot, so an elimination only brings in larger columns,
+        which join the queue when they are pivots.  The result does not
+        depend on whether the backward pass has run: it is the one vector of
+        row + span that vanishes on every pivot column, made primitive (or
+        row itself when it meets no pivot).
+        """
         r = dict(row)
-        for col in sorted(c for c in r if c < TAG_BASE):
-            if col in r and col in self.pivots:
-                _eliminate(r, self.pivots[col], col)
+        rows = self._rows
+        queue = [c for c in r if c in rows]
+        heapify(queue)
+        while queue:
+            col = heappop(queue)
+            if col not in r:
+                continue
+            source = rows[col]
+            for c in source:
+                if c not in r and c in rows:
+                    heappush(queue, c)
+            _eliminate(r, source, col)
         return r
 
     def insert(self, row: Row) -> int | None:
-        """Reduce and store a row; returns its pivot column, or None if dependent."""
+        """Reduce a row forward and store it; returns its pivot column, or
+        None if dependent."""
         r = self.reduce(row)
         real = [c for c in r if c < TAG_BASE]
         if not real:
             return None
         piv = min(real)
         _make_primitive(r)
-        for pc in list(self._touch.get(piv, ())):
-            prow = self.pivots[pc]
-            self._unregister(pc, prow)
-            _eliminate(prow, r, piv)
-            self._register(pc, prow)
-        self.pivots[piv] = r
-        self._register(piv, r)
+        self._rows[piv] = r
+        self._reduced = False
         return piv
-
-    def rows_touching(self, col: int) -> list[int]:
-        return sorted(self._touch.get(col, ()))
 
 
 def rank_of_rows(rows: Iterable[Row]) -> int:
@@ -151,26 +172,27 @@ def rank_of_matrix(matrix: Sequence[Sequence[Fraction]]) -> int:
 def nullspace(rows: Iterable[Row], ncols: int) -> list[dict[int, Fraction]]:
     """Kernel basis of the column action x -> (row . x for each row).
 
-    One vector per free (non-pivot) column f, in ascending order of f: it has
-    coefficient one at f, zero at every other free column, and its pivot
-    entries are read off the reduced echelon rows.  The basis depends only on
-    the row space (not on the order, scaling or repetition of the rows), but
-    it is not the reduced echelon basis of the kernel: pass it to
-    canonical_rref for that.
+    The rows (columns in range(ncols)) go into an Echelon as one batch; once
+    every column is a pivot the kernel is {0} and [] is returned at once,
+    with no backward pass.  Otherwise there is one vector per free
+    (non-pivot) column f, in ascending order of f: it has coefficient one at
+    f, zero at every other free column, and its pivot entries are read off
+    the reduced echelon rows.  The basis depends only on the row space (not
+    on the order, scaling or repetition of the rows), but it is not the
+    reduced echelon basis of the kernel: pass it to canonical_rref for that.
     """
     ech = Echelon()
     for row in rows:
-        ech.insert(row)
-    free = [c for c in range(ncols) if c not in ech.pivots]
-    vectors: list[dict[int, Fraction]] = []
-    for f in free:
-        v: dict[int, Fraction] = {f: Fraction(1)}
-        for pc in ech.rows_touching(f):
-            prow = ech.pivots[pc]
-            if f in prow:
-                v[pc] = Fraction(-prow[f], prow[pc])
-        vectors.append(v)
-    return vectors
+        if ech.insert(row) is not None and len(ech) == ncols:
+            return []
+    pivots = ech.pivots
+    vectors = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    for pc in sorted(pivots):
+        prow = pivots[pc]
+        for f, v in prow.items():
+            if f in vectors:
+                vectors[f][pc] = Fraction(-v, prow[pc])
+    return list(vectors.values())
 
 
 def canonical_rref(
@@ -178,10 +200,10 @@ def canonical_rref(
 ) -> list[dict[int, Fraction]]:
     """The unique reduced row echelon basis of the span of the given vectors.
 
-    The vectors go into an Echelon, whose rows are already fully reduced with
-    leftmost pivots; each row is then scaled to pivot entry one and the rows
-    are sorted by pivot column.  The output depends only on the spanned
-    subspace.
+    The vectors go into an Echelon as one batch; after its backward pass the
+    rows are fully reduced with leftmost pivots, and each row is then scaled
+    to pivot entry one and the rows are sorted by pivot column.  The output
+    depends only on the spanned subspace.
     """
     ech = Echelon()
     for vec in vectors:
@@ -202,13 +224,10 @@ def express_in_rowspace(
     returned (later dependent rows get coefficient zero).
     """
     ech = Echelon()
-    tag_of: dict[int, int] = {}
     for i, row in enumerate(rows):
         tagged = dict(row)
-        tag = TAG_BASE + 1 + i
-        tagged[tag] = 1
-        if ech.insert(tagged) is not None:
-            tag_of[i] = tag
+        tagged[TAG_BASE + 1 + i] = 1
+        ech.insert(tagged)
     goal = dict(target)
     goal[TAG_BASE] = 1
     red = ech.reduce(goal)
@@ -267,8 +286,9 @@ def matrix_inverse(
         ech.insert(row_from_rationals(tagged))
     if len(ech) < n:
         raise ValueError("matrix is singular")
+    pivots = ech.pivots
     out = []
     for j in range(n):
-        row = ech.pivots[j]
+        row = pivots[j]
         out.append([Fraction(row.get(TAG_BASE + 1 + i, 0), row[j]) for i in range(n)])
     return out

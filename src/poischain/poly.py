@@ -295,13 +295,18 @@ class Polynomial:
         if len(images) != self.dim:
             raise ValueError("need one image per variable")
         target_dim = images[0].dim if images else self.dim
-        out = Polynomial.zero(target_dim)
+        out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             piece = Polynomial.constant(c, target_dim)
             for var, e in m.exps:
                 piece = piece * images[var].power(e)
-            out = out + piece
-        return out
+            for pm, pc in piece.terms.items():
+                nv = out.get(pm, 0) + pc
+                if nv:
+                    out[pm] = nv
+                else:
+                    del out[pm]
+        return Polynomial._of(target_dim, out)
 
     def shift_coefficients(self, mu: Sequence[Fraction]) -> dict[int, "Polynomial"]:
         """Taylor coefficients in t of p(x + t*mu), keyed by the power of t.

@@ -1,5 +1,5 @@
 """Shared helpers for the test suite: random polynomials, span fingerprints,
-and slow reference routes for the kernel and bracket computations."""
+and slow reference routes for the kernel, bracket and product computations."""
 
 from __future__ import annotations
 
@@ -7,7 +7,14 @@ import random
 from fractions import Fraction
 
 from poischain import Monomial, Polynomial, monomial_basis
-from poischain.linalg import canonical_rref, nullspace, row_from_rationals
+from poischain.linalg import (
+    TAG_BASE,
+    _eliminate,
+    _make_primitive,
+    canonical_rref,
+    nullspace,
+    row_from_rationals,
+)
 
 
 def random_polynomial(
@@ -90,6 +97,28 @@ def full_basis_invariants(alg, sub, k: int) -> list[Polynomial]:
     ]
 
 
+def gauss_jordan_rows(rows) -> dict[int, dict[int, int]]:
+    """Reference one-row Gauss-Jordan: each row is reduced against the
+    stored rows, made primitive, stored under its least real column, and
+    at once cleared from every other stored row, so the stored rows are
+    mutually reduced after every insertion.  Returns pivot -> row."""
+    stored: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = dict(row)
+        for col in sorted(c for c in r if c in stored):
+            _eliminate(r, stored[col], col)
+        real = [c for c in r if c < TAG_BASE]
+        if not real:
+            continue
+        piv = min(real)
+        _make_primitive(r)
+        for prow in stored.values():
+            if piv in prow:
+                _eliminate(prow, r, piv)
+        stored[piv] = r
+    return stored
+
+
 def double_sum_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
     """Reference Lie-Poisson bracket: the sum over coordinate pairs of
     d_i(p) * d_j(q) * {x_i, x_j}."""
@@ -104,3 +133,13 @@ def double_sum_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
             if not cb.is_zero():
                 out = out + dpi * q.partial_derivative(j) * cb
     return out
+
+
+def expand_formal(gens, exps) -> Polynomial:
+    """Reference expansion of a formal generator monomial: the product of
+    the generator powers, each formed afresh by repeated multiplication."""
+    acc = Polynomial.one(gens.algebra.dim)
+    for i, e in enumerate(exps):
+        if e:
+            acc = acc * gens.generators[i].poly.power(e)
+    return acc

@@ -348,6 +348,21 @@ _MALFORMED_FILES = {
     "short_sub.json": {"vectors": [["1", "0"]]},
     "zero_sub.json": {"vectors": [["1/0", "0", "0"]]},
     "float_gen.json": {"generators": [{"poly": [{"coeff": 1.5, "exps": {"0": 1}}]}]},
+    "float_dim.json": {"dim": 2.5, "labels": ["a", "b"], "structure": []},
+    "float_index.json": {"dim": 3, "labels": ["h", "e", "f"],
+                         "structure": [{"i": 0, "j": 1.9, "k": 1, "c": "2"}]},
+    "bool_index.json": {"dim": 3, "labels": ["h", "e", "f"],
+                        "structure": [{"i": False, "j": 1, "k": 1, "c": "2"}]},
+    "bool_cartan.json": {"dim": 3, "labels": ["h", "e", "f"],
+                         "structure": [{"i": 0, "j": 1, "k": 1, "c": "2"},
+                                       {"i": 0, "j": 2, "k": 2, "c": "-2"},
+                                       {"i": 1, "j": 2, "k": 0, "c": "1"}],
+                         "cartan_indices": [True]},
+    "float_cartan.json": {"dim": 3, "labels": ["h", "e", "f"],
+                          "structure": [{"i": 0, "j": 1, "k": 1, "c": "2"},
+                                        {"i": 0, "j": 2, "k": 2, "c": "-2"},
+                                        {"i": 1, "j": 2, "k": 0, "c": "1"}],
+                          "cartan_indices": [0.5]},
 }
 
 _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
@@ -360,6 +375,16 @@ _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
                      id="float-structure-constant"),
         pytest.param(["algebra", "check", "--algebra", "@list.json"],
                      id="algebra-file-is-a-list"),
+        pytest.param(["algebra", "check", "--algebra", "@float_dim.json"],
+                     id="non-integral-dimension"),
+        pytest.param(["algebra", "check", "--algebra", "@float_index.json"],
+                     id="non-integral-structure-index"),
+        pytest.param(["algebra", "check", "--algebra", "@bool_index.json"],
+                     id="boolean-structure-index"),
+        pytest.param(["algebra", "check", "--algebra", "@bool_cartan.json"],
+                     id="boolean-cartan-index"),
+        pytest.param(["algebra", "check", "--algebra", "@float_cartan.json"],
+                     id="non-integer-cartan-index"),
         pytest.param(["chain", "verify", "--algebra", "sl2", "--subalgebra",
                       "@short_sub.json", "--base", "casimirs"],
                      id="chain-verify-short-subalgebra-vector"),

@@ -8,10 +8,13 @@ from math import comb
 import pytest
 
 from poischain import (
+    Generator,
     LieAlgebra,
     Polynomial,
     bracket_closure_check,
+    builtin_sl,
     cartan_subalgebra,
+    casimirs_by_kernel,
     enumerate_cycle_generators,
     full_subalgebra,
     generate,
@@ -19,6 +22,7 @@ from poischain import (
     is_invariant,
     lie_poisson_bracket,
     membership,
+    mf_generators,
     monomial_basis,
     parse_polynomial,
     poisson_center_basis,
@@ -29,11 +33,12 @@ from poischain import (
 from poischain.commutant import (
     BudgetExceededError,
     GeneratorSet,
+    _generator_products,
     apply_invariance_operator,
     weighted_exponents,
 )
 
-from helpers import full_basis_invariants, random_polynomial, same_span
+from helpers import expand_formal, full_basis_invariants, random_polynomial, same_span
 
 F = Fraction
 
@@ -152,6 +157,45 @@ def test_weighted_exponents():
     out = weighted_exponents([1, 2], 4)
     assert set(out) == {(0, 2), (2, 1), (4, 0)}
     assert weighted_exponents([2], 3) == []
+    assert weighted_exponents([3, 1, 2], 5) == sorted(
+        weighted_exponents([3, 1, 2], 5), reverse=True
+    )
+    assert weighted_exponents([1, 2, 3], 0) == [(0, 0, 0)]
+
+
+def _seeded_sl4_shift_family():
+    """The argument-shift family of sl(4) at a regular Cartan shift whose
+    eigenvalues are drawn from a seeded generator (distinct, so regular)."""
+    alg = builtin_sl(4)
+    eig = random.Random(11).sample(range(-9, 10), 4)
+    shift = [F(eig[i + 1] - eig[i]) for i in range(3)] + [F(0)] * 12
+    return mf_generators(casimirs_by_kernel(alg, 4), shift).as_generator_set()
+
+
+@pytest.mark.parametrize(
+    "family, max_degree",
+    [("sl3 torus", 6), ("sl4 torus", 8), ("sl4 shift family", 6)],
+)
+def test_generator_products_match_fresh_expansions(family, max_degree, sl3, sl4):
+    if family == "sl4 shift family":
+        gens = _seeded_sl4_shift_family()
+    else:
+        alg = sl3 if family == "sl3 torus" else sl4
+        gens = generate(alg, cartan_subalgebra(alg), alg.rank())
+    weights = gens.degrees()
+    for d in range(1, max_degree + 1):
+        products = list(_generator_products(gens.generators, d))
+        keys = [exps for exps, _ in products]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == set(weighted_exponents(weights, d))
+        for exps, prod in products:
+            assert prod == expand_formal(gens, exps)
+
+
+def test_generator_products_reject_degree_zero(sl2):
+    gens = [Generator(poly=Polynomial.one(sl2.dim), degree=0, label="c")]
+    with pytest.raises(ValueError):
+        list(_generator_products(gens, 2))
 
 
 def test_membership_found(sl2, sl2_torus, sl2_casimirs):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poischain.linalg import (
+    TAG_BASE,
     Echelon,
     canonical_rref,
     det_exact,
@@ -18,6 +19,8 @@ from poischain.linalg import (
     rank_of_rows,
     row_from_rationals,
 )
+
+from helpers import gauss_jordan_rows
 
 
 def F(x, y=None):
@@ -41,6 +44,74 @@ def test_nullspace_of_known_matrix():
 def test_nullspace_full_rank_is_empty():
     rows = [row([1, 0]), row([1, 1])]
     assert nullspace(rows, 2) == []
+
+
+def test_nullspace_stops_at_full_rank():
+    """A tall full-rank matrix has kernel {0}; nullspace returns [] as soon
+    as every column is a pivot, without reading the remaining rows."""
+    rng = random.Random(8)
+    ncols = 6
+    rows = [row([int(i == j) + rng.randint(0, 1) * (j > i) for j in range(ncols)])
+            for i in range(ncols)]
+    rows += [row([rng.randint(-3, 3) for _ in range(ncols)]) for _ in range(10)]
+    assert nullspace(rows, ncols) == []
+
+    def stream():
+        yield from rows[:ncols]
+        raise AssertionError("read past full rank")
+
+    assert nullspace(stream(), ncols) == []
+
+
+def _random_rows(rng, nrows, ncols, rank=None, tagged=False):
+    """Random primitive rows with rational entries; rank-deficient when rank
+    is given (later rows are combinations of the first rank ones), and with
+    a distinct TAG_BASE tag column per row when tagged."""
+    rows = []
+    for i in range(nrows):
+        if rank is not None and i >= rank:
+            dense = [F(0)] * ncols
+            for base in rows[:rank]:
+                c = F(rng.randint(-2, 2), rng.randint(1, 3))
+                for j, v in base.items():
+                    if j < TAG_BASE:
+                        dense[j] += c * v
+        else:
+            dense = [F(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.6
+                     else F(0) for _ in range(ncols)]
+        entries = {j: v for j, v in enumerate(dense) if v}
+        if tagged:
+            entries[TAG_BASE + 1 + i] = F(1)
+        rows.append(row_from_rationals(entries))
+    return rows
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+def test_batch_insertion_matches_one_row_gauss_jordan(tagged):
+    """Forward-only insertion, after its deferred backward pass, stores the
+    same pivots and the same reduced rows as one-row Gauss-Jordan, whatever
+    the interleaving of inserts and reads; reduce gives the same result
+    before and after the backward pass."""
+    rng = random.Random(17)
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 8)
+        rank = rng.randint(0, min(nrows, ncols)) if trial % 2 else None
+        rows = _random_rows(rng, nrows, ncols, rank, tagged)
+        probe = _random_rows(rng, 1, ncols, tagged=tagged)[0]
+        expected = gauss_jordan_rows(rows)
+        batch = Echelon()
+        for r in rows:
+            batch.insert(r)
+        assert len(batch) == len(expected)
+        before = batch.reduce(probe)
+        assert batch.pivots == expected
+        assert batch.reduce(probe) == before
+        mixed = Echelon()
+        for i, r in enumerate(rows):
+            mixed.insert(r)
+            if i % 3 == 1:
+                mixed.pivots  # run the backward pass mid-batch
+        assert mixed.pivots == expected
 
 
 def test_nullspace_vectors_annihilate_rows():

@@ -109,6 +109,10 @@ def test_substitute_linear():
     u_minus_v = Polynomial.variable(0, 2) - Polynomial.variable(1, 2)
     q = p.substitute_linear([u_plus_v, u_minus_v])
     assert render_polynomial(q) == "x1^2 - x2^2"
+    # x^2 - y^2 -> 4uv: the squares from different terms cancel outright
+    p = Polynomial.variable(0, 2).power(2) - Polynomial.variable(1, 2).power(2)
+    q = p.substitute_linear([u_plus_v, u_minus_v])
+    assert q.terms == {Monomial(((0, 1), (1, 1))): 4}
 
 
 def test_shift_coefficients_taylor_identity():
