@@ -9,7 +9,7 @@ bilinear form (Killing by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -95,12 +95,7 @@ class LieAlgebra:
     def linear_form(self, vec: Sequence[Fraction]) -> Polynomial:
         """The linear coordinate function of a basis-coordinate vector."""
         return Polynomial(
-            self.dim,
-            {
-                Monomial.variable(i): as_fraction(v)
-                for i, v in enumerate(vec)
-                if as_fraction(v)
-            },
+            self.dim, {Monomial.variable(i): as_fraction(v) for i, v in enumerate(vec)}
         )
 
     def label_index(self, label: str) -> int:
@@ -110,8 +105,10 @@ class LieAlgebra:
             raise KeyError(f"no basis label {label!r}") from None
 
     def rank(self, seed: int = DEFAULT_SEED) -> int:
-        """Rank: the flagged Cartan dimension, else dim minus the generic
-        rank of the coordinate commutator matrix (correct with probability one)."""
+        """Rank: the flagged Cartan dimension, else dim minus the largest
+        commutator-matrix rank at the sampled points.  That rank is a lower
+        bound on the generic one, so without a flagged Cartan the result is
+        an upper bound on the rank (sampling gives the chance it is high)."""
         if self.cartan_indices is not None:
             return len(self.cartan_indices)
         best = 0
@@ -282,9 +279,6 @@ class BilinearForm:
     @property
     def dim(self) -> int:
         return len(self.matrix)
-
-    def is_nondegenerate(self) -> bool:
-        return linalg.det_exact(self.matrix) != 0
 
     def inverse(self) -> list[list[Fraction]]:
         if self._inverse is None:
@@ -639,37 +633,14 @@ def dual_transport(
     """
     if p.dim != alg.dim or form.dim != alg.dim:
         raise ValueError("dimension mismatch in dual transport")
-    inv = form.inverse()
-    images = [
-        Polynomial(
-            alg.dim,
-            {
-                Monomial.variable(j): inv[i][j]
-                for j in range(alg.dim)
-                if inv[i][j]
-            },
-        )
-        for i in range(alg.dim)
-    ]
-    return p.substitute_linear(images)
+    return p.substitute_linear([alg.linear_form(row) for row in form.inverse()])
 
 
 def dual_transport_inverse(
     alg: LieAlgebra, form: BilinearForm, p: Polynomial
 ) -> Polynomial:
     """Inverse of dual_transport (substitute x_i -> sum_j B_ij coordinate_j)."""
-    images = [
-        Polynomial(
-            alg.dim,
-            {
-                Monomial.variable(j): form.matrix[i][j]
-                for j in range(alg.dim)
-                if form.matrix[i][j]
-            },
-        )
-        for i in range(alg.dim)
-    ]
-    return p.substitute_linear(images)
+    return p.substitute_linear([alg.linear_form(row) for row in form.matrix])
 
 
 def moment_map_form(alg: LieAlgebra, vec: Sequence[Fraction]) -> Polynomial:

@@ -205,17 +205,21 @@ def _read_json_file(path: str, what: str, parse):
         raise CliError(f"cannot parse {what} {path!r}: {exc}")
 
 
+def _check_sl_size(n: int) -> None:
+    if n < 2:
+        raise CliError("sl(n) needs n >= 2")
+    if n > 12:
+        raise CliError(
+            "built-in sl(n) is capped at n = 12 on the command line; "
+            "larger algebras can be supplied as structure-constant files"
+        )
+
+
 def load_algebra(spec: str) -> LieAlgebra:
     match = _SL_PATTERN.match(spec)
     if match:
         n = int(match.group(1))
-        if n < 2:
-            raise CliError("sl(n) needs n >= 2")
-        if n > 12:
-            raise CliError(
-                "built-in sl(n) is capped at n = 12 on the command line; "
-                "larger algebras can be supplied as structure-constant files"
-            )
+        _check_sl_size(n)
         return builtin_sl(n)
     if not Path(spec).exists():
         raise CliError(f"algebra {spec!r} is neither slN nor an existing file")
@@ -353,13 +357,11 @@ def cmd_casimirs(cfg: RunConfig) -> int:
         payload["trace"] = trace_set.to_json()
         _say(f"trace route: {len(trace_set)} generators")
         if ns.method == "both" and kernel_set is not None:
-            agree = True
-            for g in trace_set.generators:
-                if not membership(g.poly, kernel_set.gens, g.degree).found:
-                    agree = False
-            for g in kernel_set.generators:
-                if not membership(g.poly, trace_set.gens, g.degree).found:
-                    agree = False
+            agree = all(
+                membership(g.poly, other.gens, g.degree).found
+                for gens, other in ((trace_set, kernel_set), (kernel_set, trace_set))
+                for g in gens.generators
+            )
             payload["routes_agree"] = agree
             _say("route agreement: " + ("pass" if agree else "FAIL"))
             if not agree:
@@ -408,32 +410,19 @@ def cmd_chain_verify(cfg: RunConfig) -> int:
     sub = load_subalgebra(ns.subalgebra, alg)
     cap = ns.max_degree or chains.default_degree_cap(alg)
     base_spec = ns.base
-    if base_spec == "casimirs":
-        intermediate = generate(alg, sub, cap)
-        spec = ChainSpec(
-            algebra=alg,
-            subalgebra=sub,
-            intermediate=intermediate,
-            base=chains.casimir_base(alg, cap),
-            base_kind="casimirs",
-        )
+    if base_spec == "casimirs" or base_spec.startswith("file:"):
+        if base_spec == "casimirs":
+            base, kind = chains.casimir_base(alg, cap), "casimirs"
+        else:
+            base, kind = _load_generator_file(base_spec[5:], alg), "explicit"
+        spec = ChainSpec(algebra=alg, subalgebra=sub, intermediate=generate(alg, sub, cap),
+                         base=base, base_kind=kind)
         report = verify_chain(spec, seed=cfg.seed)
     elif base_spec == "moment-map":
         report = chains.moment_map_base(alg, sub, cap, seed=cfg.seed)
     elif base_spec.startswith("mf:"):
         mu = parse_shift(base_spec[3:], alg)
         report = chains.mf_chain(alg, sub, mu, cap, seed=cfg.seed)
-    elif base_spec.startswith("file:"):
-        base = _load_generator_file(base_spec[5:], alg)
-        intermediate = generate(alg, sub, cap)
-        spec = ChainSpec(
-            algebra=alg,
-            subalgebra=sub,
-            intermediate=intermediate,
-            base=base,
-            base_kind="explicit",
-        )
-        report = verify_chain(spec, seed=cfg.seed)
     else:
         raise CliError(
             f"unknown base {base_spec!r}; use casimirs, moment-map, "
@@ -455,6 +444,7 @@ def cmd_chain_verify(cfg: RunConfig) -> int:
 
 def cmd_cycles(cfg: RunConfig) -> int:
     ns = cfg.options
+    _check_sl_size(ns.n)
     census = cycles.enumerate_cycle_generators(ns.n)
     payload: dict = {"n": ns.n, "generators": census.to_json()}
     _say(f"{len(census)} generators for sl({ns.n})")

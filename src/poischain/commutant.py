@@ -31,13 +31,18 @@ from .algebra import LieAlgebra, SubalgebraSpec
 from .poly import (
     Monomial,
     Polynomial,
+    _from_fractions,
+    _make,
     apply_vector_field,
-    as_fraction,
     hamiltonian_field,
     lie_poisson_bracket,
+    linear_combination,
+    pack,
     parse_polynomial,
     polynomial_from_json,
     render_polynomial,
+    unpack,
+    variable_keys,
 )
 
 
@@ -109,15 +114,12 @@ class GeneratorSet:
                 poly = parse_polynomial(raw, alg.dim, alg.labels)
             else:
                 poly = polynomial_from_json(raw, alg.dim)
-            degree = int(entry.get("degree", poly.degree or 0))
-            gens.append(
-                Generator(
-                    poly=poly,
-                    degree=degree,
-                    label=str(entry.get("label", f"g{len(gens) + 1}")),
-                    indecomposable=bool(entry.get("indecomposable", True)),
-                )
-            )
+            gens.append(Generator(
+                poly=poly,
+                degree=int(entry.get("degree", poly.degree or 0)),
+                label=str(entry.get("label", f"g{len(gens) + 1}")),
+                indecomposable=bool(entry.get("indecomposable", True)),
+            ))
         kernel_dims = {int(k): int(v) for k, v in data.get("kernel_dims", {}).items()}
         return cls(
             algebra=alg,
@@ -133,16 +135,10 @@ class GeneratorSet:
 
 def monomial_basis(dim: int, k: int) -> list[Monomial]:
     """All monomials of total degree k, graded-lex descending."""
-    if k == 0:
-        return [Monomial.one()]
-    monos = []
-    for combo in combinations_with_replacement(range(dim), k):
-        counts: dict[int, int] = {}
-        for v in combo:
-            counts[v] = counts.get(v, 0) + 1
-        monos.append(Monomial(counts.items()))
-    monos.sort(key=lambda m: m.dense(dim), reverse=True)
-    return monos
+    keys = variable_keys(dim)
+    combos = combinations_with_replacement(range(dim), k)
+    packed = sorted((sum(keys[v] for v in combo) for combo in combos), reverse=True)
+    return [Monomial(unpack(key, dim)) for key in packed]
 
 
 def apply_invariance_operator(
@@ -153,36 +149,25 @@ def apply_invariance_operator(
     return apply_vector_field(hamiltonian_field(alg.linear_form(vec), alg), p)
 
 
-def _diagonal_weights(field: Sequence[Polynomial]) -> list[Fraction] | None:
+def _diagonal_weights(field: Sequence[Polynomial]) -> list[int] | None:
     """The weights c_v when the field scales every coordinate, x_v -> c_v x_v
-    (as the field of a Cartan element does in a weight basis); else None."""
+    (as the field of a Cartan element does in a weight basis), scaled to
+    integers by their common denominator, which keeps the zero-weight
+    monomials unchanged; else None."""
+    den = lcm(*(component.den for component in field))
     weights = []
-    for v, component in enumerate(field):
-        x_v = Monomial.variable(v)
-        if component.terms.keys() - {x_v}:
+    for x_v, component in zip(variable_keys(len(field)), field):
+        if component.num.keys() - {x_v}:
             return None
-        weights.append(component.terms.get(x_v, Fraction(0)))
+        weights.append(component.num.get(x_v, 0) * (den // component.den))
     return weights
-
-
-def _integer_weights(
-    diagonal: Sequence[Sequence[Fraction]], dim: int
-) -> list[tuple[int, ...]]:
-    """Per coordinate v, its weights under the diagonal fields, each field's
-    weights scaled by their common denominator (exact, and it keeps the
-    zero-weight monomials unchanged)."""
-    columns = []
-    for weights in diagonal:
-        scale = lcm(*(w.denominator for w in weights))
-        columns.append([int(w * scale) for w in weights])
-    return [tuple(col[v] for col in columns) for v in range(dim)]
 
 
 def _zero_weight_monomials(
     weights: Sequence[tuple[int, ...]], k: int
-) -> list[Monomial]:
-    """The degree-k monomials of weight zero, sum_v e_v * weights[v] = 0, in
-    graded-lex descending order.
+) -> list[int]:
+    """The keys of the degree-k monomials of weight zero,
+    sum_v e_v * weights[v] = 0, in graded-lex descending order.
 
     A (degree, weight) state is packed into one integer, degree plus (k + 1)
     times the weight digits in a base wide enough that no partial sum of at
@@ -204,26 +189,21 @@ def _zero_weight_monomials(
         for s in reach[v + 1]:
             for e in range(k - s % (k + 1) + 1):
                 states.add(s + e * step)
-    out: list[Monomial] = []
-    exps: list[tuple[int, int]] = []
+    keys = variable_keys(dim)
+    out: list[int] = []
 
-    def walk(v: int, state: int, left: int) -> None:
+    def walk(v: int, state: int, left: int, key: int) -> None:
         if v == dim:
-            out.append(Monomial(exps))
+            out.append(key)
             return
         step, after = steps[v], reach[v + 1]
         for e in range(left, -1, -1):
             nxt = state + e * step
-            if k - nxt not in after:
-                continue
-            if e:
-                exps.append((v, e))
-            walk(v + 1, nxt, left - e)
-            if e:
-                exps.pop()
+            if k - nxt in after:
+                walk(v + 1, nxt, left - e, key + e * keys[v])
 
     if k in reach[0]:
-        walk(0, 0, k)
+        walk(0, 0, k, 0)
     return out
 
 
@@ -236,13 +216,27 @@ def _kernel_of_images(
 ) -> list[dict[int, Fraction]]:
     """Kernel of the linear map sending column i to its image polynomial,
     given as (i, image) pairs in any order: the kernel depends only on the
-    row space, not on the order of the rows."""
-    rows_by_mono: dict[Monomial, dict[int, Fraction]] = {}
+    row space, not on the order of the rows.
+
+    The rows hold the images' integer numerators, so column i is image i
+    times its denominator d_i; a kernel vector x of that matrix gives the
+    kernel vector (d_i * x_i) of the map.  The basis is a per-vector scaling
+    of the canonical one, and every caller normalizes the span it returns.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    dens: dict[int, int] = {}
     for col, img in images:
-        for mono, c in img.terms.items():
-            rows_by_mono.setdefault(mono, {})[col] = c
-    rows = [linalg.row_from_rationals(entries) for entries in rows_by_mono.values()]
-    return linalg.nullspace(rows, ncols)
+        dens[col] = img.den
+        for key, v in img.num.items():
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {col: v}
+            else:
+                row[col] = v
+    return [
+        {c: v * dens.get(c, 1) for c, v in vec.items()}
+        for vec in linalg.nullspace(rows.values(), ncols)
+    ]
 
 
 def _kernel_of_map(
@@ -255,27 +249,17 @@ def _kernel_of_map(
     if all(img.is_zero() for img in images):
         return list(basis)
     dim = basis[0].dim
-    out = []
-    for vec in _kernel_of_images(enumerate(images), len(basis)):
-        acc: dict[Monomial, Fraction] = {}
-        for col, c in vec.items():
-            for m, v in basis[col].terms.items():
-                acc[m] = acc.get(m, 0) + c * v
-        out.append(Polynomial(dim, acc))
-    return out
+    return [
+        linear_combination(dim, ((c, basis[col]) for col, c in vec.items()))
+        for vec in _kernel_of_images(enumerate(images), len(basis))
+    ]
 
 
-def _graded_lex_index(
-    polys: Iterable[Polynomial], dim: int
-) -> tuple[list[Monomial], dict[Monomial, int]]:
-    """The monomials of the polynomials in graded-lex descending order, and
-    the column index of each."""
-    monos = sorted(
-        {m for p in polys for m in p.terms},
-        key=lambda m: m.sort_key(dim),
-        reverse=True,
-    )
-    return monos, {m: i for i, m in enumerate(monos)}
+def _graded_lex_index(polys: Iterable[Polynomial]) -> tuple[list[int], dict[int, int]]:
+    """The monomial keys of the polynomials in graded-lex descending order,
+    and the column index of each."""
+    keys = sorted({k for p in polys for k in p.num}, reverse=True)
+    return keys, {k: i for i, k in enumerate(keys)}
 
 
 def _canonical_polys(
@@ -283,12 +267,13 @@ def _canonical_polys(
 ) -> list[Polynomial]:
     """The reduced echelon basis of the span of the polynomials, with
     graded-lex pivots: equal spans give equal lists."""
-    monos, index = _graded_lex_index(polys, dim)
+    keys, index = _graded_lex_index(polys)
+    # a row holds the numerators of one polynomial, which spans the same line
     reduced = linalg.canonical_rref(
-        {index[m]: c for m, c in p.terms.items()} for p in polys
+        {index[k]: v for k, v in p.num.items()} for p in polys
     )
     return [
-        Polynomial(dim, {monos[i]: c for i, c in row.items()}) for row in reduced
+        _from_fractions(dim, {keys[i]: c for i, c in row.items()}) for row in reduced
     ]
 
 
@@ -305,17 +290,19 @@ def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polyno
     fields = [
         field
         for field in (hamiltonian_field(alg.linear_form(v), alg) for v in sub.vectors)
-        if any(component.terms for component in field)
+        if any(component.num for component in field)
     ]
     weights = [_diagonal_weights(field) for field in fields]
     diagonal = [w for w in weights if w is not None]
     basis = [
-        Polynomial(alg.dim, {m: 1})
-        for m in _zero_weight_monomials(_integer_weights(diagonal, alg.dim), k)
+        _make(alg.dim, {key: 1}, 1)
+        for key in _zero_weight_monomials(
+            [tuple(w[v] for w in diagonal) for v in range(alg.dim)], k
+        )
     ]
     others = sorted(
         (field for field, w in zip(fields, weights) if w is None),
-        key=lambda field: sum(len(component.terms) for component in field),
+        key=lambda field: sum(len(component.num) for component in field),
     )
     if not others:
         return basis
@@ -377,31 +364,28 @@ def indecomposables(
     inv = invariant_basis(alg, sub, k) if invariant is None else list(invariant)
     if not inv:
         return []
-    dim = alg.dim
-    monos, index = _graded_lex_index(inv, dim)
+    keys, index = _graded_lex_index(inv)
     lower = sorted(
         (g for g in previous if g.degree < k), key=lambda g: (g.degree, g.label)
     )
+    # rows hold numerators: a row's scale changes neither the span nor,
+    # after monic(), the generators read off it
     ech = linalg.Echelon()
     for _, prod in _generator_products(lower, k):
-        entries: dict[int, Fraction] = {}
-        for m, c in prod.terms.items():
-            if m not in index:
+        for key in prod.num:
+            if key not in index:
                 # product of invariants must stay inside the invariant span;
                 # widen the index in the unexpected case
-                index[m] = len(monos)
-                monos.append(m)
-            entries[index[m]] = c
-        ech.insert(linalg.row_from_rationals(entries))
+                index[key] = len(keys)
+                keys.append(key)
+        ech.insert({index[key]: v for key, v in prod.num.items()})
     out = []
     for b in inv:
-        row = linalg.row_from_rationals({index[m]: c for m, c in b.terms.items()})
-        red = ech.reduce(row)
+        red = ech.reduce({index[key]: v for key, v in b.num.items()})
         if not red:
             continue
         ech.insert(dict(red))
-        poly = Polynomial(dim, {monos[i]: Fraction(v) for i, v in red.items()})
-        out.append(poly.monic())
+        out.append(_make(alg.dim, {keys[i]: v for i, v in red.items()}, 1).monic())
     return out
 
 
@@ -461,12 +445,12 @@ def weighted_exponents(weights: Sequence[int], total: int) -> list[tuple[int, ..
     return out
 
 
-def _formal_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
-
-
-def _formal_monomial(exps: tuple[int, ...]) -> Monomial:
-    return Monomial([(i, e) for i, e in enumerate(exps) if e])
+def _formal_columns(weights: Sequence[int], d: int) -> list[int]:
+    """The keys of the formal generator monomials of weighted degree d, one
+    variable per generator, graded-lex descending: the column order."""
+    n = len(weights)
+    keys = (pack(enumerate(exps), n) for exps in weighted_exponents(weights, d))
+    return sorted(keys, reverse=True)
 
 
 @dataclass
@@ -522,18 +506,17 @@ def relation_basis(
     nformal = len(gens.generators)
     relations: list[Relation] = []
     for d in range(1, max_total_degree + 1):
-        cols = weighted_exponents(weights, d)
-        cols.sort(key=_formal_key, reverse=True)
+        cols = _formal_columns(weights, d)
         if not cols:
             continue
         if len(cols) > column_budget:
             raise BudgetExceededError(
                 f"{len(cols)} formal monomials at weighted degree {d}", degree=d
             )
-        col_index = {exps: i for i, exps in enumerate(cols)}
+        col_index = {key: i for i, key in enumerate(cols)}
         kernel = _kernel_of_images(
             (
-                (col_index[exps], prod)
+                (col_index[pack(enumerate(exps), nformal)], prod)
                 for exps, prod in _generator_products(gens.generators, d)
             ),
             len(cols),
@@ -541,18 +524,14 @@ def relation_basis(
         if not kernel:
             continue
         old = linalg.Echelon()
-        multipliers: dict[int, list[tuple[int, ...]]] = {}
+        multipliers: dict[int, list[int]] = {}
         for rel in relations:
             shift = d - rel.weighted_degree
             if shift not in multipliers:
-                multipliers[shift] = weighted_exponents(weights, shift)
-            terms = [(mono.dense(nformal), c) for mono, c in rel.formal.terms.items()]
+                multipliers[shift] = _formal_columns(weights, shift)
             for mult in multipliers[shift]:
-                vec: dict[int, Fraction] = {}
-                for dense, c in terms:
-                    combined = tuple(a + b for a, b in zip(dense, mult))
-                    vec[col_index[combined]] = c
-                old.insert(linalg.row_from_rationals(vec))
+                # a multiple's row is the relation's numerators, shifted
+                old.insert({col_index[key + mult]: v for key, v in rel.formal.num.items()})
         fresh_vectors = []
         for vec in kernel:
             row = linalg.row_from_rationals(vec)
@@ -563,10 +542,7 @@ def relation_basis(
                     {ci: Fraction(v) for ci, v in red.items()}
                 )
         for vec in linalg.canonical_rref(fresh_vectors):
-            formal = Polynomial(
-                nformal,
-                {_formal_monomial(cols[ci]): c for ci, c in vec.items()},
-            )
+            formal = _from_fractions(nformal, {cols[ci]: c for ci, c in vec.items()})
             relations.append(Relation(weighted_degree=d, formal=formal))
     return RelationSet(
         generator_labels=gens.labels(),
@@ -609,34 +585,35 @@ def membership(
         return MembershipResult("not_invariant")
     weights = gens.degrees()
     nformal = len(gens.generators)
-    mono_ids: dict[Monomial, int] = {}
+    mono_ids: dict[int, int] = {}
 
     def row_of(poly: Polynomial) -> linalg.Row:
-        return linalg.row_from_rationals(
-            {mono_ids.setdefault(m, len(mono_ids)): c for m, c in poly.terms.items()}
-        )
+        """The primitive row of poly's numerators, columns numbered in order
+        of first appearance."""
+        row = {mono_ids.setdefault(k, len(mono_ids)): v for k, v in poly.num.items()}
+        linalg.make_primitive(row)
+        return row
 
     # formal monomials of different weighted degrees never coincide
-    expression: dict[Monomial, Fraction] = {}
+    expression: dict[int, Fraction] = {}
     for d, component in p.homogeneous_components().items():
         if d == 0:
-            expression[Monomial.one()] = component.terms[Monomial.one()]
+            expression[0] = Fraction(component.num[0], component.den)
             continue
-        cols = weighted_exponents(weights, d)
-        cols.sort(key=_formal_key, reverse=True)
+        cols = _formal_columns(weights, d)
         if not cols:
             return MembershipResult("not_found_up_to_budget")
-        col_index = {exps: i for i, exps in enumerate(cols)}
+        col_index = {key: i for i, key in enumerate(cols)}
         expansions: list[linalg.Row] = [{}] * len(cols)
         for exps, prod in _generator_products(gens.generators, d):
-            expansions[col_index[exps]] = row_of(prod)
+            expansions[col_index[pack(enumerate(exps), nformal)]] = row_of(prod)
         coeffs = linalg.express_in_rowspace(expansions, row_of(component))
         if coeffs is None:
             return MembershipResult("not_found_up_to_budget")
-        for exps, c in zip(cols, coeffs):
+        for key, c in zip(cols, coeffs):
             if c:
-                expression[_formal_monomial(exps)] = c
-    return MembershipResult("found", Polynomial(nformal, expression))
+                expression[key] = c
+    return MembershipResult("found", _from_fractions(nformal, expression))
 
 
 @dataclass

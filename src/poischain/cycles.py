@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import LieAlgebra, builtin_sl, cartan_subalgebra, sl_size, _sl_matrix_coords
 from .commutant import (
@@ -225,13 +225,6 @@ def enumerate_cycle_generators(n: int) -> GeneratorSet:
 # relation families
 
 
-def _product(polys: Iterable[Polynomial], dim: int) -> Polynomial:
-    acc = Polynomial.one(dim)
-    for p in polys:
-        acc = acc * p
-    return acc
-
-
 def _two_cycle(i: int, j: int, n: int) -> Polynomial:
     return CycleMonomial((i, j)).polynomial(n)
 
@@ -300,7 +293,7 @@ def _check_family_one(n: int, budget: int) -> FamilyResult:
                 _two_cycle(tup[u], tup[u + 1], n) for u in range(k - 1)
             ]
             lhs_factors.append(_two_cycle(tup[-1], tup[0], n))
-            lhs = _product(lhs_factors, n * n - 1)
+            lhs = math.prod(lhs_factors, start=Polynomial.one(n * n - 1))
             forward = CycleMonomial(tup).polynomial(n)
             backward = CycleMonomial((tup[0],) + tuple(reversed(tup[1:]))).polynomial(n)
             rhs = forward * backward
@@ -335,9 +328,9 @@ def _check_family_two(n: int) -> FamilyResult:
             skipped="degenerate at n = 2 (no non-adjacent pairs; identity has no content)",
         )
     dim = n * n - 1
-    lhs = _product(
+    lhs = math.prod(
         (_two_cycle(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
-        dim,
+        start=Polynomial.one(dim),
     )
     full = CycleMonomial(tuple(range(1, n + 1))).polynomial(n)
     reversed_full = CycleMonomial((1,) + tuple(range(n, 1, -1))).polynomial(n)
@@ -347,7 +340,7 @@ def _check_family_two(n: int) -> FamilyResult:
         for j in range(i + 2, n + 1)
         if not (i == 1 and j == n)
     ]
-    rhs = full * reversed_full * _product(chords, dim)
+    rhs = math.prod(chords, start=full * reversed_full)
     failures = [] if lhs == rhs else ["all-pairs instance"]
     return FamilyResult(
         family="ii", instances_checked=1, failures=failures, convention=convention
@@ -361,16 +354,16 @@ def _check_family_three(n: int, budget: int) -> FamilyResult:
     dim = n * n - 1
     checked = 0
     failures = []
-    all_pairs = _product(
+    all_pairs = math.prod(
         (_two_cycle(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
-        dim,
+        start=Polynomial.one(dim),
     )
     for k in range(2, n + 1):
         cycles = all_cycles(n, k)
         checked += 1
         if len(cycles) > budget:
             raise BudgetExceededError(f"family (iii) at k={k}: {len(cycles)} cycles")
-        lhs = _product((c.polynomial(n) for c in cycles), dim)
+        lhs = math.prod((c.polynomial(n) for c in cycles), start=Polynomial.one(dim))
         rhs = all_pairs.power(phi_exponent(n, k))
         if lhs != rhs:
             failures.append(f"k = {k}")

@@ -80,9 +80,6 @@ class FlowResult:
     def final_state(self) -> list[float]:
         return self.states[-1]
 
-    def max_drift(self) -> float:
-        return max(self.drifts.values(), default=0.0)
-
     def to_json(self) -> dict:
         return {
             "steps": self.steps,

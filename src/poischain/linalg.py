@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Row = dict[int, int]
@@ -33,32 +33,24 @@ TAG_BASE = 1 << 40
 def row_from_rationals(entries: Mapping[int, Fraction]) -> Row:
     """Scale a rational sparse vector to a primitive integer row."""
     entries = {c: Fraction(v) for c, v in entries.items() if v}
-    if not entries:
-        return {}
-    scale = 1
-    for v in entries.values():
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    row = {c: int(v * scale) for c, v in entries.items()}
-    _make_primitive(row)
+    scale = lcm(*(v.denominator for v in entries.values()))
+    row = {c: v.numerator * (scale // v.denominator) for c, v in entries.items()}
+    make_primitive(row)
     return row
 
 
-def _make_primitive(row: Row) -> None:
-    """Divide out the integer content in place; anchor sign at the least real column."""
+def make_primitive(row: Row) -> None:
+    """Divide out the integer content in place; anchor sign at the least real
+    column (tags lie above every real column, so that is the least column
+    whenever the row has a real one)."""
     if not row:
         return
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    if g != 1:
         for k in row:
             row[k] //= g
-    anchor = min((c for c in row if c < TAG_BASE), default=None)
-    if anchor is None:
-        anchor = min(row)
-    if row[anchor] < 0:
-        for k in row:
-            row[k] = -row[k]
 
 
 def _eliminate(target: Row, source: Row, col: int) -> None:
@@ -71,7 +63,7 @@ def _eliminate(target: Row, source: Row, col: int) -> None:
     if a < 0:
         a, b = -a, -b
     if a != 1:
-        for k in list(target):
+        for k in target:
             target[k] *= a
     for k, v in source.items():
         nv = target.get(k, 0) - b * v
@@ -79,7 +71,7 @@ def _eliminate(target: Row, source: Row, col: int) -> None:
             target[k] = nv
         else:
             target.pop(k, None)
-    _make_primitive(target)
+    make_primitive(target)
 
 
 class Echelon:
@@ -149,7 +141,7 @@ class Echelon:
         if not real:
             return None
         piv = min(real)
-        _make_primitive(r)
+        make_primitive(r)
         self._rows[piv] = r
         self._reduced = False
         return piv
@@ -163,10 +155,7 @@ def rank_of_rows(rows: Iterable[Row]) -> int:
 
 
 def rank_of_matrix(matrix: Sequence[Sequence[Fraction]]) -> int:
-    rows = []
-    for dense in matrix:
-        rows.append(row_from_rationals({i: v for i, v in enumerate(dense) if v}))
-    return rank_of_rows(rows)
+    return rank_of_rows(row_from_rationals(dict(enumerate(dense))) for dense in matrix)
 
 
 def nullspace(rows: Iterable[Row], ncols: int) -> list[dict[int, Fraction]]:

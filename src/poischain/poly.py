@@ -1,13 +1,22 @@
 """Sparse multivariate polynomial arithmetic over exact rationals.
 
-Polynomials live in a coordinate ring of fixed dimension; the variable order
-is the basis order of the ambient coordinate space.  The canonical term order
-used everywhere for rendering, pivoting and normalization is graded
-lexicographic: higher total degree first, ties broken lexicographically with
-x1 > x2 > ... > xn.
+Polynomials live in a coordinate ring of fixed dimension n, variables in the
+basis order of the coordinate space.  The canonical term order is graded
+lexicographic: higher total degree first, then lexicographic, x1 > ... > xn.
 
-All coefficients are ``fractions.Fraction``.  Floating point only appears in
-the flow integrator, never here.
+A monomial is a packed integer key (Kronecker substitution, as in Monagan and
+Pearce's POLY): n + 1 fields of W = 16 bits, the total degree in the top
+field, then the exponents of x1, ..., xn from the most significant field
+down.  Integer order is graded-lex order, a product of monomials is the sum
+of their keys, lowering x_i subtracts the key of x_i, and the degree is
+key >> (W * n).  A product, power or parse whose degree would reach 2**W
+raises ValueError instead of carrying into the next field.
+
+A polynomial is `num` (key -> nonzero integer numerator) over one positive
+denominator `den`, with gcd(den, *num.values()) == 1, so equal polynomials
+have equal fields.  `Monomial` and `Fraction` appear only at the boundary:
+the constructor Polynomial(dim, {Monomial: coeff}) and the read-only `terms`
+view, decoded on access.  Floating point only appears in the flow integrator.
 """
 
 from __future__ import annotations
@@ -15,8 +24,15 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from itertools import compress
+from typing import Iterable, Sequence
+
+W = 16  # bits per key field; unpack reads the fields as big-endian "H"
+_MASK = (1 << W) - 1
 
 
 def as_fraction(value) -> Fraction:
@@ -35,6 +51,45 @@ def as_point(values: Iterable, dim: int) -> tuple[Fraction, ...]:
     if len(pt) != dim:
         raise ValueError(f"point has {len(pt)} coordinates, expected {dim}")
     return pt
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys
+
+
+def _check_degree(degree: int) -> None:
+    if degree > _MASK:
+        raise ValueError(f"total degree {degree} is not below 2**{W}")
+
+
+@lru_cache(maxsize=None)
+def variable_keys(dim: int) -> tuple[int, ...]:
+    """The key of each coordinate x_v: degree one and exponent one at v."""
+    top = 1 << (W * dim)
+    return tuple(top | 1 << (W * (dim - 1 - v)) for v in range(dim))
+
+
+def pack(exps: Iterable[tuple[int, int]], dim: int) -> int:
+    """The key of the monomial with these (variable, exponent) pairs."""
+    key = degree = 0
+    for var, exp in exps:
+        if not 0 <= var < dim:
+            raise ValueError("variable index out of range")
+        key += exp << (W * (dim - 1 - var))
+        degree += exp
+    _check_degree(degree)
+    return key + (degree << (W * dim))
+
+
+@lru_cache(maxsize=None)
+def _fields(dim: int) -> struct.Struct:
+    return struct.Struct(f">{dim + 1}H")
+
+
+def unpack(key: int, dim: int) -> tuple[tuple[int, int], ...]:
+    """The (variable, exponent) pairs of a key, by increasing variable."""
+    exps = _fields(dim).unpack(key.to_bytes(2 * dim + 2, "big"))[1:]
+    return tuple(compress(enumerate(exps), exps))
 
 
 class Monomial:
@@ -56,14 +111,6 @@ class Monomial:
         self.exps = tuple(cleaned)
 
     @classmethod
-    def _of(cls, exps: tuple[tuple[int, int], ...]) -> "Monomial":
-        """Wrap an exponent tuple that is already sorted by variable and free
-        of zero exponents, without checking it again."""
-        mono = object.__new__(cls)
-        mono.exps = exps
-        return mono
-
-    @classmethod
     def one(cls) -> "Monomial":
         return cls(())
 
@@ -74,40 +121,14 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    def exponent(self, var: int) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.exps)
-
     def is_one(self) -> bool:
         return not self.exps
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other.exps:
-            return self
         merged = dict(self.exps)
         for v, e in other.exps:
             merged[v] = merged.get(v, 0) + e
-        return Monomial._of(tuple(sorted(merged.items())))
-
-    def lowered(self, var: int) -> "Monomial":
-        """The monomial with the exponent of ``var`` reduced by one."""
-        return Monomial._of(
-            tuple(
-                (v, e - 1) if v == var else (v, e)
-                for v, e in self.exps
-                if v != var or e > 1
-            )
-        )
-
-    def raised(self, var: int) -> "Monomial":
-        merged = dict(self.exps)
-        merged[var] = merged.get(var, 0) + 1
-        return Monomial._of(tuple(sorted(merged.items())))
+        return Monomial(merged.items())
 
     def dense(self, dim: int) -> tuple[int, ...]:
         out = [0] * dim
@@ -131,109 +152,150 @@ class Monomial:
         return "*".join(f"x{v + 1}" + (f"^{e}" if e > 1 else "") for v, e in self.exps)
 
 
-class Polynomial:
-    """A sparse polynomial with Fraction coefficients in a fixed-dimension ring."""
+class Terms(Mapping):
+    """Read-only {Monomial: Fraction} view of a polynomial, decoded on access."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "Polynomial") -> None:
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly.num)
+
+    def __iter__(self):
+        dim = self._poly.dim
+        return (Monomial(unpack(key, dim)) for key in self._poly.num)
+
+    def __getitem__(self, mono: Monomial) -> Fraction:
+        p = self._poly
+        try:
+            return Fraction(p.num[pack(mono.exps, p.dim)], p.den)
+        except (KeyError, ValueError, AttributeError):
+            raise KeyError(mono) from None
+
+
+def _make(dim: int, num: dict[int, int], den: int) -> "Polynomial":
+    """The polynomial num / den (nonzero numerators, den > 0), with the
+    common factor of den and the numerators divided out."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+    poly = object.__new__(Polynomial)
+    poly.dim, poly.num, poly.den = dim, num, den
+    return poly
+
+
+def _from_fractions(dim: int, coeffs: Mapping[int, Fraction]) -> "Polynomial":
+    """The polynomial with the given rational coefficient on each key."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    num = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}
+    return _make(dim, num, den)
+
+
+class Polynomial:
+    """A sparse polynomial with rational coefficients in a fixed-dimension
+    ring: integer numerators on packed monomial keys over one denominator."""
+
+    __slots__ = ("dim", "num", "den")
 
     def __init__(self, dim: int, terms: Mapping[Monomial, Fraction] | None = None):
-        self.dim = int(dim)
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = as_fraction(coeff)
-                if not coeff:
-                    continue
-                if mono.exps and mono.exps[-1][0] >= self.dim:
-                    raise ValueError("variable index out of range")
-                clean[mono] = coeff
-        self.terms = clean
+        dim = int(dim)
+        poly = _from_fractions(
+            dim, {pack(m.exps, dim): as_fraction(c) for m, c in (terms or {}).items()}
+        )
+        self.dim, self.num, self.den = dim, poly.num, poly.den
 
-    @classmethod
-    def _of(cls, dim: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        """Wrap a term dict built by this module's own arithmetic (Fraction
-        coefficients, none zero, variables in range) without copying it."""
-        poly = object.__new__(cls)
-        poly.dim = dim
-        poly.terms = terms
-        return poly
+    @property
+    def terms(self) -> Terms:
+        return Terms(self)
 
     @classmethod
     def zero(cls, dim: int) -> "Polynomial":
-        return cls(dim)
+        return _make(int(dim), {}, 1)
 
     @classmethod
     def one(cls, dim: int) -> "Polynomial":
-        return cls(dim, {Monomial.one(): Fraction(1)})
+        return _make(int(dim), {0: 1}, 1)
 
     @classmethod
     def constant(cls, value, dim: int) -> "Polynomial":
-        return cls(dim, {Monomial.one(): as_fraction(value)})
+        return _from_fractions(int(dim), {0: as_fraction(value)})
 
     @classmethod
     def variable(cls, var: int, dim: int) -> "Polynomial":
-        return cls(dim, {Monomial.variable(var): Fraction(1)})
+        return _make(int(dim), {pack(((var, 1),), dim): 1}, 1)
 
     @classmethod
     def term(cls, dim: int, coeff, pairs: Iterable[tuple[int, int]]) -> "Polynomial":
         return cls(dim, {Monomial(pairs): as_fraction(coeff)})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     @property
     def degree(self) -> int | None:
         """Total degree; None for the zero polynomial (a distinct sentinel)."""
-        if not self.terms:
+        if not self.num:
             return None
-        return max(m.degree() for m in self.terms)
+        return max(self.num) >> (W * self.dim)
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree() for m in self.terms}
-        return len(degs) <= 1
+        shift = W * self.dim
+        return len({k >> shift for k in self.num}) <= 1
 
     def _check(self, other: "Polynomial") -> None:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in out:
-                nv = out[m] + c
-                if nv:
-                    out[m] = nv
-                else:
-                    del out[m]
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = dict(self.num) if fa == 1 else {k: v * fa for k, v in self.num.items()}
+        get = out.get
+        for k, v in other.num.items():
+            nv = get(k, 0) + v * fb
+            if nv:
+                out[k] = nv
             else:
-                out[m] = c
-        return Polynomial._of(self.dim, out)
+                del out[k]
+        return _make(self.dim, out, den)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._of(self.dim, {m: -c for m, c in self.terms.items()})
+        return _make(self.dim, {k: -v for k, v in self.num.items()}, self.den)
 
     def scale(self, value) -> "Polynomial":
         value = as_fraction(value)
         if not value:
             return Polynomial.zero(self.dim)
-        return Polynomial._of(self.dim, {m: c * value for m, c in self.terms.items()})
+        a = value.numerator
+        return _make(
+            self.dim, {k: v * a for k, v in self.num.items()}, self.den * value.denominator
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        left, den_left = _numerators(self.terms)
-        right, den_right = _numerators(other.terms)
-        out: dict[Monomial, int] = {}
-        for m1, c1 in left:
-            for m2, c2 in right:
-                m = m1 * m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return _over(self.dim, out, den_left * den_right)
+        _check_degree((self.degree or 0) + (other.degree or 0))
+        out: dict[int, int] = {}
+        get = out.get
+        right = list(other.num.items())
+        for k1, c1 in self.num.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return _make(self.dim, {k: v for k, v in out.items() if v}, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -243,122 +305,130 @@ class Polynomial:
     def power(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")
-        out = Polynomial.one(self.dim)
-        for _ in range(k):
+        if k == 0:
+            return Polynomial.one(self.dim)
+        _check_degree(k * (self.degree or 0))
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.dim == other.dim
-            and self.terms == other.terms
+        return isinstance(other, Polynomial) and (self.dim, self.den, self.num) == (
+            other.dim, other.den, other.num
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self.den, frozenset(self.num.items())))
 
     def partial_derivative(self, var: int) -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m.exponent(var)
+        step = variable_keys(self.dim)[var]
+        shift = W * (self.dim - 1 - var)
+        out: dict[int, int] = {}
+        for k, v in self.num.items():
+            e = (k >> shift) & _MASK
             if e:
-                lowered = m.lowered(var)
-                out[lowered] = out.get(lowered, Fraction(0)) + c * e
-        return Polynomial(self.dim, out)
+                out[k - step] = v * e
+        return _make(self.dim, out, self.den)
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            out.update(m.variables())
-        return out
+        acc = 0
+        for k in self.num:
+            acc |= k
+        return {v for v, _ in unpack(acc, self.dim)}
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+    def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.dim:
             raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for m, c in self.terms.items():
+        total = 0
+        for key, c in self.num.items():
             v = c
-            for var, e in m.exps:
+            for var, e in unpack(key, self.dim):
                 v *= point[var] ** e
             total += v
-        return total
+        return Fraction(1, self.den) * total
 
     def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(m.degree(), {})[m] = c
-        return {d: Polynomial(self.dim, t) for d, t in sorted(buckets.items())}
+        shift = W * self.dim
+        buckets: dict[int, dict[int, int]] = {}
+        for k, v in self.num.items():
+            buckets.setdefault(k >> shift, {})[k] = v
+        return {d: _make(self.dim, t, self.den) for d, t in sorted(buckets.items())}
 
     def substitute_linear(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute variable i by images[i] (an algebra homomorphism)."""
+        """Substitute variable i by images[i] (an algebra homomorphism).
+
+        Each power of an image is formed once per call, by one more
+        multiplication than the power below it."""
         if len(images) != self.dim:
             raise ValueError("need one image per variable")
         target_dim = images[0].dim if images else self.dim
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            piece = Polynomial.constant(c, target_dim)
-            for var, e in m.exps:
-                piece = piece * images[var].power(e)
-            for pm, pc in piece.terms.items():
-                nv = out.get(pm, 0) + pc
-                if nv:
-                    out[pm] = nv
-                else:
-                    del out[pm]
-        return Polynomial._of(target_dim, out)
+        powers: dict[int, list[Polynomial]] = {}
+        pieces = []
+        for key, c in self.num.items():
+            piece = None
+            for var, e in unpack(key, self.dim):
+                chain = powers.setdefault(var, [images[var]])
+                while len(chain) < e:
+                    chain.append(chain[-1] * images[var])
+                piece = chain[e - 1] if piece is None else piece * chain[e - 1]
+            pieces.append((Fraction(c, self.den), piece or Polynomial.one(target_dim)))
+        return linear_combination(target_dim, pieces)
 
     def shift_coefficients(self, mu: Sequence[Fraction]) -> dict[int, "Polynomial"]:
         """Taylor coefficients in t of p(x + t*mu), keyed by the power of t.
 
         Key 0 is p itself; the top key equals the degree of p (a constant)
-        whenever p is nonzero and mu is generic.
+        whenever p is nonzero and mu is generic.  With mu = m / d over one
+        denominator, the coefficient of t^j has denominator den * d^j.
         """
         if len(mu) != self.dim:
             raise ValueError("shift dimension mismatch")
         mu = [as_fraction(v) for v in mu]
-        out: dict[int, dict[Monomial, Fraction]] = {}
-        for mono, coeff in self.terms.items():
-            partial: list[tuple[int, list[tuple[int, int]], Fraction]] = [(0, [], coeff)]
-            for var, exp in mono.exps:
-                mval = mu[var]
-                nxt: list[tuple[int, list[tuple[int, int]], Fraction]] = []
-                if mval == 0:
-                    for j, pairs, c in partial:
-                        nxt.append((j, pairs + [(var, exp)], c))
-                else:
-                    for j, pairs, c in partial:
-                        for b in range(exp + 1):
-                            c2 = c * math.comb(exp, b) * mval**b
-                            rem = exp - b
-                            pairs2 = pairs + ([(var, rem)] if rem else [])
-                            nxt.append((j + b, pairs2, c2))
-                partial = nxt
-            for j, pairs, c in partial:
+        d = math.lcm(*(v.denominator for v in mu))
+        m = [v.numerator * (d // v.denominator) for v in mu]
+        steps = variable_keys(self.dim)
+        out: dict[int, dict[int, int]] = {}
+        for key, coeff in self.num.items():
+            partial = [(0, key, coeff)]
+            for var, exp in unpack(key, self.dim):
+                if m[var]:
+                    step, mv = steps[var], m[var]
+                    partial = [
+                        (j + b, k - b * step, c * math.comb(exp, b) * mv**b)
+                        for j, k, c in partial
+                        for b in range(exp + 1)
+                    ]
+            for j, k, c in partial:
                 bucket = out.setdefault(j, {})
-                m2 = Monomial(pairs)
-                bucket[m2] = bucket.get(m2, Fraction(0)) + c
-        result = {j: Polynomial(self.dim, t) for j, t in out.items()}
-        return {j: p for j, p in sorted(result.items()) if not p.is_zero()}
+                bucket[k] = bucket.get(k, 0) + c
+        return {
+            j: _make(self.dim, {k: v for k, v in t.items() if v}, self.den * d**j)
+            for j, t in sorted(out.items())
+            if any(t.values())
+        }
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical graded-lex descending order."""
-        return sorted(
-            self.terms.items(), key=lambda mc: mc[0].sort_key(self.dim), reverse=True
-        )
+        return [
+            (Monomial(unpack(k, self.dim)), Fraction(self.num[k], self.den))
+            for k in sorted(self.num, reverse=True)
+        ]
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=lambda m: m.sort_key(self.dim))
+        return Monomial(unpack(max(self.num), self.dim))
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        return Fraction(self.num[max(self.num)], self.den)
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        if not self.num:
             return self
-        return self.scale(1 / self.leading_coefficient())
+        lead = self.num[max(self.num)]
+        num = self.num if lead > 0 else {k: -v for k, v in self.num.items()}
+        return _make(self.dim, num, abs(lead))
 
     def render(self, labels: Sequence[str] | None = None) -> str:
         return render_polynomial(self, labels)
@@ -367,17 +437,21 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def _numerators(
-    terms: Mapping[Monomial, Fraction],
-) -> tuple[list[tuple[Monomial, int]], int]:
-    """The terms as integer numerators over their least common denominator."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
-
-
-def _over(dim: int, acc: dict[Monomial, int], den: int) -> Polynomial:
-    """The polynomial with coefficients acc[m] / den (zero entries dropped)."""
-    return Polynomial._of(dim, {m: Fraction(v, den) for m, v in acc.items() if v})
+def linear_combination(dim: int, pairs: Iterable) -> Polynomial:
+    """sum(c * p) over (c, p) pairs, summed in integers over one denominator."""
+    pairs = [(as_fraction(c), p) for c, p in pairs if c]
+    den = math.lcm(*(c.denominator * p.den for c, p in pairs))
+    out: dict[int, int] = {}
+    get = out.get
+    for c, p in pairs:
+        f = c.numerator * (den // (c.denominator * p.den))
+        for k, v in p.num.items():
+            nv = get(k, 0) + f * v
+            if nv:
+                out[k] = nv
+            else:
+                del out[k]
+    return _make(dim, out, den)
 
 
 def hamiltonian_field(p: Polynomial, alg) -> list[Polynomial]:
@@ -390,49 +464,49 @@ def hamiltonian_field(p: Polynomial, alg) -> list[Polynomial]:
     if p.dim != alg.dim:
         raise ValueError("polynomial dimension does not match the algebra")
     rows, den = alg.bracket_rows()
-    terms, den_p = _numerators(p.terms)
-    out: list[dict[Monomial, int]] = [{} for _ in range(alg.dim)]
-    for mono, num in terms:
-        for i, e in mono.exps:
+    dim = alg.dim
+    keys = variable_keys(dim)
+    out: list[dict[int, int]] = [{} for _ in range(dim)]
+    for key, num in p.num.items():
+        for i, e in unpack(key, dim):
             row = rows[i]
             if not row:
                 continue
-            base = mono.lowered(i)
-            raised: dict[int, Monomial] = {}
+            base = key - keys[i]
             ne = num * e
             for j, bracket in row.items():
                 acc = out[j]
                 for k, c in bracket.items():
-                    m2 = raised.get(k)
-                    if m2 is None:
-                        m2 = raised[k] = base.raised(k)
+                    m2 = base + keys[k]
                     acc[m2] = acc.get(m2, 0) + ne * c
-    return [_over(alg.dim, acc, den * den_p) for acc in out]
+    return [_make(dim, {k: v for k, v in acc.items() if v}, den * p.den) for acc in out]
 
 
 def apply_vector_field(field: Sequence[Polynomial], q: Polynomial) -> Polynomial:
     """The derivative of q along the vector field: sum_j field[j] * d_j(q)."""
     if len(field) != q.dim:
         raise ValueError("vector field dimension does not match the polynomial")
-    used = {j for mono in q.terms for j, _ in mono.exps if field[j].terms}
-    den = math.lcm(*(c.denominator for j in used for c in field[j].terms.values()))
-    components = {
-        j: [(m, c.numerator * (den // c.denominator)) for m, c in field[j].terms.items()]
-        for j in used
-    }
-    terms, den_q = _numerators(q.terms)
-    out: dict[Monomial, int] = {}
-    for mono, num in terms:
-        for j, e in mono.exps:
-            component = components.get(j)
+    dim = q.dim
+    _check_degree((q.degree or 1) - 1 + max((c.degree or 0 for c in field), default=0))
+    den = math.lcm(*(c.den for c in field if c.num))
+    components = [
+        [(k, v * (den // c.den)) for k, v in c.num.items()] if c.num else None
+        for c in field
+    ]
+    keys = variable_keys(dim)
+    out: dict[int, int] = {}
+    get = out.get
+    for key, num in q.num.items():
+        for j, e in unpack(key, dim):
+            component = components[j]
             if component is None:
                 continue
-            base = mono.lowered(j)
+            base = key - keys[j]
             ne = num * e
             for m, c in component:
-                m2 = base * m
-                out[m2] = out.get(m2, 0) + ne * c
-    return _over(q.dim, out, den * den_q)
+                m2 = base + m
+                out[m2] = get(m2, 0) + ne * c
+    return _make(dim, {k: v for k, v in out.items() if v}, den * q.den)
 
 
 def lie_poisson_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
@@ -452,15 +526,32 @@ def lie_poisson_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
 def gradient_matrix(
     polys: Sequence[Polynomial], point: Sequence[Fraction]
 ) -> list[list[Fraction]]:
-    """Jacobian of the given polynomials at a point, one row per polynomial."""
+    """Jacobian of the given polynomials at a rational point, one row per
+    polynomial.  The point is scaled to integers over one denominator d, so
+    each row is summed in integers over den * d^(degree - 1)."""
     if not polys:
         return []
     dim = polys[0].dim
+    if len(point) != dim:
+        raise ValueError("point dimension mismatch")
+    point = [as_fraction(v) for v in point]
+    d = math.lcm(*(v.denominator for v in point))
+    ints = [v.numerator * (d // v.denominator) for v in point]
     rows = []
     for p in polys:
         if p.dim != dim:
             raise ValueError("mixed dimensions in gradient matrix")
-        rows.append([p.partial_derivative(i).evaluate(point) for i in range(dim)])
+        top = (p.degree or 1) - 1
+        row = [0] * dim
+        for key, c in p.num.items():
+            exps = unpack(key, dim)
+            c *= d ** (top + 1 - (key >> (W * dim)))
+            for i, (v, e) in enumerate(exps):
+                t = c * e * ints[v] ** (e - 1)
+                for u, f in exps[:i] + exps[i + 1:]:
+                    t *= ints[u] ** f
+                row[v] += t
+        rows.append([Fraction(x, p.den * d**top) for x in row])
     return rows
 
 
@@ -480,23 +571,30 @@ def render_polynomial(p: Polynomial, labels: Sequence[str] | None = None) -> str
     if p.is_zero():
         return "0"
     chunks: list[str] = []
-    for mono, coeff in p.sorted_terms():
-        sign = "-" if coeff < 0 else "+"
-        mag = -coeff if coeff < 0 else coeff
+    for key in sorted(p.num, reverse=True):
+        coeff = Fraction(p.num[key], p.den)
+        sign, mag = ("-" if coeff < 0 else "+"), abs(coeff)
         factors = [
-            labels[v] + (f"^{e}" if e > 1 else "") for v, e in mono.exps
+            labels[v] + (f"^{e}" if e > 1 else "") for v, e in unpack(key, p.dim)
         ]
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if not chunks:
-            chunks.append(body if sign == "+" else "-" + body)
-        else:
-            chunks.append(f" {sign} {body}")
+        body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
+        chunks.append(f" {sign} {body}" if chunks else body if sign == "+" else "-" + body)
     return "".join(chunks)
+
+
+def _sum_terms(
+    dim: int, terms: Iterable[tuple[Fraction, Iterable[tuple[int, int]]]]
+) -> Polynomial:
+    """The sum of (coefficient, exponent pairs) terms, collected in one dict."""
+    coeffs: dict[int, Fraction] = {}
+    for coeff, pairs in terms:
+        key = pack(Monomial(pairs).exps, dim)
+        total = coeffs.get(key, 0) + coeff
+        if total:
+            coeffs[key] = total
+        else:
+            coeffs.pop(key, None)
+    return _from_fractions(dim, coeffs)
 
 
 def parse_polynomial(
@@ -524,34 +622,15 @@ def parse_polynomial(
                 return idx
         raise ValueError(f"unknown variable {name!r}")
 
-    stripped = text.strip()
-    if not stripped:
-        raise ValueError("empty polynomial text")
-    # split into signed terms; '+' and '-' never occur inside a term
-    pieces: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    for ch in stripped:
-        if ch in "+-":
-            chunk = "".join(buf).strip()
-            if chunk:
-                pieces.append((sign, chunk))
-                buf = []
-                sign = 1 if ch == "+" else -1
-            else:
-                sign = sign if ch == "+" else -sign
-        else:
-            buf.append(ch)
-    chunk = "".join(buf).strip()
-    if chunk:
-        pieces.append((sign, chunk))
-    if not pieces:
-        raise ValueError("empty polynomial text")
-
-    result = Polynomial.zero(dim)
-    for sgn, term in pieces:
-        if not term:
-            raise ValueError("empty term")
-        coeff = Fraction(sgn)
+    # signed terms; '+' and '-' never occur inside a term, and a run of signs
+    # multiplies out ("x1 - -x2" is x1 + x2)
+    terms = []
+    sign = 1
+    for term in (token.strip() for token in re.split(r"([+-])", text)):
+        if term in ("", "+", "-"):
+            sign = -sign if term == "-" else sign
+            continue
+        coeff, sign = Fraction(sign), 1
         pairs: dict[int, int] = {}
         for factor in (f.strip() for f in term.split("*")):
             if not factor:
@@ -571,32 +650,28 @@ def parse_polynomial(
                 raise ValueError(f"bad variable name {name!r}")
             idx = var_index(name)
             pairs[idx] = pairs.get(idx, 0) + exp
-        result = result + Polynomial.term(dim, coeff, pairs.items())
-    return result
+        terms.append((coeff, pairs.items()))
+    if not terms:
+        raise ValueError("empty polynomial text")
+    return _sum_terms(dim, terms)
 
 
 def polynomial_to_json(p: Polynomial) -> list[dict]:
     """JSON form: a list of {coeff, exps} objects with 0-based variable keys."""
-    out = []
-    for mono, coeff in p.sorted_terms():
-        out.append(
-            {
-                "coeff": str(coeff),
-                "exps": {str(v): e for v, e in mono.exps},
-            }
-        )
-    return out
+    return [
+        {"coeff": str(Fraction(p.num[key], p.den)),
+         "exps": {str(v): e for v, e in unpack(key, p.dim)}}
+        for key in sorted(p.num, reverse=True)
+    ]
 
 
 def polynomial_from_json(data, dim: int) -> Polynomial:
     if not isinstance(data, list):
         raise ValueError("polynomial JSON must be a list of terms")
-    p = Polynomial.zero(dim)
-    for entry in data:
-        coeff = as_fraction(entry["coeff"])
-        pairs = [(int(k), int(e)) for k, e in entry.get("exps", {}).items()]
-        p = p + Polynomial.term(dim, coeff, pairs)
-    return p
+    return _sum_terms(dim, (
+        (as_fraction(t["coeff"]), [(int(k), int(e)) for k, e in t.get("exps", {}).items()])
+        for t in data
+    ))
 
 
 def dump_json(obj) -> str:

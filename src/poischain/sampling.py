@@ -2,9 +2,12 @@
 
 Generic ranks (orbit dimensions, transcendence degrees, Casimir counts) are
 computed as the maximum exact rank over a fixed number of seeded integer
-sample points.  The result is always a certified lower bound and equals the
-generic value with probability one; every caller defaults to the same seed so
-repeated runs are byte identical.
+sample points: always a certified lower bound, short of the generic value
+only when every point is a zero of a nonzero maximal minor of degree D.  By
+Schwartz-Zippel one uniform point of [-10, 10]^n misses with probability at
+most D/21, so all SAMPLE_COUNT points miss with probability at most
+(D/21)^SAMPLE_COUNT (no bound once D >= 21).  Every caller defaults to the
+same seed so repeated runs are byte identical.
 """
 
 from __future__ import annotations
@@ -40,7 +43,10 @@ def generic_jacobian_rank(
     """Max Jacobian rank of the polynomial family over the seeded points.
 
     This is the transcendence degree of the generated subalgebra as a
-    certified lower bound (exact rational ranks; generically tight).
+    certified lower bound (exact rational ranks).  It is short only when
+    every point misses: one point misses with probability at most D/21
+    (Schwartz-Zippel), where D, the degree of a maximal nonzero minor of the
+    Jacobian, is at most the sum of (degree - 1) over its rows.
     """
     from .linalg import rank_of_matrix
     from .poly import gradient_matrix

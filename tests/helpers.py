@@ -10,7 +10,7 @@ from poischain import Monomial, Polynomial, monomial_basis
 from poischain.linalg import (
     TAG_BASE,
     _eliminate,
-    _make_primitive,
+    make_primitive,
     canonical_rref,
     nullspace,
     row_from_rationals,
@@ -111,7 +111,7 @@ def gauss_jordan_rows(rows) -> dict[int, dict[int, int]]:
         if not real:
             continue
         piv = min(real)
-        _make_primitive(r)
+        make_primitive(r)
         for prow in stored.values():
             if piv in prow:
                 _eliminate(prow, r, piv)
@@ -143,3 +143,73 @@ def expand_formal(gens, exps) -> Polynomial:
         if e:
             acc = acc * gens.generators[i].poly.power(e)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic: plain {dense exponent tuple: Fraction} dicts, with
+# none of the packed-key machinery of poischain.poly
+
+
+def random_reference(rng: random.Random, dim: int, n_terms: int = 4, max_degree: int = 3):
+    """A random reference polynomial with small rational coefficients."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for _ in range(n_terms):
+        exps = [0] * dim
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(dim)] += 1
+        coeff = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 12)))
+        if coeff:
+            out[tuple(exps)] = coeff
+    return out
+
+
+def from_reference(ref, dim: int) -> Polynomial:
+    return Polynomial(
+        dim, {Monomial((v, e) for v, e in enumerate(exps)): c for exps, c in ref.items()}
+    )
+
+
+def to_reference(p: Polynomial) -> dict[tuple[int, ...], Fraction]:
+    return {m.dense(p.dim): c for m, c in p.terms.items()}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return {exps: c for exps, c in out.items() if c}
+
+
+def ref_partial(a, var: int):
+    out = {}
+    for exps, c in a.items():
+        if exps[var]:
+            out[exps[:var] + (exps[var] - 1,) + exps[var + 1:]] = c * exps[var]
+    return out
+
+
+def ref_substitute(a, images, target_dim: int):
+    """Substitute variable i by the reference polynomial images[i]."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in a.items():
+        piece = {(0,) * target_dim: c}
+        for var, e in enumerate(exps):
+            for _ in range(e):
+                piece = ref_mul(piece, images[var])
+        out = ref_add(out, piece)
+    return out
+
+
+def ref_graded_lex(a) -> list[tuple[int, ...]]:
+    """The exponent tuples in graded-lex descending order: higher total
+    degree first, then lexicographic with x1 > x2 > ... > xn."""
+    return sorted(a, key=lambda exps: (sum(exps), exps), reverse=True)

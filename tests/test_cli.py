@@ -403,6 +403,10 @@ _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
                      id="infinite-step"),
         pytest.param(_FLOW + ["--x0", "nan,1,1", "--t", "1", "--dt", "0.1"],
                      id="nan-initial-point"),
+        pytest.param(["flow", "--algebra", "sl2", "--hamiltonian", "h1^70000",
+                      "--x0", "1,1,1", "--t", "1", "--dt", "0.1"],
+                     id="hamiltonian-degree-above-key-cap"),
+        pytest.param(["cycles", "--n", "13"], id="cycles-n-above-cap"),
     ],
 )
 def test_malformed_input_exits_three_with_one_line(tmp_path, capsys, argv):

@@ -1,5 +1,6 @@
 """Polynomial engine: arithmetic, ordering, calculus, parsing, serialization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,18 @@ from poischain.poly import (
     render_polynomial,
 )
 
-from helpers import double_sum_bracket, random_polynomial
+from helpers import (
+    double_sum_bracket,
+    from_reference,
+    random_polynomial,
+    random_reference,
+    ref_add,
+    ref_graded_lex,
+    ref_mul,
+    ref_partial,
+    ref_substitute,
+    to_reference,
+)
 
 
 def poly_strategy(dim=3, max_degree=3):
@@ -211,3 +223,64 @@ def test_casimir_hamiltonian_fields_vanish(sl4):
     assert len(cas) == 3
     for g in cas.generators:
         assert all(c.is_zero() for c in hamiltonian_field(g.poly, sl4)), g.label
+
+
+# ---------------------------------------------------------------------------
+# the packed-key core against plain dict arithmetic (tests/helpers)
+
+
+def _packed_invariants(p):
+    """One denominator, positive and coprime to the numerators; no zeros."""
+    assert p.den > 0 and all(p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 35), st.integers(0, 10**6))
+def test_packed_core_matches_reference_arithmetic(dim, seed):
+    rng = random.Random(seed)
+    ra, rb = random_reference(rng, dim), random_reference(rng, dim)
+    a, b = from_reference(ra, dim), from_reference(rb, dim)
+    assert to_reference(a) == ra
+    for got, want in (
+        (a + b, ref_add(ra, rb)),
+        (a - b, ref_add(ra, {e: -c for e, c in rb.items()})),
+        (a * b, ref_mul(ra, rb)),
+        (a.power(3), ref_mul(ra, ref_mul(ra, ra))),
+    ):
+        _packed_invariants(got)
+        assert to_reference(got) == want
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    for var in {rng.randrange(dim) for _ in range(3)}:
+        assert to_reference(a.partial_derivative(var)) == ref_partial(ra, var)
+    assert [m.dense(dim) for m, _ in (a * b).sorted_terms()] == ref_graded_lex(
+        ref_mul(ra, rb)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 35), st.integers(1, 35), st.integers(0, 10**6))
+def test_substitute_linear_matches_reference(dim, target_dim, seed):
+    rng = random.Random(seed)
+    ra = random_reference(rng, dim, max_degree=4)
+    images = [random_reference(rng, target_dim, n_terms=2, max_degree=1) for _ in range(dim)]
+    got = from_reference(ra, dim).substitute_linear(
+        [from_reference(img, target_dim) for img in images]
+    )
+    _packed_invariants(got)
+    assert to_reference(got) == ref_substitute(ra, images, target_dim)
+
+
+def test_packed_degree_cap_raises_instead_of_wrapping():
+    x = Polynomial.variable(0, 2)
+    top = Polynomial.term(2, 1, [(0, 40000)])
+    assert (top * Polynomial.term(2, 1, [(1, 25535)])).degree == 65535
+    with pytest.raises(ValueError):
+        top * Polynomial.term(2, 1, [(0, 25536)])
+    with pytest.raises(ValueError):
+        x.power(1 << 16)
+    with pytest.raises(ValueError):
+        parse_polynomial("x1^65536", 2)
+    # the top exponent of one variable sorts above every other degree-65535 term
+    p = parse_polynomial("x2^65535 + x1^65535", 2)
+    assert render_polynomial(p) == "x1^65535 + x2^65535"
