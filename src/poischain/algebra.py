@@ -519,11 +519,10 @@ def validate_subalgebra(alg: LieAlgebra, sub: SubalgebraSpec) -> ValidationRepor
         if len(vec) != alg.dim:
             raise ValueError("subalgebra vector dimension mismatch")
 
-    rows = [
-        linalg.row_from_rationals({i: v for i, v in enumerate(vec) if v})
-        for vec in sub.vectors
-    ]
-    independent = linalg.rank_of_rows(rows) == sub.size
+    span = linalg.Echelon()
+    for vec in sub.vectors:
+        span.insert(linalg.row_from_rationals({i: v for i, v in enumerate(vec) if v}))
+    independent = len(span) == sub.size
     checks.append(
         CheckResult("independent", independent, f"{sub.size} spanning vectors")
     )
@@ -541,7 +540,7 @@ def validate_subalgebra(alg: LieAlgebra, sub: SubalgebraSpec) -> ValidationRepor
                 target = linalg.row_from_rationals(
                     {k: v for k, v in enumerate(br) if v}
                 )
-                if linalg.express_in_rowspace(rows, target) is None and closed.passed:
+                if closed.passed and span.reduce(target):
                     closed = CheckResult(
                         "closed", False, "bracket leaves the span", (i, j)
                     )

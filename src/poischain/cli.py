@@ -445,12 +445,15 @@ def cmd_chain_verify(cfg: RunConfig) -> int:
 def cmd_cycles(cfg: RunConfig) -> int:
     ns = cfg.options
     _check_sl_size(ns.n)
+    # the relation check counts its instances before any work, so an
+    # over-budget n fails before the census, which grows as fast
+    families = (cycles.relation_families_check(ns.n)
+                if ns.check in ("relations", "all") else None)
     census = cycles.enumerate_cycle_generators(ns.n)
     payload: dict = {"n": ns.n, "generators": census.to_json()}
     _say(f"{len(census)} generators for sl({ns.n})")
     code = EXIT_OK
-    if ns.check in ("relations", "all"):
-        families = cycles.relation_families_check(ns.n)
+    if families is not None:
         payload["relations"] = families.to_json()
         _say("relation families: "
              + ("pass" if families.all_passed else "FAIL"))

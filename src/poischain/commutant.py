@@ -585,15 +585,6 @@ def membership(
         return MembershipResult("not_invariant")
     weights = gens.degrees()
     nformal = len(gens.generators)
-    mono_ids: dict[int, int] = {}
-
-    def row_of(poly: Polynomial) -> linalg.Row:
-        """The primitive row of poly's numerators, columns numbered in order
-        of first appearance."""
-        row = {mono_ids.setdefault(k, len(mono_ids)): v for k, v in poly.num.items()}
-        linalg.make_primitive(row)
-        return row
-
     # formal monomials of different weighted degrees never coincide
     expression: dict[int, Fraction] = {}
     for d, component in p.homogeneous_components().items():
@@ -605,14 +596,19 @@ def membership(
             return MembershipResult("not_found_up_to_budget")
         col_index = {key: i for i, key in enumerate(cols)}
         expansions: list[linalg.Row] = [{}] * len(cols)
+        dens = [1] * len(cols)
         for exps, prod in _generator_products(gens.generators, d):
-            expansions[col_index[pack(enumerate(exps), nformal)]] = row_of(prod)
-        coeffs = linalg.express_in_rowspace(expansions, row_of(component))
+            i = col_index[pack(enumerate(exps), nformal)]
+            expansions[i], dens[i] = prod.num, prod.den
+        # the rows are numerators, product i times dens[i], and the target is
+        # the component times its den, so y solves it iff y_i * dens[i] / den
+        # are the coefficients of the products
+        coeffs = linalg.express_in_rowspace(expansions, component.num)
         if coeffs is None:
             return MembershipResult("not_found_up_to_budget")
-        for key, c in zip(cols, coeffs):
-            if c:
-                expression[key] = c
+        for key, y, den in zip(cols, coeffs, dens):
+            if y:
+                expression[key] = y * den / component.den
     return MembershipResult("found", _from_fractions(nformal, expression))
 
 

@@ -277,7 +277,7 @@ class RelationFamiliesReport:
         }
 
 
-def _check_family_one(n: int, budget: int) -> FamilyResult:
+def _check_family_one(n: int) -> FamilyResult:
     """Loop-edge product identity: the product of the two-cycles along a
     closed index tuple equals the cycle times its orientation reversal."""
     checked = 0
@@ -285,10 +285,6 @@ def _check_family_one(n: int, budget: int) -> FamilyResult:
     for k in range(2, n + 1):
         for tup in permutations(range(1, n + 1), k):
             checked += 1
-            if checked > budget:
-                raise BudgetExceededError(
-                    f"family (i) exceeded {budget} instances"
-                )
             lhs_factors = [
                 _two_cycle(tup[u], tup[u + 1], n) for u in range(k - 1)
             ]
@@ -381,11 +377,17 @@ def _check_family_three(n: int, budget: int) -> FamilyResult:
 
 def relation_families_check(n: int, budget: int = 5000) -> RelationFamiliesReport:
     """Exact expansion check of the three classical relation families among
-    cycle generators, with the degenerate-case conventions recorded."""
+    cycle generators, with the degenerate-case conventions recorded.
+
+    Family (i) has one instance per closed index tuple of length 2..n; they
+    are counted before any is checked, so an over-budget call fails first.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
+    if sum(math.perm(n, k) for k in range(2, n + 1)) > budget:
+        raise BudgetExceededError(f"family (i) exceeded {budget} instances")
     results = [
-        _check_family_one(n, budget),
+        _check_family_one(n),
         _check_family_two(n),
         _check_family_three(n, budget),
     ]

@@ -10,12 +10,8 @@ express_in_rowspace and matrix_inverse all insert rows into it.  A row is
 reduced forward only when it goes in; the one backward pass that makes the
 stored rows mutually reduced runs later, once per batch, and only when a
 caller reads the rows (nullspace's kernel read-off, canonical_rref,
-matrix_inverse).  Only det_exact eliminates on its own: Echelon keeps its
+express_in_rowspace).  Only det_exact eliminates on its own: Echelon keeps its
 rows primitive, which drops the row scales a determinant needs.
-
-Column indices at or above TAG_BASE are bookkeeping tags carried through the
-elimination (used to express a vector in a row space); they never become
-pivots.
 """
 
 from __future__ import annotations
@@ -26,8 +22,6 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Row = dict[int, int]
-
-TAG_BASE = 1 << 40
 
 
 def row_from_rationals(entries: Mapping[int, Fraction]) -> Row:
@@ -40,9 +34,8 @@ def row_from_rationals(entries: Mapping[int, Fraction]) -> Row:
 
 
 def make_primitive(row: Row) -> None:
-    """Divide out the integer content in place; anchor sign at the least real
-    column (tags lie above every real column, so that is the least column
-    whenever the row has a real one)."""
+    """Divide out the integer content in place; anchor sign at the least
+    column."""
     if not row:
         return
     g = gcd(*row.values())
@@ -78,7 +71,7 @@ class Echelon:
     """Echelon basis of a row space, filled by forward insertion.
 
     Every stored row is primitive and owns a distinct pivot column, its
-    least real column.  insert reduces a row against the stored pivots and
+    least column.  insert reduces a row against the stored pivots and
     stores it without touching the other rows, so a batch of inserts pays
     only for its own reductions.  One backward pass, run when the rows are
     next read through pivots, clears every pivot column from the other rows,
@@ -137,10 +130,9 @@ class Echelon:
         """Reduce a row forward and store it; returns its pivot column, or
         None if dependent."""
         r = self.reduce(row)
-        real = [c for c in r if c < TAG_BASE]
-        if not real:
+        if not r:
             return None
-        piv = min(real)
+        piv = min(r)
         make_primitive(r)
         self._rows[piv] = r
         self._reduced = False
@@ -209,24 +201,27 @@ def express_in_rowspace(
 ) -> list[Fraction] | None:
     """Coefficients c with sum(c_i * rows_i) == target, or None if unsolvable.
 
-    When the rows are dependent a deterministic particular solution is
-    returned (later dependent rows get coefficient zero).
+    The transposed system goes into one Echelon: each column of the rows is
+    an equation, with unknown i in column i and the target in column n =
+    len(rows).  It is unsolvable iff some equation reduces to a pivot at n.
+    Otherwise the free unknowns are set to zero and each pivot unknown is
+    read off its reduced row.  The pivot unknowns are the rows independent
+    of the rows before them, so later dependent rows get coefficient zero.
     """
-    ech = Echelon()
+    n = len(rows)
+    equations: dict[int, Row] = {}
     for i, row in enumerate(rows):
-        tagged = dict(row)
-        tagged[TAG_BASE + 1 + i] = 1
-        ech.insert(tagged)
-    goal = dict(target)
-    goal[TAG_BASE] = 1
-    red = ech.reduce(goal)
-    if any(c < TAG_BASE for c in red):
-        return None
-    scale = red[TAG_BASE]
-    coeffs = []
-    for i in range(len(rows)):
-        tag = TAG_BASE + 1 + i
-        coeffs.append(Fraction(-red.get(tag, 0), scale))
+        for col, v in row.items():
+            equations.setdefault(col, {})[i] = v
+    for col, v in target.items():
+        equations.setdefault(col, {})[n] = v
+    ech = Echelon()
+    for eq in equations.values():
+        if ech.insert(eq) == n:
+            return None
+    coeffs = [Fraction(0)] * n
+    for p, prow in ech.pivots.items():
+        coeffs[p] = Fraction(prow.get(n, 0), prow[p])
     return coeffs
 
 
@@ -259,25 +254,21 @@ def matrix_inverse(
 ) -> list[list[Fraction]]:
     """Exact inverse; raises on singular input.
 
-    Row i goes into an Echelon tagged with column TAG_BASE + 1 + i, as in
-    express_in_rowspace.  For an invertible matrix every echelon row is its
-    pivot entry at the pivot column plus tags recording which combination of
-    the input rows gives it, so row j of the inverse is the tags of pivot
-    row j over its pivot.
+    The inverse is the right half of canonical_rref of [A | I], with the
+    identity in columns n..2n-1.  A is singular iff some row j of that basis
+    has its pivot anywhere but column j.
     """
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise ValueError("inverse needs a square matrix")
-    ech = Echelon()
+    augmented = []
     for i, dense in enumerate(matrix):
-        tagged = {c: v for c, v in enumerate(dense) if v}
-        tagged[TAG_BASE + 1 + i] = Fraction(1)
-        ech.insert(row_from_rationals(tagged))
-    if len(ech) < n:
-        raise ValueError("matrix is singular")
-    pivots = ech.pivots
+        vec = {c: v for c, v in enumerate(dense) if v}
+        vec[n + i] = Fraction(1)
+        augmented.append(vec)
     out = []
-    for j in range(n):
-        row = pivots[j]
-        out.append([Fraction(row.get(TAG_BASE + 1 + i, 0), row[j]) for i in range(n)])
+    for j, row in enumerate(canonical_rref(augmented)):
+        if min(row) != j:
+            raise ValueError("matrix is singular")
+        out.append([row.get(n + i, Fraction(0)) for i in range(n)])
     return out

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from poischain import Monomial, Polynomial, monomial_basis
 from poischain.linalg import (
-    TAG_BASE,
     _eliminate,
     make_primitive,
     canonical_rref,
@@ -99,15 +99,46 @@ def full_basis_invariants(alg, sub, k: int) -> list[Polynomial]:
 
 def gauss_jordan_rows(rows) -> dict[int, dict[int, int]]:
     """Reference one-row Gauss-Jordan: each row is reduced against the
-    stored rows, made primitive, stored under its least real column, and
-    at once cleared from every other stored row, so the stored rows are
-    mutually reduced after every insertion.  Returns pivot -> row."""
+    stored rows, made primitive, stored under its least column, and at once
+    cleared from every other stored row, so the stored rows are mutually
+    reduced after every insertion.  Returns pivot -> row."""
     stored: dict[int, dict[int, int]] = {}
     for row in rows:
         r = dict(row)
         for col in sorted(c for c in r if c in stored):
             _eliminate(r, stored[col], col)
-        real = [c for c in r if c < TAG_BASE]
+        if not r:
+            continue
+        piv = min(r)
+        make_primitive(r)
+        for prow in stored.values():
+            if piv in prow:
+                _eliminate(prow, r, piv)
+        stored[piv] = r
+    return stored
+
+
+_TAG = 1 << 40
+
+
+def tagged_solve(rows, target) -> list[Fraction] | None:
+    """Reference for express_in_rowspace by tag columns: row i carries a
+    unit tag at column _TAG + 1 + i and the target one at _TAG, and every
+    column below _TAG is eliminated by one-row Gauss-Jordan.  A dependent
+    row reduces to tags alone and is dropped, so later dependent rows get
+    coefficient zero; the target reduced to tags alone records its
+    expression."""
+    stored: dict[int, dict[int, int]] = {}
+
+    def reduce(r):
+        for col in sorted(c for c in r if c in stored):
+            _eliminate(r, stored[col], col)
+
+    for i, row in enumerate(rows):
+        r = dict(row)
+        r[_TAG + 1 + i] = 1
+        reduce(r)
+        real = [c for c in r if c < _TAG]
         if not real:
             continue
         piv = min(real)
@@ -116,7 +147,30 @@ def gauss_jordan_rows(rows) -> dict[int, dict[int, int]]:
             if piv in prow:
                 _eliminate(prow, r, piv)
         stored[piv] = r
-    return stored
+    goal = dict(target)
+    goal[_TAG] = 1
+    reduce(goal)
+    if any(c < _TAG for c in goal):
+        return None
+    return [Fraction(-goal.get(_TAG + 1 + i, 0), goal[_TAG]) for i in range(len(rows))]
+
+
+def tagged_inverse(matrix) -> list[list[Fraction]] | None:
+    """Reference inverse, or None when singular: row j of the inverse is
+    the c with c . matrix = e_j, solved by tagged_solve on the rows scaled
+    to integers."""
+    scales = [lcm(*(Fraction(v).denominator for v in dense)) for dense in matrix]
+    rows = [
+        {c: int(v * s) for c, v in enumerate(dense) if v}
+        for dense, s in zip(matrix, scales)
+    ]
+    out = []
+    for j in range(len(matrix)):
+        coeffs = tagged_solve(rows, {j: 1})
+        if coeffs is None:
+            return None
+        out.append([c * s for c, s in zip(coeffs, scales)])
+    return out
 
 
 def double_sum_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:

@@ -407,6 +407,17 @@ _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
                       "--x0", "1,1,1", "--t", "1", "--dt", "0.1"],
                      id="hamiltonian-degree-above-key-cap"),
         pytest.param(["cycles", "--n", "13"], id="cycles-n-above-cap"),
+        pytest.param(["cycles", "--n", "12"], id="cycles-family-one-over-budget"),
+        pytest.param(["cycles", "--n", "1"], id="cycles-n-below-two"),
+        pytest.param(["algebra", "check", "--algebra", "sl2",
+                      "--out", "@missing_dir/report.json"], id="unwritable-report"),
+        pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "0.1",
+                              "--csv", "@missing_dir/trajectory.csv"],
+                     id="unwritable-trajectory"),
+        pytest.param(["algebra", "check", "--algebra", "foo"], id="unknown-algebra"),
+        pytest.param(["commutant", "--algebra", "sl2", "--subalgebra", "bogus"],
+                     id="unknown-subalgebra"),
+        pytest.param(["mf", "--algebra", "sl3", "--shift", "1,2"], id="short-shift"),
     ],
 )
 def test_malformed_input_exits_three_with_one_line(tmp_path, capsys, argv):

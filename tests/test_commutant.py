@@ -38,6 +38,8 @@ from poischain.commutant import (
     weighted_exponents,
 )
 
+from helpers import expand_formal
+
 from helpers import expand_formal, full_basis_invariants, random_polynomial, same_span
 
 F = Fraction
@@ -230,6 +232,47 @@ def test_bracket_closure_sl3_torus(sl3_torus):
     assert all(e.closed for e in report.entries)
     assert len(report.entries) == 7 * 8 // 2
     assert any(not e.bracket_is_zero for e in report.entries)
+
+
+def test_membership_keeps_the_scale_of_its_products(sl2):
+    """Coefficients refer to the generator products themselves, not to
+    rescaled copies: a scaled target and a product with content both come
+    back with their scales."""
+    g = parse_polynomial("h1^2 + 1/2*e12*e21", sl2.dim, sl2.labels)
+    gens = GeneratorSet(
+        algebra=sl2,
+        generators=[Generator(poly=g, degree=2, label="g")],
+        subalgebra=cartan_subalgebra(sl2),
+    )
+    res = membership(g.scale(F(3)), gens, 2)
+    assert res.expression.render(gens.labels()) == "3*g"
+    res = membership(g.scale(F(2, 3)), gens, 2)
+    assert res.expression.render(gens.labels()) == "2/3*g"
+    res = membership(g * g + g.scale(F(3)), gens, 4)
+    assert res.expression.render(gens.labels()) == "g^2 + 3*g"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bracket_closure_expressions_expand_back(n):
+    """Every closure expression on the sl(n) torus, parsed and expanded in
+    the generators, gives back the bracket it expresses."""
+    alg = builtin_sl(n)
+    gens = generate(alg, cartan_subalgebra(alg), n)
+    polys = {g.label: g.poly for g in gens.generators}
+    nformal = len(gens)
+    report = bracket_closure_check(gens)
+    expressed = 0
+    for e in report.entries:
+        if e.bracket_is_zero:
+            continue
+        assert e.closed
+        formal = parse_polynomial(e.expression, nformal, gens.labels())
+        expanded = Polynomial.zero(alg.dim)
+        for mono, c in formal.terms.items():
+            expanded = expanded + expand_formal(gens, mono.dense(nformal)).scale(c)
+        assert expanded == lie_poisson_bracket(polys[e.left], polys[e.right], alg)
+        expressed += 1
+    assert expressed
 
 
 def test_bracket_closure_casimirs_all_zero(sl3, sl3_casimirs):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poischain.linalg import (
-    TAG_BASE,
     Echelon,
     canonical_rref,
     det_exact,
@@ -20,7 +19,7 @@ from poischain.linalg import (
     row_from_rationals,
 )
 
-from helpers import gauss_jordan_rows
+from helpers import gauss_jordan_rows, tagged_inverse, tagged_solve
 
 
 def F(x, y=None):
@@ -63,10 +62,9 @@ def test_nullspace_stops_at_full_rank():
     assert nullspace(stream(), ncols) == []
 
 
-def _random_rows(rng, nrows, ncols, rank=None, tagged=False):
+def _random_rows(rng, nrows, ncols, rank=None):
     """Random primitive rows with rational entries; rank-deficient when rank
-    is given (later rows are combinations of the first rank ones), and with
-    a distinct TAG_BASE tag column per row when tagged."""
+    is given (later rows are combinations of the first rank ones)."""
     rows = []
     for i in range(nrows):
         if rank is not None and i >= rank:
@@ -74,20 +72,15 @@ def _random_rows(rng, nrows, ncols, rank=None, tagged=False):
             for base in rows[:rank]:
                 c = F(rng.randint(-2, 2), rng.randint(1, 3))
                 for j, v in base.items():
-                    if j < TAG_BASE:
-                        dense[j] += c * v
+                    dense[j] += c * v
         else:
             dense = [F(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.6
                      else F(0) for _ in range(ncols)]
-        entries = {j: v for j, v in enumerate(dense) if v}
-        if tagged:
-            entries[TAG_BASE + 1 + i] = F(1)
-        rows.append(row_from_rationals(entries))
+        rows.append(row_from_rationals({j: v for j, v in enumerate(dense) if v}))
     return rows
 
 
-@pytest.mark.parametrize("tagged", [False, True])
-def test_batch_insertion_matches_one_row_gauss_jordan(tagged):
+def test_batch_insertion_matches_one_row_gauss_jordan():
     """Forward-only insertion, after its deferred backward pass, stores the
     same pivots and the same reduced rows as one-row Gauss-Jordan, whatever
     the interleaving of inserts and reads; reduce gives the same result
@@ -96,8 +89,8 @@ def test_batch_insertion_matches_one_row_gauss_jordan(tagged):
     for trial in range(60):
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 8)
         rank = rng.randint(0, min(nrows, ncols)) if trial % 2 else None
-        rows = _random_rows(rng, nrows, ncols, rank, tagged)
-        probe = _random_rows(rng, 1, ncols, tagged=tagged)[0]
+        rows = _random_rows(rng, nrows, ncols, rank)
+        probe = _random_rows(rng, 1, ncols)[0]
         expected = gauss_jordan_rows(rows)
         batch = Echelon()
         for r in rows:
@@ -216,6 +209,65 @@ def test_express_handles_dependent_rows():
     for c, entries in zip(coeffs, dense):
         recon = [r + c * F(x) for r, x in zip(recon, entries)]
     assert recon == [F(3), F(4)]
+
+
+def test_express_in_rowspace_matches_tagged_solve():
+    """The transposed solve returns the tagged elimination's coefficients on
+    random systems with dependent rows, empty rows, non-primitive rows and
+    targets inside and outside the row space."""
+    rng = random.Random(23)
+    outcomes = set()
+    for trial in range(300):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 7)
+        rank = rng.randint(0, min(nrows, ncols)) if trial % 2 else None
+        rows = _random_rows(rng, nrows, ncols, rank)
+        for r in rows:
+            if rng.random() < 0.2:
+                r.clear()  # an empty row
+            elif rng.random() < 0.2:
+                for c in r:
+                    r[c] *= rng.choice((-6, 2, 3))
+        if trial % 3 == 0 or not rows:
+            target = _random_rows(rng, 1, ncols)[0]
+        else:  # a combination of the rows, so solvable
+            target = {}
+            for r in rows:
+                k = rng.randint(-3, 3)
+                for c, v in r.items():
+                    target[c] = target.get(c, 0) + k * v
+            target = {c: v for c, v in target.items() if v}
+        coeffs = express_in_rowspace(rows, target)
+        assert coeffs == tagged_solve(rows, target)
+        outcomes.add(coeffs is None)
+        if coeffs is not None:
+            recon = {}
+            for c, r in zip(coeffs, rows):
+                for j, v in r.items():
+                    recon[j] = recon.get(j, 0) + c * v
+            assert {j: v for j, v in recon.items() if v} == target
+    assert outcomes == {False, True}
+
+
+def test_matrix_inverse_matches_tagged_reference():
+    """The [A | I] inverse equals the tagged reference on random regular and
+    singular matrices, zero rows included."""
+    rng = random.Random(29)
+    singular = 0
+    for trial in range(120):
+        n = rng.randint(1, 6)
+        rank = rng.randint(0, n - 1) if trial % 3 == 0 else None
+        rows = _random_rows(rng, n, n, rank)
+        scales = [F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+                  for _ in rows]
+        m = [[s * r.get(j, 0) for j in range(n)] for s, r in zip(scales, rows)]
+        expected = tagged_inverse(m)
+        if expected is None:
+            singular += 1
+            with pytest.raises(ValueError):
+                matrix_inverse(m)
+        else:
+            assert matrix_inverse(m) == expected
+    assert 0 < singular < 120
 
 
 def test_rank():
