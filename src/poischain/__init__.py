@@ -91,6 +91,7 @@ from .flow import (
 from .poly import (
     Monomial,
     Polynomial,
+    VectorField,
     dump_json,
     apply_vector_field,
     gradient_matrix,

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from . import linalg
 from .poly import Monomial, Polynomial, as_fraction, as_point
 from .sampling import DEFAULT_SEED, sample_points
 
 Vector = tuple[Fraction, ...]
+T = TypeVar("T")
 
 
 class ConfigurationError(ValueError):
@@ -55,23 +56,35 @@ class LieAlgebra:
             self.cartan_indices = tuple(self.cartan_indices)
             if any(not 0 <= i < self.dim for i in self.cartan_indices):
                 raise ValueError("Cartan index out of range")
-        self._rows: tuple[list[dict[int, dict[int, int]]], int] | None = None
+        self._derived: dict[Hashable, object] = {}
 
     # -- structure access ---------------------------------------------------
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """build(), called on the first request for this key and kept with
+        the algebra: data derived from the structure constants, such as
+        bracket_rows or the invariance operators of a subalgebra.  Callers
+        must not mutate the value."""
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     def bracket_rows(self) -> tuple[list[dict[int, dict[int, int]]], int]:
         """The structure constants as integers over one common denominator d:
         rows[i] maps every j with [X_i, X_j] != 0 to {k: d * C_ijk}
         (antisymmetry applied).  Indexed once; callers must not mutate it."""
-        if self._rows is None:
-            den = lcm(*(c.denominator for c in self.structure.values()))
-            rows: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
-            for (i, j, k), c in self.structure.items():
-                num = c.numerator * (den // c.denominator)
-                rows[i].setdefault(j, {})[k] = num
-                rows[j].setdefault(i, {})[k] = -num
-            self._rows = (rows, den)
-        return self._rows
+        return self.derived("bracket_rows", self._index_brackets)
+
+    def _index_brackets(self) -> tuple[list[dict[int, dict[int, int]]], int]:
+        den = lcm(*(c.denominator for c in self.structure.values()))
+        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        for (i, j, k), c in self.structure.items():
+            num = c.numerator * (den // c.denominator)
+            rows[i].setdefault(j, {})[k] = num
+            rows[j].setdefault(i, {})[k] = -num
+        return rows, den
 
     def bracket_coeffs(self, i: int, j: int) -> dict[int, Fraction]:
         """Coefficients of [X_i, X_j] in the basis, antisymmetry applied."""

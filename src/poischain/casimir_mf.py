@@ -38,7 +38,7 @@ from .commutant import (
 )
 from .poly import (
     Polynomial,
-    apply_vector_field,
+    VectorField,
     as_point,
     hamiltonian_field,
     render_polynomial,
@@ -290,10 +290,10 @@ def mf_commutativity_check(mf: MFAlgebra) -> CommutativityReport:
     count = 0
     gens = mf.generators
     for i, gi in enumerate(gens):
-        field_i = hamiltonian_field(gi.poly, alg)
+        field_i = VectorField(hamiltonian_field(gi.poly, alg))
         for gj in gens[i + 1 :]:
             count += 1
-            if not apply_vector_field(field_i, gj.poly).is_zero():
+            if not field_i(gj.poly).is_zero():
                 bad.append((gi.label, gj.label))
     return CommutativityReport(pair_count=count, nonzero_pairs=bad)
 

@@ -33,7 +33,7 @@ from .commutant import (
 )
 from .poly import (
     Polynomial,
-    apply_vector_field,
+    VectorField,
     hamiltonian_field,
     render_polynomial,
 )
@@ -98,10 +98,10 @@ def base_center_check(spec: ChainSpec) -> CentralityReport:
     failures = []
     count = 0
     for b in spec.base.generators:
-        field_b = hamiltonian_field(b.poly, alg)
+        field_b = VectorField(hamiltonian_field(b.poly, alg))
         for a in spec.intermediate.generators:
             count += 1
-            br = apply_vector_field(field_b, a.poly)
+            br = field_b(a.poly)
             if not br.is_zero():
                 failures.append(
                     {
@@ -492,9 +492,9 @@ def j_map_casimir_check(
     failures = []
     zero_count = 0
     for name, comp in components:
-        field_comp = hamiltonian_field(comp, alg)
+        field_comp = VectorField(hamiltonian_field(comp, alg))
         for g in torus.generators:
-            br = apply_vector_field(field_comp, g.poly)
+            br = field_comp(g.poly)
             if br.is_zero():
                 zero_count += 1
             else:

@@ -10,11 +10,25 @@ scales every coordinate, x_v -> c_v x_v (a Cartan element in a weight basis,
 as for the built-in sl(n)), so monomials are its eigenvectors and its kernel
 is spanned by the monomials of weight sum_v e_v c_v = 0.  The joint kernel
 of all diagonal operators is therefore enumerated directly: the zero-weight
-monomials of degree k, with no elimination.  The non-diagonal operators
-(root vectors, operators read from files) are then eliminated one at a time
-on that smaller space, and the result is normalized to the unique reduced
-echelon basis with graded-lex pivots.  Without non-diagonal operators the
-zero-weight monomials already are that basis.
+monomials of degree k, with no elimination.  The non-diagonal operators are
+then eliminated one at a time on that smaller space, and the result is
+normalized to the unique reduced echelon basis with graded-lex pivots.
+Without non-diagonal operators the zero-weight monomials already are that
+basis.
+
+Not every non-diagonal operator is applied.  Invariance under a set of
+elements is invariance under the Lie algebra they generate, and on weight
+zero a raising operator E_alpha implies its lowering partner E_-alpha (sl(2)
+theory).  So once per algebra and subalgebra, _raising_fields looks for a
+smaller set and uses it only when four things are shown: the diagonal
+fields give every coordinate a weight; every non-diagonal spanning vector
+is a root vector with its own nonzero weight shift; the diagonal vectors
+and the kept raising vectors generate every raising vector by bracket
+closure; and each dropped lowering vector E_-alpha is in that closure, or
+h = [E_alpha, E_-alpha] lies in the span of the diagonal vectors with
+[h, E_alpha] != 0.  For the full sl(n) that leaves the n - 1 simple raising
+operators e_(i,i+1).  When a check fails, every non-diagonal operator is
+applied.
 """
 
 from __future__ import annotations
@@ -22,15 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress, count
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
-from .algebra import LieAlgebra, SubalgebraSpec
+from .algebra import LieAlgebra, SubalgebraSpec, Vector
 from .poly import (
     Monomial,
     Polynomial,
+    VectorField,
     _from_fractions,
     _make,
     apply_vector_field,
@@ -169,42 +184,196 @@ def _zero_weight_monomials(
     """The keys of the degree-k monomials of weight zero,
     sum_v e_v * weights[v] = 0, in graded-lex descending order.
 
-    A (degree, weight) state is packed into one integer, degree plus (k + 1)
-    times the weight digits in a base wide enough that no partial sum of at
-    most k weights carries; the state of a monomial is then the sum of its
-    coordinates' steps.  reach[v] holds every state the coordinates v.. can
-    make with degree at most k, so the depth-first walk (largest exponent
-    first) only enters branches that still end at degree k and weight zero.
+    Coordinates of weight zero (the Cartan ones) never change the weight, so
+    the walk runs over the other coordinates and fills whatever degree is
+    left with every monomial in the zero-weight ones.  A weight is packed
+    into one integer code, its digits in a base wide enough that no partial
+    sum of at most k weights carries; reach[i] maps every code the walked
+    coordinates i.. can make to the least degree that makes it, so the
+    depth-first walk only enters branches that can still end at weight zero
+    within degree k.  The keys are sorted once at the end.
     """
-    dim = len(weights)
-    bound = max((abs(w) for wt in weights for w in wt), default=0)
+    keys = variable_keys(len(weights))
+    walked = [v for v, wt in enumerate(weights) if any(wt)]
+    still = [v for v, wt in enumerate(weights) if not any(wt)]
+    bound = max((abs(w) for v in walked for w in weights[v]), default=0)
     base = 2 * k * bound + 1
-    steps = [
-        1 + (k + 1) * sum(w * base**a for a, w in enumerate(wt)) for wt in weights
+    codes = [sum(w * base**a for a, w in enumerate(weights[v])) for v in walked]
+    reach: list[dict[int, int]] = [{} for _ in walked] + [{0: 0}]
+    for i in range(len(walked) - 1, -1, -1):
+        states, code = reach[i], codes[i]
+        for c, d in reach[i + 1].items():
+            for e in range(k - d + 1):
+                if states.get(c + e * code, k + 1) > d + e:
+                    states[c + e * code] = d + e
+    # fills[d]: the keys of the degree-d monomials in the zero-weight
+    # coordinates (only d = 0, the empty monomial, when there are none)
+    fills = [
+        [sum(keys[v] for v in combo) for combo in combinations_with_replacement(still, d)]
+        for d in range(k + 1)
     ]
-    reach: list[set[int]] = [set() for _ in range(dim)] + [{0}]
-    for v in range(dim - 1, -1, -1):
-        states = reach[v]
-        step = steps[v]
-        for s in reach[v + 1]:
-            for e in range(k - s % (k + 1) + 1):
-                states.add(s + e * step)
-    keys = variable_keys(dim)
     out: list[int] = []
 
-    def walk(v: int, state: int, left: int, key: int) -> None:
-        if v == dim:
-            out.append(key)
+    def walk(i: int, code: int, left: int, key: int) -> None:
+        if i == len(walked):
+            out.extend(key + fill for fill in fills[left])
             return
-        step, after = steps[v], reach[v + 1]
+        step, after, var = codes[i], reach[i + 1], keys[walked[i]]
         for e in range(left, -1, -1):
-            nxt = state + e * step
-            if k - nxt in after:
-                walk(v + 1, nxt, left - e, key + e * keys[v])
+            nxt = code + e * step
+            if after.get(-nxt, k + 1) <= left - e:
+                walk(i + 1, nxt, left - e, key + e * var)
 
-    if k in reach[0]:
-        walk(0, 0, k, 0)
+    walk(0, 0, k, 0)
+    out.sort(reverse=True)
     return out
+
+
+# ---------------------------------------------------------------------------
+# invariance operators
+
+
+@dataclass(frozen=True)
+class _Operators:
+    """The fields the invariants of one subalgebra are computed with.
+
+    diagonal holds the fields that scale every coordinate, and weights[v]
+    the weight of coordinate v under them, so their joint kernel is spanned
+    by the zero-weight monomials.  others holds the non-diagonal fields
+    still to apply, with their spanning vectors: only the raising fields in
+    spanning order when _raising_fields shows that they suffice, else every
+    one, fewest nonzeros first.
+    """
+
+    diagonal: tuple[VectorField, ...]
+    weights: tuple[tuple[int, ...], ...]
+    others: tuple[tuple[Vector, VectorField], ...]
+
+
+def _invariance_operators(alg: LieAlgebra, sub: SubalgebraSpec) -> _Operators:
+    """The operators of the subalgebra, built once per algebra and set of
+    spanning vectors."""
+    return alg.derived(
+        ("invariance operators", sub.vectors),
+        partial(_build_operators, alg, sub.vectors),
+    )
+
+
+def _build_operators(alg: LieAlgebra, vectors: Sequence[Vector]) -> _Operators:
+    diagonal: list[tuple[Vector, list[Polynomial], list[int]]] = []
+    roots: list[tuple[Vector, list[Polynomial]]] = []
+    for vec in vectors:
+        field = hamiltonian_field(alg.linear_form(vec), alg)
+        if not any(component.num for component in field):
+            continue
+        weights = _diagonal_weights(field)
+        if weights is None:
+            roots.append((vec, field))
+        else:
+            diagonal.append((vec, field, weights))
+    weights = tuple(tuple(w[v] for _, _, w in diagonal) for v in range(alg.dim))
+    keep = _raising_fields(
+        alg, [vec for vec, _, _ in diagonal], [vec for vec, _ in roots], weights
+    )
+    if keep is None:
+        roots.sort(key=lambda root: sum(len(component.num) for component in root[1]))
+    return _Operators(
+        tuple(VectorField(field) for _, field, _ in diagonal),
+        weights,
+        tuple(
+            (vec, VectorField(field))
+            for i, (vec, field) in enumerate(roots)
+            if keep is None or i in keep
+        ),
+    )
+
+
+def _integer_row(vec: Vector) -> linalg.Row:
+    return linalg.row_from_rationals({i: v for i, v in enumerate(vec) if v})
+
+
+def _bracket_row(alg: LieAlgebra, u: linalg.Row, v: linalg.Row) -> linalg.Row:
+    """A positive multiple of [u, v], from the integer structure constants."""
+    rows, _ = alg.bracket_rows()
+    out: dict[int, int] = {}
+    for i, a in u.items():
+        row = rows[i]
+        for j, b in v.items():
+            for k, c in row.get(j, {}).items():
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: x for k, x in out.items() if x}
+
+
+def _lie_closure(alg: LieAlgebra, gens: Sequence[linalg.Row]) -> linalg.Echelon:
+    """The span of the Lie algebra the rows generate: the span of the
+    generators, closed under bracketing with each generator."""
+    span = linalg.Echelon()
+    queue = [g for g in gens if span.insert(g) is not None]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            b = _bracket_row(alg, g, x)
+            if span.insert(b) is not None:
+                queue.append(b)
+    return span
+
+
+def _raising_fields(
+    alg: LieAlgebra,
+    diagonal: Sequence[Vector],
+    roots: Sequence[Vector],
+    weights: Sequence[tuple[int, ...]],
+) -> set[int] | None:
+    """The indices of the root vectors whose fields suffice, with the
+    diagonal ones, to cut out the invariants; None when that is not shown.
+    The algebra is taken to satisfy the Jacobi identity, so that it acts on
+    each degree through its brackets.
+
+    A root vector E has [H, E] = alpha(H) E for every diagonal H: all its
+    coordinates have one weight, its shift alpha, which must be nonzero and
+    its own.  Of each pair of opposite shifts the vector spanned first
+    raises, and so does a vector with no opposite.  The kept raising vectors
+    are those outside the span of the brackets of two raising vectors; with
+    the diagonal vectors they must generate every raising vector.  A
+    lowering vector E_-alpha outside that closure needs h = [E_alpha,
+    E_-alpha] in the span of the diagonal vectors and [h, E_alpha] != 0:
+    then E_alpha, E_-alpha and h span a copy of sl(2) in which h acts
+    diagonally, and a weight-zero vector killed by E_alpha is a
+    highest-weight vector of weight zero, so it spans a trivial module and
+    E_-alpha kills it too (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, sections 7 and 20).
+    """
+    rows = [_integer_row(vec) for vec in roots]
+    shifts = []
+    for row in rows:
+        found = {weights[v] for v in row}
+        shift = found.pop()
+        if found or not any(shift):
+            return None
+        shifts.append(shift)
+    index = {shift: i for i, shift in enumerate(shifts)}
+    if len(index) != len(shifts):
+        return None
+    opposite = [index.get(tuple(-w for w in shift)) for shift in shifts]
+    raising = [i for i, j in enumerate(opposite) if j is None or j > i]
+    brackets = linalg.Echelon()
+    for a, b in combinations(raising, 2):
+        brackets.insert(_bracket_row(alg, rows[a], rows[b]))
+    keep = [i for i in raising if brackets.reduce(rows[i])]
+    gens = [_integer_row(vec) for vec in diagonal]
+    span = _lie_closure(alg, gens + [rows[i] for i in keep])
+    if any(span.reduce(rows[i]) for i in raising):
+        return None
+    cartan = linalg.Echelon()
+    for row in gens:
+        cartan.insert(row)
+    for i, j in enumerate(opposite):
+        if j is None or j > i or not span.reduce(rows[i]):
+            continue
+        h = _bracket_row(alg, rows[j], rows[i])
+        if cartan.reduce(h) or not _bracket_row(alg, h, rows[j]):
+            return None
+    return set(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -287,29 +456,16 @@ def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polyno
         raise ValueError("degree must be nonnegative")
     if k == 0:
         return [Polynomial.one(alg.dim)]
-    fields = [
-        field
-        for field in (hamiltonian_field(alg.linear_form(v), alg) for v in sub.vectors)
-        if any(component.num for component in field)
-    ]
-    weights = [_diagonal_weights(field) for field in fields]
-    diagonal = [w for w in weights if w is not None]
+    ops = _invariance_operators(alg, sub)
     basis = [
-        _make(alg.dim, {key: 1}, 1)
-        for key in _zero_weight_monomials(
-            [tuple(w[v] for w in diagonal) for v in range(alg.dim)], k
-        )
+        _make(alg.dim, {key: 1}, 1) for key in _zero_weight_monomials(ops.weights, k)
     ]
-    others = sorted(
-        (field for field, w in zip(fields, weights) if w is None),
-        key=lambda field: sum(len(component.num) for component in field),
-    )
-    if not others:
+    if not ops.others:
         return basis
-    for field in others:
+    for _, field in ops.others:
         if not basis:
             break
-        basis = _kernel_of_map(basis, partial(apply_vector_field, field))
+        basis = _kernel_of_map(basis, field)
     return _canonical_polys(basis, alg.dim)
 
 
@@ -425,32 +581,44 @@ def generate(
 
 
 def weighted_exponents(weights: Sequence[int], total: int) -> list[tuple[int, ...]]:
-    """All exponent tuples e with sum(w_i * e_i) == total, lex descending."""
-    out: list[tuple[int, ...]] = []
-    acc = [0] * len(weights)
+    """All exponent tuples e with sum(w_i * e_i) == total, lex descending.
 
-    def rec(idx: int, remaining: int) -> None:
+    The walk jumps from one nonzero exponent to the next, and stops once
+    the least weight left is above what remains to be made."""
+    n = len(weights)
+    out: list[tuple[int, ...]] = []
+    acc = [0] * n
+    least = [0] * n + [total + 1]
+    for i in range(n - 1, -1, -1):
+        least[i] = min(weights[i], least[i + 1])
+
+    def rec(start: int, remaining: int) -> None:
         if remaining == 0:
             out.append(tuple(acc))
             return
-        if idx == len(weights):
-            return
-        w = weights[idx]
-        for e in range(remaining // w, -1, -1):
-            acc[idx] = e
-            rec(idx + 1, remaining - e * w)
-        acc[idx] = 0
+        for idx in range(start, n):
+            if least[idx] > remaining:
+                return
+            w = weights[idx]
+            for e in range(remaining // w, 0, -1):
+                acc[idx] = e
+                rec(idx + 1, remaining - e * w)
+            acc[idx] = 0
 
     rec(0, total)
     return out
 
 
+def _formal_key(exps: Sequence[int]) -> int:
+    """The key of the formal monomial with these exponents, one variable per
+    generator; only the nonzero exponents are packed."""
+    return pack(zip(compress(count(), exps), compress(exps, exps)), len(exps))
+
+
 def _formal_columns(weights: Sequence[int], d: int) -> list[int]:
     """The keys of the formal generator monomials of weighted degree d, one
     variable per generator, graded-lex descending: the column order."""
-    n = len(weights)
-    keys = (pack(enumerate(exps), n) for exps in weighted_exponents(weights, d))
-    return sorted(keys, reverse=True)
+    return sorted(map(_formal_key, weighted_exponents(weights, d)), reverse=True)
 
 
 @dataclass
@@ -516,7 +684,7 @@ def relation_basis(
         col_index = {key: i for i, key in enumerate(cols)}
         kernel = _kernel_of_images(
             (
-                (col_index[pack(enumerate(exps), nformal)], prod)
+                (col_index[_formal_key(exps)], prod)
                 for exps, prod in _generator_products(gens.generators, d)
             ),
             len(cols),
@@ -563,9 +731,12 @@ class MembershipResult:
 
 
 def is_invariant(alg: LieAlgebra, sub: SubalgebraSpec, p: Polynomial) -> bool:
-    return all(
-        apply_invariance_operator(alg, vec, p).is_zero() for vec in sub.vectors
-    )
+    """Whether every operator of the subalgebra annihilates p: the diagonal
+    fields first (they force weight zero), then the fields invariant_basis
+    applies."""
+    ops = _invariance_operators(alg, sub)
+    fields = [*ops.diagonal, *(field for _, field in ops.others)]
+    return all(field(p).is_zero() for field in fields)
 
 
 def membership(
@@ -598,7 +769,7 @@ def membership(
         expansions: list[linalg.Row] = [{}] * len(cols)
         dens = [1] * len(cols)
         for exps, prod in _generator_products(gens.generators, d):
-            i = col_index[pack(enumerate(exps), nformal)]
+            i = col_index[_formal_key(exps)]
             expansions[i], dens[i] = prod.num, prod.den
         # the rows are numerators, product i times dens[i], and the target is
         # the component times its den, so y solves it iff y_i * dens[i] / den
@@ -694,7 +865,5 @@ def poisson_center_basis(
         if not basis:
             break
         # {p, g} = -{g, p}: the same kernel as p -> X_g(p)
-        basis = _kernel_of_map(
-            basis, partial(apply_vector_field, hamiltonian_field(g.poly, alg))
-        )
+        basis = _kernel_of_map(basis, VectorField(hamiltonian_field(g.poly, alg)))
     return _canonical_polys(basis, alg.dim)

@@ -482,31 +482,48 @@ def hamiltonian_field(p: Polynomial, alg) -> list[Polynomial]:
     return [_make(dim, {k: v for k, v in acc.items() if v}, den * p.den) for acc in out]
 
 
+class VectorField:
+    """The vector field sum_j field[j] * d/dx_j, prepared once for repeated
+    application: every component's integer numerators over one common
+    denominator."""
+
+    __slots__ = ("dim", "den", "components", "degree")
+
+    def __init__(self, field: Sequence[Polynomial]) -> None:
+        self.dim = len(field)
+        self.den = math.lcm(*(c.den for c in field if c.num))
+        self.components = [
+            [(k, v * (self.den // c.den)) for k, v in c.num.items()] if c.num else None
+            for c in field
+        ]
+        self.degree = max((c.degree or 0 for c in field), default=0)
+
+    def __call__(self, q: Polynomial) -> Polynomial:
+        """The derivative of q along the field."""
+        if self.dim != q.dim:
+            raise ValueError("vector field dimension does not match the polynomial")
+        dim = q.dim
+        _check_degree((q.degree or 1) - 1 + self.degree)
+        components = self.components
+        keys = variable_keys(dim)
+        out: dict[int, int] = {}
+        get = out.get
+        for key, num in q.num.items():
+            for j, e in unpack(key, dim):
+                component = components[j]
+                if component is None:
+                    continue
+                base = key - keys[j]
+                ne = num * e
+                for m, c in component:
+                    m2 = base + m
+                    out[m2] = get(m2, 0) + ne * c
+        return _make(dim, {k: v for k, v in out.items() if v}, self.den * q.den)
+
+
 def apply_vector_field(field: Sequence[Polynomial], q: Polynomial) -> Polynomial:
     """The derivative of q along the vector field: sum_j field[j] * d_j(q)."""
-    if len(field) != q.dim:
-        raise ValueError("vector field dimension does not match the polynomial")
-    dim = q.dim
-    _check_degree((q.degree or 1) - 1 + max((c.degree or 0 for c in field), default=0))
-    den = math.lcm(*(c.den for c in field if c.num))
-    components = [
-        [(k, v * (den // c.den)) for k, v in c.num.items()] if c.num else None
-        for c in field
-    ]
-    keys = variable_keys(dim)
-    out: dict[int, int] = {}
-    get = out.get
-    for key, num in q.num.items():
-        for j, e in unpack(key, dim):
-            component = components[j]
-            if component is None:
-                continue
-            base = key - keys[j]
-            ne = num * e
-            for m, c in component:
-                m2 = base + m
-                out[m2] = get(m2, 0) + ne * c
-    return _make(dim, {k: v for k, v in out.items() if v}, den * q.den)
+    return VectorField(field)(q)
 
 
 def lie_poisson_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:

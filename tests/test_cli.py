@@ -363,7 +363,32 @@ _MALFORMED_FILES = {
                                         {"i": 0, "j": 2, "k": 2, "c": "-2"},
                                         {"i": 1, "j": 2, "k": 0, "c": "1"}],
                           "cartan_indices": [0.5]},
+    # a string is written as it stands: here, a JSON document cut short
+    "bad_json.json": '{"dim": 3, "labels": ["h", "e"',
+    "wrong_dim.json": {"dim": 3, "labels": ["h", "e"], "structure": []},
 }
+
+# every subcommand that takes --algebra, with the other arguments it needs
+_ALGEBRA_COMMANDS = {
+    "algebra-check": ["algebra", "check"],
+    "commutant": ["commutant", "--subalgebra", "cartan"],
+    "casimirs": ["casimirs"],
+    "mf": ["mf", "--shift", "h:1"],
+    "chain-verify": ["chain", "verify", "--subalgebra", "cartan", "--base", "casimirs"],
+    "flow": ["flow", "--hamiltonian", "h1", "--x0", "1,1,1", "--t", "1", "--dt", "0.1"],
+}
+_BAD_ALGEBRA_INPUTS = {
+    "bad-json": ["--algebra", "@bad_json.json"],
+    "wrong-dim": ["--algebra", "@wrong_dim.json"],
+    "unknown-label": ["--algebra", "so3"],
+    "sl13": ["--algebra", "sl13"],
+    "unwritable-out": ["--algebra", "sl2", "--out", "@missing_dir/report.json"],
+}
+_ALGEBRA_CONTRACT = [
+    pytest.param(command + argv, id=f"{name}-{case}")
+    for name, command in _ALGEBRA_COMMANDS.items()
+    for case, argv in _BAD_ALGEBRA_INPUTS.items()
+]
 
 _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
 
@@ -418,11 +443,12 @@ _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
         pytest.param(["commutant", "--algebra", "sl2", "--subalgebra", "bogus"],
                      id="unknown-subalgebra"),
         pytest.param(["mf", "--algebra", "sl3", "--shift", "1,2"], id="short-shift"),
+        *_ALGEBRA_CONTRACT,
     ],
 )
 def test_malformed_input_exits_three_with_one_line(tmp_path, capsys, argv):
     for name, data in _MALFORMED_FILES.items():
-        (tmp_path / name).write_text(json.dumps(data))
+        (tmp_path / name).write_text(data if isinstance(data, str) else json.dumps(data))
     argv = [a.replace("@", f"{tmp_path}{os.sep}") for a in argv]
     assert run(argv) == EXIT_INPUT
     err = capsys.readouterr().err

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -29,16 +30,18 @@ from poischain import (
     relation_basis,
     span_subalgebra,
     validate_algebra,
+    validate_subalgebra,
 )
 from poischain.commutant import (
     BudgetExceededError,
     GeneratorSet,
     _generator_products,
+    _invariance_operators,
+    _zero_weight_monomials,
     apply_invariance_operator,
     weighted_exponents,
 )
-
-from helpers import expand_formal
+from poischain.poly import pack
 
 from helpers import expand_formal, full_basis_invariants, random_polynomial, same_span
 
@@ -163,6 +166,22 @@ def test_weighted_exponents():
         weighted_exponents([3, 1, 2], 5), reverse=True
     )
     assert weighted_exponents([1, 2, 3], 0) == [(0, 0, 0)]
+
+
+def test_weighted_exponents_match_brute_force():
+    rng = random.Random(2)
+    for _ in range(100):
+        weights = [rng.randint(1, 4) for _ in range(rng.randint(0, 5))]
+        total = rng.randint(0, 7)
+        expected = sorted(
+            (
+                exps
+                for exps in product(range(total + 1), repeat=len(weights))
+                if sum(w * e for w, e in zip(weights, exps)) == total
+            ),
+            reverse=True,
+        )
+        assert weighted_exponents(weights, total) == expected, (weights, total)
 
 
 def _seeded_sl4_shift_family():
@@ -396,3 +415,130 @@ def test_non_diagonal_cartan_matches_full_basis_route(kind):
             "h^2",
             "u^2 - w^2",
         ]
+
+
+# ---------------------------------------------------------------------------
+# the checked reduction to raising operators
+
+
+def _span_of(alg, labels):
+    return span_subalgebra([_unit(alg.dim, alg.label_index(label)) for label in labels])
+
+
+def _applied_labels(alg, sub):
+    """The spanning vector of each non-diagonal field invariant_basis
+    applies, written as a signed sum of basis labels (the vectors here have
+    coefficients +-1)."""
+    return [
+        "".join(
+            ("+" if v > 0 else "-") + alg.labels[i] for i, v in enumerate(vec) if v
+        ).lstrip("+")
+        for vec, _ in _invariance_operators(alg, sub).others
+    ]
+
+
+_LEVI = ["h1", "h2", "h3", "e12", "e21", "e34", "e43"]
+
+# (algebra size, spanning labels, fields the checked reduction applies)
+REDUCED_CASES = {
+    "levi-s(gl2+gl2)": (4, _LEVI, ["e12", "e34"]),
+    "parabolic": (4, _LEVI + ["e13", "e14", "e23", "e24"], ["e12", "e34", "e23"]),
+    "borel": (4, ["h1", "h2", "h3", "e12", "e13", "e14", "e23", "e24", "e34"],
+              ["e12", "e23", "e34"]),
+    "partial-torus": (3, ["h1", "e12", "e21"], ["e12"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCED_CASES))
+def test_reduced_route_matches_full_basis_route(request, case):
+    n, labels, applied = REDUCED_CASES[case]
+    alg = request.getfixturevalue(f"sl{n}")
+    sub = _span_of(alg, labels)
+    assert validate_subalgebra(alg, sub).passed
+    assert _applied_labels(alg, sub) == applied
+    for k in range(1, 5):
+        assert invariant_basis(alg, sub, k) == full_basis_invariants(alg, sub, k), k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_full_sl_applies_only_the_simple_raising_fields(n):
+    alg = builtin_sl(n)
+    assert _applied_labels(alg, full_subalgebra(alg)) == [
+        f"e{i}{i + 1}" for i in range(1, n)
+    ]
+
+
+def _rotated_corner(alg):
+    """{h1, e12 + e21, e12 - e21}: a subalgebra whose non-diagonal vectors
+    are not root vectors."""
+    e12, e21 = (_unit(alg.dim, alg.label_index(label)) for label in ("e12", "e21"))
+    return span_subalgebra([
+        _unit(alg.dim, 0),
+        [a + b for a, b in zip(e12, e21)],
+        [a - b for a, b in zip(e12, e21)],
+    ])
+
+
+# spanning sets of sl(4) on which a check fails: (construction, applied
+# fields, whether the set spans a subalgebra)
+FALLBACK_CASES = {
+    "rotated-corner": (_rotated_corner, ["e12+e21", "e12-e21"], True),
+    # e13 and e14 both have weight 1 under h1
+    "shared-weight": (lambda alg: _span_of(alg, ["h1", "e13", "e14"]),
+                      ["e13", "e14"], True),
+    # opposite weights under h1, but [e13, e24] = 0: no sl(2)
+    "commuting-opposites": (lambda alg: _span_of(alg, ["h1", "e13", "e24"]),
+                            ["e13", "e24"], True),
+    # [e12, e21] = h1 is not in the span of h2: dropping e21 would be wrong
+    "bracket-off-the-torus": (lambda alg: _span_of(alg, ["h2", "e12", "e21"]),
+                              ["e12", "e21"], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_unchecked_reduction_keeps_every_field(sl4, case):
+    make, applied, closed = FALLBACK_CASES[case]
+    sub = make(sl4)
+    assert validate_subalgebra(sl4, sub).passed == closed
+    assert sorted(_applied_labels(sl4, sub)) == applied
+    for k in range(1, 4):
+        assert invariant_basis(sl4, sub, k) == full_basis_invariants(sl4, sub, k), k
+
+
+@pytest.mark.parametrize("case", sorted(REDUCED_CASES) + sorted(FALLBACK_CASES))
+def test_is_invariant_matches_every_spanning_operator(request, case):
+    if case in REDUCED_CASES:
+        n, labels, _ = REDUCED_CASES[case]
+        alg = request.getfixturevalue(f"sl{n}")
+        sub = _span_of(alg, labels)
+    else:
+        alg = request.getfixturevalue("sl4")
+        sub = FALLBACK_CASES[case][0](alg)
+    rng = random.Random(8)
+    invariants = [p for k in range(1, 4) for p in invariant_basis(alg, sub, k)]
+    candidates = invariants + [
+        p + random_polynomial(rng, alg.dim, 2, 1) for p in invariants
+    ] + [random_polynomial(rng, alg.dim, 3) for _ in range(10)]
+    for p in candidates:
+        expected = all(
+            apply_invariance_operator(alg, vec, p).is_zero() for vec in sub.vectors
+        )
+        assert is_invariant(alg, sub, p) == expected
+
+
+def test_zero_weight_monomials_match_filtered_monomial_basis():
+    rng = random.Random(3)
+    for _ in range(60):
+        dim, rank, k = rng.randint(1, 6), rng.randint(0, 3), rng.randint(1, 4)
+        weights = [
+            tuple(rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(rank))
+            for _ in range(dim)
+        ]
+        expected = [
+            pack(m.exps, dim)
+            for m in monomial_basis(dim, k)
+            if not any(
+                sum(e * weights[v][a] for v, e in m.exps) for a in range(rank)
+            )
+        ]
+        assert _zero_weight_monomials(weights, k) == expected, (weights, k)
