@@ -14,7 +14,7 @@ from .algebra import (
     SubalgebraSpec,
     builtin_sl,
     cartan_subalgebra,
-    commutator_matrix,
+    commutator_rows,
     direct_sum,
     dual_transport,
     full_subalgebra,
@@ -94,13 +94,13 @@ from .poly import (
     VectorField,
     dump_json,
     apply_vector_field,
-    gradient_matrix,
+    gradient_rows,
     hamiltonian_field,
     lie_poisson_bracket,
     parse_polynomial,
     render_polynomial,
 )
-from .sampling import DEFAULT_SEED, generic_jacobian_rank, sample_points
+from .sampling import DEFAULT_SEED, generic_jacobian_rank, generic_rank, sample_points
 
 __version__ = "0.1.0"
 

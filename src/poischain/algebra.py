@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from . import linalg
 from .poly import Monomial, Polynomial, as_fraction, as_point
-from .sampling import DEFAULT_SEED, sample_points
+from .sampling import DEFAULT_SEED, generic_rank
 
 Vector = tuple[Fraction, ...]
 T = TypeVar("T")
@@ -91,19 +91,17 @@ class LieAlgebra:
         rows, den = self.bracket_rows()
         return {k: Fraction(c, den) for k, c in rows[i].get(j, {}).items()}
 
-    def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        """[u, v] for coordinate vectors u, v on the algebra."""
-        rows, den = self.bracket_rows()
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, coeffs in rows[i].items():
-                if v[j]:
-                    w = ui * v[j]
-                    for k, c in coeffs.items():
-                        out[k] += w * c
-        return tuple(x / den for x in out)
+    def bracket_row(self, u: linalg.Row, v: linalg.Row) -> linalg.Row:
+        """[u, v] for integer coordinate rows u, v, times the structure
+        denominator: the same zero test and span as the bracket itself."""
+        rows, _ = self.bracket_rows()
+        out: dict[int, int] = {}
+        for i, a in u.items():
+            row = rows[i]
+            for j, b in v.items():
+                for k, c in row.get(j, {}).items():
+                    out[k] = out.get(k, 0) + a * b * c
+        return {k: x for k, x in out.items() if x}
 
     def linear_form(self, vec: Sequence[Fraction]) -> Polynomial:
         """The linear coordinate function of a basis-coordinate vector."""
@@ -118,16 +116,15 @@ class LieAlgebra:
             raise KeyError(f"no basis label {label!r}") from None
 
     def rank(self, seed: int = DEFAULT_SEED) -> int:
-        """Rank: the flagged Cartan dimension, else dim minus the largest
-        commutator-matrix rank at the sampled points.  That rank is a lower
-        bound on the generic one, so without a flagged Cartan the result is
-        an upper bound on the rank (sampling gives the chance it is high)."""
+        """Rank: the flagged Cartan dimension, else dim minus the generic
+        rank of the commutator rows.  That rank is a lower bound on the
+        generic one, so without a flagged Cartan the result is an upper
+        bound on the rank (sampling gives the chance it is high)."""
         if self.cartan_indices is not None:
             return len(self.cartan_indices)
-        best = 0
-        for pt in sample_points(self.dim, seed=seed):
-            best = max(best, linalg.rank_of_matrix(commutator_matrix(self, pt)))
-        return self.dim - best
+        return self.dim - generic_rank(
+            lambda point: commutator_rows(self, point), self.dim, self.dim, seed
+        )
 
     # -- serialization -------------------------------------------------------
 
@@ -168,6 +165,12 @@ class LieAlgebra:
                 else None
             ),
         )
+
+
+def vector_row(vec: Sequence[Fraction]) -> linalg.Row:
+    """A coordinate vector as a primitive integer row: a nonzero scale of
+    it, with the same span and zero test."""
+    return linalg.row_from_rationals(dict(enumerate(vec)))
 
 
 def _json_int(value, what: str) -> int:
@@ -532,9 +535,10 @@ def validate_subalgebra(alg: LieAlgebra, sub: SubalgebraSpec) -> ValidationRepor
         if len(vec) != alg.dim:
             raise ValueError("subalgebra vector dimension mismatch")
 
+    rows = [vector_row(vec) for vec in sub.vectors]
     span = linalg.Echelon()
-    for vec in sub.vectors:
-        span.insert(linalg.row_from_rationals({i: v for i, v in enumerate(vec) if v}))
+    for row in rows:
+        span.insert(row)
     independent = len(span) == sub.size
     checks.append(
         CheckResult("independent", independent, f"{sub.size} spanning vectors")
@@ -544,16 +548,13 @@ def validate_subalgebra(alg: LieAlgebra, sub: SubalgebraSpec) -> ValidationRepor
     abelian_check = CheckResult("abelian", True, "all brackets vanish")
     for i in range(sub.size):
         for j in range(i + 1, sub.size):
-            br = alg.bracket_vectors(sub.vectors[i], sub.vectors[j])
-            if any(br):
+            br = alg.bracket_row(rows[i], rows[j])
+            if br:
                 if sub.abelian and abelian_check.passed:
                     abelian_check = CheckResult(
                         "abelian", False, "nonzero bracket", (i, j)
                     )
-                target = linalg.row_from_rationals(
-                    {k: v for k, v in enumerate(br) if v}
-                )
-                if closed.passed and span.reduce(target):
+                if closed.passed and span.reduce(br):
                     closed = CheckResult(
                         "closed", False, "bracket leaves the span", (i, j)
                     )
@@ -567,14 +568,18 @@ def validate_subalgebra(alg: LieAlgebra, sub: SubalgebraSpec) -> ValidationRepor
 # geometry on the dual space
 
 
-def commutator_matrix(alg: LieAlgebra, point: Sequence[Fraction]) -> list[list[Fraction]]:
-    """The matrix A_ij(x) = sum_k C_ijk x_k at the given point."""
-    pt = as_point(point, alg.dim)
-    rows, den = alg.bracket_rows()
-    out = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
-    for i, row in enumerate(rows):
+def commutator_rows(alg: LieAlgebra, point: Sequence[int]) -> list[linalg.Row]:
+    """The matrix A_ij(x) = sum_k C_ijk x_k at an integer point, times the
+    structure denominator, one sparse integer row per i."""
+    rows, _ = alg.bracket_rows()
+    out = []
+    for row in rows:
+        entries = {}
         for j, coeffs in row.items():
-            out[i][j] = sum(c * pt[k] for k, c in coeffs.items()) / den
+            v = sum(c * point[k] for k, c in coeffs.items())
+            if v:
+                entries[j] = v
+        out.append(entries)
     return out
 
 
@@ -583,55 +588,46 @@ def orbit_dimension(
 ) -> int:
     """Generic dimension of the subalgebra orbits on the dual space.
 
-    At each seeded sample point the rows are the infinitesimal motions of the
-    coordinates under the spanning vectors; the maximum exact rank over the
-    samples is reported (a certified lower bound, generically exact).
+    At a point the rows are the infinitesimal motions of the coordinates
+    under the spanning vectors, v . A(x) for each vector v; the generic rank
+    of those rows is reported (a certified lower bound, generically exact).
     """
-    best = 0
-    for pt in sample_points(alg.dim, seed=seed):
-        a = commutator_matrix(alg, pt)
-        rows = []
-        for vec in sub.vectors:
-            row = [
-                sum(vec[i] * a[i][k] for i in range(alg.dim) if vec[i])
-                for k in range(alg.dim)
-            ]
-            rows.append(row)
-        best = max(best, linalg.rank_of_matrix(rows))
-    return best
+    vectors = [vector_row(vec) for vec in sub.vectors]
+
+    def rows_at(point: Sequence[int]) -> list[linalg.Row]:
+        a = commutator_rows(alg, point)
+        out = []
+        for vec in vectors:
+            row: dict[int, int] = {}
+            for i, c in vec.items():
+                for k, v in a[i].items():
+                    row[k] = row.get(k, 0) + c * v
+            out.append({k: v for k, v in row.items() if v})
+        return out
+
+    return generic_rank(rows_at, len(vectors), alg.dim, seed)
 
 
 def is_regular(
-    alg: LieAlgebra,
-    point: Sequence[Fraction],
-    rank_of_g: int | None = None,
-    seed: int = DEFAULT_SEED,
+    alg: LieAlgebra, point: Sequence[Fraction], seed: int = DEFAULT_SEED
 ) -> bool:
-    """True when the stabilizer of the point has the minimal (rank) dimension."""
-    r = alg.rank(seed) if rank_of_g is None else rank_of_g
-    a = commutator_matrix(alg, point)
-    return linalg.rank_of_matrix(a) == alg.dim - r
+    """True when the stabilizer of the point has the minimal (rank)
+    dimension: the commutator rows at the point, scaled to integers, have
+    rank dim minus the rank of the algebra."""
+    row = vector_row(as_point(point, alg.dim))
+    ints = [row.get(i, 0) for i in range(alg.dim)]
+    return linalg.rank_of_rows(commutator_rows(alg, ints)) == alg.dim - alg.rank(seed)
 
 
 def in_centralizer(
-    alg: LieAlgebra,
-    sub: SubalgebraSpec,
-    point: Sequence[Fraction],
-    form: BilinearForm | None = None,
+    alg: LieAlgebra, sub: SubalgebraSpec, point: Sequence[Fraction]
 ) -> bool:
-    """Whether the dual point, moved to the algebra by the bilinear form,
+    """Whether the dual point, moved to the algebra by the Killing form,
     commutes with every spanning vector of the subalgebra."""
-    if form is None:
-        form = killing_form(alg)
     pt = as_point(point, alg.dim)
-    inv = form.inverse()
-    z = tuple(
-        sum(inv[i][j] * pt[j] for j in range(alg.dim)) for i in range(alg.dim)
-    )
-    for vec in sub.vectors:
-        if any(alg.bracket_vectors(vec, z)):
-            return False
-    return True
+    inv = killing_form(alg).inverse()
+    z = vector_row([sum(a * x for a, x in zip(row, pt)) for row in inv])
+    return not any(alg.bracket_row(vector_row(vec), z) for vec in sub.vectors)
 
 
 def dual_transport(

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
-    BilinearForm,
     LieAlgebra,
     SubalgebraSpec,
     builtin_sl,
@@ -328,13 +327,13 @@ def mf_rank_check(
     mf: MFAlgebra,
     seed: int = DEFAULT_SEED,
     check_relations: bool = True,
-    relation_budget: int | None = None,
 ) -> MFRankReport:
     """Independent count of the shift family against (dim + rank)/2.
 
     When the shift is not regular the report flags the missing hypothesis and
     still states the computed rank.  Optionally also certifies the absence of
-    polynomial relations up to a weighted-degree budget.
+    polynomial relations up to weighted degree twice the largest generator
+    degree.
     """
     alg = mf.algebra
     rank_g = alg.rank(seed=seed)
@@ -345,8 +344,7 @@ def mf_rank_check(
     relations = None
     if check_relations and mf.generators:
         max_deg = max(g.degree for g in mf.generators)
-        budget = relation_budget if relation_budget is not None else 2 * max_deg
-        relations = relation_basis(mf.as_generator_set(), budget)
+        relations = relation_basis(mf.as_generator_set(), 2 * max_deg)
     return MFRankReport(
         jacobian_rank=jac,
         expected=b_g,
@@ -382,20 +380,17 @@ class InclusionReport:
         }
 
 
-def mf_inclusion_check(
-    mf: MFAlgebra, sub: SubalgebraSpec, form: BilinearForm | None = None
-) -> InclusionReport:
+def mf_inclusion_check(mf: MFAlgebra, sub: SubalgebraSpec) -> InclusionReport:
     """Whether the shift family lands inside the invariants of the subalgebra.
 
-    Two independent tests that must agree: the transported shift commutes
-    with the subalgebra (a rank-one linear-algebra criterion), and every
-    family member is annihilated by every invariance operator (a full kernel
-    check).  The first failing generator is reported as a witness.
+    Two independent tests that must agree: the shift, moved to the algebra
+    by the Killing form, commutes with the subalgebra (a rank-one
+    linear-algebra criterion), and every family member is annihilated by
+    every invariance operator (a full kernel check).  The first failing
+    generator is reported as a witness.
     """
     alg = mf.algebra
-    if form is None:
-        form = killing_form(alg)
-    central = in_centralizer(alg, sub, mf.shift, form=form)
+    central = in_centralizer(alg, sub, mf.shift)
     witness = None
     operator_ok = True
     for g in mf.generators:

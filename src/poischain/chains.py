@@ -23,7 +23,7 @@ from .algebra import (
     orbit_dimension,
     sl_size,
 )
-from .casimir_mf import CasimirSet, casimirs_by_kernel
+from .casimir_mf import casimirs_by_kernel
 from .commutant import (
     Generator,
     GeneratorSet,
@@ -460,15 +460,12 @@ class JMapReport:
 
 
 def j_map_components(
-    alg: LieAlgebra,
-    casimirs: CasimirSet | None = None,
-    max_degree: int | None = None,
+    alg: LieAlgebra, max_degree: int | None = None
 ) -> list[tuple[str, Polynomial]]:
     """The 2r polynomials (Cartan coordinates then Casimirs) defining the
     joint level map."""
     cap = default_degree_cap(alg) if max_degree is None else max_degree
-    if casimirs is None:
-        casimirs = casimirs_by_kernel(alg, cap)
+    casimirs = casimirs_by_kernel(alg, cap)
     sub = cartan_subalgebra(alg)
     out: list[tuple[str, Polynomial]] = []
     for j, vec in enumerate(sub.vectors):

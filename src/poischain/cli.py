@@ -36,7 +36,6 @@ from .casimir_mf import (
     casimirs_by_kernel,
     mf_commutativity_check,
     mf_generators,
-    mf_inclusion_check,
     mf_rank_check,
     sandwich_check,
     trace_casimirs_sln,
@@ -277,6 +276,26 @@ def _load_generator_file(path: str, alg: LieAlgebra) -> GeneratorSet:
     )
 
 
+def _check_writable(path: str | None, what: str) -> None:
+    """Refuse an output path that cannot be written before any work runs:
+    its parent must be an existing, writable directory and the path must not
+    be a directory.  A write can still fail later; that is handled where
+    the file is written."""
+    if path is None:
+        return
+    target = Path(path)
+    parent = target.parent
+    if target.is_dir():
+        problem = "it is a directory"
+    elif not parent.is_dir():
+        problem = f"no directory {str(parent)!r}"
+    elif not os.access(parent, os.W_OK):
+        problem = f"directory {str(parent)!r} is not writable"
+    else:
+        return
+    raise CliError(f"cannot write {what} to {path!r}: {problem}")
+
+
 def emit_report(report: dict, path: str | None) -> None:
     text = dump_json(report)
     if path is None:
@@ -391,8 +410,8 @@ def cmd_mf(cfg: RunConfig) -> int:
     code = EXIT_OK if commutativity.commutative else EXIT_NEGATIVE
     if ns.subalgebra:
         sub = load_subalgebra(ns.subalgebra, alg)
-        inclusion = mf_inclusion_check(mf, sub)
         sandwich = sandwich_check(cas, mf, sub, seed=cfg.seed)
+        inclusion = sandwich.inclusion
         payload["inclusion"] = inclusion.to_json()
         payload["sandwich"] = sandwich.to_json()
         _say(f"inclusion into invariants: "
@@ -547,6 +566,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         cfg = parse_cli(list(argv))
+        _check_writable(cfg.out, "report")
+        _check_writable(getattr(cfg.options, "csv", None), "trajectory")
         code = _HANDLERS[cfg.command](cfg)
         sys.stdout.flush()
         return code

@@ -41,7 +41,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
-from .algebra import LieAlgebra, SubalgebraSpec, Vector
+from .algebra import LieAlgebra, SubalgebraSpec, Vector, vector_row
 from .poly import (
     Monomial,
     Polynomial,
@@ -288,22 +288,6 @@ def _build_operators(alg: LieAlgebra, vectors: Sequence[Vector]) -> _Operators:
     )
 
 
-def _integer_row(vec: Vector) -> linalg.Row:
-    return linalg.row_from_rationals({i: v for i, v in enumerate(vec) if v})
-
-
-def _bracket_row(alg: LieAlgebra, u: linalg.Row, v: linalg.Row) -> linalg.Row:
-    """A positive multiple of [u, v], from the integer structure constants."""
-    rows, _ = alg.bracket_rows()
-    out: dict[int, int] = {}
-    for i, a in u.items():
-        row = rows[i]
-        for j, b in v.items():
-            for k, c in row.get(j, {}).items():
-                out[k] = out.get(k, 0) + a * b * c
-    return {k: x for k, x in out.items() if x}
-
-
 def _lie_closure(alg: LieAlgebra, gens: Sequence[linalg.Row]) -> linalg.Echelon:
     """The span of the Lie algebra the rows generate: the span of the
     generators, closed under bracketing with each generator."""
@@ -312,7 +296,7 @@ def _lie_closure(alg: LieAlgebra, gens: Sequence[linalg.Row]) -> linalg.Echelon:
     while queue:
         x = queue.pop()
         for g in gens:
-            b = _bracket_row(alg, g, x)
+            b = alg.bracket_row(g, x)
             if span.insert(b) is not None:
                 queue.append(b)
     return span
@@ -343,7 +327,7 @@ def _raising_fields(
     E_-alpha kills it too (Humphreys, Introduction to Lie Algebras and
     Representation Theory, sections 7 and 20).
     """
-    rows = [_integer_row(vec) for vec in roots]
+    rows = [vector_row(vec) for vec in roots]
     shifts = []
     for row in rows:
         found = {weights[v] for v in row}
@@ -358,9 +342,9 @@ def _raising_fields(
     raising = [i for i, j in enumerate(opposite) if j is None or j > i]
     brackets = linalg.Echelon()
     for a, b in combinations(raising, 2):
-        brackets.insert(_bracket_row(alg, rows[a], rows[b]))
+        brackets.insert(alg.bracket_row(rows[a], rows[b]))
     keep = [i for i in raising if brackets.reduce(rows[i])]
-    gens = [_integer_row(vec) for vec in diagonal]
+    gens = [vector_row(vec) for vec in diagonal]
     span = _lie_closure(alg, gens + [rows[i] for i in keep])
     if any(span.reduce(rows[i]) for i in raising):
         return None
@@ -370,8 +354,8 @@ def _raising_fields(
     for i, j in enumerate(opposite):
         if j is None or j > i or not span.reduce(rows[i]):
             continue
-        h = _bracket_row(alg, rows[j], rows[i])
-        if cartan.reduce(h) or not _bracket_row(alg, h, rows[j]):
+        h = alg.bracket_row(rows[j], rows[i])
+        if cartan.reduce(h) or not alg.bracket_row(h, rows[j]):
             return None
     return set(keep)
 
@@ -512,12 +496,13 @@ def indecomposables(
     sub: SubalgebraSpec,
     k: int,
     previous: Sequence[Generator],
-    invariant: Sequence[Polynomial] | None = None,
+    invariant: Sequence[Polynomial],
 ) -> list[Polynomial]:
     """New degree-k generators: a complement of the span of products of
-    earlier generators inside the degree-k invariants, chosen by graded-lex
-    pivot positions."""
-    inv = invariant_basis(alg, sub, k) if invariant is None else list(invariant)
+    earlier generators inside the degree-k invariants (invariant, the basis
+    invariant_basis(alg, sub, k) returns), chosen by graded-lex pivot
+    positions."""
+    inv = list(invariant)
     if not inv:
         return []
     keys, index = _graded_lex_index(inv)
@@ -563,7 +548,7 @@ def generate(
     for k in range(1, max_degree + 1):
         inv = invariant_basis(alg, sub, k)
         kernel_dims[k] = len(inv)
-        fresh = indecomposables(alg, sub, k, gens, invariant=inv)
+        fresh = indecomposables(alg, sub, k, gens, inv)
         for idx, poly in enumerate(fresh, start=1):
             label = f"{label_prefix}{k}_{idx}" if len(fresh) > 1 else f"{label_prefix}{k}"
             gens.append(Generator(poly=poly, degree=k, label=label))
@@ -816,14 +801,11 @@ class ClosureReport:
         }
 
 
-def bracket_closure_check(
-    gens: GeneratorSet, max_total_degree: int | None = None
-) -> ClosureReport:
+def bracket_closure_check(gens: GeneratorSet) -> ClosureReport:
     """Whether the generator brackets land back in the generated subalgebra.
 
     Each pairwise bracket of degrees (a, b) is searched for at weighted
-    degree a + b - 1, the degree the bracket actually has (optionally capped
-    by an overall budget).
+    degree a + b - 1, the degree the bracket actually has.
     """
     alg = gens.algebra
     entries = []
@@ -835,10 +817,7 @@ def bracket_closure_check(
                     ClosureEntry(gi.label, gj.label, True, True, None)
                 )
                 continue
-            budget = gi.degree + gj.degree - 1
-            if max_total_degree is not None:
-                budget = min(budget, max_total_degree)
-            result = membership(br, gens, budget)
+            result = membership(br, gens, gi.degree + gj.degree - 1)
             entries.append(
                 ClosureEntry(
                     gi.label,

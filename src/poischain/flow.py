@@ -164,17 +164,13 @@ def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowRes
     )
 
 
-def observed_order(
-    problem: FlowProblem,
-    refinement: float = 2.0,
-    monitor: str | None = None,
-) -> float:
-    """Convergence order estimate from one step refinement.
+def observed_order(problem: FlowProblem, monitor: str | None = None) -> float:
+    """Convergence order estimate from one step halving.
 
-    Integrates at the problem's step and at step/refinement, compares the
-    chosen drift (largest one by default), and returns the implied order
-    log(d_coarse/d_fine)/log(refinement).  Drifts at the rounding floor give
-    +inf, which callers should treat as "better than measurable".
+    Integrates at the problem's step and at half of it, compares the chosen
+    drift (largest one by default), and returns the implied order
+    log(d_coarse/d_fine)/log(2).  Drifts at the rounding floor give +inf,
+    which callers should treat as "better than measurable".
     """
     coarse = integrate(problem)
     fine_problem = FlowProblem(
@@ -182,7 +178,7 @@ def observed_order(
         hamiltonian=problem.hamiltonian,
         x0=problem.x0,
         t_final=problem.t_final,
-        dt=problem.dt / refinement,
+        dt=problem.dt / 2.0,
         monitors=problem.monitors,
     )
     fine = integrate(fine_problem)
@@ -195,4 +191,4 @@ def observed_order(
     d_coarse, d_fine = pick(coarse), pick(fine)
     if d_fine == 0.0:
         return math.inf
-    return math.log(d_coarse / d_fine) / math.log(refinement)
+    return math.log(d_coarse / d_fine) / math.log(2.0)

@@ -5,8 +5,11 @@ combines rows by cross multiplication and re-extracts integer content, so the
 whole pipeline stays in arbitrary-precision integers; rationals only appear
 when a result is normalized for presentation.
 
-Echelon is the one elimination core: rank, nullspace, canonical_rref,
-express_in_rowspace and matrix_inverse all insert rows into it.  A row is
+Echelon is the one elimination core: rank_of_rows, nullspace,
+canonical_rref, express_in_rowspace and matrix_inverse all insert rows into
+it.  A rank takes integer rows only: the sampled ranks evaluate theirs at
+integer points (sampling.generic_rank) and algebra.is_regular scales its
+point to integers, so no rational matrix is built for a rank.  A row is
 reduced forward only when it goes in; the one backward pass that makes the
 stored rows mutually reduced runs later, once per batch, and only when a
 caller reads the rows (nullspace's kernel read-off, canonical_rref,
@@ -140,14 +143,12 @@ class Echelon:
 
 
 def rank_of_rows(rows: Iterable[Row]) -> int:
+    """The rank of integer rows: the one rank every sampled generic rank
+    (sampling.generic_rank) and regularity test takes."""
     ech = Echelon()
     for row in rows:
         ech.insert(row)
     return len(ech)
-
-
-def rank_of_matrix(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return rank_of_rows(row_from_rationals(dict(enumerate(dense))) for dense in matrix)
 
 
 def nullspace(rows: Iterable[Row], ncols: int) -> list[dict[int, Fraction]]:

@@ -115,8 +115,8 @@ class Monomial:
         return cls(())
 
     @classmethod
-    def variable(cls, var: int, exp: int = 1) -> "Monomial":
-        return cls(((var, exp),))
+    def variable(cls, var: int) -> "Monomial":
+        return cls(((var, 1),))
 
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
@@ -540,35 +540,25 @@ def lie_poisson_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
     return apply_vector_field(hamiltonian_field(p, alg), q)
 
 
-def gradient_matrix(
-    polys: Sequence[Polynomial], point: Sequence[Fraction]
-) -> list[list[Fraction]]:
-    """Jacobian of the given polynomials at a rational point, one row per
-    polynomial.  The point is scaled to integers over one denominator d, so
-    each row is summed in integers over den * d^(degree - 1)."""
-    if not polys:
-        return []
-    dim = polys[0].dim
-    if len(point) != dim:
-        raise ValueError("point dimension mismatch")
-    point = [as_fraction(v) for v in point]
-    d = math.lcm(*(v.denominator for v in point))
-    ints = [v.numerator * (d // v.denominator) for v in point]
+def gradient_rows(
+    polys: Sequence[Polynomial], point: Sequence[int]
+) -> list[dict[int, int]]:
+    """Jacobian of the given polynomials at an integer point, one sparse
+    integer row per polynomial: row i is the gradient of polys[i] times its
+    denominator, a positive scale that leaves every rank unchanged."""
     rows = []
     for p in polys:
-        if p.dim != dim:
-            raise ValueError("mixed dimensions in gradient matrix")
-        top = (p.degree or 1) - 1
-        row = [0] * dim
+        if p.dim != len(point):
+            raise ValueError("point dimension mismatch")
+        row: dict[int, int] = {}
         for key, c in p.num.items():
-            exps = unpack(key, dim)
-            c *= d ** (top + 1 - (key >> (W * dim)))
+            exps = unpack(key, p.dim)
             for i, (v, e) in enumerate(exps):
-                t = c * e * ints[v] ** (e - 1)
+                t = c * e * point[v] ** (e - 1)
                 for u, f in exps[:i] + exps[i + 1:]:
-                    t *= ints[u] ** f
-                row[v] += t
-        rows.append([Fraction(x, p.den * d**top) for x in row])
+                    t *= point[u] ** f
+                row[v] = row.get(v, 0) + t
+        rows.append({v: x for v, x in row.items() if x})
     return rows
 
 

@@ -189,6 +189,42 @@ def double_sum_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
     return out
 
 
+def rank_of_matrix(matrix) -> int:
+    """Reference rank of a dense rational matrix, by Gaussian elimination
+    over Fractions (the library ranks only integer rows)."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            factor = m[r][col] / m[rank][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def commutator_matrix(alg, point) -> list[list[Fraction]]:
+    """Reference A_ij(x) = sum_k C_ijk x_k, dense, from the rational
+    structure constants."""
+    return [
+        [
+            sum((c * point[k] for k, c in alg.bracket_coeffs(i, j).items()), Fraction(0))
+            for j in range(alg.dim)
+        ]
+        for i in range(alg.dim)
+    ]
+
+
+def jacobian_matrix(polys, point) -> list[list[Fraction]]:
+    """Reference Jacobian: each partial derivative evaluated at the point."""
+    return [
+        [p.partial_derivative(v).evaluate(point) for v in range(p.dim)] for p in polys
+    ]
+
+
 def expand_formal(gens, exps) -> Polynomial:
     """Reference expansion of a formal generator monomial: the product of
     the generator powers, each formed afresh by repeated multiplication."""

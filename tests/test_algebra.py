@@ -10,7 +10,7 @@ from poischain import (
     SubalgebraSpec,
     builtin_sl,
     cartan_subalgebra,
-    commutator_matrix,
+    commutator_rows,
     direct_sum,
     dual_transport,
     full_subalgebra,
@@ -31,6 +31,8 @@ from poischain.algebra import (
     trace_form_sl,
 )
 from poischain.poly import Polynomial
+
+from helpers import commutator_matrix, rank_of_matrix
 
 F = Fraction
 
@@ -114,13 +116,8 @@ def test_killing_invariance_on_all_basis_triples(sl3):
 
 
 def test_commutator_matrix_sl2(sl2):
-    point = [F(1), F(0), F(0)]
-    m = commutator_matrix(sl2, point)
-    assert m == [
-        [F(0), F(0), F(0)],
-        [F(0), F(0), F(1)],
-        [F(0), F(-1), F(0)],
-    ]
+    # rows of [[0, 0, 0], [0, 0, 1], [0, -1, 0]]; sl(2) has denominator one
+    assert commutator_rows(sl2, (1, 0, 0)) == [{}, {2: 1}, {1: -1}]
 
 
 def test_regularity(sl2, sl3):
@@ -145,6 +142,40 @@ def test_in_centralizer(sl2):
     cartan = cartan_subalgebra(sl2)
     assert in_centralizer(sl2, cartan, [F(1), F(0), F(0)])
     assert not in_centralizer(sl2, cartan, [F(0), F(1), F(0)])
+
+
+def _reference_centralizer(alg, sub, point):
+    """Dense route: z = K^-1 x in the rational basis, then every [v, z]."""
+    inv = killing_form(alg).inverse()
+    z = [sum(a * x for a, x in zip(row, point)) for row in inv]
+    for v in sub.vectors:
+        bracket = [F(0)] * alg.dim
+        for i, j in itertools.product(range(alg.dim), repeat=2):
+            for k, c in alg.bracket_coeffs(i, j).items():
+                bracket[k] += v[i] * z[j] * c
+        if any(bracket):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "point, regular, central",
+    [
+        ([F(-1, 2), F(1, 3), 0, 0, 0, 0, 0, 0], True, True),
+        ([F(-1, 2), F(1, 2), 0, 0, 0, 0, 0, 0], False, True),
+        ([F(-1, 2), F(1, 3), 0, 0, 0, 0, 0, F(2, 5)], True, False),
+    ],
+)
+def test_rational_shift_with_negative_first_coordinate(sl3, point, regular, central):
+    """The integer scaling of a point with a negative leading coordinate
+    flips its sign, which changes neither verdict: both agree with the dense
+    rational references."""
+    point = [F(v) for v in point]
+    assert is_regular(sl3, point) is regular
+    assert (rank_of_matrix(commutator_matrix(sl3, point)) == sl3.dim - 2) is regular
+    cartan = cartan_subalgebra(sl3)
+    assert in_centralizer(sl3, cartan, point) is central
+    assert _reference_centralizer(sl3, cartan, point) is central
 
 
 def test_dual_transport_round_trip(sl2):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from poischain import builtin_sl, dump_json, parse_polynomial
+from poischain import builtin_sl, cli, dump_json, parse_polynomial
 from poischain.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
@@ -454,6 +454,33 @@ def test_malformed_input_exits_three_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["chain", "verify", "--algebra", "sl5", "--subalgebra", "cartan",
+                      "--base", "casimirs", "--out", "@missing_dir/x.json"],
+                     id="report-in-missing-directory"),
+        pytest.param(["chain", "verify", "--algebra", "sl5", "--subalgebra", "cartan",
+                      "--base", "casimirs", "--out", "@"], id="report-is-a-directory"),
+        pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "0.1",
+                              "--csv", "@missing_dir/trajectory.csv"],
+                     id="trajectory-in-missing-directory"),
+    ],
+)
+def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(spec):
+        raise AssertionError("work started before the output path was checked")
+
+    # every handler above starts by loading its algebra
+    monkeypatch.setattr(cli, "load_algebra", no_work)
+    argv = [a.replace("@", f"{tmp_path}{os.sep}") for a in argv]
+    assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot write ")
 
 
 def test_algebra_check_sl12_passes(capsys):

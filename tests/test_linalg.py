@@ -14,12 +14,11 @@ from poischain.linalg import (
     express_in_rowspace,
     matrix_inverse,
     nullspace,
-    rank_of_matrix,
     rank_of_rows,
     row_from_rationals,
 )
 
-from helpers import gauss_jordan_rows, tagged_inverse, tagged_solve
+from helpers import gauss_jordan_rows, rank_of_matrix, tagged_inverse, tagged_solve
 
 
 def F(x, y=None):
@@ -271,6 +270,10 @@ def test_matrix_inverse_matches_tagged_reference():
 
 
 def test_rank():
+    assert rank_of_rows([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
+    assert rank_of_rows([{0: 1}, {1: 1}]) == 2
+    assert rank_of_rows([{}]) == 0
+    # the dense rational reference agrees on the same matrices
     assert rank_of_matrix([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert rank_of_matrix([[F(1), F(0)], [F(0), F(1)]]) == 2
     assert rank_of_matrix([[F(0), F(0)]]) == 0
