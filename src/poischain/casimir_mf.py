@@ -323,17 +323,15 @@ class MFRankReport:
         return out
 
 
-def mf_rank_check(
-    mf: MFAlgebra,
-    seed: int = DEFAULT_SEED,
-    check_relations: bool = True,
-) -> MFRankReport:
+def mf_rank_check(mf: MFAlgebra, seed: int = DEFAULT_SEED) -> MFRankReport:
     """Independent count of the shift family against (dim + rank)/2.
 
     When the shift is not regular the report flags the missing hypothesis and
-    still states the computed rank.  Optionally also certifies the absence of
-    polynomial relations up to weighted degree twice the largest generator
-    degree.
+    still states the computed rank.  It also lists the polynomial relations
+    up to weighted degree twice the largest generator degree.  For a free
+    family, one whose gradients are independent, relation_basis certifies
+    that list empty by the Jacobian criterion, so "no relations up to
+    2 * max degree" then holds in every degree.
     """
     alg = mf.algebra
     rank_g = alg.rank(seed=seed)
@@ -342,7 +340,7 @@ def mf_rank_check(
         raise ValueError("dim + rank is odd; not a valid bracket geometry")
     jac = generic_jacobian_rank(mf.polys(), alg.dim, seed=seed)
     relations = None
-    if check_relations and mf.generators:
+    if mf.generators:
         max_deg = max(g.degree for g in mf.generators)
         relations = relation_basis(mf.as_generator_set(), 2 * max_deg)
     return MFRankReport(

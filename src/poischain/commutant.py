@@ -59,6 +59,7 @@ from .poly import (
     unpack,
     variable_keys,
 )
+from .sampling import generic_jacobian_rank
 
 
 class BudgetExceededError(RuntimeError):
@@ -644,20 +645,37 @@ def relation_basis(
 ) -> RelationSet:
     """Degreewise basis of the polynomial relations among the generators.
 
-    A relation of weighted degree d is a linear dependency among the
-    expansions of the formal generator monomials of weighted degree d (the
-    weight of a generator is its degree).  The expansions of one degree come
-    from one depth-first walk over the generator products, each product one
-    multiplication; nothing is kept from one degree to the next.  Multiples
-    of relations found in lower degree are reduced away, so every reported
-    relation is new; it is given in reduced echelon form over the formal
-    monomials, ordered by (total degree, exponents) descending.
+    Right after the degree-bound check comes the Jacobian criterion: when
+    the gradients of the m generators have rank m at one integer point, the
+    list is returned empty, with no columns, products or elimination, so no
+    column budget applies.  This is an exact certificate, not a sampled
+    one.  The rank at a point is a lower bound on the rank over Q(x), which
+    is at most m, so that rank is m; over a field of characteristic zero
+    this is equivalent to algebraic independence (Jacobi), so no relation
+    exists in any degree.
+
+    Otherwise, a relation of weighted degree d is a linear dependency among
+    the expansions of the formal generator monomials of weighted degree d
+    (the weight of a generator is its degree).  The expansions of one degree
+    come from one depth-first walk over the generator products, each product
+    one multiplication; nothing is kept from one degree to the next.
+    Multiples of relations found in lower degree are reduced away, so every
+    reported relation is new; it is given in reduced echelon form over the
+    formal monomials, ordered by (total degree, exponents) descending.
     """
     weights = gens.degrees()
     if weights and max_total_degree < max(weights):
         raise ValueError("budget below the largest generator degree")
     nformal = len(gens.generators)
-    relations: list[Relation] = []
+    found = RelationSet(
+        generator_labels=gens.labels(),
+        weights=weights,
+        max_degree=max_total_degree,
+        relations=[],
+    )
+    if generic_jacobian_rank(gens.polys(), gens.algebra.dim) == nformal:
+        return found
+    relations = found.relations
     for d in range(1, max_total_degree + 1):
         cols = _formal_columns(weights, d)
         if not cols:
@@ -697,12 +715,7 @@ def relation_basis(
         for vec in linalg.canonical_rref(fresh_vectors):
             formal = _from_fractions(nformal, {cols[ci]: c for ci, c in vec.items()})
             relations.append(Relation(weighted_degree=d, formal=formal))
-    return RelationSet(
-        generator_labels=gens.labels(),
-        weights=weights,
-        max_degree=max_total_degree,
-        relations=relations,
-    )
+    return found
 
 
 @dataclass

@@ -112,16 +112,18 @@ class ExponentGraph:
 
     @classmethod
     def from_monomial(cls, mono: Monomial, alg: LieAlgebra) -> "ExponentGraph":
-        n = sl_size(alg)
-        if n is None:
-            raise ValueError("cycle combinatorics requires the built-in sl(n) layout")
-        roles = sl_coordinate_roles(alg)
+        return cls.from_roles(mono, sl_coordinate_roles(alg))
+
+    @classmethod
+    def from_roles(cls, mono: Monomial, roles: Sequence[tuple]) -> "ExponentGraph":
+        """The graph of the monomial, given the sl_coordinate_roles of its
+        algebra: callers that check many monomials compute those once."""
         edges: dict[tuple[int, int], int] = {}
         for var, exp in mono.exps:
             role = roles[var]
             if role[0] == "edge":
                 edges[(role[1], role[2])] = edges.get((role[1], role[2]), 0) + exp
-        return cls(n=n, edges=edges)
+        return cls(n=math.isqrt(len(roles) + 1), edges=edges)
 
     def is_balanced(self) -> bool:
         defect: dict[int, int] = {}
@@ -436,10 +438,13 @@ def oracle_cross_check(n: int, k_max: int) -> OracleReport:
     kernel-computed invariants (two fully independent computations)."""
     alg = builtin_sl(n)
     sub = cartan_subalgebra(alg)
+    roles = sl_coordinate_roles(alg)
     results = []
     for k in range(1, k_max + 1):
         balanced = [
-            m for m in monomial_basis(alg.dim, k) if balance_check(m, alg)
+            m
+            for m in monomial_basis(alg.dim, k)
+            if ExponentGraph.from_roles(m, roles).is_balanced()
         ]
         kernel = invariant_basis(alg, sub, k)
         balanced_polys = [Polynomial(alg.dim, {m: Fraction(1)}) for m in balanced]

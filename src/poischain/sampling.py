@@ -8,8 +8,11 @@ reaches a known upper bound.  That maximum is always a certified lower bound,
 short of the generic value only when every point is a zero of a nonzero
 maximal minor of degree D.  By Schwartz-Zippel one uniform point misses with
 probability at most D/21, so all SAMPLE_COUNT points miss with probability
-at most (D/21)^SAMPLE_COUNT (no bound once D >= 21).  Every caller defaults
-to the same seed so repeated runs are byte identical.
+at most (D/21)^SAMPLE_COUNT (no bound once D >= 21).  A rank that reaches
+the upper bound is exact: in particular a Jacobian rank equal to the number
+of polynomials is an exact certificate that they are algebraically
+independent, which commutant.relation_basis uses in place of elimination.
+Every caller defaults to the same seed so repeated runs are byte identical.
 """
 
 from __future__ import annotations

@@ -133,9 +133,10 @@ def test_mf_zero_shift_recovers_casimirs(sl3, sl3_casimirs):
     mf = mf_generators(sl3_casimirs, [F(0)] * 8)
     assert [g.label for g in mf.generators] == ["C2", "C3"]
     assert not mf.shift_regular
-    rank = mf_rank_check(mf, check_relations=False)
+    rank = mf_rank_check(mf)
     assert rank.jacobian_rank == 2
     assert not rank.matches and not rank.hypothesis_met
+    assert rank.relations.relations == []
 
 
 def test_mf_sl3_regular_shift(sl3, sl3_casimirs):
@@ -152,9 +153,10 @@ def test_mf_sl3_regular_shift(sl3, sl3_casimirs):
 def test_mf_nonregular_nilpotent_shift(sl3, sl3_casimirs):
     mf = mf_generators(sl3_casimirs, [F(0), F(0), F(1)] + [F(0)] * 5)
     assert not mf.shift_regular
-    rank = mf_rank_check(mf, check_relations=False)
+    rank = mf_rank_check(mf)
     assert rank.jacobian_rank == 4 and rank.expected == 5
     assert not rank.matches and not rank.hypothesis_met
+    assert rank.relations.relations == []
     assert rank.note == REGULARITY_NOTE
 
 

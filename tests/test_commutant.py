@@ -35,13 +35,16 @@ from poischain import (
 from poischain.commutant import (
     BudgetExceededError,
     GeneratorSet,
+    _formal_columns,
     _generator_products,
     _invariance_operators,
+    _kernel_of_images,
     _zero_weight_monomials,
     apply_invariance_operator,
     weighted_exponents,
 )
 from poischain.poly import pack
+from poischain.sampling import generic_jacobian_rank
 
 from helpers import expand_formal, full_basis_invariants, random_polynomial, same_span
 
@@ -158,6 +161,49 @@ def test_relation_budget_guard(sl3_torus):
         relation_basis(sl3_torus, 6, column_budget=3)
 
 
+def test_free_family_guards():
+    """For a free family the Jacobian certificate comes after the degree
+    check and before the column budget, so no budget is ever exceeded."""
+    gens = _seeded_shift_family(3)
+    with pytest.raises(ValueError):
+        relation_basis(gens, 2)
+    assert len(_formal_columns(gens.degrees(), 6)) > 3
+    assert relation_basis(gens, 6, column_budget=3).relations == []
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_free_certificate_matches_elimination(n):
+    """Where relation_basis stops at the Jacobian certificate, the
+    elimination it skips finds no kernel in any weighted degree up to 6."""
+    gens = _seeded_shift_family(n)
+    assert generic_jacobian_rank(gens.polys(), gens.algebra.dim) == len(gens.generators)
+    assert relation_basis(gens, 6).relations == []
+    weights = gens.degrees()
+    for d in range(1, 7):
+        cols = {exps: i for i, exps in enumerate(weighted_exponents(weights, d))}
+        images = (
+            (cols[exps], prod) for exps, prod in _generator_products(gens.generators, d)
+        )
+        assert _kernel_of_images(images, len(cols)) == [], d
+
+
+def test_dependent_family_keeps_elimination(sl3_casimirs):
+    """A family that is not free still gets its relations by elimination."""
+    c2, c3 = sl3_casimirs.gens.polys()
+    gens = GeneratorSet(
+        algebra=sl3_casimirs.gens.algebra,
+        generators=[
+            Generator(poly=c2, degree=2, label="q2"),
+            Generator(poly=c3, degree=3, label="q3"),
+            Generator(poly=c2 * c2, degree=4, label="q4"),
+        ],
+    )
+    rel = relation_basis(gens, 6)
+    assert [(r.weighted_degree, r.render(gens)) for r in rel.relations] == [
+        (4, "q2^2 - q4")
+    ]
+
+
 def test_weighted_exponents():
     out = weighted_exponents([1, 2], 4)
     assert set(out) == {(0, 2), (2, 1), (4, 0)}
@@ -184,13 +230,13 @@ def test_weighted_exponents_match_brute_force():
         assert weighted_exponents(weights, total) == expected, (weights, total)
 
 
-def _seeded_sl4_shift_family():
-    """The argument-shift family of sl(4) at a regular Cartan shift whose
+def _seeded_shift_family(n):
+    """The argument-shift family of sl(n) at a regular Cartan shift whose
     eigenvalues are drawn from a seeded generator (distinct, so regular)."""
-    alg = builtin_sl(4)
-    eig = random.Random(11).sample(range(-9, 10), 4)
-    shift = [F(eig[i + 1] - eig[i]) for i in range(3)] + [F(0)] * 12
-    return mf_generators(casimirs_by_kernel(alg, 4), shift).as_generator_set()
+    alg = builtin_sl(n)
+    eig = random.Random(11).sample(range(-9, 10), n)
+    shift = [F(eig[i + 1] - eig[i]) for i in range(n - 1)] + [F(0)] * (n * n - n)
+    return mf_generators(casimirs_by_kernel(alg, n), shift).as_generator_set()
 
 
 @pytest.mark.parametrize(
@@ -199,7 +245,7 @@ def _seeded_sl4_shift_family():
 )
 def test_generator_products_match_fresh_expansions(family, max_degree, sl3, sl4):
     if family == "sl4 shift family":
-        gens = _seeded_sl4_shift_family()
+        gens = _seeded_shift_family(4)
     else:
         alg = sl3 if family == "sl3 torus" else sl4
         gens = generate(alg, cartan_subalgebra(alg), alg.rank())
