@@ -28,6 +28,7 @@ from .algebra import (
     builtin_sl,
     cartan_subalgebra,
     full_subalgebra,
+    sl_size,
     validate_algebra,
     validate_subalgebra,
 )
@@ -339,7 +340,10 @@ def cmd_commutant(cfg: RunConfig) -> int:
          f"(kernel dims {gens.kernel_dims})")
     if not ns.skip_relations:
         budget = ns.relations_degree or 2 * cap
-        relations = relation_basis(gens, budget)
+        try:
+            relations = relation_basis(gens, budget)
+        except ValueError as exc:
+            raise CliError(f"--relations-degree {budget}: {exc}")
         payload["relations"] = relations.to_json()
         _say(f"{len(relations.relations)} relation(s) up to weighted degree {budget}")
     if ns.closure:
@@ -354,6 +358,13 @@ def cmd_casimirs(cfg: RunConfig) -> int:
     ns = cfg.options
     alg = load_algebra(ns.algebra)
     cap = ns.max_degree or chains.default_degree_cap(alg)
+    n = None
+    if ns.method in ("trace", "both"):
+        n = sl_size(alg)
+        if n is None:
+            raise CliError("the trace route requires a built-in sl(n) algebra")
+        if cap < 2:
+            raise CliError("the trace route needs --max-degree at least 2")
     payload: dict = {"algebra": alg.name}
     code = EXIT_OK
     kernel_set = None
@@ -366,12 +377,7 @@ def cmd_casimirs(cfg: RunConfig) -> int:
              f"{count.independent_count} (expected {count.expected})")
         if not count.matches:
             code = EXIT_NEGATIVE
-    if ns.method in ("trace", "both"):
-        from .algebra import sl_size
-
-        n = sl_size(alg)
-        if n is None:
-            raise CliError("the trace route requires a built-in sl(n) algebra")
+    if n is not None:
         trace_set = trace_casimirs_sln(n, min(cap, n))
         payload["trace"] = trace_set.to_json()
         _say(f"trace route: {len(trace_set)} generators")

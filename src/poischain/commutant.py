@@ -29,6 +29,11 @@ h = [E_alpha, E_-alpha] lies in the span of the diagonal vectors with
 [h, E_alpha] != 0.  For the full sl(n) that leaves the n - 1 simple raising
 operators e_(i,i+1).  When a check fails, every non-diagonal operator is
 applied.
+
+Relations, membership and new generators all range over the formal
+generator monomials of one weighted degree (a generator weighs its degree).
+One walk over generator multisets, _formal_monomials, lists them as packed
+keys with their products; its count table gives their number beforehand.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, combinations_with_replacement, compress, count
+from itertools import combinations, combinations_with_replacement
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
@@ -52,7 +58,6 @@ from .poly import (
     hamiltonian_field,
     lie_poisson_bracket,
     linear_combination,
-    pack,
     parse_polynomial,
     polynomial_from_json,
     render_polynomial,
@@ -454,42 +459,65 @@ def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polyno
     return _canonical_polys(basis, alg.dim)
 
 
-def _generator_products(
-    gens: Sequence[Generator], degree: int
-) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
-    """Every product of the generators (repeats allowed) of weighted degree
-    exactly `degree`, each generator weighing its degree, as (exponent
-    vector, product) pairs, lazily and depth first in generator order.
-
-    Each product is its prefix on the walk's stack times one generator, so
-    it costs one multiplication.  reach[i] holds the degrees that generators
-    i.. can make together, so the walk only enters prefixes that can still
-    end at `degree`.
-    """
-    weights = [g.degree for g in gens]
+def _formal_counts(weights: Sequence[int], degree: int) -> list[list[int]]:
+    """counts[i][t], t = 0..degree: the number of multisets of generators i..
+    with weight sum t; counts[0][t] counts the formal monomials of weighted
+    degree t."""
     if any(w < 1 for w in weights):
         raise ValueError("generator degrees must be positive")
-    n = len(gens)
-    reach: list[set[int]] = [set() for _ in range(n)] + [{0}]
-    for i in range(n - 1, -1, -1):
-        for t in reach[i + 1]:
-            reach[i].update(range(t, degree + 1, weights[i]))
-    exps = [0] * n
+    counts = [[1] + [0] * degree]
+    for w in reversed(weights):
+        row = counts[-1][:]
+        for t in range(w, degree + 1):
+            row[t] += row[t - w]
+        counts.append(row)
+    return counts[::-1]
 
-    def walk(start: int, left: int, acc: Polynomial | None):
-        for i in range(start, n):
-            w = weights[i]
-            if left - w not in reach[i]:
-                continue
-            prod = gens[i].poly if acc is None else acc * gens[i].poly
-            exps[i] += 1
-            if left == w:
-                yield tuple(exps), prod
-            else:
-                yield from walk(i, left - w, prod)
-            exps[i] -= 1
 
-    return walk(0, degree, None)
+def _formal_monomials(
+    weights: Sequence[int], degree: int, polys: Sequence[Polynomial] | None = None
+) -> Iterator[tuple[int, Polynomial | None]]:
+    """The formal monomials of weighted degree `degree`, one variable per
+    generator, as (key, expansion) pairs, depth first over the multisets of
+    generators in generator order.
+
+    A key is its prefix's key plus the key of its last variable.  With
+    polys, an expansion is its prefix's expansion times polys[i], one
+    multiplication; without, it is None.  Generator i is entered only when
+    counts[i] (_formal_counts) says generators i.. can still complete the
+    degree, and the loop stops at the first i from which they cannot.
+    """
+    counts = _formal_counts(weights, degree)
+    keys = variable_keys(len(weights))
+
+    def walk(start: int, left: int, key: int, acc: Polynomial | None):
+        if not left:
+            yield key, acc
+            return
+        for i in range(start, len(weights)):
+            if not counts[i][left]:
+                return
+            rest = left - weights[i]
+            if rest >= 0 and counts[i][rest]:
+                prod = None if polys is None else polys[i] if acc is None else acc * polys[i]
+                yield from walk(i, rest, key + keys[i], prod)
+
+    return walk(0, degree, 0, None)
+
+
+def _formal_columns(weights: Sequence[int], d: int) -> list[int]:
+    """The keys of the formal monomials of weighted degree d, graded-lex
+    descending: the column order."""
+    return sorted((key for key, _ in _formal_monomials(weights, d)), reverse=True)
+
+
+def _generator_products(
+    gens: Sequence[Generator], degree: int
+) -> Iterator[tuple[int, Polynomial]]:
+    """The (formal key, product) pairs of the generator products of weighted
+    degree `degree`, each generator weighing its degree, from the walk of
+    _formal_monomials: each product is one multiplication of its prefix."""
+    return _formal_monomials([g.degree for g in gens], degree, [g.poly for g in gens])
 
 
 def indecomposables(
@@ -566,47 +594,6 @@ def generate(
 # relations, membership, closure, center
 
 
-def weighted_exponents(weights: Sequence[int], total: int) -> list[tuple[int, ...]]:
-    """All exponent tuples e with sum(w_i * e_i) == total, lex descending.
-
-    The walk jumps from one nonzero exponent to the next, and stops once
-    the least weight left is above what remains to be made."""
-    n = len(weights)
-    out: list[tuple[int, ...]] = []
-    acc = [0] * n
-    least = [0] * n + [total + 1]
-    for i in range(n - 1, -1, -1):
-        least[i] = min(weights[i], least[i + 1])
-
-    def rec(start: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for idx in range(start, n):
-            if least[idx] > remaining:
-                return
-            w = weights[idx]
-            for e in range(remaining // w, 0, -1):
-                acc[idx] = e
-                rec(idx + 1, remaining - e * w)
-            acc[idx] = 0
-
-    rec(0, total)
-    return out
-
-
-def _formal_key(exps: Sequence[int]) -> int:
-    """The key of the formal monomial with these exponents, one variable per
-    generator; only the nonzero exponents are packed."""
-    return pack(zip(compress(count(), exps), compress(exps, exps)), len(exps))
-
-
-def _formal_columns(weights: Sequence[int], d: int) -> list[int]:
-    """The keys of the formal generator monomials of weighted degree d, one
-    variable per generator, graded-lex descending: the column order."""
-    return sorted(map(_formal_key, weighted_exponents(weights, d)), reverse=True)
-
-
 @dataclass
 class Relation:
     weighted_degree: int
@@ -656,9 +643,12 @@ def relation_basis(
 
     Otherwise, a relation of weighted degree d is a linear dependency among
     the expansions of the formal generator monomials of weighted degree d
-    (the weight of a generator is its degree).  The expansions of one degree
-    come from one depth-first walk over the generator products, each product
-    one multiplication; nothing is kept from one degree to the next.
+    (the weight of a generator is its degree).  The count table of the walk
+    over those monomials (_formal_monomials) gives the column count of every
+    degree first, so a degree over column_budget raises BudgetExceededError
+    before any degree's columns or products are built.  Per degree, the walk
+    gives the column keys, then the expansions, each product one
+    multiplication; nothing is kept from one degree to the next.
     Multiples of relations found in lower degree are reduced away, so every
     reported relation is new; it is given in reduced echelon form over the
     formal monomials, ordered by (total degree, exponents) descending.
@@ -675,20 +665,22 @@ def relation_basis(
     )
     if generic_jacobian_rank(gens.polys(), gens.algebra.dim) == nformal:
         return found
+    counts = _formal_counts(weights, max_total_degree)[0]
+    for d in range(1, max_total_degree + 1):
+        if counts[d] > column_budget:
+            raise BudgetExceededError(
+                f"{counts[d]} formal monomials at weighted degree {d}", degree=d
+            )
     relations = found.relations
     for d in range(1, max_total_degree + 1):
-        cols = _formal_columns(weights, d)
-        if not cols:
+        if not counts[d]:
             continue
-        if len(cols) > column_budget:
-            raise BudgetExceededError(
-                f"{len(cols)} formal monomials at weighted degree {d}", degree=d
-            )
+        cols = _formal_columns(weights, d)
         col_index = {key: i for i, key in enumerate(cols)}
         kernel = _kernel_of_images(
             (
-                (col_index[_formal_key(exps)], prod)
-                for exps, prod in _generator_products(gens.generators, d)
+                (col_index[key], prod)
+                for key, prod in _generator_products(gens.generators, d)
             ),
             len(cols),
         )
@@ -752,7 +744,6 @@ def membership(
         gens.algebra, gens.subalgebra, p
     ):
         return MembershipResult("not_invariant")
-    weights = gens.degrees()
     nformal = len(gens.generators)
     # formal monomials of different weighted degrees never coincide
     expression: dict[int, Fraction] = {}
@@ -760,24 +751,23 @@ def membership(
         if d == 0:
             expression[0] = Fraction(component.num[0], component.den)
             continue
-        cols = _formal_columns(weights, d)
-        if not cols:
+        # the products in column order, graded-lex descending by formal key
+        products = sorted(
+            _generator_products(gens.generators, d), key=itemgetter(0), reverse=True
+        )
+        if not products:
             return MembershipResult("not_found_up_to_budget")
-        col_index = {key: i for i, key in enumerate(cols)}
-        expansions: list[linalg.Row] = [{}] * len(cols)
-        dens = [1] * len(cols)
-        for exps, prod in _generator_products(gens.generators, d):
-            i = col_index[_formal_key(exps)]
-            expansions[i], dens[i] = prod.num, prod.den
-        # the rows are numerators, product i times dens[i], and the target is
-        # the component times its den, so y solves it iff y_i * dens[i] / den
+        # the rows are numerators, product i times its den, and the target is
+        # the component times its den, so y solves it iff y_i * prod.den / den
         # are the coefficients of the products
-        coeffs = linalg.express_in_rowspace(expansions, component.num)
+        coeffs = linalg.express_in_rowspace(
+            [prod.num for _, prod in products], component.num
+        )
         if coeffs is None:
             return MembershipResult("not_found_up_to_budget")
-        for key, y, den in zip(cols, coeffs, dens):
+        for (key, prod), y in zip(products, coeffs):
             if y:
-                expression[key] = y * den / component.den
+                expression[key] = y * prod.den / component.den
     return MembershipResult("found", _from_fractions(nformal, expression))
 
 

@@ -23,6 +23,7 @@ from .commutant import (
     Generator,
     GeneratorSet,
     _canonical_polys,
+    _formal_counts,
     _generator_products,
     invariant_basis,
     monomial_basis,
@@ -524,14 +525,10 @@ def reynolds_sl(
     Averages every product of the given generators up to the degree cap and
     returns a reduced echelon basis per degree.  Applied to torus generators
     this produces the invariants of the torus normalizer.  The products are
-    counted (by weighted degree) before any is formed, so an over-budget
-    call fails at once.
+    counted by the table that prunes their walk (commutant._formal_counts)
+    before any is formed, so an over-budget call fails at once.
     """
-    count = [1] + [0] * max_degree
-    for g in gens.generators:
-        for t in range(g.degree, max_degree + 1):
-            count[t] += count[t - g.degree]
-    if sum(count[1:]) > product_budget:
+    if sum(_formal_counts(gens.degrees(), max_degree)[0][1:]) > product_budget:
         raise BudgetExceededError(
             f"more than {product_budget} generator products below degree {max_degree}"
         )

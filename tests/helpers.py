@@ -225,13 +225,14 @@ def jacobian_matrix(polys, point) -> list[list[Fraction]]:
     ]
 
 
-def expand_formal(gens, exps) -> Polynomial:
-    """Reference expansion of a formal generator monomial: the product of
-    the generator powers, each formed afresh by repeated multiplication."""
+def expand_formal(gens, pairs) -> Polynomial:
+    """Reference expansion of a formal generator monomial, given by its
+    (generator index, exponent) pairs as poly.unpack returns them: the
+    product of the generator powers, each formed afresh by repeated
+    multiplication."""
     acc = Polynomial.one(gens.algebra.dim)
-    for i, e in enumerate(exps):
-        if e:
-            acc = acc * gens.generators[i].poly.power(e)
+    for i, e in pairs:
+        acc = acc * gens.generators[i].poly.power(e)
     return acc
 
 

@@ -443,6 +443,13 @@ _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
         pytest.param(["commutant", "--algebra", "sl2", "--subalgebra", "bogus"],
                      id="unknown-subalgebra"),
         pytest.param(["mf", "--algebra", "sl3", "--shift", "1,2"], id="short-shift"),
+        pytest.param(["commutant", "--algebra", "sl3", "--subalgebra", "cartan",
+                      "--relations-degree", "2"],
+                     id="relations-degree-below-generator-degree"),
+        pytest.param(["casimirs", "--algebra", "sl3", "--method", "trace",
+                      "--max-degree", "1"], id="trace-route-degree-one"),
+        pytest.param(["casimirs", "--algebra", "sl3", "--method", "both",
+                      "--max-degree", "1"], id="both-routes-degree-one"),
         *_ALGEBRA_CONTRACT,
     ],
 )

@@ -36,14 +36,14 @@ from poischain.commutant import (
     BudgetExceededError,
     GeneratorSet,
     _formal_columns,
+    _formal_counts,
     _generator_products,
     _invariance_operators,
     _kernel_of_images,
     _zero_weight_monomials,
     apply_invariance_operator,
-    weighted_exponents,
 )
-from poischain.poly import pack
+from poischain.poly import pack, unpack
 from poischain.sampling import generic_jacobian_rank
 
 from helpers import expand_formal, full_basis_invariants, random_polynomial, same_span
@@ -178,12 +178,15 @@ def test_free_certificate_matches_elimination(n):
     gens = _seeded_shift_family(n)
     assert generic_jacobian_rank(gens.polys(), gens.algebra.dim) == len(gens.generators)
     assert relation_basis(gens, 6).relations == []
-    weights = gens.degrees()
+    nformal = len(gens.generators)
     for d in range(1, 7):
-        cols = {exps: i for i, exps in enumerate(weighted_exponents(weights, d))}
-        images = (
-            (cols[exps], prod) for exps, prod in _generator_products(gens.generators, d)
-        )
+        # each product's own column, from its formal key unpacked and
+        # expanded afresh
+        cols = {}
+        images = []
+        for key, prod in _generator_products(gens.generators, d):
+            assert prod == expand_formal(gens, unpack(key, nformal))
+            images.append((cols.setdefault(key, len(cols)), prod))
         assert _kernel_of_images(images, len(cols)) == [], d
 
 
@@ -204,30 +207,64 @@ def test_dependent_family_keeps_elimination(sl3_casimirs):
     ]
 
 
-def test_weighted_exponents():
-    out = weighted_exponents([1, 2], 4)
-    assert set(out) == {(0, 2), (2, 1), (4, 0)}
-    assert weighted_exponents([2], 3) == []
-    assert weighted_exponents([3, 1, 2], 5) == sorted(
-        weighted_exponents([3, 1, 2], 5), reverse=True
+def _brute_force_columns(weights, total):
+    """The formal columns by brute force: every exponent tuple of
+    itertools.product with the right weighted degree, packed and sorted
+    graded-lex descending."""
+    return sorted(
+        (
+            pack(enumerate(exps), len(weights))
+            for exps in product(range(total + 1), repeat=len(weights))
+            if sum(w * e for w, e in zip(weights, exps)) == total
+        ),
+        reverse=True,
     )
-    assert weighted_exponents([1, 2, 3], 0) == [(0, 0, 0)]
+
+
+def test_weighted_exponents():
+    """The formal columns of small weight lists, read back as exponents."""
+    cols = _formal_columns([1, 2], 4)
+    assert [unpack(key, 2) for key in cols] == [((0, 4),), ((0, 2), (1, 1)), ((1, 2),)]
+    assert _formal_columns([2], 3) == []
+    assert _formal_columns([1, 2, 3], 0) == [0]
+    with pytest.raises(ValueError):
+        _formal_columns([1, 0], 2)
 
 
 def test_weighted_exponents_match_brute_force():
+    """The walk's columns, and its count of them, agree with brute force for
+    100 seeded weight lists at every weighted degree 0..7."""
     rng = random.Random(2)
     for _ in range(100):
         weights = [rng.randint(1, 4) for _ in range(rng.randint(0, 5))]
-        total = rng.randint(0, 7)
-        expected = sorted(
-            (
-                exps
-                for exps in product(range(total + 1), repeat=len(weights))
-                if sum(w * e for w, e in zip(weights, exps)) == total
-            ),
-            reverse=True,
-        )
-        assert weighted_exponents(weights, total) == expected, (weights, total)
+        for total in range(8):
+            expected = _brute_force_columns(weights, total)
+            assert _formal_columns(weights, total) == expected, (weights, total)
+            counts = _formal_counts(weights, total)
+            assert counts[0][total] == len(expected), (weights, total)
+
+
+def test_relation_budget_raises_before_any_product(sl3_torus, monkeypatch):
+    """An over-budget relation search fails with the brute-force column count
+    of its first degree over budget, before a single product is formed, even
+    of the degrees below it that fit the budget."""
+    weights = sl3_torus.degrees()
+    budget = 10  # degree 2 (6 columns, products of two generators) fits
+    d, ncols = next(
+        (d, len(cols))
+        for d in range(1, 7)
+        if len(cols := _brute_force_columns(weights, d)) > budget
+    )
+    assert d > 2
+
+    def no_product(self, other):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    with pytest.raises(BudgetExceededError) as info:
+        relation_basis(sl3_torus, 6, column_budget=budget)
+    assert str(info.value) == f"{ncols} formal monomials at weighted degree {d}"
+    assert info.value.degree == d
 
 
 def _seeded_shift_family(n):
@@ -250,12 +287,15 @@ def test_generator_products_match_fresh_expansions(family, max_degree, sl3, sl4)
         alg = sl3 if family == "sl3 torus" else sl4
         gens = generate(alg, cartan_subalgebra(alg), alg.rank())
     weights = gens.degrees()
+    nformal = len(gens.generators)
     for d in range(1, max_degree + 1):
         products = list(_generator_products(gens.generators, d))
-        keys = [exps for exps, _ in products]
+        keys = [key for key, _ in products]
         assert len(set(keys)) == len(keys)
-        assert set(keys) == set(weighted_exponents(weights, d))
-        for exps, prod in products:
+        assert len(keys) == _formal_counts(weights, d)[0][d]
+        for key, prod in products:
+            exps = unpack(key, nformal)
+            assert sum(weights[i] * e for i, e in exps) == d
             assert prod == expand_formal(gens, exps)
 
 
@@ -334,7 +374,7 @@ def test_bracket_closure_expressions_expand_back(n):
         formal = parse_polynomial(e.expression, nformal, gens.labels())
         expanded = Polynomial.zero(alg.dim)
         for mono, c in formal.terms.items():
-            expanded = expanded + expand_formal(gens, mono.dense(nformal)).scale(c)
+            expanded = expanded + expand_formal(gens, mono.exps).scale(c)
         assert expanded == lie_poisson_bracket(polys[e.left], polys[e.right], alg)
         expressed += 1
     assert expressed
