@@ -470,8 +470,8 @@ def cmd_chain_verify(cfg: RunConfig) -> int:
 def cmd_cycles(cfg: RunConfig) -> int:
     ns = cfg.options
     _check_sl_size(ns.n)
-    # the relation check counts its instances before any work, so an
-    # over-budget n fails before the census, which grows as fast
+    # the relation check and the census count their instances before any
+    # work, so an over-budget n fails at once
     families = (cycles.relation_families_check(ns.n)
                 if ns.check in ("relations", "all") else None)
     census = cycles.enumerate_cycle_generators(ns.n)

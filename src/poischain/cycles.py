@@ -30,6 +30,10 @@ from .commutant import (
 )
 from .poly import Monomial, Polynomial
 
+# cycles in one census: sl(9) has 125,664 and builds in seconds; sl(10) has
+# 1,112,073, which take over a minute and about 1 GB
+CENSUS_BUDGET = 200_000
+
 
 def sl_coordinate_roles(alg: LieAlgebra) -> list[tuple]:
     """Role of each coordinate of a built-in sl(n): ("cartan", i) for the i-th
@@ -198,9 +202,16 @@ def all_cycles(n: int, length: int) -> list[CycleMonomial]:
 
 def enumerate_cycle_generators(n: int) -> GeneratorSet:
     """The closed-form torus-invariant generators of sl(n): the simple-root
-    coordinates plus every cycle monomial of length 2..n."""
+    coordinates plus every cycle monomial of length 2..n.  The cycles are
+    counted, sum_k perm(n, k)/k, before any is built, so an over-budget n
+    fails at once."""
     if n < 2:
         raise ValueError("need n >= 2")
+    count = sum(math.perm(n, k) // k for k in range(2, n + 1))
+    if count > CENSUS_BUDGET:
+        raise BudgetExceededError(
+            f"the sl({n}) cycle census has {count} cycles, above {CENSUS_BUDGET}"
+        )
     alg = builtin_sl(n)
     gens: list[Generator] = []
     for i in range(n - 1):

@@ -1,24 +1,23 @@
 """Floating-point integration of Lie-Poisson flows as a conservation check.
 
-The vector field of a Hamiltonian H has exact symbolic components {H, x_k};
-these are computed once in rational arithmetic, converted to float term
-lists, and integrated with fixed-step classical Runge-Kutta.  Monitored
-invariants (plus H itself) are evaluated along the trajectory and their
-maximal drift from the initial value is reported — algebraic centrality
-certificates should translate into drifts at the integrator's accuracy
-floor.
+The vector field of a Hamiltonian H has exact components {H, x_k}, computed
+once in rational arithmetic.  `integrate` compiles Python source for one
+straight-line classical Runge-Kutta step (four field stages and the update,
+unrolled over the coordinates) and for H plus the monitored invariants, with
+coefficients as float reprs: the floats are those of term-by-term evaluation.
+The maximal drift of each monitor from its initial value is reported;
+centrality certificates should give drifts at the integrator's accuracy floor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .algebra import LieAlgebra
 from .poly import Polynomial, hamiltonian_field
-
-CompiledPoly = list[tuple[float, tuple[tuple[int, int], ...]]]
 
 
 class FlowDivergenceError(RuntimeError):
@@ -34,22 +33,6 @@ def hamiltonian_vector_field(alg: LieAlgebra, h: Polynomial) -> list[Polynomial]
     return hamiltonian_field(h, alg)
 
 
-def compile_polynomial(p: Polynomial) -> CompiledPoly:
-    return [
-        (float(coeff), mono.exps) for mono, coeff in p.sorted_terms()
-    ]
-
-
-def eval_compiled(terms: CompiledPoly, x: Sequence[float]) -> float:
-    total = 0.0
-    for coeff, exps in terms:
-        v = coeff
-        for var, e in exps:
-            v *= x[var] ** e
-        total += v
-    return total
-
-
 @dataclass
 class FlowProblem:
     algebra: LieAlgebra
@@ -60,10 +43,14 @@ class FlowProblem:
     monitors: list[tuple[str, Polynomial]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValueError("time horizon and step must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
+            raise ValueError("time horizon and step must be positive and finite")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError("time horizon / step must be a finite number of steps")
         if len(self.x0) != self.algebra.dim:
             raise ValueError("initial point has the wrong dimension")
+        if not all(math.isfinite(v) for v in self.x0):
+            raise ValueError("initial point is not finite")
 
 
 @dataclass
@@ -91,17 +78,48 @@ class FlowResult:
         }
 
 
-def _rk4_step(
-    f: Callable[[Sequence[float]], list[float]], x: list[float], dt: float
-) -> list[float]:
-    k1 = f(x)
-    k2 = f([xi + 0.5 * dt * ki for xi, ki in zip(x, k1)])
-    k3 = f([xi + 0.5 * dt * ki for xi, ki in zip(x, k2)])
-    k4 = f([xi + dt * ki for xi, ki in zip(x, k3)])
-    return [
-        xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+def _poly_lines(target: str, poly: Polynomial, args: Sequence[str]) -> list[str]:
+    # one statement per term: CPython's compiler recurses on a long `+` chain
+    lines = [f"    {target} = 0.0"]
+    for mono, coeff in poly.sorted_terms():
+        factors = [repr(float(coeff))]
+        factors += [args[v] if e == 1 else f"{args[v]}**{e}" for v, e in mono.exps]
+        lines.append(f"    {target} += {'*'.join(factors)}")
+    return lines
+
+
+def _compile_flow(
+    field_polys: Sequence[Polynomial], monitor_polys: Sequence[Polynomial], dt: float
+) -> tuple[Callable, Callable]:
+    """`step(x0, ..)`, one RK4 step, and `monitors(x0, ..)`, from float reprs,
+    integer indices and fixed names only.  Same float operations, in the same
+    order, as term-by-term evaluation (x**1 is x exactly): k = f(x), f at
+    x + (0.5*dt)*k twice and at x + dt*k, then x + dt/6.0*(a + 2b + 2c + d)."""
+    dt, n = float(dt), len(field_polys)
+    xs, ys = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
+
+    def stage(k: str, args: list[str]) -> list[str]:
+        return [line for i, comp in enumerate(field_polys)
+                for line in _poly_lines(f"{k}{i}", comp, args)]
+
+    def shift(k: str, scale: float) -> list[str]:
+        return [f"    y{i} = x{i} + {scale!r}*{k}{i}" for i in range(n)]
+
+    update = ", ".join(f"x{i} + {dt / 6.0!r}*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})"
+                       for i in range(n))
+    lines = [
+        f"def step({', '.join(xs)}):",
+        *stage("a", xs), *shift("a", 0.5 * dt), *stage("b", ys),
+        *shift("b", 0.5 * dt), *stage("c", ys), *shift("c", dt), *stage("d", ys),
+        f"    return [{update}]",
+        f"def monitors({', '.join(xs)}):",
     ]
+    for j, poly in enumerate(monitor_polys):
+        lines += _poly_lines(f"m{j}", poly, xs)
+    lines.append(f"    return [{', '.join(f'm{j}' for j in range(len(monitor_polys)))}]")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<poischain.flow>", "exec"), namespace)
+    return namespace["step"], namespace["monitors"]
 
 
 def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowResult:
@@ -112,46 +130,36 @@ def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowRes
     its initial value; the trajectory itself is recorded every
     `sample_stride` steps to keep outputs bounded.
     """
-    alg = problem.algebra
-    field_polys = hamiltonian_vector_field(alg, problem.hamiltonian)
-    compiled_field = [compile_polynomial(c) for c in field_polys]
-
-    def f(x: Sequence[float]) -> list[float]:
-        return [eval_compiled(c, x) for c in compiled_field]
-
+    field_polys = hamiltonian_vector_field(problem.algebra, problem.hamiltonian)
     monitors = [("H", problem.hamiltonian)] + list(problem.monitors)
     labels = [name for name, _ in monitors]
-    compiled_monitors = [compile_polynomial(p) for _, p in monitors]
+    step, evaluate = _compile_flow(field_polys, [p for _, p in monitors], problem.dt)
 
     steps = max(1, round(problem.t_final / problem.dt))
     if sample_stride is None:
         sample_stride = max(1, steps // 1000)
 
     x = [float(v) for v in problem.x0]
-    initial = [eval_compiled(c, x) for c in compiled_monitors]
+    initial = evaluate(*x)
     drifts = [0.0] * len(monitors)
     times = [0.0]
-    states = [list(x)]
-    values = [list(initial)]
+    states = [x]
+    values = [initial]
     for i in range(1, steps + 1):
         t = i * problem.dt
         try:
-            x = _rk4_step(f, x, problem.dt)
+            x = step(*x)
+            current = evaluate(*x)
         except OverflowError:
             raise FlowDivergenceError(t)
-        if not all(math.isfinite(v) for v in x):
+        if not (all(map(math.isfinite, x)) and all(map(math.isfinite, current))):
             raise FlowDivergenceError(t)
-        try:
-            current = [eval_compiled(c, x) for c in compiled_monitors]
-        except OverflowError:
-            raise FlowDivergenceError(t)
-        if not all(math.isfinite(v) for v in current):
-            raise FlowDivergenceError(t)
-        for j, (v, v0) in enumerate(zip(current, initial)):
-            drifts[j] = max(drifts[j], abs(v - v0))
+        for j, drift in enumerate(map(abs, map(operator.sub, current, initial))):
+            if drift > drifts[j]:
+                drifts[j] = drift
         if i % sample_stride == 0 or i == steps:
             times.append(t)
-            states.append(list(x))
+            states.append(x)
             values.append(current)
     return FlowResult(
         times=times,
@@ -173,15 +181,7 @@ def observed_order(problem: FlowProblem, monitor: str | None = None) -> float:
     which callers should treat as "better than measurable".
     """
     coarse = integrate(problem)
-    fine_problem = FlowProblem(
-        algebra=problem.algebra,
-        hamiltonian=problem.hamiltonian,
-        x0=problem.x0,
-        t_final=problem.t_final,
-        dt=problem.dt / 2.0,
-        monitors=problem.monitors,
-    )
-    fine = integrate(fine_problem)
+    fine = integrate(replace(problem, dt=problem.dt / 2.0))
 
     def pick(result: FlowResult) -> float:
         if monitor is not None:

@@ -1,13 +1,16 @@
 """Shared helpers for the test suite: random polynomials, span fingerprints,
-and slow reference routes for the kernel, bracket and product computations."""
+and slow reference routes for the kernel, bracket and product computations
+and for the flow integrator."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import lcm
 
 from poischain import Monomial, Polynomial, monomial_basis
+from poischain.flow import FlowDivergenceError, FlowResult, hamiltonian_vector_field
 from poischain.linalg import (
     _eliminate,
     make_primitive,
@@ -304,3 +307,79 @@ def ref_graded_lex(a) -> list[tuple[int, ...]]:
     """The exponent tuples in graded-lex descending order: higher total
     degree first, then lexicographic with x1 > x2 > ... > xn."""
     return sorted(a, key=lambda exps: (sum(exps), exps), reverse=True)
+
+
+def _compile_terms(p: Polynomial) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
+    return [(float(coeff), mono.exps) for mono, coeff in p.sorted_terms()]
+
+
+def _eval_terms(terms, x) -> float:
+    total = 0.0
+    for coeff, exps in terms:
+        v = coeff
+        for var, e in exps:
+            v *= x[var] ** e
+        total += v
+    return total
+
+
+def _rk4_step(f, x: list[float], dt: float) -> list[float]:
+    k1 = f(x)
+    k2 = f([xi + 0.5 * dt * ki for xi, ki in zip(x, k1)])
+    k3 = f([xi + 0.5 * dt * ki for xi, ki in zip(x, k2)])
+    k4 = f([xi + dt * ki for xi, ki in zip(x, k3)])
+    return [
+        xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ]
+
+
+def reference_integrate(problem, sample_stride: int | None = None):
+    """Fixed-step RK4 with term-list evaluation: every polynomial is a list of
+    (float coefficient, exponents) walked term by term.  Reference for
+    `flow.integrate`, which must return exactly the same floats."""
+    field = [_compile_terms(c) for c in
+             hamiltonian_vector_field(problem.algebra, problem.hamiltonian)]
+
+    def f(x):
+        return [_eval_terms(c, x) for c in field]
+
+    monitors = [("H", problem.hamiltonian)] + list(problem.monitors)
+    labels = [name for name, _ in monitors]
+    compiled = [_compile_terms(p) for _, p in monitors]
+    steps = max(1, round(problem.t_final / problem.dt))
+    if sample_stride is None:
+        sample_stride = max(1, steps // 1000)
+    x = [float(v) for v in problem.x0]
+    initial = [_eval_terms(c, x) for c in compiled]
+    drifts = [0.0] * len(monitors)
+    times, states, values = [0.0], [list(x)], [list(initial)]
+    for i in range(1, steps + 1):
+        t = i * problem.dt
+        try:
+            x = _rk4_step(f, x, problem.dt)
+        except OverflowError:
+            raise FlowDivergenceError(t)
+        if not all(math.isfinite(v) for v in x):
+            raise FlowDivergenceError(t)
+        try:
+            current = [_eval_terms(c, x) for c in compiled]
+        except OverflowError:
+            raise FlowDivergenceError(t)
+        if not all(math.isfinite(v) for v in current):
+            raise FlowDivergenceError(t)
+        for j, (v, v0) in enumerate(zip(current, initial)):
+            drifts[j] = max(drifts[j], abs(v - v0))
+        if i % sample_stride == 0 or i == steps:
+            times.append(t)
+            states.append(list(x))
+            values.append(current)
+    return FlowResult(
+        times=times,
+        states=states,
+        monitor_labels=labels,
+        monitor_values=values,
+        drifts=dict(zip(labels, drifts)),
+        steps=steps,
+        dt=problem.dt,
+    )

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from poischain import builtin_sl, cli, dump_json, parse_polynomial
+from poischain import builtin_sl, cli, cycles, dump_json, parse_polynomial
 from poischain.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
@@ -172,6 +172,18 @@ def test_cycles_all_checks(capsys):
     assert run(["cycles", "--n", "3", "--check", "all"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "7" in out
+
+
+def test_cycles_census_over_budget_exits_three_at_once(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the census or the oracle was started")
+
+    monkeypatch.setattr(cycles, "all_cycles", refuse)
+    monkeypatch.setattr(cycles, "oracle_cross_check", refuse)
+    assert run(["cycles", "--n", "10", "--check", "oracle"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the sl(10) cycle census has 1112073 cycles, above 200000\n"
 
 
 def test_flow_with_auto_monitors_and_csv(tmp_path):

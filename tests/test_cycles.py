@@ -21,6 +21,8 @@ from poischain import (
     reynolds_average,
     reynolds_sl,
 )
+from poischain import cycles
+from poischain.commutant import BudgetExceededError
 from poischain.cycles import (
     all_cycles,
     edge_index,
@@ -140,6 +142,18 @@ def test_census_counts():
     assert len(enumerate_cycle_generators(2).generators) == 2
     assert len(enumerate_cycle_generators(3).generators) == 7
     assert len(enumerate_cycle_generators(4).generators) == 23
+
+
+def test_census_is_counted_before_it_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(cycles, "all_cycles", lambda n, length: built.append(length) or [])
+    assert len(enumerate_cycle_generators(9).generators) == 8  # within budget
+    assert built == list(range(2, 10))
+    built.clear()
+    for n, count in ((10, 1112073), (11, 10976173), (12, 119481284)):
+        with pytest.raises(BudgetExceededError, match=f"has {count} cycles"):
+            enumerate_cycle_generators(n)
+    assert built == []
 
 
 def test_census_matches_kernel_pipeline(sl2, sl2_torus):

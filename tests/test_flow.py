@@ -1,5 +1,6 @@
 """RK4 coadjoint flows: vector fields, conservation drift, convergence order."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -14,7 +15,10 @@ from poischain import (
     observed_order,
     parse_polynomial,
 )
-from poischain.flow import compile_polynomial, eval_compiled
+from poischain.cli import load_algebra
+from poischain.flow import _compile_flow
+
+from helpers import reference_integrate
 
 F = Fraction
 
@@ -44,11 +48,122 @@ def test_casimir_field_is_identically_zero(sl2, sl2_casimirs):
     assert all(c.is_zero() for c in field)
 
 
-def test_compile_eval_matches_exact(sl3):
+def _generated_monitors(alg, polys):
+    return _compile_flow([Polynomial.zero(alg.dim)] * alg.dim, polys, 0.1)[1]
+
+
+def test_generated_evaluator_matches_exact(sl3):
+    # dyadic point and integer coefficients: every float operation is exact
     p = parse_polynomial("h1^2*h2 - 3*e12*e21 + 5", 8, sl3.labels)
-    x = [0.5, -2.0, 1.5, 0.0, 2.0, 0.0, 0.0, 0.0]
-    exact = p.evaluate([F(1, 2), F(-2), F(3, 2), F(0), F(2), F(0), F(0), F(0)])
-    assert eval_compiled(compile_polynomial(p), x) == pytest.approx(float(exact))
+    q = parse_polynomial("1/3*h1^3*e32 - 7/2*e21 + 2/7", 8, sl3.labels)
+    zero = Polynomial.zero(8)
+    point = [F(1, 2), F(-2), F(3, 2), F(0), F(2), F(0), F(0), F(-5, 4)]
+    values = _generated_monitors(sl3, [p, q, zero])(*map(float, point))
+    assert values[0] == float(p.evaluate(point))
+    assert values[1] == pytest.approx(float(q.evaluate(point)), rel=1e-15)
+    assert values[2] == 0.0
+
+
+def _outcome(run, problem):
+    """Every field of the result, or the time of divergence."""
+    try:
+        res = run(problem)
+    except FlowDivergenceError as exc:
+        return ("diverged", exc.time)
+    return (res.times, res.states, res.monitor_labels, res.monitor_values,
+            res.drifts, res.steps, res.dt)
+
+
+SL3_X0 = [1.0, -0.5, 0.8, -0.3, 0.6, 1.1, -0.9, 0.4]
+
+
+def _bit_identity_cases(sl2, sl3, sl2_casimirs, sl3_casimirs, sl3_torus):
+    sl2_c2 = [(g.label, g.poly) for g in sl2_casimirs.generators]
+    sl3_cas = [(g.label, g.poly) for g in sl3_casimirs.generators]
+    torus = [(g.label, g.poly) for g in sl3_torus.generators]
+
+    def sl3_text(text):
+        return parse_polynomial(text, 8, sl3.labels)
+
+    return {
+        "sl2 h1, C2 monitor": sl2_problem(sl2, t_final=2.0, monitors=sl2_c2),
+        "sl3 h1, torus monitors": FlowProblem(sl3, sl3_text("h1"), SL3_X0, 2.0, 1e-3, torus),
+        "sl3 C2": FlowProblem(sl3, sl3_cas[0][1], SL3_X0, 2.0, 1e-3, sl3_cas),
+        "sl3 C3": FlowProblem(sl3, sl3_cas[1][1], SL3_X0, 2.0, 1e-3, sl3_cas),
+        "sl3 h1*h2 + h1^2":
+            FlowProblem(sl3, sl3_text("h1*h2 + h1^2"), SL3_X0, 2.0, 1e-3, sl3_cas),
+        "sl3 fractional, constant term": FlowProblem(
+            sl3, sl3_text("1/3*h1^2*e12 - 7/2*e21 + 5"), SL3_X0, 0.5, 1e-3, sl3_cas
+        ),
+        "sl2 Casimir Hamiltonian":
+            FlowProblem(sl2, sl2_c2[0][1], [0.4, -0.7, 0.9], 1.0, 1e-3, sl2_c2),
+        "sl2 h1*e12 blow-up": FlowProblem(
+            sl2, parse_polynomial("h1*e12", 3, sl2.labels), [0.0, 1.0, 0.0], 1.0, 1e-3
+        ),
+    }
+
+
+def test_integrate_is_bit_identical_to_reference(
+    sl2, sl3, sl2_casimirs, sl3_casimirs, sl3_torus
+):
+    cases = _bit_identity_cases(sl2, sl3, sl2_casimirs, sl3_casimirs, sl3_torus)
+    outcomes = {name: _outcome(integrate, problem) for name, problem in cases.items()}
+    for name, problem in cases.items():
+        assert outcomes[name] == _outcome(reference_integrate, problem), name
+    kind, time = outcomes["sl2 h1*e12 blow-up"]
+    assert kind == "diverged" and time == pytest.approx(0.503)
+    # a Casimir's field is zero, so every state is the initial point
+    for name in ("sl3 C2", "sl3 C3", "sl2 Casimir Hamiltonian"):
+        problem = cases[name]
+        assert all(c.is_zero() for c in
+                   hamiltonian_vector_field(problem.algebra, problem.hamiltonian))
+        assert all(state == problem.x0 for state in outcomes[name][1])
+
+
+def test_monitor_with_thousands_of_terms(sl3):
+    # (h1 + h2 + e12 + ... + e32)^8 has C(15, 7) = 6,435 terms, beyond the
+    # ~3,000 at which one long `+` expression overflows CPython's compiler
+    linear = sum((Polynomial.variable(i, 8) for i in range(8)), Polynomial.zero(8))
+    big = linear.power(8)
+    assert len(big.terms) == 6435
+    problem = FlowProblem(
+        algebra=sl3,
+        hamiltonian=Polynomial.variable(0, 8),
+        x0=[0.3, -0.2, 0.25, -0.1, 0.15, 0.2, -0.3, 0.1],
+        t_final=0.01,
+        dt=1e-3,
+        monitors=[("big", big)],
+    )
+    assert _outcome(integrate, problem) == _outcome(reference_integrate, problem)
+
+
+def test_labels_never_reach_the_generated_source(tmp_path):
+    spec = {
+        "name": "sl2 with odd labels",
+        "dim": 3,
+        "labels": ["a-b", "x y", "1st"],
+        "structure": [
+            {"i": 0, "j": 1, "k": 1, "c": "2"},
+            {"i": 0, "j": 2, "k": 2, "c": "-2"},
+            {"i": 1, "j": 2, "k": 0, "c": "1"},
+        ],
+        "cartan_indices": [0],
+    }
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(spec))
+    alg = load_algebra(str(path))
+    ef = Polynomial.variable(1, 3) * Polynomial.variable(2, 3)
+    problem = FlowProblem(
+        algebra=alg,
+        hamiltonian=ef + Polynomial.variable(0, 3),
+        x0=[0.4, -0.7, 0.9],
+        t_final=1.0,
+        dt=1e-3,
+        monitors=[("x y", ef), ('"); raise SystemExit #', ef)],
+    )
+    outcome = _outcome(integrate, problem)
+    assert outcome[2] == ["H", "x y", '"); raise SystemExit #']
+    assert outcome == _outcome(reference_integrate, problem)
 
 
 def test_exponential_trajectory(sl2):
@@ -148,6 +263,26 @@ def test_problem_validation(sl2):
         FlowProblem(algebra=sl2, hamiltonian=h, x0=[1.0, 0.0, 0.0], t_final=-1.0, dt=0.1, monitors=[])
     with pytest.raises(ValueError):
         FlowProblem(algebra=sl2, hamiltonian=h, x0=[1.0, 0.0, 0.0], t_final=1.0, dt=0.0, monitors=[])
+
+
+@pytest.mark.parametrize(
+    "x0, t_final, dt",
+    [
+        pytest.param([1.0, 0.0, 0.0], math.inf, 0.1, id="infinite-horizon"),
+        pytest.param([1.0, 0.0, 0.0], math.nan, 0.1, id="nan-horizon"),
+        pytest.param([1.0, 0.0, 0.0], 1.0, math.nan, id="nan-step"),
+        pytest.param([1.0, 0.0, 0.0], 1.0, math.inf, id="infinite-step"),
+        pytest.param([1.0, 0.0, 0.0], 1e308, 1e-308, id="infinite-step-count"),
+        pytest.param([math.nan, 0.0, 0.0], 1.0, 0.1, id="nan-initial-point"),
+        pytest.param([1.0, -math.inf, 0.0], 1.0, 0.1, id="infinite-initial-point"),
+    ],
+)
+def test_problem_rejects_non_finite_inputs(sl2, x0, t_final, dt):
+    # each used to fail late: OverflowError from round(), "cannot convert
+    # float NaN to integer", or divergence reported at t = dt
+    with pytest.raises(ValueError):
+        FlowProblem(algebra=sl2, hamiltonian=Polynomial.variable(0, 3), x0=x0,
+                    t_final=t_final, dt=dt, monitors=[])
 
 
 def test_result_shapes_and_json(sl2):
