@@ -94,6 +94,7 @@ from .poly import (
     VectorField,
     dump_json,
     apply_vector_field,
+    brackets,
     gradient_rows,
     hamiltonian_field,
     lie_poisson_bracket,

@@ -2,10 +2,11 @@
 
 A chain is superintegrable when the base sits in the Poisson center of the
 intermediate algebra and the two transcendence degrees add up to the
-dimension of the Lie algebra.  Both conditions are decided exactly:bracket
-centrality by symbolic computation, transcendence degrees as generic Jacobian
-ranks over seeded integer points.  Because generator sets are computed up to
-a degree cap, a failed dimension identity with an intermediate rank below the
+dimension of the Lie algebra.  Both conditions are decided exactly: bracket
+centrality by the Lie-Poisson brackets of poly.brackets (one Hamiltonian field
+per base generator), transcendence degrees as generic Jacobian ranks over
+seeded integer points.  Because generator sets are computed up to a degree
+cap, a failed dimension identity with an intermediate rank below the
 orbit-complement prediction is reported as inconclusive rather than negative.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .algebra import (
@@ -21,7 +23,6 @@ from .algebra import (
     SubalgebraSpec,
     cartan_subalgebra,
     orbit_dimension,
-    sl_size,
 )
 from .casimir_mf import casimirs_by_kernel
 from .commutant import (
@@ -31,12 +32,7 @@ from .commutant import (
     membership,
     poisson_center_basis,
 )
-from .poly import (
-    Polynomial,
-    VectorField,
-    hamiltonian_field,
-    render_polynomial,
-)
+from .poly import Polynomial, brackets, render_polynomial
 from .sampling import DEFAULT_SEED, generic_jacobian_rank
 
 
@@ -49,10 +45,7 @@ class ChainFormationError(ValueError):
 
 
 def default_degree_cap(alg: LieAlgebra) -> int:
-    """Generation cap: n for the built-in sl(n) (longest cycle), rank+1 otherwise."""
-    n = sl_size(alg)
-    if n is not None:
-        return n
+    """Generation cap rank + 1: n for sl(n), the length of its longest cycle."""
     return alg.rank() + 1
 
 
@@ -95,22 +88,18 @@ class CentralityReport:
 def base_center_check(spec: ChainSpec) -> CentralityReport:
     """Exact brackets of every base generator against every intermediate one."""
     alg = spec.algebra
-    failures = []
-    count = 0
-    for b in spec.base.generators:
-        field_b = VectorField(hamiltonian_field(b.poly, alg))
-        for a in spec.intermediate.generators:
-            count += 1
-            br = field_b(a.poly)
-            if not br.is_zero():
-                failures.append(
-                    {
-                        "base": b.label,
-                        "intermediate": a.label,
-                        "bracket": render_polynomial(br, alg.labels),
-                    }
-                )
-    return CentralityReport(pair_count=count, failures=failures)
+    pairs = list(product(spec.base.generators, spec.intermediate.generators))
+    values = brackets(((b.poly, a.poly) for b, a in pairs), alg)
+    failures = [
+        {
+            "base": b.label,
+            "intermediate": a.label,
+            "bracket": render_polynomial(br, alg.labels),
+        }
+        for (b, a), br in zip(pairs, values)
+        if not br.is_zero()
+    ]
+    return CentralityReport(pair_count=len(pairs), failures=failures)
 
 
 @dataclass
@@ -230,10 +219,6 @@ def verify_chain(spec: ChainSpec, seed: int = DEFAULT_SEED) -> ChainReport:
 # chain builders
 
 
-def casimir_base(alg: LieAlgebra, max_degree: int) -> GeneratorSet:
-    return casimirs_by_kernel(alg, max_degree).gens
-
-
 def torus_chain(
     alg: LieAlgebra,
     max_degree: int | None = None,
@@ -247,7 +232,7 @@ def torus_chain(
     cap = default_degree_cap(alg) if max_degree is None else max_degree
     sub = cartan_subalgebra(alg)
     intermediate = generate(alg, sub, cap)
-    base = casimir_base(alg, cap)
+    base = casimirs_by_kernel(alg, cap).gens
     spec = ChainSpec(
         algebra=alg,
         subalgebra=sub,
@@ -405,7 +390,7 @@ def normalizer_chain_sln(
     sub = cartan_subalgebra(alg)
     torus = generate(alg, sub, min(cap, n) if max_degree is None else cap)
     averaged = reynolds_sl(alg, torus, cap)
-    base = casimir_base(alg, n)
+    base = casimirs_by_kernel(alg, n).gens
     spec = ChainSpec(
         algebra=alg,
         subalgebra=sub,
@@ -486,26 +471,21 @@ def j_map_casimir_check(
     sub = cartan_subalgebra(alg)
     torus = generate(alg, sub, cap)
     components = j_map_components(alg, max_degree=cap)
-    failures = []
-    zero_count = 0
-    for name, comp in components:
-        field_comp = VectorField(hamiltonian_field(comp, alg))
-        for g in torus.generators:
-            br = field_comp(g.poly)
-            if br.is_zero():
-                zero_count += 1
-            else:
-                failures.append(
-                    {
-                        "component": name,
-                        "generator": g.label,
-                        "bracket": render_polynomial(br, alg.labels),
-                    }
-                )
+    pairs = list(product(components, torus.generators))
+    values = brackets(((comp, g.poly) for (_, comp), g in pairs), alg)
+    failures = [
+        {
+            "component": name,
+            "generator": g.label,
+            "bracket": render_polynomial(br, alg.labels),
+        }
+        for ((name, _), g), br in zip(pairs, values)
+        if not br.is_zero()
+    ]
     return JMapReport(
         components=[name for name, _ in components],
         generator_labels=torus.labels(),
-        zero_bracket_count=zero_count,
+        zero_bracket_count=len(pairs) - len(failures),
         failures=failures,
         leaf_dim=leaf_dimension(alg, seed=seed),
     )

@@ -437,7 +437,7 @@ def cmd_chain_verify(cfg: RunConfig) -> int:
     base_spec = ns.base
     if base_spec == "casimirs" or base_spec.startswith("file:"):
         if base_spec == "casimirs":
-            base, kind = chains.casimir_base(alg, cap), "casimirs"
+            base, kind = casimirs_by_kernel(alg, cap).gens, "casimirs"
         else:
             base, kind = _load_generator_file(base_spec[5:], alg), "explicit"
         spec = ChainSpec(algebra=alg, subalgebra=sub, intermediate=generate(alg, sub, cap),
@@ -588,7 +588,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except FlowDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        # a state that is not finite at t = 0 is input out of range
+        return EXIT_NEGATIVE if exc.time else EXIT_INPUT
 
 
 def _stdout_to_devnull() -> None:

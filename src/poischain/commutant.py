@@ -55,8 +55,8 @@ from .poly import (
     _from_fractions,
     _make,
     apply_vector_field,
+    brackets,
     hamiltonian_field,
-    lie_poisson_bracket,
     linear_combination,
     parse_polynomial,
     polynomial_from_json,
@@ -695,17 +695,13 @@ def relation_basis(
             for mult in multipliers[shift]:
                 # a multiple's row is the relation's numerators, shifted
                 old.insert({col_index[key + mult]: v for key, v in rel.formal.num.items()})
-        fresh_vectors = []
+        fresh = []
         for vec in kernel:
-            row = linalg.row_from_rationals(vec)
-            red = old.reduce(row)
+            red = old.reduce(linalg.row_from_rationals(vec))
             if red:
                 old.insert(dict(red))
-                fresh_vectors.append(
-                    {ci: Fraction(v) for ci, v in red.items()}
-                )
-        for vec in linalg.canonical_rref(fresh_vectors):
-            formal = _from_fractions(nformal, {cols[ci]: c for ci, c in vec.items()})
+                fresh.append(_make(nformal, {cols[ci]: v for ci, v in red.items()}, 1))
+        for formal in _canonical_polys(fresh, nformal):
             relations.append(Relation(weighted_degree=d, formal=formal))
     return found
 
@@ -810,28 +806,25 @@ def bracket_closure_check(gens: GeneratorSet) -> ClosureReport:
     Each pairwise bracket of degrees (a, b) is searched for at weighted
     degree a + b - 1, the degree the bracket actually has.
     """
-    alg = gens.algebra
+    pairs = list(combinations_with_replacement(gens.generators, 2))
+    values = brackets(((gi.poly, gj.poly) for gi, gj in pairs), gens.algebra)
     entries = []
-    for i, gi in enumerate(gens.generators):
-        for gj in gens.generators[i:]:
-            br = lie_poisson_bracket(gi.poly, gj.poly, alg)
-            if br.is_zero():
-                entries.append(
-                    ClosureEntry(gi.label, gj.label, True, True, None)
-                )
-                continue
-            result = membership(br, gens, gi.degree + gj.degree - 1)
-            entries.append(
-                ClosureEntry(
-                    gi.label,
-                    gj.label,
-                    False,
-                    result.found,
-                    render_polynomial(result.expression, gens.labels())
-                    if result.found
-                    else None,
-                )
+    for (gi, gj), br in zip(pairs, values):
+        if br.is_zero():
+            entries.append(ClosureEntry(gi.label, gj.label, True, True, None))
+            continue
+        result = membership(br, gens, gi.degree + gj.degree - 1)
+        entries.append(
+            ClosureEntry(
+                gi.label,
+                gj.label,
+                False,
+                result.found,
+                render_polynomial(result.expression, gens.labels())
+                if result.found
+                else None,
             )
+        )
     return ClosureReport(entries)
 
 

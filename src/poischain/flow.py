@@ -139,21 +139,25 @@ def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowRes
     if sample_stride is None:
         sample_stride = max(1, steps // 1000)
 
-    x = [float(v) for v in problem.x0]
-    initial = evaluate(*x)
+    def checked(t: float, move: Callable, *args) -> tuple[list[float], list[float]]:
+        """The state move(*args) at time t and its monitor values, all finite."""
+        try:
+            x = move(*args)
+            current = evaluate(*x)
+        except OverflowError:
+            raise FlowDivergenceError(t)
+        if not (all(map(math.isfinite, x)) and all(map(math.isfinite, current))):
+            raise FlowDivergenceError(t)
+        return x, current
+
+    x, initial = checked(0.0, list, map(float, problem.x0))
     drifts = [0.0] * len(monitors)
     times = [0.0]
     states = [x]
     values = [initial]
     for i in range(1, steps + 1):
         t = i * problem.dt
-        try:
-            x = step(*x)
-            current = evaluate(*x)
-        except OverflowError:
-            raise FlowDivergenceError(t)
-        if not (all(map(math.isfinite, x)) and all(map(math.isfinite, current))):
-            raise FlowDivergenceError(t)
+        x, current = checked(t, step, *x)
         for j, drift in enumerate(map(abs, map(operator.sub, current, initial))):
             if drift > drifts[j]:
                 drifts[j] = drift

@@ -29,7 +29,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 W = 16  # bits per key field; unpack reads the fields as big-endian "H"
 _MASK = (1 << W) - 1
@@ -526,18 +526,33 @@ def apply_vector_field(field: Sequence[Polynomial], q: Polynomial) -> Polynomial
     return VectorField(field)(q)
 
 
+def brackets(
+    pairs: Iterable[tuple[Polynomial, Polynomial]], alg
+) -> Iterator[Polynomial]:
+    """The Lie-Poisson bracket {p, q} of each (p, q) pair, in order.
+
+    {p, q} = sum_j {p, x_j} d_j(q): q differentiated along the Hamiltonian
+    field of p.  The field is built once for each run of consecutive pairs
+    with equal p, so pairs grouped by their left element, as
+    itertools.product and the combinations functions give them, build one
+    field per left element.
+    """
+    left = field = None
+    for p, q in pairs:
+        if p != left:
+            left, field = p, VectorField(hamiltonian_field(p, alg))
+        yield field(q)
+
+
 def lie_poisson_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
     """Linear Poisson bracket {p, q} induced by the structure constants of alg.
 
     On coordinates {x_i, x_j} is the linear form with the structure constants
-    of [X_i, X_j]; the bracket extends by the Leibniz rule in each slot, so
-    {p, q} = sum_j {p, x_j} d_j(q): q differentiated along the Hamiltonian
-    field of p.  Callers bracketing one p against many q compute
-    hamiltonian_field(p, alg) once and apply it to each q.
+    of [X_i, X_j]; the bracket extends by the Leibniz rule in each slot.  The
+    one-pair case of `brackets`, which brackets one p against many q with
+    one field.
     """
-    if q.dim != alg.dim:
-        raise ValueError("polynomial dimension does not match the algebra")
-    return apply_vector_field(hamiltonian_field(p, alg), q)
+    return next(brackets([(p, q)], alg))
 
 
 def gradient_rows(

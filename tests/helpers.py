@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: random polynomials, span fingerprints,
-and slow reference routes for the kernel, bracket and product computations
-and for the flow integrator."""
+and slow reference routes for the kernel, bracket and product computations,
+the pairwise bracket checks and the flow integrator."""
 
 from __future__ import annotations
 
@@ -9,7 +9,25 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from poischain import Monomial, Polynomial, monomial_basis
+from poischain import (
+    Monomial,
+    Polynomial,
+    cartan_subalgebra,
+    generate,
+    leaf_dimension,
+    lie_poisson_bracket,
+    membership,
+    monomial_basis,
+    render_polynomial,
+)
+from poischain.casimir_mf import CommutativityReport
+from poischain.chains import (
+    CentralityReport,
+    JMapReport,
+    default_degree_cap,
+    j_map_components,
+)
+from poischain.commutant import ClosureEntry, ClosureReport
 from poischain.flow import FlowDivergenceError, FlowResult, hamiltonian_vector_field
 from poischain.linalg import (
     _eliminate,
@@ -383,3 +401,90 @@ def reference_integrate(problem, sample_stride: int | None = None):
         steps=steps,
         dt=problem.dt,
     )
+
+
+# ---------------------------------------------------------------------------
+# pairwise bracket checks, one lie_poisson_bracket call per pair
+
+
+def reference_base_center_check(spec) -> CentralityReport:
+    alg = spec.algebra
+    failures = []
+    count = 0
+    for b in spec.base.generators:
+        for a in spec.intermediate.generators:
+            count += 1
+            br = lie_poisson_bracket(b.poly, a.poly, alg)
+            if not br.is_zero():
+                failures.append(
+                    {
+                        "base": b.label,
+                        "intermediate": a.label,
+                        "bracket": render_polynomial(br, alg.labels),
+                    }
+                )
+    return CentralityReport(pair_count=count, failures=failures)
+
+
+def reference_j_map_casimir_check(alg) -> JMapReport:
+    cap = default_degree_cap(alg)
+    torus = generate(alg, cartan_subalgebra(alg), cap)
+    components = j_map_components(alg, max_degree=cap)
+    failures = []
+    zero_count = 0
+    for name, comp in components:
+        for g in torus.generators:
+            br = lie_poisson_bracket(comp, g.poly, alg)
+            if br.is_zero():
+                zero_count += 1
+            else:
+                failures.append(
+                    {
+                        "component": name,
+                        "generator": g.label,
+                        "bracket": render_polynomial(br, alg.labels),
+                    }
+                )
+    return JMapReport(
+        components=[name for name, _ in components],
+        generator_labels=torus.labels(),
+        zero_bracket_count=zero_count,
+        failures=failures,
+        leaf_dim=leaf_dimension(alg),
+    )
+
+
+def reference_mf_commutativity_check(mf) -> CommutativityReport:
+    bad = []
+    count = 0
+    gens = mf.generators
+    for i, gi in enumerate(gens):
+        for gj in gens[i + 1 :]:
+            count += 1
+            if not lie_poisson_bracket(gi.poly, gj.poly, mf.algebra).is_zero():
+                bad.append((gi.label, gj.label))
+    return CommutativityReport(pair_count=count, nonzero_pairs=bad)
+
+
+def reference_bracket_closure_check(gens) -> ClosureReport:
+    alg = gens.algebra
+    entries = []
+    for i, gi in enumerate(gens.generators):
+        for gj in gens.generators[i:]:
+            br = lie_poisson_bracket(gi.poly, gj.poly, alg)
+            if br.is_zero():
+                entries.append(ClosureEntry(gi.label, gj.label, True, True, None))
+                continue
+            result = membership(br, gens, gi.degree + gj.degree - 1)
+            entries.append(
+                ClosureEntry(
+                    gi.label,
+                    gj.label,
+                    False,
+                    result.found,
+                    render_polynomial(result.expression, gens.labels())
+                    if result.found
+                    else None,
+                )
+            )
+    return ClosureReport(entries)

@@ -440,6 +440,9 @@ _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
                      id="infinite-step"),
         pytest.param(_FLOW + ["--x0", "nan,1,1", "--t", "1", "--dt", "0.1"],
                      id="nan-initial-point"),
+        pytest.param(["flow", "--algebra", "sl2", "--hamiltonian", "h1^2",
+                      "--x0", "1e200,1,1", "--t", "1", "--dt", "0.1"],
+                     id="hamiltonian-overflows-at-initial-point"),
         pytest.param(["flow", "--algebra", "sl2", "--hamiltonian", "h1^70000",
                       "--x0", "1,1,1", "--t", "1", "--dt", "0.1"],
                      id="hamiltonian-degree-above-key-cap"),

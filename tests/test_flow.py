@@ -255,6 +255,16 @@ def test_divergence_detected(sl2):
     assert "non-finite state" in str(exc.value)
 
 
+def test_overflow_at_initial_point_diverges_at_time_zero(sl2):
+    # x0 is finite, but H = h1^2 is 1e400 there
+    h = parse_polynomial("h1^2", 3, sl2.labels)
+    prob = FlowProblem(algebra=sl2, hamiltonian=h, x0=[1e200, 1.0, 1.0],
+                       t_final=1.0, dt=0.1, monitors=[])
+    with pytest.raises(FlowDivergenceError) as exc:
+        integrate(prob)
+    assert exc.value.time == 0.0
+
+
 def test_problem_validation(sl2):
     h = Polynomial.variable(0, 3)
     with pytest.raises(ValueError):

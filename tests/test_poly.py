@@ -12,12 +12,14 @@ from poischain import (
     Monomial,
     Polynomial,
     apply_vector_field,
+    brackets,
     casimirs_by_kernel,
     direct_sum,
     hamiltonian_field,
     lie_poisson_bracket,
     parse_polynomial,
 )
+from poischain import poly
 from poischain.poly import (
     dump_json,
     polynomial_from_json,
@@ -216,6 +218,25 @@ def test_bracket_matches_double_sum_reference(name, sl2, sl3):
         for j, component in enumerate(field):
             x_j = Polynomial.variable(j, alg.dim)
             assert component == double_sum_bracket(p, x_j, alg)
+
+
+def test_brackets_build_one_field_per_run_of_equal_left_elements(sl3, monkeypatch):
+    a, b, x, y, z = (
+        parse_polynomial(text, sl3.dim, sl3.labels)
+        for text in ("h1*e12 + e23", "e12*e21 - h2^2", "e13*e31", "h1^2*e32", "e21 + 3")
+    )
+    # b.scale(1) is another object equal to b: it continues b's run
+    pairs = [(a, x), (a, y), (b, x), (b.scale(1), z), (a, z), (a, a)]
+    built = []
+    build = poly.hamiltonian_field
+    monkeypatch.setattr(
+        poly, "hamiltonian_field", lambda p, alg: built.append(p) or build(p, alg)
+    )
+    values = list(brackets(pairs, sl3))
+    assert built == [a, b, a]
+    monkeypatch.undo()
+    assert values == [double_sum_bracket(p, q, sl3) for p, q in pairs]
+    assert values == [lie_poisson_bracket(p, q, sl3) for p, q in pairs]
 
 
 def test_casimir_hamiltonian_fields_vanish(sl4):
