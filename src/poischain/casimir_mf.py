@@ -418,19 +418,19 @@ class SandwichReport:
 
 
 def sandwich_check(
-    cas: CasimirSet,
     mf: MFAlgebra,
     sub: SubalgebraSpec,
     seed: int = DEFAULT_SEED,
 ) -> SandwichReport:
-    """Certificate for the refined chain: Casimirs inside the shift family
-    inside the invariants of the subalgebra.
+    """Certificate for the refined chain: the Casimirs the family was built
+    from (mf.base) inside the shift family inside the invariants of the
+    subalgebra.
 
     The refinement is meaningful when the subalgebra's generic orbit
     dimension equals the rank; a mismatch is reported as a failed hypothesis
     while the two inclusions are still checked.
     """
-    alg = cas.algebra
+    alg = mf.algebra
     d_a = orbit_dimension(alg, sub, seed=seed)
     rank_g = alg.rank(seed=seed)
     notes = []
@@ -442,7 +442,7 @@ def sandwich_check(
         g.label.split(".")[0]: g.poly for g in mf.generators if "." not in g.label
     }
     casimirs_in = all(
-        order_zero.get(c.label) == c.poly for c in cas.generators
+        order_zero.get(c.label) == c.poly for c in mf.base.generators
     )
     inclusion = mf_inclusion_check(mf, sub)
     if not inclusion.agree:

@@ -416,7 +416,7 @@ def cmd_mf(cfg: RunConfig) -> int:
     code = EXIT_OK if commutativity.commutative else EXIT_NEGATIVE
     if ns.subalgebra:
         sub = load_subalgebra(ns.subalgebra, alg)
-        sandwich = sandwich_check(cas, mf, sub, seed=cfg.seed)
+        sandwich = sandwich_check(mf, sub, seed=cfg.seed)
         inclusion = sandwich.inclusion
         payload["inclusion"] = inclusion.to_json()
         payload["sandwich"] = sandwich.to_json()

@@ -522,14 +522,13 @@ def _generator_products(
 
 def indecomposables(
     alg: LieAlgebra,
-    sub: SubalgebraSpec,
     k: int,
     previous: Sequence[Generator],
     invariant: Sequence[Polynomial],
 ) -> list[Polynomial]:
     """New degree-k generators: a complement of the span of products of
     earlier generators inside the degree-k invariants (invariant, the basis
-    invariant_basis(alg, sub, k) returns), chosen by graded-lex pivot
+    invariant_basis returns at degree k), chosen by graded-lex pivot
     positions."""
     inv = list(invariant)
     if not inv:
@@ -577,7 +576,7 @@ def generate(
     for k in range(1, max_degree + 1):
         inv = invariant_basis(alg, sub, k)
         kernel_dims[k] = len(inv)
-        fresh = indecomposables(alg, sub, k, gens, inv)
+        fresh = indecomposables(alg, k, gens, inv)
         for idx, poly in enumerate(fresh, start=1):
             label = f"{label_prefix}{k}_{idx}" if len(fresh) > 1 else f"{label_prefix}{k}"
             gens.append(Generator(poly=poly, degree=k, label=label))

@@ -7,6 +7,11 @@ monomials p_{i1..id} = x_{i1 i2} x_{i2 i3} ... x_{id i1}.  This gives an
 independent combinatorial route to the same invariant algebra that the
 kernel pipeline computes, used as a cross-check oracle, plus the classical
 relation families among cycle generators.
+
+Where each h_i and x_ij sits among the coordinates is read off the basis
+matrices of algebra.builtin_sl (_sl_matrix_basis, _sl_matrix_coords): the
+edge of a coordinate, the monomial of a cycle and the image of a coordinate
+under an index permutation all come from those matrices.
 """
 
 from __future__ import annotations
@@ -14,10 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 from typing import Sequence
 
-from .algebra import LieAlgebra, builtin_sl, cartan_subalgebra, sl_size, _sl_matrix_coords
+from .algebra import (
+    LieAlgebra,
+    builtin_sl,
+    cartan_subalgebra,
+    sl_size,
+    _sl_matrix_basis,
+    _sl_matrix_coords,
+)
 from .commutant import (
     BudgetExceededError,
     Generator,
@@ -28,38 +41,28 @@ from .commutant import (
     invariant_basis,
     monomial_basis,
 )
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, _make, pack, variable_keys
 
 # cycles in one census: sl(9) has 125,664 and builds in seconds; sl(10) has
 # 1,112,073, which take over a minute and about 1 GB
 CENSUS_BUDGET = 200_000
 
 
-def sl_coordinate_roles(alg: LieAlgebra) -> list[tuple]:
-    """Role of each coordinate of a built-in sl(n): ("cartan", i) for the i-th
-    simple-root coordinate, ("edge", i, j) for the matrix-unit coordinate
-    x_{ij} (1-based indices)."""
+def _coordinate_edges(alg: LieAlgebra) -> tuple[tuple[int, int] | None, ...]:
+    """The directed edge (i, j) (1-based) of each coordinate of a built-in
+    sl(n), read off its basis matrix: the matrix unit E_ij gives (i, j), a
+    Cartan coordinate None.  Built once per algebra."""
+    return alg.derived("cycle edges", partial(_build_coordinate_edges, alg))
+
+
+def _build_coordinate_edges(alg: LieAlgebra) -> tuple[tuple[int, int] | None, ...]:
     n = sl_size(alg)
     if n is None:
         raise ValueError("cycle combinatorics requires the built-in sl(n) layout")
-    roles: list[tuple] = [("cartan", i + 1) for i in range(n - 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                roles.append(("edge", i, j))
-    return roles
-
-
-def edge_index(n: int) -> dict[tuple[int, int], int]:
-    """Coordinate index of x_{ij} in the built-in sl(n) basis (1-based i, j)."""
-    out = {}
-    idx = n - 1
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                out[(i, j)] = idx
-                idx += 1
-    return out
+    mats, _ = _sl_matrix_basis(n)
+    return tuple(
+        next(((r + 1, c + 1) for r, c in mat if r != c), None) for mat in mats
+    )
 
 
 @dataclass(frozen=True)
@@ -97,15 +100,13 @@ class CycleMonomial:
         return [(idx[u], idx[(u + 1) % len(idx)]) for u in range(len(idx))]
 
     def polynomial(self, n: int) -> Polynomial:
-        index = edge_index(n)
+        """The product of the coordinates of the cycle's matrix units: its
+        edges are distinct, so each coordinate has exponent one."""
         if any(i > n for i in self.indices):
             raise ValueError(f"cycle uses indices beyond n={n}")
-        counts: dict[int, int] = {}
-        for e in self.edges():
-            v = index[e]
-            counts[v] = counts.get(v, 0) + 1
+        units = {(i - 1, j - 1): 1 for i, j in self.edges()}
         dim = n * n - 1
-        return Polynomial.term(dim, 1, counts.items())
+        return _make(dim, {pack(_sl_matrix_coords(units, n).items(), dim): 1}, 1)
 
 
 @dataclass
@@ -117,18 +118,13 @@ class ExponentGraph:
 
     @classmethod
     def from_monomial(cls, mono: Monomial, alg: LieAlgebra) -> "ExponentGraph":
-        return cls.from_roles(mono, sl_coordinate_roles(alg))
-
-    @classmethod
-    def from_roles(cls, mono: Monomial, roles: Sequence[tuple]) -> "ExponentGraph":
-        """The graph of the monomial, given the sl_coordinate_roles of its
-        algebra: callers that check many monomials compute those once."""
+        coordinate_edges = _coordinate_edges(alg)
         edges: dict[tuple[int, int], int] = {}
         for var, exp in mono.exps:
-            role = roles[var]
-            if role[0] == "edge":
-                edges[(role[1], role[2])] = edges.get((role[1], role[2]), 0) + exp
-        return cls(n=math.isqrt(len(roles) + 1), edges=edges)
+            edge = coordinate_edges[var]
+            if edge is not None:
+                edges[edge] = edges.get(edge, 0) + exp
+        return cls(n=math.isqrt(alg.dim + 1), edges=edges)
 
     def is_balanced(self) -> bool:
         defect: dict[int, int] = {}
@@ -214,7 +210,7 @@ def enumerate_cycle_generators(n: int) -> GeneratorSet:
         )
     alg = builtin_sl(n)
     gens: list[Generator] = []
-    for i in range(n - 1):
+    for i in alg.cartan_indices:
         gens.append(
             Generator(
                 poly=Polynomial.variable(i, alg.dim),
@@ -320,7 +316,7 @@ def _check_family_one(n: int) -> FamilyResult:
     )
 
 
-def _check_family_two(n: int) -> FamilyResult:
+def _check_family_two(n: int, all_pairs: Polynomial) -> FamilyResult:
     """All-pairs product identity: the product of every two-cycle equals the
     full cycle, times its reversal, times the two-cycles on non-adjacent
     pairs."""
@@ -337,11 +333,6 @@ def _check_family_two(n: int) -> FamilyResult:
             convention=convention,
             skipped="degenerate at n = 2 (no non-adjacent pairs; identity has no content)",
         )
-    dim = n * n - 1
-    lhs = math.prod(
-        (_two_cycle(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
-        start=Polynomial.one(dim),
-    )
     full = CycleMonomial(tuple(range(1, n + 1))).polynomial(n)
     reversed_full = CycleMonomial((1,) + tuple(range(n, 1, -1))).polynomial(n)
     chords = [
@@ -351,23 +342,19 @@ def _check_family_two(n: int) -> FamilyResult:
         if not (i == 1 and j == n)
     ]
     rhs = math.prod(chords, start=full * reversed_full)
-    failures = [] if lhs == rhs else ["all-pairs instance"]
+    failures = [] if all_pairs == rhs else ["all-pairs instance"]
     return FamilyResult(
         family="ii", instances_checked=1, failures=failures, convention=convention
     )
 
 
-def _check_family_three(n: int, budget: int) -> FamilyResult:
+def _check_family_three(n: int, all_pairs: Polynomial, budget: int) -> FamilyResult:
     """Power identity per cycle length: the product of all oriented k-cycles
     equals the product of all two-cycles raised to the count of k-cycles
     through a fixed directed edge."""
     dim = n * n - 1
     checked = 0
     failures = []
-    all_pairs = math.prod(
-        (_two_cycle(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
-        start=Polynomial.one(dim),
-    )
     for k in range(2, n + 1):
         cycles = all_cycles(n, k)
         checked += 1
@@ -400,10 +387,15 @@ def relation_families_check(n: int, budget: int = 5000) -> RelationFamiliesRepor
         raise ValueError("need n >= 2")
     if sum(math.perm(n, k) for k in range(2, n + 1)) > budget:
         raise BudgetExceededError(f"family (i) exceeded {budget} instances")
+    # the product of every two-cycle: the left side of (ii), the base of (iii)
+    all_pairs = math.prod(
+        (_two_cycle(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
+        start=Polynomial.one(n * n - 1),
+    )
     results = [
         _check_family_one(n),
-        _check_family_two(n),
-        _check_family_three(n, budget),
+        _check_family_two(n, all_pairs),
+        _check_family_three(n, all_pairs, budget),
     ]
     return RelationFamiliesReport(n=n, results=results)
 
@@ -450,13 +442,12 @@ def oracle_cross_check(n: int, k_max: int) -> OracleReport:
     kernel-computed invariants (two fully independent computations)."""
     alg = builtin_sl(n)
     sub = cartan_subalgebra(alg)
-    roles = sl_coordinate_roles(alg)
     results = []
     for k in range(1, k_max + 1):
         balanced = [
             m
             for m in monomial_basis(alg.dim, k)
-            if ExponentGraph.from_roles(m, roles).is_balanced()
+            if ExponentGraph.from_monomial(m, alg).is_balanced()
         ]
         kernel = invariant_basis(alg, sub, k)
         balanced_polys = [Polynomial(alg.dim, {m: Fraction(1)}) for m in balanced]
@@ -491,20 +482,12 @@ def sl_weyl_images(alg: LieAlgebra, sigma: Sequence[int]) -> list[Polynomial]:
         raise ValueError("the permutation action needs the built-in sl(n) layout")
     if sorted(sigma) != list(range(n)):
         raise ValueError("sigma must be a permutation of 0..n-1")
-    roles = sl_coordinate_roles(alg)
+    keys = variable_keys(alg.dim)
     images: list[Polynomial] = []
-    for role in roles:
-        if role[0] == "edge":
-            _, i, j = role
-            si, sj = sigma[i - 1] + 1, sigma[j - 1] + 1
-            images.append(Polynomial.variable(edge_index(n)[(si, sj)], alg.dim))
-        else:
-            i = role[1]
-            mat = {(sigma[i - 1], sigma[i - 1]): 1, (sigma[i], sigma[i]): -1}
-            acc = Polynomial.zero(alg.dim)
-            for v, c in _sl_matrix_coords(mat, n).items():
-                acc = acc + Polynomial.variable(v, alg.dim).scale(c)
-            images.append(acc)
+    for mat in _sl_matrix_basis(n)[0]:
+        moved = {(sigma[r], sigma[c]): v for (r, c), v in mat.items()}
+        coords = _sl_matrix_coords(moved, n)
+        images.append(_make(alg.dim, {keys[v]: c for v, c in coords.items()}, 1))
     return images
 
 

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random polynomials, span fingerprints,
 and slow reference routes for the kernel, bracket and product computations,
-the pairwise bracket checks and the flow integrator."""
+the pairwise bracket checks, the flow integrator and the sl(n) cycle
+coordinates."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from poischain import (
     monomial_basis,
     render_polynomial,
 )
+from poischain.algebra import _sl_matrix_coords, sl_size
 from poischain.casimir_mf import CommutativityReport
 from poischain.chains import (
     CentralityReport,
@@ -488,3 +490,54 @@ def reference_bracket_closure_check(gens) -> ClosureReport:
                 )
             )
     return ClosureReport(entries)
+
+
+# ---------------------------------------------------------------------------
+# cycle combinatorics from the sl(n) index arithmetic, without the basis
+# matrices
+
+
+def reference_edge_index(n: int) -> dict[tuple[int, int], int]:
+    """Coordinate index of x_{ij} in the built-in sl(n) basis (1-based i, j):
+    the n - 1 Cartan coordinates, then the matrix units row by row."""
+    out = {}
+    idx = n - 1
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                out[(i, j)] = idx
+                idx += 1
+    return out
+
+
+def reference_cycle_polynomial(cycle, n: int) -> Polynomial:
+    index = reference_edge_index(n)
+    counts: dict[int, int] = {}
+    for e in cycle.edges():
+        v = index[e]
+        counts[v] = counts.get(v, 0) + 1
+    return Polynomial.term(n * n - 1, 1, counts.items())
+
+
+def reference_sl_weyl_images(alg, sigma) -> list[Polynomial]:
+    """Coordinate images under the index permutation sigma: an edge
+    coordinate x_ij goes to x_{sigma(i) sigma(j)}, and a Cartan coordinate
+    h_i to the expansion of its permuted diagonal matrix."""
+    n = sl_size(alg)
+    roles = [("cartan", i + 1) for i in range(n - 1)] + [
+        ("edge", i, j) for i, j in reference_edge_index(n)
+    ]
+    images: list[Polynomial] = []
+    for role in roles:
+        if role[0] == "edge":
+            _, i, j = role
+            si, sj = sigma[i - 1] + 1, sigma[j - 1] + 1
+            images.append(Polynomial.variable(reference_edge_index(n)[(si, sj)], alg.dim))
+        else:
+            i = role[1]
+            mat = {(sigma[i - 1], sigma[i - 1]): 1, (sigma[i], sigma[i]): -1}
+            acc = Polynomial.zero(alg.dim)
+            for v, c in _sl_matrix_coords(mat, n).items():
+                acc = acc + Polynomial.variable(v, alg.dim).scale(c)
+            images.append(acc)
+    return images

@@ -23,7 +23,6 @@ from poischain import (
     cartan_subalgebra,
     casimirs_by_kernel,
     enumerate_cycle_generators,
-    generate,
     integrate,
     is_invariant,
     j_map_casimir_check,

@@ -2,11 +2,8 @@
 
 from fractions import Fraction
 
-import pytest
-
 from poischain import (
     LieAlgebra,
-    builtin_sl,
     cartan_subalgebra,
     casimir_count_check,
     casimirs_by_kernel,
@@ -17,7 +14,6 @@ from poischain import (
     mf_generators,
     mf_inclusion_check,
     mf_rank_check,
-    parse_polynomial,
     sandwich_check,
     span_subalgebra,
     trace_casimirs_sln,
@@ -185,7 +181,7 @@ def test_mf_inclusion_both_directions(sl3, sl3_casimirs):
 def test_sandwich_cartan(sl3, sl3_casimirs):
     cart = cartan_subalgebra(sl3)
     mf = mf_generators(sl3_casimirs, sl3_mu_regular())
-    rep = sandwich_check(sl3_casimirs, mf, cart)
+    rep = sandwich_check(mf, cart)
     assert rep.d_a == 2 and rep.rank == 2
     assert rep.hypothesis_met and rep.casimirs_in_family
     assert rep.inclusion.included
@@ -195,7 +191,7 @@ def test_sandwich_cartan(sl3, sl3_casimirs):
 def test_sandwich_hypothesis_failure(sl3, sl3_casimirs):
     one_dim = span_subalgebra([[F(1), F(2)] + [F(0)] * 6], abelian=True)
     mf = mf_generators(sl3_casimirs, sl3_mu_regular())
-    rep = sandwich_check(sl3_casimirs, mf, one_dim)
+    rep = sandwich_check(mf, one_dim)
     assert not rep.hypothesis_met
     assert rep.d_a == 1 and rep.rank == 2
     assert any("hypothesis fails" in n for n in rep.notes)

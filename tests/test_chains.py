@@ -10,7 +10,6 @@ from poischain import (
     ChainSpec,
     base_center_check,
     base_existence_verdict,
-    builtin_sl,
     cartan_subalgebra,
     casimirs_by_kernel,
     fiber_ideal_generators,

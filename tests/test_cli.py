@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from poischain import builtin_sl, cli, cycles, dump_json, parse_polynomial
+from poischain import builtin_sl, cli, cycles, dump_json
 from poischain.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,

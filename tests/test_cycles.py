@@ -13,7 +13,6 @@ from poischain import (
     cartan_subalgebra,
     cycle_decompose,
     enumerate_cycle_generators,
-    generate,
     is_invariant,
     oracle_cross_check,
     parse_polynomial,
@@ -22,16 +21,18 @@ from poischain import (
     reynolds_sl,
 )
 from poischain import cycles
+from poischain.algebra import LieAlgebra, _sl_labels
 from poischain.commutant import BudgetExceededError
 from poischain.cycles import (
+    _coordinate_edges,
     all_cycles,
-    edge_index,
     phi_exponent,
-    sl_coordinate_roles,
     sl_weyl_images,
     weyl_permute,
 )
 from poischain.poly import Monomial, Polynomial
+
+from helpers import reference_cycle_polynomial, reference_sl_weyl_images
 
 F = Fraction
 
@@ -63,16 +64,57 @@ def test_cycle_polynomial(sl3):
     assert q.render(sl3.labels) == "e13*e21*e32"
 
 
-def test_coordinate_roles_and_edge_index(sl2):
-    assert sl_coordinate_roles(sl2) == [("cartan", 1), ("edge", 1, 2), ("edge", 2, 1)]
-    assert edge_index(3) == {
-        (1, 2): 2,
-        (1, 3): 3,
-        (2, 1): 4,
-        (2, 3): 5,
-        (3, 1): 6,
-        (3, 2): 7,
-    }
+def _edges_from_labels(labels):
+    """(i, j) from e<i><j> or e<i>_<j>, None from h<i>."""
+    out = []
+    for label in labels:
+        if label.startswith("h"):
+            out.append(None)
+        elif "_" in label:
+            i, j = label[1:].split("_")
+            out.append((int(i), int(j)))
+        else:
+            out.append((int(label[1]), int(label[2])))
+    return out
+
+
+def test_coordinate_edges_agree_with_labels():
+    for n in range(2, 13):
+        alg = builtin_sl(n)
+        for separator in ("", "_"):
+            if n >= 10 and not separator:
+                continue  # e111 is ambiguous: from sl(10) on, only e1_11 exists
+            labelled = LieAlgebra(
+                name=alg.name,
+                dim=alg.dim,
+                labels=tuple(_sl_labels(n, separator)),
+                structure=alg.structure,
+                cartan_indices=alg.cartan_indices,
+            )
+            edges = _coordinate_edges(labelled)
+            assert list(edges) == _edges_from_labels(labelled.labels)
+            assert edges.count(None) == n - 1
+
+
+def test_coordinate_edges_need_the_sl_layout(sl2):
+    renamed = LieAlgebra(
+        name="x",
+        dim=3,
+        labels=("a", "b", "c"),
+        structure=sl2.structure,
+        cartan_indices=sl2.cartan_indices,
+    )
+    with pytest.raises(ValueError, match="built-in sl"):
+        balance_check(Monomial(((1, 1),)), renamed)
+
+
+def test_cycle_polynomial_matches_index_arithmetic():
+    for n in range(2, 6):
+        for length in range(2, n + 1):
+            for cyc in all_cycles(n, length):
+                assert cyc.polynomial(n) == reference_cycle_polynomial(cyc, n)
+    with pytest.raises(ValueError, match="beyond n=3"):
+        CycleMonomial((1, 4)).polynomial(3)
 
 
 def test_balance_examples(sl3):
@@ -113,8 +155,7 @@ def test_cycle_decompose_reassembles_every_balanced_monomial():
     """For every balanced pure-edge monomial the cycle product is the input."""
     for n in (3, 4):
         alg = builtin_sl(n)
-        roles = sl_coordinate_roles(alg)
-        edge_vars = [i for i, r in enumerate(roles) if r[0] == "edge"]
+        edge_vars = [v for v, e in enumerate(_coordinate_edges(alg)) if e is not None]
         max_deg = 4 if n == 4 else 6
         for deg in range(1, max_deg + 1):
             for combo in combinations_with_replacement(edge_vars, deg):
@@ -220,10 +261,25 @@ def test_oracle_cross_check(sl2, sl3):
     assert [d.kernel_dim for d in rep3.per_degree][:3] == [2, 6, 12]
 
 
+def test_oracle_cross_check_sl10():
+    # two-digit indices: the e1_10 label form
+    assert oracle_cross_check(10, 2).all_equal
+
+
 def test_weyl_images_transposition(sl3):
     imgs = sl_weyl_images(sl3, (1, 0, 2))
     rendered = [q.render(sl3.labels) for q in imgs]
     assert rendered == ["-h1", "h1 + h2", "e21", "e23", "e12", "e13", "e32", "e31"]
+
+
+def test_weyl_images_match_index_arithmetic():
+    for n in (3, 4):
+        alg = builtin_sl(n)
+        for sigma in permutations(range(n)):
+            assert sl_weyl_images(alg, sigma) == reference_sl_weyl_images(alg, sigma)
+    sl10 = builtin_sl(10)
+    for sigma in ((1, 0) + tuple(range(2, 10)), tuple(range(8)) + (9, 8)):
+        assert sl_weyl_images(sl10, sigma) == reference_sl_weyl_images(sl10, sigma)
 
 
 def test_weyl_permute_is_a_poisson_map(sl3):
