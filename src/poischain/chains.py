@@ -151,11 +151,13 @@ class ChainReport:
 def _check_base_containment(spec: ChainSpec) -> None:
     for b in spec.base.generators:
         budget = max(b.degree, b.poly.degree or 0, 1)
-        result = membership(b.poly, spec.intermediate, budget)
-        if not result.found:
+        # only the status is kept, so no expression outlives its call: at
+        # sl(7) the one of C7 holds about 10^5 formal keys of 5 KB each
+        status = membership(b.poly, spec.intermediate, budget).status
+        if status != "found":
             raise ChainFormationError(
                 f"base generator {b.label!r} is not contained in the "
-                f"intermediate algebra (membership status: {result.status}); "
+                f"intermediate algebra (membership status: {status}); "
                 "the chain is ill-formed or the degree cap is too small",
                 witness=b.label,
             )

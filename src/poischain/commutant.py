@@ -33,7 +33,22 @@ applied.
 Relations, membership and new generators all range over the formal
 generator monomials of one weighted degree (a generator weighs its degree).
 One walk over generator multisets, _formal_monomials, lists them as packed
-keys with their products; its count table gives their number beforehand.
+keys, each with a value built along the walk (its product, or its product
+term); its count table gives their number beforehand.
+
+When every generator is a single term c*x^a, as the torus generators of the
+built-in sl(n) are, the answers need no product and no elimination.  A
+formal monomial then expands to one term, whose key is the sum of its
+factors' keys, so the relations are binomials (the toric ideal of a
+monomial map; Sturmfels, Groebner Bases and Convex Polytopes, ch. 4).
+Formal monomials with equal product keys form rank-one blocks, and each
+later member of a block gives one kernel row against the first.  In
+membership, each term of p goes to the product of its monomial with the
+greatest formal key: the first column in column order, the one an exact
+solve would pivot on.  In indecomposables, when the invariants are
+monomials too, the new generators are those whose key is no product key.
+A set with one generator of several terms (Casimirs, shift families,
+generator files) takes the general route of products and elimination.
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import linalg
 from .algebra import LieAlgebra, SubalgebraSpec, Vector, vector_row
@@ -65,6 +80,8 @@ from .poly import (
     variable_keys,
 )
 from .sampling import generic_jacobian_rank
+
+T = TypeVar("T")
 
 
 class BudgetExceededError(RuntimeError):
@@ -447,9 +464,13 @@ def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polyno
     if k == 0:
         return [Polynomial.one(alg.dim)]
     ops = _invariance_operators(alg, sub)
-    basis = [
-        _make(alg.dim, {key: 1}, 1) for key in _zero_weight_monomials(ops.weights, k)
-    ]
+    # the keys depend only on the weights, which the Cartan and the full
+    # subalgebra share, so they are built once per algebra and degree
+    zero_weight = alg.derived(
+        ("zero weight monomials", ops.weights, k),
+        partial(_zero_weight_monomials, ops.weights, k),
+    )
+    basis = [_make(alg.dim, {key: 1}, 1) for key in zero_weight]
     if not ops.others:
         return basis
     for _, field in ops.others:
@@ -475,40 +496,56 @@ def _formal_counts(weights: Sequence[int], degree: int) -> list[list[int]]:
 
 
 def _formal_monomials(
-    weights: Sequence[int], degree: int, polys: Sequence[Polynomial] | None = None
-) -> Iterator[tuple[int, Polynomial | None]]:
+    weights: Sequence[int],
+    degree: int,
+    root: T,
+    extend: Callable[[T, int], T] | None = None,
+) -> Iterator[tuple[int, T]]:
     """The formal monomials of weighted degree `degree`, one variable per
-    generator, as (key, expansion) pairs, depth first over the multisets of
+    generator, as (key, value) pairs, depth first over the multisets of
     generators in generator order.
 
-    A key is its prefix's key plus the key of its last variable.  With
-    polys, an expansion is its prefix's expansion times polys[i], one
-    multiplication; without, it is None.  Generator i is entered only when
-    counts[i] (_formal_counts) says generators i.. can still complete the
-    degree, and the loop stops at the first i from which they cannot.
+    A key is its prefix's key plus the key of its last variable i, and a
+    value is extend(prefix value, i), from root at the empty prefix (root
+    throughout without extend).  Generator i is entered only when counts[i]
+    (_formal_counts) says generators i.. can still complete the degree; the
+    counts never grow with i, so those i form a range.  The walk is one
+    explicit stack of open prefixes, each with the next generator to try.
     """
     counts = _formal_counts(weights, degree)
     keys = variable_keys(len(weights))
+    # stop[t]: generators i.. can make weight t exactly when i < stop[t]
+    stop = [sum(1 for row in counts if row[t]) for t in range(degree + 1)]
 
-    def walk(start: int, left: int, key: int, acc: Polynomial | None):
-        if not left:
-            yield key, acc
+    def walk() -> Iterator[tuple[int, T]]:
+        if not degree:
+            yield 0, root
             return
-        for i in range(start, len(weights)):
-            if not counts[i][left]:
-                return
-            rest = left - weights[i]
-            if rest >= 0 and counts[i][rest]:
-                prod = None if polys is None else polys[i] if acc is None else acc * polys[i]
-                yield from walk(i, rest, key + keys[i], prod)
+        frames = [[0, degree, 0, root]]
+        while frames:
+            frame = frames[-1]
+            start, left, key, value = frame
+            for i in range(start, stop[left]):
+                rest = left - weights[i]
+                if rest >= 0 and counts[i][rest]:
+                    break
+            else:
+                frames.pop()
+                continue
+            frame[0] = i + 1
+            child = value if extend is None else extend(value, i)
+            if rest:
+                frames.append([i, rest, key + keys[i], child])
+            else:
+                yield key + keys[i], child
 
-    return walk(0, degree, 0, None)
+    return walk()
 
 
 def _formal_columns(weights: Sequence[int], d: int) -> list[int]:
     """The keys of the formal monomials of weighted degree d, graded-lex
     descending: the column order."""
-    return sorted((key for key, _ in _formal_monomials(weights, d)), reverse=True)
+    return sorted((key for key, _ in _formal_monomials(weights, d, None)), reverse=True)
 
 
 def _generator_products(
@@ -517,7 +554,77 @@ def _generator_products(
     """The (formal key, product) pairs of the generator products of weighted
     degree `degree`, each generator weighing its degree, from the walk of
     _formal_monomials: each product is one multiplication of its prefix."""
-    return _formal_monomials([g.degree for g in gens], degree, [g.poly for g in gens])
+    polys = [g.poly for g in gens]
+
+    def extend(prod: Polynomial | None, i: int) -> Polynomial:
+        return polys[i] if prod is None else prod * polys[i]
+
+    return _formal_monomials([g.degree for g in gens], degree, None, extend)
+
+
+def _product_kernel(
+    gens: Sequence[Generator], degree: int
+) -> tuple[list[int], list[linalg.Row]]:
+    """The formal columns of weighted degree `degree` and a kernel basis of
+    their expansions, as integer rows, by elimination over the products."""
+    cols = _formal_columns([g.degree for g in gens], degree)
+    col_index = {key: i for i, key in enumerate(cols)}
+    images = ((col_index[key], prod) for key, prod in _generator_products(gens, degree))
+    kernel = _kernel_of_images(images, len(cols))
+    return cols, [linalg.row_from_rationals(vec) for vec in kernel]
+
+
+Term = tuple[int, int, int]  # (monomial key, numerator, denominator)
+
+
+def _single_terms(gens: Sequence[Generator]) -> list[Term] | None:
+    """Each generator as its one term c*x^a, (a, numerator, denominator) of
+    c; None unless every generator is a single term."""
+    terms = []
+    for g in gens:
+        if len(g.poly.num) != 1:
+            return None
+        ((key, num),) = g.poly.num.items()
+        terms.append((key, num, g.poly.den))
+    return terms
+
+
+def _term_products(
+    weights: Sequence[int], terms: Sequence[Term], degree: int
+) -> Iterator[tuple[int, Term]]:
+    """The (formal key, product term) pairs of weighted degree `degree` for
+    single-term generators: a product's monomial key is the sum of its
+    factors' keys, and its numerator and denominator are their products."""
+
+    def extend(prod: Term, i: int) -> Term:
+        key, num, den = terms[i]
+        return prod[0] + key, prod[1] * num, prod[2] * den
+
+    return _formal_monomials(weights, degree, (0, 1, 1), extend)
+
+
+def _binomial_kernel(
+    weights: Sequence[int], terms: Sequence[Term], degree: int
+) -> tuple[list[int], list[linalg.Row]]:
+    """The formal columns of weighted degree `degree` and a kernel basis of
+    their expansions, for single-term generators.
+
+    Columns whose products share a monomial key form rank-one blocks, and
+    every other member j of a block gives the kernel row
+    n_j*d_0*e_0 - n_0*d_j*e_j against its first member 0 (the product of
+    column j is n_j/d_j times the monomial); columns alone in their block
+    meet no kernel vector."""
+    leaves = sorted(
+        _term_products(weights, terms, degree), key=itemgetter(0), reverse=True
+    )
+    heads: dict[int, tuple[int, int, int]] = {}
+    kernel = []
+    for col, (_, (key, num, den)) in enumerate(leaves):
+        head = heads.setdefault(key, (col, num, den))
+        if head[0] != col:
+            col0, num0, den0 = head
+            kernel.append({col0: num * den0, col: -num0 * den})
+    return [key for key, _ in leaves], kernel
 
 
 def indecomposables(
@@ -529,14 +636,28 @@ def indecomposables(
     """New degree-k generators: a complement of the span of products of
     earlier generators inside the degree-k invariants (invariant, the basis
     invariant_basis returns at degree k), chosen by graded-lex pivot
-    positions."""
+    positions.  When the earlier generators and the invariants are all
+    single terms, that complement is the invariant monomials whose keys are
+    no product's key."""
     inv = list(invariant)
     if not inv:
         return []
-    keys, index = _graded_lex_index(inv)
     lower = sorted(
         (g for g in previous if g.degree < k), key=lambda g: (g.degree, g.label)
     )
+    terms = _single_terms(lower)
+    if terms is not None and all(len(b.num) == 1 for b in inv):
+        # single terms throughout: a monomial is new unless a product is it
+        products = _term_products([g.degree for g in lower], terms, k)
+        made = {key for _, (key, _, _) in products}
+        out = []
+        for b in inv:
+            (key,) = b.num
+            if key not in made:
+                made.add(key)
+                out.append(b.monic())
+        return out
+    keys, index = _graded_lex_index(inv)
     # rows hold numerators: a row's scale changes neither the span nor,
     # after monic(), the generators read off it
     ech = linalg.Echelon()
@@ -647,7 +768,10 @@ def relation_basis(
     degree first, so a degree over column_budget raises BudgetExceededError
     before any degree's columns or products are built.  Per degree, the walk
     gives the column keys, then the expansions, each product one
-    multiplication; nothing is kept from one degree to the next.
+    multiplication, and the kernel comes by elimination; when every
+    generator is a single term, one walk gives keys and product terms, and
+    the kernel is read off the blocks of equal product keys
+    (_binomial_kernel).  Nothing is kept from one degree to the next.
     Multiples of relations found in lower degree are reduced away, so every
     reported relation is new; it is given in reduced echelon form over the
     formal monomials, ordered by (total degree, exponents) descending.
@@ -671,20 +795,17 @@ def relation_basis(
                 f"{counts[d]} formal monomials at weighted degree {d}", degree=d
             )
     relations = found.relations
+    terms = _single_terms(gens.generators)
     for d in range(1, max_total_degree + 1):
         if not counts[d]:
             continue
-        cols = _formal_columns(weights, d)
-        col_index = {key: i for i, key in enumerate(cols)}
-        kernel = _kernel_of_images(
-            (
-                (col_index[key], prod)
-                for key, prod in _generator_products(gens.generators, d)
-            ),
-            len(cols),
-        )
+        if terms is None:
+            cols, kernel = _product_kernel(gens.generators, d)
+        else:
+            cols, kernel = _binomial_kernel(weights, terms, d)
         if not kernel:
             continue
+        col_index = {key: i for i, key in enumerate(cols)}
         old = linalg.Echelon()
         multipliers: dict[int, list[int]] = {}
         for rel in relations:
@@ -696,7 +817,7 @@ def relation_basis(
                 old.insert({col_index[key + mult]: v for key, v in rel.formal.num.items()})
         fresh = []
         for vec in kernel:
-            red = old.reduce(linalg.row_from_rationals(vec))
+            red = old.reduce(vec)
             if red:
                 old.insert(dict(red))
                 fresh.append(_make(nformal, {cols[ci]: v for ci, v in red.items()}, 1))
@@ -730,7 +851,10 @@ def membership(
     """Express p as a polynomial in the generators, weighted degree capped.
 
     The result is an expression in one formal variable per generator, or a
-    'not found up to the budget' verdict (which is not a disproof).
+    'not found up to the budget' verdict (which is not a disproof).  Each
+    homogeneous component is solved over the generator products of its
+    degree (_solve_by_products), or, for single-term generators, term by
+    term (_solve_by_factors), with the same result.
     """
     deg = p.degree
     if deg is not None and deg > max_total_degree:
@@ -740,30 +864,65 @@ def membership(
     ):
         return MembershipResult("not_invariant")
     nformal = len(gens.generators)
+    terms = _single_terms(gens.generators)
     # formal monomials of different weighted degrees never coincide
     expression: dict[int, Fraction] = {}
     for d, component in p.homogeneous_components().items():
         if d == 0:
             expression[0] = Fraction(component.num[0], component.den)
             continue
-        # the products in column order, graded-lex descending by formal key
-        products = sorted(
-            _generator_products(gens.generators, d), key=itemgetter(0), reverse=True
-        )
-        if not products:
-            return MembershipResult("not_found_up_to_budget")
-        # the rows are numerators, product i times its den, and the target is
-        # the component times its den, so y solves it iff y_i * prod.den / den
-        # are the coefficients of the products
-        coeffs = linalg.express_in_rowspace(
-            [prod.num for _, prod in products], component.num
-        )
+        if terms is None:
+            coeffs = _solve_by_products(gens.generators, d, component)
+        else:
+            coeffs = _solve_by_factors(gens.degrees(), terms, d, component)
         if coeffs is None:
             return MembershipResult("not_found_up_to_budget")
-        for (key, prod), y in zip(products, coeffs):
-            if y:
-                expression[key] = y * prod.den / component.den
+        expression.update(coeffs)
     return MembershipResult("found", _from_fractions(nformal, expression))
+
+
+def _solve_by_products(
+    gens: Sequence[Generator], degree: int, component: Polynomial
+) -> dict[int, Fraction] | None:
+    """The coefficients, by formal key, of generator products of weighted
+    degree `degree` that sum to the component, from one exact solve over
+    the products in column order; None when there is no solution."""
+    # the products in column order, graded-lex descending by formal key
+    products = sorted(
+        _generator_products(gens, degree), key=itemgetter(0), reverse=True
+    )
+    # the rows are numerators, product i times its den, and the target is
+    # the component times its den, so y solves it iff y_i * prod.den / den
+    # are the coefficients of the products
+    coeffs = linalg.express_in_rowspace(
+        [prod.num for _, prod in products], component.num
+    )
+    if coeffs is None:
+        return None
+    return {
+        key: y * prod.den / component.den
+        for (key, prod), y in zip(products, coeffs)
+        if y
+    }
+
+
+def _solve_by_factors(
+    weights: Sequence[int], terms: Sequence[Term], degree: int, component: Polynomial
+) -> dict[int, Fraction] | None:
+    """_solve_by_products for single-term generators, with no products and
+    no solve: each term of the component goes to the product of its
+    monomial with the greatest formal key, the column the solve pivots on;
+    None when some term has no such product."""
+    best: dict[int, Term] = {}
+    for formal, (key, num, den) in _term_products(weights, terms, degree):
+        if key in component.num and (key not in best or formal > best[key][0]):
+            best[key] = (formal, num, den)
+    if len(best) < len(component.num):
+        return None
+    return {
+        formal: Fraction(component.num[key] * den, component.den * num)
+        for key, (formal, num, den) in best.items()
+    }
 
 
 @dataclass

@@ -113,7 +113,6 @@ class CycleMonomial:
 class ExponentGraph:
     """Directed edge multiset extracted from a monomial's exponents."""
 
-    n: int
     edges: dict[tuple[int, int], int]
 
     @classmethod
@@ -124,7 +123,7 @@ class ExponentGraph:
             edge = coordinate_edges[var]
             if edge is not None:
                 edges[edge] = edges.get(edge, 0) + exp
-        return cls(n=math.isqrt(alg.dim + 1), edges=edges)
+        return cls(edges=edges)
 
     def is_balanced(self) -> bool:
         defect: dict[int, int] = {}

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random polynomials, span fingerprints,
 and slow reference routes for the kernel, bracket and product computations,
-the pairwise bracket checks, the flow integrator and the sl(n) cycle
+the pairwise bracket checks, the general relation, membership and
+new-generator routes, the flow integrator and the sl(n) cycle
 coordinates."""
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ from fractions import Fraction
 from math import lcm
 
 from poischain import (
+    Generator,
     Monomial,
     Polynomial,
     cartan_subalgebra,
     generate,
+    invariant_basis,
+    is_invariant,
     leaf_dimension,
     lie_poisson_bracket,
     membership,
@@ -29,15 +33,28 @@ from poischain.chains import (
     default_degree_cap,
     j_map_components,
 )
-from poischain.commutant import ClosureEntry, ClosureReport
+from poischain.commutant import (
+    ClosureEntry,
+    ClosureReport,
+    MembershipResult,
+    Relation,
+    RelationSet,
+    _canonical_polys,
+    _formal_columns,
+    _generator_products,
+    _kernel_of_images,
+)
 from poischain.flow import FlowDivergenceError, FlowResult, hamiltonian_vector_field
 from poischain.linalg import (
+    Echelon,
     _eliminate,
+    express_in_rowspace,
     make_primitive,
     canonical_rref,
     nullspace,
     row_from_rationals,
 )
+from poischain.poly import linear_combination, unpack
 
 
 def random_polynomial(
@@ -490,6 +507,118 @@ def reference_bracket_closure_check(gens) -> ClosureReport:
                 )
             )
     return ClosureReport(entries)
+
+
+# ---------------------------------------------------------------------------
+# relations, membership and new generators by products and elimination, for
+# every generator set: the general route, with no single-term shortcut
+
+
+def reference_relation_basis(gens, max_total_degree: int) -> RelationSet:
+    """relation_basis with no Jacobian certificate and no budget: at each
+    weighted degree, the kernel of the expanded products by elimination,
+    less the multiples of lower relations, in canonical form."""
+    weights = gens.degrees()
+    nformal = len(gens.generators)
+    found = RelationSet(gens.labels(), weights, max_total_degree, [])
+    for d in range(1, max_total_degree + 1):
+        cols = _formal_columns(weights, d)
+        col_index = {key: i for i, key in enumerate(cols)}
+        products = _generator_products(gens.generators, d)
+        images = [(col_index[key], prod) for key, prod in products]
+        kernel = _kernel_of_images(images, len(cols))
+        if not kernel:
+            continue
+        old = Echelon()
+        for rel in found.relations:
+            for mult in _formal_columns(weights, d - rel.weighted_degree):
+                old.insert({col_index[key + mult]: v for key, v in rel.formal.num.items()})
+        fresh = []
+        for vec in kernel:
+            red = old.reduce(row_from_rationals(vec))
+            if red:
+                old.insert(dict(red))
+                fresh.append(_keyed_poly(cols, red, nformal))
+        for formal in _canonical_polys(fresh, nformal):
+            found.relations.append(Relation(weighted_degree=d, formal=formal))
+    return found
+
+
+def _keyed_poly(cols, row, dim: int) -> Polynomial:
+    """The polynomial with coefficient v on the monomial key cols[c] for
+    each (c, v) of the row."""
+    return linear_combination(
+        dim, ((v, Polynomial.term(dim, 1, unpack(cols[c], dim))) for c, v in row.items())
+    )
+
+
+def reference_membership(p: Polynomial, gens, max_total_degree: int) -> MembershipResult:
+    """membership by one exact solve per homogeneous component over every
+    generator product of its degree, in column order."""
+    deg = p.degree
+    if deg is not None and deg > max_total_degree:
+        return MembershipResult("not_found_up_to_budget")
+    if gens.subalgebra is not None and not is_invariant(gens.algebra, gens.subalgebra, p):
+        return MembershipResult("not_invariant")
+    nformal = len(gens.generators)
+    expression = Polynomial.zero(nformal)
+    for d, component in p.homogeneous_components().items():
+        if d == 0:
+            constant = Fraction(component.num[0], component.den)
+            expression = expression + Polynomial.constant(constant, nformal)
+            continue
+        products = sorted(
+            _generator_products(gens.generators, d), key=lambda pair: pair[0], reverse=True
+        )
+        coeffs = express_in_rowspace([prod.num for _, prod in products], component.num)
+        if coeffs is None:
+            return MembershipResult("not_found_up_to_budget")
+        for (key, prod), y in zip(products, coeffs):
+            term = Polynomial.term(nformal, y * prod.den / component.den, unpack(key, nformal))
+            expression = expression + term
+    return MembershipResult("found", expression)
+
+
+def reference_indecomposables(alg, k: int, previous, invariant) -> list[Polynomial]:
+    """indecomposables by elimination: the invariants, in order, that are
+    independent of the products of the earlier generators and of the
+    invariants kept before them, each reduced and made monic.  Columns are
+    the invariants' monomials graded-lex descending, then any other product
+    monomial as it comes."""
+    inv = list(invariant)
+    keys = sorted({key for b in inv for key in b.num}, reverse=True)
+    index = {key: i for i, key in enumerate(keys)}
+    lower = sorted((g for g in previous if g.degree < k), key=lambda g: (g.degree, g.label))
+
+    def row(poly):
+        for key in poly.num:
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+        return {index[key]: v for key, v in poly.num.items()}
+
+    ech = Echelon()
+    for _, prod in _generator_products(lower, k):
+        ech.insert(row(prod))
+    out = []
+    for b in inv:
+        red = ech.reduce(row(b))
+        if not red:
+            continue
+        ech.insert(dict(red))
+        out.append(_keyed_poly(keys, red, alg.dim).monic())
+    return out
+
+
+def reference_generate(alg, sub, max_degree: int):
+    """generate with reference_indecomposables for the new generators."""
+    gens = []
+    for k in range(1, max_degree + 1):
+        fresh = reference_indecomposables(alg, k, gens, invariant_basis(alg, sub, k))
+        for idx, poly in enumerate(fresh, start=1):
+            label = f"q{k}_{idx}" if len(fresh) > 1 else f"q{k}"
+            gens.append(Generator(poly=poly, degree=k, label=label))
+    return gens
 
 
 # ---------------------------------------------------------------------------
