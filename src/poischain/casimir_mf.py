@@ -3,11 +3,15 @@
 Casimirs come from two independent constructions that are cross-checked in
 the test suite: the kernel route (invariants of the full algebra, degree by
 degree) and, for sl(n), power traces of a symbolic matrix transported to dual
-coordinates through the Killing form.  Shifting a Casimir's argument along a
-fixed direction and collecting coefficients of the shift parameter produces a
-Poisson-commutative family whose independent count reaches (dim + rank)/2
-exactly when the direction is regular.  Its commutativity is decided by exact
-pairwise brackets from poly.brackets, one Hamiltonian field per left element.
+coordinates through the Killing form.  The trace route transports first and
+multiplies second: the substitution of dual coordinates is a ring
+homomorphism, so the power traces of the transported matrix are exactly the
+transported power traces, and only linear forms are ever substituted.
+Shifting a Casimir's argument along a fixed direction and collecting
+coefficients of the shift parameter produces a Poisson-commutative family
+whose independent count reaches (dim + rank)/2 exactly when the direction is
+regular.  Its commutativity is decided by exact pairwise brackets from
+poly.brackets, one Hamiltonian field per left element.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .algebra import (
     LieAlgebra,
     SubalgebraSpec,
     builtin_sl,
-    dual_transport,
     full_subalgebra,
     in_centralizer,
     is_regular,
@@ -37,7 +40,14 @@ from .commutant import (
     is_invariant,
     relation_basis,
 )
-from .poly import Polynomial, as_point, brackets, render_polynomial
+from .poly import (
+    Polynomial,
+    as_point,
+    brackets,
+    linear_combination,
+    render_polynomial,
+    sum_of_products,
+)
 from .sampling import DEFAULT_SEED, generic_jacobian_rank
 
 REGULARITY_NOTE = (
@@ -79,29 +89,32 @@ def casimirs_by_kernel(alg: LieAlgebra, max_degree: int) -> CasimirSet:
     return CasimirSet(gens=gens, method="kernel")
 
 
-def _symbolic_sl_matrix(n: int, dim: int) -> list[list[Polynomial]]:
+def _symbolic_sl_matrix(
+    n: int, images: Sequence[Polynomial]
+) -> list[list[Polynomial]]:
+    """The generic traceless matrix sum_i m_i * images[i] over the h/e basis
+    matrices m_i: entry (r, c) is the combination of the images whose basis
+    matrix is nonzero there."""
     matrices, _ = _sl_matrix_basis(n)
-    entries = [[Polynomial.zero(dim) for _ in range(n)] for _ in range(n)]
-    for i, mat in enumerate(matrices):
-        coord = Polynomial.variable(i, dim)
-        for (r, c), v in mat.items():
-            entries[r][c] = entries[r][c] + coord.scale(v)
-    return entries
+    dim = len(images)
+    pieces: dict[tuple[int, int], list] = {}
+    for mat, image in zip(matrices, images):
+        for rc, v in mat.items():
+            pieces.setdefault(rc, []).append((v, image))
+    return [
+        [linear_combination(dim, pieces.get((r, c), ())) for c in range(n)]
+        for r in range(n)
+    ]
 
 
 def _matrix_poly_mul(
     a: list[list[Polynomial]], b: list[list[Polynomial]], dim: int
 ) -> list[list[Polynomial]]:
     n = len(a)
-    out = [[Polynomial.zero(dim) for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for k in range(n):
-            if a[r][k].is_zero():
-                continue
-            for c in range(n):
-                if not b[k][c].is_zero():
-                    out[r][c] = out[r][c] + a[r][k] * b[k][c]
-    return out
+    return [
+        [sum_of_products(dim, ((a[r][k], b[k][c]) for k in range(n))) for c in range(n)]
+        for r in range(n)
+    ]
 
 
 def trace_casimirs_sln(n: int, max_k: int | None = None) -> CasimirSet:
@@ -109,9 +122,15 @@ def trace_casimirs_sln(n: int, max_k: int | None = None) -> CasimirSet:
 
     The trace of the k-th matrix power is a polynomial in the coefficients of
     the matrix against the standard basis; composing with the inverse Killing
-    form turns it into a central polynomial in the dual coordinates.  Each
-    result is made monic.  k runs over 2..max_k (the first power has zero
-    trace); values above n add nothing new and are rejected.
+    form turns it into a central polynomial in the dual coordinates.  That
+    substitution phi is a ring homomorphism, so tr((phi X)^k) = phi(tr X^k):
+    the coordinates are transported once, at degree 1, the matrix is built
+    from their images, and each power trace comes out already transported,
+    the same polynomial the substitution of the finished trace gives.  Only
+    the powers up to ceil(max_k / 2) are formed; tr X^k is the sum over r, c
+    of (X^a)_rc (X^b)_cr with a = k // 2 and b = k - a.  Each result is made
+    monic.  k runs over 2..max_k (the first power has zero trace); values
+    above n add nothing new and are rejected.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -120,17 +139,17 @@ def trace_casimirs_sln(n: int, max_k: int | None = None) -> CasimirSet:
     if not 2 <= max_k <= n:
         raise ValueError("trace exponent cap must lie in 2..n")
     alg = builtin_sl(n)
-    form = killing_form(alg)
-    symbolic = _symbolic_sl_matrix(n, alg.dim)
+    images = [alg.linear_form(row) for row in killing_form(alg).inverse()]
+    powers = [None, _symbolic_sl_matrix(n, images)]  # powers[j] = X^j
+    while len(powers) <= (max_k + 1) // 2:
+        powers.append(_matrix_poly_mul(powers[-1], powers[1], alg.dim))
     gens: list[Generator] = []
-    power = symbolic
     for k in range(2, max_k + 1):
-        power = _matrix_poly_mul(power, symbolic, alg.dim)
-        trace = Polynomial.zero(alg.dim)
-        for r in range(n):
-            trace = trace + power[r][r]
-        transported = dual_transport(alg, form, trace).monic()
-        gens.append(Generator(poly=transported, degree=k, label=f"c{k}"))
+        a, b = powers[k // 2], powers[k - k // 2]
+        trace = sum_of_products(
+            alg.dim, ((a[r][c], b[c][r]) for r in range(n) for c in range(n))
+        )
+        gens.append(Generator(poly=trace.monic(), degree=k, label=f"c{k}"))
     gen_set = GeneratorSet(
         algebra=alg,
         generators=gens,

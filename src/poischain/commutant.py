@@ -201,6 +201,15 @@ def _diagonal_weights(field: Sequence[Polynomial]) -> list[int] | None:
     return weights
 
 
+def _weight_codes(weights: Sequence[tuple[int, ...]], k: int) -> list[int]:
+    """Each coordinate's weight packed into one integer code, its digits in a
+    base wide enough that no sum of at most k weights carries: a monomial of
+    degree at most k has weight zero exactly when sum_v e_v * codes[v] = 0."""
+    bound = max((abs(w) for wt in weights for w in wt), default=0)
+    base = 2 * k * bound + 1
+    return [sum(w * base**a for a, w in enumerate(wt)) for wt in weights]
+
+
 def _zero_weight_monomials(
     weights: Sequence[tuple[int, ...]], k: int
 ) -> list[int]:
@@ -209,9 +218,8 @@ def _zero_weight_monomials(
 
     Coordinates of weight zero (the Cartan ones) never change the weight, so
     the walk runs over the other coordinates and fills whatever degree is
-    left with every monomial in the zero-weight ones.  A weight is packed
-    into one integer code, its digits in a base wide enough that no partial
-    sum of at most k weights carries; reach[i] maps every code the walked
+    left with every monomial in the zero-weight ones.  Weights are compared
+    by their codes (_weight_codes); reach[i] maps every code the walked
     coordinates i.. can make to the least degree that makes it, so the
     depth-first walk only enters branches that can still end at weight zero
     within degree k.  The keys are sorted once at the end.
@@ -219,9 +227,8 @@ def _zero_weight_monomials(
     keys = variable_keys(len(weights))
     walked = [v for v, wt in enumerate(weights) if any(wt)]
     still = [v for v, wt in enumerate(weights) if not any(wt)]
-    bound = max((abs(w) for v in walked for w in weights[v]), default=0)
-    base = 2 * k * bound + 1
-    codes = [sum(w * base**a for a, w in enumerate(weights[v])) for v in walked]
+    every_code = _weight_codes(weights, k)
+    codes = [every_code[v] for v in walked]
     reach: list[dict[int, int]] = [{} for _ in walked] + [{0: 0}]
     for i in range(len(walked) - 1, -1, -1):
         states, code = reach[i], codes[i]
@@ -837,12 +844,20 @@ class MembershipResult:
 
 
 def is_invariant(alg: LieAlgebra, sub: SubalgebraSpec, p: Polynomial) -> bool:
-    """Whether every operator of the subalgebra annihilates p: the diagonal
-    fields first (they force weight zero), then the fields invariant_basis
+    """Whether every operator of the subalgebra annihilates p.  A diagonal
+    field multiplies each monomial by its weight, so the diagonal fields all
+    annihilate p exactly when every monomial of p has weight zero: one pass
+    over the monomials against the weights.  Then the fields invariant_basis
     applies."""
     ops = _invariance_operators(alg, sub)
-    fields = [*ops.diagonal, *(field for _, field in ops.others)]
-    return all(field(p).is_zero() for field in fields)
+    if ops.diagonal:
+        if p.dim != alg.dim:
+            raise ValueError("vector field dimension does not match the polynomial")
+        codes = _weight_codes(ops.weights, p.degree or 0)
+        for key in p.num:
+            if sum(e * codes[v] for v, e in unpack(key, p.dim)):
+                return False
+    return all(field(p).is_zero() for _, field in ops.others)
 
 
 def membership(

@@ -454,6 +454,24 @@ def linear_combination(dim: int, pairs: Iterable) -> Polynomial:
     return _make(dim, out, den)
 
 
+def sum_of_products(dim: int, pairs: Iterable) -> Polynomial:
+    """sum(p * q) over (p, q) pairs, multiplied and summed in one integer
+    accumulator over one denominator, with no intermediate polynomial."""
+    pairs = [(p, q) for p, q in pairs if p.num and q.num]
+    _check_degree(max((p.degree + q.degree for p, q in pairs), default=0))
+    den = math.lcm(*(p.den * q.den for p, q in pairs))
+    out: dict[int, int] = {}
+    get = out.get
+    for p, q in pairs:
+        f = den // (p.den * q.den)
+        right = [(k, v * f) for k, v in q.num.items()]
+        for k1, c1 in p.num.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return _make(dim, {k: v for k, v in out.items() if v}, den)
+
+
 def hamiltonian_field(p: Polynomial, alg) -> list[Polynomial]:
     """The Hamiltonian vector field of p: component j is {p, x_j}.
 

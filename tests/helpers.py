@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: random polynomials, span fingerprints,
 and slow reference routes for the kernel, bracket and product computations,
 the pairwise bracket checks, the general relation, membership and
-new-generator routes, the flow integrator and the sl(n) cycle
-coordinates."""
+new-generator routes, the flow integrator, the sl(n) cycle coordinates,
+the trace-then-transport Casimirs and the all-fields invariance test."""
 
 from __future__ import annotations
 
@@ -15,17 +15,20 @@ from poischain import (
     Generator,
     Monomial,
     Polynomial,
+    builtin_sl,
     cartan_subalgebra,
+    dual_transport,
     generate,
     invariant_basis,
     is_invariant,
+    killing_form,
     leaf_dimension,
     lie_poisson_bracket,
     membership,
     monomial_basis,
     render_polynomial,
 )
-from poischain.algebra import _sl_matrix_coords, sl_size
+from poischain.algebra import _sl_matrix_basis, _sl_matrix_coords, sl_size
 from poischain.casimir_mf import CommutativityReport
 from poischain.chains import (
     CentralityReport,
@@ -42,6 +45,7 @@ from poischain.commutant import (
     _canonical_polys,
     _formal_columns,
     _generator_products,
+    _invariance_operators,
     _kernel_of_images,
 )
 from poischain.flow import FlowDivergenceError, FlowResult, hamiltonian_vector_field
@@ -670,3 +674,35 @@ def reference_sl_weyl_images(alg, sigma) -> list[Polynomial]:
                 acc = acc + Polynomial.variable(v, alg.dim).scale(c)
             images.append(acc)
     return images
+
+
+def reference_trace_casimirs(n: int, max_k: int) -> list[Polynomial]:
+    """Reference route for trace_casimirs_sln: the generic traceless matrix
+    in bare coordinates, each power by one more full matrix product, and
+    each finished trace moved to dual coordinates by dual_transport, then
+    made monic."""
+    alg = builtin_sl(n)
+    form = killing_form(alg)
+    zero = Polynomial.zero(alg.dim)
+    matrix = [[zero] * n for _ in range(n)]
+    for i, mat in enumerate(_sl_matrix_basis(n)[0]):
+        for (r, c), v in mat.items():
+            matrix[r][c] = matrix[r][c] + Polynomial.variable(i, alg.dim).scale(v)
+    out = []
+    power = matrix
+    for _ in range(2, max_k + 1):
+        power = [
+            [sum((power[r][t] * matrix[t][c] for t in range(n)), zero) for c in range(n)]
+            for r in range(n)
+        ]
+        trace = sum((power[r][r] for r in range(n)), zero)
+        out.append(dual_transport(alg, form, trace).monic())
+    return out
+
+
+def reference_is_invariant(alg, sub, p: Polynomial) -> bool:
+    """Reference route for is_invariant: apply every diagonal field and
+    every other field of the subalgebra's operators to p."""
+    ops = _invariance_operators(alg, sub)
+    fields = [*ops.diagonal, *(field for _, field in ops.others)]
+    return all(field(p).is_zero() for field in fields)

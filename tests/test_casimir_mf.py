@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from poischain import (
     LieAlgebra,
     cartan_subalgebra,
@@ -20,7 +22,7 @@ from poischain import (
 )
 from poischain.casimir_mf import REGULARITY_NOTE
 
-from helpers import same_span
+from helpers import reference_trace_casimirs, same_span
 
 F = Fraction
 
@@ -48,6 +50,48 @@ def test_trace_casimir_sl2(sl2):
     assert cas.method == "trace-transport"
     assert cas.gens.labels() == ["c2"]
     assert cas.gens.polys()[0].render(sl2.labels) == "h1^2 + 4*e12*e21"
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_trace_casimirs_equal_trace_then_transport(n):
+    """Transporting the coordinates before multiplying, and taking each
+    trace from half powers, gives the very polynomials that transporting
+    each finished trace gives, for every exponent cap."""
+    reference = reference_trace_casimirs(n, n)
+    for max_k in range(2, n + 1):
+        cas = trace_casimirs_sln(n, max_k)
+        assert cas.gens.labels() == [f"c{k}" for k in range(2, max_k + 1)]
+        assert cas.gens.degrees() == list(range(2, max_k + 1))
+        assert cas.gens.max_degree == max_k
+        assert cas.polys() == reference[: max_k - 1]
+
+
+def test_trace_casimirs_substitute_only_linear_forms(monkeypatch):
+    """No finished trace is substituted: the route never calls
+    substitute_linear, which would expand every product of images again."""
+    from poischain import Polynomial
+
+    reference = reference_trace_casimirs(4, 4)
+
+    def refuse(self, images):
+        raise AssertionError("substitute_linear called")
+
+    monkeypatch.setattr(Polynomial, "substitute_linear", refuse)
+    assert trace_casimirs_sln(4).polys() == reference
+
+
+@pytest.mark.parametrize(
+    "n, max_k, message",
+    [
+        (1, None, "need n >= 2"),
+        (0, None, "need n >= 2"),
+        (3, 1, "trace exponent cap"),
+        (3, 4, "trace exponent cap"),
+    ],
+)
+def test_trace_casimirs_reject_bad_sizes(n, max_k, message):
+    with pytest.raises(ValueError, match=message):
+        trace_casimirs_sln(n, max_k)
 
 
 def test_casimirs_central(sl2, sl3, sl2_casimirs, sl3_casimirs):

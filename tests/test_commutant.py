@@ -29,6 +29,7 @@ from poischain import (
     poisson_center_basis,
     relation_basis,
     span_subalgebra,
+    trace_casimirs_sln,
     validate_algebra,
     validate_subalgebra,
 )
@@ -43,10 +44,16 @@ from poischain.commutant import (
     _zero_weight_monomials,
     apply_invariance_operator,
 )
-from poischain.poly import pack, unpack
+from poischain.poly import VectorField, pack, unpack
 from poischain.sampling import generic_jacobian_rank
 
-from helpers import expand_formal, full_basis_invariants, random_polynomial, same_span
+from helpers import (
+    expand_formal,
+    full_basis_invariants,
+    random_polynomial,
+    reference_is_invariant,
+    same_span,
+)
 
 F = Fraction
 
@@ -98,6 +105,76 @@ def test_invariant_basis_members_are_invariant(sl3):
             assert is_invariant(sl3, cart, p)
             for vec in cart.vectors:
                 assert apply_invariance_operator(sl3, vec, p).is_zero()
+
+
+def _invariance_cases(n):
+    """The trace Casimirs and torus generators of sl(n), e12 (weight not
+    zero), e12*e21 (weight zero, not central), constants, zero, and seeded
+    random sums of them, by name."""
+    alg = builtin_sl(n)
+    cases = {g.label: g.poly for g in trace_casimirs_sln(n).generators}
+    cases.update((g.label, g.poly) for g in generate(alg, cartan_subalgebra(alg), n).generators)
+    cases["e12"] = parse_polynomial("e12", alg.dim, alg.labels)
+    cases["e12*e21"] = parse_polynomial("e12*e21", alg.dim, alg.labels)
+    cases["1"] = Polynomial.one(alg.dim)
+    cases["7/3"] = Polynomial.constant(F(7, 3), alg.dim)
+    cases["0"] = Polynomial.zero(alg.dim)
+    rng = random.Random(1600 + n)
+    names = sorted(cases)
+    for i in range(25):
+        picked = rng.sample(names, rng.randint(2, 4))
+        total = Polynomial.zero(alg.dim)
+        for name in picked:
+            total = total + cases[name].scale(F(rng.randint(-9, 9) or 1, rng.randint(1, 5)))
+        cases[f"sum{i}:" + "+".join(picked)] = total
+    return alg, cases
+
+
+def _invariance_subalgebras(alg):
+    e12 = alg.label_index("e12")
+    unit = [[F(int(i == j)) for i in range(alg.dim)] for j in range(alg.dim)]
+    return {
+        "full": full_subalgebra(alg),
+        "cartan": cartan_subalgebra(alg),
+        "h1+e12": span_subalgebra([unit[0], unit[e12]]),
+        "e12": span_subalgebra([unit[e12]]),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_is_invariant_weight_pass_matches_every_field(n):
+    """One pass over the monomials against the weights decides the diagonal
+    fields exactly as applying them does."""
+    alg, cases = _invariance_cases(n)
+    for sub_name, sub in _invariance_subalgebras(alg).items():
+        verdicts = {}
+        for name, p in cases.items():
+            verdicts[name] = is_invariant(alg, sub, p)
+            assert verdicts[name] == reference_is_invariant(alg, sub, p), (sub_name, name)
+        assert not verdicts["e12"] or sub_name == "e12"
+        assert verdicts["1"] and verdicts["7/3"] and verdicts["0"]
+        assert verdicts["e12*e21"] == (sub_name == "cartan")
+        assert all(verdicts[f"c{k}"] for k in range(2, n + 1))
+        assert not all(verdicts.values())
+
+
+def test_is_invariant_under_a_torus_applies_no_field(monkeypatch):
+    """A torus has only diagonal fields, so its invariance test is the
+    weight pass alone."""
+    alg, cases = _invariance_cases(4)
+    torus = cartan_subalgebra(alg)
+    expected = {name: reference_is_invariant(alg, torus, p) for name, p in cases.items()}
+
+    def refuse(self, q):
+        raise AssertionError("vector field applied")
+
+    monkeypatch.setattr(VectorField, "__call__", refuse)
+    assert {name: is_invariant(alg, torus, p) for name, p in cases.items()} == expected
+
+
+def test_is_invariant_rejects_a_polynomial_of_another_dimension(sl2, sl3):
+    with pytest.raises(ValueError, match="dimension"):
+        is_invariant(sl3, cartan_subalgebra(sl3), Polynomial.variable(0, sl2.dim))
 
 
 def test_generate_sl2_torus(sl2_torus, sl2):
