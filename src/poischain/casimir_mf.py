@@ -83,8 +83,9 @@ class CasimirSet:
         return out
 
 
-def casimirs_by_kernel(alg: LieAlgebra, max_degree: int) -> CasimirSet:
-    """Indecomposable invariants of the full algebra up to the degree cap."""
+def casimirs_by_kernel(alg: LieAlgebra, max_degree: int | None = None) -> CasimirSet:
+    """Indecomposable invariants of the full algebra up to the degree cap
+    (generate's default when None)."""
     gens = generate(alg, full_subalgebra(alg), max_degree, label_prefix="C")
     return CasimirSet(gens=gens, method="kernel")
 
@@ -192,8 +193,6 @@ def casimir_count_check(
     kernel construction should reach it once the degree cap covers every
     fundamental generator degree.
     """
-    if max_degree is None:
-        max_degree = alg.rank(seed=seed) + 1
     if casimirs is None:
         casimirs = casimirs_by_kernel(alg, max_degree)
     count = generic_jacobian_rank(casimirs.polys(), alg.dim, seed=seed)

@@ -21,10 +21,11 @@ from .algebra import (
     ConfigurationError,
     LieAlgebra,
     SubalgebraSpec,
+    builtin_sl,
     cartan_subalgebra,
     orbit_dimension,
 )
-from .casimir_mf import casimirs_by_kernel
+from .casimir_mf import casimirs_by_kernel, mf_generators
 from .commutant import (
     Generator,
     GeneratorSet,
@@ -32,6 +33,7 @@ from .commutant import (
     membership,
     poisson_center_basis,
 )
+from .cycles import reynolds_sl
 from .poly import Polynomial, brackets, render_polynomial
 from .sampling import DEFAULT_SEED, generic_jacobian_rank
 
@@ -42,11 +44,6 @@ class ChainFormationError(ValueError):
     def __init__(self, message: str, witness: str | None = None) -> None:
         super().__init__(message)
         self.witness = witness
-
-
-def default_degree_cap(alg: LieAlgebra) -> int:
-    """Generation cap rank + 1: n for sl(n), the length of its longest cycle."""
-    return alg.rank() + 1
 
 
 def trdeg(gens: GeneratorSet, seed: int = DEFAULT_SEED) -> int:
@@ -221,6 +218,20 @@ def verify_chain(spec: ChainSpec, seed: int = DEFAULT_SEED) -> ChainReport:
 # chain builders
 
 
+def chain_over(
+    sub: SubalgebraSpec,
+    base: GeneratorSet,
+    base_kind: str,
+    max_degree: int | None,
+    seed: int,
+) -> ChainReport:
+    """Verify the chain of the base under the invariants of the subalgebra,
+    generated up to max_degree (generate's default when None)."""
+    alg = base.algebra
+    intermediate = generate(alg, sub, max_degree)
+    return verify_chain(ChainSpec(alg, sub, intermediate, base, base_kind), seed=seed)
+
+
 def torus_chain(
     alg: LieAlgebra,
     max_degree: int | None = None,
@@ -231,24 +242,23 @@ def torus_chain(
     The expected ranks (dim - rank for the intermediate, rank for the base)
     are recorded in the report for comparison.
     """
-    cap = default_degree_cap(alg) if max_degree is None else max_degree
-    sub = cartan_subalgebra(alg)
-    intermediate = generate(alg, sub, cap)
-    base = casimirs_by_kernel(alg, cap).gens
-    spec = ChainSpec(
-        algebra=alg,
-        subalgebra=sub,
-        intermediate=intermediate,
-        base=base,
-        base_kind="casimirs",
-    )
-    report = verify_chain(spec, seed=seed)
+    base = casimirs_by_kernel(alg, max_degree).gens
+    report = chain_over(cartan_subalgebra(alg), base, "casimirs", base.max_degree, seed)
     rank_g = alg.rank(seed=seed)
     report.expected = {
         "trdeg_intermediate": alg.dim - rank_g,
         "trdeg_base": rank_g,
     }
     return report
+
+
+def moment_map_generators(alg: LieAlgebra, sub: SubalgebraSpec) -> list[Generator]:
+    """The moment-map components mu_j: the linear polynomial sum_i h_i x_i
+    of each spanning vector H of the subalgebra."""
+    return [
+        Generator(poly=alg.linear_form(vec), degree=1, label=f"mu{j + 1}")
+        for j, vec in enumerate(sub.vectors)
+    ]
 
 
 def moment_map_base(
@@ -267,21 +277,8 @@ def moment_map_base(
         raise ConfigurationError(
             "moment-map base requires a subalgebra flagged abelian"
         )
-    cap = default_degree_cap(alg) if max_degree is None else max_degree
-    intermediate = generate(alg, sub, cap)
-    base_gens = [
-        Generator(poly=alg.linear_form(vec), degree=1, label=f"mu{j + 1}")
-        for j, vec in enumerate(sub.vectors)
-    ]
-    base = GeneratorSet(algebra=alg, generators=base_gens, max_degree=1)
-    spec = ChainSpec(
-        algebra=alg,
-        subalgebra=sub,
-        intermediate=intermediate,
-        base=base,
-        base_kind="moment-map",
-    )
-    report = verify_chain(spec, seed=seed)
+    base = GeneratorSet(alg, moment_map_generators(alg, sub), max_degree=1)
+    report = chain_over(sub, base, "moment-map", max_degree, seed)
     report.expected = {
         "trdeg_intermediate": alg.dim - sub.size,
         "trdeg_base": sub.size,
@@ -298,20 +295,9 @@ def mf_chain(
 ) -> ChainReport:
     """Chain with the argument-shift family as candidate base (never valid
     for a regular shift: its rank exceeds any orbit dimension bound)."""
-    from .casimir_mf import mf_generators
-
-    cap = default_degree_cap(alg) if max_degree is None else max_degree
-    intermediate = generate(alg, sub, cap)
-    cas = casimirs_by_kernel(alg, cap)
-    mf = mf_generators(cas, mu)
-    spec = ChainSpec(
-        algebra=alg,
-        subalgebra=sub,
-        intermediate=intermediate,
-        base=mf.as_generator_set(),
-        base_kind="mf",
-    )
-    return verify_chain(spec, seed=seed)
+    cas = casimirs_by_kernel(alg, max_degree)
+    base = mf_generators(cas, mu).as_generator_set()
+    return chain_over(sub, base, "mf", cas.gens.max_degree, seed)
 
 
 @dataclass
@@ -348,8 +334,8 @@ def base_existence_verdict(
     out up to the cap.  The center is computed degreewise against the
     generated intermediate algebra and is itself a lower bound.
     """
-    cap = default_degree_cap(alg) if max_degree is None else max_degree
-    intermediate = generate(alg, sub, cap)
+    intermediate = generate(alg, sub, max_degree)
+    cap = intermediate.max_degree
     center_polys: list[Polynomial] = []
     center_dims: dict[int, int] = {}
     for k in range(1, cap + 1):
@@ -380,17 +366,15 @@ def normalizer_chain_sln(
     """Chain through the permutation-averaged torus invariants of sl(n).
 
     The symmetric group acts by simultaneous index permutation; averaging
-    torus-generator products up to the cap produces the invariants of the
-    torus normalizer.  The intermediate transcendence degree matches the
-    plain torus chain (the extension is by a finite group).
+    torus-generator products up to the cap (n + 1 by default) produces the
+    invariants of the torus normalizer.  The intermediate transcendence
+    degree matches the plain torus chain (the extension is by a finite
+    group).
     """
-    from .algebra import builtin_sl
-    from .cycles import reynolds_sl
-
     alg = builtin_sl(n)
     cap = (n + 1) if max_degree is None else max_degree
     sub = cartan_subalgebra(alg)
-    torus = generate(alg, sub, min(cap, n) if max_degree is None else cap)
+    torus = generate(alg, sub, max_degree)
     averaged = reynolds_sl(alg, torus, cap)
     base = casimirs_by_kernel(alg, n).gens
     spec = ChainSpec(
@@ -451,15 +435,9 @@ def j_map_components(
 ) -> list[tuple[str, Polynomial]]:
     """The 2r polynomials (Cartan coordinates then Casimirs) defining the
     joint level map."""
-    cap = default_degree_cap(alg) if max_degree is None else max_degree
-    casimirs = casimirs_by_kernel(alg, cap)
-    sub = cartan_subalgebra(alg)
-    out: list[tuple[str, Polynomial]] = []
-    for j, vec in enumerate(sub.vectors):
-        out.append((f"mu{j + 1}", alg.linear_form(vec)))
-    for g in casimirs.generators:
-        out.append((g.label, g.poly))
-    return out
+    gens = moment_map_generators(alg, cartan_subalgebra(alg))
+    gens += casimirs_by_kernel(alg, max_degree).generators
+    return [(g.label, g.poly) for g in gens]
 
 
 def j_map_casimir_check(
@@ -468,26 +446,21 @@ def j_map_casimir_check(
     seed: int = DEFAULT_SEED,
 ) -> JMapReport:
     """Centrality of every level-map component against every torus-commutant
-    generator, by exact brackets."""
-    cap = default_degree_cap(alg) if max_degree is None else max_degree
+    generator, by the exact brackets of base_center_check."""
     sub = cartan_subalgebra(alg)
-    torus = generate(alg, sub, cap)
-    components = j_map_components(alg, max_degree=cap)
-    pairs = list(product(components, torus.generators))
-    values = brackets(((comp, g.poly) for (_, comp), g in pairs), alg)
+    torus = generate(alg, sub, max_degree)
+    components = moment_map_generators(alg, sub)
+    components += casimirs_by_kernel(alg, torus.max_degree).generators
+    base = GeneratorSet(alg, components)
+    centrality = base_center_check(ChainSpec(alg, sub, torus, base))
     failures = [
-        {
-            "component": name,
-            "generator": g.label,
-            "bracket": render_polynomial(br, alg.labels),
-        }
-        for ((name, _), g), br in zip(pairs, values)
-        if not br.is_zero()
+        {"component": f["base"], "generator": f["intermediate"], "bracket": f["bracket"]}
+        for f in centrality.failures
     ]
     return JMapReport(
-        components=[name for name, _ in components],
+        components=[g.label for g in components],
         generator_labels=torus.labels(),
-        zero_bracket_count=len(pairs) - len(failures),
+        zero_bracket_count=centrality.pair_count - len(failures),
         failures=failures,
         leaf_dim=leaf_dimension(alg, seed=seed),
     )
@@ -501,23 +474,15 @@ def fiber_ideal_generators(
 ) -> list[Polynomial]:
     """Generators of the level-set ideal: shifted Casimirs and shifted Cartan
     coordinates, one per rank."""
-    cap = default_degree_cap(alg) if max_degree is None else max_degree
-    casimirs = casimirs_by_kernel(alg, cap)
-    sub = cartan_subalgebra(alg)
-    r = sub.size
+    casimirs = casimirs_by_kernel(alg, max_degree).generators
+    mus = moment_map_generators(alg, cartan_subalgebra(alg))
     c_values = list(c_values)
     alpha_values = list(alpha_values)
-    if len(c_values) != len(casimirs.generators):
-        raise ConfigurationError(
-            f"expected {len(casimirs.generators)} Casimir level values"
-        )
-    if len(alpha_values) != r:
-        raise ConfigurationError(f"expected {r} Cartan level values")
-    out = []
-    for g, c in zip(casimirs.generators, c_values):
-        out.append(g.poly - Polynomial.constant(Fraction(c), alg.dim))
-    for vec, a in zip(sub.vectors, alpha_values):
-        out.append(
-            alg.linear_form(vec) - Polynomial.constant(Fraction(a), alg.dim)
-        )
-    return out
+    if len(c_values) != len(casimirs):
+        raise ConfigurationError(f"expected {len(casimirs)} Casimir level values")
+    if len(alpha_values) != len(mus):
+        raise ConfigurationError(f"expected {len(mus)} Cartan level values")
+    return [
+        g.poly - Polynomial.constant(Fraction(v), alg.dim)
+        for g, v in zip(casimirs + mus, c_values + alpha_values)
+    ]

@@ -41,7 +41,7 @@ from .casimir_mf import (
     sandwich_check,
     trace_casimirs_sln,
 )
-from .chains import ChainFormationError, ChainSpec, verify_chain
+from .chains import ChainFormationError
 from .commutant import (
     BudgetExceededError,
     GeneratorSet,
@@ -87,6 +87,9 @@ class RunConfig:
     options: argparse.Namespace
 
 
+_CAP_HELP = "degree cap (default rank + 1, which is n for sl(n))"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="poischain", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -106,7 +109,7 @@ def build_parser() -> _Parser:
                             help="invariant generators of a subalgebra")
     p_comm.add_argument("--algebra", required=True)
     p_comm.add_argument("--subalgebra", required=True)
-    p_comm.add_argument("--max-degree", type=int, default=None)
+    p_comm.add_argument("--max-degree", type=int, default=None, help=_CAP_HELP)
     p_comm.add_argument("--relations-degree", type=int, default=None,
                         help="weighted-degree budget (default 2x cap)")
     p_comm.add_argument("--skip-relations", action="store_true")
@@ -116,7 +119,7 @@ def build_parser() -> _Parser:
     p_cas = sub.add_parser("casimirs", parents=[common],
                            help="central generators by kernel (and traces)")
     p_cas.add_argument("--algebra", required=True)
-    p_cas.add_argument("--max-degree", type=int, default=None)
+    p_cas.add_argument("--max-degree", type=int, default=None, help=_CAP_HELP)
     p_cas.add_argument("--method", choices=["kernel", "trace", "both"],
                        default="kernel")
 
@@ -125,7 +128,7 @@ def build_parser() -> _Parser:
     p_mf.add_argument("--algebra", required=True)
     p_mf.add_argument("--shift", required=True,
                       help='full vector "1,0,0" or Cartan coordinates "h:1,2"')
-    p_mf.add_argument("--max-degree", type=int, default=None)
+    p_mf.add_argument("--max-degree", type=int, default=None, help=_CAP_HELP)
     p_mf.add_argument("--subalgebra", default=None,
                       help="also test inclusion into this subalgebra's invariants")
 
@@ -137,7 +140,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--subalgebra", required=True)
     p_verify.add_argument("--base", required=True,
                           help="casimirs | moment-map | mf:<shift> | file:<gens.json>")
-    p_verify.add_argument("--max-degree", type=int, default=None)
+    p_verify.add_argument("--max-degree", type=int, default=None, help=_CAP_HELP)
 
     p_cyc = sub.add_parser("cycles", parents=[common],
                            help="cycle-monomial census and identities for sl(n)")
@@ -332,8 +335,8 @@ def cmd_commutant(cfg: RunConfig) -> int:
     ns = cfg.options
     alg = load_algebra(ns.algebra)
     sub = load_subalgebra(ns.subalgebra, alg)
-    cap = ns.max_degree or chains.default_degree_cap(alg)
-    gens = generate(alg, sub, cap)
+    gens = generate(alg, sub, ns.max_degree)
+    cap = gens.max_degree
     payload = gens.to_json()
     payload["subalgebra"] = sub.name
     _say(f"{len(gens)} generators up to degree {cap} "
@@ -357,20 +360,19 @@ def cmd_commutant(cfg: RunConfig) -> int:
 def cmd_casimirs(cfg: RunConfig) -> int:
     ns = cfg.options
     alg = load_algebra(ns.algebra)
-    cap = ns.max_degree or chains.default_degree_cap(alg)
     n = None
     if ns.method in ("trace", "both"):
         n = sl_size(alg)
         if n is None:
             raise CliError("the trace route requires a built-in sl(n) algebra")
-        if cap < 2:
+        if ns.max_degree == 1:
             raise CliError("the trace route needs --max-degree at least 2")
     payload: dict = {"algebra": alg.name}
     code = EXIT_OK
     kernel_set = None
     if ns.method in ("kernel", "both"):
-        kernel_set = casimirs_by_kernel(alg, cap)
-        count = casimir_count_check(alg, cap, seed=cfg.seed, casimirs=kernel_set)
+        kernel_set = casimirs_by_kernel(alg, ns.max_degree)
+        count = casimir_count_check(alg, seed=cfg.seed, casimirs=kernel_set)
         payload["kernel"] = kernel_set.to_json()
         payload["count_check"] = count.to_json()
         _say(f"kernel route: {len(kernel_set)} generators, independent count "
@@ -378,7 +380,8 @@ def cmd_casimirs(cfg: RunConfig) -> int:
         if not count.matches:
             code = EXIT_NEGATIVE
     if n is not None:
-        trace_set = trace_casimirs_sln(n, min(cap, n))
+        # the default cap of a built-in sl(n) is n
+        trace_set = trace_casimirs_sln(n, min(ns.max_degree or n, n))
         payload["trace"] = trace_set.to_json()
         _say(f"trace route: {len(trace_set)} generators")
         if ns.method == "both" and kernel_set is not None:
@@ -399,9 +402,7 @@ def cmd_mf(cfg: RunConfig) -> int:
     ns = cfg.options
     alg = load_algebra(ns.algebra)
     mu = parse_shift(ns.shift, alg)
-    cap = ns.max_degree or chains.default_degree_cap(alg)
-    cas = casimirs_by_kernel(alg, cap)
-    mf = mf_generators(cas, mu)
+    mf = mf_generators(casimirs_by_kernel(alg, ns.max_degree), mu)
     commutativity = mf_commutativity_check(mf)
     rank = mf_rank_check(mf, seed=cfg.seed)
     payload = {
@@ -433,21 +434,18 @@ def cmd_chain_verify(cfg: RunConfig) -> int:
     ns = cfg.options
     alg = load_algebra(ns.algebra)
     sub = load_subalgebra(ns.subalgebra, alg)
-    cap = ns.max_degree or chains.default_degree_cap(alg)
     base_spec = ns.base
-    if base_spec == "casimirs" or base_spec.startswith("file:"):
-        if base_spec == "casimirs":
-            base, kind = casimirs_by_kernel(alg, cap).gens, "casimirs"
-        else:
-            base, kind = _load_generator_file(base_spec[5:], alg), "explicit"
-        spec = ChainSpec(algebra=alg, subalgebra=sub, intermediate=generate(alg, sub, cap),
-                         base=base, base_kind=kind)
-        report = verify_chain(spec, seed=cfg.seed)
+    if base_spec == "casimirs":
+        base = casimirs_by_kernel(alg, ns.max_degree).gens
+        report = chains.chain_over(sub, base, "casimirs", base.max_degree, cfg.seed)
+    elif base_spec.startswith("file:"):
+        base = _load_generator_file(base_spec[5:], alg)
+        report = chains.chain_over(sub, base, "explicit", ns.max_degree, cfg.seed)
     elif base_spec == "moment-map":
-        report = chains.moment_map_base(alg, sub, cap, seed=cfg.seed)
+        report = chains.moment_map_base(alg, sub, ns.max_degree, seed=cfg.seed)
     elif base_spec.startswith("mf:"):
         mu = parse_shift(base_spec[3:], alg)
-        report = chains.mf_chain(alg, sub, mu, cap, seed=cfg.seed)
+        report = chains.mf_chain(alg, sub, mu, ns.max_degree, seed=cfg.seed)
     else:
         raise CliError(
             f"unknown base {base_spec!r}; use casimirs, moment-map, "
@@ -499,12 +497,11 @@ def _resolve_monitors(spec: str | None, alg: LieAlgebra):
     if spec is None:
         return []
     if spec == "auto:torus":
-        gens = generate(alg, cartan_subalgebra(alg), chains.default_degree_cap(alg))
-        return [(g.label, g.poly) for g in gens.generators]
-    if spec == "auto:casimirs":
-        cas = casimirs_by_kernel(alg, chains.default_degree_cap(alg))
-        return [(g.label, g.poly) for g in cas.generators]
-    gens = _load_generator_file(spec, alg)
+        gens = generate(alg, cartan_subalgebra(alg))
+    elif spec == "auto:casimirs":
+        gens = casimirs_by_kernel(alg).gens
+    else:
+        gens = _load_generator_file(spec, alg)
     return [(g.label, g.poly) for g in gens.generators]
 
 
@@ -580,10 +577,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConfigurationError, ChainFormationError, BudgetExceededError) as exc:
+    except (CliError, ConfigurationError, ChainFormationError,
+            BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FlowDivergenceError as exc:

@@ -62,7 +62,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import linalg
-from .algebra import LieAlgebra, SubalgebraSpec, Vector, vector_row
+from .algebra import LieAlgebra, SubalgebraSpec, Vector, _json_int, vector_row
 from .poly import (
     Monomial,
     Polynomial,
@@ -152,18 +152,22 @@ class GeneratorSet:
                 poly = parse_polynomial(raw, alg.dim, alg.labels)
             else:
                 poly = polynomial_from_json(raw, alg.dim)
+            flag = entry.get("indecomposable", True)
+            if not isinstance(flag, bool):
+                raise ValueError(f"indecomposable must be a boolean, got {flag!r}")
             gens.append(Generator(
                 poly=poly,
-                degree=int(entry.get("degree", poly.degree or 0)),
+                degree=_json_int(entry.get("degree", poly.degree or 0), "degree"),
                 label=str(entry.get("label", f"g{len(gens) + 1}")),
-                indecomposable=bool(entry.get("indecomposable", True)),
+                indecomposable=flag,
             ))
-        kernel_dims = {int(k): int(v) for k, v in data.get("kernel_dims", {}).items()}
+        cap = data.get("max_degree")
+        dims = data.get("kernel_dims", {})
         return cls(
             algebra=alg,
             generators=gens,
-            max_degree=data.get("max_degree"),
-            kernel_dims=kernel_dims,
+            max_degree=None if cap is None else _json_int(cap, "max_degree"),
+            kernel_dims={int(k): _json_int(v, "kernel dim") for k, v in dims.items()},
         )
 
 
@@ -686,17 +690,25 @@ def indecomposables(
     return out
 
 
+def default_degree_cap(alg: LieAlgebra) -> int:
+    """Generation cap rank + 1: n for sl(n), the length of its longest cycle."""
+    return alg.rank() + 1
+
+
 def generate(
     alg: LieAlgebra,
     sub: SubalgebraSpec,
-    max_degree: int,
+    max_degree: int | None = None,
     label_prefix: str = "q",
 ) -> GeneratorSet:
-    """Indecomposable invariant generators through the degree cap.
+    """Indecomposable invariant generators through the degree cap, by
+    default default_degree_cap(alg); the cap used is kept as max_degree.
 
     Records the kernel dimension at each degree; generator counts per degree
     never shrink when the cap grows (earlier degrees are unaffected).
     """
+    if max_degree is None:
+        max_degree = default_degree_cap(alg)
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     gens: list[Generator] = []

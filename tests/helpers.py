@@ -33,7 +33,6 @@ from poischain.casimir_mf import CommutativityReport
 from poischain.chains import (
     CentralityReport,
     JMapReport,
-    default_degree_cap,
     j_map_components,
 )
 from poischain.commutant import (
@@ -47,6 +46,7 @@ from poischain.commutant import (
     _generator_products,
     _invariance_operators,
     _kernel_of_images,
+    default_degree_cap,
 )
 from poischain.flow import FlowDivergenceError, FlowResult, hamiltonian_vector_field
 from poischain.linalg import (

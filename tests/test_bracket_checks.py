@@ -16,6 +16,7 @@ from poischain import (
     builtin_sl,
     cartan_subalgebra,
     casimirs_by_kernel,
+    chains,
     generate,
     j_map_casimir_check,
     mf_commutativity_check,
@@ -60,6 +61,19 @@ def test_j_map_casimir_check_matches_reference(case):
     report = j_map_casimir_check(alg)
     assert report.to_json() == reference_j_map_casimir_check(alg).to_json()
     assert report.all_central
+
+
+def test_j_map_casimir_check_failures_match_reference(case, monkeypatch):
+    # C2 + e12 is not central: its brackets with the torus generators of
+    # nonzero e12 weight are the failures, for both routes
+    alg, _, cas, e12 = case
+    c2, *rest = cas.generators
+    gens = replace(cas.gens, generators=[replace(c2, poly=c2.poly + e12.poly), *rest])
+    broken = CasimirSet(gens=gens, method=cas.method)
+    monkeypatch.setattr(chains, "casimirs_by_kernel", lambda alg, max_degree=None: broken)
+    report = j_map_casimir_check(alg)
+    assert report.to_json() == reference_j_map_casimir_check(alg).to_json()
+    assert report.failures and not report.all_central
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["casimirs", "C2-plus-e12*e13"])

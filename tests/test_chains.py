@@ -28,8 +28,8 @@ from poischain import (
     verify_chain,
 )
 from poischain.algebra import ConfigurationError
-from poischain.chains import default_degree_cap, j_map_components
-from poischain.commutant import Generator, GeneratorSet
+from poischain.chains import j_map_components
+from poischain.commutant import Generator, GeneratorSet, default_degree_cap
 
 F = Fraction
 

@@ -378,6 +378,14 @@ _MALFORMED_FILES = {
     # a string is written as it stands: here, a JSON document cut short
     "bad_json.json": '{"dim": 3, "labels": ["h", "e"',
     "wrong_dim.json": {"dim": 3, "labels": ["h", "e"], "structure": []},
+    # generator files whose integer or boolean fields have the wrong JSON type
+    "float_degree_gen.json": {"generators": [{"poly": "h1", "degree": 2.7}]},
+    "bool_degree_gen.json": {"generators": [{"poly": "h1", "degree": True}]},
+    "string_cap_gen.json": {"generators": [{"poly": "h1"}], "max_degree": "zz"},
+    "float_kernel_dim_gen.json": {"generators": [{"poly": "h1"}],
+                                  "kernel_dims": {"1": 1.5}},
+    "string_indecomposable_gen.json": {"generators": [{"poly": "h1",
+                                                       "indecomposable": "no"}]},
 }
 
 # every subcommand that takes --algebra, with the other arguments it needs
@@ -403,6 +411,17 @@ _ALGEBRA_CONTRACT = [
 ]
 
 _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
+# each malformed generator file, as a chain base and as flow monitors
+_GENERATOR_CONTRACT = [
+    pytest.param(argv + [f"{prefix}@{name}_gen.json"], id=f"{name}-generator-{use}")
+    for name in ("float_degree", "bool_degree", "string_cap", "float_kernel_dim",
+                 "string_indecomposable")
+    for use, argv, prefix in (
+        ("base", ["chain", "verify", "--algebra", "sl2", "--subalgebra", "cartan",
+                  "--base"], "file:"),
+        ("monitor", _FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "0.1", "--monitor"], ""),
+    )
+]
 
 
 @pytest.mark.parametrize(
@@ -466,6 +485,7 @@ _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
         pytest.param(["casimirs", "--algebra", "sl3", "--method", "both",
                       "--max-degree", "1"], id="both-routes-degree-one"),
         *_ALGEBRA_CONTRACT,
+        *_GENERATOR_CONTRACT,
     ],
 )
 def test_malformed_input_exits_three_with_one_line(tmp_path, capsys, argv):
