@@ -119,12 +119,17 @@ class LieAlgebra:
         """Rank: the flagged Cartan dimension, else dim minus the generic
         rank of the commutator rows.  That rank is a lower bound on the
         generic one, so without a flagged Cartan the result is an upper
-        bound on the rank (sampling gives the chance it is high)."""
+        bound on the rank (sampling gives the chance it is high).  The
+        sampled rank is kept per seed."""
         if self.cartan_indices is not None:
             return len(self.cartan_indices)
-        return self.dim - generic_rank(
-            lambda point: commutator_rows(self, point), self.dim, self.dim, seed
-        )
+
+        def sample() -> int:
+            return self.dim - generic_rank(
+                lambda point: commutator_rows(self, point), self.dim, self.dim, seed
+            )
+
+        return self.derived(("rank", seed), sample)
 
     # -- serialization -------------------------------------------------------
 

@@ -415,6 +415,10 @@ def cmd_mf(cfg: RunConfig) -> int:
          f"commutativity: {'pass' if commutativity.commutative else 'FAIL'}",
          f"independent count {rank.jacobian_rank} (target {rank.expected})")
     code = EXIT_OK if commutativity.commutative else EXIT_NEGATIVE
+    # a regular shift below its target count: the degree cap may have cut
+    # off Casimirs, so the count is inconclusive rather than negative
+    if code == EXIT_OK and mf.shift_regular and rank.jacobian_rank < rank.expected:
+        code = EXIT_INCONCLUSIVE
     if ns.subalgebra:
         sub = load_subalgebra(ns.subalgebra, alg)
         sandwich = sandwich_check(mf, sub, seed=cfg.seed)

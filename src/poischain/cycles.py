@@ -12,15 +12,19 @@ Where each h_i and x_ij sits among the coordinates is read off the basis
 matrices of algebra.builtin_sl (_sl_matrix_basis, _sl_matrix_coords): the
 edge of a coordinate, the monomial of a cycle and the image of a coordinate
 under an index permutation all come from those matrices.
+
+Cycle monomials and their identities all have coefficient one, so they are
+handled as packed keys (poly): a cycle is the sum of its edges' keys and the
+relation families compare key sums.  The oracle lists the balanced monomials
+by its own depth-first walk over the off-diagonal coordinates (_balanced_keys).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import partial
-from itertools import combinations, permutations
+from functools import lru_cache, partial
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Sequence
 
 from .algebra import (
@@ -39,9 +43,8 @@ from .commutant import (
     _formal_counts,
     _generator_products,
     invariant_basis,
-    monomial_basis,
 )
-from .poly import Monomial, Polynomial, _make, pack, variable_keys
+from .poly import Monomial, Polynomial, _check_degree, _make, variable_keys
 
 # cycles in one census: sl(9) has 125,664 and builds in seconds; sl(10) has
 # 1,112,073, which take over a minute and about 1 GB
@@ -59,10 +62,28 @@ def _build_coordinate_edges(alg: LieAlgebra) -> tuple[tuple[int, int] | None, ..
     n = sl_size(alg)
     if n is None:
         raise ValueError("cycle combinatorics requires the built-in sl(n) layout")
+    return _sl_edges(n)
+
+
+@lru_cache(maxsize=None)
+def _sl_edges(n: int) -> tuple[tuple[int, int] | None, ...]:
     mats, _ = _sl_matrix_basis(n)
     return tuple(
         next(((r + 1, c + 1) for r, c in mat if r != c), None) for mat in mats
     )
+
+
+@lru_cache(maxsize=None)
+def _edge_keys(n: int) -> dict[tuple[int, int], int]:
+    """The packed key of the coordinate of each edge (i, j) of sl(n).
+    Callers must not mutate it."""
+    keys = variable_keys(n * n - 1)
+    return {e: keys[v] for v, e in enumerate(_sl_edges(n)) if e is not None}
+
+
+def _cycle_key(indices: Sequence[int], keys: dict[tuple[int, int], int]) -> int:
+    """The key of the cycle through these indices: the sum of its edges' keys."""
+    return sum(keys[a, b] for a, b in zip(indices, (*indices[1:], indices[0])))
 
 
 @dataclass(frozen=True)
@@ -100,13 +121,11 @@ class CycleMonomial:
         return [(idx[u], idx[(u + 1) % len(idx)]) for u in range(len(idx))]
 
     def polynomial(self, n: int) -> Polynomial:
-        """The product of the coordinates of the cycle's matrix units: its
-        edges are distinct, so each coordinate has exponent one."""
+        """The product of the coordinates of the cycle's matrix units: the
+        sum of their keys, each edge being distinct."""
         if any(i > n for i in self.indices):
             raise ValueError(f"cycle uses indices beyond n={n}")
-        units = {(i - 1, j - 1): 1 for i, j in self.edges()}
-        dim = n * n - 1
-        return _make(dim, {pack(_sl_matrix_coords(units, n).items(), dim): 1}, 1)
+        return _make(n * n - 1, {_cycle_key(self.indices, _edge_keys(n)): 1}, 1)
 
 
 @dataclass
@@ -234,10 +253,6 @@ def enumerate_cycle_generators(n: int) -> GeneratorSet:
 # relation families
 
 
-def _two_cycle(i: int, j: int, n: int) -> Polynomial:
-    return CycleMonomial((i, j)).polynomial(n)
-
-
 def phi_exponent(n: int, k: int) -> int:
     """Number of oriented k-cycles through a fixed directed edge:
     (n-2)!/(n-k)!; the empty product 1 at k = 2."""
@@ -289,19 +304,16 @@ class RelationFamiliesReport:
 def _check_family_one(n: int) -> FamilyResult:
     """Loop-edge product identity: the product of the two-cycles along a
     closed index tuple equals the cycle times its orientation reversal."""
+    keys = _edge_keys(n)
     checked = 0
     failures = []
     for k in range(2, n + 1):
         for tup in permutations(range(1, n + 1), k):
             checked += 1
-            lhs_factors = [
-                _two_cycle(tup[u], tup[u + 1], n) for u in range(k - 1)
-            ]
-            lhs_factors.append(_two_cycle(tup[-1], tup[0], n))
-            lhs = math.prod(lhs_factors, start=Polynomial.one(n * n - 1))
-            forward = CycleMonomial(tup).polynomial(n)
-            backward = CycleMonomial((tup[0],) + tuple(reversed(tup[1:]))).polynomial(n)
-            rhs = forward * backward
+            lhs = sum(
+                keys[a, b] + keys[b, a] for a, b in zip(tup, (*tup[1:], tup[0]))
+            )
+            rhs = _cycle_key(tup, keys) + _cycle_key((tup[0], *tup[:0:-1]), keys)
             if lhs != rhs:
                 failures.append(f"tuple {tup}")
     return FamilyResult(
@@ -315,7 +327,7 @@ def _check_family_one(n: int) -> FamilyResult:
     )
 
 
-def _check_family_two(n: int, all_pairs: Polynomial) -> FamilyResult:
+def _check_family_two(n: int, all_pairs: int) -> FamilyResult:
     """All-pairs product identity: the product of every two-cycle equals the
     full cycle, times its reversal, times the two-cycles on non-adjacent
     pairs."""
@@ -332,26 +344,27 @@ def _check_family_two(n: int, all_pairs: Polynomial) -> FamilyResult:
             convention=convention,
             skipped="degenerate at n = 2 (no non-adjacent pairs; identity has no content)",
         )
-    full = CycleMonomial(tuple(range(1, n + 1))).polynomial(n)
-    reversed_full = CycleMonomial((1,) + tuple(range(n, 1, -1))).polynomial(n)
-    chords = [
-        _two_cycle(i, j, n)
+    keys = _edge_keys(n)
+    full = _cycle_key(range(1, n + 1), keys)
+    reversed_full = _cycle_key((1, *range(n, 1, -1)), keys)
+    chords = sum(
+        _cycle_key((i, j), keys)
         for i in range(1, n + 1)
         for j in range(i + 2, n + 1)
         if not (i == 1 and j == n)
-    ]
-    rhs = math.prod(chords, start=full * reversed_full)
+    )
+    rhs = full + reversed_full + chords
     failures = [] if all_pairs == rhs else ["all-pairs instance"]
     return FamilyResult(
         family="ii", instances_checked=1, failures=failures, convention=convention
     )
 
 
-def _check_family_three(n: int, all_pairs: Polynomial, budget: int) -> FamilyResult:
+def _check_family_three(n: int, all_pairs: int, budget: int) -> FamilyResult:
     """Power identity per cycle length: the product of all oriented k-cycles
     equals the product of all two-cycles raised to the count of k-cycles
     through a fixed directed edge."""
-    dim = n * n - 1
+    keys = _edge_keys(n)
     checked = 0
     failures = []
     for k in range(2, n + 1):
@@ -359,9 +372,10 @@ def _check_family_three(n: int, all_pairs: Polynomial, budget: int) -> FamilyRes
         checked += 1
         if len(cycles) > budget:
             raise BudgetExceededError(f"family (iii) at k={k}: {len(cycles)} cycles")
-        lhs = math.prod((c.polynomial(n) for c in cycles), start=Polynomial.one(dim))
-        rhs = all_pairs.power(phi_exponent(n, k))
-        if lhs != rhs:
+        phi = phi_exponent(n, k)
+        _check_degree(max(k * len(cycles), phi * n * (n - 1)))
+        lhs = sum(_cycle_key(c.indices, keys) for c in cycles)
+        if lhs != phi * all_pairs:
             failures.append(f"k = {k}")
     return FamilyResult(
         family="iii",
@@ -386,11 +400,9 @@ def relation_families_check(n: int, budget: int = 5000) -> RelationFamiliesRepor
         raise ValueError("need n >= 2")
     if sum(math.perm(n, k) for k in range(2, n + 1)) > budget:
         raise BudgetExceededError(f"family (i) exceeded {budget} instances")
-    # the product of every two-cycle: the left side of (ii), the base of (iii)
-    all_pairs = math.prod(
-        (_two_cycle(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
-        start=Polynomial.one(n * n - 1),
-    )
+    # the product of every two-cycle, the left side of (ii) and base of (iii),
+    # is the product of every edge
+    all_pairs = sum(_edge_keys(n).values())
     results = [
         _check_family_one(n),
         _check_family_two(n, all_pairs),
@@ -436,20 +448,56 @@ class OracleReport:
         }
 
 
+def _balanced_keys(alg: LieAlgebra, k_max: int) -> list[list[int]]:
+    """The keys of the balanced monomials of each degree 0..k_max: a walk adds
+    off-diagonal coordinates in order, keeping each vertex's out- minus
+    in-degree.  A branch ends when a vertex with a defect has no edge left,
+    or when the positive defects add up to more than the degree left (an
+    edge lowers that sum by at most one).  Cartan monomials fill the rest."""
+    _check_degree(k_max)
+    edges = _coordinate_edges(alg)
+    keys = variable_keys(alg.dim)
+    walk = [(keys[v], *e) for v, e in enumerate(edges) if e is not None]
+    # last[v]: the last walk position with an edge at vertex v
+    last = {v: p for p, (_, i, j) in enumerate(walk) for v in (i, j)}
+    defect = dict.fromkeys(last, 0)
+    off: list[list[int]] = [[] for _ in range(k_max + 1)]
+
+    def visit(start: int, degree: int, key: int, positive: int) -> None:
+        if not positive:
+            off[degree].append(key)
+        if degree == k_max:
+            return
+        stop = min((last[v] for v, d in defect.items() if d), default=len(walk) - 1)
+        for p in range(start, stop + 1):
+            x, i, j = walk[p]
+            a, b = defect[i], defect[j]
+            step = (a >= 0) - (b > 0)
+            if positive + step > k_max - degree - 1:
+                continue
+            defect[i], defect[j] = a + 1, b - 1
+            visit(p, degree + 1, key + x, positive + step)
+            defect[i], defect[j] = a, b
+
+    visit(0, 0, 0, 0)
+    cartan = [keys[v] for v, e in enumerate(edges) if e is None]
+    fill = [list(map(sum, combinations_with_replacement(cartan, d)))
+            for d in range(k_max + 1)]
+    return [
+        [o + c for d in range(k + 1) for o in off[d] for c in fill[k - d]]
+        for k in range(k_max + 1)
+    ]
+
+
 def oracle_cross_check(n: int, k_max: int) -> OracleReport:
     """Span equality, degree by degree, of the balanced monomials and the
     kernel-computed invariants (two fully independent computations)."""
     alg = builtin_sl(n)
     sub = cartan_subalgebra(alg)
     results = []
-    for k in range(1, k_max + 1):
-        balanced = [
-            m
-            for m in monomial_basis(alg.dim, k)
-            if ExponentGraph.from_monomial(m, alg).is_balanced()
-        ]
+    for k, balanced in enumerate(_balanced_keys(alg, k_max)[1:], start=1):
         kernel = invariant_basis(alg, sub, k)
-        balanced_polys = [Polynomial(alg.dim, {m: Fraction(1)}) for m in balanced]
+        balanced_polys = [_make(alg.dim, {key: 1}, 1) for key in balanced]
         equal = _canonical_polys(balanced_polys, alg.dim) == _canonical_polys(
             kernel, alg.dim
         )
@@ -504,7 +552,7 @@ def reynolds_average(alg: LieAlgebra, p: Polynomial) -> Polynomial:
     for sigma in permutations(range(n)):
         total = total + weyl_permute(alg, p, sigma)
         count += 1
-    return total.scale(Fraction(1, count))
+    return _make(alg.dim, total.num, total.den * count)
 
 
 def reynolds_sl(

@@ -2,13 +2,15 @@
 and slow reference routes for the kernel, bracket and product computations,
 the pairwise bracket checks, the general relation, membership and
 new-generator routes, the flow integrator, the sl(n) cycle coordinates,
-the trace-then-transport Casimirs and the all-fields invariance test."""
+the cycle relation families and balanced monomials, the
+trace-then-transport Casimirs and the all-fields invariance test."""
 
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 from poischain import (
@@ -29,6 +31,15 @@ from poischain import (
     render_polynomial,
 )
 from poischain.algebra import _sl_matrix_basis, _sl_matrix_coords, sl_size
+from poischain.cycles import (
+    CycleMonomial,
+    ExponentGraph,
+    FamilyResult,
+    RelationFamiliesReport,
+    all_cycles,
+    phi_exponent,
+    relation_families_check,
+)
 from poischain.casimir_mf import CommutativityReport
 from poischain.chains import (
     CentralityReport,
@@ -58,7 +69,7 @@ from poischain.linalg import (
     nullspace,
     row_from_rationals,
 )
-from poischain.poly import linear_combination, unpack
+from poischain.poly import linear_combination, pack, unpack
 
 
 def random_polynomial(
@@ -650,6 +661,64 @@ def reference_cycle_polynomial(cycle, n: int) -> Polynomial:
         v = index[e]
         counts[v] = counts.get(v, 0) + 1
     return Polynomial.term(n * n - 1, 1, counts.items())
+
+
+def reference_balanced_keys(alg, k: int) -> list[int]:
+    """Reference route for the oracle's balanced monomials: every monomial of
+    degree k, kept when its exponent graph is balanced; keys ascending."""
+    return sorted(
+        pack(m.exps, alg.dim)
+        for m in monomial_basis(alg.dim, k)
+        if ExponentGraph.from_monomial(m, alg).is_balanced()
+    )
+
+
+def reference_relation_families(n: int) -> RelationFamiliesReport:
+    """Reference route for relation_families_check: the three families on
+    expanded Polynomial products of the cycle monomials."""
+    dim = n * n - 1
+    one = Polynomial.one(dim)
+
+    def cycle(*indices) -> Polynomial:
+        return CycleMonomial(tuple(indices)).polynomial(n)
+
+    failures_i, checked_i = [], 0
+    for k in range(2, n + 1):
+        for tup in permutations(range(1, n + 1), k):
+            checked_i += 1
+            lhs = math.prod(
+                (cycle(a, b) for a, b in zip(tup, tup[1:] + tup[:1])), start=one
+            )
+            rhs = cycle(*tup) * cycle(tup[0], *reversed(tup[1:]))
+            if lhs != rhs:
+                failures_i.append(f"tuple {tup}")
+    all_pairs = math.prod(
+        (cycle(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)), start=one
+    )
+    conventions = {
+        r.family: (r.convention, r.skipped)
+        for r in relation_families_check(n).results
+    }
+    results = [FamilyResult("i", checked_i, failures_i, conventions["i"][0])]
+    if n < 3:
+        results.append(FamilyResult("ii", 0, [], *conventions["ii"]))
+    else:
+        chords = [
+            cycle(i, j)
+            for i in range(1, n + 1)
+            for j in range(i + 2, n + 1)
+            if not (i == 1 and j == n)
+        ]
+        rhs = math.prod(chords, start=cycle(*range(1, n + 1)) * cycle(1, *range(n, 1, -1)))
+        failures = [] if all_pairs == rhs else ["all-pairs instance"]
+        results.append(FamilyResult("ii", 1, failures, conventions["ii"][0]))
+    failures_iii = []
+    for k in range(2, n + 1):
+        lhs = math.prod((c.polynomial(n) for c in all_cycles(n, k)), start=one)
+        if lhs != all_pairs.power(phi_exponent(n, k)):
+            failures_iii.append(f"k = {k}")
+    results.append(FamilyResult("iii", n - 1, failures_iii, conventions["iii"][0]))
+    return RelationFamiliesReport(n=n, results=results)
 
 
 def reference_sl_weyl_images(alg, sigma) -> list[Polynomial]:

@@ -168,6 +168,51 @@ def test_mf_command_with_subalgebra(capsys):
     assert "regular" in out
 
 
+def test_mf_regular_shift_below_target_count_is_inconclusive(capsys):
+    # the cap of 2 drops C3: a regular shift with 2 of 5 independent generators
+    code = run(["mf", "--algebra", "sl3", "--shift", "h:1,2", "--max-degree", "2"])
+    assert code == EXIT_INCONCLUSIVE
+    assert "independent count 2 (target 5)" in capsys.readouterr().out
+
+
+def test_mf_singular_shift_below_target_count_exits_zero(capsys):
+    code = run(["mf", "--algebra", "sl3", "--shift", "h:1,-1"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "NOT regular" in out
+    assert "independent count 4 (target 5)" in out
+
+
+def test_sampled_rank_is_kept_per_seed(tmp_path, monkeypatch):
+    from fractions import Fraction as F
+
+    from poischain import algebra, span_subalgebra
+
+    data = builtin_sl(3).to_json()
+    del data["cartan_indices"]
+    alg_path, sub_path = tmp_path / "alg.json", tmp_path / "sub.json"
+    alg_path.write_text(dump_json(data))
+    h = [[F(int(i == r)) for i in range(8)] for r in (0, 1)]
+    sub_path.write_text(dump_json(span_subalgebra(h, abelian=True).to_json()))
+    seeds = []
+
+    def counted(rows_at, n_rows, n_cols, seed):
+        if n_rows == 8:  # the commutator rows of LieAlgebra.rank, not an orbit
+            seeds.append(seed)
+        return generic_rank(rows_at, n_rows, n_cols, seed)
+
+    generic_rank = algebra.generic_rank
+    monkeypatch.setattr(algebra, "generic_rank", counted)
+    argv = ["chain", "verify", "--algebra", str(alg_path), "--subalgebra",
+            str(sub_path), "--base", "mf:1,2,0,0,0,0,0,0"]
+    assert run(argv) == EXIT_NEGATIVE
+    assert seeds == [1729]
+    seeds.clear()
+    # the default degree cap samples at the default seed, the checks at 7
+    assert run([*argv, "--seed", "7"]) == EXIT_NEGATIVE
+    assert sorted(seeds) == [7, 1729]
+
+
 def test_cycles_all_checks(capsys):
     assert run(["cycles", "--n", "3", "--check", "all"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -32,7 +32,12 @@ from poischain.cycles import (
 )
 from poischain.poly import Monomial, Polynomial
 
-from helpers import reference_cycle_polynomial, reference_sl_weyl_images
+from helpers import (
+    reference_balanced_keys,
+    reference_cycle_polynomial,
+    reference_relation_families,
+    reference_sl_weyl_images,
+)
 
 F = Fraction
 
@@ -264,6 +269,40 @@ def test_oracle_cross_check(sl2, sl3):
 def test_oracle_cross_check_sl10():
     # two-digit indices: the e1_10 label form
     assert oracle_cross_check(10, 2).all_equal
+
+
+@pytest.mark.parametrize("n, k_max", [(2, 4), (3, 4), (4, 4), (5, 4), (6, 4), (10, 2)])
+def test_balanced_walk_matches_filter(n, k_max):
+    alg = builtin_sl(n)
+    walked = cycles._balanced_keys(alg, k_max)
+    assert walked[0] == [0]
+    for k in range(1, k_max + 1):
+        assert len(set(walked[k])) == len(walked[k])
+        assert sorted(walked[k]) == reference_balanced_keys(alg, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_relation_families_match_products(n):
+    assert relation_families_check(n).to_json() == reference_relation_families(n).to_json()
+
+
+def test_oracle_fails_on_a_dropped_kernel_invariant(monkeypatch):
+    invariant_basis = cycles.invariant_basis
+    monkeypatch.setattr(
+        cycles, "invariant_basis", lambda alg, sub, k: invariant_basis(alg, sub, k)[1:]
+    )
+    rep = oracle_cross_check(3, 2)
+    assert [(d.spans_equal, d.balanced_count, d.kernel_dim) for d in rep.per_degree] == [
+        (False, 2, 1),
+        (False, 6, 5),
+    ]
+
+
+def test_family_three_fails_on_a_wrong_exponent(monkeypatch):
+    monkeypatch.setattr(cycles, "phi_exponent", lambda n, k: phi_exponent(n, k) + 1)
+    by = {r.family: r for r in relation_families_check(4).results}
+    assert by["iii"].failures == ["k = 2", "k = 3", "k = 4"]
+    assert by["i"].passed and by["ii"].passed
 
 
 def test_weyl_images_transposition(sl3):
