@@ -15,7 +15,7 @@ from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from . import linalg
-from .poly import Monomial, Polynomial, as_fraction, as_point
+from .poly import Polynomial, _from_fractions, as_fraction, as_point, variable_keys
 from .sampling import DEFAULT_SEED, generic_rank
 
 Vector = tuple[Fraction, ...]
@@ -105,9 +105,10 @@ class LieAlgebra:
 
     def linear_form(self, vec: Sequence[Fraction]) -> Polynomial:
         """The linear coordinate function of a basis-coordinate vector."""
-        return Polynomial(
-            self.dim, {Monomial.variable(i): as_fraction(v) for i, v in enumerate(vec)}
-        )
+        coeffs = [as_fraction(v) for v in vec]
+        if len(coeffs) > self.dim:
+            raise ValueError("variable index out of range")
+        return _from_fractions(self.dim, dict(zip(variable_keys(self.dim), coeffs)))
 
     def label_index(self, label: str) -> int:
         try:
@@ -309,21 +310,25 @@ class BilinearForm:
 
 def killing_form(alg: LieAlgebra) -> BilinearForm:
     """B(X, Y) = trace(ad X . ad Y), computed exactly from the structure constants:
-    B(X_i, X_j) = sum over a, b of C_iab C_jba."""
+    B(X_i, X_j) = sum over a, b of C_iab C_jba, with the nonzero C_iab grouped
+    by (a, b) so that each group meets only its (b, a) partner."""
     rows, den = alg.bracket_rows()
-    matrix = []
-    for i in range(alg.dim):
-        row = []
-        for j in range(alg.dim):
-            total = 0
-            for a, outs in rows[i].items():
-                for b, c in outs.items():
-                    c2 = rows[j].get(b, {}).get(a)
-                    if c2:
-                        total += c * c2
-            row.append(Fraction(total, den * den))
-        matrix.append(tuple(row))
-    return BilinearForm("killing", tuple(matrix))
+    groups: dict[tuple[int, int], dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        for a, outs in row.items():
+            for b, c in outs.items():
+                groups.setdefault((a, b), {})[i] = c
+    totals = [[0] * alg.dim for _ in range(alg.dim)]
+    for (a, b), left in groups.items():
+        right = groups.get((b, a), {})
+        for i, c in left.items():
+            total = totals[i]
+            for j, c2 in right.items():
+                total[j] += c * c2
+    zero, d2 = Fraction(0), den * den
+    return BilinearForm(
+        "killing", tuple(tuple(Fraction(t, d2) if t else zero for t in row) for row in totals)
+    )
 
 
 def form_invariance_witness(

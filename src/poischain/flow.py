@@ -1,18 +1,18 @@
 """Floating-point integration of Lie-Poisson flows as a conservation check.
 
 The vector field of a Hamiltonian H has exact components {H, x_k}, computed
-once in rational arithmetic.  `integrate` compiles Python source for one
-straight-line classical Runge-Kutta step (four field stages and the update,
-unrolled over the coordinates) and for H plus the monitored invariants, with
-coefficients as float reprs: the floats are those of term-by-term evaluation.
-The maximal drift of each monitor from its initial value is reported;
-centrality certificates should give drifts at the integrator's accuracy floor.
+once in rational arithmetic.  `integrate` compiles Python source for the
+whole classical Runge-Kutta loop: each step's four field stages and update,
+unrolled over the coordinates, then H plus the monitored invariants, a
+finiteness test and the drift tracking, with coefficients as float reprs:
+the floats are those of term-by-term evaluation.  The maximal drift of each
+monitor from its initial value is reported; centrality certificates should
+give drifts at the integrator's accuracy floor.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -80,46 +80,66 @@ class FlowResult:
 
 def _poly_lines(target: str, poly: Polynomial, args: Sequence[str]) -> list[str]:
     # one statement per term: CPython's compiler recurses on a long `+` chain
-    lines = [f"    {target} = 0.0"]
+    lines = [f"{target} = 0.0"]
     for mono, coeff in poly.sorted_terms():
         factors = [repr(float(coeff))]
         factors += [args[v] if e == 1 else f"{args[v]}**{e}" for v, e in mono.exps]
-        lines.append(f"    {target} += {'*'.join(factors)}")
+        lines.append(f"{target} += {'*'.join(factors)}")
     return lines
 
 
 def _compile_flow(
     field_polys: Sequence[Polynomial], monitor_polys: Sequence[Polynomial], dt: float
 ) -> tuple[Callable, Callable]:
-    """`step(x0, ..)`, one RK4 step, and `monitors(x0, ..)`, from float reprs,
-    integer indices and fixed names only.  Same float operations, in the same
-    order, as term-by-term evaluation (x**1 is x exactly): k = f(x), f at
-    x + (0.5*dt)*k twice and at x + dt*k, then x + dt/6.0*(a + 2b + 2c + d)."""
-    dt, n = float(dt), len(field_polys)
+    """`run(x, initial, steps, stride, record)`, the whole RK4 loop, and
+    `monitors(x0, ..)`, from float reprs, integer indices and fixed names only.
+    Same float operations, in the same order, as term-by-term evaluation
+    (x**1 is x exactly): k = f(x), f at x + (0.5*dt)*k twice and at x + dt*k,
+    then x + dt/6.0*(a + 2b + 2c + d).  `run` returns the monitors' drifts
+    from `initial`, or the first step whose values overflow or are not finite:
+    their running sum is tested first, and each value only when it is not
+    finite, as finite values can sum to inf."""
+    dt, n, join = float(dt), len(field_polys), ", ".join
     xs, ys = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
+    ms, inits, drifts = ([f"{p}{j}" for j in range(len(monitor_polys))] for p in "miD")
 
     def stage(k: str, args: list[str]) -> list[str]:
         return [line for i, comp in enumerate(field_polys)
                 for line in _poly_lines(f"{k}{i}", comp, args)]
 
     def shift(k: str, scale: float) -> list[str]:
-        return [f"    y{i} = x{i} + {scale!r}*{k}{i}" for i in range(n)]
+        return [f"y{i} = x{i} + {scale!r}*{k}{i}" for i in range(n)]
 
-    update = ", ".join(f"x{i} + {dt / 6.0!r}*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})"
-                       for i in range(n))
-    lines = [
-        f"def step({', '.join(xs)}):",
+    monitor = [line for m, poly in zip(ms, monitor_polys) for line in _poly_lines(m, poly, xs)]
+    body = [
         *stage("a", xs), *shift("a", 0.5 * dt), *stage("b", ys),
         *shift("b", 0.5 * dt), *stage("c", ys), *shift("c", dt), *stage("d", ys),
-        f"    return [{update}]",
-        f"def monitors({', '.join(xs)}):",
+        *(f"x{i} = x{i} + {dt / 6.0!r}*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})"
+          for i in range(n)),
+        *monitor,
+        "s = 0.0", *(f"s += {v}" for v in xs + ms),
+        f"if not isfinite(s) and not all(map(isfinite, [{join(xs + ms)}])): return i",
+        *(line for m, i0, d in zip(ms, inits, drifts)
+          for line in (f"d = abs({m} - {i0})", f"if d > {d}: {d} = d")),
+        f"if i % stride == 0 or i == steps: record(i, [{join(xs)}], [{join(ms)}])",
     ]
-    for j, poly in enumerate(monitor_polys):
-        lines += _poly_lines(f"m{j}", poly, xs)
-    lines.append(f"    return [{', '.join(f'm{j}' for j in range(len(monitor_polys)))}]")
-    namespace: dict = {}
+    lines = [
+        f"def monitors({join(xs)}):",
+        *(f"    {line}" for line in monitor),
+        f"    return [{join(ms)}]",
+        "def run(x, initial, steps, stride, record):",
+        f"    [{join(xs)}], [{join(inits)}] = x, initial",
+        f"    [{join(drifts)}] = [0.0] * {len(drifts)}",
+        "    try:",
+        "        for i in range(1, steps + 1):",
+        *(f"            {line}" for line in body),
+        "    except OverflowError:",
+        "        return i",
+        f"    return [{join(drifts)}]",
+    ]
+    namespace: dict = {"isfinite": math.isfinite}
     exec(compile("\n".join(lines), "<poischain.flow>", "exec"), namespace)
-    return namespace["step"], namespace["monitors"]
+    return namespace["run"], namespace["monitors"]
 
 
 def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowResult:
@@ -133,38 +153,29 @@ def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowRes
     field_polys = hamiltonian_vector_field(problem.algebra, problem.hamiltonian)
     monitors = [("H", problem.hamiltonian)] + list(problem.monitors)
     labels = [name for name, _ in monitors]
-    step, evaluate = _compile_flow(field_polys, [p for _, p in monitors], problem.dt)
+    run, evaluate = _compile_flow(field_polys, [p for _, p in monitors], problem.dt)
 
     steps = max(1, round(problem.t_final / problem.dt))
     if sample_stride is None:
         sample_stride = max(1, steps // 1000)
 
-    def checked(t: float, move: Callable, *args) -> tuple[list[float], list[float]]:
-        """The state move(*args) at time t and its monitor values, all finite."""
-        try:
-            x = move(*args)
-            current = evaluate(*x)
-        except OverflowError:
-            raise FlowDivergenceError(t)
-        if not (all(map(math.isfinite, x)) and all(map(math.isfinite, current))):
-            raise FlowDivergenceError(t)
-        return x, current
+    x = [float(v) for v in problem.x0]
+    try:
+        initial = evaluate(*x)
+    except OverflowError:
+        raise FlowDivergenceError(0.0)
+    if not all(map(math.isfinite, x + initial)):
+        raise FlowDivergenceError(0.0)
+    times, states, values = [0.0], [x], [initial]
 
-    x, initial = checked(0.0, list, map(float, problem.x0))
-    drifts = [0.0] * len(monitors)
-    times = [0.0]
-    states = [x]
-    values = [initial]
-    for i in range(1, steps + 1):
-        t = i * problem.dt
-        x, current = checked(t, step, *x)
-        for j, drift in enumerate(map(abs, map(operator.sub, current, initial))):
-            if drift > drifts[j]:
-                drifts[j] = drift
-        if i % sample_stride == 0 or i == steps:
-            times.append(t)
-            states.append(x)
-            values.append(current)
+    def record(i: int, state: list[float], current: list[float]) -> None:
+        times.append(i * problem.dt)
+        states.append(state)
+        values.append(current)
+
+    drifts = run(x, initial, steps, sample_stride, record)
+    if isinstance(drifts, int):
+        raise FlowDivergenceError(drifts * problem.dt)
     return FlowResult(
         times=times,
         states=states,

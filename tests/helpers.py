@@ -1,9 +1,10 @@
 """Shared helpers for the test suite: random polynomials, span fingerprints,
 and slow reference routes for the kernel, bracket and product computations,
-the pairwise bracket checks, the general relation, membership and
-new-generator routes, the flow integrator, the sl(n) cycle coordinates,
-the cycle relation families and balanced monomials, the
-trace-then-transport Casimirs and the all-fields invariance test."""
+the pairwise bracket checks, the Killing and linear forms, the general
+relation, membership and new-generator routes, the flow integrator, the
+sl(n) cycle coordinates, the cycle relation families and balanced
+monomials, the trace-then-transport Casimirs and the all-fields invariance
+test."""
 
 from __future__ import annotations
 
@@ -242,6 +243,30 @@ def double_sum_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
             if not cb.is_zero():
                 out = out + dpi * q.partial_derivative(j) * cb
     return out
+
+
+def reference_killing_form(alg) -> list[tuple[Fraction, ...]]:
+    """Reference Killing matrix: for every (i, j), the double sum over the
+    nonzero C_iab of C_iab * C_jba, looked up in the bracket rows."""
+    rows, den = alg.bracket_rows()
+    matrix = []
+    for i in range(alg.dim):
+        row = []
+        for j in range(alg.dim):
+            total = 0
+            for a, outs in rows[i].items():
+                for b, c in outs.items():
+                    c2 = rows[j].get(b, {}).get(a)
+                    if c2:
+                        total += c * c2
+            row.append(Fraction(total, den * den))
+        matrix.append(tuple(row))
+    return matrix
+
+
+def reference_linear_form(alg, vec) -> Polynomial:
+    """Reference linear form: one Monomial per coordinate."""
+    return Polynomial(alg.dim, {Monomial.variable(i): v for i, v in enumerate(vec)})
 
 
 def rank_of_matrix(matrix) -> int:

@@ -1,6 +1,8 @@
 """Structure constants, Killing forms, subalgebra specs, regularity."""
 
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,9 +32,15 @@ from poischain.algebra import (
     sl_size,
     trace_form_sl,
 )
+from poischain.cli import load_algebra
 from poischain.poly import Polynomial
 
-from helpers import commutator_matrix, rank_of_matrix
+from helpers import (
+    commutator_matrix,
+    rank_of_matrix,
+    reference_killing_form,
+    reference_linear_form,
+)
 
 F = Fraction
 
@@ -108,6 +116,54 @@ def test_killing_is_multiple_of_trace_form():
             for j in range(alg.dim):
                 assert kf.matrix[i][j] == 2 * n * tf.matrix[i][j]
         assert form_invariance_witness(alg, tf) is None
+
+
+def _scaled_sl2_file(tmp_path) -> LieAlgebra:
+    # sl(2) with e scaled by 1/3: [e', f] = h/3 puts a denominator in the constants
+    spec = {
+        "name": "scaled sl2",
+        "dim": 3,
+        "labels": ["h", "e", "f"],
+        "structure": [
+            {"i": 0, "j": 1, "k": 1, "c": "2"},
+            {"i": 0, "j": 2, "k": 2, "c": "-2"},
+            {"i": 1, "j": 2, "k": 0, "c": "1/3"},
+        ],
+    }
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(spec))
+    return load_algebra(str(path))
+
+
+def test_killing_form_matches_double_sum(tmp_path):
+    algebras = [builtin_sl(n) for n in range(2, 7)]
+    algebras += [direct_sum(builtin_sl(2), builtin_sl(3)), _scaled_sl2_file(tmp_path)]
+    for alg in algebras:
+        matrix = killing_form(alg).matrix
+        assert all(type(v) is Fraction for row in matrix for v in row)
+        assert list(matrix) == reference_killing_form(alg), alg.name
+    assert killing_form(algebras[-1]).matrix[1][2] == F(4, 3)
+
+
+def test_linear_form_matches_one_monomial_per_coordinate(sl3):
+    rng = random.Random(7)
+    for _ in range(20):
+        vec = [F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.6 else F(0)
+               for _ in range(sl3.dim)]
+        assert sl3.linear_form(vec) == reference_linear_form(sl3, vec)
+    assert sl3.linear_form(["1/2", 3] + [0] * 6) == reference_linear_form(
+        sl3, [F(1, 2), F(3)] + [F(0)] * 6
+    )
+    assert sl3.linear_form([0] * 8).is_zero()
+    with pytest.raises(ValueError):
+        sl3.linear_form([F(1)] * 9)
+
+
+def test_linear_form_rejects_floats_even_at_zero(sl3):
+    with pytest.raises(TypeError):
+        sl3.linear_form([F(1)] + [0.0] + [F(0)] * 6)
+    with pytest.raises(TypeError):
+        sl3.linear_form([0.5] + [F(0)] * 7)
 
 
 def test_killing_invariance_on_all_basis_triples(sl3):

@@ -8,6 +8,9 @@ import pytest
 
 from poischain import (
     FlowDivergenceError,
+    builtin_sl,
+    cartan_subalgebra,
+    generate,
     FlowProblem,
     Polynomial,
     hamiltonian_vector_field,
@@ -75,6 +78,8 @@ def _outcome(run, problem):
 
 
 SL3_X0 = [1.0, -0.5, 0.8, -0.3, 0.6, 1.1, -0.9, 0.4]
+SL5_X0 = [0.3, -0.2, 0.5, -0.4, 0.1, 0.6, -0.3, 0.2, -0.5, 0.4, 0.7, -0.1,
+          0.2, -0.6, 0.3, 0.5, -0.2, 0.1, 0.4, -0.7, 0.6, -0.3, 0.2, 0.1]
 
 
 def _bit_identity_cases(sl2, sl3, sl2_casimirs, sl3_casimirs, sl3_torus):
@@ -84,6 +89,12 @@ def _bit_identity_cases(sl2, sl3, sl2_casimirs, sl3_casimirs, sl3_torus):
 
     def sl3_text(text):
         return parse_polynomial(text, 8, sl3.labels)
+
+    sl2_h1 = parse_polynomial("h1", 3, sl2.labels)
+    sl5 = builtin_sl(5)
+    sl5_torus = [(g.label, g.poly) for g in
+                 generate(sl5, cartan_subalgebra(sl5), max_degree=5).generators]
+    assert len(sl5_torus) == 88  # 89 monitors with H
 
     return {
         "sl2 h1, C2 monitor": sl2_problem(sl2, t_final=2.0, monitors=sl2_c2),
@@ -100,6 +111,20 @@ def _bit_identity_cases(sl2, sl3, sl2_casimirs, sl3_casimirs, sl3_torus):
         "sl2 h1*e12 blow-up": FlowProblem(
             sl2, parse_polynomial("h1*e12", 3, sl2.labels), [0.0, 1.0, 0.0], 1.0, 1e-3
         ),
+        # every value is finite, but state plus H sum to inf: a test of the
+        # sum alone would report a divergence
+        "sl2 finite values with an infinite sum":
+            FlowProblem(sl2, sl2_h1, [1e308, 1e300, -1e300], 0.01, 1e-3),
+        # e12 grows as 1e61*exp(2t), and e12**5 raises OverflowError once it
+        # passes 4.5e61, near t = 0.749
+        "sl2 monitor overflow": FlowProblem(
+            sl2, sl2_h1, [1.0, 1e61, 1.0], 1.0, 0.01,
+            [("e12^5", parse_polynomial("e12^5", 3, sl2.labels))],
+        ),
+        # a generated driver with hundreds of locals
+        "sl5 h1 + h2, 88 torus monitors": FlowProblem(
+            sl5, parse_polynomial("h1 + h2", 24, sl5.labels), SL5_X0, 0.02, 1e-3, sl5_torus
+        ),
     }
 
 
@@ -112,6 +137,11 @@ def test_integrate_is_bit_identical_to_reference(
         assert outcomes[name] == _outcome(reference_integrate, problem), name
     kind, time = outcomes["sl2 h1*e12 blow-up"]
     assert kind == "diverged" and time == pytest.approx(0.503)
+    kind, time = outcomes["sl2 monitor overflow"]
+    assert kind == "diverged" and time == pytest.approx(0.75)
+    for name in ("sl2 finite values with an infinite sum", "sl5 h1 + h2, 88 torus monitors"):
+        assert outcomes[name][0] != "diverged", name
+    assert outcomes["sl2 finite values with an infinite sum"][5] == 10
     # a Casimir's field is zero, so every state is the initial point
     for name in ("sl3 C2", "sl3 C3", "sl2 Casimir Hamiltonian"):
         problem = cases[name]
