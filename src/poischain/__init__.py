@@ -84,7 +84,6 @@ from .flow import (
     FlowDivergenceError,
     FlowProblem,
     FlowResult,
-    hamiltonian_vector_field,
     integrate,
     observed_order,
 )
@@ -93,7 +92,6 @@ from .poly import (
     Polynomial,
     VectorField,
     dump_json,
-    apply_vector_field,
     brackets,
     gradient_rows,
     hamiltonian_field,

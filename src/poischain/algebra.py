@@ -413,25 +413,32 @@ def builtin_sl(n: int) -> LieAlgebra:
                             comm[(r, c)] = comm.get((r, c), 0) + sign * x * y
             for k, c in _sl_matrix_coords(comm, n).items():
                 structure[(a, b, k)] = c
-    return LieAlgebra(
+    alg = LieAlgebra(
         name=f"sl{n}",
         dim=dim,
         labels=tuple(labels),
         structure=structure,
         cartan_indices=tuple(range(n - 1)),
     )
+    alg.derived("sl size", lambda: n)
+    return alg
 
 
 def sl_size(alg: LieAlgebra) -> int | None:
-    """n if the algebra is a built-in sl(n) layout, else None.  The labels
-    may take either form, e12 or e1_2."""
-    if alg.cartan_indices is None:
-        return None
-    n = len(alg.cartan_indices) + 1
-    if alg.dim != n * n - 1:
-        return None
-    forms = (tuple(_sl_labels(n, "")), tuple(_sl_labels(n, "_")))
-    return n if alg.labels in forms else None
+    """n if the algebra is sl(n) in the built-in layout, else None: the
+    labels may take either form, e12 or e1_2, and the structure constants
+    must be those of builtin_sl(n).  Decided once per algebra."""
+
+    def match() -> int | None:
+        if alg.cartan_indices is None:
+            return None
+        n = len(alg.cartan_indices) + 1
+        forms = (tuple(_sl_labels(n, "")), tuple(_sl_labels(n, "_")))
+        if alg.dim != n * n - 1 or alg.labels not in forms:
+            return None
+        return n if alg.structure == builtin_sl(n).structure else None
+
+    return alg.derived("sl size", match)
 
 
 def trace_form_sl(n: int) -> BilinearForm:
@@ -476,8 +483,6 @@ class SubalgebraSpec:
 
     vectors: tuple[Vector, ...]
     abelian: bool = False
-    cartan: bool = False
-    full: bool = False
     name: str = "subalgebra"
 
     def __post_init__(self) -> None:
@@ -494,8 +499,6 @@ class SubalgebraSpec:
             "name": self.name,
             "vectors": [[str(v) for v in vec] for vec in self.vectors],
             "abelian": self.abelian,
-            "cartan": self.cartan,
-            "full": self.full,
         }
 
     @classmethod
@@ -503,8 +506,6 @@ class SubalgebraSpec:
         return cls(
             vectors=tuple(tuple(as_fraction(v) for v in vec) for vec in data["vectors"]),
             abelian=bool(data.get("abelian", False)),
-            cartan=bool(data.get("cartan", False)),
-            full=bool(data.get("full", False)),
             name=str(data.get("name", "subalgebra")),
         )
 
@@ -516,14 +517,14 @@ def cartan_subalgebra(alg: LieAlgebra) -> SubalgebraSpec:
         tuple(Fraction(int(i == c)) for i in range(alg.dim))
         for c in alg.cartan_indices
     )
-    return SubalgebraSpec(vectors, abelian=True, cartan=True, name="cartan")
+    return SubalgebraSpec(vectors, abelian=True, name="cartan")
 
 
 def full_subalgebra(alg: LieAlgebra) -> SubalgebraSpec:
     vectors = tuple(
         tuple(Fraction(int(i == c)) for i in range(alg.dim)) for c in range(alg.dim)
     )
-    return SubalgebraSpec(vectors, full=True, name="full")
+    return SubalgebraSpec(vectors, name="full")
 
 
 def span_subalgebra(
@@ -659,12 +660,3 @@ def dual_transport_inverse(
 ) -> Polynomial:
     """Inverse of dual_transport (substitute x_i -> sum_j B_ij coordinate_j)."""
     return p.substitute_linear([alg.linear_form(row) for row in form.matrix])
-
-
-def moment_map_form(alg: LieAlgebra, vec: Sequence[Fraction]) -> Polynomial:
-    """The linear function on the dual space cut out by an algebra element.
-
-    Equals dual_transport of the pairing with the element, independently of
-    the (invariant, nondegenerate) form used.
-    """
-    return alg.linear_form(vec)

@@ -228,9 +228,6 @@ class MFAlgebra:
     def polys(self) -> list[Polynomial]:
         return [g.poly for g in self.generators]
 
-    def labels(self) -> list[str]:
-        return [g.label for g in self.generators]
-
     def as_generator_set(self) -> GeneratorSet:
         return GeneratorSet(algebra=self.algebra, generators=list(self.generators))
 

@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,14 +78,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    seed: int
-    out: str | None
-    options: argparse.Namespace
-
-
 _CAP_HELP = "degree cap (default rank + 1, which is n for sl(n))"
 
 
@@ -104,6 +95,7 @@ def build_parser() -> _Parser:
     p_check = alg_sub.add_parser("check", parents=[common],
                                  help="validate structure constants")
     p_check.add_argument("--algebra", required=True)
+    p_check.set_defaults(handler=cmd_algebra_check)
 
     p_comm = sub.add_parser("commutant", parents=[common],
                             help="invariant generators of a subalgebra")
@@ -115,6 +107,7 @@ def build_parser() -> _Parser:
     p_comm.add_argument("--skip-relations", action="store_true")
     p_comm.add_argument("--closure", action="store_true",
                         help="also check bracket closure (can be slow)")
+    p_comm.set_defaults(handler=cmd_commutant)
 
     p_cas = sub.add_parser("casimirs", parents=[common],
                            help="central generators by kernel (and traces)")
@@ -122,6 +115,7 @@ def build_parser() -> _Parser:
     p_cas.add_argument("--max-degree", type=int, default=None, help=_CAP_HELP)
     p_cas.add_argument("--method", choices=["kernel", "trace", "both"],
                        default="kernel")
+    p_cas.set_defaults(handler=cmd_casimirs)
 
     p_mf = sub.add_parser("mf", parents=[common],
                           help="argument-shift family of the Casimirs")
@@ -131,6 +125,7 @@ def build_parser() -> _Parser:
     p_mf.add_argument("--max-degree", type=int, default=None, help=_CAP_HELP)
     p_mf.add_argument("--subalgebra", default=None,
                       help="also test inclusion into this subalgebra's invariants")
+    p_mf.set_defaults(handler=cmd_mf)
 
     p_chain = sub.add_parser("chain", help="inclusion-chain operations")
     chain_sub = p_chain.add_subparsers(dest="chain_command", required=True)
@@ -141,6 +136,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--base", required=True,
                           help="casimirs | moment-map | mf:<shift> | file:<gens.json>")
     p_verify.add_argument("--max-degree", type=int, default=None, help=_CAP_HELP)
+    p_verify.set_defaults(handler=cmd_chain_verify)
 
     p_cyc = sub.add_parser("cycles", parents=[common],
                            help="cycle-monomial census and identities for sl(n)")
@@ -149,6 +145,7 @@ def build_parser() -> _Parser:
                        help="degree cap for the oracle cross-check")
     p_cyc.add_argument("--check", choices=["relations", "oracle", "all"],
                        default="all")
+    p_cyc.set_defaults(handler=cmd_cycles)
 
     p_flow = sub.add_parser("flow", parents=[common],
                             help="integrate a Hamiltonian flow and report drifts")
@@ -161,17 +158,14 @@ def build_parser() -> _Parser:
                         help="auto:torus | auto:casimirs | gens.json")
     p_flow.add_argument("--csv", default=None,
                         help="write the sampled trajectory to this CSV path")
+    p_flow.set_defaults(handler=cmd_flow)
     return parser
 
 
-def parse_cli(argv: list[str]) -> RunConfig:
+def parse_cli(argv: list[str]) -> argparse.Namespace:
+    """The parsed options; `handler` is the subcommand's function."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    command = ns.command
-    if command == "chain":
-        command = f"chain {ns.chain_command}"
-    elif command == "algebra":
-        command = f"algebra {ns.algebra_command}"
     for attr in ("max_degree", "relations_degree"):
         value = getattr(ns, attr, None)
         if value is not None and value < 1:
@@ -185,12 +179,7 @@ def parse_cli(argv: list[str]) -> RunConfig:
             parser.error("--t must be positive and finite")
         if not math.isfinite(ns.t / ns.dt):
             parser.error("--t / --dt must be a finite number of steps")
-    return RunConfig(
-        command=command,
-        seed=getattr(ns, "seed", DEFAULT_SEED),
-        out=getattr(ns, "out", None),
-        options=ns,
-    )
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +309,18 @@ def _say(*lines: str) -> None:
 # subcommand handlers
 
 
-def cmd_algebra_check(cfg: RunConfig) -> int:
-    alg = load_algebra(cfg.options.algebra)
+def cmd_algebra_check(ns: argparse.Namespace) -> int:
+    alg = load_algebra(ns.algebra)
     report = validate_algebra(alg)
     payload = {"algebra": alg.name, "dim": alg.dim, "validation": report.to_json()}
     for check in report.checks:
         _say(f"{check.name}: {'pass' if check.passed else 'FAIL'}"
              + (f" ({check.detail})" if check.detail and not check.passed else ""))
-    emit_report(payload, cfg.out)
+    emit_report(payload, ns.out)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
-def cmd_commutant(cfg: RunConfig) -> int:
-    ns = cfg.options
+def cmd_commutant(ns: argparse.Namespace) -> int:
     alg = load_algebra(ns.algebra)
     sub = load_subalgebra(ns.subalgebra, alg)
     gens = generate(alg, sub, ns.max_degree)
@@ -353,12 +341,11 @@ def cmd_commutant(cfg: RunConfig) -> int:
         closure = bracket_closure_check(gens)
         payload["closure"] = closure.to_json()
         _say("bracket closure: " + ("pass" if closure.all_closed else "FAIL"))
-    emit_report(payload, cfg.out)
+    emit_report(payload, ns.out)
     return EXIT_OK
 
 
-def cmd_casimirs(cfg: RunConfig) -> int:
-    ns = cfg.options
+def cmd_casimirs(ns: argparse.Namespace) -> int:
     alg = load_algebra(ns.algebra)
     n = None
     if ns.method in ("trace", "both"):
@@ -372,7 +359,7 @@ def cmd_casimirs(cfg: RunConfig) -> int:
     kernel_set = None
     if ns.method in ("kernel", "both"):
         kernel_set = casimirs_by_kernel(alg, ns.max_degree)
-        count = casimir_count_check(alg, seed=cfg.seed, casimirs=kernel_set)
+        count = casimir_count_check(alg, seed=ns.seed, casimirs=kernel_set)
         payload["kernel"] = kernel_set.to_json()
         payload["count_check"] = count.to_json()
         _say(f"kernel route: {len(kernel_set)} generators, independent count "
@@ -394,17 +381,16 @@ def cmd_casimirs(cfg: RunConfig) -> int:
             _say("route agreement: " + ("pass" if agree else "FAIL"))
             if not agree:
                 code = EXIT_NEGATIVE
-    emit_report(payload, cfg.out)
+    emit_report(payload, ns.out)
     return code
 
 
-def cmd_mf(cfg: RunConfig) -> int:
-    ns = cfg.options
+def cmd_mf(ns: argparse.Namespace) -> int:
     alg = load_algebra(ns.algebra)
     mu = parse_shift(ns.shift, alg)
     mf = mf_generators(casimirs_by_kernel(alg, ns.max_degree), mu)
     commutativity = mf_commutativity_check(mf)
-    rank = mf_rank_check(mf, seed=cfg.seed)
+    rank = mf_rank_check(mf, seed=ns.seed)
     payload = {
         "family": mf.to_json(),
         "commutativity": commutativity.to_json(),
@@ -421,7 +407,7 @@ def cmd_mf(cfg: RunConfig) -> int:
         code = EXIT_INCONCLUSIVE
     if ns.subalgebra:
         sub = load_subalgebra(ns.subalgebra, alg)
-        sandwich = sandwich_check(mf, sub, seed=cfg.seed)
+        sandwich = sandwich_check(mf, sub, seed=ns.seed)
         inclusion = sandwich.inclusion
         payload["inclusion"] = inclusion.to_json()
         payload["sandwich"] = sandwich.to_json()
@@ -430,26 +416,25 @@ def cmd_mf(cfg: RunConfig) -> int:
              f"(routes agree: {inclusion.agree})")
         if not inclusion.agree:
             code = EXIT_NEGATIVE
-    emit_report(payload, cfg.out)
+    emit_report(payload, ns.out)
     return code
 
 
-def cmd_chain_verify(cfg: RunConfig) -> int:
-    ns = cfg.options
+def cmd_chain_verify(ns: argparse.Namespace) -> int:
     alg = load_algebra(ns.algebra)
     sub = load_subalgebra(ns.subalgebra, alg)
     base_spec = ns.base
     if base_spec == "casimirs":
         base = casimirs_by_kernel(alg, ns.max_degree).gens
-        report = chains.chain_over(sub, base, "casimirs", base.max_degree, cfg.seed)
+        report = chains.chain_over(sub, base, "casimirs", base.max_degree, ns.seed)
     elif base_spec.startswith("file:"):
         base = _load_generator_file(base_spec[5:], alg)
-        report = chains.chain_over(sub, base, "explicit", ns.max_degree, cfg.seed)
+        report = chains.chain_over(sub, base, "explicit", ns.max_degree, ns.seed)
     elif base_spec == "moment-map":
-        report = chains.moment_map_base(alg, sub, ns.max_degree, seed=cfg.seed)
+        report = chains.moment_map_base(alg, sub, ns.max_degree, seed=ns.seed)
     elif base_spec.startswith("mf:"):
         mu = parse_shift(base_spec[3:], alg)
-        report = chains.mf_chain(alg, sub, mu, ns.max_degree, seed=cfg.seed)
+        report = chains.mf_chain(alg, sub, mu, ns.max_degree, seed=ns.seed)
     else:
         raise CliError(
             f"unknown base {base_spec!r}; use casimirs, moment-map, "
@@ -461,7 +446,7 @@ def cmd_chain_verify(cfg: RunConfig) -> int:
          f"(identity {'holds' if report.dim_identity else 'fails'})",
          f"centrality: {'pass' if report.centrality.passed else 'FAIL'}; "
          f"d_A = {report.d_a}, rank = {report.rank}")
-    emit_report(report.to_json(), cfg.out)
+    emit_report(report.to_json(), ns.out)
     return {
         "superintegrable": EXIT_OK,
         "not_superintegrable": EXIT_NEGATIVE,
@@ -469,8 +454,7 @@ def cmd_chain_verify(cfg: RunConfig) -> int:
     }[report.verdict]
 
 
-def cmd_cycles(cfg: RunConfig) -> int:
-    ns = cfg.options
+def cmd_cycles(ns: argparse.Namespace) -> int:
     _check_sl_size(ns.n)
     # the relation check and the census count their instances before any
     # work, so an over-budget n fails at once
@@ -493,7 +477,7 @@ def cmd_cycles(cfg: RunConfig) -> int:
              + ("pass" if oracle.all_equal else "FAIL"))
         if not oracle.all_equal:
             code = EXIT_NEGATIVE
-    emit_report(payload, cfg.out)
+    emit_report(payload, ns.out)
     return code
 
 
@@ -509,8 +493,7 @@ def _resolve_monitors(spec: str | None, alg: LieAlgebra):
     return [(g.label, g.poly) for g in gens.generators]
 
 
-def cmd_flow(cfg: RunConfig) -> int:
-    ns = cfg.options
+def cmd_flow(ns: argparse.Namespace) -> int:
     alg = load_algebra(ns.algebra)
     try:
         ham = parse_polynomial(ns.hamiltonian, alg.dim, alg.labels)
@@ -540,7 +523,7 @@ def cmd_flow(cfg: RunConfig) -> int:
     worst = max(result.drifts, key=lambda k: result.drifts[k])
     _say(f"integrated {result.steps} steps of size {result.dt}",
          f"max drift {result.drifts[worst]:.3e} ({worst})")
-    emit_report(payload, cfg.out)
+    emit_report(payload, ns.out)
     return EXIT_OK
 
 
@@ -557,25 +540,14 @@ def _write_trajectory_csv(path: str, alg: LieAlgebra, result) -> None:
         raise CliError(f"cannot write trajectory to {path!r}: {exc}")
 
 
-_HANDLERS = {
-    "algebra check": cmd_algebra_check,
-    "commutant": cmd_commutant,
-    "casimirs": cmd_casimirs,
-    "mf": cmd_mf,
-    "chain verify": cmd_chain_verify,
-    "cycles": cmd_cycles,
-    "flow": cmd_flow,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        cfg = parse_cli(list(argv))
-        _check_writable(cfg.out, "report")
-        _check_writable(getattr(cfg.options, "csv", None), "trajectory")
-        code = _HANDLERS[cfg.command](cfg)
+        ns = parse_cli(list(argv))
+        _check_writable(ns.out, "report")
+        _check_writable(getattr(ns, "csv", None), "trajectory")
+        code = ns.handler(ns)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -69,7 +69,6 @@ from .poly import (
     VectorField,
     _from_fractions,
     _make,
-    apply_vector_field,
     brackets,
     hamiltonian_field,
     linear_combination,
@@ -181,14 +180,6 @@ def monomial_basis(dim: int, k: int) -> list[Monomial]:
     combos = combinations_with_replacement(range(dim), k)
     packed = sorted((sum(keys[v] for v in combo) for combo in combos), reverse=True)
     return [Monomial(unpack(key, dim)) for key in packed]
-
-
-def apply_invariance_operator(
-    alg: LieAlgebra, vec: Sequence[Fraction], p: Polynomial
-) -> Polynomial:
-    """L_H(p) = {l_H, p} for the subalgebra element with the given coordinates:
-    p differentiated along the Hamiltonian field of the linear form l_H."""
-    return apply_vector_field(hamiltonian_field(alg.linear_form(vec), alg), p)
 
 
 def _diagonal_weights(field: Sequence[Polynomial]) -> list[int] | None:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Sequence
 
@@ -44,21 +45,26 @@ from .commutant import (
     _generator_products,
     invariant_basis,
 )
-from .poly import Monomial, Polynomial, _check_degree, _make, variable_keys
+from .poly import (
+    Monomial,
+    Polynomial,
+    _check_degree,
+    _make,
+    linear_combination,
+    variable_keys,
+)
 
 # cycles in one census: sl(9) has 125,664 and builds in seconds; sl(10) has
 # 1,112,073, which take over a minute and about 1 GB
 CENSUS_BUDGET = 200_000
+# generator products that reynolds_sl averages, each over all n! permutations
+PRODUCT_BUDGET = 20_000
 
 
 def _coordinate_edges(alg: LieAlgebra) -> tuple[tuple[int, int] | None, ...]:
     """The directed edge (i, j) (1-based) of each coordinate of a built-in
     sl(n), read off its basis matrix: the matrix unit E_ij gives (i, j), a
-    Cartan coordinate None.  Built once per algebra."""
-    return alg.derived("cycle edges", partial(_build_coordinate_edges, alg))
-
-
-def _build_coordinate_edges(alg: LieAlgebra) -> tuple[tuple[int, int] | None, ...]:
+    Cartan coordinate None."""
     n = sl_size(alg)
     if n is None:
         raise ValueError("cycle combinatorics requires the built-in sl(n) layout")
@@ -107,10 +113,6 @@ class CycleMonomial:
         object.__setattr__(self, "indices", idx[low:] + idx[:low])
 
     @property
-    def length(self) -> int:
-        return len(self.indices)
-
-    @property
     def label(self) -> str:
         if max(self.indices) < 10:
             return "p" + "".join(str(i) for i in self.indices)
@@ -150,9 +152,6 @@ class ExponentGraph:
             defect[i] = defect.get(i, 0) + m
             defect[j] = defect.get(j, 0) - m
         return all(v == 0 for v in defect.values())
-
-    def total(self) -> int:
-        return sum(self.edges.values())
 
 
 def balance_check(mono: Monomial, alg: LieAlgebra) -> bool:
@@ -547,20 +546,13 @@ def reynolds_average(alg: LieAlgebra, p: Polynomial) -> Polynomial:
     n = sl_size(alg)
     if n is None:
         raise ValueError("averaging needs the built-in sl(n) layout")
-    total = Polynomial.zero(alg.dim)
-    count = 0
-    for sigma in permutations(range(n)):
-        total = total + weyl_permute(alg, p, sigma)
-        count += 1
-    return _make(alg.dim, total.num, total.den * count)
+    weight = Fraction(1, math.factorial(n))
+    return linear_combination(
+        alg.dim, ((weight, weyl_permute(alg, p, sigma)) for sigma in permutations(range(n)))
+    )
 
 
-def reynolds_sl(
-    alg: LieAlgebra,
-    gens: GeneratorSet,
-    max_degree: int,
-    product_budget: int = 20000,
-) -> GeneratorSet:
+def reynolds_sl(alg: LieAlgebra, gens: GeneratorSet, max_degree: int) -> GeneratorSet:
     """Permutation-averaged spans of generator products, degree by degree.
 
     Averages every product of the given generators up to the degree cap and
@@ -569,9 +561,9 @@ def reynolds_sl(
     counted by the table that prunes their walk (commutant._formal_counts)
     before any is formed, so an over-budget call fails at once.
     """
-    if sum(_formal_counts(gens.degrees(), max_degree)[0][1:]) > product_budget:
+    if sum(_formal_counts(gens.degrees(), max_degree)[0][1:]) > PRODUCT_BUDGET:
         raise BudgetExceededError(
-            f"more than {product_budget} generator products below degree {max_degree}"
+            f"more than {PRODUCT_BUDGET} generator products below degree {max_degree}"
         )
     averaged: dict[int, list[Polynomial]] = {}
     for d in range(1, max_degree + 1):

@@ -2,9 +2,10 @@
 
 The vector field of a Hamiltonian H has exact components {H, x_k}, computed
 once in rational arithmetic.  `integrate` compiles Python source for the
-whole classical Runge-Kutta loop: each step's four field stages and update,
-unrolled over the coordinates, then H plus the monitored invariants, a
-finiteness test and the drift tracking, with coefficients as float reprs:
+whole classical Runge-Kutta loop.  Step 0 is the initial point, and each
+later step runs the four field stages and the update, unrolled over the
+coordinates; every step then evaluates H and the monitored invariants once,
+tests finiteness and tracks the drifts.  Coefficients are float reprs, so
 the floats are those of term-by-term evaluation.  The maximal drift of each
 monitor from its initial value is reported; centrality certificates should
 give drifts at the integrator's accuracy floor.
@@ -26,11 +27,6 @@ class FlowDivergenceError(RuntimeError):
     def __init__(self, time: float) -> None:
         super().__init__(f"non-finite state at t = {time:.6g}; aborting")
         self.time = time
-
-
-def hamiltonian_vector_field(alg: LieAlgebra, h: Polynomial) -> list[Polynomial]:
-    """Exact symbolic components of the flow: component k is {H, x_k}."""
-    return hamiltonian_field(h, alg)
 
 
 @dataclass
@@ -90,15 +86,17 @@ def _poly_lines(target: str, poly: Polynomial, args: Sequence[str]) -> list[str]
 
 def _compile_flow(
     field_polys: Sequence[Polynomial], monitor_polys: Sequence[Polynomial], dt: float
-) -> tuple[Callable, Callable]:
-    """`run(x, initial, steps, stride, record)`, the whole RK4 loop, and
-    `monitors(x0, ..)`, from float reprs, integer indices and fixed names only.
-    Same float operations, in the same order, as term-by-term evaluation
-    (x**1 is x exactly): k = f(x), f at x + (0.5*dt)*k twice and at x + dt*k,
-    then x + dt/6.0*(a + 2b + 2c + d).  `run` returns the monitors' drifts
-    from `initial`, or the first step whose values overflow or are not finite:
-    their running sum is tested first, and each value only when it is not
-    finite, as finite values can sum to inf."""
+) -> Callable:
+    """`run(x, steps, stride, record)`, the whole RK4 loop, from float reprs,
+    integer indices and fixed names only.  Step i = 0 is the state x; every
+    later step applies the same float operations, in the same order, as
+    term-by-term evaluation (x**1 is x exactly): k = f(x), f at
+    x + (0.5*dt)*k twice and at x + dt*k, then x + dt/6.0*(a + 2b + 2c + d).
+    Each step then evaluates the monitors once; step 0's values are the
+    initial ones.  `run` returns the monitors' drifts from them, or the first
+    step whose values overflow or are not finite: their running sum is tested
+    first, and each value only when it is not finite, as finite values can
+    sum to inf."""
     dt, n, join = float(dt), len(field_polys), ", ".join
     xs, ys = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
     ms, inits, drifts = ([f"{p}{j}" for j in range(len(monitor_polys))] for p in "miD")
@@ -110,28 +108,28 @@ def _compile_flow(
     def shift(k: str, scale: float) -> list[str]:
         return [f"y{i} = x{i} + {scale!r}*{k}{i}" for i in range(n)]
 
-    monitor = [line for m, poly in zip(ms, monitor_polys) for line in _poly_lines(m, poly, xs)]
-    body = [
+    update = [
         *stage("a", xs), *shift("a", 0.5 * dt), *stage("b", ys),
         *shift("b", 0.5 * dt), *stage("c", ys), *shift("c", dt), *stage("d", ys),
         *(f"x{i} = x{i} + {dt / 6.0!r}*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})"
           for i in range(n)),
-        *monitor,
+    ]
+    body = [
+        "if i:", *(f"    {line}" for line in update),
+        *(line for m, poly in zip(ms, monitor_polys) for line in _poly_lines(m, poly, xs)),
         "s = 0.0", *(f"s += {v}" for v in xs + ms),
         f"if not isfinite(s) and not all(map(isfinite, [{join(xs + ms)}])): return i",
+        f"if not i: [{join(inits)}] = [{join(ms)}]",
         *(line for m, i0, d in zip(ms, inits, drifts)
           for line in (f"d = abs({m} - {i0})", f"if d > {d}: {d} = d")),
         f"if i % stride == 0 or i == steps: record(i, [{join(xs)}], [{join(ms)}])",
     ]
     lines = [
-        f"def monitors({join(xs)}):",
-        *(f"    {line}" for line in monitor),
-        f"    return [{join(ms)}]",
-        "def run(x, initial, steps, stride, record):",
-        f"    [{join(xs)}], [{join(inits)}] = x, initial",
+        "def run(x, steps, stride, record):",
+        f"    [{join(xs)}] = x",
         f"    [{join(drifts)}] = [0.0] * {len(drifts)}",
         "    try:",
-        "        for i in range(1, steps + 1):",
+        "        for i in range(steps + 1):",
         *(f"            {line}" for line in body),
         "    except OverflowError:",
         "        return i",
@@ -139,7 +137,7 @@ def _compile_flow(
     ]
     namespace: dict = {"isfinite": math.isfinite}
     exec(compile("\n".join(lines), "<poischain.flow>", "exec"), namespace)
-    return namespace["run"], namespace["monitors"]
+    return namespace["run"]
 
 
 def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowResult:
@@ -150,30 +148,25 @@ def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowRes
     its initial value; the trajectory itself is recorded every
     `sample_stride` steps to keep outputs bounded.
     """
-    field_polys = hamiltonian_vector_field(problem.algebra, problem.hamiltonian)
+    field_polys = hamiltonian_field(problem.hamiltonian, problem.algebra)
     monitors = [("H", problem.hamiltonian)] + list(problem.monitors)
     labels = [name for name, _ in monitors]
-    run, evaluate = _compile_flow(field_polys, [p for _, p in monitors], problem.dt)
+    run = _compile_flow(field_polys, [p for _, p in monitors], problem.dt)
 
     steps = max(1, round(problem.t_final / problem.dt))
     if sample_stride is None:
         sample_stride = max(1, steps // 1000)
 
-    x = [float(v) for v in problem.x0]
-    try:
-        initial = evaluate(*x)
-    except OverflowError:
-        raise FlowDivergenceError(0.0)
-    if not all(map(math.isfinite, x + initial)):
-        raise FlowDivergenceError(0.0)
-    times, states, values = [0.0], [x], [initial]
+    times: list[float] = []
+    states: list[list[float]] = []
+    values: list[list[float]] = []
 
     def record(i: int, state: list[float], current: list[float]) -> None:
         times.append(i * problem.dt)
         states.append(state)
         values.append(current)
 
-    drifts = run(x, initial, steps, sample_stride, record)
+    drifts = run([float(v) for v in problem.x0], steps, sample_stride, record)
     if isinstance(drifts, int):
         raise FlowDivergenceError(drifts * problem.dt)
     return FlowResult(

@@ -250,52 +250,25 @@ class Polynomial:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
 
-    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other, over the lcm of the two denominators."""
-        self._check(other)
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        out = dict(self.num) if fa == 1 else {k: v * fa for k, v in self.num.items()}
-        get = out.get
-        for k, v in other.num.items():
-            nv = get(k, 0) + v * fb
-            if nv:
-                out[k] = nv
-            else:
-                del out[k]
-        return _make(self.dim, out, den)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, 1)
+        self._check(other)
+        return linear_combination(self.dim, ((1, self), (1, other)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, -1)
+        self._check(other)
+        return linear_combination(self.dim, ((1, self), (-1, other)))
 
     def __neg__(self) -> "Polynomial":
-        return _make(self.dim, {k: -v for k, v in self.num.items()}, self.den)
+        return self.scale(-1)
 
     def scale(self, value) -> "Polynomial":
-        value = as_fraction(value)
-        if not value:
-            return Polynomial.zero(self.dim)
-        a = value.numerator
-        return _make(
-            self.dim, {k: v * a for k, v in self.num.items()}, self.den * value.denominator
-        )
+        return linear_combination(self.dim, ((value, self),))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        _check_degree((self.degree or 0) + (other.degree or 0))
-        out: dict[int, int] = {}
-        get = out.get
-        right = list(other.num.items())
-        for k1, c1 in self.num.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return _make(self.dim, {k: v for k, v in out.items() if v}, self.den * other.den)
+        return sum_of_products(self.dim, ((self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -438,8 +411,10 @@ class Polynomial:
 
 
 def linear_combination(dim: int, pairs: Iterable) -> Polynomial:
-    """sum(c * p) over (c, p) pairs, summed in integers over one denominator."""
-    pairs = [(as_fraction(c), p) for c, p in pairs if c]
+    """sum(c * p) over (c, p) pairs, summed in integers over one denominator.
+    An int c is used as it is; any other c goes through `as_fraction`, zeros
+    included, so floats are rejected."""
+    pairs = [(a, p) for c, p in pairs if (a := c if type(c) is int else as_fraction(c))]
     den = math.lcm(*(c.denominator * p.den for c, p in pairs))
     out: dict[int, int] = {}
     get = out.get
@@ -537,11 +512,6 @@ class VectorField:
                     m2 = base + m
                     out[m2] = get(m2, 0) + ne * c
         return _make(dim, {k: v for k, v in out.items() if v}, self.den * q.den)
-
-
-def apply_vector_field(field: Sequence[Polynomial], q: Polynomial) -> Polynomial:
-    """The derivative of q along the vector field: sum_j field[j] * d_j(q)."""
-    return VectorField(field)(q)
 
 
 def brackets(

@@ -60,7 +60,7 @@ from poischain.commutant import (
     _kernel_of_images,
     default_degree_cap,
 )
-from poischain.flow import FlowDivergenceError, FlowResult, hamiltonian_vector_field
+from poischain.flow import FlowDivergenceError, FlowResult
 from poischain.linalg import (
     Echelon,
     _eliminate,
@@ -70,7 +70,7 @@ from poischain.linalg import (
     nullspace,
     row_from_rationals,
 )
-from poischain.poly import linear_combination, pack, unpack
+from poischain.poly import hamiltonian_field, linear_combination, pack, unpack
 
 
 def random_polynomial(
@@ -286,6 +286,19 @@ def rank_of_matrix(matrix) -> int:
     return rank
 
 
+def rescaled_sl_json(n: int, factor: int = 2) -> dict:
+    """The JSON of builtin_sl(n) in the basis h_i, factor * e_ij: the same
+    labels on the constants C_ijk * s_i * s_j / s_k, with s = 1 on each h_i
+    and s = factor on each e_ij.  Isomorphic to sl(n), but not its built-in
+    structure constants."""
+    data = builtin_sl(n).to_json()
+    scale = [1 if label.startswith("h") else factor for label in data["labels"]]
+    for entry in data["structure"]:
+        i, j, k = entry["i"], entry["j"], entry["k"]
+        entry["c"] = str(Fraction(entry["c"]) * scale[i] * scale[j] / scale[k])
+    return data
+
+
 def commutator_matrix(alg, point) -> list[list[Fraction]]:
     """Reference A_ij(x) = sum_k C_ijk x_k, dense, from the rational
     structure constants."""
@@ -416,7 +429,7 @@ def reference_integrate(problem, sample_stride: int | None = None):
     (float coefficient, exponents) walked term by term.  Reference for
     `flow.integrate`, which must return exactly the same floats."""
     field = [_compile_terms(c) for c in
-             hamiltonian_vector_field(problem.algebra, problem.hamiltonian)]
+             hamiltonian_field(problem.hamiltonian, problem.algebra)]
 
     def f(x):
         return [_eval_terms(c, x) for c in field]

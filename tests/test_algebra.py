@@ -17,10 +17,12 @@ from poischain import (
     dual_transport,
     full_subalgebra,
     in_centralizer,
+    is_invariant,
     is_regular,
     killing_form,
     orbit_dimension,
     span_subalgebra,
+    trace_casimirs_sln,
     validate_algebra,
     validate_subalgebra,
 )
@@ -28,7 +30,6 @@ from poischain.algebra import (
     _sl_matrix_basis,
     dual_transport_inverse,
     form_invariance_witness,
-    moment_map_form,
     sl_size,
     trace_form_sl,
 )
@@ -40,6 +41,7 @@ from helpers import (
     rank_of_matrix,
     reference_killing_form,
     reference_linear_form,
+    rescaled_sl_json,
 )
 
 F = Fraction
@@ -242,7 +244,7 @@ def test_dual_transport_round_trip(sl2):
 
 
 def test_moment_map_form(sl3):
-    mu = moment_map_form(sl3, [F(1), F(2)] + [F(0)] * 6)
+    mu = sl3.linear_form([F(1), F(2)] + [F(0)] * 6)
     assert mu.render(sl3.labels) == "h1 + 2*h2"
 
 
@@ -346,3 +348,14 @@ def test_sl_size_accepts_both_label_forms(sl3):
         cartan_indices=sl3.cartan_indices,
     )
     assert sl_size(sl3) == sl_size(alg) == 3
+
+
+def test_sl_size_checks_the_structure_constants():
+    # the sl(3) labels on rescaled e_ij: isomorphic to sl(3), but the trace
+    # route's Casimir of the built-in constants is not central there
+    scaled = LieAlgebra.from_json(rescaled_sl_json(3))
+    assert validate_algebra(scaled).passed
+    assert sl_size(scaled) is None
+    c2 = trace_casimirs_sln(3).generators[0].poly
+    assert not is_invariant(scaled, full_subalgebra(scaled), c2)
+    assert sl_size(LieAlgebra.from_json(builtin_sl(4).to_json())) == 4

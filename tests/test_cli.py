@@ -19,6 +19,8 @@ from poischain.cli import (
     parse_cli,
 )
 
+from helpers import rescaled_sl_json
+
 
 def run(argv):
     # argparse failures raise SystemExit; the process exit code is the same
@@ -29,12 +31,12 @@ def run(argv):
 
 
 def test_parse_cli_defaults():
-    cfg = parse_cli(
+    ns = parse_cli(
         ["chain", "verify", "--algebra", "sl3", "--subalgebra", "cartan", "--base", "casimirs"]
     )
-    assert cfg.command == "chain verify"
-    assert cfg.seed == 1729
-    assert cfg.out is None
+    assert ns.handler is cli.cmd_chain_verify
+    assert ns.seed == 1729
+    assert ns.out is None
 
 
 def test_algebra_check(capsys):
@@ -156,6 +158,15 @@ def test_casimirs_both_routes(capsys, tmp_path):
     data = json.loads(out.read_text())
     assert data["count_check"]["matches"] is True
     assert data["routes_agree"] is True
+
+
+def test_casimirs_both_routes_on_a_dumped_builtin_file(tmp_path):
+    path = tmp_path / "sl4.json"
+    path.write_text(dump_json(builtin_sl(4).to_json()))
+    out = tmp_path / "cas.json"
+    code = run(["casimirs", "--algebra", str(path), "--method", "both", "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["routes_agree"] is True
 
 
 def test_mf_command_with_subalgebra(capsys):
@@ -431,6 +442,8 @@ _MALFORMED_FILES = {
                                   "kernel_dims": {"1": 1.5}},
     "string_indecomposable_gen.json": {"generators": [{"poly": "h1",
                                                        "indecomposable": "no"}]},
+    # the sl(3) labels on structure constants other than builtin_sl(3)'s
+    "rescaled_sl3.json": rescaled_sl_json(3),
 }
 
 # every subcommand that takes --algebra, with the other arguments it needs
@@ -529,6 +542,10 @@ _GENERATOR_CONTRACT = [
                       "--max-degree", "1"], id="trace-route-degree-one"),
         pytest.param(["casimirs", "--algebra", "sl3", "--method", "both",
                       "--max-degree", "1"], id="both-routes-degree-one"),
+        pytest.param(["casimirs", "--algebra", "@rescaled_sl3.json", "--method", "trace"],
+                     id="trace-route-rescaled-sl3-file"),
+        pytest.param(["casimirs", "--algebra", "@rescaled_sl3.json", "--method", "both"],
+                     id="both-routes-rescaled-sl3-file"),
         *_ALGEBRA_CONTRACT,
         *_GENERATOR_CONTRACT,
     ],

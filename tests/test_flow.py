@@ -13,11 +13,12 @@ from poischain import (
     generate,
     FlowProblem,
     Polynomial,
-    hamiltonian_vector_field,
+    hamiltonian_field,
     integrate,
     observed_order,
     parse_polynomial,
 )
+from poischain import flow
 from poischain.cli import load_algebra
 from poischain.flow import _compile_flow
 
@@ -40,19 +41,43 @@ def sl2_problem(sl2, t_final=1.0, dt=1e-3, monitors=None):
 
 def test_vector_field_sl2(sl2):
     h = Polynomial.variable(0, 3)
-    field = hamiltonian_vector_field(sl2, h)
+    field = hamiltonian_field(h, sl2)
     assert field[0].is_zero()
     assert field[1].render(sl2.labels) == "2*e12"
     assert field[2].render(sl2.labels) == "-2*e21"
 
 
 def test_casimir_field_is_identically_zero(sl2, sl2_casimirs):
-    field = hamiltonian_vector_field(sl2, sl2_casimirs.gens.polys()[0])
+    field = hamiltonian_field(sl2_casimirs.gens.polys()[0], sl2)
     assert all(c.is_zero() for c in field)
 
 
 def _generated_monitors(alg, polys):
-    return _compile_flow([Polynomial.zero(alg.dim)] * alg.dim, polys, 0.1)[1]
+    """The monitor values the generated driver records at step 0."""
+    run = _compile_flow([Polynomial.zero(alg.dim)] * alg.dim, polys, 0.1)
+
+    def evaluate(*x):
+        recorded = []
+        run(list(x), 0, 1, lambda i, state, values: recorded.append(values))
+        return recorded[0]
+
+    return evaluate
+
+
+def test_each_monitor_is_compiled_once(sl3, monkeypatch):
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(flow, "compile", spy, raising=False)
+    h = parse_polynomial("h1*e12*e21", 8, sl3.labels)
+    marker = parse_polynomial("3/7*h1^5*e32 + 1", 8, sl3.labels)
+    _compile_flow(hamiltonian_field(h, sl3), [h, marker], 0.1)
+    (source,) = sources
+    assert source.count("def ") == 1
+    assert source.count(f"{3 / 7!r}*x0**5*x7") == 1
 
 
 def test_generated_evaluator_matches_exact(sl3):
@@ -146,7 +171,7 @@ def test_integrate_is_bit_identical_to_reference(
     for name in ("sl3 C2", "sl3 C3", "sl2 Casimir Hamiltonian"):
         problem = cases[name]
         assert all(c.is_zero() for c in
-                   hamiltonian_vector_field(problem.algebra, problem.hamiltonian))
+                   hamiltonian_field(problem.hamiltonian, problem.algebra))
         assert all(state == problem.x0 for state in outcomes[name][1])
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from poischain import (
     Monomial,
     Polynomial,
-    apply_vector_field,
+    VectorField,
     brackets,
     casimirs_by_kernel,
     direct_sum,
@@ -88,6 +88,16 @@ def test_known_product():
     sq = (x + y).power(2)
     expected = x * x + x * y.scale(Fraction(2)) + y * y
     assert sq == expected
+
+
+def test_scaling_takes_exact_rationals_only():
+    x = Polynomial.variable(0, 2)
+    assert x.scale("1/2") == x * Fraction(1, 2) == Fraction(1, 2) * x
+    assert x.scale(0) == x * 0 == x - x == Polynomial.zero(2)
+    assert -x == x.scale(-1) and (-x).den == 1
+    for value in (0.0, 1.5):
+        with pytest.raises(TypeError):
+            x.scale(value)
 
 
 def test_partial_derivative():
@@ -214,7 +224,7 @@ def test_bracket_matches_double_sum_reference(name, sl2, sl3):
         q = random_polynomial(rng, alg.dim, max_degree=3, n_terms=4)
         assert lie_poisson_bracket(p, q, alg) == double_sum_bracket(p, q, alg)
         field = hamiltonian_field(p, alg)
-        assert apply_vector_field(field, q) == double_sum_bracket(p, q, alg)
+        assert VectorField(field)(q) == double_sum_bracket(p, q, alg)
         for j, component in enumerate(field):
             x_j = Polynomial.variable(j, alg.dim)
             assert component == double_sum_bracket(p, x_j, alg)
