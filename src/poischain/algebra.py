@@ -261,23 +261,29 @@ def _jacobi_witness(alg: LieAlgebra) -> tuple[str, str, str, str] | None:
     [X_i, [X_j, X_k]] + [X_j, [X_k, X_i]] + [X_k, [X_i, X_j]] is nonzero,
     followed by its smallest nonzero coordinate; None if there is none.
     Summed in the integer structure constants (scaled by the denominator
-    squared, which does not move a zero)."""
+    squared, which does not move a zero); a term whose inner bracket or
+    outer row is zero adds nothing and is skipped."""
     rows, _ = alg.bracket_rows()
-    for i in range(alg.dim):
+    labels = alg.labels
+    for i, row_i in enumerate(rows):
         for j in range(i + 1, alg.dim):
-            ij = rows[i].get(j)
+            row_j = rows[j]
+            ij = row_i.get(j)
             for k in range(j + 1, alg.dim):
-                jk, ki = rows[j].get(k), rows[k].get(i)
+                row_k = rows[k]
+                jk, ki = row_j.get(k), row_k.get(i)
                 if not (ij or jk or ki):
                     continue
                 total: dict[int, int] = {}
-                for a, inner in ((i, jk), (j, ki), (k, ij)):
-                    for m, x in (inner or {}).items():
-                        for l, y in rows[a].get(m, {}).items():
-                            total[l] = total.get(l, 0) + x * y
-                bad = min((l for l, v in total.items() if v), default=None)
-                if bad is not None:
-                    labels = alg.labels
+                for row, inner in ((row_i, jk), (row_j, ki), (row_k, ij)):
+                    if inner:
+                        for m, x in inner.items():
+                            out = row.get(m)
+                            if out:
+                                for l, y in out.items():
+                                    total[l] = total.get(l, 0) + x * y
+                if any(total.values()):
+                    bad = min(l for l, v in total.items() if v)
                     return (labels[i], labels[j], labels[k], labels[bad])
     return None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -162,9 +163,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser, built by the first `parse_cli` call, not at
+    import, and reused by every later call.  It holds nothing that depends on
+    the arguments: each `parse_args` returns a new Namespace, errors and help
+    look up sys.stderr and sys.stdout when they are written, and the help
+    width is taken when the help is formatted.  The handlers are the `cmd_*`
+    functions bound at that first build, so a `cmd_*` replaced on the module
+    afterwards is not called; nothing in the package, its tests or the
+    benchmark's tracer replaces one."""
+    return build_parser()
+
+
 def parse_cli(argv: list[str]) -> argparse.Namespace:
     """The parsed options; `handler` is the subcommand's function."""
-    parser = build_parser()
+    parser = _parser()
     ns = parser.parse_args(argv)
     for attr in ("max_degree", "relations_degree"):
         value = getattr(ns, attr, None)

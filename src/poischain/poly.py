@@ -646,7 +646,10 @@ def parse_polynomial(
             if not factor:
                 raise ValueError(f"malformed term {term!r}")
             if re.fullmatch(r"\d+(/\d+)?", factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") from None
                 continue
             if "^" in factor:
                 name, _, exp_s = factor.partition("^")

@@ -1,10 +1,10 @@
 """Shared helpers for the test suite: random polynomials, span fingerprints,
 and slow reference routes for the kernel, bracket and product computations,
-the pairwise bracket checks, the Killing and linear forms, the general
-relation, membership and new-generator routes, the flow integrator, the
-sl(n) cycle coordinates, the cycle relation families and balanced
-monomials, the trace-then-transport Casimirs and the all-fields invariance
-test."""
+the pairwise bracket checks, the Jacobi scan, the Killing and linear forms,
+the general relation, membership and new-generator routes, the flow
+integrator, the sl(n) cycle coordinates, the cycle relation families and
+balanced monomials, the trace-then-transport Casimirs and the all-fields
+invariance test."""
 
 from __future__ import annotations
 
@@ -262,6 +262,30 @@ def reference_killing_form(alg) -> list[tuple[Fraction, ...]]:
             row.append(Fraction(total, den * den))
         matrix.append(tuple(row))
     return matrix
+
+
+def reference_jacobi_witness(alg) -> tuple[str, str, str, str] | None:
+    """Reference Jacobi scan: every triple i < j < k whose three brackets
+    are not all zero, summed term by term; the labels of the first failing
+    triple and of its smallest nonzero coordinate, or None."""
+    rows, _ = alg.bracket_rows()
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            ij = rows[i].get(j)
+            for k in range(j + 1, alg.dim):
+                jk, ki = rows[j].get(k), rows[k].get(i)
+                if not (ij or jk or ki):
+                    continue
+                total: dict[int, int] = {}
+                for a, inner in ((i, jk), (j, ki), (k, ij)):
+                    for m, x in (inner or {}).items():
+                        for l, y in rows[a].get(m, {}).items():
+                            total[l] = total.get(l, 0) + x * y
+                bad = min((l for l, v in total.items() if v), default=None)
+                if bad is not None:
+                    labels = alg.labels
+                    return (labels[i], labels[j], labels[k], labels[bad])
+    return None
 
 
 def reference_linear_form(alg, vec) -> Polynomial:

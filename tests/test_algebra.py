@@ -27,6 +27,7 @@ from poischain import (
     validate_subalgebra,
 )
 from poischain.algebra import (
+    _jacobi_witness,
     _sl_matrix_basis,
     dual_transport_inverse,
     form_invariance_witness,
@@ -39,6 +40,7 @@ from poischain.poly import Polynomial
 from helpers import (
     commutator_matrix,
     rank_of_matrix,
+    reference_jacobi_witness,
     reference_killing_form,
     reference_linear_form,
     rescaled_sl_json,
@@ -96,6 +98,46 @@ def test_validation_catches_jacobi_violation(sl2):
     assert "jacobi" in failed
     jacobi = next(c for c in rep.checks if c.name == "jacobi")
     assert jacobi.witness == ("h1", "e12", "e21", "h1")
+
+
+def _perturbed(alg, kind: str, seed: int) -> LieAlgebra:
+    """alg with one structure constant changed, added or removed."""
+    rng = random.Random(seed)
+    structure = dict(alg.structure)
+    if kind == "change":
+        key = rng.choice(sorted(structure))
+        structure[key] += rng.choice((-2, -1, 1, 2))
+    elif kind == "add":
+        i, j = sorted(rng.sample(range(alg.dim), 2))
+        key = (i, j, rng.randrange(alg.dim))
+        structure[key] = structure.get(key, 0) + rng.choice((-1, 1, F(1, 2)))
+    else:
+        del structure[rng.choice(sorted(structure))]
+    return LieAlgebra(name=f"{alg.name} {kind} {seed}", dim=alg.dim,
+                      labels=alg.labels, structure=structure,
+                      cartan_indices=alg.cartan_indices)
+
+
+def test_jacobi_witness_matches_reference_scan():
+    algebras = [builtin_sl(n) for n in range(2, 7)]
+    algebras += [_perturbed(builtin_sl(n), kind, seed)
+                 for n in (3, 4) for kind in ("change", "add", "remove")
+                 for seed in range(8)]
+    witnesses = [reference_jacobi_witness(alg) for alg in algebras]
+    assert [_jacobi_witness(alg) for alg in algebras] == witnesses
+    assert witnesses[:5] == [None] * 5
+    assert sum(w is not None for w in witnesses[5:]) >= 20
+
+
+def test_jacobi_witness_after_every_earlier_triple_passes():
+    # the first failing triple starts at i = dim - 3, after every sl(3) triple
+    alg = direct_sum(builtin_sl(3), builtin_sl(2))
+    structure = dict(alg.structure)
+    structure[(8, 9, 9)] *= 3
+    broken = LieAlgebra(name="broken", dim=alg.dim, labels=alg.labels,
+                        structure=structure)
+    witness = ("h1.2", "e12.2", "e21.2", "h1.2")
+    assert _jacobi_witness(broken) == reference_jacobi_witness(broken) == witness
 
 
 def test_killing_form_sl2(sl2):

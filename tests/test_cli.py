@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -37,6 +38,73 @@ def test_parse_cli_defaults():
     assert ns.handler is cli.cmd_chain_verify
     assert ns.seed == 1729
     assert ns.out is None
+
+
+def test_parse_cli_returns_a_new_namespace_each_call():
+    argv = ["cycles", "--n", "3"]
+    first = parse_cli(argv)
+    first.seed, first.extra = 7, "kept"
+    second = parse_cli(argv)
+    assert second is not first
+    assert second.seed == 1729 and not hasattr(second, "extra")
+
+
+def test_import_builds_no_parser():
+    code = ("import poischain.cli as cli; "
+            "print(cli._parser.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out == "0\n"
+
+
+def _readme_round(directory, capsys):
+    """Exit code, standard output and error, and the written report and CSV
+    bytes of each README command, run in this process."""
+    directory.mkdir()
+    commands = [
+        ["algebra", "check", "--algebra", "sl3"],
+        ["commutant", "--algebra", "sl3", "--subalgebra", "cartan"],
+        ["casimirs", "--algebra", "sl3", "--method", "both"],
+        ["mf", "--algebra", "sl3", "--shift", "h:1,2", "--subalgebra", "cartan"],
+        ["chain", "verify", "--algebra", "sl3", "--subalgebra", "cartan",
+         "--base", "casimirs"],
+        ["cycles", "--n", "3", "--check", "all"],
+        ["flow", "--algebra", "sl2", "--hamiltonian", "h1", "--x0", "1,1,1",
+         "--t", "1", "--dt", "0.01", "--monitor", "auto:casimirs",
+         "--csv", str(directory / "trajectory.csv")],
+    ]
+    results = []
+    for i, argv in enumerate(commands):
+        code = run(argv + ["--out", str(directory / f"report{i}.json")])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    return results, files
+
+
+def test_repeated_in_process_calls_are_independent(tmp_path, capsys, monkeypatch):
+    first = _readme_round(tmp_path / "first", capsys)
+    assert [code for code, _, _ in first[0]] == [EXIT_OK] * 7
+    assert len(first[1]) == 8
+    # an argparse error and an input error between the two rounds
+    assert run(["commutant", "--algebra", "sl3", "--subalgebra", "cartan",
+                "--max-degree", "0"]) == EXIT_INPUT
+    assert run(["algebra", "check", "--algebra", "sl13"]) == EXIT_INPUT
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2
+
+    def rebuilt():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert _readme_round(tmp_path / "second", capsys) == first
+    helps = []
+    for _ in range(2):
+        assert run(["--help"]) == EXIT_OK
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1]
+    assert helps[0].out.startswith("usage: poischain") and helps[0].err == ""
 
 
 def test_algebra_check(capsys):
@@ -342,6 +410,15 @@ def test_vector_flag_with_negative_leading_coordinate(tmp_path, argv, flag, valu
     assert spaced.read_bytes() == joined.read_bytes()
 
 
+def test_zero_denominator_in_generator_file_is_named(tmp_path, capsys):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"generators": [{"poly": "1/0*h1"}]}))
+    argv = _FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "0.1", "--monitor", str(path)]
+    assert run(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: cannot parse generator file {str(path)!r}: zero denominator in '1/0'\n"
+
+
 def test_argparse_error_is_one_stderr_line(capsys):
     argv = ["commutant", "--algebra", "sl3", "--subalgebra", "cartan", "--max-degree", "0"]
     assert run(argv) == EXIT_INPUT
@@ -523,6 +600,12 @@ _GENERATOR_CONTRACT = [
         pytest.param(["flow", "--algebra", "sl2", "--hamiltonian", "h1^70000",
                       "--x0", "1,1,1", "--t", "1", "--dt", "0.1"],
                      id="hamiltonian-degree-above-key-cap"),
+        pytest.param(["flow", "--algebra", "sl2", "--hamiltonian", "3/0",
+                      "--x0", "1,1,1", "--t", "1", "--dt", "0.1"],
+                     id="hamiltonian-zero-denominator"),
+        pytest.param(["flow", "--algebra", "sl2", "--hamiltonian", "1/0*h1",
+                      "--x0", "1,1,1", "--t", "1", "--dt", "0.1"],
+                     id="hamiltonian-term-zero-denominator"),
         pytest.param(["cycles", "--n", "13"], id="cycles-n-above-cap"),
         pytest.param(["cycles", "--n", "12"], id="cycles-family-one-over-budget"),
         pytest.param(["cycles", "--n", "1"], id="cycles-n-below-two"),

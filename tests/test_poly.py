@@ -199,6 +199,12 @@ def test_parse_rejects_unknown_symbol():
         parse_polynomial("x1 + bogus", 2)
 
 
+@pytest.mark.parametrize("text, factor", [("3/0", "3/0"), ("1/0*x1", "1/0")])
+def test_parse_rejects_zero_denominator(text, factor):
+    with pytest.raises(ValueError, match=f"zero denominator in '{factor}'"):
+        parse_polynomial(text, 2)
+
+
 def test_bracket_of_coordinates_matches_structure(sl2):
     h = Polynomial.variable(0, 3)
     e = Polynomial.variable(1, 3)
