@@ -51,7 +51,7 @@ from .commutant import (
     relation_basis,
 )
 from .flow import FlowDivergenceError, FlowProblem, integrate
-from .poly import dump_json, parse_polynomial
+from .poly import as_fraction, dump_json, parse_polynomial
 from .sampling import DEFAULT_SEED
 
 EXIT_OK = 0
@@ -258,7 +258,7 @@ def parse_shift(text: str, alg: LieAlgebra) -> tuple[Fraction, ...]:
     coordinates along the flagged Cartan basis."""
     try:
         if text.startswith("h:"):
-            values = [Fraction(v.strip()) for v in text[2:].split(",")]
+            values = [as_fraction(v) for v in text[2:].split(",")]
             if not alg.cartan_indices:
                 raise CliError("algebra has no flagged Cartan basis")
             if len(values) != len(alg.cartan_indices):
@@ -269,8 +269,8 @@ def parse_shift(text: str, alg: LieAlgebra) -> tuple[Fraction, ...]:
             for idx, v in zip(alg.cartan_indices, values):
                 vec[idx] = v
             return tuple(vec)
-        values = [Fraction(v.strip()) for v in text.split(",")]
-    except (ValueError, ZeroDivisionError):
+        values = [as_fraction(v) for v in text.split(",")]
+    except ValueError:
         raise CliError(f"cannot parse shift {text!r}")
     if len(values) != alg.dim:
         raise CliError(f"shift needs {alg.dim} coordinates, got {len(values)}")

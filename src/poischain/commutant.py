@@ -391,7 +391,7 @@ def _raising_fields(
 
 def _kernel_of_images(
     images: Iterable[tuple[int, Polynomial]], ncols: int
-) -> list[dict[int, Fraction]]:
+) -> list[linalg.Row]:
     """Kernel of the linear map sending column i to its image polynomial,
     given as (i, image) pairs in any order: the kernel depends only on the
     row space, not on the order of the rows.
@@ -401,7 +401,7 @@ def _kernel_of_images(
     kernel vector (d_i * x_i) of the map.  The basis is a per-vector scaling
     of the canonical one, and every caller normalizes the span it returns.
     """
-    rows: dict[int, dict[int, int]] = {}
+    rows: dict[int, linalg.Row] = {}
     dens: dict[int, int] = {}
     for col, img in images:
         dens[col] = img.den
@@ -451,7 +451,8 @@ def _canonical_polys(
         {index[k]: v for k, v in p.num.items()} for p in polys
     )
     return [
-        _from_fractions(dim, {keys[i]: c for i, c in row.items()}) for row in reduced
+        _make(dim, {keys[c]: v for c, v in row.items()}, row[min(row)])
+        for row in reduced
     ]
 
 
@@ -572,8 +573,7 @@ def _product_kernel(
     cols = _formal_columns([g.degree for g in gens], degree)
     col_index = {key: i for i, key in enumerate(cols)}
     images = ((col_index[key], prod) for key, prod in _generator_products(gens, degree))
-    kernel = _kernel_of_images(images, len(cols))
-    return cols, [linalg.row_from_rationals(vec) for vec in kernel]
+    return cols, _kernel_of_images(images, len(cols))
 
 
 Term = tuple[int, int, int]  # (monomial key, numerator, denominator)

@@ -2,8 +2,9 @@
 
 Rows are sparse dicts mapping column index to a nonzero integer.  Elimination
 combines rows by cross multiplication and re-extracts integer content, so the
-whole pipeline stays in arbitrary-precision integers; rationals only appear
-when a result is normalized for presentation.
+whole pipeline stays in arbitrary-precision integers: nullspace and
+canonical_rref take and return integer rows.  Fraction appears only at the
+edges: row_from_rationals, express_in_rowspace, det_exact, matrix_inverse.
 
 Echelon is the one elimination core: rank_of_rows, nullspace,
 canonical_rref, express_in_rowspace and matrix_inverse all insert rows into
@@ -151,50 +152,49 @@ def rank_of_rows(rows: Iterable[Row]) -> int:
     return len(ech)
 
 
-def nullspace(rows: Iterable[Row], ncols: int) -> list[dict[int, Fraction]]:
+def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
     """Kernel basis of the column action x -> (row . x for each row).
 
     The rows (columns in range(ncols)) go into an Echelon as one batch; once
     every column is a pivot the kernel is {0} and [] is returned at once,
-    with no backward pass.  Otherwise there is one vector per free
-    (non-pivot) column f, in ascending order of f: it has coefficient one at
-    f, zero at every other free column, and its pivot entries are read off
-    the reduced echelon rows.  The basis depends only on the row space (not
-    on the order, scaling or repetition of the rows), but it is not the
-    reduced echelon basis of the kernel: pass it to canonical_rref for that.
+    with no backward pass.  Otherwise there is one primitive row per free
+    (non-pivot) column f, in ascending order of f: positive at f, zero at
+    every other free column, its pivot entries read off the reduced rows.
+    The basis depends only on the row space (not on the order, scaling or
+    repetition of the rows), but it is not the reduced echelon basis of the
+    kernel: pass it to canonical_rref for that.
     """
     ech = Echelon()
     for row in rows:
         if ech.insert(row) is not None and len(ech) == ncols:
             return []
     pivots = ech.pivots
-    vectors = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    columns: dict[int, list[int]] = {f: [] for f in range(ncols) if f not in pivots}
     for pc in sorted(pivots):
-        prow = pivots[pc]
-        for f, v in prow.items():
-            if f in vectors:
-                vectors[f][pc] = Fraction(-v, prow[pc])
-    return list(vectors.values())
+        for f in pivots[pc]:
+            if f in columns:
+                columns[f].append(pc)
+    out = []
+    for f, pcs in columns.items():
+        scale = lcm(*(pivots[pc][pc] for pc in pcs))
+        vec = {f: scale} | {pc: -pivots[pc][f] * scale // pivots[pc][pc] for pc in pcs}
+        g = gcd(*vec.values())
+        out.append({c: v // g for c, v in vec.items()})
+    return out
 
 
-def canonical_rref(
-    vectors: Iterable[Mapping[int, Fraction]],
-) -> list[dict[int, Fraction]]:
-    """The unique reduced row echelon basis of the span of the given vectors.
+def canonical_rref(rows: Iterable[Row]) -> list[Row]:
+    """The reduced echelon basis of the span of the rows, each row a primitive
+    multiple of its reduced row echelon row.
 
-    The vectors go into an Echelon as one batch; after its backward pass the
-    rows are fully reduced with leftmost pivots, and each row is then scaled
-    to pivot entry one and the rows are sorted by pivot column.  The output
-    depends only on the spanned subspace.
+    The rows go into an Echelon as one batch; after its backward pass its
+    rows are fully reduced with leftmost positive pivots.  They are sorted
+    by pivot, keys ascending.  The output depends only on the span.
     """
     ech = Echelon()
-    for vec in vectors:
-        ech.insert(row_from_rationals(vec))
-    out = []
-    for col, row in sorted(ech.pivots.items()):
-        piv = row[col]
-        out.append({c: Fraction(v, piv) for c, v in sorted(row.items())})
-    return out
+    for row in rows:
+        ech.insert(row)
+    return [dict(sorted(row.items())) for _, row in sorted(ech.pivots.items())]
 
 
 def express_in_rowspace(
@@ -265,11 +265,11 @@ def matrix_inverse(
     augmented = []
     for i, dense in enumerate(matrix):
         vec = {c: v for c, v in enumerate(dense) if v}
-        vec[n + i] = Fraction(1)
-        augmented.append(vec)
+        vec[n + i] = 1
+        augmented.append(row_from_rationals(vec))
     out = []
     for j, row in enumerate(canonical_rref(augmented)):
         if min(row) != j:
             raise ValueError("matrix is singular")
-        out.append([row.get(n + i, Fraction(0)) for i in range(n)])
+        out.append([Fraction(row.get(n + i, 0), row[j]) for i in range(n)])
     return out

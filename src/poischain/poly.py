@@ -39,10 +39,11 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction. Floats are rejected."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, (int, str)):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -646,10 +647,7 @@ def parse_polynomial(
             if not factor:
                 raise ValueError(f"malformed term {term!r}")
             if re.fullmatch(r"\d+(/\d+)?", factor):
-                try:
-                    coeff *= Fraction(factor)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {factor!r}") from None
+                coeff *= as_fraction(factor)
                 continue
             if "^" in factor:
                 name, _, exp_s = factor.partition("^")

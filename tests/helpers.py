@@ -50,6 +50,7 @@ from poischain.chains import (
 from poischain.commutant import (
     ClosureEntry,
     ClosureReport,
+    GeneratorSet,
     MembershipResult,
     Relation,
     RelationSet,
@@ -105,10 +106,11 @@ def span_fingerprint(polys) -> list[tuple]:
     index = {m: i for i, m in enumerate(monos)}
     vectors = []
     for p in polys:
-        vectors.append({index[m]: c for m, c in p.terms.items()})
+        vectors.append(row_from_rationals({index[m]: c for m, c in p.terms.items()}))
     basis = canonical_rref(vectors)
     return sorted(
-        tuple(sorted((monos[i].exps, c) for i, c in v.items())) for v in basis
+        tuple(sorted((monos[i].exps, Fraction(c, v[min(v)])) for i, c in v.items()))
+        for v in basis
     )
 
 
@@ -146,10 +148,11 @@ def full_basis_invariants(alg, sub, k: int) -> list[Polynomial]:
     monos = monomial_basis(alg.dim, k)  # graded-lex descending: column order
     index = {m: i for i, m in enumerate(monos)}
     reduced = canonical_rref(
-        {index[m]: c for m, c in p.terms.items()} for p in basis
+        row_from_rationals({index[m]: c for m, c in p.terms.items()}) for p in basis
     )
     return [
-        Polynomial(alg.dim, {monos[i]: c for i, c in v.items()}) for v in reduced
+        Polynomial(alg.dim, {monos[i]: Fraction(c, v[min(v)]) for i, c in v.items()})
+        for v in reduced
     ]
 
 
@@ -612,13 +615,25 @@ def reference_relation_basis(gens, max_total_degree: int) -> RelationSet:
                 old.insert({col_index[key + mult]: v for key, v in rel.formal.num.items()})
         fresh = []
         for vec in kernel:
-            red = old.reduce(row_from_rationals(vec))
+            red = old.reduce(vec)
             if red:
                 old.insert(dict(red))
                 fresh.append(_keyed_poly(cols, red, nformal))
         for formal in _canonical_polys(fresh, nformal):
             found.relations.append(Relation(weighted_degree=d, formal=formal))
     return found
+
+
+def summed_torus_set(n: int) -> GeneratorSet:
+    """The sl(n) torus generators through degree n with the first degree-2
+    generator replaced by its sum with the second: a graded change of
+    generators, so the relations per weighted degree keep their number, and
+    a two-term member, so relation_basis takes the general route."""
+    alg = builtin_sl(n)
+    gens = list(generate(alg, cartan_subalgebra(alg), n).generators)
+    a, b = [i for i, g in enumerate(gens) if g.degree == 2][:2]
+    gens[a] = Generator(gens[a].poly + gens[b].poly, 2, gens[a].label)
+    return GeneratorSet(algebra=alg, generators=gens)
 
 
 def _keyed_poly(cols, row, dim: int) -> Polynomial:

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -417,6 +418,29 @@ def test_zero_denominator_in_generator_file_is_named(tmp_path, capsys):
     assert run(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err == f"error: cannot parse generator file {str(path)!r}: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize(
+    "data, argv",
+    [
+        pytest.param({"dim": 3, "labels": ["h", "e", "f"],
+                      "structure": [{"i": 0, "j": 1, "k": 1, "c": "2/0"}]},
+                     ["algebra", "check", "--algebra", "@"], id="algebra"),
+        pytest.param({"vectors": [["1/0", "0", "0"]]},
+                     ["commutant", "--algebra", "sl2", "--subalgebra", "@"],
+                     id="subalgebra"),
+        pytest.param({"generators": [{"poly": [{"coeff": "1/0", "exps": {"0": 1}}]}]},
+                     ["flow", "--algebra", "sl2", "--hamiltonian", "h1", "--x0", "1,1,1",
+                      "--t", "1", "--dt", "0.1", "--monitor", "@"], id="generator"),
+    ],
+)
+def test_zero_denominator_in_json_value_is_named(tmp_path, capsys, data, argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert run([str(path) if a == "@" else a for a in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert re.search(r"zero denominator in '\d+/0'$", err.strip())
 
 
 def test_argparse_error_is_one_stderr_line(capsys):

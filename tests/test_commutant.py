@@ -33,6 +33,7 @@ from poischain import (
     validate_algebra,
     validate_subalgebra,
 )
+from poischain import commutant
 from poischain.commutant import (
     BudgetExceededError,
     GeneratorSet,
@@ -52,6 +53,7 @@ from helpers import (
     random_polynomial,
     reference_is_invariant,
     same_span,
+    summed_torus_set,
 )
 
 F = Fraction
@@ -710,3 +712,46 @@ def test_zero_weight_monomials_match_filtered_monomial_basis():
             )
         ]
         assert _zero_weight_monomials(weights, k) == expected, (weights, k)
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """The number of Fraction instances made since the fixture was set up:
+    Fraction.__new__ is wrapped, and so is Fraction._from_coprime_ints where
+    it exists, which builds arithmetic results without __new__."""
+    made = [0]
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counted_coprime(cls, numerator, denominator):
+            made[0] += 1
+            return coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    return lambda: made[0]
+
+
+def test_kernel_pipeline_builds_no_fraction(sl4, fraction_count):
+    """Kernels, new generators and relations stay in integer rows from the
+    operators to the canonical basis."""
+    full, cartan = full_subalgebra(sl4), cartan_subalgebra(sl4)
+    for sub in (full, cartan):
+        _invariance_operators(sl4, sub)
+    summed = summed_torus_set(4)
+    assert commutant._single_terms(summed.generators) is None
+    runs = {
+        "invariants": lambda: [invariant_basis(sl4, full, k) for k in range(1, 5)],
+        "torus generators": lambda: generate(sl4, cartan, 4),
+        "multi-term relations": lambda: relation_basis(summed, 6).relations,
+    }
+    for name, run in runs.items():
+        before = fraction_count()
+        assert run(), name
+        assert fraction_count() == before, name

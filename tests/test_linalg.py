@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -140,28 +141,61 @@ def test_nullspace_depends_only_on_the_row_space():
             assert nullspace(variant, ncols) == base
 
 
+@settings(max_examples=50)
+@given(st.integers(0, 10**6))
+def test_nullspace_rows_are_primitive_and_depend_only_on_the_row_space(seed):
+    """One primitive integer row per free column f, positive at f and zero at
+    the other free columns, annihilating every row; shuffled, scaled or
+    duplicated rows give the same basis."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+    rank = rng.randint(0, min(nrows, ncols)) if seed % 2 else None
+    rows = _random_rows(rng, nrows, ncols, rank)
+    basis = nullspace(rows, ncols)
+    free = [f for f in range(ncols) if f not in gauss_jordan_rows(rows)]
+    assert len(basis) == len(free)
+    for f, v in zip(free, basis):
+        assert gcd(*v.values()) == 1
+        assert v[f] > 0
+        assert not any(g in v for g in free if g != f)
+        for r in rows:
+            assert sum(c * v.get(j, 0) for j, c in r.items()) == 0
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    scaled = [{c: -3 * v for c, v in r.items()} for r in shuffled]
+    duplicated = rows + [dict(r) for r in rows[::2]]
+    for variant in (shuffled, scaled, duplicated):
+        assert nullspace(variant, ncols) == basis
+
+
+def _assert_reduced_rows(rows):
+    """Primitive rows with a positive pivot, their least column, each pivot
+    column cleared from the other rows, sorted by pivot, keys ascending."""
+    pivots = [min(r) for r in rows]
+    assert pivots == sorted(set(pivots))
+    for r in rows:
+        assert gcd(*r.values()) == 1
+        assert r[min(r)] > 0
+        assert list(r) == sorted(r)
+        assert not any(p in r for p in pivots if p != min(r))
+
+
 def test_canonical_rref_is_representation_independent():
     """Shuffling, scaling and mixing the spanning set leaves the output alone."""
     vectors = [
-        {0: F(1), 2: F(2)},
-        {1: F(3), 2: F(-1)},
+        row_from_rationals({0: F(1), 2: F(2)}),
+        row_from_rationals({1: F(3), 2: F(-1)}),
     ]
     base = canonical_rref(vectors)
     mixed = [
         {k: 5 * v for k, v in vectors[1].items()},
         # vectors[0] + vectors[1]
-        {0: F(1), 1: F(3), 2: F(1)},
+        row_from_rationals({0: F(1), 1: F(3), 2: F(1)}),
     ]
     assert canonical_rref(mixed) == base
-    # pivots are 1 and pivot columns are cleared elsewhere
-    pivots = [min(v) for v in base]
-    assert len(set(pivots)) == len(base)
-    for v in base:
-        assert v[min(v)] == 1
-    for v in base:
-        for w in base:
-            if v is not w:
-                assert min(v) not in w
+    # primitive rows keep their pivot entries: x2 - x3/3 is 3*x2 - x3
+    assert base == [{0: 1, 2: 2}, {1: 3, 2: -1}]
+    _assert_reduced_rows(base)
 
 
 @settings(max_examples=50)
@@ -170,15 +204,16 @@ def test_canonical_rref_idempotent_and_invariant_under_shuffle(seed):
     rng = random.Random(seed)
     vecs = []
     for _ in range(rng.randint(1, 5)):
-        vec = {j: F(rng.randint(-4, 4)) for j in range(rng.randint(1, 5))}
+        vec = {j: F(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(rng.randint(1, 5))}
         vec = {j: c for j, c in vec.items() if c}
         if vec:
-            vecs.append(vec)
+            vecs.append(row_from_rationals(vec))
     first = canonical_rref(vecs)
+    _assert_reduced_rows(first)
     assert canonical_rref(first) == first
     shuffled = list(vecs)
     rng.shuffle(shuffled)
-    scaled = [{j: F(2) * c for j, c in v.items()} for v in shuffled]
+    scaled = [{j: 2 * c for j, c in v.items()} for v in shuffled]
     assert canonical_rref(scaled) == first
 
 

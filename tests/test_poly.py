@@ -205,6 +205,11 @@ def test_parse_rejects_zero_denominator(text, factor):
         parse_polynomial(text, 2)
 
 
+def test_as_fraction_names_a_zero_denominator():
+    with pytest.raises(ValueError, match="^zero denominator in '2/0'$"):
+        poly.as_fraction("2/0")
+
+
 def test_bracket_of_coordinates_matches_structure(sl2):
     h = Polynomial.variable(0, 3)
     e = Polynomial.variable(1, 3)

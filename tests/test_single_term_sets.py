@@ -32,6 +32,7 @@ from helpers import (
     reference_indecomposables,
     reference_membership,
     reference_relation_basis,
+    summed_torus_set,
 )
 
 
@@ -193,6 +194,19 @@ def test_one_multi_term_generator_takes_the_general_route(sl3, monkeypatch):
     assert got_member.found
     assert got_member.expression == want_member.expression
     assert indecomposables(sl3, 4, gens.generators, inv) == want_new
+
+
+def test_general_relation_route_is_independent_of_the_generator_basis():
+    """A graded change of generators keeps the relation count of every
+    weighted degree; the summed set is multi-term, so its relations come by
+    products and elimination, the monomial set's by equal product keys."""
+    torus, summed = _torus(3), summed_torus_set(3)
+    assert commutant._single_terms(summed.generators) is None
+    counts = [
+        Counter(r.weighted_degree for r in relation_basis(gens, 6).relations)
+        for gens in (torus, summed)
+    ]
+    assert counts[0] == counts[1] == {6: 1}
 
 
 def test_torus_chain_enumerates_zero_weight_monomials_once_per_degree(monkeypatch):
