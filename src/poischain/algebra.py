@@ -510,7 +510,7 @@ class SubalgebraSpec:
     @classmethod
     def from_json(cls, data: Mapping) -> "SubalgebraSpec":
         return cls(
-            vectors=tuple(tuple(as_fraction(v) for v in vec) for vec in data["vectors"]),
+            vectors=data["vectors"],
             abelian=bool(data.get("abelian", False)),
             name=str(data.get("name", "subalgebra")),
         )
@@ -519,18 +519,18 @@ class SubalgebraSpec:
 def cartan_subalgebra(alg: LieAlgebra) -> SubalgebraSpec:
     if alg.cartan_indices is None:
         raise ConfigurationError(f"{alg.name} has no flagged Cartan subalgebra")
-    vectors = tuple(
-        tuple(Fraction(int(i == c)) for i in range(alg.dim))
-        for c in alg.cartan_indices
-    )
+    vectors = _unit_vectors(alg.dim, alg.cartan_indices)
     return SubalgebraSpec(vectors, abelian=True, name="cartan")
 
 
 def full_subalgebra(alg: LieAlgebra) -> SubalgebraSpec:
-    vectors = tuple(
-        tuple(Fraction(int(i == c)) for i in range(alg.dim)) for c in range(alg.dim)
-    )
-    return SubalgebraSpec(vectors, name="full")
+    return SubalgebraSpec(_unit_vectors(alg.dim, range(alg.dim)), name="full")
+
+
+def _unit_vectors(dim: int, indices: Iterable[int]) -> tuple[Vector, ...]:
+    """The unit vectors e_c for c in indices, sharing one Fraction 0 and 1."""
+    zero, one = Fraction(0), Fraction(1)
+    return tuple(tuple(one if i == c else zero for i in range(dim)) for c in indices)
 
 
 def span_subalgebra(
@@ -538,11 +538,7 @@ def span_subalgebra(
     abelian: bool = False,
     name: str = "span",
 ) -> SubalgebraSpec:
-    return SubalgebraSpec(
-        tuple(tuple(as_fraction(v) for v in vec) for vec in vectors),
-        abelian=abelian,
-        name=name,
-    )
+    return SubalgebraSpec(vectors, abelian=abelian, name=name)
 
 
 def validate_subalgebra(alg: LieAlgebra, sub: SubalgebraSpec) -> ValidationReport:

@@ -16,10 +16,10 @@ poly.brackets, one Hamiltonian field per left element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .algebra import (
     LieAlgebra,
@@ -170,21 +170,11 @@ class CasimirCountReport:
     matches: bool
 
     def to_json(self) -> dict:
-        return {
-            "independent_count": self.independent_count,
-            "expected": self.expected,
-            "dim": self.dim,
-            "generic_commutator_rank": self.generic_commutator_rank,
-            "max_degree": self.max_degree,
-            "matches": self.matches,
-        }
+        return asdict(self)
 
 
 def casimir_count_check(
-    alg: LieAlgebra,
-    max_degree: int | None = None,
-    seed: int = DEFAULT_SEED,
-    casimirs: CasimirSet | None = None,
+    casimirs: CasimirSet, seed: int = DEFAULT_SEED
 ) -> CasimirCountReport:
     """Independent Casimir count against the corank of the commutator matrix.
 
@@ -193,8 +183,7 @@ def casimir_count_check(
     kernel construction should reach it once the degree cap covers every
     fundamental generator degree.
     """
-    if casimirs is None:
-        casimirs = casimirs_by_kernel(alg, max_degree)
+    alg = casimirs.algebra
     count = generic_jacobian_rank(casimirs.polys(), alg.dim, seed=seed)
     corank = alg.dim - orbit_dimension(alg, full_subalgebra(alg), seed=seed)
     return CasimirCountReport(
@@ -202,7 +191,7 @@ def casimir_count_check(
         expected=corank,
         dim=alg.dim,
         generic_commutator_rank=alg.dim - corank,
-        max_degree=casimirs.gens.max_degree or max_degree,
+        max_degree=casimirs.gens.max_degree,
         matches=count == corank,
     )
 
@@ -219,7 +208,7 @@ class MFAlgebra:
     base: CasimirSet
     generators: list[Generator]
     shift_regular: bool
-    note: str = REGULARITY_NOTE
+    note: ClassVar[str] = REGULARITY_NOTE
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -312,7 +301,7 @@ class MFRankReport:
     hypothesis_met: bool
     matches: bool
     relations: RelationSet | None
-    note: str = REGULARITY_NOTE
+    note: ClassVar[str] = REGULARITY_NOTE
 
     def to_json(self) -> dict:
         out = {

@@ -57,12 +57,15 @@ def trdeg(gens: GeneratorSet, seed: int = DEFAULT_SEED) -> int:
 
 @dataclass
 class ChainSpec:
-    algebra: LieAlgebra
     subalgebra: SubalgebraSpec
     intermediate: GeneratorSet
     base: GeneratorSet
     base_kind: str = "explicit"  # casimirs | moment-map | mf | explicit
     intermediate_kind: str = "commutant"  # commutant | normalizer-average
+
+    @property
+    def algebra(self) -> LieAlgebra:
+        return self.intermediate.algebra
 
 
 @dataclass
@@ -229,7 +232,7 @@ def chain_over(
     generated up to max_degree (generate's default when None)."""
     alg = base.algebra
     intermediate = generate(alg, sub, max_degree)
-    return verify_chain(ChainSpec(alg, sub, intermediate, base, base_kind), seed=seed)
+    return verify_chain(ChainSpec(sub, intermediate, base, base_kind), seed=seed)
 
 
 def torus_chain(
@@ -378,7 +381,6 @@ def normalizer_chain_sln(
     averaged = reynolds_sl(alg, torus, cap)
     base = casimirs_by_kernel(alg, n).gens
     spec = ChainSpec(
-        algebra=alg,
         subalgebra=sub,
         intermediate=averaged,
         base=base,
@@ -452,7 +454,7 @@ def j_map_casimir_check(
     components = moment_map_generators(alg, sub)
     components += casimirs_by_kernel(alg, torus.max_degree).generators
     base = GeneratorSet(alg, components)
-    centrality = base_center_check(ChainSpec(alg, sub, torus, base))
+    centrality = base_center_check(ChainSpec(sub, torus, base))
     failures = [
         {"component": f["base"], "generator": f["intermediate"], "bracket": f["bracket"]}
         for f in centrality.failures

@@ -84,9 +84,11 @@ _CAP_HELP = "degree cap (default rank + 1, which is n for sl(n))"
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="poischain", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    # --seed only where a generic rank is sampled
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for generic sample points")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=str, default=None,
                         help="write the JSON report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,7 +100,7 @@ def build_parser() -> _Parser:
     p_check.add_argument("--algebra", required=True)
     p_check.set_defaults(handler=cmd_algebra_check)
 
-    p_comm = sub.add_parser("commutant", parents=[common],
+    p_comm = sub.add_parser("commutant", parents=[seeded, common],
                             help="invariant generators of a subalgebra")
     p_comm.add_argument("--algebra", required=True)
     p_comm.add_argument("--subalgebra", required=True)
@@ -110,7 +112,7 @@ def build_parser() -> _Parser:
                         help="also check bracket closure (can be slow)")
     p_comm.set_defaults(handler=cmd_commutant)
 
-    p_cas = sub.add_parser("casimirs", parents=[common],
+    p_cas = sub.add_parser("casimirs", parents=[seeded, common],
                            help="central generators by kernel (and traces)")
     p_cas.add_argument("--algebra", required=True)
     p_cas.add_argument("--max-degree", type=int, default=None, help=_CAP_HELP)
@@ -118,7 +120,7 @@ def build_parser() -> _Parser:
                        default="kernel")
     p_cas.set_defaults(handler=cmd_casimirs)
 
-    p_mf = sub.add_parser("mf", parents=[common],
+    p_mf = sub.add_parser("mf", parents=[seeded, common],
                           help="argument-shift family of the Casimirs")
     p_mf.add_argument("--algebra", required=True)
     p_mf.add_argument("--shift", required=True,
@@ -130,7 +132,7 @@ def build_parser() -> _Parser:
 
     p_chain = sub.add_parser("chain", help="inclusion-chain operations")
     chain_sub = p_chain.add_subparsers(dest="chain_command", required=True)
-    p_verify = chain_sub.add_parser("verify", parents=[common],
+    p_verify = chain_sub.add_parser("verify", parents=[seeded, common],
                                     help="decide superintegrability")
     p_verify.add_argument("--algebra", required=True)
     p_verify.add_argument("--subalgebra", required=True)
@@ -148,7 +150,7 @@ def build_parser() -> _Parser:
                        default="all")
     p_cyc.set_defaults(handler=cmd_cycles)
 
-    p_flow = sub.add_parser("flow", parents=[common],
+    p_flow = sub.add_parser("flow", parents=[seeded, common],
                             help="integrate a Hamiltonian flow and report drifts")
     p_flow.add_argument("--algebra", required=True)
     p_flow.add_argument("--hamiltonian", required=True)
@@ -184,8 +186,6 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
         value = getattr(ns, attr, None)
         if value is not None and value < 1:
             parser.error(f"--{attr.replace('_', '-')} must be at least 1")
-    if getattr(ns, "n", None) is not None and ns.n < 2:
-        parser.error("--n must be at least 2")
     if getattr(ns, "dt", None) is not None:
         if not 0 < ns.dt < math.inf:
             parser.error("--dt must be positive and finite")
@@ -370,10 +370,9 @@ def cmd_casimirs(ns: argparse.Namespace) -> int:
             raise CliError("the trace route needs --max-degree at least 2")
     payload: dict = {"algebra": alg.name}
     code = EXIT_OK
-    kernel_set = None
     if ns.method in ("kernel", "both"):
         kernel_set = casimirs_by_kernel(alg, ns.max_degree)
-        count = casimir_count_check(alg, seed=ns.seed, casimirs=kernel_set)
+        count = casimir_count_check(kernel_set, ns.seed)
         payload["kernel"] = kernel_set.to_json()
         payload["count_check"] = count.to_json()
         _say(f"kernel route: {len(kernel_set)} generators, independent count "
@@ -385,7 +384,7 @@ def cmd_casimirs(ns: argparse.Namespace) -> int:
         trace_set = trace_casimirs_sln(n, min(ns.max_degree or n, n))
         payload["trace"] = trace_set.to_json()
         _say(f"trace route: {len(trace_set)} generators")
-        if ns.method == "both" and kernel_set is not None:
+        if ns.method == "both":
             agree = all(
                 membership(g.poly, other.gens, g.degree).found
                 for gens, other in ((trace_set, kernel_set), (kernel_set, trace_set))

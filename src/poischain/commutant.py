@@ -82,6 +82,9 @@ from .sampling import generic_jacobian_rank
 
 T = TypeVar("T")
 
+# formal monomials of one weighted degree that relation_basis expands
+COLUMN_BUDGET = 20_000
+
 
 class BudgetExceededError(RuntimeError):
     """A combinatorial budget (columns, products) was exceeded."""
@@ -755,17 +758,13 @@ class RelationSet:
         }
 
 
-def relation_basis(
-    gens: GeneratorSet,
-    max_total_degree: int,
-    column_budget: int = 20000,
-) -> RelationSet:
+def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
     """Degreewise basis of the polynomial relations among the generators.
 
     Right after the degree-bound check comes the Jacobian criterion: when
     the gradients of the m generators have rank m at one integer point, the
-    list is returned empty, with no columns, products or elimination, so no
-    column budget applies.  This is an exact certificate, not a sampled
+    list is returned empty, with no columns, products or elimination, so
+    COLUMN_BUDGET does not apply.  This is an exact certificate, not a sampled
     one.  The rank at a point is a lower bound on the rank over Q(x), which
     is at most m, so that rank is m; over a field of characteristic zero
     this is equivalent to algebraic independence (Jacobi), so no relation
@@ -775,7 +774,7 @@ def relation_basis(
     the expansions of the formal generator monomials of weighted degree d
     (the weight of a generator is its degree).  The count table of the walk
     over those monomials (_formal_monomials) gives the column count of every
-    degree first, so a degree over column_budget raises BudgetExceededError
+    degree first, so a degree over COLUMN_BUDGET raises BudgetExceededError
     before any degree's columns or products are built.  Per degree, the walk
     gives the column keys, then the expansions, each product one
     multiplication, and the kernel comes by elimination; when every
@@ -800,7 +799,7 @@ def relation_basis(
         return found
     counts = _formal_counts(weights, max_total_degree)[0]
     for d in range(1, max_total_degree + 1):
-        if counts[d] > column_budget:
+        if counts[d] > COLUMN_BUDGET:
             raise BudgetExceededError(
                 f"{counts[d]} formal monomials at weighted degree {d}", degree=d
             )

@@ -67,7 +67,7 @@ class FlowResult:
         return {
             "steps": self.steps,
             "dt": self.dt,
-            "t_final": self.times[-1] if self.times else 0.0,
+            "t_final": self.times[-1],
             "monitors": self.monitor_labels,
             "drifts": {k: self.drifts[k] for k in sorted(self.drifts)},
             "final_state": self.final_state,
@@ -140,13 +140,14 @@ def _compile_flow(
     return namespace["run"]
 
 
-def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowResult:
+def integrate(problem: FlowProblem) -> FlowResult:
     """Classical fixed-step fourth-order Runge-Kutta with drift tracking.
 
     Drift of each monitored quantity (the Hamiltonian is always monitored
     under the label "H") is the maximum over all steps of the distance from
-    its initial value; the trajectory itself is recorded every
-    `sample_stride` steps to keep outputs bounded.
+    its initial value; the trajectory itself is recorded at step 0, every
+    max(1, steps // 1000) steps and at the last step, about 2,000 points at
+    most.
     """
     field_polys = hamiltonian_field(problem.hamiltonian, problem.algebra)
     monitors = [("H", problem.hamiltonian)] + list(problem.monitors)
@@ -154,8 +155,6 @@ def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowRes
     run = _compile_flow(field_polys, [p for _, p in monitors], problem.dt)
 
     steps = max(1, round(problem.t_final / problem.dt))
-    if sample_stride is None:
-        sample_stride = max(1, steps // 1000)
 
     times: list[float] = []
     states: list[list[float]] = []
@@ -166,7 +165,7 @@ def integrate(problem: FlowProblem, sample_stride: int | None = None) -> FlowRes
         states.append(state)
         values.append(current)
 
-    drifts = run([float(v) for v in problem.x0], steps, sample_stride, record)
+    drifts = run([float(v) for v in problem.x0], steps, max(1, steps // 1000), record)
     if isinstance(drifts, int):
         raise FlowDivergenceError(drifts * problem.dt)
     return FlowResult(

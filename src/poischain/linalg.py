@@ -4,7 +4,9 @@ Rows are sparse dicts mapping column index to a nonzero integer.  Elimination
 combines rows by cross multiplication and re-extracts integer content, so the
 whole pipeline stays in arbitrary-precision integers: nullspace and
 canonical_rref take and return integer rows.  Fraction appears only at the
-edges: row_from_rationals, express_in_rowspace, det_exact, matrix_inverse.
+edges: row_from_rationals reads rational input, and express_in_rowspace,
+matrix_inverse and det_exact (one Fraction per call) build rational results
+from integers.
 
 Echelon is the one elimination core: rank_of_rows, nullspace,
 canonical_rref, express_in_rowspace and matrix_inverse all insert rows into
@@ -227,27 +229,39 @@ def express_in_rowspace(
 
 
 def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant via rational Gaussian elimination with pivoting."""
+    """Exact determinant by Bareiss elimination with row swaps: each row is
+    scaled to integers by the lcm of its denominators, each division by the
+    previous pivot is exact, and the one Fraction built is the last pivot
+    over the product of the row scales."""
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise ValueError("determinant needs a square matrix")
-    m = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot_row is None:
+    rows, scale = [], 1
+    for dense in matrix:
+        s = lcm(*(v.denominator for v in dense))
+        rows.append({c: v.numerator * (s // v.denominator) for c, v in enumerate(dense) if v})
+        scale *= s
+    sign = prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if k in rows[r]), None)
+        if p is None:
             return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        piv = m[col][col]
-        det *= piv
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / piv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+        if p != k:
+            rows[k], rows[p], sign = rows[p], rows[k], -sign
+        top = rows[k]
+        pivot = top.pop(k)
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = row.pop(k, 0)
+            if a or pivot != prev:  # otherwise the row stays as it is
+                for j in row:
+                    row[j] *= pivot
+                if a:
+                    for j, v in top.items():
+                        row[j] = row.get(j, 0) - a * v
+                rows[i] = {j: v // prev for j, v in row.items() if v}
+        prev = pivot
+    return Fraction(sign * prev, scale)
 
 
 def matrix_inverse(

@@ -313,6 +313,29 @@ def rank_of_matrix(matrix) -> int:
     return rank
 
 
+def reference_det(matrix) -> Fraction:
+    """Reference determinant by Gaussian elimination over Fractions with row
+    swaps (the library's det_exact is fraction free)."""
+    n = len(matrix)
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            det = -det
+        piv = m[col][col]
+        det *= piv
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] / piv
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return det
+
+
 def rescaled_sl_json(n: int, factor: int = 2) -> dict:
     """The JSON of builtin_sl(n) in the basis h_i, factor * e_ij: the same
     labels on the constants C_ijk * s_i * s_j / s_k, with s = 1 on each h_i
@@ -451,7 +474,7 @@ def _rk4_step(f, x: list[float], dt: float) -> list[float]:
     ]
 
 
-def reference_integrate(problem, sample_stride: int | None = None):
+def reference_integrate(problem):
     """Fixed-step RK4 with term-list evaluation: every polynomial is a list of
     (float coefficient, exponents) walked term by term.  Reference for
     `flow.integrate`, which must return exactly the same floats."""
@@ -465,8 +488,7 @@ def reference_integrate(problem, sample_stride: int | None = None):
     labels = [name for name, _ in monitors]
     compiled = [_compile_terms(p) for _, p in monitors]
     steps = max(1, round(problem.t_final / problem.dt))
-    if sample_stride is None:
-        sample_stride = max(1, steps // 1000)
+    sample_stride = max(1, steps // 1000)
     x = [float(v) for v in problem.x0]
     initial = [_eval_terms(c, x) for c in compiled]
     drifts = [0.0] * len(monitors)

@@ -333,6 +333,27 @@ def test_subalgebra_json_round_trip(sl3):
     assert back == spec
 
 
+def test_subalgebra_vectors_build_few_fractions(fraction_count):
+    """The unit subalgebras share one Fraction 0 and one 1; span_subalgebra
+    and from_json leave the coercion to SubalgebraSpec, once per entry."""
+    alg = builtin_sl(6)
+    for make, indices in ((full_subalgebra, range(alg.dim)),
+                          (cartan_subalgebra, alg.cartan_indices)):
+        before = fraction_count()
+        sub = make(alg)
+        assert fraction_count() - before <= 2, make.__name__
+        assert sub.vectors == tuple(
+            tuple(F(int(i == c)) for i in range(alg.dim)) for c in indices
+        )
+    vector = [F(1), F(1, 2), F(0)]
+    before = fraction_count()
+    spec = span_subalgebra([vector], name="ray")
+    assert fraction_count() == before
+    back = SubalgebraSpec.from_json({"vectors": [[1, "1/2", "0"]], "name": "ray"})
+    assert fraction_count() - before == 3
+    assert back == spec and all(type(v) is Fraction for v in back.vectors[0])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_structure_constants_match_dense_commutators(n):
     """sum_k C_abk M_k equals [M_a, M_b] for the basis matrices M, with

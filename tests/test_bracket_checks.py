@@ -49,7 +49,7 @@ def case(request):
 def test_base_center_check_matches_reference(case, broken):
     alg, torus, cas, e12 = case
     base = replace(cas.gens, generators=cas.gens.generators + ([e12] if broken else []))
-    spec = ChainSpec(alg, torus.subalgebra, torus, base)
+    spec = ChainSpec(torus.subalgebra, torus, base)
     report = base_center_check(spec)
     assert report.to_json() == reference_base_center_check(spec).to_json()
     assert report.pair_count == len(base) * len(torus)

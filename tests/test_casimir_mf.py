@@ -128,12 +128,12 @@ def test_routes_mutually_expressible(sl3, sl3_casimirs):
         assert back.expression.render(trace.gens.labels()) == lbl.lower()
 
 
-def test_casimir_count_checks(sl2, sl3):
-    rep2 = casimir_count_check(sl2)
+def test_casimir_count_checks(sl2_casimirs, sl3_casimirs):
+    rep2 = casimir_count_check(sl2_casimirs)
     assert (rep2.independent_count, rep2.expected, rep2.dim) == (1, 1, 3)
     assert rep2.generic_commutator_rank == 2
     assert rep2.matches
-    rep3 = casimir_count_check(sl3)
+    rep3 = casimir_count_check(sl3_casimirs)
     assert (rep3.independent_count, rep3.expected) == (2, 2)
     assert rep3.generic_commutator_rank == 6
     assert rep3.matches
@@ -141,7 +141,7 @@ def test_casimir_count_checks(sl2, sl3):
 
 def test_casimir_count_direct_sum(sl2):
     ds = direct_sum(sl2, sl2)
-    rep = casimir_count_check(ds, max_degree=2)
+    rep = casimir_count_check(casimirs_by_kernel(ds, 2))
     assert (rep.independent_count, rep.expected) == (2, 2)
     assert rep.matches
 
@@ -150,7 +150,7 @@ def test_abelian_algebra_everything_is_casimir():
     ab = LieAlgebra(name="ab2", dim=2, labels=("a", "b"), structure={})
     cas = casimirs_by_kernel(ab, 1)
     assert cas.gens.labels() == ["C1_1", "C1_2"]
-    rep = casimir_count_check(ab, max_degree=1)
+    rep = casimir_count_check(cas)
     assert (rep.independent_count, rep.expected, rep.generic_commutator_rank) == (2, 2, 0)
 
 

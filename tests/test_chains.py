@@ -98,7 +98,6 @@ def test_chain_report_json_keys(sl2):
 def test_ill_formed_chain_raises_with_witness(sl3, sl3_torus):
     base = make_gens(sl3, ["e12"])
     spec = ChainSpec(
-        algebra=sl3,
         subalgebra=cartan_subalgebra(sl3),
         intermediate=sl3_torus,
         base=base,
@@ -111,7 +110,6 @@ def test_ill_formed_chain_raises_with_witness(sl3, sl3_torus):
 def test_noncentral_base_rejected_with_witness(sl3, sl3_torus):
     base = make_gens(sl3, ["e12*e21"])
     spec = ChainSpec(
-        algebra=sl3,
         subalgebra=cartan_subalgebra(sl3),
         intermediate=sl3_torus,
         base=base,
@@ -144,7 +142,6 @@ def test_verdict_invariant_under_generator_presentation(sl3, sl3_torus):
         kernel_dims=sl3_torus.kernel_dims,
     )
     spec = ChainSpec(
-        algebra=sl3,
         subalgebra=cartan_subalgebra(sl3),
         intermediate=inter,
         base=base,
@@ -219,6 +216,19 @@ def test_base_existence(sl2, sl3):
     assert "cap" in neg.note
 
 
+def test_base_existence_report_json(sl3):
+    data = base_existence_verdict(sl3, cartan_subalgebra(sl3)).to_json()
+    assert data == {
+        "verdict": "exists",
+        "center_trdeg": 4,
+        "d_A": 2,
+        "max_degree": 3,
+        "center_dims": {"1": 2, "2": 4, "3": 7},
+        "note": "center rank is a lower bound from degreewise computation up to "
+                "the cap 3; a negative verdict is relative to that cap",
+    }
+
+
 def test_leaf_dimension(sl2, sl3, sl4):
     assert leaf_dimension(sl2) == 0
     assert leaf_dimension(sl3) == 2
@@ -261,7 +271,6 @@ def test_fiber_ideal_sl3_counts(sl3):
 
 def test_base_center_check_direct(sl3, sl3_torus, sl3_casimirs):
     spec = ChainSpec(
-        algebra=sl3,
         subalgebra=cartan_subalgebra(sl3),
         intermediate=sl3_torus,
         base=sl3_casimirs.gens,

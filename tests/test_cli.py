@@ -44,10 +44,10 @@ def test_parse_cli_defaults():
 def test_parse_cli_returns_a_new_namespace_each_call():
     argv = ["cycles", "--n", "3"]
     first = parse_cli(argv)
-    first.seed, first.extra = 7, "kept"
+    first.n, first.extra = 7, "kept"
     second = parse_cli(argv)
     assert second is not first
-    assert second.seed == 1729 and not hasattr(second, "extra")
+    assert second.n == 3 and not hasattr(second, "extra")
 
 
 def test_import_builds_no_parser():
@@ -142,6 +142,20 @@ def test_commutant_report(tmp_path):
     assert data["kernel_dims"] == {"1": 2, "2": 6, "3": 12}
     assert len(data["relations"]["relations"]) == 1
     assert data["relations"]["relations"][0]["relation"].startswith("q2_1*q2_2*q2_3")
+
+
+def test_commutant_closure_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["commutant", "--algebra", "sl3", "--subalgebra", "cartan",
+            "--skip-relations", "--closure", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    assert "bracket closure: pass" in capsys.readouterr().out.splitlines()
+    data = json.loads(out.read_text())
+    assert "relations" not in data
+    # 7 generators: 28 pairs with repetition, each bracket zero or found
+    pairs = data["closure"]["pairs"]
+    assert data["closure"]["all_closed"] is True and len(pairs) == 28
+    assert all(p["bracket_is_zero"] or p["expression"] for p in pairs)
 
 
 def test_chain_verify_superintegrable(capsys):
@@ -665,6 +679,34 @@ def test_malformed_input_exits_three_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "error:" in err and "Traceback" not in err
+
+
+_MINIMAL_ARGV = {
+    "algebra check": ["algebra", "check", "--algebra", "sl2"],
+    "commutant": ["commutant", "--algebra", "sl2", "--subalgebra", "cartan"],
+    "casimirs": ["casimirs", "--algebra", "sl2"],
+    "mf": ["mf", "--algebra", "sl2", "--shift", "h:1"],
+    "chain verify": ["chain", "verify", "--algebra", "sl2", "--subalgebra", "cartan",
+                     "--base", "casimirs"],
+    "cycles": ["cycles", "--n", "3"],
+    "flow": _FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "0.1"],
+}
+
+
+def test_minimal_argv_covers_every_subcommand():
+    handlers = {parse_cli(argv).handler for argv in _MINIMAL_ARGV.values()}
+    assert handlers == {getattr(cli, name) for name in dir(cli) if name.startswith("cmd_")}
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+def test_seed_is_accepted_by_exactly_five_subcommands(command, capsys):
+    argv = _MINIMAL_ARGV[command] + ["--seed", "5"]
+    if command in ("casimirs", "mf", "chain verify", "commutant", "flow"):
+        assert parse_cli(argv).seed == 5
+    else:
+        assert run(argv) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("unrecognized arguments: --seed 5")
 
 
 @pytest.mark.parametrize(

@@ -240,19 +240,21 @@ def test_relation_basis_trivial_cases(sl2_torus):
     assert relation_basis(sl2_torus, 4).relations == []
 
 
-def test_relation_budget_guard(sl3_torus):
+def test_relation_budget_guard(sl3_torus, monkeypatch):
+    monkeypatch.setattr(commutant, "COLUMN_BUDGET", 3)
     with pytest.raises(BudgetExceededError):
-        relation_basis(sl3_torus, 6, column_budget=3)
+        relation_basis(sl3_torus, 6)
 
 
-def test_free_family_guards():
+def test_free_family_guards(monkeypatch):
     """For a free family the Jacobian certificate comes after the degree
     check and before the column budget, so no budget is ever exceeded."""
     gens = _seeded_shift_family(3)
     with pytest.raises(ValueError):
         relation_basis(gens, 2)
     assert len(_formal_columns(gens.degrees(), 6)) > 3
-    assert relation_basis(gens, 6, column_budget=3).relations == []
+    monkeypatch.setattr(commutant, "COLUMN_BUDGET", 3)
+    assert relation_basis(gens, 6).relations == []
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -345,8 +347,9 @@ def test_relation_budget_raises_before_any_product(sl3_torus, monkeypatch):
         raise AssertionError("a product was formed")
 
     monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    monkeypatch.setattr(commutant, "COLUMN_BUDGET", budget)
     with pytest.raises(BudgetExceededError) as info:
-        relation_basis(sl3_torus, 6, column_budget=budget)
+        relation_basis(sl3_torus, 6)
     assert str(info.value) == f"{ncols} formal monomials at weighted degree {d}"
     assert info.value.degree == d
 
@@ -712,30 +715,6 @@ def test_zero_weight_monomials_match_filtered_monomial_basis():
             )
         ]
         assert _zero_weight_monomials(weights, k) == expected, (weights, k)
-
-
-@pytest.fixture
-def fraction_count(monkeypatch):
-    """The number of Fraction instances made since the fixture was set up:
-    Fraction.__new__ is wrapped, and so is Fraction._from_coprime_ints where
-    it exists, which builds arithmetic results without __new__."""
-    made = [0]
-    new = Fraction.__new__
-
-    def counted_new(cls, *args, **kwargs):
-        made[0] += 1
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted_new)
-    if hasattr(Fraction, "_from_coprime_ints"):
-        coprime = Fraction._from_coprime_ints.__func__
-
-        def counted_coprime(cls, numerator, denominator):
-            made[0] += 1
-            return coprime(cls, numerator, denominator)
-
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
-    return lambda: made[0]
 
 
 def test_kernel_pipeline_builds_no_fraction(sl4, fraction_count):

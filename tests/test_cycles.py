@@ -1,5 +1,6 @@
 """Cycle combinatorics for sl(n): balance, decomposition, censuses, relations."""
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -249,6 +250,19 @@ def test_relation_family_counts_sl3():
     assert by["ii"].instances_checked == 1
     assert by["iii"].instances_checked == 2
     assert by["ii"].convention
+
+
+def test_relation_families_budget(monkeypatch):
+    """sl(3) has 12 family (i) instances; the budget is checked before any
+    family, and each family (iii) length has fewer cycles than that."""
+    monkeypatch.setattr(cycles, "FAMILY_BUDGET", 11)
+    with pytest.raises(BudgetExceededError, match="family \\(i\\) exceeded 11"):
+        relation_families_check(3)
+    monkeypatch.setattr(cycles, "FAMILY_BUDGET", 12)
+    assert relation_families_check(3).all_passed
+    for n in range(2, 8):
+        instances = sum(math.perm(n, k) for k in range(2, n + 1))
+        assert max(len(all_cycles(n, k)) for k in range(2, n + 1)) < instances
 
 
 def test_oracle_cross_check(sl2, sl3):

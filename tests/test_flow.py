@@ -351,10 +351,19 @@ def test_problem_rejects_non_finite_inputs(sl2, x0, t_final, dt):
 
 
 def test_result_shapes_and_json(sl2):
-    res = integrate(sl2_problem(sl2, t_final=0.5, dt=0.01), sample_stride=10)
-    assert len(res.times) == len(res.states) == len(res.monitor_values)
+    res = integrate(sl2_problem(sl2, t_final=0.5, dt=0.01))
+    assert len(res.times) == len(res.states) == len(res.monitor_values) == 51
     assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(0.5)
     data = res.to_json()
     assert data["steps"] == 50
     assert data["monitors"] == ["H"]
     assert "drifts" in data and "final_state" in data
+
+
+def test_trajectory_is_recorded_every_thousandth_of_the_steps(sl2):
+    # 2,501 steps: stride 2501 // 1000 = 2, and the last step is recorded
+    problem = sl2_problem(sl2, t_final=2.501, dt=0.001)
+    res = integrate(problem)
+    assert res.steps == 2501
+    assert [round(t / 0.001) for t in res.times] == [*range(0, 2501, 2), 2501]
+    assert res.times == reference_integrate(problem).times

@@ -19,7 +19,15 @@ from poischain.linalg import (
     row_from_rationals,
 )
 
-from helpers import gauss_jordan_rows, rank_of_matrix, tagged_inverse, tagged_solve
+from poischain import builtin_sl, direct_sum, killing_form
+
+from helpers import (
+    gauss_jordan_rows,
+    rank_of_matrix,
+    reference_det,
+    tagged_inverse,
+    tagged_solve,
+)
 
 
 def F(x, y=None):
@@ -325,6 +333,41 @@ def test_det_exact():
         [F(0), F(1), F(1)],
     ]
     assert det_exact(m) == F(1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(lambda n=n: builtin_sl(n), id=f"sl{n}") for n in range(2, 13)]
+    + [pytest.param(lambda: direct_sum(builtin_sl(2), builtin_sl(3)), id="sl2+sl3")],
+)
+def test_det_exact_matches_reference_on_killing_forms(build, fraction_count):
+    matrix = killing_form(build()).matrix
+    before = fraction_count()
+    det = det_exact(matrix)
+    assert fraction_count() - before <= 1  # the result itself
+    assert det == reference_det(matrix) != 0
+
+
+_RATIONAL = st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.lists(_RATIONAL, min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+    ),
+    st.sampled_from([None, Fraction(0), Fraction(-3, 2), Fraction(2)]),
+)
+def test_det_exact_matches_reference(matrix, dependent):
+    """Bareiss elimination against rational elimination; a last row that is
+    a multiple of the first makes the matrix singular."""
+    singular = dependent is not None and len(matrix) > 1
+    if singular:
+        matrix[-1] = [dependent * v for v in matrix[0]]
+    det = det_exact(matrix)
+    assert det == reference_det(matrix)
+    assert not singular or det == 0
 
 
 def test_matrix_inverse_round_trip():
