@@ -1,21 +1,23 @@
 """Lie algebras presented by exact structure constants.
 
-A LieAlgebra stores sparse structure constants C_ijk (only i < j, nonzero)
-over the rationals together with basis labels and an optional flagged Cartan
-subalgebra.  Coordinates x_1..x_n live on the dual space; polynomials on the
-algebra itself are moved to dual coordinates through a fixed invariant
-bilinear form (Killing by default).
+A LieAlgebra stores sparse structure constants C_ijk (only i < j, nonzero;
+ints as they are, other rationals as Fractions) with basis labels and an
+optional flagged Cartan subalgebra.  Coordinates x_1..x_n live on the dual
+space; polynomials on the algebra itself are moved to dual coordinates
+through a fixed invariant bilinear form (Killing by default).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from . import linalg
-from .poly import Polynomial, _from_fractions, as_fraction, as_point, variable_keys
+from .poly import Polynomial, _from_fractions, _make, as_fraction, as_point
+from .poly import variable_keys
 from .sampling import DEFAULT_SEED, generic_rank
 
 Vector = tuple[Fraction, ...]
@@ -31,7 +33,7 @@ class LieAlgebra:
     name: str
     dim: int
     labels: tuple[str, ...]
-    structure: dict[tuple[int, int, int], Fraction]
+    structure: dict[tuple[int, int, int], int | Fraction]
     cartan_indices: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -40,7 +42,7 @@ class LieAlgebra:
             raise ValueError("label count does not match dimension")
         if len(set(self.labels)) != self.dim:
             raise ValueError("duplicate basis labels")
-        clean: dict[tuple[int, int, int], Fraction] = {}
+        clean: dict[tuple[int, int, int], int | Fraction] = {}
         for (i, j, k), c in self.structure.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
                 raise ValueError(f"structure index out of range: {(i, j, k)}")
@@ -48,7 +50,7 @@ class LieAlgebra:
                 raise ValueError(
                     f"structure constants must be stored with i < j: {(i, j, k)}"
                 )
-            c = as_fraction(c)
+            c = c if type(c) is int else as_fraction(c)
             if c:
                 clean[(i, j, k)] = c
         self.structure = clean
@@ -56,6 +58,8 @@ class LieAlgebra:
             self.cartan_indices = tuple(self.cartan_indices)
             if any(not 0 <= i < self.dim for i in self.cartan_indices):
                 raise ValueError("Cartan index out of range")
+            if len(set(self.cartan_indices)) != len(self.cartan_indices):
+                raise ValueError("duplicate Cartan indices")
         self._derived: dict[Hashable, object] = {}
 
     # -- structure access ---------------------------------------------------
@@ -152,13 +156,15 @@ class LieAlgebra:
     @classmethod
     def from_json(cls, data: Mapping) -> "LieAlgebra":
         dim = _json_int(data["dim"], "dim")
-        labels = tuple(data.get("labels") or (f"x{i + 1}" for i in range(dim)))
-        structure: dict[tuple[int, int, int], Fraction] = {}
+        labels = data.get("labels") or [f"x{i + 1}" for i in range(dim)]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ValueError(f"labels must be a list of strings, got {labels!r}")
+        structure: dict[tuple[int, int, int], object] = {}
         for entry in data.get("structure", ()):
             key = tuple(_json_int(entry[a], f"structure index {a}") for a in "ijk")
             if key in structure:
                 raise ValueError(f"duplicate structure entry for {key}")
-            structure[key] = as_fraction(entry["c"])
+            structure[key] = entry["c"]
         cartan = data.get("cartan_indices")
         return cls(
             name=str(data.get("name", "algebra")),
@@ -245,14 +251,8 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
     checks.append(jacobi)
 
     killing = killing_form(alg)
-    det = linalg.det_exact(killing.matrix)
-    checks.append(
-        CheckResult(
-            "killing_nondegenerate",
-            det != 0,
-            f"det(Killing) = {det}",
-        )
-    )
+    det = Fraction(linalg.det_exact(killing.rows), killing.den**alg.dim)
+    checks.append(CheckResult("killing_nondegenerate", det != 0, f"det(Killing) = {det}"))
     return ValidationReport(alg.name, checks)
 
 
@@ -294,47 +294,44 @@ def _jacobi_witness(alg: LieAlgebra) -> tuple[str, str, str, str] | None:
 
 @dataclass
 class BilinearForm:
-    name: str
-    matrix: tuple[tuple[Fraction, ...], ...]
+    """B(X_i, X_j) = rows[i].get(j, 0) / den, in sparse integer rows."""
 
-    def __post_init__(self) -> None:
-        self.matrix = tuple(tuple(as_fraction(v) for v in row) for row in self.matrix)
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise ValueError("form matrix must be square")
-        self._inverse: list[list[Fraction]] | None = None
+    rows: tuple[linalg.Row, ...]
+    den: int = 1
 
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    def inverse(self) -> list[list[Fraction]]:
-        if self._inverse is None:
-            self._inverse = linalg.matrix_inverse(self.matrix)
-        return self._inverse
+    @cached_property
+    def inverse(self) -> list[tuple[linalg.Row, int]]:
+        """Row j of B^-1 as (integer entries, positive denominator)."""
+        return [
+            ({i: self.den * v for i, v in row.items()}, d)
+            for row, d in linalg.matrix_inverse(self.rows)
+        ]
 
 
 def killing_form(alg: LieAlgebra) -> BilinearForm:
-    """B(X, Y) = trace(ad X . ad Y), computed exactly from the structure constants:
-    B(X_i, X_j) = sum over a, b of C_iab C_jba, with the nonzero C_iab grouped
-    by (a, b) so that each group meets only its (b, a) partner."""
-    rows, den = alg.bracket_rows()
-    groups: dict[tuple[int, int], dict[int, int]] = {}
-    for i, row in enumerate(rows):
-        for a, outs in row.items():
-            for b, c in outs.items():
-                groups.setdefault((a, b), {})[i] = c
-    totals = [[0] * alg.dim for _ in range(alg.dim)]
-    for (a, b), left in groups.items():
-        right = groups.get((b, a), {})
-        for i, c in left.items():
-            total = totals[i]
-            for j, c2 in right.items():
-                total[j] += c * c2
-    zero, d2 = Fraction(0), den * den
-    return BilinearForm(
-        "killing", tuple(tuple(Fraction(t, d2) if t else zero for t in row) for row in totals)
-    )
+    """B(X, Y) = trace(ad X . ad Y), computed exactly from the structure constants
+    and kept with the algebra: B(X_i, X_j) = sum over a, b of C_iab C_jba, with
+    the nonzero C_iab grouped by (a, b) so that each group meets only its
+    (b, a) partner, summed in bracket_rows' integers over den^2."""
+
+    def build() -> BilinearForm:
+        rows, den = alg.bracket_rows()
+        groups: dict[tuple[int, int], dict[int, int]] = {}
+        for i, row in enumerate(rows):
+            for a, outs in row.items():
+                for b, c in outs.items():
+                    groups.setdefault((a, b), {})[i] = c
+        totals: list[dict[int, int]] = [{} for _ in range(alg.dim)]
+        for (a, b), left in groups.items():
+            right = groups.get((b, a), {})
+            for i, c in left.items():
+                total = totals[i]
+                for j, c2 in right.items():
+                    total[j] = total.get(j, 0) + c * c2
+        nonzero = tuple({j: t for j, t in row.items() if t} for row in totals)
+        return BilinearForm(nonzero, den * den)
+
+    return alg.derived("killing", build)
 
 
 def form_invariance_witness(
@@ -342,17 +339,23 @@ def form_invariance_witness(
 ) -> tuple[str, str, str] | None:
     """First basis triple violating B([z,x],y) + B(x,[z,y]) = 0, if any."""
     rows, _ = alg.bracket_rows()
-    m = form.matrix
+    m = form.rows
     for z in range(alg.dim):
         for x in range(alg.dim):
             zx = rows[z].get(x, {})
             for y in range(alg.dim):
                 zy = rows[z].get(y, {})
-                if sum(c * m[k][y] for k, c in zx.items()) + sum(
-                    c * m[x][k] for k, c in zy.items()
+                if sum(c * m[k].get(y, 0) for k, c in zx.items()) + sum(
+                    c * m[x].get(k, 0) for k, c in zy.items()
                 ):
                     return (alg.labels[z], alg.labels[x], alg.labels[y])
     return None
+
+
+def _linear_forms(dim: int, rows: Iterable[tuple[linalg.Row, int]]) -> list[Polynomial]:
+    """The linear coordinate function of each (integer row, denominator)."""
+    keys = variable_keys(dim)
+    return [_make(dim, {keys[i]: v for i, v in row.items()}, d) for row, d in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -450,20 +453,19 @@ def sl_size(alg: LieAlgebra) -> int | None:
 def trace_form_sl(n: int) -> BilinearForm:
     """The defining-representation trace form of sl(n)."""
     mats, _ = _sl_matrix_basis(n)
-    matrix = tuple(
-        tuple(
-            sum(v * mb.get((c, r), 0) for (r, c), v in ma.items()) for mb in mats
-        )
+    rows = tuple(
+        {j: t for j, mb in enumerate(mats)
+         if (t := sum(v * mb.get((c, r), 0) for (r, c), v in ma.items()))}
         for ma in mats
     )
-    return BilinearForm("trace", matrix)
+    return BilinearForm(rows)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
     labels = tuple(f"{lab}.1" for lab in a.labels) + tuple(
         f"{lab}.2" for lab in b.labels
     )
-    structure: dict[tuple[int, int, int], Fraction] = dict(a.structure)
+    structure = dict(a.structure)
     off = a.dim
     for (i, j, k), c in b.structure.items():
         structure[(i + off, j + off, k + off)] = c
@@ -509,11 +511,10 @@ class SubalgebraSpec:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SubalgebraSpec":
-        return cls(
-            vectors=data["vectors"],
-            abelian=bool(data.get("abelian", False)),
-            name=str(data.get("name", "subalgebra")),
-        )
+        abelian = data.get("abelian", False)
+        if not isinstance(abelian, bool):
+            raise ValueError(f"abelian must be a boolean, got {abelian!r}")
+        return cls(data["vectors"], abelian, str(data.get("name", "subalgebra")))
 
 
 def cartan_subalgebra(alg: LieAlgebra) -> SubalgebraSpec:
@@ -549,9 +550,7 @@ def validate_subalgebra(alg: LieAlgebra, sub: SubalgebraSpec) -> ValidationRepor
             raise ValueError("subalgebra vector dimension mismatch")
 
     rows = [vector_row(vec) for vec in sub.vectors]
-    span = linalg.Echelon()
-    for row in rows:
-        span.insert(row)
+    span = linalg.Echelon(rows)
     independent = len(span) == sub.size
     checks.append(
         CheckResult("independent", independent, f"{sub.size} spanning vectors")
@@ -637,9 +636,11 @@ def in_centralizer(
 ) -> bool:
     """Whether the dual point, moved to the algebra by the Killing form,
     commutes with every spanning vector of the subalgebra."""
-    pt = as_point(point, alg.dim)
-    inv = killing_form(alg).inverse()
-    z = vector_row([sum(a * x for a, x in zip(row, pt)) for row in inv])
+    pt = vector_row(as_point(point, alg.dim))
+    inv = killing_form(alg).inverse
+    scale = lcm(*(d for _, d in inv))
+    z = {j: s * (scale // d) for j, (row, d) in enumerate(inv)
+         if (s := sum(v * pt.get(i, 0) for i, v in row.items()))}
     return not any(alg.bracket_row(vector_row(vec), z) for vec in sub.vectors)
 
 
@@ -652,13 +653,13 @@ def dual_transport(
     result at a dual point equals evaluating p at the algebra element paired
     to it by the form.
     """
-    if p.dim != alg.dim or form.dim != alg.dim:
+    if p.dim != alg.dim or len(form.rows) != alg.dim:
         raise ValueError("dimension mismatch in dual transport")
-    return p.substitute_linear([alg.linear_form(row) for row in form.inverse()])
+    return p.substitute_linear(_linear_forms(alg.dim, form.inverse))
 
 
 def dual_transport_inverse(
     alg: LieAlgebra, form: BilinearForm, p: Polynomial
 ) -> Polynomial:
     """Inverse of dual_transport (substitute x_i -> sum_j B_ij coordinate_j)."""
-    return p.substitute_linear([alg.linear_form(row) for row in form.matrix])
+    return p.substitute_linear(_linear_forms(alg.dim, [(r, form.den) for r in form.rows]))

@@ -22,6 +22,7 @@ from itertools import combinations
 from typing import ClassVar, Sequence
 
 from .algebra import (
+    ConfigurationError,
     LieAlgebra,
     SubalgebraSpec,
     builtin_sl,
@@ -30,6 +31,8 @@ from .algebra import (
     is_regular,
     killing_form,
     orbit_dimension,
+    sl_size,
+    _linear_forms,
     _sl_matrix_basis,
 )
 from .commutant import (
@@ -119,7 +122,16 @@ def _matrix_poly_mul(
 
 
 def trace_casimirs_sln(n: int, max_k: int | None = None) -> CasimirSet:
-    """Power traces of the generic traceless matrix, in dual coordinates.
+    """trace_casimirs on builtin_sl(n)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return trace_casimirs(builtin_sl(n), max_k)
+
+
+def trace_casimirs(alg: LieAlgebra, max_k: int | None = None) -> CasimirSet:
+    """Power traces of the generic traceless matrix, in dual coordinates, on
+    an sl(n) in the built-in layout (sl_size), rendered with its own name
+    and labels.
 
     The trace of the k-th matrix power is a polynomial in the coefficients of
     the matrix against the standard basis; composing with the inverse Killing
@@ -133,14 +145,14 @@ def trace_casimirs_sln(n: int, max_k: int | None = None) -> CasimirSet:
     monic.  k runs over 2..max_k (the first power has zero trace); values
     above n add nothing new and are rejected.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = sl_size(alg)
+    if n is None:
+        raise ConfigurationError("the trace route requires a built-in sl(n) algebra")
     if max_k is None:
         max_k = n
     if not 2 <= max_k <= n:
         raise ValueError("trace exponent cap must lie in 2..n")
-    alg = builtin_sl(n)
-    images = [alg.linear_form(row) for row in killing_form(alg).inverse()]
+    images = _linear_forms(alg.dim, killing_form(alg).inverse)
     powers = [None, _symbolic_sl_matrix(n, images)]  # powers[j] = X^j
     while len(powers) <= (max_k + 1) // 2:
         powers.append(_matrix_poly_mul(powers[-1], powers[1], alg.dim))

@@ -39,7 +39,7 @@ from .casimir_mf import (
     mf_generators,
     mf_rank_check,
     sandwich_check,
-    trace_casimirs_sln,
+    trace_casimirs,
 )
 from .chains import ChainFormationError
 from .commutant import (
@@ -381,7 +381,7 @@ def cmd_casimirs(ns: argparse.Namespace) -> int:
             code = EXIT_NEGATIVE
     if n is not None:
         # the default cap of a built-in sl(n) is n
-        trace_set = trace_casimirs_sln(n, min(ns.max_degree or n, n))
+        trace_set = trace_casimirs(alg, min(ns.max_degree or n, n))
         payload["trace"] = trace_set.to_json()
         _say(f"trace route: {len(trace_set)} generators")
         if ns.method == "both":

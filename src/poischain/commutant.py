@@ -157,9 +157,12 @@ class GeneratorSet:
             flag = entry.get("indecomposable", True)
             if not isinstance(flag, bool):
                 raise ValueError(f"indecomposable must be a boolean, got {flag!r}")
+            degree = _json_int(entry.get("degree", poly.degree or 0), "degree")
+            if degree < 1:
+                raise ValueError(f"generator degree must be at least 1, got {degree}")
             gens.append(Generator(
                 poly=poly,
-                degree=_json_int(entry.get("degree", poly.degree or 0), "degree"),
+                degree=degree,
                 label=str(entry.get("label", f"g{len(gens) + 1}")),
                 indecomposable=flag,
             ))
@@ -368,17 +371,15 @@ def _raising_fields(
         return None
     opposite = [index.get(tuple(-w for w in shift)) for shift in shifts]
     raising = [i for i, j in enumerate(opposite) if j is None or j > i]
-    brackets = linalg.Echelon()
-    for a, b in combinations(raising, 2):
-        brackets.insert(alg.bracket_row(rows[a], rows[b]))
+    brackets = linalg.Echelon(
+        alg.bracket_row(rows[a], rows[b]) for a, b in combinations(raising, 2)
+    )
     keep = [i for i in raising if brackets.reduce(rows[i])]
     gens = [vector_row(vec) for vec in diagonal]
     span = _lie_closure(alg, gens + [rows[i] for i in keep])
     if any(span.reduce(rows[i]) for i in raising):
         return None
-    cartan = linalg.Echelon()
-    for row in gens:
-        cartan.insert(row)
+    cartan = linalg.Echelon(gens)
     for i, j in enumerate(opposite):
         if j is None or j > i or not span.reduce(rows[i]):
             continue

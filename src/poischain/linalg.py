@@ -2,11 +2,11 @@
 
 Rows are sparse dicts mapping column index to a nonzero integer.  Elimination
 combines rows by cross multiplication and re-extracts integer content, so the
-whole pipeline stays in arbitrary-precision integers: nullspace and
-canonical_rref take and return integer rows.  Fraction appears only at the
-edges: row_from_rationals reads rational input, and express_in_rowspace,
-matrix_inverse and det_exact (one Fraction per call) build rational results
-from integers.
+whole pipeline stays in arbitrary-precision integers: every routine here
+takes integer rows, and nullspace, canonical_rref and matrix_inverse return
+them (an inverse row over its own pivot), det_exact an integer.  Fraction
+appears only at the edges: row_from_rationals reads rational input, and
+express_in_rowspace returns rational membership coefficients.
 
 Echelon is the one elimination core: rank_of_rows, nullspace,
 canonical_rref, express_in_rowspace and matrix_inverse all insert rows into
@@ -86,9 +86,11 @@ class Echelon:
     reduced row echelon rows of the span.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rows: Iterable[Row] = ()) -> None:
         self._rows: dict[int, Row] = {}
         self._reduced = True
+        for row in rows:
+            self.insert(row)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -148,10 +150,7 @@ class Echelon:
 def rank_of_rows(rows: Iterable[Row]) -> int:
     """The rank of integer rows: the one rank every sampled generic rank
     (sampling.generic_rank) and regularity test takes."""
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    return len(ech)
+    return len(Echelon(rows))
 
 
 def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
@@ -193,10 +192,8 @@ def canonical_rref(rows: Iterable[Row]) -> list[Row]:
     rows are fully reduced with leftmost positive pivots.  They are sorted
     by pivot, keys ascending.  The output depends only on the span.
     """
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    return [dict(sorted(row.items())) for _, row in sorted(ech.pivots.items())]
+    pivots = Echelon(rows).pivots
+    return [dict(sorted(row.items())) for _, row in sorted(pivots.items())]
 
 
 def express_in_rowspace(
@@ -228,24 +225,19 @@ def express_in_rowspace(
     return coeffs
 
 
-def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by Bareiss elimination with row swaps: each row is
-    scaled to integers by the lcm of its denominators, each division by the
-    previous pivot is exact, and the one Fraction built is the last pivot
-    over the product of the row scales."""
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
+def det_exact(rows: Sequence[Row]) -> int:
+    """Exact determinant of a square matrix of integer rows by Bareiss
+    elimination with row swaps, on a copy: each division by the previous
+    pivot is exact."""
+    n = len(rows)
+    if any(not 0 <= c < n for row in rows for c in row):
         raise ValueError("determinant needs a square matrix")
-    rows, scale = [], 1
-    for dense in matrix:
-        s = lcm(*(v.denominator for v in dense))
-        rows.append({c: v.numerator * (s // v.denominator) for c, v in enumerate(dense) if v})
-        scale *= s
+    rows = [dict(row) for row in rows]
     sign = prev = 1
     for k in range(n):
         p = next((r for r in range(k, n) if k in rows[r]), None)
         if p is None:
-            return Fraction(0)
+            return 0
         if p != k:
             rows[k], rows[p], sign = rows[p], rows[k], -sign
         top = rows[k]
@@ -261,29 +253,21 @@ def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
                         row[j] = row.get(j, 0) - a * v
                 rows[i] = {j: v // prev for j, v in row.items() if v}
         prev = pivot
-    return Fraction(sign * prev, scale)
+    return sign * prev
 
 
-def matrix_inverse(
-    matrix: Sequence[Sequence[Fraction]],
-) -> list[list[Fraction]]:
-    """Exact inverse; raises on singular input.
-
-    The inverse is the right half of canonical_rref of [A | I], with the
-    identity in columns n..2n-1.  A is singular iff some row j of that basis
-    has its pivot anywhere but column j.
-    """
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
+def matrix_inverse(rows: Sequence[Row]) -> list[tuple[Row, int]]:
+    """Exact inverse of a square matrix of integer rows; raises on singular
+    input.  Row j of the inverse comes back as (integer entries, d > 0): the
+    right half of row j of canonical_rref of [A | I] (the identity in columns
+    n..2n-1) over its pivot d.  A is singular iff some row j of that basis
+    has its pivot anywhere but column j."""
+    n = len(rows)
+    if any(not 0 <= c < n for row in rows for c in row):
         raise ValueError("inverse needs a square matrix")
-    augmented = []
-    for i, dense in enumerate(matrix):
-        vec = {c: v for c, v in enumerate(dense) if v}
-        vec[n + i] = 1
-        augmented.append(row_from_rationals(vec))
     out = []
-    for j, row in enumerate(canonical_rref(augmented)):
+    for j, row in enumerate(canonical_rref(r | {n + i: 1} for i, r in enumerate(rows))):
         if min(row) != j:
             raise ValueError("matrix is singular")
-        out.append([Fraction(row.get(n + i, 0), row[j]) for i in range(n)])
+        out.append(({c - n: v for c, v in row.items() if c >= n}, row[j]))
     return out

@@ -36,10 +36,10 @@ _MASK = (1 << W) - 1
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction. Floats are rejected."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction (not floats or bools)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -267,6 +267,21 @@ def reference_killing_form(alg) -> list[tuple[Fraction, ...]]:
     return matrix
 
 
+def dense_form(form) -> list[tuple[Fraction, ...]]:
+    """A BilinearForm's integer rows over its denominator as a dense
+    Fraction matrix, in the layout of reference_killing_form."""
+    return [
+        tuple(Fraction(row.get(j, 0), form.den) for j in range(len(form.rows)))
+        for row in form.rows
+    ]
+
+
+def dense_inverse(inverse, n: int) -> list[list[Fraction]]:
+    """matrix_inverse's (integer row, denominator) pairs as a dense
+    Fraction matrix."""
+    return [[Fraction(row.get(i, 0), d) for i in range(n)] for row, d in inverse]
+
+
 def reference_jacobi_witness(alg) -> tuple[str, str, str, str] | None:
     """Reference Jacobi scan: every triple i < j < k whose three brackets
     are not all zero, summed term by term; the labels of the first failing

@@ -39,11 +39,13 @@ from poischain.poly import Polynomial
 
 from helpers import (
     commutator_matrix,
+    dense_form,
     rank_of_matrix,
     reference_jacobi_witness,
     reference_killing_form,
     reference_linear_form,
     rescaled_sl_json,
+    tagged_inverse,
 )
 
 F = Fraction
@@ -142,11 +144,9 @@ def test_jacobi_witness_after_every_earlier_triple_passes():
 
 def test_killing_form_sl2(sl2):
     kf = killing_form(sl2)
-    assert [list(r) for r in kf.matrix] == [
-        [F(8), F(0), F(0)],
-        [F(0), F(0), F(4)],
-        [F(0), F(4), F(0)],
-    ]
+    assert kf.rows == ({0: 8}, {2: 4}, {1: 4}) and kf.den == 1
+    assert killing_form(sl2) is kf  # built once per algebra
+    assert kf.inverse is kf.inverse == [({0: 1}, 8), ({2: 1}, 4), ({1: 1}, 4)]
     assert form_invariance_witness(sl2, kf) is None
 
 
@@ -156,9 +156,8 @@ def test_killing_is_multiple_of_trace_form():
         alg = builtin_sl(n)
         kf = killing_form(alg)
         tf = trace_form_sl(n)
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                assert kf.matrix[i][j] == 2 * n * tf.matrix[i][j]
+        assert kf.den == tf.den == 1
+        assert kf.rows == tuple({j: 2 * n * v for j, v in row.items()} for row in tf.rows)
         assert form_invariance_witness(alg, tf) is None
 
 
@@ -183,10 +182,11 @@ def test_killing_form_matches_double_sum(tmp_path):
     algebras = [builtin_sl(n) for n in range(2, 7)]
     algebras += [direct_sum(builtin_sl(2), builtin_sl(3)), _scaled_sl2_file(tmp_path)]
     for alg in algebras:
-        matrix = killing_form(alg).matrix
-        assert all(type(v) is Fraction for row in matrix for v in row)
-        assert list(matrix) == reference_killing_form(alg), alg.name
-    assert killing_form(algebras[-1]).matrix[1][2] == F(4, 3)
+        form = killing_form(alg)
+        assert all(type(v) is int and v for row in form.rows for v in row.values())
+        assert dense_form(form) == reference_killing_form(alg), alg.name
+    form = killing_form(algebras[-1])
+    assert form.den == 9 and dense_form(form)[1][2] == F(4, 3)
 
 
 def test_linear_form_matches_one_monomial_per_coordinate(sl3):
@@ -246,7 +246,7 @@ def test_in_centralizer(sl2):
 
 def _reference_centralizer(alg, sub, point):
     """Dense route: z = K^-1 x in the rational basis, then every [v, z]."""
-    inv = killing_form(alg).inverse()
+    inv = tagged_inverse(dense_form(killing_form(alg)))
     z = [sum(a * x for a, x in zip(row, point)) for row in inv]
     for v in sub.vectors:
         bracket = [F(0)] * alg.dim
@@ -352,6 +352,34 @@ def test_subalgebra_vectors_build_few_fractions(fraction_count):
     back = SubalgebraSpec.from_json({"vectors": [[1, "1/2", "0"]], "name": "ray"})
     assert fraction_count() - before == 3
     assert back == spec and all(type(v) is Fraction for v in back.vectors[0])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_algebra_layer_builds_no_fraction_matrix(n, fraction_count):
+    """builtin_sl keeps its integer constants and killing_form fills integer
+    rows, so neither builds a Fraction; validate_algebra builds at most the
+    one Fraction of its Killing determinant."""
+    before = fraction_count()
+    alg = builtin_sl(n)
+    form = killing_form(alg)
+    assert fraction_count() == before
+    assert all(type(c) is int for c in alg.structure.values())
+    before = fraction_count()
+    report = validate_algebra(builtin_sl(n))
+    assert fraction_count() - before <= 1
+    assert report.passed and form.den == 1
+
+
+def test_duplicate_cartan_indices_are_rejected(sl2):
+    with pytest.raises(ValueError, match="duplicate Cartan indices"):
+        LieAlgebra(name="bad", dim=3, labels=sl2.labels, structure=sl2.structure,
+                   cartan_indices=(0, 0))
+
+
+@pytest.mark.parametrize("labels", [[1, 2, 3], ["h", "e", None], "hef"])
+def test_non_string_labels_are_rejected(sl2, labels):
+    with pytest.raises(ValueError, match="labels must be a list of strings"):
+        LieAlgebra.from_json(sl2.to_json() | {"labels": labels})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -80,6 +80,16 @@ def test_trace_casimirs_substitute_only_linear_forms(monkeypatch):
     assert trace_casimirs_sln(4).polys() == reference
 
 
+def test_trace_casimirs_build_few_fractions(fraction_count):
+    """The Killing inverse comes back as integer rows over their pivots and
+    each image is made from one of them, so the sl(5) route builds at most
+    a handful of Fractions (the shared unit entries of full_subalgebra)."""
+    before = fraction_count()
+    cas = trace_casimirs_sln(5)
+    assert fraction_count() - before <= 5
+    assert cas.polys() == reference_trace_casimirs(5, 5)
+
+
 @pytest.mark.parametrize(
     "n, max_k, message",
     [

@@ -252,6 +252,26 @@ def test_casimirs_both_routes_on_a_dumped_builtin_file(tmp_path):
     assert json.loads(out.read_text())["routes_agree"] is True
 
 
+def test_trace_route_renders_on_the_loaded_algebra(tmp_path):
+    """On an sl(3) file with its own name and e1_2 labels, the trace route
+    reports the file's name and labels, as the kernel route does."""
+    data = builtin_sl(3).to_json()
+    data["name"] = "my-sl3"
+    data["labels"] = [lab if lab[0] == "h" else f"{lab[:2]}_{lab[2:]}"
+                      for lab in data["labels"]]
+    path = tmp_path / "sl3.json"
+    path.write_text(dump_json(data))
+    out = tmp_path / "cas.json"
+    code = run(["casimirs", "--algebra", str(path), "--method", "both", "--out", str(out)])
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["routes_agree"] is True
+    for route in ("kernel", "trace"):
+        assert report[route]["algebra"] == "my-sl3"
+        assert report[route]["labels"] == data["labels"]
+    assert "e1_2*e2_1" in report["trace"]["generators"][0]["poly"]
+
+
 def test_mf_command_with_subalgebra(capsys):
     code = run(
         ["mf", "--algebra", "sl3", "--shift", "h:1,2", "--subalgebra", "cartan"]
@@ -523,6 +543,8 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(monkeypatch):
     redirected.close()
 
 
+_SL2_JSON = builtin_sl(2).to_json()
+
 # "@name" in an argument stands for the file of that name in a scratch directory
 _MALFORMED_FILES = {
     "float_c.json": {"dim": 2, "labels": ["a", "b"],
@@ -534,6 +556,11 @@ _MALFORMED_FILES = {
     "float_dim.json": {"dim": 2.5, "labels": ["a", "b"], "structure": []},
     "float_index.json": {"dim": 3, "labels": ["h", "e", "f"],
                          "structure": [{"i": 0, "j": 1.9, "k": 1, "c": "2"}]},
+    "bool_c.json": {"dim": 2, "labels": ["a", "b"],
+                    "structure": [{"i": 0, "j": 1, "k": 1, "c": True}]},
+    "int_labels.json": _SL2_JSON | {"labels": [1, 2, 3]},
+    "dup_cartan.json": _SL2_JSON | {"cartan_indices": [0, 0]},
+    "string_abelian_sub.json": {"vectors": [["1", "0", "0"]], "abelian": "no"},
     "bool_index.json": {"dim": 3, "labels": ["h", "e", "f"],
                         "structure": [{"i": False, "j": 1, "k": 1, "c": "2"}]},
     "bool_cartan.json": {"dim": 3, "labels": ["h", "e", "f"],
@@ -557,6 +584,11 @@ _MALFORMED_FILES = {
                                   "kernel_dims": {"1": 1.5}},
     "string_indecomposable_gen.json": {"generators": [{"poly": "h1",
                                                        "indecomposable": "no"}]},
+    # generator degrees below 1, given or read off a constant or zero poly
+    "zero_degree_gen.json": {"generators": [{"poly": "h1", "degree": 0}]},
+    "negative_degree_gen.json": {"generators": [{"poly": "h1", "degree": -1}]},
+    "constant_gen.json": {"generators": [{"poly": "3"}]},
+    "zero_poly_gen.json": {"generators": [{"poly": "0"}]},
     # the sl(3) labels on structure constants other than builtin_sl(3)'s
     "rescaled_sl3.json": rescaled_sl_json(3),
 }
@@ -588,7 +620,8 @@ _FLOW = ["flow", "--algebra", "sl2", "--hamiltonian", "h1"]
 _GENERATOR_CONTRACT = [
     pytest.param(argv + [f"{prefix}@{name}_gen.json"], id=f"{name}-generator-{use}")
     for name in ("float_degree", "bool_degree", "string_cap", "float_kernel_dim",
-                 "string_indecomposable")
+                 "string_indecomposable", "zero_degree", "negative_degree", "constant",
+                 "zero_poly")
     for use, argv, prefix in (
         ("base", ["chain", "verify", "--algebra", "sl2", "--subalgebra", "cartan",
                   "--base"], "file:"),
@@ -608,6 +641,21 @@ _GENERATOR_CONTRACT = [
                      id="non-integral-dimension"),
         pytest.param(["algebra", "check", "--algebra", "@float_index.json"],
                      id="non-integral-structure-index"),
+        pytest.param(["algebra", "check", "--algebra", "@bool_c.json"],
+                     id="boolean-structure-constant"),
+        pytest.param(["algebra", "check", "--algebra", "@int_labels.json"],
+                     id="non-string-labels"),
+        pytest.param(["commutant", "--algebra", "@int_labels.json", "--subalgebra",
+                      "cartan", "--max-degree", "2"], id="non-string-labels-commutant"),
+        pytest.param(["algebra", "check", "--algebra", "@dup_cartan.json"],
+                     id="duplicate-cartan-index"),
+        pytest.param(["chain", "verify", "--algebra", "@dup_cartan.json", "--subalgebra",
+                      "cartan", "--base", "casimirs"], id="duplicate-cartan-index-chain"),
+        pytest.param(["commutant", "--algebra", "sl2", "--subalgebra",
+                      "@string_abelian_sub.json"], id="string-abelian-flag"),
+        pytest.param(["chain", "verify", "--algebra", "sl2", "--subalgebra",
+                      "@string_abelian_sub.json", "--base", "moment-map"],
+                     id="string-abelian-flag-moment-map"),
         pytest.param(["algebra", "check", "--algebra", "@bool_index.json"],
                      id="boolean-structure-index"),
         pytest.param(["algebra", "check", "--algebra", "@bool_cartan.json"],

@@ -22,6 +22,8 @@ from poischain.linalg import (
 from poischain import builtin_sl, direct_sum, killing_form
 
 from helpers import (
+    dense_form,
+    dense_inverse,
     gauss_jordan_rows,
     rank_of_matrix,
     reference_det,
@@ -299,16 +301,18 @@ def test_matrix_inverse_matches_tagged_reference():
         n = rng.randint(1, 6)
         rank = rng.randint(0, n - 1) if trial % 3 == 0 else None
         rows = _random_rows(rng, n, n, rank)
-        scales = [F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
-                  for _ in rows]
-        m = [[s * r.get(j, 0) for j in range(n)] for s, r in zip(scales, rows)]
-        expected = tagged_inverse(m)
+        scales = [rng.choice((-1, 1)) * rng.randint(1, 5) for _ in rows]
+        m = [{j: s * v for j, v in r.items()} for s, r in zip(scales, rows)]
+        expected = tagged_inverse([[r.get(j, 0) for j in range(n)] for r in m])
         if expected is None:
             singular += 1
             with pytest.raises(ValueError):
                 matrix_inverse(m)
         else:
-            assert matrix_inverse(m) == expected
+            inverse = matrix_inverse(m)
+            assert dense_inverse(inverse, n) == expected
+            # each row over its own pivot, in lowest terms
+            assert all(d > 0 and gcd(d, *row.values()) == 1 for row, d in inverse)
     assert 0 < singular < 120
 
 
@@ -323,16 +327,15 @@ def test_rank():
 
 
 def test_det_exact():
-    assert det_exact([[F(1), F(2)], [F(3), F(4)]]) == F(-2)
-    assert det_exact([[F(2)]]) == F(2)
-    assert det_exact([[F(1), F(2)], [F(2), F(4)]]) == 0
-    # 3x3 with fractional entries
-    m = [
-        [F(1, 2), F(0), F(0)],
-        [F(0), F(3), F(1)],
-        [F(0), F(1), F(1)],
-    ]
-    assert det_exact(m) == F(1)
+    assert det_exact([{0: 1, 1: 2}, {0: 3, 1: 4}]) == -2
+    assert det_exact([{0: 2}]) == 2
+    assert det_exact([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 0
+    # 3x3 with a zero leading entry, which needs a row swap
+    m = [{1: 3, 2: 1}, {0: 1}, {1: 1, 2: 1}]
+    assert det_exact(m) == -2
+    assert m == [{1: 3, 2: 1}, {0: 1}, {1: 1, 2: 1}]  # the input is not changed
+    with pytest.raises(ValueError):
+        det_exact([{0: 1, 1: 2}])
 
 
 @pytest.mark.parametrize(
@@ -341,23 +344,23 @@ def test_det_exact():
     + [pytest.param(lambda: direct_sum(builtin_sl(2), builtin_sl(3)), id="sl2+sl3")],
 )
 def test_det_exact_matches_reference_on_killing_forms(build, fraction_count):
-    matrix = killing_form(build()).matrix
+    form = killing_form(build())
     before = fraction_count()
-    det = det_exact(matrix)
-    assert fraction_count() - before <= 1  # the result itself
-    assert det == reference_det(matrix) != 0
+    det = det_exact(form.rows)
+    assert fraction_count() == before
+    assert F(det, form.den ** len(form.rows)) == reference_det(dense_form(form)) != 0
 
 
-_RATIONAL = st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=4))
+_INTEGER = st.one_of(st.just(0), st.integers(-5, 5))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 6).flatmap(
-        lambda n: st.lists(st.lists(_RATIONAL, min_size=n, max_size=n),
+        lambda n: st.lists(st.lists(_INTEGER, min_size=n, max_size=n),
                            min_size=n, max_size=n)
     ),
-    st.sampled_from([None, Fraction(0), Fraction(-3, 2), Fraction(2)]),
+    st.sampled_from([None, 0, -3, 2]),
 )
 def test_det_exact_matches_reference(matrix, dependent):
     """Bareiss elimination against rational elimination; a last row that is
@@ -365,29 +368,31 @@ def test_det_exact_matches_reference(matrix, dependent):
     singular = dependent is not None and len(matrix) > 1
     if singular:
         matrix[-1] = [dependent * v for v in matrix[0]]
-    det = det_exact(matrix)
+    det = det_exact([{j: v for j, v in enumerate(r) if v} for r in matrix])
     assert det == reference_det(matrix)
     assert not singular or det == 0
 
 
 def test_matrix_inverse_round_trip():
-    m = [[F(2), F(1)], [F(5), F(3)]]
-    inv = matrix_inverse(m)
+    m = [{0: 2, 1: 1}, {0: 5, 1: 3}]
+    inv = dense_inverse(matrix_inverse(m), 2)
     prod = [
-        [sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)]
+        [sum(m[i].get(k, 0) * inv[k][j] for k in range(2)) for j in range(2)]
         for i in range(2)
     ]
     assert prod == [[F(1), F(0)], [F(0), F(1)]]
     # a zero leading entry needs a row swap
-    m = [[F(0), F(1, 2), F(1)], [F(3), F(0), F(-1)], [F(1), F(1), F(0)]]
-    inv = matrix_inverse(m)
+    m = [{1: 1, 2: 2}, {0: 3, 2: -1}, {0: 1, 1: 1}]
+    inv = dense_inverse(matrix_inverse(m), 3)
     prod = [
-        [sum(m[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
+        [sum(m[i].get(k, 0) * inv[k][j] for k in range(3)) for j in range(3)]
         for i in range(3)
     ]
     assert prod == [[F(int(i == j)) for j in range(3)] for i in range(3)]
     with pytest.raises(ValueError):
-        matrix_inverse([[F(1), F(2)], [F(2), F(4)]])
+        matrix_inverse([{0: 1, 1: 2}, {0: 2, 1: 4}])
+    with pytest.raises(ValueError):
+        matrix_inverse([{0: 1, 2: 1}, {1: 1}])
 
 
 def test_echelon_reduction_clears_pivot_columns():

@@ -205,6 +205,12 @@ def test_parse_rejects_zero_denominator(text, factor):
         parse_polynomial(text, 2)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_as_fraction_rejects_booleans(value):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        poly.as_fraction(value)
+
+
 def test_as_fraction_names_a_zero_denominator():
     with pytest.raises(ValueError, match="^zero denominator in '2/0'$"):
         poly.as_fraction("2/0")
