@@ -4,7 +4,10 @@ A LieAlgebra stores sparse structure constants C_ijk (only i < j, nonzero;
 ints as they are, other rationals as Fractions) with basis labels and an
 optional flagged Cartan subalgebra.  Coordinates x_1..x_n live on the dual
 space; polynomials on the algebra itself are moved to dual coordinates
-through a fixed invariant bilinear form (Killing by default).
+through a fixed invariant bilinear form (Killing by default).  A
+SubalgebraSpec keeps each spanning vector as integers, a rational one
+scaled once by the lcm of its denominators: a subalgebra is its span, so
+the scale moves no operator, rank or verdict.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from . import linalg
-from .poly import Polynomial, _from_fractions, _make, as_fraction, as_point
+from .poly import Polynomial, _from_fractions, _json_int, _make, as_fraction, as_point
 from .poly import variable_keys
 from .sampling import DEFAULT_SEED, generic_rank
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
 T = TypeVar("T")
 
 
@@ -107,9 +110,9 @@ class LieAlgebra:
                     out[k] = out.get(k, 0) + a * b * c
         return {k: x for k, x in out.items() if x}
 
-    def linear_form(self, vec: Sequence[Fraction]) -> Polynomial:
+    def linear_form(self, vec: Sequence) -> Polynomial:
         """The linear coordinate function of a basis-coordinate vector."""
-        coeffs = [as_fraction(v) for v in vec]
+        coeffs = [v if type(v) is int else as_fraction(v) for v in vec]
         if len(coeffs) > self.dim:
             raise ValueError("variable index out of range")
         return _from_fractions(self.dim, dict(zip(variable_keys(self.dim), coeffs)))
@@ -179,18 +182,16 @@ class LieAlgebra:
         )
 
 
-def vector_row(vec: Sequence[Fraction]) -> linalg.Row:
-    """A coordinate vector as a primitive integer row: a nonzero scale of
-    it, with the same span and zero test."""
-    return linalg.row_from_rationals(dict(enumerate(vec)))
+def vector_row(vec: Vector) -> linalg.Row:
+    """An integer coordinate vector as a sparse row."""
+    return {i: v for i, v in enumerate(vec) if v}
 
 
-def _json_int(value, what: str) -> int:
-    """An integer read from JSON; floats, booleans and strings are rejected
-    rather than truncated or coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+def _integer_vector(vec: Iterable) -> Vector:
+    """The vector times the lcm of its entries' denominators."""
+    entries = [v if type(v) is int else as_fraction(v) for v in vec]
+    scale = lcm(*(v.denominator for v in entries))
+    return tuple(v.numerator * (scale // v.denominator) for v in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +488,14 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
 
 @dataclass
 class SubalgebraSpec:
-    """A Lie subalgebra given by spanning coordinate vectors, with declared flags."""
+    """A Lie subalgebra given by integer spanning vectors, with declared flags."""
 
     vectors: tuple[Vector, ...]
     abelian: bool = False
     name: str = "subalgebra"
 
     def __post_init__(self) -> None:
-        self.vectors = tuple(
-            tuple(as_fraction(v) for v in vec) for vec in self.vectors
-        )
+        self.vectors = tuple(_integer_vector(vec) for vec in self.vectors)
 
     @property
     def size(self) -> int:
@@ -520,22 +519,17 @@ class SubalgebraSpec:
 def cartan_subalgebra(alg: LieAlgebra) -> SubalgebraSpec:
     if alg.cartan_indices is None:
         raise ConfigurationError(f"{alg.name} has no flagged Cartan subalgebra")
-    vectors = _unit_vectors(alg.dim, alg.cartan_indices)
+    vectors = [[int(i == c) for i in range(alg.dim)] for c in alg.cartan_indices]
     return SubalgebraSpec(vectors, abelian=True, name="cartan")
 
 
 def full_subalgebra(alg: LieAlgebra) -> SubalgebraSpec:
-    return SubalgebraSpec(_unit_vectors(alg.dim, range(alg.dim)), name="full")
-
-
-def _unit_vectors(dim: int, indices: Iterable[int]) -> tuple[Vector, ...]:
-    """The unit vectors e_c for c in indices, sharing one Fraction 0 and 1."""
-    zero, one = Fraction(0), Fraction(1)
-    return tuple(tuple(one if i == c else zero for i in range(dim)) for c in indices)
+    vectors = [[int(i == c) for i in range(alg.dim)] for c in range(alg.dim)]
+    return SubalgebraSpec(vectors, name="full")
 
 
 def span_subalgebra(
-    vectors: Iterable[Sequence[Fraction]],
+    vectors: Iterable[Sequence],
     abelian: bool = False,
     name: str = "span",
 ) -> SubalgebraSpec:
@@ -626,8 +620,7 @@ def is_regular(
     """True when the stabilizer of the point has the minimal (rank)
     dimension: the commutator rows at the point, scaled to integers, have
     rank dim minus the rank of the algebra."""
-    row = vector_row(as_point(point, alg.dim))
-    ints = [row.get(i, 0) for i in range(alg.dim)]
+    ints = _integer_vector(as_point(point, alg.dim))
     return linalg.rank_of_rows(commutator_rows(alg, ints)) == alg.dim - alg.rank(seed)
 
 
@@ -636,11 +629,11 @@ def in_centralizer(
 ) -> bool:
     """Whether the dual point, moved to the algebra by the Killing form,
     commutes with every spanning vector of the subalgebra."""
-    pt = vector_row(as_point(point, alg.dim))
+    pt = _integer_vector(as_point(point, alg.dim))
     inv = killing_form(alg).inverse
     scale = lcm(*(d for _, d in inv))
     z = {j: s * (scale // d) for j, (row, d) in enumerate(inv)
-         if (s := sum(v * pt.get(i, 0) for i, v in row.items()))}
+         if (s := sum(v * pt[i] for i, v in row.items()))}
     return not any(alg.bracket_row(vector_row(vec), z) for vec in sub.vectors)
 
 

@@ -201,10 +201,13 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
 
 
 def _read_json_file(path: str, what: str, parse):
-    """parse(data) for the JSON content of the file; a file that cannot be
+    """parse(data) for the JSON object in the file; a file that cannot be
     read, or content of the wrong shape or type, is invalid input."""
     try:
-        return parse(json.loads(Path(path).read_text()))
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got a {type(data).__name__}")
+        return parse(data)
     except OSError as exc:
         raise CliError(f"cannot read {what} {path!r}: {exc.strerror}")
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:

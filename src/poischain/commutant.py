@@ -49,12 +49,14 @@ solve would pivot on.  In indecomposables, when the invariants are
 monomials too, the new generators are those whose key is no product key.
 A set with one generator of several terms (Casimirs, shift families,
 generator files) takes the general route of products and elimination.
+Either route gives each homogeneous component of a membership expression
+as integer numerators over one denominator; with integer spanning vectors,
+a torus chain builds no Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import lcm
@@ -62,12 +64,12 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import linalg
-from .algebra import LieAlgebra, SubalgebraSpec, Vector, _json_int, vector_row
+from .algebra import LieAlgebra, SubalgebraSpec, Vector, vector_row
 from .poly import (
     Monomial,
     Polynomial,
     VectorField,
-    _from_fractions,
+    _json_int,
     _make,
     brackets,
     hamiltonian_field,
@@ -160,6 +162,10 @@ class GeneratorSet:
             degree = _json_int(entry.get("degree", poly.degree or 0), "degree")
             if degree < 1:
                 raise ValueError(f"generator degree must be at least 1, got {degree}")
+            if degree != poly.degree:
+                raise ValueError(
+                    f"generator degree {degree} is not the degree {poly.degree} of its poly"
+                )
             gens.append(Generator(
                 poly=poly,
                 degree=degree,
@@ -883,27 +889,25 @@ def membership(
         return MembershipResult("not_invariant")
     nformal = len(gens.generators)
     terms = _single_terms(gens.generators)
-    # formal monomials of different weighted degrees never coincide
-    expression: dict[int, Fraction] = {}
+    parts = []
     for d, component in p.homogeneous_components().items():
         if d == 0:
-            expression[0] = Fraction(component.num[0], component.den)
-            continue
-        if terms is None:
-            coeffs = _solve_by_products(gens.generators, d, component)
+            part = _make(nformal, component.num, component.den)  # key 0 in any dimension
+        elif terms is None:
+            part = _solve_by_products(gens.generators, d, component)
         else:
-            coeffs = _solve_by_factors(gens.degrees(), terms, d, component)
-        if coeffs is None:
+            part = _solve_by_factors(gens.degrees(), terms, d, component)
+        if part is None:
             return MembershipResult("not_found_up_to_budget")
-        expression.update(coeffs)
-    return MembershipResult("found", _from_fractions(nformal, expression))
+        parts.append((1, part))
+    return MembershipResult("found", linear_combination(nformal, parts))
 
 
 def _solve_by_products(
     gens: Sequence[Generator], degree: int, component: Polynomial
-) -> dict[int, Fraction] | None:
-    """The coefficients, by formal key, of generator products of weighted
-    degree `degree` that sum to the component, from one exact solve over
+) -> Polynomial | None:
+    """The component as a sum of generator products of weighted degree
+    `degree`, one formal variable per generator, from one exact solve over
     the products in column order; None when there is no solution."""
     # the products in column order, graded-lex descending by formal key
     products = sorted(
@@ -917,16 +921,17 @@ def _solve_by_products(
     )
     if coeffs is None:
         return None
-    return {
-        key: y * prod.den / component.den
+    scale = lcm(*(y.denominator for y in coeffs))
+    return _make(len(gens), {
+        key: y.numerator * (scale // y.denominator) * prod.den
         for (key, prod), y in zip(products, coeffs)
         if y
-    }
+    }, component.den * scale)
 
 
 def _solve_by_factors(
     weights: Sequence[int], terms: Sequence[Term], degree: int, component: Polynomial
-) -> dict[int, Fraction] | None:
+) -> Polynomial | None:
     """_solve_by_products for single-term generators, with no products and
     no solve: each term of the component goes to the product of its
     monomial with the greatest formal key, the column the solve pivots on;
@@ -937,10 +942,11 @@ def _solve_by_factors(
             best[key] = (formal, num, den)
     if len(best) < len(component.num):
         return None
-    return {
-        formal: Fraction(component.num[key] * den, component.den * num)
+    scale = lcm(*(num for _, num, _ in best.values()))
+    return _make(len(weights), {
+        formal: component.num[key] * den * (scale // num)
         for key, (formal, num, den) in best.items()
-    }
+    }, component.den * scale)
 
 
 @dataclass

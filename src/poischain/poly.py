@@ -47,6 +47,14 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; floats, booleans and strings are rejected
+    rather than truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def as_point(values: Iterable, dim: int) -> tuple[Fraction, ...]:
     pt = tuple(as_fraction(v) for v in values)
     if len(pt) != dim:
@@ -583,12 +591,14 @@ def render_polynomial(p: Polynomial, labels: Sequence[str] | None = None) -> str
         return "0"
     chunks: list[str] = []
     for key in sorted(p.num, reverse=True):
-        coeff = Fraction(p.num[key], p.den)
-        sign, mag = ("-" if coeff < 0 else "+"), abs(coeff)
+        num = p.num[key]
+        g = math.gcd(num, p.den)
+        sign, top, bottom = ("-" if num < 0 else "+"), abs(num) // g, p.den // g
+        mag = str(top) if bottom == 1 else f"{top}/{bottom}"
         factors = [
             labels[v] + (f"^{e}" if e > 1 else "") for v, e in unpack(key, p.dim)
         ]
-        body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
+        body = "*".join(([mag] if mag != "1" or not factors else []) + factors)
         chunks.append(f" {sign} {body}" if chunks else body if sign == "+" else "-" + body)
     return "".join(chunks)
 
@@ -679,10 +689,13 @@ def polynomial_to_json(p: Polynomial) -> list[dict]:
 def polynomial_from_json(data, dim: int) -> Polynomial:
     if not isinstance(data, list):
         raise ValueError("polynomial JSON must be a list of terms")
-    return _sum_terms(dim, (
-        (as_fraction(t["coeff"]), [(int(k), int(e)) for k, e in t.get("exps", {}).items()])
-        for t in data
-    ))
+    terms = []
+    for t in data:
+        coeff, exps = as_fraction(t["coeff"]), t.get("exps", {})
+        if not isinstance(exps, dict):
+            raise ValueError(f"exps must be an object, got {exps!r}")
+        terms.append((coeff, [(int(k), _json_int(e, "exponent")) for k, e in exps.items()]))
+    return _sum_terms(dim, terms)
 
 
 def dump_json(obj) -> str:

@@ -334,24 +334,28 @@ def test_subalgebra_json_round_trip(sl3):
 
 
 def test_subalgebra_vectors_build_few_fractions(fraction_count):
-    """The unit subalgebras share one Fraction 0 and one 1; span_subalgebra
-    and from_json leave the coercion to SubalgebraSpec, once per entry."""
+    """The unit subalgebras build int vectors and no Fraction.  Any other
+    vector is scaled by the lcm of its entries' denominators, once per
+    entry, so an integer vector is kept as given."""
     alg = builtin_sl(6)
     for make, indices in ((full_subalgebra, range(alg.dim)),
                           (cartan_subalgebra, alg.cartan_indices)):
         before = fraction_count()
         sub = make(alg)
-        assert fraction_count() - before <= 2, make.__name__
+        assert fraction_count() == before, make.__name__
         assert sub.vectors == tuple(
-            tuple(F(int(i == c)) for i in range(alg.dim)) for c in indices
+            tuple(int(i == c) for i in range(alg.dim)) for c in indices
         )
-    vector = [F(1), F(1, 2), F(0)]
+        assert all(type(v) is int for vec in sub.vectors for v in vec)
     before = fraction_count()
-    spec = span_subalgebra([vector], name="ray")
+    assert span_subalgebra([[2, -4, 0], [0, 0, 3]]).vectors == ((2, -4, 0), (0, 0, 3))
     assert fraction_count() == before
     back = SubalgebraSpec.from_json({"vectors": [[1, "1/2", "0"]], "name": "ray"})
-    assert fraction_count() - before == 3
-    assert back == spec and all(type(v) is Fraction for v in back.vectors[0])
+    assert fraction_count() - before == 2
+    assert back == span_subalgebra([[F(1), F(1, 2), F(0)]], name="ray")
+    assert back.vectors == ((2, 1, 0),)
+    assert all(type(v) is int for v in back.vectors[0])
+    assert span_subalgebra([["-1/6", "3/4"]]).vectors == ((-2, 9),)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -10,6 +10,7 @@ from poischain import (
     ChainSpec,
     base_center_check,
     base_existence_verdict,
+    builtin_sl,
     cartan_subalgebra,
     casimirs_by_kernel,
     fiber_ideal_generators,
@@ -72,6 +73,28 @@ def test_torus_chain_sl3(sl3):
     assert rep.kernel_dims == {1: 2, 2: 6, 3: 12}
     assert rep.centrality.failures == []
     assert rep.notes == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_torus_chain_builds_and_hashes_no_fraction(n, fraction_count, monkeypatch):
+    """Integer spanning vectors and integer membership: the torus chain, on
+    a new algebra with empty caches, builds no Fraction, and no lookup in
+    the operator cache (keyed by the spanning vectors) hashes one."""
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counted_hash(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    alg = builtin_sl(n)
+    before = fraction_count()
+    assert torus_chain(alg).verdict == "superintegrable"
+    assert fraction_count() == before
+    assert hashed == []
+    assert any(isinstance(key, tuple) and key[0] == "invariance operators"
+               for key in alg._derived)
 
 
 def test_torus_chain_degree_cap_is_inconclusive(sl3):

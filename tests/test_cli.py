@@ -521,6 +521,44 @@ def test_subalgebra_file_round_trip(tmp_path):
     assert code == EXIT_OK
 
 
+def test_full_subalgebra_by_name(tmp_path):
+    out = tmp_path / "full.json"
+    argv = ["commutant", "--algebra", "sl2", "--subalgebra", "full", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["subalgebra"] == "full"
+    assert [g["poly"] for g in report["generators"]] == ["h1^2 + 4*e12*e21"]
+
+
+def test_directory_as_algebra_cannot_be_read(tmp_path, capsys):
+    assert run(["algebra", "check", "--algebra", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read algebra file {str(tmp_path)!r}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("base", ["casimirs", "moment-map"])
+def test_rescaled_cartan_file_gives_the_cartan_report(tmp_path, base):
+    """A subalgebra is its span: rational, sheared and negated multiples of
+    the sl(4) Cartan vectors, named cartan, give the same report bytes as
+    the built-in Cartan subalgebra."""
+    rest = ["0"] * 12
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({"name": "cartan", "abelian": True, "vectors": [
+        ["1/2", "0", "0"] + rest,
+        ["2/3", "-3/4", "0"] + rest,
+        ["-1", "1/5", "-5/7"] + rest,
+    ]}))
+    reports = []
+    for sub in ("cartan", str(path)):
+        out = tmp_path / f"{len(reports)}.json"
+        argv = ["chain", "verify", "--algebra", "sl4", "--subalgebra", sub,
+                "--base", base, "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 class _ClosedPipe(io.TextIOBase):
     """A standard output whose reader has gone away."""
 
@@ -591,6 +629,17 @@ _MALFORMED_FILES = {
     "zero_poly_gen.json": {"generators": [{"poly": "0"}]},
     # the sl(3) labels on structure constants other than builtin_sl(3)'s
     "rescaled_sl3.json": rescaled_sl_json(3),
+    "no_cartan.json": {k: v for k, v in _SL2_JSON.items() if k != "cartan_indices"},
+    "zero_vector_sub.json": {"vectors": [["0", "0", "0"]]},
+    # exponents in term lists that are not JSON integers in an object
+    "float_exponent_gen.json": {"generators": [{"poly": [{"coeff": "1",
+                                                          "exps": {"0": 1.5}}]}]},
+    "bool_exponent_gen.json": {"generators": [{"poly": [{"coeff": "1",
+                                                         "exps": {"0": True}}]}]},
+    "list_exps_gen.json": {"generators": [{"poly": [{"coeff": "1", "exps": [1]}]}]},
+    # a declared degree that is not the degree of the poly
+    "degree_mismatch_gen.json": {"generators": [{"poly": "h1^2", "degree": 1},
+                                                {"poly": "h1"}]},
 }
 
 # every subcommand that takes --algebra, with the other arguments it needs
@@ -621,7 +670,8 @@ _GENERATOR_CONTRACT = [
     pytest.param(argv + [f"{prefix}@{name}_gen.json"], id=f"{name}-generator-{use}")
     for name in ("float_degree", "bool_degree", "string_cap", "float_kernel_dim",
                  "string_indecomposable", "zero_degree", "negative_degree", "constant",
-                 "zero_poly")
+                 "zero_poly", "float_exponent", "bool_exponent", "list_exps",
+                 "degree_mismatch")
     for use, argv, prefix in (
         ("base", ["chain", "verify", "--algebra", "sl2", "--subalgebra", "cartan",
                   "--base"], "file:"),
@@ -637,6 +687,25 @@ _GENERATOR_CONTRACT = [
                      id="float-structure-constant"),
         pytest.param(["algebra", "check", "--algebra", "@list.json"],
                      id="algebra-file-is-a-list"),
+        pytest.param(["commutant", "--algebra", "sl2", "--subalgebra", "@list.json"],
+                     id="subalgebra-file-is-a-list"),
+        pytest.param(["chain", "verify", "--algebra", "sl2", "--subalgebra", "cartan",
+                      "--base", "file:@list.json"], id="generator-file-is-a-list"),
+        pytest.param(["algebra", "check", "--algebra", "@"], id="algebra-is-a-directory"),
+        pytest.param(["commutant", "--algebra", "sl2", "--subalgebra",
+                      "@zero_vector_sub.json"], id="subalgebra-fails-validation"),
+        pytest.param(["mf", "--algebra", "@no_cartan.json", "--shift", "h:1"],
+                     id="cartan-shift-without-flagged-cartan"),
+        pytest.param(["mf", "--algebra", "sl3", "--shift", "h:1"],
+                     id="cartan-shift-wrong-count"),
+        pytest.param(["mf", "--algebra", "sl3", "--shift", "h:a,b"],
+                     id="cartan-shift-not-rational"),
+        pytest.param(_FLOW + ["--x0", "a,b,c", "--t", "1", "--dt", "0.1"],
+                     id="unparsable-initial-point"),
+        pytest.param(_FLOW + ["--x0", "1,1", "--t", "1", "--dt", "0.1"],
+                     id="short-initial-point"),
+        pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "-1", "--dt", "0.1"],
+                     id="negative-time"),
         pytest.param(["algebra", "check", "--algebra", "@float_dim.json"],
                      id="non-integral-dimension"),
         pytest.param(["algebra", "check", "--algebra", "@float_index.json"],

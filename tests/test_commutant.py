@@ -52,6 +52,7 @@ from helpers import (
     full_basis_invariants,
     random_polynomial,
     reference_is_invariant,
+    reference_membership,
     same_span,
     summed_torus_set,
 )
@@ -419,6 +420,33 @@ def test_membership_constant(sl2_torus):
     assert res.expression.render(sl2_torus.labels()) == "7"
 
 
+def test_membership_product_route_miss(sl3, sl3_casimirs):
+    """C3 is no polynomial in C2: the product route (C2 has several terms)
+    finds no product of weighted degree 3 and reports the budget miss."""
+    c3 = sl3_casimirs.gens.polys()[1]
+    low = casimirs_by_kernel(sl3, 2).gens
+    assert commutant._single_terms(low.generators) is None
+    assert membership(c3, low, 3).status == "not_found_up_to_budget"
+
+
+def test_membership_over_torus_generators_builds_no_fraction(sl3, sl3_torus, fraction_count):
+    """Single-term membership assembles its expression from integer
+    numerators over one denominator: no Fraction, and the same expression
+    as one exact solve per component."""
+    targets = [
+        parse_polynomial(text, sl3.dim, sl3.labels)
+        for text in ("-1/2*e12*e23*e31 + 3/4*h1^2*h2 - 7/3",
+                     "e12*e21*e13*e31 - 5*e23*e32 + 2/9*h2",
+                     "-e13*e21*e32")
+    ]
+    before = fraction_count()
+    got = [membership(p, sl3_torus, 6) for p in targets]
+    assert fraction_count() == before
+    for p, res in zip(targets, got):
+        want = reference_membership(p, sl3_torus, 6)
+        assert res.found and res.expression == want.expression
+
+
 def test_bracket_closure_sl3_torus(sl3_torus):
     report = bracket_closure_check(sl3_torus)
     assert all(e.closed for e in report.entries)
@@ -499,6 +527,18 @@ def test_generator_set_json_round_trip(sl3_torus):
     assert back.labels() == sl3_torus.labels()
     assert back.kernel_dims == sl3_torus.kernel_dims
     assert [g.poly for g in back.generators] == [g.poly for g in sl3_torus.generators]
+
+
+def test_generator_degree_must_match_its_poly(sl2):
+    """A declared degree weights the relation search, so one that is not the
+    degree of the generator's poly is refused rather than missing
+    relations."""
+    data = {"generators": [{"poly": "h1^2", "degree": 1}, {"poly": "h1"}]}
+    with pytest.raises(ValueError, match="degree 1 is not the degree 2"):
+        GeneratorSet.from_json(data, sl2)
+    data["generators"][0]["degree"] = 2
+    gens = GeneratorSet.from_json(data, sl2)
+    assert [r.render(gens) for r in relation_basis(gens, 4).relations] == ["g2^2 - g1"]
 
 
 def test_generate_with_one_dim_torus(sl3):

@@ -189,6 +189,41 @@ def test_json_round_trip(p):
     assert polynomial_from_json(data, 3) == p
 
 
+@pytest.mark.parametrize("exps", [{"0": 1.5}, {"0": True}, {"0": "1"}, [1], None],
+                         ids=["float", "bool", "string", "list", "null"])
+def test_json_exponents_must_be_integers_in_an_object(exps):
+    with pytest.raises(ValueError, match="exponent must be an integer|exps must be an object"):
+        polynomial_from_json([{"coeff": "1", "exps": exps}], 3)
+
+
+def _reference_render(p, labels):
+    """The text form read off Fraction coefficients."""
+    chunks = []
+    for mono, coeff in p.sorted_terms():
+        sign, mag = ("-" if coeff < 0 else "+"), abs(coeff)
+        factors = [labels[v] + (f"^{e}" if e > 1 else "") for v, e in mono.exps]
+        body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
+        chunks.append(f" {sign} {body}" if chunks else body if sign == "+" else "-" + body)
+    return "".join(chunks) or "0"
+
+
+def test_render_builds_no_fraction(fraction_count):
+    """render_polynomial reads sign and magnitude off the integer numerators,
+    with the same text as the Fraction coefficients give: 200 seeded
+    polynomials in 4 variables with denominators 1, 2, 3 and 12, signs
+    mixed, constants and zero among them."""
+    rng = random.Random(19)
+    labels = ["h1", "h2", "e12", "e21"]
+    polys = [from_reference(random_reference(rng, 4), 4) for _ in range(200)]
+    polys += [Polynomial.zero(4), Polynomial.constant(Fraction(-5, 6), 4)]
+    want = [_reference_render(p, labels) for p in polys]
+    before = fraction_count()
+    got = [render_polynomial(p, labels) for p in polys]
+    assert fraction_count() == before
+    assert got == want
+    assert any("/" in text for text in got) and "0" in got
+
+
 def test_parse_default_variable_names():
     p = parse_polynomial("2*x1 - x3^2", 3)
     assert render_polynomial(p) == "-x3^2 + 2*x1"
