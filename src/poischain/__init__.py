@@ -49,7 +49,6 @@ from .chains import (
     leaf_dimension,
     mf_chain,
     moment_map_base,
-    normalizer_chain_sln,
     torus_chain,
     trdeg,
     verify_chain,
@@ -73,12 +72,9 @@ from .cycles import (
     CycleMonomial,
     ExponentGraph,
     balance_check,
-    cycle_decompose,
     enumerate_cycle_generators,
     oracle_cross_check,
     relation_families_check,
-    reynolds_average,
-    reynolds_sl,
 )
 from .flow import (
     FlowDivergenceError,

@@ -335,24 +335,6 @@ def killing_form(alg: LieAlgebra) -> BilinearForm:
     return alg.derived("killing", build)
 
 
-def form_invariance_witness(
-    alg: LieAlgebra, form: BilinearForm
-) -> tuple[str, str, str] | None:
-    """First basis triple violating B([z,x],y) + B(x,[z,y]) = 0, if any."""
-    rows, _ = alg.bracket_rows()
-    m = form.rows
-    for z in range(alg.dim):
-        for x in range(alg.dim):
-            zx = rows[z].get(x, {})
-            for y in range(alg.dim):
-                zy = rows[z].get(y, {})
-                if sum(c * m[k].get(y, 0) for k, c in zx.items()) + sum(
-                    c * m[x].get(k, 0) for k, c in zy.items()
-                ):
-                    return (alg.labels[z], alg.labels[x], alg.labels[y])
-    return None
-
-
 def _linear_forms(dim: int, rows: Iterable[tuple[linalg.Row, int]]) -> list[Polynomial]:
     """The linear coordinate function of each (integer row, denominator)."""
     keys = variable_keys(dim)
@@ -449,17 +431,6 @@ def sl_size(alg: LieAlgebra) -> int | None:
         return n if alg.structure == builtin_sl(n).structure else None
 
     return alg.derived("sl size", match)
-
-
-def trace_form_sl(n: int) -> BilinearForm:
-    """The defining-representation trace form of sl(n)."""
-    mats, _ = _sl_matrix_basis(n)
-    rows = tuple(
-        {j: t for j, mb in enumerate(mats)
-         if (t := sum(v * mb.get((c, r), 0) for (r, c), v in ma.items()))}
-        for ma in mats
-    )
-    return BilinearForm(rows)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
@@ -649,10 +620,3 @@ def dual_transport(
     if p.dim != alg.dim or len(form.rows) != alg.dim:
         raise ValueError("dimension mismatch in dual transport")
     return p.substitute_linear(_linear_forms(alg.dim, form.inverse))
-
-
-def dual_transport_inverse(
-    alg: LieAlgebra, form: BilinearForm, p: Polynomial
-) -> Polynomial:
-    """Inverse of dual_transport (substitute x_i -> sum_j B_ij coordinate_j)."""
-    return p.substitute_linear(_linear_forms(alg.dim, [(r, form.den) for r in form.rows]))

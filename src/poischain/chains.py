@@ -21,7 +21,6 @@ from .algebra import (
     ConfigurationError,
     LieAlgebra,
     SubalgebraSpec,
-    builtin_sl,
     cartan_subalgebra,
     orbit_dimension,
 )
@@ -33,7 +32,6 @@ from .commutant import (
     membership,
     poisson_center_basis,
 )
-from .cycles import reynolds_sl
 from .poly import Polynomial, brackets, render_polynomial
 from .sampling import DEFAULT_SEED, generic_jacobian_rank
 
@@ -61,7 +59,6 @@ class ChainSpec:
     intermediate: GeneratorSet
     base: GeneratorSet
     base_kind: str = "explicit"  # casimirs | moment-map | mf | explicit
-    intermediate_kind: str = "commutant"  # commutant | normalizer-average
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -107,7 +104,6 @@ class ChainReport:
     algebra: str
     subalgebra: str
     base_kind: str
-    intermediate_kind: str
     centrality: CentralityReport
     trdeg_intermediate: int
     trdeg_base: int
@@ -131,7 +127,7 @@ class ChainReport:
             "algebra": self.algebra,
             "subalgebra": self.subalgebra,
             "base_kind": self.base_kind,
-            "intermediate_kind": self.intermediate_kind,
+            "intermediate_kind": "commutant",
             "verdict": self.verdict,
             "centrality": self.centrality.to_json(),
             "trdeg_intermediate": self.trdeg_intermediate,
@@ -201,7 +197,6 @@ def verify_chain(spec: ChainSpec, seed: int = DEFAULT_SEED) -> ChainReport:
         algebra=alg.name,
         subalgebra=spec.subalgebra.name,
         base_kind=spec.base_kind,
-        intermediate_kind=spec.intermediate_kind,
         centrality=centrality,
         trdeg_intermediate=trdeg_int,
         trdeg_base=trdeg_base,
@@ -359,44 +354,6 @@ def base_existence_verdict(
             f"the cap {cap}; a negative verdict is relative to that cap"
         ),
     )
-
-
-def normalizer_chain_sln(
-    n: int,
-    max_degree: int | None = None,
-    seed: int = DEFAULT_SEED,
-) -> ChainReport:
-    """Chain through the permutation-averaged torus invariants of sl(n).
-
-    The symmetric group acts by simultaneous index permutation; averaging
-    torus-generator products up to the cap (n + 1 by default) produces the
-    invariants of the torus normalizer.  The intermediate transcendence
-    degree matches the plain torus chain (the extension is by a finite
-    group).
-    """
-    alg = builtin_sl(n)
-    cap = (n + 1) if max_degree is None else max_degree
-    sub = cartan_subalgebra(alg)
-    torus = generate(alg, sub, max_degree)
-    averaged = reynolds_sl(alg, torus, cap)
-    base = casimirs_by_kernel(alg, n).gens
-    spec = ChainSpec(
-        subalgebra=sub,
-        intermediate=averaged,
-        base=base,
-        base_kind="casimirs",
-        intermediate_kind="normalizer-average",
-    )
-    report = verify_chain(spec, seed=seed)
-    report.expected = {
-        "trdeg_intermediate": n * (n - 1),
-        "trdeg_base": n - 1,
-    }
-    report.notes.append(
-        "intermediate algebra is the symmetric-group average of torus "
-        f"generator products up to degree {cap}"
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,9 @@ solve would pivot on.  In indecomposables, when the invariants are
 monomials too, the new generators are those whose key is no product key.
 A set with one generator of several terms (Casimirs, shift families,
 generator files) takes the general route of products and elimination.
-Either route gives each homogeneous component of a membership expression
-as integer numerators over one denominator; with integer spanning vectors,
-a torus chain builds no Fraction.
+Either route builds each homogeneous component of a membership expression
+as integer numerators over one denominator, with no Fraction; with integer
+spanning vectors, a torus chain builds none.
 """
 
 from __future__ import annotations
@@ -914,18 +914,16 @@ def _solve_by_products(
         _generator_products(gens, degree), key=itemgetter(0), reverse=True
     )
     # the rows are numerators, product i times its den, and the target is
-    # the component times its den, so y solves it iff y_i * prod.den / den
-    # are the coefficients of the products
-    coeffs = linalg.express_in_rowspace(
+    # the component times its den, so sum(a_i * row_i) == scale * target
+    # gives the products the coefficients a_i * prod.den / (scale * den)
+    solved = linalg.express_in_rowspace(
         [prod.num for _, prod in products], component.num
     )
-    if coeffs is None:
+    if solved is None:
         return None
-    scale = lcm(*(y.denominator for y in coeffs))
+    coeffs, scale = solved
     return _make(len(gens), {
-        key: y.numerator * (scale // y.denominator) * prod.den
-        for (key, prod), y in zip(products, coeffs)
-        if y
+        key: a * prod.den for (key, prod), a in zip(products, coeffs) if a
     }, component.den * scale)
 
 

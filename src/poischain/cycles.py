@@ -9,9 +9,8 @@ kernel pipeline computes, used as a cross-check oracle, plus the classical
 relation families among cycle generators.
 
 Where each h_i and x_ij sits among the coordinates is read off the basis
-matrices of algebra.builtin_sl (_sl_matrix_basis, _sl_matrix_coords): the
-edge of a coordinate, the monomial of a cycle and the image of a coordinate
-under an index permutation all come from those matrices.
+matrices of algebra.builtin_sl (_sl_matrix_basis): the edge of a coordinate
+and the monomial of a cycle both come from those matrices.
 
 Cycle monomials and their identities all have coefficient one, so they are
 handled as packed keys (poly): a cycle is the sum of its edges' keys and the
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Sequence
@@ -34,15 +32,12 @@ from .algebra import (
     cartan_subalgebra,
     sl_size,
     _sl_matrix_basis,
-    _sl_matrix_coords,
 )
 from .commutant import (
     BudgetExceededError,
     Generator,
     GeneratorSet,
     _canonical_polys,
-    _formal_counts,
-    _generator_products,
     invariant_basis,
 )
 from .poly import (
@@ -50,15 +45,12 @@ from .poly import (
     Polynomial,
     _check_degree,
     _make,
-    linear_combination,
     variable_keys,
 )
 
 # cycles in one census: sl(9) has 125,664 and builds in seconds; sl(10) has
 # 1,112,073, which take over a minute and about 1 GB
 CENSUS_BUDGET = 200_000
-# generator products that reynolds_sl averages, each over all n! permutations
-PRODUCT_BUDGET = 20_000
 # family (i) instances that relation_families_check expands
 FAMILY_BUDGET = 5_000
 
@@ -163,44 +155,6 @@ def balance_check(mono: Monomial, alg: LieAlgebra) -> bool:
     condition is equivalent to torus invariance of the monomial.
     """
     return ExponentGraph.from_monomial(mono, alg).is_balanced()
-
-
-def cycle_decompose(graph: ExponentGraph) -> list[CycleMonomial]:
-    """Factor a balanced edge multiset into directed cycles.
-
-    Deterministic greedy walk: start from the smallest vertex with an unused
-    out-edge, always step to the smallest available successor, and extract a
-    cycle as soon as a vertex repeats.  The product of the returned cycle
-    monomials equals the original off-diagonal monomial.
-    """
-    if not graph.is_balanced():
-        raise ValueError("cannot decompose an unbalanced exponent graph")
-    remaining = {e: m for e, m in graph.edges.items() if m > 0}
-    out: list[CycleMonomial] = []
-
-    def consume(i: int, j: int) -> None:
-        remaining[(i, j)] -= 1
-        if not remaining[(i, j)]:
-            del remaining[(i, j)]
-
-    while remaining:
-        start = min(i for i, _ in remaining)
-        path = [start]
-        seen = {start: 0}
-        while True:
-            cur = path[-1]
-            succ = min((j for (i, j) in remaining if i == cur), default=None)
-            if succ is None:
-                raise AssertionError("walk stuck on a balanced graph")
-            if succ in seen:
-                cycle = path[seen[succ]:]
-                for u in range(len(cycle)):
-                    consume(cycle[u], cycle[(u + 1) % len(cycle)])
-                out.append(CycleMonomial(tuple(cycle)))
-                break
-            seen[succ] = len(path)
-            path.append(succ)
-    return out
 
 
 def all_cycles(n: int, length: int) -> list[CycleMonomial]:
@@ -506,76 +460,3 @@ def oracle_cross_check(n: int, k_max: int) -> OracleReport:
             )
         )
     return OracleReport(n=n, per_degree=results)
-
-
-# ---------------------------------------------------------------------------
-# symmetric-group action and averaging
-
-
-def sl_weyl_images(alg: LieAlgebra, sigma: Sequence[int]) -> list[Polynomial]:
-    """Coordinate images under the index permutation sigma (0-based tuple:
-    matrix index i+1 goes to sigma[i]+1), as substitution targets.
-
-    The permutation acts on matrices by simultaneous row/column permutation;
-    each basis matrix is permuted and re-expanded in the basis, giving a
-    linear image per coordinate.
-    """
-    n = sl_size(alg)
-    if n is None:
-        raise ValueError("the permutation action needs the built-in sl(n) layout")
-    if sorted(sigma) != list(range(n)):
-        raise ValueError("sigma must be a permutation of 0..n-1")
-    keys = variable_keys(alg.dim)
-    images: list[Polynomial] = []
-    for mat in _sl_matrix_basis(n)[0]:
-        moved = {(sigma[r], sigma[c]): v for (r, c), v in mat.items()}
-        coords = _sl_matrix_coords(moved, n)
-        images.append(_make(alg.dim, {keys[v]: c for v, c in coords.items()}, 1))
-    return images
-
-
-def weyl_permute(alg: LieAlgebra, p: Polynomial, sigma: Sequence[int]) -> Polynomial:
-    return p.substitute_linear(sl_weyl_images(alg, sigma))
-
-
-def reynolds_average(alg: LieAlgebra, p: Polynomial) -> Polynomial:
-    """Average of the polynomial over all index permutations."""
-    n = sl_size(alg)
-    if n is None:
-        raise ValueError("averaging needs the built-in sl(n) layout")
-    weight = Fraction(1, math.factorial(n))
-    return linear_combination(
-        alg.dim, ((weight, weyl_permute(alg, p, sigma)) for sigma in permutations(range(n)))
-    )
-
-
-def reynolds_sl(alg: LieAlgebra, gens: GeneratorSet, max_degree: int) -> GeneratorSet:
-    """Permutation-averaged spans of generator products, degree by degree.
-
-    Averages every product of the given generators up to the degree cap and
-    returns a reduced echelon basis per degree.  Applied to torus generators
-    this produces the invariants of the torus normalizer.  The products are
-    counted by the table that prunes their walk (commutant._formal_counts)
-    before any is formed, so an over-budget call fails at once.
-    """
-    if sum(_formal_counts(gens.degrees(), max_degree)[0][1:]) > PRODUCT_BUDGET:
-        raise BudgetExceededError(
-            f"more than {PRODUCT_BUDGET} generator products below degree {max_degree}"
-        )
-    averaged: dict[int, list[Polynomial]] = {}
-    for d in range(1, max_degree + 1):
-        for _, prod in _generator_products(gens.generators, d):
-            avg = reynolds_average(alg, prod)
-            if avg.is_zero():
-                continue
-            deg = avg.degree or 0
-            averaged.setdefault(deg, []).append(avg)
-    out: list[Generator] = []
-    for deg in sorted(averaged):
-        basis = _canonical_polys(averaged[deg], alg.dim)
-        for i, poly in enumerate(basis, start=1):
-            label = f"w{deg}_{i}" if len(basis) > 1 else f"w{deg}"
-            out.append(
-                Generator(poly=poly, degree=deg, label=label, indecomposable=False)
-            )
-    return GeneratorSet(algebra=alg, generators=out, max_degree=max_degree)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .algebra import LieAlgebra
-from .poly import Polynomial, hamiltonian_field
+from .poly import Polynomial, hamiltonian_field, unpack
 
 
 class FlowDivergenceError(RuntimeError):
@@ -75,11 +75,14 @@ class FlowResult:
 
 
 def _poly_lines(target: str, poly: Polynomial, args: Sequence[str]) -> list[str]:
-    # one statement per term: CPython's compiler recurses on a long `+` chain
+    # one statement per term: CPython's compiler recurses on a long `+` chain.
+    # Terms go in canonical order; int true division rounds num / den
+    # correctly, so it is the float of the rational coefficient.
     lines = [f"{target} = 0.0"]
-    for mono, coeff in poly.sorted_terms():
-        factors = [repr(float(coeff))]
-        factors += [args[v] if e == 1 else f"{args[v]}**{e}" for v, e in mono.exps]
+    for key in sorted(poly.num, reverse=True):
+        factors = [repr(poly.num[key] / poly.den)]
+        factors += [args[v] if e == 1 else f"{args[v]}**{e}"
+                    for v, e in unpack(key, poly.dim)]
         lines.append(f"{target} += {'*'.join(factors)}")
     return lines
 

@@ -4,9 +4,9 @@ Rows are sparse dicts mapping column index to a nonzero integer.  Elimination
 combines rows by cross multiplication and re-extracts integer content, so the
 whole pipeline stays in arbitrary-precision integers: every routine here
 takes integer rows, and nullspace, canonical_rref and matrix_inverse return
-them (an inverse row over its own pivot), det_exact an integer.  Fraction
-appears only at the edges: row_from_rationals reads rational input, and
-express_in_rowspace returns rational membership coefficients.
+them (an inverse row over its own pivot), det_exact an integer, and
+express_in_rowspace integer coefficients over one denominator.  Fraction
+appears only at the edge: row_from_rationals reads rational input.
 
 Echelon is the one elimination core: rank_of_rows, nullspace,
 canonical_rref, express_in_rowspace and matrix_inverse all insert rows into
@@ -198,15 +198,17 @@ def canonical_rref(rows: Iterable[Row]) -> list[Row]:
 
 def express_in_rowspace(
     rows: Sequence[Row], target: Row
-) -> list[Fraction] | None:
-    """Coefficients c with sum(c_i * rows_i) == target, or None if unsolvable.
+) -> tuple[list[int], int] | None:
+    """Integer coefficients a and a denominator d > 0 with
+    sum(a_i * rows_i) == d * target, or None if unsolvable.
 
     The transposed system goes into one Echelon: each column of the rows is
     an equation, with unknown i in column i and the target in column n =
     len(rows).  It is unsolvable iff some equation reduces to a pivot at n.
     Otherwise the free unknowns are set to zero and each pivot unknown is
-    read off its reduced row.  The pivot unknowns are the rows independent
-    of the rows before them, so later dependent rows get coefficient zero.
+    read off its reduced row, its target entry over its positive pivot; d is
+    the lcm of the pivots.  The pivot unknowns are the rows independent of
+    the rows before them, so later dependent rows get coefficient zero.
     """
     n = len(rows)
     equations: dict[int, Row] = {}
@@ -219,10 +221,12 @@ def express_in_rowspace(
     for eq in equations.values():
         if ech.insert(eq) == n:
             return None
-    coeffs = [Fraction(0)] * n
-    for p, prow in ech.pivots.items():
-        coeffs[p] = Fraction(prow.get(n, 0), prow[p])
-    return coeffs
+    pivots = ech.pivots
+    den = lcm(*(prow[p] for p, prow in pivots.items()))
+    coeffs = [0] * n
+    for p, prow in pivots.items():
+        coeffs[p] = prow.get(n, 0) * (den // prow[p])
+    return coeffs, den
 
 
 def det_exact(rows: Sequence[Row]) -> int:

@@ -677,15 +677,6 @@ def parse_polynomial(
     return _sum_terms(dim, terms)
 
 
-def polynomial_to_json(p: Polynomial) -> list[dict]:
-    """JSON form: a list of {coeff, exps} objects with 0-based variable keys."""
-    return [
-        {"coeff": str(Fraction(p.num[key], p.den)),
-         "exps": {str(v): e for v, e in unpack(key, p.dim)}}
-        for key in sorted(p.num, reverse=True)
-    ]
-
-
 def polynomial_from_json(data, dim: int) -> Polynomial:
     if not isinstance(data, list):
         raise ValueError("polynomial JSON must be a list of terms")

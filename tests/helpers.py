@@ -4,7 +4,10 @@ the pairwise bracket checks, the Jacobi scan, the Killing and linear forms,
 the general relation, membership and new-generator routes, the flow
 integrator, the sl(n) cycle coordinates, the cycle relation families and
 balanced monomials, the trace-then-transport Casimirs and the all-fields
-invariance test."""
+invariance test.  Oracles the package itself does not need live here too:
+the sl(n) trace form, the Killing-invariance witness, the inverse dual
+transport, the JSON terms of a polynomial and the Eulerian cycle
+decomposition of a balanced monomial."""
 
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from poischain import (
     monomial_basis,
     render_polynomial,
 )
-from poischain.algebra import _sl_matrix_basis, _sl_matrix_coords, sl_size
+from poischain.algebra import BilinearForm, _linear_forms, _sl_matrix_basis
 from poischain.cycles import (
     CycleMonomial,
     ExponentGraph,
@@ -282,6 +285,38 @@ def dense_inverse(inverse, n: int) -> list[list[Fraction]]:
     return [[Fraction(row.get(i, 0), d) for i in range(n)] for row, d in inverse]
 
 
+def trace_form_sl(n: int) -> BilinearForm:
+    """The defining-representation trace form of sl(n)."""
+    mats, _ = _sl_matrix_basis(n)
+    rows = tuple(
+        {j: t for j, mb in enumerate(mats)
+         if (t := sum(v * mb.get((c, r), 0) for (r, c), v in ma.items()))}
+        for ma in mats
+    )
+    return BilinearForm(rows)
+
+
+def form_invariance_witness(alg, form: BilinearForm) -> tuple[str, str, str] | None:
+    """First basis triple violating B([z,x],y) + B(x,[z,y]) = 0, if any."""
+    rows, _ = alg.bracket_rows()
+    m = form.rows
+    for z in range(alg.dim):
+        for x in range(alg.dim):
+            zx = rows[z].get(x, {})
+            for y in range(alg.dim):
+                zy = rows[z].get(y, {})
+                if sum(c * m[k].get(y, 0) for k, c in zx.items()) + sum(
+                    c * m[x].get(k, 0) for k, c in zy.items()
+                ):
+                    return (alg.labels[z], alg.labels[x], alg.labels[y])
+    return None
+
+
+def dual_transport_inverse(alg, form: BilinearForm, p: Polynomial) -> Polynomial:
+    """Inverse of dual_transport (substitute x_i -> sum_j B_ij coordinate_j)."""
+    return p.substitute_linear(_linear_forms(alg.dim, [(r, form.den) for r in form.rows]))
+
+
 def reference_jacobi_witness(alg) -> tuple[str, str, str, str] | None:
     """Reference Jacobi scan: every triple i < j < k whose three brackets
     are not all zero, summed term by term; the labels of the first failing
@@ -397,6 +432,15 @@ def expand_formal(gens, pairs) -> Polynomial:
 # ---------------------------------------------------------------------------
 # reference arithmetic: plain {dense exponent tuple: Fraction} dicts, with
 # none of the packed-key machinery of poischain.poly
+
+
+def polynomial_to_json(p: Polynomial) -> list[dict]:
+    """JSON form: a list of {coeff, exps} objects with 0-based variable keys."""
+    return [
+        {"coeff": str(Fraction(p.num[key], p.den)),
+         "exps": {str(v): e for v, e in unpack(key, p.dim)}}
+        for key in sorted(p.num, reverse=True)
+    ]
 
 
 def random_reference(rng: random.Random, dim: int, n_terms: int = 4, max_degree: int = 3):
@@ -699,12 +743,13 @@ def reference_membership(p: Polynomial, gens, max_total_degree: int) -> Membersh
         products = sorted(
             _generator_products(gens.generators, d), key=lambda pair: pair[0], reverse=True
         )
-        coeffs = express_in_rowspace([prod.num for _, prod in products], component.num)
-        if coeffs is None:
+        solved = express_in_rowspace([prod.num for _, prod in products], component.num)
+        if solved is None:
             return MembershipResult("not_found_up_to_budget")
-        for (key, prod), y in zip(products, coeffs):
-            term = Polynomial.term(nformal, y * prod.den / component.den, unpack(key, nformal))
-            expression = expression + term
+        coeffs, den = solved
+        for (key, prod), a in zip(products, coeffs):
+            coeff = Fraction(a * prod.den, den * component.den)
+            expression = expression + Polynomial.term(nformal, coeff, unpack(key, nformal))
     return MembershipResult("found", expression)
 
 
@@ -787,6 +832,44 @@ def reference_balanced_keys(alg, k: int) -> list[int]:
     )
 
 
+def cycle_decompose(graph: ExponentGraph) -> list[CycleMonomial]:
+    """Factor a balanced edge multiset into directed cycles.
+
+    Deterministic greedy walk: start from the smallest vertex with an unused
+    out-edge, always step to the smallest available successor, and extract a
+    cycle as soon as a vertex repeats.  The product of the returned cycle
+    monomials equals the original off-diagonal monomial.
+    """
+    if not graph.is_balanced():
+        raise ValueError("cannot decompose an unbalanced exponent graph")
+    remaining = {e: m for e, m in graph.edges.items() if m > 0}
+    out: list[CycleMonomial] = []
+
+    def consume(i: int, j: int) -> None:
+        remaining[(i, j)] -= 1
+        if not remaining[(i, j)]:
+            del remaining[(i, j)]
+
+    while remaining:
+        start = min(i for i, _ in remaining)
+        path = [start]
+        seen = {start: 0}
+        while True:
+            cur = path[-1]
+            succ = min((j for (i, j) in remaining if i == cur), default=None)
+            if succ is None:
+                raise AssertionError("walk stuck on a balanced graph")
+            if succ in seen:
+                cycle = path[seen[succ]:]
+                for u in range(len(cycle)):
+                    consume(cycle[u], cycle[(u + 1) % len(cycle)])
+                out.append(CycleMonomial(tuple(cycle)))
+                break
+            seen[succ] = len(path)
+            path.append(succ)
+    return out
+
+
 def reference_relation_families(n: int) -> RelationFamiliesReport:
     """Reference route for relation_families_check: the three families on
     expanded Polynomial products of the cycle monomials."""
@@ -833,30 +916,6 @@ def reference_relation_families(n: int) -> RelationFamiliesReport:
             failures_iii.append(f"k = {k}")
     results.append(FamilyResult("iii", n - 1, failures_iii, conventions["iii"][0]))
     return RelationFamiliesReport(n=n, results=results)
-
-
-def reference_sl_weyl_images(alg, sigma) -> list[Polynomial]:
-    """Coordinate images under the index permutation sigma: an edge
-    coordinate x_ij goes to x_{sigma(i) sigma(j)}, and a Cartan coordinate
-    h_i to the expansion of its permuted diagonal matrix."""
-    n = sl_size(alg)
-    roles = [("cartan", i + 1) for i in range(n - 1)] + [
-        ("edge", i, j) for i, j in reference_edge_index(n)
-    ]
-    images: list[Polynomial] = []
-    for role in roles:
-        if role[0] == "edge":
-            _, i, j = role
-            si, sj = sigma[i - 1] + 1, sigma[j - 1] + 1
-            images.append(Polynomial.variable(reference_edge_index(n)[(si, sj)], alg.dim))
-        else:
-            i = role[1]
-            mat = {(sigma[i - 1], sigma[i - 1]): 1, (sigma[i], sigma[i]): -1}
-            acc = Polynomial.zero(alg.dim)
-            for v, c in _sl_matrix_coords(mat, n).items():
-                acc = acc + Polynomial.variable(v, alg.dim).scale(c)
-            images.append(acc)
-    return images
 
 
 def reference_trace_casimirs(n: int, max_k: int) -> list[Polynomial]:

@@ -42,11 +42,10 @@ from poischain import (
     torus_chain,
     trace_casimirs_sln,
 )
-from poischain.algebra import form_invariance_witness
 from poischain.cli import EXIT_OK, main
 from poischain.poly import Monomial
 
-from helpers import random_polynomial, same_span
+from helpers import form_invariance_witness, random_polynomial, same_span
 
 F = Fraction
 

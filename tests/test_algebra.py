@@ -29,10 +29,7 @@ from poischain import (
 from poischain.algebra import (
     _jacobi_witness,
     _sl_matrix_basis,
-    dual_transport_inverse,
-    form_invariance_witness,
     sl_size,
-    trace_form_sl,
 )
 from poischain.cli import load_algebra
 from poischain.poly import Polynomial
@@ -40,12 +37,15 @@ from poischain.poly import Polynomial
 from helpers import (
     commutator_matrix,
     dense_form,
+    dual_transport_inverse,
+    form_invariance_witness,
     rank_of_matrix,
     reference_jacobi_witness,
     reference_killing_form,
     reference_linear_form,
     rescaled_sl_json,
     tagged_inverse,
+    trace_form_sl,
 )
 
 F = Fraction

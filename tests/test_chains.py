@@ -21,7 +21,6 @@ from poischain import (
     lie_poisson_bracket,
     mf_chain,
     moment_map_base,
-    normalizer_chain_sln,
     parse_polynomial,
     span_subalgebra,
     torus_chain,
@@ -218,14 +217,6 @@ def test_moment_map_cartan_reproduces_torus_dims(sl3):
     rep = moment_map_base(sl3, cartan_subalgebra(sl3))
     assert rep.verdict == "superintegrable"
     assert (rep.trdeg_intermediate, rep.trdeg_base) == (6, 2)
-
-
-def test_normalizer_chains():
-    for n, inter, base in ((2, 2, 1), (3, 6, 2)):
-        rep = normalizer_chain_sln(n)
-        assert rep.verdict == "superintegrable"
-        assert (rep.trdeg_intermediate, rep.trdeg_base) == (inter, base)
-        assert rep.expected == {"trdeg_intermediate": n * (n - 1), "trdeg_base": n - 1}
 
 
 def test_base_existence(sl2, sl3):

@@ -447,6 +447,22 @@ def test_membership_over_torus_generators_builds_no_fraction(sl3, sl3_torus, fra
         assert res.found and res.expression == want.expression
 
 
+def test_membership_over_trace_casimirs_builds_no_fraction(sl3, sl3_casimirs, fraction_count):
+    """The route over products of multi-term generators reads the solve's
+    integer coefficients over one denominator: each kernel Casimir of sl(3),
+    and a mixed-degree polynomial in them, is expressed in the trace
+    Casimirs with no Fraction, as the reference solve expresses it."""
+    trace = trace_casimirs_sln(3).gens
+    assert commutant._single_terms(trace.generators) is None
+    c2, c3 = sl3_casimirs.gens.polys()
+    targets = [c2, c3, c2 * c2 * F(1, 3) - c3 + Polynomial.constant(2, sl3.dim)]
+    before = fraction_count()
+    got = [membership(p, trace, 4) for p in targets]
+    assert fraction_count() == before
+    for p, res in zip(targets, got):
+        assert res.found and res.expression == reference_membership(p, trace, 4).expression
+
+
 def test_bracket_closure_sl3_torus(sl3_torus):
     report = bracket_closure_check(sl3_torus)
     assert all(e.closed for e in report.entries)

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,14 +12,11 @@ from poischain import (
     balance_check,
     builtin_sl,
     cartan_subalgebra,
-    cycle_decompose,
     enumerate_cycle_generators,
     is_invariant,
     oracle_cross_check,
     parse_polynomial,
     relation_families_check,
-    reynolds_average,
-    reynolds_sl,
 )
 from poischain import cycles
 from poischain.algebra import LieAlgebra, _sl_labels
@@ -28,16 +25,14 @@ from poischain.cycles import (
     _coordinate_edges,
     all_cycles,
     phi_exponent,
-    sl_weyl_images,
-    weyl_permute,
 )
 from poischain.poly import Monomial, Polynomial
 
 from helpers import (
+    cycle_decompose,
     reference_balanced_keys,
     reference_cycle_polynomial,
     reference_relation_families,
-    reference_sl_weyl_images,
 )
 
 F = Fraction
@@ -317,54 +312,3 @@ def test_family_three_fails_on_a_wrong_exponent(monkeypatch):
     by = {r.family: r for r in relation_families_check(4).results}
     assert by["iii"].failures == ["k = 2", "k = 3", "k = 4"]
     assert by["i"].passed and by["ii"].passed
-
-
-def test_weyl_images_transposition(sl3):
-    imgs = sl_weyl_images(sl3, (1, 0, 2))
-    rendered = [q.render(sl3.labels) for q in imgs]
-    assert rendered == ["-h1", "h1 + h2", "e21", "e23", "e12", "e13", "e32", "e31"]
-
-
-def test_weyl_images_match_index_arithmetic():
-    for n in (3, 4):
-        alg = builtin_sl(n)
-        for sigma in permutations(range(n)):
-            assert sl_weyl_images(alg, sigma) == reference_sl_weyl_images(alg, sigma)
-    sl10 = builtin_sl(10)
-    for sigma in ((1, 0) + tuple(range(2, 10)), tuple(range(8)) + (9, 8)):
-        assert sl_weyl_images(sl10, sigma) == reference_sl_weyl_images(sl10, sigma)
-
-
-def test_weyl_permute_is_a_poisson_map(sl3):
-    import random
-
-    from helpers import random_polynomial
-    from poischain import lie_poisson_bracket
-
-    rng = random.Random(23)
-    sigma = (2, 0, 1)
-    for _ in range(8):
-        p = random_polynomial(rng, 8, max_degree=2)
-        q = random_polynomial(rng, 8, max_degree=2)
-        lhs = weyl_permute(sl3, lie_poisson_bracket(p, q, sl3), sigma)
-        rhs = lie_poisson_bracket(
-            weyl_permute(sl3, p, sigma), weyl_permute(sl3, q, sigma), sl3
-        )
-        assert lhs == rhs
-
-
-def test_reynolds_average(sl2, sl3):
-    h1 = parse_polynomial("h1", 3, sl2.labels)
-    assert reynolds_average(sl2, h1).is_zero()
-    p12 = parse_polynomial("e12*e21", 3, sl2.labels)
-    assert reynolds_average(sl2, p12) == p12
-    avg = reynolds_average(sl3, parse_polynomial("e12*e21", 8, sl3.labels))
-    for sigma in permutations(range(3)):
-        assert weyl_permute(sl3, avg, sigma) == avg
-
-
-def test_reynolds_sl2_normalizer_generators(sl2, sl2_torus):
-    ns = reynolds_sl(sl2, sl2_torus, 3)
-    assert ns.labels() == ["w2_1", "w2_2"]
-    assert [g.poly.render(sl2.labels) for g in ns.generators] == ["h1^2", "e12*e21"]
-    assert all(not g.indecomposable for g in ns.generators)

@@ -80,6 +80,18 @@ def test_each_monitor_is_compiled_once(sl3, monkeypatch):
     assert source.count(f"{3 / 7!r}*x0**5*x7") == 1
 
 
+def test_compile_flow_builds_no_fraction(sl3, sl3_casimirs, fraction_count):
+    """The generated source reads each coefficient as numerator / denominator
+    in int true division, which is the float of the rational: no Fraction."""
+    h = parse_polynomial("1/3*h1^2 + e12*e21 - 2/5*e13*e31*h2", 8, sl3.labels)
+    field = hamiltonian_field(h, sl3)
+    monitors = [h, *sl3_casimirs.gens.polys()]
+    assert any(p.den > 1 for p in monitors)
+    before = fraction_count()
+    _compile_flow(field, monitors, 0.01)
+    assert fraction_count() == before
+
+
 def test_generated_evaluator_matches_exact(sl3):
     # dyadic point and integer coefficients: every float operation is exact
     p = parse_polynomial("h1^2*h2 - 3*e12*e21 + 5", 8, sl3.labels)

@@ -1,8 +1,8 @@
 """Golden report bytes: the SHA-256 of a fixed set of outputs.
 
 The digests pin every byte of the README CLI reports on sl(3), the torus
-chain reports of sl(3) and sl(4), the permutation-averaged (normalizer) chain
-of sl(4), a relation basis and the trace Casimirs of sl(4).  A change to the polynomial core, the elimination or the rendering
+chain reports of sl(3) and sl(4), a relation basis and the trace Casimirs of
+sl(4).  A change to the polynomial core, the elimination or the rendering
 that moves a single report byte fails here.  When a report format changes on
 purpose, recompute the digests with `PYTHONPATH=src python tests/test_golden.py`
 and say why in the change log.
@@ -21,7 +21,6 @@ from poischain import (
     cartan_subalgebra,
     dump_json,
     generate,
-    normalizer_chain_sln,
     relation_basis,
     torus_chain,
     trace_casimirs_sln,
@@ -51,7 +50,6 @@ GOLDEN = {
     "commutant": "723bf5105f79eab223d9871748df6fa3e8cc79d9b3802c2d0a43335c92233ff1",
     "cycles-3": "8864cf5e39c84f979a6d10cae47da09928637242b40108bbcbe3af1900cefeb8",
     "mf": "e8ead965570dbb40cb536c89701c39a0044054228a3fdbabb576c8efc4bb96f6",
-    "normalizer-chain-sl4": "abde59c7cf5bb1e526934e13a0f30d963791534a16f703df9ba07e5b5d9013b0",
     "relations-sl4-torus-8": "a5dd98e5cd33265d23f647fc0204c73f868ca4455d6d07276eecb67a8c5ebc5a",
     "torus-chain-sl3": "5f8e22e9339cf6d21a84abe50262613f1987c6deb668b92ea6e52e7385f8fe1c",
     "torus-chain-sl4": "b4292ceba25b4848ad232b717585148991af695377b58fab12ad177e1a3f0746",
@@ -78,8 +76,6 @@ def _report_digest(obj) -> str:
 _LIBRARY = {
     "torus-chain-sl3": lambda: torus_chain(builtin_sl(3)).to_json(),
     "torus-chain-sl4": lambda: torus_chain(builtin_sl(4)).to_json(),
-    # superintegrable, 12 + 3; the only tier-1 run of the Reynolds average at n = 4
-    "normalizer-chain-sl4": lambda: normalizer_chain_sln(4).to_json(),
     "relations-sl4-torus-8": lambda: relation_basis(
         generate(builtin_sl(4), cartan_subalgebra(builtin_sl(4)), 4), 8
     ).to_json(),

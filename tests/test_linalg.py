@@ -230,8 +230,7 @@ def test_canonical_rref_idempotent_and_invariant_under_shuffle(seed):
 def test_express_in_rowspace_solvable():
     rows = [row([1, 0, 1]), row([0, 1, 1])]
     target = row([2, 3, 5])
-    coeffs = express_in_rowspace(rows, target)
-    assert coeffs == [F(2), F(3)]
+    assert express_in_rowspace(rows, target) == ([2, 3], 1)
 
 
 def test_express_in_rowspace_unsolvable():
@@ -246,19 +245,19 @@ def test_express_handles_dependent_rows():
         row([0, 1]),
     ]
     target = row([3, 4])
-    coeffs = express_in_rowspace(rows, target)
-    assert coeffs is not None
-    recon = [F(0), F(0)]
+    coeffs, den = express_in_rowspace(rows, target)
+    recon = [0, 0]
     dense = [[1, 1], [2, 2], [0, 1]]
     for c, entries in zip(coeffs, dense):
-        recon = [r + c * F(x) for r, x in zip(recon, entries)]
-    assert recon == [F(3), F(4)]
+        recon = [r + c * x for r, x in zip(recon, entries)]
+    assert recon == [3 * den, 4 * den]
 
 
 def test_express_in_rowspace_matches_tagged_solve():
-    """The transposed solve returns the tagged elimination's coefficients on
-    random systems with dependent rows, empty rows, non-primitive rows and
-    targets inside and outside the row space."""
+    """The transposed solve returns the tagged elimination's coefficients, as
+    integers over one positive denominator, on random systems with dependent
+    rows, empty rows, non-primitive rows and targets inside and outside the
+    row space."""
     rng = random.Random(23)
     outcomes = set()
     for trial in range(300):
@@ -280,15 +279,19 @@ def test_express_in_rowspace_matches_tagged_solve():
                 for c, v in r.items():
                     target[c] = target.get(c, 0) + k * v
             target = {c: v for c, v in target.items() if v}
-        coeffs = express_in_rowspace(rows, target)
-        assert coeffs == tagged_solve(rows, target)
-        outcomes.add(coeffs is None)
-        if coeffs is not None:
-            recon = {}
-            for c, r in zip(coeffs, rows):
-                for j, v in r.items():
-                    recon[j] = recon.get(j, 0) + c * v
-            assert {j: v for j, v in recon.items() if v} == target
+        solved = express_in_rowspace(rows, target)
+        outcomes.add(solved is None)
+        if solved is None:
+            assert tagged_solve(rows, target) is None
+            continue
+        coeffs, den = solved
+        assert den > 0 and all(type(c) is int for c in coeffs)
+        assert [F(c, den) for c in coeffs] == tagged_solve(rows, target)
+        recon = {}
+        for c, r in zip(coeffs, rows):
+            for j, v in r.items():
+                recon[j] = recon.get(j, 0) + c * v
+        assert {j: v for j, v in recon.items() if v} == {j: den * v for j, v in target.items()}
     assert outcomes == {False, True}
 
 

@@ -23,13 +23,13 @@ from poischain import poly
 from poischain.poly import (
     dump_json,
     polynomial_from_json,
-    polynomial_to_json,
     render_polynomial,
 )
 
 from helpers import (
     double_sum_bracket,
     from_reference,
+    polynomial_to_json,
     random_polynomial,
     random_reference,
     ref_add,

@@ -1,0 +1,127 @@
+"""Every top-level definition in src/poischain/ has a consumer.
+
+The walk starts from the command line (cli.main, cli.console_main), from every
+name a script under scripts/ imports, and from a short allow-list. It follows
+the names each reached definition mentions: a bare name to the definition of
+its module or to the one it imports, and `module.name` through a module
+imported with `from . import module`. A class is reached with all its methods.
+A definition that no path reaches is code only the tests run; it moves to
+tests/helpers.py or goes.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "poischain"
+
+# (module, name): why it stays without a caller in cli.py or scripts/
+ALLOWED = {
+    # documented library API
+    ("poly", "lie_poisson_bracket"): "the README's Python example imports it",
+    ("algebra", "direct_sum"): "the README library section documents it",
+    ("algebra", "dual_transport"): "the README library section documents it",
+    # paper features that no report shows yet
+    ("chains", "base_existence_verdict"): "the paper's test for whether a base exists",
+    ("chains", "BaseExistenceReport"): "the result of base_existence_verdict",
+    ("commutant", "poisson_center_basis"): "the Poisson center of an intermediate algebra",
+    ("chains", "fiber_ideal_generators"): "the ideal of a joint level set of a chain",
+    ("chains", "j_map_components"): "the components of the paper's level map",
+    # perfbench/tracing.py wraps these by name; they go when the benchmark changes
+    ("commutant", "monomial_basis"): "traced as commutant.monomial_basis",
+    ("linalg", "row_from_rationals"): "traced as linalg.row_from_rationals",
+    ("cycles", "balance_check"): "traced as cycles.balance_check",
+}
+
+
+def _index():
+    """Per module: its top-level definitions (name -> node), the names it
+    imports from the package (local name -> (module, name)), and the package
+    modules it imports whole (local name -> module)."""
+    defs, imports, modules = {}, {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        mod = path.stem
+        defs[mod], imports[mod], modules[mod] = {}, {}, {}
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[mod][node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                        defs[mod][target.id] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        modules[mod][local] = alias.name
+                    else:
+                        imports[mod][local] = (node.module, alias.name)
+    return defs, imports, modules
+
+
+def _resolve(mod, name, defs, imports):
+    """The (module, name) that defines `name` as seen from `mod`, following
+    re-exports, or None for a name from outside the package."""
+    while name not in defs.get(mod, {}):
+        if name not in imports.get(mod, {}):
+            return None
+        mod, name = imports[mod][name]
+    return mod, name
+
+
+def _roots(defs, imports):
+    """cli.main, cli.console_main and every package name a script imports."""
+    roots = {("cli", "main"), ("cli", "console_main")}
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("poischain"):
+                mod = node.module.partition(".")[2] or "__init__"
+                for alias in node.names:
+                    found = _resolve(mod, alias.name, defs, imports)
+                    assert found, f"{path.name} imports {alias.name!r}, which is not defined"
+                    roots.add(found)
+    return roots
+
+
+def _reach(roots, defs, imports, modules):
+    seen = set()
+    todo = list(roots)
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        mod, name = key
+        for node in ast.walk(defs[mod][name]):
+            found = None
+            if isinstance(node, ast.Name):
+                found = _resolve(mod, node.id, defs, imports)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules[mod]
+            ):
+                found = _resolve(modules[mod][node.value.id], node.attr, defs, imports)
+            if found and found not in seen:
+                todo.append(found)
+    return seen
+
+
+def test_every_definition_is_reached():
+    defs, imports, modules = _index()
+    for mod, name in ALLOWED:
+        assert name in defs[mod], f"allow-listed {mod}.{name} is not defined"
+    reached = _reach(_roots(defs, imports) | set(ALLOWED), defs, imports, modules)
+    unreached = sorted(
+        f"{mod}.{name}" for mod in defs for name in defs[mod] if (mod, name) not in reached
+    )
+    assert unreached == []
+
+
+def test_allow_list_names_no_reached_definition():
+    """An allow-listed name that the command line or a script reaches needs
+    no entry: the list shrinks as consumers arrive."""
+    defs, imports, modules = _index()
+    reached = _reach(_roots(defs, imports), defs, imports, modules)
+    assert sorted(set(ALLOWED) & reached) == []
