@@ -117,27 +117,18 @@ class LieAlgebra:
             raise ValueError("variable index out of range")
         return _from_fractions(self.dim, dict(zip(variable_keys(self.dim), coeffs)))
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no basis label {label!r}") from None
-
     def rank(self, seed: int = DEFAULT_SEED) -> int:
         """Rank: the flagged Cartan dimension, else dim minus the generic
-        rank of the commutator rows.  That rank is a lower bound on the
-        generic one, so without a flagged Cartan the result is an upper
-        bound on the rank (sampling gives the chance it is high).  The
-        sampled rank is kept per seed."""
+        rank of the commutator rows (the orbit dimension of the full
+        algebra).  That rank is a lower bound on the generic one, so without
+        a flagged Cartan the result is an upper bound on the rank (sampling
+        gives the chance it is high).  The sampled rank is kept per seed."""
         if self.cartan_indices is not None:
             return len(self.cartan_indices)
-
-        def sample() -> int:
-            return self.dim - generic_rank(
-                lambda point: commutator_rows(self, point), self.dim, self.dim, seed
-            )
-
-        return self.derived(("rank", seed), sample)
+        return self.derived(
+            ("rank", seed),
+            lambda: self.dim - orbit_dimension(self, full_subalgebra(self), seed),
+        )
 
     # -- serialization -------------------------------------------------------
 

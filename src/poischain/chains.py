@@ -7,7 +7,8 @@ centrality by the Lie-Poisson brackets of poly.brackets (one Hamiltonian field
 per base generator), transcendence degrees as generic Jacobian ranks over
 seeded integer points.  Because generator sets are computed up to a degree
 cap, a failed dimension identity with an intermediate rank below the
-orbit-complement prediction is reported as inconclusive rather than negative.
+orbit-complement prediction is reported as inconclusive rather than negative,
+and so is a central Casimir base whose rank falls short of the algebra's.
 """
 
 from __future__ import annotations
@@ -118,10 +119,6 @@ class ChainReport:
     expected: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def superintegrable(self) -> bool:
-        return self.verdict == "superintegrable"
-
     def to_json(self) -> dict:
         return {
             "algebra": self.algebra,
@@ -178,15 +175,21 @@ def verify_chain(spec: ChainSpec, seed: int = DEFAULT_SEED) -> ChainReport:
     notes: list[str] = []
     if centrality.passed and identity:
         verdict = "superintegrable"
-    elif identity or trdeg_int == alg.dim - d_a:
-        verdict = "not_superintegrable"
-    else:
+    elif not identity and trdeg_int != alg.dim - d_a:
         verdict = "inconclusive"
         notes.append(
             f"intermediate rank {trdeg_int} is below the orbit-complement "
             f"prediction {alg.dim - d_a}; the degree cap "
             f"{spec.intermediate.max_degree} may truncate the generators"
         )
+    elif centrality.passed and spec.base_kind == "casimirs" and trdeg_base < rank_g:
+        verdict = "inconclusive"
+        notes.append(
+            f"base rank {trdeg_base} is below the rank {rank_g} of the algebra; "
+            f"the degree cap {spec.base.max_degree} may truncate the Casimirs"
+        )
+    else:
+        verdict = "not_superintegrable"
     cross = identity == (trdeg_base == d_a)
     if not cross:
         notes.append(

@@ -274,15 +274,14 @@ def _zero_weight_monomials(
 class _Operators:
     """The fields the invariants of one subalgebra are computed with.
 
-    diagonal holds the fields that scale every coordinate, and weights[v]
-    the weight of coordinate v under them, so their joint kernel is spanned
-    by the zero-weight monomials.  others holds the non-diagonal fields
+    weights[v] is the weight of coordinate v under the fields that scale
+    every coordinate (one entry per such field), so their joint kernel is
+    spanned by the zero-weight monomials.  others holds the non-diagonal fields
     still to apply, with their spanning vectors: only the raising fields in
     spanning order when _raising_fields shows that they suffice, else every
     one, fewest nonzeros first.
     """
 
-    diagonal: tuple[VectorField, ...]
     weights: tuple[tuple[int, ...], ...]
     others: tuple[tuple[Vector, VectorField], ...]
 
@@ -297,7 +296,7 @@ def _invariance_operators(alg: LieAlgebra, sub: SubalgebraSpec) -> _Operators:
 
 
 def _build_operators(alg: LieAlgebra, vectors: Sequence[Vector]) -> _Operators:
-    diagonal: list[tuple[Vector, list[Polynomial], list[int]]] = []
+    diagonal: list[tuple[Vector, list[int]]] = []
     roots: list[tuple[Vector, list[Polynomial]]] = []
     for vec in vectors:
         field = hamiltonian_field(alg.linear_form(vec), alg)
@@ -307,15 +306,14 @@ def _build_operators(alg: LieAlgebra, vectors: Sequence[Vector]) -> _Operators:
         if weights is None:
             roots.append((vec, field))
         else:
-            diagonal.append((vec, field, weights))
-    weights = tuple(tuple(w[v] for _, _, w in diagonal) for v in range(alg.dim))
+            diagonal.append((vec, weights))
+    weights = tuple(tuple(w[v] for _, w in diagonal) for v in range(alg.dim))
     keep = _raising_fields(
-        alg, [vec for vec, _, _ in diagonal], [vec for vec, _ in roots], weights
+        alg, [vec for vec, _ in diagonal], [vec for vec, _ in roots], weights
     )
     if keep is None:
         roots.sort(key=lambda root: sum(len(component.num) for component in root[1]))
     return _Operators(
-        tuple(VectorField(field) for _, field, _ in diagonal),
         weights,
         tuple(
             (vec, VectorField(field))
@@ -859,7 +857,7 @@ def is_invariant(alg: LieAlgebra, sub: SubalgebraSpec, p: Polynomial) -> bool:
     over the monomials against the weights.  Then the fields invariant_basis
     applies."""
     ops = _invariance_operators(alg, sub)
-    if ops.diagonal:
+    if any(ops.weights):
         if p.dim != alg.dim:
             raise ValueError("vector field dimension does not match the polynomial")
         codes = _weight_codes(ops.weights, p.degree or 0)

@@ -14,9 +14,10 @@ raises ValueError instead of carrying into the next field.
 
 A polynomial is `num` (key -> nonzero integer numerator) over one positive
 denominator `den`, with gcd(den, *num.values()) == 1, so equal polynomials
-have equal fields.  `Monomial` and `Fraction` appear only at the boundary:
-the constructor Polynomial(dim, {Monomial: coeff}) and the read-only `terms`
-view, decoded on access.  Floating point only appears in the flow integrator.
+have equal fields.  `Monomial` remains only as the constructor's input,
+Polynomial(dim, {Monomial: coeff}), and as the key type of the read-only
+`terms` view, decoded on access; coefficients cross that boundary as
+`Fraction`s.  Floating point only appears in the flow integrator.
 """
 
 from __future__ import annotations
@@ -119,35 +120,11 @@ class Monomial:
                 raise ValueError("duplicate variable in monomial")
         self.exps = tuple(cleaned)
 
-    @classmethod
-    def one(cls) -> "Monomial":
-        return cls(())
-
-    @classmethod
-    def variable(cls, var: int) -> "Monomial":
-        return cls(((var, 1),))
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def is_one(self) -> bool:
-        return not self.exps
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged.items())
-
     def dense(self, dim: int) -> tuple[int, ...]:
         out = [0] * dim
         for v, e in self.exps:
             out[v] = e
         return tuple(out)
-
-    def sort_key(self, dim: int) -> tuple:
-        """Graded-lex key; larger keys are larger monomials."""
-        return (self.degree(), self.dense(dim))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -222,10 +199,6 @@ class Polynomial:
         return Terms(self)
 
     @classmethod
-    def zero(cls, dim: int) -> "Polynomial":
-        return _make(int(dim), {}, 1)
-
-    @classmethod
     def one(cls, dim: int) -> "Polynomial":
         return _make(int(dim), {0: 1}, 1)
 
@@ -237,10 +210,6 @@ class Polynomial:
     def variable(cls, var: int, dim: int) -> "Polynomial":
         return _make(int(dim), {pack(((var, 1),), dim): 1}, 1)
 
-    @classmethod
-    def term(cls, dim: int, coeff, pairs: Iterable[tuple[int, int]]) -> "Polynomial":
-        return cls(dim, {Monomial(pairs): as_fraction(coeff)})
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -250,10 +219,6 @@ class Polynomial:
         if not self.num:
             return None
         return max(self.num) >> (W * self.dim)
-
-    def is_homogeneous(self) -> bool:
-        shift = W * self.dim
-        return len({k >> shift for k in self.num}) <= 1
 
     def _check(self, other: "Polynomial") -> None:
         if self.dim != other.dim:
@@ -389,21 +354,6 @@ class Polynomial:
             for j, t in sorted(out.items())
             if any(t.values())
         }
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical graded-lex descending order."""
-        return [
-            (Monomial(unpack(k, self.dim)), Fraction(self.num[k], self.den))
-            for k in sorted(self.num, reverse=True)
-        ]
-
-    def leading_monomial(self) -> Monomial:
-        if not self.num:
-            raise ValueError("zero polynomial has no leading monomial")
-        return Monomial(unpack(max(self.num), self.dim))
-
-    def leading_coefficient(self) -> Fraction:
-        return Fraction(self.num[max(self.num)], self.den)
 
     def monic(self) -> "Polynomial":
         if not self.num:

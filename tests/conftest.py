@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from poischain import (
@@ -8,6 +6,8 @@ from poischain import (
     casimirs_by_kernel,
     generate,
 )
+
+from helpers import counting_fractions
 
 
 @pytest.fixture(scope="session")
@@ -46,24 +46,8 @@ def sl3_casimirs(sl3):
 
 
 @pytest.fixture
-def fraction_count(monkeypatch):
-    """The number of Fraction instances made since the fixture was set up:
-    Fraction.__new__ is wrapped, and so is Fraction._from_coprime_ints where
-    it exists, which builds arithmetic results without __new__."""
-    made = [0]
-    new = Fraction.__new__
-
-    def counted_new(cls, *args, **kwargs):
-        made[0] += 1
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted_new)
-    if hasattr(Fraction, "_from_coprime_ints"):
-        coprime = Fraction._from_coprime_ints.__func__
-
-        def counted_coprime(cls, numerator, denominator):
-            made[0] += 1
-            return coprime(cls, numerator, denominator)
-
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
-    return lambda: made[0]
+def fraction_count():
+    """The number of Fraction instances made since the fixture was set up
+    (helpers.counting_fractions)."""
+    with counting_fractions() as made:
+        yield made

@@ -1,10 +1,10 @@
-"""Shared helpers for the test suite: random polynomials, span fingerprints,
-and slow reference routes for the kernel, bracket and product computations,
-the pairwise bracket checks, the Jacobi scan, the Killing and linear forms,
-the general relation, membership and new-generator routes, the flow
-integrator, the sl(n) cycle coordinates, the cycle relation families and
-balanced monomials, the trace-then-transport Casimirs and the all-fields
-invariance test.  Oracles the package itself does not need live here too:
+"""Shared helpers for the test suite and CI: a Fraction counter, random
+polynomials, span fingerprints, and slow reference routes for the kernel,
+bracket and product computations, the pairwise bracket checks, the Jacobi
+scan, the Killing and linear forms, the general relation, membership and
+new-generator routes, the flow integrator, the sl(n) cycle coordinates, the
+cycle relation families and balanced monomials, the trace-then-transport
+Casimirs and the field-by-field invariance test.  Oracles the package itself does not need live here too:
 the sl(n) trace form, the Killing-invariance witness, the inverse dual
 transport, the JSON terms of a polynomial and the Eulerian cycle
 decomposition of a balanced monomial."""
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
@@ -21,6 +22,7 @@ from poischain import (
     Generator,
     Monomial,
     Polynomial,
+    VectorField,
     builtin_sl,
     cartan_subalgebra,
     dual_transport,
@@ -60,7 +62,6 @@ from poischain.commutant import (
     _canonical_polys,
     _formal_columns,
     _generator_products,
-    _invariance_operators,
     _kernel_of_images,
     default_degree_cap,
 )
@@ -77,6 +78,40 @@ from poischain.linalg import (
 from poischain.poly import hamiltonian_field, linear_combination, pack, unpack
 
 
+@contextmanager
+def counting_fractions():
+    """Count the Fraction instances made inside the block: Fraction.__new__
+    is wrapped, and so is Fraction._from_coprime_ints where it exists, which
+    builds arithmetic results without __new__.  Yields a function that
+    returns the count so far; both are restored when the block ends."""
+    made = [0]
+    saved = {
+        name: Fraction.__dict__[name]
+        for name in ("__new__", "_from_coprime_ints")
+        if name in Fraction.__dict__
+    }
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted_new
+    if "_from_coprime_ints" in saved:
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counted_coprime(cls, numerator, denominator):
+            made[0] += 1
+            return coprime(cls, numerator, denominator)
+
+        Fraction._from_coprime_ints = classmethod(counted_coprime)
+    try:
+        yield lambda: made[0]
+    finally:
+        for name, value in saved.items():
+            setattr(Fraction, name, value)
+
+
 def random_polynomial(
     rng: random.Random,
     dim: int,
@@ -84,7 +119,7 @@ def random_polynomial(
     n_terms: int = 3,
 ) -> Polynomial:
     """Small random polynomial with integer coefficients in [-4, 4]."""
-    p = Polynomial.zero(dim)
+    p = Polynomial(dim)
     for _ in range(n_terms):
         deg = rng.randint(0, max_degree)
         exps: dict[int, int] = {}
@@ -92,7 +127,7 @@ def random_polynomial(
             var = rng.randrange(dim)
             exps[var] = exps.get(var, 0) + 1
         coeff = Fraction(rng.randint(-4, 4))
-        p = p + Polynomial.term(dim, coeff, exps.items())
+        p = p + Polynomial(dim, {Monomial(exps.items()): coeff})
     return p
 
 
@@ -105,7 +140,9 @@ def span_fingerprint(polys) -> list[tuple]:
     """
     polys = [p for p in polys if not p.is_zero()]
     dim = max((p.dim for p in polys), default=1)
-    monos = sorted({m for p in polys for m in p.terms}, key=lambda m: m.sort_key(dim))
+    monos = sorted(
+        {m for p in polys for m in p.terms}, key=lambda m: (sum(m.dense(dim)), m.dense(dim))
+    )
     index = {m: i for i, m in enumerate(monos)}
     vectors = []
     for p in polys:
@@ -145,7 +182,7 @@ def full_basis_invariants(alg, sub, k: int) -> list[Polynomial]:
             [row_from_rationals(r) for r in rows.values()], len(basis)
         )
         basis = [
-            sum((basis[col].scale(c) for col, c in v.items()), Polynomial.zero(alg.dim))
+            sum((basis[col].scale(c) for col, c in v.items()), Polynomial(alg.dim))
             for v in kernel
         ]
     monos = monomial_basis(alg.dim, k)  # graded-lex descending: column order
@@ -238,13 +275,13 @@ def tagged_inverse(matrix) -> list[list[Fraction]] | None:
 def double_sum_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
     """Reference Lie-Poisson bracket: the sum over coordinate pairs of
     d_i(p) * d_j(q) * {x_i, x_j}."""
-    out = Polynomial.zero(alg.dim)
+    out = Polynomial(alg.dim)
     for i in sorted(p.variables()):
         dpi = p.partial_derivative(i)
         for j in sorted(q.variables()):
             cb = Polynomial(
                 alg.dim,
-                {Monomial.variable(k): c for k, c in alg.bracket_coeffs(i, j).items()},
+                {Monomial([(k, 1)]): c for k, c in alg.bracket_coeffs(i, j).items()},
             )
             if not cb.is_zero():
                 out = out + dpi * q.partial_derivative(j) * cb
@@ -343,7 +380,7 @@ def reference_jacobi_witness(alg) -> tuple[str, str, str, str] | None:
 
 def reference_linear_form(alg, vec) -> Polynomial:
     """Reference linear form: one Monomial per coordinate."""
-    return Polynomial(alg.dim, {Monomial.variable(i): v for i, v in enumerate(vec)})
+    return Polynomial(alg.dim, {Monomial([(i, 1)]): v for i, v in enumerate(vec)})
 
 
 def rank_of_matrix(matrix) -> int:
@@ -509,7 +546,7 @@ def ref_graded_lex(a) -> list[tuple[int, ...]]:
 
 
 def _compile_terms(p: Polynomial) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
-    return [(float(coeff), mono.exps) for mono, coeff in p.sorted_terms()]
+    return [(p.num[k] / p.den, unpack(k, p.dim)) for k in sorted(p.num, reverse=True)]
 
 
 def _eval_terms(terms, x) -> float:
@@ -721,7 +758,8 @@ def _keyed_poly(cols, row, dim: int) -> Polynomial:
     """The polynomial with coefficient v on the monomial key cols[c] for
     each (c, v) of the row."""
     return linear_combination(
-        dim, ((v, Polynomial.term(dim, 1, unpack(cols[c], dim))) for c, v in row.items())
+        dim,
+        ((v, Polynomial(dim, {Monomial(unpack(cols[c], dim)): 1})) for c, v in row.items()),
     )
 
 
@@ -734,7 +772,7 @@ def reference_membership(p: Polynomial, gens, max_total_degree: int) -> Membersh
     if gens.subalgebra is not None and not is_invariant(gens.algebra, gens.subalgebra, p):
         return MembershipResult("not_invariant")
     nformal = len(gens.generators)
-    expression = Polynomial.zero(nformal)
+    expression = Polynomial(nformal)
     for d, component in p.homogeneous_components().items():
         if d == 0:
             constant = Fraction(component.num[0], component.den)
@@ -749,7 +787,8 @@ def reference_membership(p: Polynomial, gens, max_total_degree: int) -> Membersh
         coeffs, den = solved
         for (key, prod), a in zip(products, coeffs):
             coeff = Fraction(a * prod.den, den * component.den)
-            expression = expression + Polynomial.term(nformal, coeff, unpack(key, nformal))
+            term = Polynomial(nformal, {Monomial(unpack(key, nformal)): coeff})
+            expression = expression + term
     return MembershipResult("found", expression)
 
 
@@ -819,7 +858,7 @@ def reference_cycle_polynomial(cycle, n: int) -> Polynomial:
     for e in cycle.edges():
         v = index[e]
         counts[v] = counts.get(v, 0) + 1
-    return Polynomial.term(n * n - 1, 1, counts.items())
+    return Polynomial(n * n - 1, {Monomial(counts.items()): 1})
 
 
 def reference_balanced_keys(alg, k: int) -> list[int]:
@@ -925,7 +964,7 @@ def reference_trace_casimirs(n: int, max_k: int) -> list[Polynomial]:
     made monic."""
     alg = builtin_sl(n)
     form = killing_form(alg)
-    zero = Polynomial.zero(alg.dim)
+    zero = Polynomial(alg.dim)
     matrix = [[zero] * n for _ in range(n)]
     for i, mat in enumerate(_sl_matrix_basis(n)[0]):
         for (r, c), v in mat.items():
@@ -943,8 +982,10 @@ def reference_trace_casimirs(n: int, max_k: int) -> list[Polynomial]:
 
 
 def reference_is_invariant(alg, sub, p: Polynomial) -> bool:
-    """Reference route for is_invariant: apply every diagonal field and
-    every other field of the subalgebra's operators to p."""
-    ops = _invariance_operators(alg, sub)
-    fields = [*ops.diagonal, *(field for _, field in ops.others)]
-    return all(field(p).is_zero() for field in fields)
+    """Reference route for is_invariant: apply the Hamiltonian field of every
+    spanning vector of the subalgebra to p, with no diagonal or raising
+    classification."""
+    return all(
+        VectorField(hamiltonian_field(alg.linear_form(vec), alg))(p).is_zero()
+        for vec in sub.vectors
+    )

@@ -100,7 +100,7 @@ def test_criterion_02_sl3_generator_census_and_relation(sl3, sl3_torus):
         rendered = r.formal.render(cycles.labels())
         if rendered not in ("p12*p13*p23 - p123*p132", "p123*p132 - p12*p13*p23"):
             bad.append(f"unexpected relation {rendered}")
-        total = Polynomial.zero(sl3.dim)
+        total = Polynomial(sl3.dim)
         for mono, coeff in r.formal.terms.items():
             prod = Polynomial.constant(coeff, sl3.dim)
             for var, exp in mono.exps:

@@ -71,13 +71,13 @@ def test_sl3_labels_and_rank(sl3):
 
 
 def test_sl3_sample_brackets(sl3):
-    e12, e23, e13 = sl3.label_index("e12"), sl3.label_index("e23"), sl3.label_index("e13")
+    e12, e23, e13 = (sl3.labels.index(label) for label in ("e12", "e23", "e13"))
     # [e12, e23] = e13
     assert sl3.bracket_coeffs(e12, e23) == {e13: F(1)}
     # [e12, e21] = E11 - E22 = h1
-    assert sl3.bracket_coeffs(e12, sl3.label_index("e21")) == {0: F(1)}
+    assert sl3.bracket_coeffs(e12, sl3.labels.index("e21")) == {0: F(1)}
     # [e13, e31] = E11 - E33 = h1 + h2 in the (E11-E22, E22-E33) basis
-    assert sl3.bracket_coeffs(e13, sl3.label_index("e31")) == {0: F(1), 1: F(1)}
+    assert sl3.bracket_coeffs(e13, sl3.labels.index("e31")) == {0: F(1), 1: F(1)}
 
 
 def test_validate_builtin_algebras():

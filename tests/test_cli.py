@@ -201,6 +201,26 @@ def test_chain_verify_inconclusive_under_cap(capsys):
     assert code == EXIT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize("n, cap", [(4, 3), (5, 4)])
+def test_chain_verify_casimir_base_short_under_cap_is_inconclusive(n, cap, tmp_path):
+    """The cap drops the top Casimir, so the base rank falls one short of
+    the rank while the intermediate algebra reaches its orbit-complement
+    bound: no witness of a negative result, exit 2 with the cap named."""
+    out = tmp_path / "chain.json"
+    code = run(["chain", "verify", "--algebra", f"sl{n}", "--subalgebra", "cartan",
+                "--base", "casimirs", "--max-degree", str(cap), "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert code == EXIT_INCONCLUSIVE
+    assert rep["verdict"] == "inconclusive" and rep["centrality"]["passed"]
+    assert (rep["trdeg_intermediate"], rep["trdeg_base"], rep["rank"]) == (
+        n * n - 1 - (n - 1), n - 2, n - 1
+    )
+    assert rep["notes"] == [
+        f"base rank {n - 2} is below the rank {n - 1} of the algebra; "
+        f"the degree cap {cap} may truncate the Casimirs"
+    ]
+
+
 def test_chain_verify_moment_map(capsys):
     code = run(
         ["chain", "verify", "--algebra", "sl3", "--subalgebra", "cartan", "--base", "moment-map"]

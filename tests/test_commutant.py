@@ -69,7 +69,7 @@ def _invariance_operator(alg, vec, p):
 def test_monomial_basis_counts_and_order():
     basis = monomial_basis(3, 2)
     assert len(basis) == comb(3 + 2 - 1, 2)
-    keys = [m.sort_key(3) for m in basis]
+    keys = [(sum(d), d) for d in (m.dense(3) for m in basis)]
     assert keys == sorted(keys, reverse=True)
     assert basis[0].exps == ((0, 2),)  # x1^2 leads
     assert [m.exps for m in monomial_basis(2, 0)] == [()]
@@ -126,12 +126,12 @@ def _invariance_cases(n):
     cases["e12*e21"] = parse_polynomial("e12*e21", alg.dim, alg.labels)
     cases["1"] = Polynomial.one(alg.dim)
     cases["7/3"] = Polynomial.constant(F(7, 3), alg.dim)
-    cases["0"] = Polynomial.zero(alg.dim)
+    cases["0"] = Polynomial(alg.dim)
     rng = random.Random(1600 + n)
     names = sorted(cases)
     for i in range(25):
         picked = rng.sample(names, rng.randint(2, 4))
-        total = Polynomial.zero(alg.dim)
+        total = Polynomial(alg.dim)
         for name in picked:
             total = total + cases[name].scale(F(rng.randint(-9, 9) or 1, rng.randint(1, 5)))
         cases[f"sum{i}:" + "+".join(picked)] = total
@@ -139,7 +139,7 @@ def _invariance_cases(n):
 
 
 def _invariance_subalgebras(alg):
-    e12 = alg.label_index("e12")
+    e12 = alg.labels.index("e12")
     unit = [[F(int(i == j)) for i in range(alg.dim)] for j in range(alg.dim)]
     return {
         "full": full_subalgebra(alg),
@@ -228,7 +228,7 @@ def test_relation_basis_sl3_cycle_relation(sl3):
 def test_relation_vanishes_on_substitution(sl3):
     cg = enumerate_cycle_generators(3)
     rel = relation_basis(cg, 6).relations[0]
-    total = Polynomial.zero(sl3.dim)
+    total = Polynomial(sl3.dim)
     for mono, coeff in rel.formal.terms.items():
         prod = Polynomial.constant(coeff, sl3.dim)
         for var, exp in mono.exps:
@@ -503,7 +503,7 @@ def test_bracket_closure_expressions_expand_back(n):
             continue
         assert e.closed
         formal = parse_polynomial(e.expression, nformal, gens.labels())
-        expanded = Polynomial.zero(alg.dim)
+        expanded = Polynomial(alg.dim)
         for mono, c in formal.terms.items():
             expanded = expanded + expand_formal(gens, mono.exps).scale(c)
         assert expanded == lie_poisson_bracket(polys[e.left], polys[e.right], alg)
@@ -651,7 +651,7 @@ def test_non_diagonal_cartan_matches_full_basis_route(kind):
 
 
 def _span_of(alg, labels):
-    return span_subalgebra([_unit(alg.dim, alg.label_index(label)) for label in labels])
+    return span_subalgebra([_unit(alg.dim, alg.labels.index(label)) for label in labels])
 
 
 def _applied_labels(alg, sub):
@@ -700,7 +700,7 @@ def test_full_sl_applies_only_the_simple_raising_fields(n):
 def _rotated_corner(alg):
     """{h1, e12 + e21, e12 - e21}: a subalgebra whose non-diagonal vectors
     are not root vectors."""
-    e12, e21 = (_unit(alg.dim, alg.label_index(label)) for label in ("e12", "e21"))
+    e12, e21 = (_unit(alg.dim, alg.labels.index(label)) for label in ("e12", "e21"))
     return span_subalgebra([
         _unit(alg.dim, 0),
         [a + b for a, b in zip(e12, e21)],

@@ -54,7 +54,7 @@ def test_casimir_field_is_identically_zero(sl2, sl2_casimirs):
 
 def _generated_monitors(alg, polys):
     """The monitor values the generated driver records at step 0."""
-    run = _compile_flow([Polynomial.zero(alg.dim)] * alg.dim, polys, 0.1)
+    run = _compile_flow([Polynomial(alg.dim)] * alg.dim, polys, 0.1)
 
     def evaluate(*x):
         recorded = []
@@ -96,7 +96,7 @@ def test_generated_evaluator_matches_exact(sl3):
     # dyadic point and integer coefficients: every float operation is exact
     p = parse_polynomial("h1^2*h2 - 3*e12*e21 + 5", 8, sl3.labels)
     q = parse_polynomial("1/3*h1^3*e32 - 7/2*e21 + 2/7", 8, sl3.labels)
-    zero = Polynomial.zero(8)
+    zero = Polynomial(8)
     point = [F(1, 2), F(-2), F(3, 2), F(0), F(2), F(0), F(0), F(-5, 4)]
     values = _generated_monitors(sl3, [p, q, zero])(*map(float, point))
     assert values[0] == float(p.evaluate(point))
@@ -190,7 +190,7 @@ def test_integrate_is_bit_identical_to_reference(
 def test_monitor_with_thousands_of_terms(sl3):
     # (h1 + h2 + e12 + ... + e32)^8 has C(15, 7) = 6,435 terms, beyond the
     # ~3,000 at which one long `+` expression overflows CPython's compiler
-    linear = sum((Polynomial.variable(i, 8) for i in range(8)), Polynomial.zero(8))
+    linear = sum((Polynomial.variable(i, 8) for i in range(8)), Polynomial(8))
     big = linear.power(8)
     assert len(big.terms) == 6435
     problem = FlowProblem(

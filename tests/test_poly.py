@@ -51,32 +51,21 @@ def poly_strategy(dim=3, max_degree=3):
 def test_monomial_construction_sorts_and_drops_zeros():
     m = Monomial(((2, 1), (0, 2), (1, 0)))
     assert m.exps == ((0, 2), (2, 1))
-    assert m.degree() == 3
-    assert Monomial.one().is_one()
     with pytest.raises(ValueError):
         Monomial(((0, 1), (0, 1)))
-    assert Monomial.variable(0) * Monomial.variable(0) == Monomial(((0, 2),))
-
-
-def test_monomial_graded_lex_order():
-    # Degree dominates; ties broken lexicographically on dense exponents.
-    x2 = Monomial(((0, 2),))
-    xy = Monomial(((0, 1), (1, 1)))
-    y = Monomial(((1, 1),))
-    keys = [m.sort_key(2) for m in (x2, xy, y)]
-    assert keys[0] > keys[1] > keys[2]
 
 
 def test_leading_monomial_prefers_graded_lex_maximum():
-    p = Polynomial.term(3, Fraction(3), [(1, 1), (2, 1)]) + Polynomial.term(
-        3, Fraction(1), [(0, 2)]
+    p = Polynomial(3, {Monomial([(1, 1), (2, 1)]): 3}) + Polynomial(
+        3, {Monomial([(0, 2)]): 1}
     )
-    assert p.leading_monomial().exps == ((0, 2),)
-    assert p.monic().leading_coefficient() == 1
+    assert poly.unpack(max(p.num), 3) == ((0, 2),)
+    q = p.monic()
+    assert q.num[max(q.num)] == q.den == 1
 
 
 def test_zero_polynomial_degree_is_none():
-    assert Polynomial.zero(4).degree is None
+    assert Polynomial(4).degree is None
     assert Polynomial.one(4).degree == 0
     assert Polynomial.variable(2, 4).degree == 1
 
@@ -93,7 +82,7 @@ def test_known_product():
 def test_scaling_takes_exact_rationals_only():
     x = Polynomial.variable(0, 2)
     assert x.scale("1/2") == x * Fraction(1, 2) == Fraction(1, 2) * x
-    assert x.scale(0) == x * 0 == x - x == Polynomial.zero(2)
+    assert x.scale(0) == x * 0 == x - x == Polynomial(2)
     assert -x == x.scale(-1) and (-x).den == 1
     for value in (0.0, 1.5):
         with pytest.raises(TypeError):
@@ -119,9 +108,9 @@ def test_homogeneous_components():
     p = parse_polynomial("x1^2 + x1*x2 + x2 + 7", 2)
     comps = p.homogeneous_components()
     assert sorted(comps) == [0, 2] or sorted(comps) == [0, 1, 2]
-    total = Polynomial.zero(2)
-    for q in comps.values():
-        assert q.is_homogeneous()
+    total = Polynomial(2)
+    for d, q in comps.items():
+        assert all(sum(m.dense(2)) == d for m in q.terms)
         total = total + q
     assert total == p
 
@@ -148,11 +137,11 @@ def test_shift_coefficients_taylor_identity():
         coeffs = p.shift_coefficients(mu)
         deg = p.degree if p.degree is not None else 0
         for j in range(deg + 1):
-            c_j = coeffs.get(j, Polynomial.zero(3))
-            directional = Polynomial.zero(3)
+            c_j = coeffs.get(j, Polynomial(3))
+            directional = Polynomial(3)
             for i, m in enumerate(mu):
                 directional = directional + c_j.partial_derivative(i).scale(m)
-            c_next = coeffs.get(j + 1, Polynomial.zero(3))
+            c_next = coeffs.get(j + 1, Polynomial(3))
             assert c_next.scale(Fraction(j + 1)) == directional
 
 
@@ -199,9 +188,11 @@ def test_json_exponents_must_be_integers_in_an_object(exps):
 def _reference_render(p, labels):
     """The text form read off Fraction coefficients."""
     chunks = []
-    for mono, coeff in p.sorted_terms():
+    for key in sorted(p.num, reverse=True):
+        coeff = Fraction(p.num[key], p.den)
         sign, mag = ("-" if coeff < 0 else "+"), abs(coeff)
-        factors = [labels[v] + (f"^{e}" if e > 1 else "") for v, e in mono.exps]
+        exps = poly.unpack(key, p.dim)
+        factors = [labels[v] + (f"^{e}" if e > 1 else "") for v, e in exps]
         body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
         chunks.append(f" {sign} {body}" if chunks else body if sign == "+" else "-" + body)
     return "".join(chunks) or "0"
@@ -215,7 +206,7 @@ def test_render_builds_no_fraction(fraction_count):
     rng = random.Random(19)
     labels = ["h1", "h2", "e12", "e21"]
     polys = [from_reference(random_reference(rng, 4), 4) for _ in range(200)]
-    polys += [Polynomial.zero(4), Polynomial.constant(Fraction(-5, 6), 4)]
+    polys += [Polynomial(4), Polynomial.constant(Fraction(-5, 6), 4)]
     want = [_reference_render(p, labels) for p in polys]
     before = fraction_count()
     got = [render_polynomial(p, labels) for p in polys]
@@ -336,7 +327,8 @@ def test_packed_core_matches_reference_arithmetic(dim, seed):
     assert a * b == b * a and hash(a * b) == hash(b * a)
     for var in {rng.randrange(dim) for _ in range(3)}:
         assert to_reference(a.partial_derivative(var)) == ref_partial(ra, var)
-    assert [m.dense(dim) for m, _ in (a * b).sorted_terms()] == ref_graded_lex(
+    keys = sorted((a * b).num, reverse=True)
+    assert [Monomial(poly.unpack(k, dim)).dense(dim) for k in keys] == ref_graded_lex(
         ref_mul(ra, rb)
     )
 
@@ -356,10 +348,10 @@ def test_substitute_linear_matches_reference(dim, target_dim, seed):
 
 def test_packed_degree_cap_raises_instead_of_wrapping():
     x = Polynomial.variable(0, 2)
-    top = Polynomial.term(2, 1, [(0, 40000)])
-    assert (top * Polynomial.term(2, 1, [(1, 25535)])).degree == 65535
+    top = Polynomial(2, {Monomial([(0, 40000)]): 1})
+    assert (top * Polynomial(2, {Monomial([(1, 25535)]): 1})).degree == 65535
     with pytest.raises(ValueError):
-        top * Polynomial.term(2, 1, [(0, 25536)])
+        top * Polynomial(2, {Monomial([(0, 25536)]): 1})
     with pytest.raises(ValueError):
         x.power(1 << 16)
     with pytest.raises(ValueError):
