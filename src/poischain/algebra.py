@@ -28,7 +28,8 @@ T = TypeVar("T")
 
 
 class ConfigurationError(ValueError):
-    """Raised when an operation needs data the algebra does not carry."""
+    """Invalid input: data an operation cannot work with, or work over a
+    stated budget.  The command line prints one error line and exits 3."""
 
 
 @dataclass(eq=False)
@@ -294,10 +295,12 @@ class BilinearForm:
     @cached_property
     def inverse(self) -> list[tuple[linalg.Row, int]]:
         """Row j of B^-1 as (integer entries, positive denominator)."""
-        return [
-            ({i: self.den * v for i, v in row.items()}, d)
-            for row, d in linalg.matrix_inverse(self.rows)
-        ]
+        try:
+            inverse = linalg.matrix_inverse(self.rows)
+        except ValueError:
+            raise ConfigurationError("the Killing form is degenerate "
+                                     "(the algebra is not semisimple)") from None
+        return [({i: self.den * v for i, v in row.items()}, d) for row, d in inverse]
 
 
 def killing_form(alg: LieAlgebra) -> BilinearForm:
@@ -382,7 +385,7 @@ def builtin_sl(n: int) -> LieAlgebra:
     has at most two entries, so each commutator takes a constant number of
     products."""
     if n < 2:
-        raise ValueError("sl(n) needs n >= 2")
+        raise ConfigurationError("sl(n) needs n >= 2")
     mats, labels = _sl_matrix_basis(n)
     dim = n * n - 1
     structure: dict[tuple[int, int, int], Fraction] = {}

@@ -151,7 +151,7 @@ def trace_casimirs(alg: LieAlgebra, max_k: int | None = None) -> CasimirSet:
     if max_k is None:
         max_k = n
     if not 2 <= max_k <= n:
-        raise ValueError("trace exponent cap must lie in 2..n")
+        raise ConfigurationError("trace exponent cap must lie in 2..n")
     images = _linear_forms(alg.dim, killing_form(alg).inverse)
     powers = [None, _symbolic_sl_matrix(n, images)]  # powers[j] = X^j
     while len(powers) <= (max_k + 1) // 2:
@@ -344,7 +344,8 @@ def mf_rank_check(mf: MFAlgebra, seed: int = DEFAULT_SEED) -> MFRankReport:
     rank_g = alg.rank(seed=seed)
     b_g, rem = divmod(alg.dim + rank_g, 2)
     if rem:
-        raise ValueError("dim + rank is odd; not a valid bracket geometry")
+        raise ConfigurationError(f"dim {alg.dim} + flagged Cartan rank {rank_g} "
+                                 "is odd; not a valid bracket geometry")
     jac = generic_jacobian_rank(mf.polys(), alg.dim, seed=seed)
     relations = None
     if mf.generators:

@@ -37,7 +37,7 @@ from .poly import Polynomial, brackets, render_polynomial
 from .sampling import DEFAULT_SEED, generic_jacobian_rank
 
 
-class ChainFormationError(ValueError):
+class ChainFormationError(ConfigurationError):
     """The candidate base is not contained in the intermediate algebra."""
 
     def __init__(self, message: str, witness: str | None = None) -> None:
@@ -173,16 +173,19 @@ def verify_chain(spec: ChainSpec, seed: int = DEFAULT_SEED) -> ChainReport:
     rank_g = alg.rank(seed=seed)
     identity = trdeg_int + trdeg_base == alg.dim
     notes: list[str] = []
-    if centrality.passed and identity:
+    # a nonzero bracket is an exact witness at any cap
+    if not centrality.passed:
+        verdict = "not_superintegrable"
+    elif identity:
         verdict = "superintegrable"
-    elif not identity and trdeg_int != alg.dim - d_a:
+    elif trdeg_int != alg.dim - d_a:
         verdict = "inconclusive"
         notes.append(
             f"intermediate rank {trdeg_int} is below the orbit-complement "
             f"prediction {alg.dim - d_a}; the degree cap "
             f"{spec.intermediate.max_degree} may truncate the generators"
         )
-    elif centrality.passed and spec.base_kind == "casimirs" and trdeg_base < rank_g:
+    elif spec.base_kind == "casimirs" and trdeg_base < rank_g:
         verdict = "inconclusive"
         notes.append(
             f"base rank {trdeg_base} is below the rank {rank_g} of the algebra; "

@@ -64,7 +64,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import linalg
-from .algebra import LieAlgebra, SubalgebraSpec, Vector, vector_row
+from .algebra import ConfigurationError, LieAlgebra, SubalgebraSpec, Vector, vector_row
 from .poly import (
     Monomial,
     Polynomial,
@@ -88,8 +88,8 @@ T = TypeVar("T")
 COLUMN_BUDGET = 20_000
 
 
-class BudgetExceededError(RuntimeError):
-    """A combinatorial budget (columns, products) was exceeded."""
+class BudgetExceededError(ConfigurationError):
+    """A combinatorial budget (columns, census, instances) was exceeded."""
 
     def __init__(self, message: str, degree: int | None = None) -> None:
         super().__init__(message)
@@ -792,7 +792,8 @@ def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
     """
     weights = gens.degrees()
     if weights and max_total_degree < max(weights):
-        raise ValueError("budget below the largest generator degree")
+        raise ConfigurationError(f"weighted-degree budget {max_total_degree} is "
+                                 f"below the largest generator degree {max(weights)}")
     nformal = len(gens.generators)
     found = RelationSet(
         generator_labels=gens.labels(),

@@ -27,6 +27,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from typing import Sequence
 
 from .algebra import (
+    ConfigurationError,
     LieAlgebra,
     builtin_sl,
     cartan_subalgebra,
@@ -175,7 +176,7 @@ def enumerate_cycle_generators(n: int) -> GeneratorSet:
     counted, sum_k perm(n, k)/k, before any is built, so an over-budget n
     fails at once."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ConfigurationError("need n >= 2")
     count = sum(math.perm(n, k) // k for k in range(2, n + 1))
     if count > CENSUS_BUDGET:
         raise BudgetExceededError(
@@ -352,7 +353,7 @@ def relation_families_check(n: int) -> RelationFamiliesReport:
     per length k, fewer than those tuples, so the one count bounds it too.
     """
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ConfigurationError("need n >= 2")
     if sum(math.perm(n, k) for k in range(2, n + 1)) > FAMILY_BUDGET:
         raise BudgetExceededError(f"family (i) exceeded {FAMILY_BUDGET} instances")
     # the product of every two-cycle, the left side of (ii) and base of (iii),
@@ -403,34 +404,56 @@ def _balanced_keys(alg: LieAlgebra, k_max: int) -> list[list[int]]:
     off-diagonal coordinates in order, keeping each vertex's out- minus
     in-degree.  A branch ends when a vertex with a defect has no edge left,
     or when the positive defects add up to more than the degree left (an
-    edge lowers that sum by at most one).  Cartan monomials fill the rest."""
-    _check_degree(k_max)
+    edge lowers that sum by at most one).  Cartan monomials fill the rest.
+
+    The open prefixes are one explicit stack.  Each balanced monomial of
+    degree d the walk lists counts its comb(c + k_max - d, c) fills by the c
+    Cartan coordinates against CENSUS_BUDGET, the monomial 1 first, so a
+    large k_max fails at once; any k_max within budget is below 900, far
+    inside a key's degree field."""
     edges = _coordinate_edges(alg)
     keys = variable_keys(alg.dim)
+    cartan = [keys[v] for v, e in enumerate(edges) if e is None]
     walk = [(keys[v], *e) for v, e in enumerate(edges) if e is not None]
     # last[v]: the last walk position with an edge at vertex v
     last = {v: p for p, (_, i, j) in enumerate(walk) for v in (i, j)}
     defect = dict.fromkeys(last, 0)
     off: list[list[int]] = [[] for _ in range(k_max + 1)]
+    # open prefixes: [next position, last position, degree, key, positive]
+    frames: list[list[int]] = []
+    listed = 0
 
-    def visit(start: int, degree: int, key: int, positive: int) -> None:
+    def push(start: int, degree: int, key: int, positive: int) -> None:
+        nonlocal listed
         if not positive:
+            listed += math.comb(len(cartan) + k_max - degree, len(cartan))
+            if listed > CENSUS_BUDGET:
+                raise BudgetExceededError(f"the {alg.name} oracle through degree "
+                                          f"{k_max} lists over {CENSUS_BUDGET} monomials")
             off[degree].append(key)
-        if degree == k_max:
-            return
-        stop = min((last[v] for v, d in defect.items() if d), default=len(walk) - 1)
+        stop = -1 if degree == k_max else min(
+            (last[v] for v, d in defect.items() if d), default=len(walk) - 1)
+        frames.append([start, stop, degree, key, positive])
+
+    push(0, 0, 0, 0)
+    while frames:
+        frame = frames[-1]
+        start, stop, degree, key, positive = frame
         for p in range(start, stop + 1):
             x, i, j = walk[p]
-            a, b = defect[i], defect[j]
-            step = (a >= 0) - (b > 0)
-            if positive + step > k_max - degree - 1:
-                continue
-            defect[i], defect[j] = a + 1, b - 1
-            visit(p, degree + 1, key + x, positive + step)
-            defect[i], defect[j] = a, b
+            step = (defect[i] >= 0) - (defect[j] > 0)
+            if positive + step < k_max - degree:
+                break
+        else:
+            frames.pop()
+            if frames:  # undo the edge that opened this prefix
+                _, i, j = walk[frames[-1][0] - 1]
+                defect[i], defect[j] = defect[i] - 1, defect[j] + 1
+            continue
+        frame[0] = p + 1
+        defect[i], defect[j] = defect[i] + 1, defect[j] - 1
+        push(p, degree + 1, key + x, positive + step)
 
-    visit(0, 0, 0, 0)
-    cartan = [keys[v] for v, e in enumerate(edges) if e is None]
     fill = [list(map(sum, combinations_with_replacement(cartan, d)))
             for d in range(k_max + 1)]
     return [

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from .algebra import LieAlgebra
+from .algebra import ConfigurationError, LieAlgebra
 from .poly import Polynomial, hamiltonian_field, unpack
 
 
@@ -40,13 +40,13 @@ class FlowProblem:
 
     def __post_init__(self) -> None:
         if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
-            raise ValueError("time horizon and step must be positive and finite")
+            raise ConfigurationError("time horizon and step must be positive and finite")
         if not math.isfinite(self.t_final / self.dt):
-            raise ValueError("time horizon / step must be a finite number of steps")
+            raise ConfigurationError("time horizon / step must be a finite number of steps")
         if len(self.x0) != self.algebra.dim:
-            raise ValueError("initial point has the wrong dimension")
+            raise ConfigurationError("initial point has the wrong dimension")
         if not all(math.isfinite(v) for v in self.x0):
-            raise ValueError("initial point is not finite")
+            raise ConfigurationError("initial point is not finite")
 
 
 @dataclass

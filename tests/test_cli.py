@@ -7,10 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 from poischain import builtin_sl, cli, cycles, dump_json
+from poischain.algebra import ConfigurationError
+from poischain.chains import ChainFormationError
 from poischain.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
@@ -20,6 +23,7 @@ from poischain.cli import (
     main,
     parse_cli,
 )
+from poischain.commutant import BudgetExceededError
 
 from helpers import rescaled_sl_json
 
@@ -250,6 +254,25 @@ def test_chain_verify_explicit_base_file(tmp_path):
         ]
     )
     assert code == EXIT_NEGATIVE  # p12 is not central in the torus commutant
+
+
+def test_chain_verify_noncentral_base_under_cap_is_negative(tmp_path):
+    """A nonzero bracket is an exact witness at any cap: the base e12*e21 is
+    not central in the torus commutant, although the cap also leaves the
+    intermediate rank short of its orbit-complement bound."""
+    base = tmp_path / "base.json"
+    base.write_text(dump_json({"generators": [{"label": "b1", "poly": "e12*e21"}]}))
+    out = tmp_path / "chain.json"
+    code = run(["chain", "verify", "--algebra", "sl3", "--subalgebra", "cartan",
+                "--base", f"file:{base}", "--max-degree", "2", "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert code == EXIT_NEGATIVE
+    assert rep["verdict"] == "not_superintegrable"
+    assert (rep["trdeg_intermediate"], rep["d_A"]) == (5, 2)  # short of 8 - 2
+    assert rep["centrality"]["failures"] == [
+        {"base": "b1", "bracket": "e12*e23*e31 - e13*e21*e32", "intermediate": "q2_2"},
+        {"base": "b1", "bracket": "-e12*e23*e31 + e13*e21*e32", "intermediate": "q2_3"},
+    ]
 
 
 def test_casimirs_both_routes(capsys, tmp_path):
@@ -816,6 +839,92 @@ def test_malformed_input_exits_three_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "error:" in err and "Traceback" not in err
+
+
+# well-formed algebra files outside the supported (semisimple, consistently
+# flagged) inputs: the Killing form of the first two is degenerate, and the
+# third flags two Cartan indices, so dim + rank is odd
+_UNSUPPORTED_ALGEBRAS = {
+    "heisenberg": {"name": "heisenberg", "dim": 3, "labels": ["p", "q", "z"],
+                   "structure": [{"i": 0, "j": 1, "k": 2, "c": "1"}],
+                   "cartan_indices": [2]},
+    "abelian2": {"name": "abelian2", "dim": 2, "labels": ["a", "b"], "structure": []},
+    "sl2-two-cartan": _SL2_JSON | {"cartan_indices": [0, 1]},
+}
+_UNSUPPORTED_COMMANDS = {
+    "algebra-check": "algebra check",
+    "commutant-closure": "commutant --subalgebra full --closure",
+    "casimirs-kernel": "casimirs",
+    "casimirs-both": "casimirs --method both",
+    "mf": "mf --shift {shift}",
+    "mf-subalgebra": "mf --shift {shift} --subalgebra full",
+    "chain-casimirs": "chain verify --subalgebra full --base casimirs",
+    "chain-moment-map": "chain verify --subalgebra full --base moment-map",
+    "chain-mf": "chain verify --subalgebra full --base mf:{shift}",
+    "flow-torus": "flow --hamiltonian {h} --x0 {x0} --t 1 --dt 0.1 --monitor auto:torus",
+    "flow-casimirs": "flow --hamiltonian {h} --x0 {x0} --t 1 --dt 0.1 --monitor auto:casimirs",
+}
+
+
+@pytest.mark.parametrize(
+    "algebra, template",
+    [
+        *(pytest.param(name, template, id=f"{name}-{command}")
+          for name in _UNSUPPORTED_ALGEBRAS
+          for command, template in _UNSUPPORTED_COMMANDS.items()),
+        pytest.param(None, "cycles --n 3 --check oracle --max-degree 1000",
+                     id="cycles-oracle-degree-1000"),
+        pytest.param(None, "cycles --n 3 --check oracle --max-degree 70000",
+                     id="cycles-oracle-degree-70000"),
+    ],
+)
+def test_unsupported_input_gives_a_result_or_one_error_line(tmp_path, capsys,
+                                                           algebra, template):
+    argv = template.split()
+    if algebra is not None:
+        data = _UNSUPPORTED_ALGEBRAS[algebra]
+        dim = data["dim"]
+        fields = {"shift": ",".join(["1"] + ["0"] * (dim - 1)),
+                  "x0": ",".join(["1"] * dim), "h": data["labels"][0]}
+        path = tmp_path / f"{algebra}.json"
+        path.write_text(json.dumps(data))
+        argv = template.format(**fields).split() + ["--algebra", str(path)]
+    code = run(argv + ["--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if algebra is None:
+        assert code == EXIT_INPUT
+    if code == EXIT_INPUT:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE) and err == ""
+
+
+def test_invalid_input_errors_share_one_type(capsys):
+    assert issubclass(ChainFormationError, ConfigurationError)
+    assert issubclass(BudgetExceededError, ConfigurationError)
+    assert run(["commutant", "--algebra", "sl3", "--subalgebra", "cartan",
+                "--relations-degree", "2"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: weighted-degree budget 2 is below the largest generator degree 3\n")
+
+
+def test_bad_flow_step_fails_before_the_monitors_are_generated(monkeypatch, capsys):
+    """The sl(12) Casimir kernel would take hours; the step is checked first."""
+
+    def no_work(*args):
+        raise AssertionError("the monitors were generated before the step was checked")
+
+    monkeypatch.setattr(cli, "casimirs_by_kernel", no_work)
+    start = time.perf_counter()
+    code = run(["flow", "--algebra", "sl12", "--hamiltonian", "h1",
+                "--x0", ",".join(["1"] * 143), "--t", "1", "--dt", "-1",
+                "--monitor", "auto:casimirs"])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: time horizon and step must be positive and finite\n")
 
 
 _MINIMAL_ARGV = {
