@@ -226,16 +226,8 @@ class ValidationReport:
 def validate_algebra(alg: LieAlgebra) -> ValidationReport:
     """Antisymmetry (by storage convention), the Jacobi identity checked on
     every basis triple, and nondegeneracy of the Killing form."""
-    checks = []
-
-    checks.append(
-        CheckResult(
-            "antisymmetry",
-            True,
-            "structure stored for i < j only; [X_i, X_i] = 0 by convention",
-        )
-    )
-
+    checks = [CheckResult("antisymmetry", True,
+                          "structure stored for i < j only; [X_i, X_i] = 0 by convention")]
     witness = _jacobi_witness(alg)
     if witness is None:
         jacobi = CheckResult("jacobi", True, "holds on all basis triples")

@@ -3,15 +3,12 @@
 Casimirs come from two independent constructions that are cross-checked in
 the test suite: the kernel route (invariants of the full algebra, degree by
 degree) and, for sl(n), power traces of a symbolic matrix transported to dual
-coordinates through the Killing form.  The trace route transports first and
-multiplies second: the substitution of dual coordinates is a ring
-homomorphism, so the power traces of the transported matrix are exactly the
-transported power traces, and only linear forms are ever substituted.
-Shifting a Casimir's argument along a fixed direction and collecting
-coefficients of the shift parameter produces a Poisson-commutative family
-whose independent count reaches (dim + rank)/2 exactly when the direction is
-regular.  Its commutativity is decided by exact pairwise brackets from
-poly.brackets, one Hamiltonian field per left element.
+coordinates through the Killing form (trace_casimirs).  Shifting a
+Casimir's argument along a fixed direction and collecting coefficients of
+the shift parameter produces a Poisson-commutative family whose independent
+count reaches (dim + rank)/2 exactly when the direction is regular.  Its
+commutativity is decided by exact pairwise brackets from poly.brackets, one
+Hamiltonian field per left element.
 """
 
 from __future__ import annotations

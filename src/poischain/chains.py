@@ -2,13 +2,12 @@
 
 A chain is superintegrable when the base sits in the Poisson center of the
 intermediate algebra and the two transcendence degrees add up to the
-dimension of the Lie algebra.  Both conditions are decided exactly: bracket
-centrality by the Lie-Poisson brackets of poly.brackets (one Hamiltonian field
-per base generator), transcendence degrees as generic Jacobian ranks over
-seeded integer points.  Because generator sets are computed up to a degree
-cap, a failed dimension identity with an intermediate rank below the
-orbit-complement prediction is reported as inconclusive rather than negative,
-and so is a central Casimir base whose rank falls short of the algebra's.
+dimension of the Lie algebra.  Centrality is decided exactly (base_center_check),
+transcendence degrees exactly or as generic Jacobian ranks (trdeg).  Because
+generator sets are computed up to a degree cap, a failed dimension identity
+with an intermediate rank below the orbit-complement prediction is reported
+as inconclusive rather than negative, and so is a central Casimir base whose
+rank falls short of the algebra's.
 """
 
 from __future__ import annotations
@@ -23,17 +22,21 @@ from .algebra import (
     LieAlgebra,
     SubalgebraSpec,
     cartan_subalgebra,
+    full_subalgebra,
     orbit_dimension,
 )
 from .casimir_mf import casimirs_by_kernel, mf_generators
 from .commutant import (
     Generator,
     GeneratorSet,
+    _single_terms,
     generate,
+    is_invariant,
     membership,
     poisson_center_basis,
 )
-from .poly import Polynomial, brackets, render_polynomial
+from .linalg import rank_of_rows
+from .poly import Polynomial, brackets, render_polynomial, unpack
 from .sampling import DEFAULT_SEED, generic_jacobian_rank
 
 
@@ -46,11 +49,16 @@ class ChainFormationError(ConfigurationError):
 
 
 def trdeg(gens: GeneratorSet, seed: int = DEFAULT_SEED) -> int:
-    """Transcendence degree of the generated algebra: generic Jacobian rank.
-
-    Maximum over the seeded sample points; a certified lower bound that is
+    """Transcendence degree of the generated algebra.  For single-term
+    generators c*x^a it is exact, the rank of the exponent matrix: monomials
+    are algebraically independent exactly when their exponent vectors are
+    linearly independent.  Other sets get the generic Jacobian rank, the
+    maximum over the seeded sample points: a certified lower bound that is
     generically exact.
     """
+    terms = _single_terms(gens.generators)
+    if terms is not None:
+        return rank_of_rows(dict(unpack(k, gens.algebra.dim)) for k, _, _ in terms)
     return generic_jacobian_rank(gens.polys(), gens.algebra.dim, seed=seed)
 
 
@@ -84,9 +92,14 @@ class CentralityReport:
 
 
 def base_center_check(spec: ChainSpec) -> CentralityReport:
-    """Exact brackets of every base generator against every intermediate one."""
+    """Exact brackets of every base generator against every intermediate one,
+    except that a base generator the full algebra leaves invariant
+    (is_invariant, which takes the Jacobi identity) is central in all of
+    S(g), so a Casimir base builds no Hamiltonian field."""
     alg = spec.algebra
-    pairs = list(product(spec.base.generators, spec.intermediate.generators))
+    full = full_subalgebra(alg)
+    others = [b for b in spec.base.generators if not is_invariant(alg, full, b.poly)]
+    pairs = list(product(others, spec.intermediate.generators))
     values = brackets(((b.poly, a.poly) for b, a in pairs), alg)
     failures = [
         {
@@ -97,7 +110,7 @@ def base_center_check(spec: ChainSpec) -> CentralityReport:
         for (b, a), br in zip(pairs, values)
         if not br.is_zero()
     ]
-    return CentralityReport(pair_count=len(pairs), failures=failures)
+    return CentralityReport(len(spec.base) * len(spec.intermediate), failures)
 
 
 @dataclass

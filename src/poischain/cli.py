@@ -451,10 +451,13 @@ def cmd_chain_verify(ns: argparse.Namespace) -> int:
 
 def cmd_cycles(ns: argparse.Namespace) -> int:
     _check_sl_size(ns.n)
-    # the relation check and the census count their instances before any
-    # work, so an over-budget n fails at once
+    # over-budget input fails before any output: the relation check and the
+    # census count their instances first, and the oracle runs before the census
     families = (cycles.relation_families_check(ns.n)
                 if ns.check in ("relations", "all") else None)
+    cycles.check_census_budget(ns.n)
+    oracle = (cycles.oracle_cross_check(ns.n, ns.max_degree)
+              if ns.check in ("oracle", "all") else None)
     census = cycles.enumerate_cycle_generators(ns.n)
     payload: dict = {"n": ns.n, "generators": census.to_json()}
     _say(f"{len(census)} generators for sl({ns.n})")
@@ -465,8 +468,7 @@ def cmd_cycles(ns: argparse.Namespace) -> int:
              + ("pass" if families.all_passed else "FAIL"))
         if not families.all_passed:
             code = EXIT_NEGATIVE
-    if ns.check in ("oracle", "all"):
-        oracle = cycles.oracle_cross_check(ns.n, ns.max_degree)
+    if oracle is not None:
         payload["oracle"] = oracle.to_json()
         _say("kernel-vs-balance oracle: "
              + ("pass" if oracle.all_equal else "FAIL"))

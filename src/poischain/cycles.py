@@ -8,14 +8,10 @@ independent combinatorial route to the same invariant algebra that the
 kernel pipeline computes, used as a cross-check oracle, plus the classical
 relation families among cycle generators.
 
-Where each h_i and x_ij sits among the coordinates is read off the basis
-matrices of algebra.builtin_sl (_sl_matrix_basis): the edge of a coordinate
-and the monomial of a cycle both come from those matrices.
-
 Cycle monomials and their identities all have coefficient one, so they are
-handled as packed keys (poly): a cycle is the sum of its edges' keys and the
-relation families compare key sums.  The oracle lists the balanced monomials
-by its own depth-first walk over the off-diagonal coordinates (_balanced_keys).
+handled as packed keys (poly): a cycle is the sum of its edges' keys, each
+edge read off the basis matrices of algebra.builtin_sl (_coordinate_edges),
+and the relation families compare key sums.
 """
 
 from __future__ import annotations
@@ -170,11 +166,9 @@ def all_cycles(n: int, length: int) -> list[CycleMonomial]:
     return found
 
 
-def enumerate_cycle_generators(n: int) -> GeneratorSet:
-    """The closed-form torus-invariant generators of sl(n): the simple-root
-    coordinates plus every cycle monomial of length 2..n.  The cycles are
-    counted, sum_k perm(n, k)/k, before any is built, so an over-budget n
-    fails at once."""
+def check_census_budget(n: int) -> None:
+    """Raise unless the sl(n) cycle census, sum_k perm(n, k)/k cycles of
+    length k = 2..n, is within CENSUS_BUDGET: a count, with no cycle built."""
     if n < 2:
         raise ConfigurationError("need n >= 2")
     count = sum(math.perm(n, k) // k for k in range(2, n + 1))
@@ -182,6 +176,13 @@ def enumerate_cycle_generators(n: int) -> GeneratorSet:
         raise BudgetExceededError(
             f"the sl({n}) cycle census has {count} cycles, above {CENSUS_BUDGET}"
         )
+
+
+def enumerate_cycle_generators(n: int) -> GeneratorSet:
+    """The closed-form torus-invariant generators of sl(n): the simple-root
+    coordinates plus every cycle monomial of length 2..n, after
+    check_census_budget, so an over-budget n fails at once."""
+    check_census_budget(n)
     alg = builtin_sl(n)
     gens: list[Generator] = []
     for i in alg.cartan_indices:

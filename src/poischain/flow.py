@@ -1,14 +1,11 @@
 """Floating-point integration of Lie-Poisson flows as a conservation check.
 
 The vector field of a Hamiltonian H has exact components {H, x_k}, computed
-once in rational arithmetic.  `integrate` compiles Python source for the
-whole classical Runge-Kutta loop.  Step 0 is the initial point, and each
-later step runs the four field stages and the update, unrolled over the
-coordinates; every step then evaluates H and the monitored invariants once,
-tests finiteness and tracks the drifts.  Coefficients are float reprs, so
-the floats are those of term-by-term evaluation.  The maximal drift of each
-monitor from its initial value is reported; centrality certificates should
-give drifts at the integrator's accuracy floor.
+once in rational arithmetic; `integrate` runs the classical Runge-Kutta loop
+compiled to Python source (_compile_flow), with the floats of term-by-term
+evaluation.  The maximal drift of each monitor from its initial value is
+reported; centrality certificates should give drifts at the integrator's
+accuracy floor.
 """
 
 from __future__ import annotations

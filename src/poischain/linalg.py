@@ -12,12 +12,9 @@ Echelon is the one elimination core: rank_of_rows, nullspace,
 canonical_rref, express_in_rowspace and matrix_inverse all insert rows into
 it.  A rank takes integer rows only: the sampled ranks evaluate theirs at
 integer points (sampling.generic_rank) and algebra.is_regular scales its
-point to integers, so no rational matrix is built for a rank.  A row is
-reduced forward only when it goes in; the one backward pass that makes the
-stored rows mutually reduced runs later, once per batch, and only when a
-caller reads the rows (nullspace's kernel read-off, canonical_rref,
-express_in_rowspace).  Only det_exact eliminates on its own: Echelon keeps its
-rows primitive, which drops the row scales a determinant needs.
+point to integers, so no rational matrix is built for a rank.  Only
+det_exact eliminates on its own: Echelon keeps its rows primitive, which
+drops the row scales a determinant needs.
 """
 
 from __future__ import annotations

@@ -472,6 +472,22 @@ class VectorField:
                     out[m2] = get(m2, 0) + ne * c
         return _make(dim, {k: v for k, v in out.items() if v}, self.den * q.den)
 
+    def monomial_images(self, keys: Iterable[int]) -> dict[int, dict[int, int]]:
+        """The derivative along the field of each monomial key, as numerators
+        over den with zero sums kept, each exponent read off its field of the
+        key; unlike __call__, no degree check (a linear field keeps the degree)."""
+        active = [(W * (self.dim - 1 - j), x_j, component) for j, (x_j, component)
+                  in enumerate(zip(variable_keys(self.dim), self.components)) if component]
+        images: dict[int, dict[int, int]] = {}
+        for key in keys:
+            images[key] = out = {}
+            for shift, x_j, component in active:
+                if e := key >> shift & _MASK:
+                    for m, c in component:
+                        m += key - x_j
+                        out[m] = out.get(m, 0) + e * c
+        return images
+
 
 def brackets(
     pairs: Iterable[tuple[Polynomial, Polynomial]], alg
@@ -492,13 +508,8 @@ def brackets(
 
 
 def lie_poisson_bracket(p: Polynomial, q: Polynomial, alg) -> Polynomial:
-    """Linear Poisson bracket {p, q} induced by the structure constants of alg.
-
-    On coordinates {x_i, x_j} is the linear form with the structure constants
-    of [X_i, X_j]; the bracket extends by the Leibniz rule in each slot.  The
-    one-pair case of `brackets`, which brackets one p against many q with
-    one field.
-    """
+    """Linear Poisson bracket {p, q} induced by the structure constants of
+    alg (hamiltonian_field): the one-pair case of `brackets`."""
     return next(brackets([(p, q)], alg))
 
 

@@ -57,14 +57,10 @@ def generic_rank(
 def generic_jacobian_rank(
     polys: Iterable[Polynomial], dim: int, seed: int = DEFAULT_SEED
 ) -> int:
-    """Generic Jacobian rank of the polynomial family.
-
-    This is the transcendence degree of the generated subalgebra as a
-    certified lower bound (exact integer ranks).  It is short only when
-    every point misses: one point misses with probability at most D/21
-    (Schwartz-Zippel), where D, the degree of a maximal nonzero minor of the
-    Jacobian, is at most the sum of (degree - 1) over its rows.
-    """
+    """Generic Jacobian rank of the polynomial family: the transcendence
+    degree of the generated subalgebra as a certified lower bound, where D,
+    the degree of a maximal nonzero minor of the Jacobian, is at most the
+    sum of (degree - 1) over its rows."""
     polys = list(polys)
     return generic_rank(
         lambda point: gradient_rows(polys, point), min(len(polys), dim), dim, seed

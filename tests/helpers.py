@@ -7,12 +7,14 @@ cycle relation families and balanced monomials, the trace-then-transport
 Casimirs and the field-by-field invariance test.  Oracles the package itself does not need live here too:
 the sl(n) trace form, the Killing-invariance witness, the inverse dual
 transport, the JSON terms of a polynomial and the Eulerian cycle
-decomposition of a balanced monomial."""
+decomposition of a balanced monomial.  The per-polynomial invariant chain
+and a count of zero-weight monomials check the weight-space kernels."""
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
@@ -62,7 +64,10 @@ from poischain.commutant import (
     _canonical_polys,
     _formal_columns,
     _generator_products,
+    _invariance_operators,
     _kernel_of_images,
+    _kernel_of_map,
+    _zero_weight_monomials,
     default_degree_cap,
 )
 from poischain.flow import FlowDivergenceError, FlowResult
@@ -989,3 +994,40 @@ def reference_is_invariant(alg, sub, p: Polynomial) -> bool:
         VectorField(hamiltonian_field(alg.linear_form(vec), alg))(p).is_zero()
         for vec in sub.vectors
     )
+
+
+def zero_weight_counts(weights, kmax: int) -> list[int]:
+    """counts[k], k = 0..kmax: the number of degree-k monomials of weight
+    zero, sum_v e_v * weights[v] = 0, from a tally of the (degree, weight)
+    states of the monomials in the first coordinates, one coordinate at a
+    time, with no monomial listed."""
+    zero = tuple(0 for _ in weights[0]) if weights else ()
+    states = Counter({(0, zero): 1})
+    for wt in weights:
+        grown: Counter = Counter()
+        for (d, w), count in states.items():
+            for e in range(kmax - d + 1):
+                grown[d + e, tuple(a + e * b for a, b in zip(w, wt))] += count
+        states = grown
+    return [states[k, zero] for k in range(kmax + 1)]
+
+
+def reference_invariant_basis(alg, sub, k: int) -> list[Polynomial]:
+    """Reference route for the chain of invariant_basis, the one it took
+    before it ran on integer vectors: the zero-weight monomials as
+    polynomials, cut by one _kernel_of_map per non-diagonal field, each
+    image a polynomial, then normalized by _canonical_polys."""
+    if k == 0:
+        return [Polynomial.one(alg.dim)]
+    ops = _invariance_operators(alg, sub)
+    basis = [
+        Polynomial(alg.dim, {Monomial(unpack(key, alg.dim)): 1})
+        for key in _zero_weight_monomials(ops.weights, k)
+    ]
+    if not ops.others:
+        return basis
+    for _, field in ops.others:
+        if not basis:
+            break
+        basis = _kernel_of_map(basis, field)
+    return _canonical_polys(basis, alg.dim)

@@ -27,9 +27,11 @@ from poischain import (
     trdeg,
     verify_chain,
 )
+from poischain import chains, poly
 from poischain.algebra import ConfigurationError
 from poischain.chains import j_map_components
-from poischain.commutant import Generator, GeneratorSet, default_degree_cap
+from poischain.commutant import Generator, GeneratorSet, _single_terms, default_degree_cap
+from poischain.sampling import generic_jacobian_rank
 
 F = Fraction
 
@@ -47,6 +49,39 @@ def test_trdeg_counts_independent_generators(sl2):
     assert trdeg(gs) == 1
     gs2 = make_gens(sl2, ["h1", "e12*e21"])
     assert trdeg(gs2) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_trdeg_of_a_single_term_set_is_the_exponent_rank(n, monkeypatch):
+    alg = builtin_sl(n)
+    torus = generate(alg, cartan_subalgebra(alg))
+    assert _single_terms(torus.generators) is not None
+    sampled = generic_jacobian_rank(torus.polys(), alg.dim)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-term set was sampled")
+
+    monkeypatch.setattr(chains, "generic_jacobian_rank", refuse)
+    assert trdeg(torus) == sampled == alg.dim - (n - 1)
+
+
+def test_torus_chain_builds_no_hamiltonian_field_of_a_base_element(monkeypatch):
+    """Every Casimir is certified central by is_invariant on the full
+    algebra, so base_center_check brackets none of them."""
+    alg = builtin_sl(4)
+    casimirs = {g.poly for g in casimirs_by_kernel(alg).generators}
+    fields = []
+    original = poly.hamiltonian_field
+
+    def recording(p, alg):
+        fields.append(p)
+        return original(p, alg)
+
+    monkeypatch.setattr(poly, "hamiltonian_field", recording)
+    report = torus_chain(alg)
+    assert report.verdict == "superintegrable" and report.centrality.passed
+    assert report.centrality.pair_count == len(casimirs) * 23
+    assert not casimirs.intersection(fields)
 
 
 def test_default_degree_cap(sl2, sl3, sl4):

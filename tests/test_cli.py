@@ -388,6 +388,20 @@ def test_cycles_census_over_budget_exits_three_at_once(monkeypatch, capsys):
     assert captured.err == "error: the sl(10) cycle census has 1112073 cycles, above 200000\n"
 
 
+def test_cycles_oracle_over_budget_exits_three_before_the_census(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the census was started")
+
+    monkeypatch.setattr(cycles, "enumerate_cycle_generators", refuse)
+    argv = ["cycles", "--n", "7", "--check", "oracle", "--max-degree", "1000"]
+    assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the sl7 oracle through degree 1000 lists over 200000 monomials\n"
+    )
+
+
 def test_flow_with_auto_monitors_and_csv(tmp_path):
     csv_path = tmp_path / "traj.csv"
     out = tmp_path / "flow.json"

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb
 
@@ -16,6 +17,7 @@ from poischain import (
     builtin_sl,
     cartan_subalgebra,
     casimirs_by_kernel,
+    direct_sum,
     enumerate_cycle_generators,
     full_subalgebra,
     generate,
@@ -51,10 +53,12 @@ from helpers import (
     expand_formal,
     full_basis_invariants,
     random_polynomial,
+    reference_invariant_basis,
     reference_is_invariant,
     reference_membership,
     same_span,
     summed_torus_set,
+    zero_weight_counts,
 )
 
 F = Fraction
@@ -771,6 +775,61 @@ def test_zero_weight_monomials_match_filtered_monomial_basis():
             )
         ]
         assert _zero_weight_monomials(weights, k) == expected, (weights, k)
+
+
+# (algebra, subalgebra, top degree) whose zero-weight keys are counted
+ZERO_WEIGHT_CASES = {
+    **{f"sl{n}": (partial(builtin_sl, n), cartan_subalgebra, n) for n in range(2, 7)},
+    "sl2+sl3": (lambda: direct_sum(builtin_sl(2), builtin_sl(3)), cartan_subalgebra, 4),
+    "sl3-torus-line": (partial(builtin_sl, 3), _torus_line, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_WEIGHT_CASES))
+def test_zero_weight_monomials_match_an_independent_count(case):
+    """Through degree n at sl(n), where sl(6) at degree 6 has 12,300 keys:
+    as many keys as the (degree, weight) count gives, distinct, in
+    descending order, each of that degree and of weight zero."""
+    make_alg, make_sub, kmax = ZERO_WEIGHT_CASES[case]
+    alg = make_alg()
+    weights = _invariance_operators(alg, make_sub(alg)).weights
+    counts = zero_weight_counts(weights, kmax)
+    for k in range(1, kmax + 1):
+        keys = _zero_weight_monomials(weights, k)
+        assert len(keys) == counts[k], k
+        assert keys == sorted(set(keys), reverse=True), k
+        for key in keys:
+            exps = unpack(key, alg.dim)
+            assert sum(e for _, e in exps) == k
+            assert not any(sum(e * weights[v][a] for v, e in exps)
+                           for a in range(len(weights[0])))
+    if case == "sl6":
+        assert counts[6] == 12_300
+
+
+# (algebra, subalgebra, degrees) on which the integer-vector chain of
+# invariant_basis is compared with the per-polynomial one
+CHAIN_CASES = {
+    **{f"sl{n}-full": (partial(builtin_sl, n), full_subalgebra, n) for n in range(2, 6)},
+    "sl2+sl3-full": (lambda: direct_sum(builtin_sl(2), builtin_sl(3)), full_subalgebra, 4),
+    **{case: (partial(builtin_sl, 4), partial(_span_of, labels=REDUCED_CASES[case][1]), 4)
+       for case in ("levi-s(gl2+gl2)", "parabolic", "borel")},
+    # no field is diagonal, so _raising_fields keeps every field
+    "sl2-rotated-full": (_sl2_rotated, full_subalgebra, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_integer_vector_chain_matches_the_per_polynomial_chain(case):
+    make_alg, make_sub, kmax = CHAIN_CASES[case]
+    alg = make_alg()
+    sub = make_sub(alg)
+    ops = _invariance_operators(alg, sub)
+    assert ops.others
+    if case == "sl2-rotated-full":
+        assert not any(ops.weights) and len(ops.others) == 3
+    for k in range(kmax + 1):
+        assert invariant_basis(alg, sub, k) == reference_invariant_basis(alg, sub, k), k
 
 
 def test_kernel_pipeline_builds_no_fraction(sl4, fraction_count):
