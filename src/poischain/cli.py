@@ -41,6 +41,7 @@ from .casimir_mf import (
     trace_casimirs,
 )
 from .commutant import (
+    BudgetExceededError,
     GeneratorSet,
     bracket_closure_check,
     generate,
@@ -330,7 +331,14 @@ def cmd_commutant(ns: argparse.Namespace) -> int:
          f"(kernel dims {gens.kernel_dims})")
     if not ns.skip_relations:
         budget = ns.relations_degree or 2 * cap
-        relations = relation_basis(gens, budget)
+        try:
+            relations = relation_basis(gens, budget)
+        except BudgetExceededError as exc:
+            # every degree below exc.degree fits, and no budget may fall
+            # below the largest generator degree
+            fits = exc.degree - 1
+            hint = f"--relations-degree {fits} or " if fits >= max(gens.degrees()) else ""
+            raise ConfigurationError(f"{exc}; rerun with {hint}--skip-relations") from None
         payload["relations"] = relations.to_json()
         _say(f"{len(relations.relations)} relation(s) up to weighted degree {budget}")
     if ns.closure:

@@ -8,38 +8,36 @@ degree-k part.
 An operator that scales every coordinate, x_v -> c_v x_v (a Cartan element
 in a weight basis, as for the built-in sl(n)), has the monomials as
 eigenvectors, so the joint kernel of these diagonal operators is listed
-directly: the degree-k monomials of weight zero.  _zero_weight_monomials
-walks the exponents depth first, pruned by reach tables over the last two
-thirds of the walked coordinates only, so its work follows its output and
-not every weight the walk can make.  The other operators are applied one
-at a time on integer vectors over those monomials (_field_kernel): each
-monomial's image is computed once per operator, a vector's image is an
-integer combination of those, and linalg.nullspace gives the kernel.
-Polynomials are built only for the final reduced echelon basis with
-graded-lex pivots.  When the checks of _raising_fields pass, only the
-raising operators are applied: the n - 1 simple ones for the full sl(n).
+directly: the degree-k monomials of weight zero (_zero_weight_monomials).
+The other operators are applied one at a time on integer vectors over
+those monomials (_field_kernel), and polynomials are built only for the
+final reduced echelon basis with graded-lex pivots.  When the checks of
+_raising_fields pass, only the raising operators are applied: the n - 1
+simple ones for the full sl(n).
 
 Relations, membership and new generators range over the formal generator
-monomials of one weighted degree (a generator weighs its degree), listed by
-one walk, _formal_monomials.  When every generator is a single term c*x^a,
-as the torus generators of the built-in sl(n) are, a formal monomial
-expands to one term, so the relations are binomials (the toric ideal of a
-monomial map; Sturmfels, Groebner Bases and Convex Polytopes, ch. 4), and
-every answer is read off packed keys with no product and no elimination
-(_binomial_kernel, _solve_by_factors, indecomposables).  Other sets take
-products and elimination.  Either route builds each homogeneous component
-of a membership expression as integer numerators over one denominator, with
-no Fraction; with integer spanning vectors, a torus chain builds none.
+monomials of one weighted degree (a generator weighs its degree).  For
+single-term generators c*x^a, as the torus generators of the built-in sl(n)
+are, these are listed level by level (_term_levels), each expanding to one
+term, so the relations are binomials (the toric ideal of a monomial map;
+Sturmfels, Groebner Bases and Convex Polytopes, ch. 4) and every answer is
+read off packed keys with no product and no elimination (_fiber_relations,
+_solve_by_factors, indecomposables).  Other sets take products along one
+walk (_formal_monomials) and elimination.  Either route builds each
+homogeneous component of a membership expression as integer numerators
+over one denominator, with no Fraction; with integer spanning vectors, a
+torus chain builds none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from collections import deque
+from dataclasses import asdict, dataclass, field
+from functools import partial, reduce
 from itertools import combinations, combinations_with_replacement
 from math import lcm
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from operator import and_, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .algebra import ConfigurationError, LieAlgebra, SubalgebraSpec, Vector, vector_row
@@ -59,8 +57,6 @@ from .poly import (
     variable_keys,
 )
 from .sampling import generic_jacobian_rank
-
-T = TypeVar("T")
 
 # formal monomials of one weighted degree that relation_basis expands
 COLUMN_BUDGET = 20_000
@@ -144,12 +140,8 @@ class GeneratorSet:
                 raise ValueError(
                     f"generator degree {degree} is not the degree {poly.degree} of its poly"
                 )
-            gens.append(Generator(
-                poly=poly,
-                degree=degree,
-                label=str(entry.get("label", f"g{len(gens) + 1}")),
-                indecomposable=flag,
-            ))
+            label = str(entry.get("label", f"g{len(gens) + 1}"))
+            gens.append(Generator(poly, degree, label, flag))
         cap = data.get("max_degree")
         dims = data.get("kernel_dims", {})
         return cls(
@@ -173,10 +165,9 @@ def monomial_basis(dim: int, k: int) -> list[Monomial]:
 
 
 def _diagonal_weights(field: Sequence[Polynomial]) -> list[int] | None:
-    """The weights c_v when the field scales every coordinate, x_v -> c_v x_v
-    (as the field of a Cartan element does in a weight basis), scaled to
-    integers by their common denominator, which keeps the zero-weight
-    monomials unchanged; else None."""
+    """The weights c_v when the field scales every coordinate, x_v -> c_v x_v,
+    scaled to integers by their common denominator, which keeps the
+    zero-weight monomials unchanged; else None."""
     den = lcm(*(component.den for component in field))
     weights = []
     for x_v, component in zip(variable_keys(len(field)), field):
@@ -205,9 +196,8 @@ def _zero_weight_monomials(weights: Sequence[tuple[int, ...]], k: int) -> list[i
     monomial in the zero-weight ones.  It takes the first third of them
     unpruned; from there on reach[i] maps every code the coordinates i.. can
     make to the least degree that makes it, and the walk enters only
-    branches that can still end at weight zero within degree k.  Tables over
-    every coordinate would hold every code the walk can make: 2.9 M states
-    for 172,914 keys at sl(7), degree 7.  The keys are sorted once at the end.
+    branches that can still end at weight zero within degree k.  The keys
+    are sorted once at the end.
     """
     keys = variable_keys(len(weights))
     walked = [v for v, wt in enumerate(weights) if any(wt)]
@@ -380,7 +370,7 @@ def _kernel_of_images(
     given as (i, image) pairs in any order.  The rows hold the images'
     integer numerators, so column i is image i times its denominator d_i; a
     kernel vector x of that matrix gives the kernel vector (d_i * x_i) of
-    the map.  Every caller normalizes the span it returns."""
+    the map, to be normalized by the caller."""
     rows: dict[int, linalg.Row] = {}
     dens: dict[int, int] = {}
     for col, img in images:
@@ -415,20 +405,13 @@ def _graded_lex_index(polys: Iterable[Polynomial]) -> tuple[list[int], dict[int,
     return keys, {k: i for i, k in enumerate(keys)}
 
 
-def _canonical_polys(
-    polys: Sequence[Polynomial], dim: int
-) -> list[Polynomial]:
+def _canonical_polys(polys: Sequence[Polynomial], dim: int) -> list[Polynomial]:
     """The reduced echelon basis of the span of the polynomials, with
     graded-lex pivots: equal spans give equal lists."""
     keys, index = _graded_lex_index(polys)
     # a row holds the numerators of one polynomial, which spans the same line
-    reduced = linalg.canonical_rref(
-        {index[k]: v for k, v in p.num.items()} for p in polys
-    )
-    return [
-        _make(dim, {keys[c]: v for c, v in row.items()}, row[min(row)])
-        for row in reduced
-    ]
+    reduced = linalg.canonical_rref({index[k]: v for k, v in p.num.items()} for p in polys)
+    return [_make(dim, {keys[c]: v for c, v in row.items()}, row[min(row)]) for row in reduced]
 
 
 def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polynomial]:
@@ -505,70 +488,57 @@ def _formal_counts(weights: Sequence[int], degree: int) -> list[list[int]]:
 
 
 def _formal_monomials(
-    weights: Sequence[int],
-    degree: int,
-    root: T,
-    extend: Callable[[T, int], T] | None = None,
-) -> Iterator[tuple[int, T]]:
+    weights: Sequence[int], degree: int, polys: Sequence[Polynomial] | None = None
+) -> Iterator[tuple[int, Polynomial | None]]:
     """The formal monomials of weighted degree `degree`, one variable per
-    generator, as (key, value) pairs, depth first over the multisets of
+    generator, as (key, product) pairs, depth first over the multisets of
     generators in generator order.
 
     A key is its prefix's key plus the key of its last variable i, and a
-    value is extend(prefix value, i), from root at the empty prefix (root
-    throughout without extend).  Generator i is entered only when counts[i]
-    (_formal_counts) says generators i.. can still complete the degree; the
-    counts never grow with i, so those i form a range.  The walk is one
-    explicit stack of open prefixes, each with the next generator to try.
+    product is its prefix's product times polys[i] (None without polys).
+    Generator i is entered only when counts[i] (_formal_counts) says
+    generators i.. can still complete the degree; the counts never grow with
+    i, so those i form a range.  The walk is one explicit stack of open
+    prefixes, each with the next generator to try.
     """
     counts = _formal_counts(weights, degree)
     keys = variable_keys(len(weights))
     # stop[t]: generators i.. can make weight t exactly when i < stop[t]
     stop = [sum(1 for row in counts if row[t]) for t in range(degree + 1)]
-
-    def walk() -> Iterator[tuple[int, T]]:
-        if not degree:
-            yield 0, root
-            return
-        frames = [[0, degree, 0, root]]
-        while frames:
-            frame = frames[-1]
-            start, left, key, value = frame
-            for i in range(start, stop[left]):
-                rest = left - weights[i]
-                if rest >= 0 and counts[i][rest]:
-                    break
-            else:
-                frames.pop()
-                continue
-            frame[0] = i + 1
-            child = value if extend is None else extend(value, i)
-            if rest:
-                frames.append([i, rest, key + keys[i], child])
-            else:
-                yield key + keys[i], child
-
-    return walk()
+    if not degree:
+        yield 0, None
+        return
+    frames = [[0, degree, 0, None]]
+    while frames:
+        frame = frames[-1]
+        start, left, key, value = frame
+        for i in range(start, stop[left]):
+            rest = left - weights[i]
+            if rest >= 0 and counts[i][rest]:
+                break
+        else:
+            frames.pop()
+            continue
+        frame[0] = i + 1
+        child = None if polys is None else (polys[i] if value is None else value * polys[i])
+        if rest:
+            frames.append([i, rest, key + keys[i], child])
+        else:
+            yield key + keys[i], child
 
 
 def _formal_columns(weights: Sequence[int], d: int) -> list[int]:
     """The keys of the formal monomials of weighted degree d, graded-lex
     descending: the column order."""
-    return sorted((key for key, _ in _formal_monomials(weights, d, None)), reverse=True)
+    return sorted((key for key, _ in _formal_monomials(weights, d)), reverse=True)
 
 
 def _generator_products(
     gens: Sequence[Generator], degree: int
 ) -> Iterator[tuple[int, Polynomial]]:
     """The (formal key, product) pairs of the generator products of weighted
-    degree `degree`, each generator weighing its degree, from the walk of
-    _formal_monomials: each product is one multiplication of its prefix."""
-    polys = [g.poly for g in gens]
-
-    def extend(prod: Polynomial | None, i: int) -> Polynomial:
-        return polys[i] if prod is None else prod * polys[i]
-
-    return _formal_monomials([g.degree for g in gens], degree, None, extend)
+    degree `degree`, each generator weighing its degree."""
+    return _formal_monomials([g.degree for g in gens], degree, [g.poly for g in gens])
 
 
 def _product_kernel(
@@ -588,58 +558,80 @@ Term = tuple[int, int, int]  # (monomial key, numerator, denominator)
 def _single_terms(gens: Sequence[Generator]) -> list[Term] | None:
     """Each generator as its one term c*x^a, (a, numerator, denominator) of
     c; None unless every generator is a single term."""
-    terms = []
-    for g in gens:
-        if len(g.poly.num) != 1:
-            return None
-        ((key, num),) = g.poly.num.items()
-        terms.append((key, num, g.poly.den))
-    return terms
+    if any(len(g.poly.num) != 1 for g in gens):
+        return None
+    return [(key, num, g.poly.den) for g in gens for key, num in g.poly.num.items()]
 
 
-def _term_products(
-    weights: Sequence[int], terms: Sequence[Term], degree: int
-) -> Iterator[tuple[int, Term]]:
-    """The (formal key, product term) pairs of weighted degree `degree` for
-    single-term generators: a product's monomial key is the sum of its
-    factors' keys, and its numerator and denominator are their products."""
-
-    def extend(prod: Term, i: int) -> Term:
-        key, num, den = terms[i]
-        return prod[0] + key, prod[1] * num, prod[2] * den
-
-    return _formal_monomials(weights, degree, (0, 1, 1), extend)
+# (formal key, product key, numerator, denominator, mask of generators used)
+Entry = tuple[int, int, int, int, int]
 
 
-def _binomial_kernel(
-    weights: Sequence[int], terms: Sequence[Term], degree: int
-) -> tuple[list[int], list[linalg.Row]]:
-    """The formal columns of weighted degree `degree` and a kernel basis of
-    their expansions, for single-term generators.
+def _term_levels(
+    weights: Sequence[int], terms: Sequence[Term], top: int
+) -> Iterator[tuple[int, list[Entry]]]:
+    """(t, level) for t = 1..top: an Entry per formal monomial of weighted
+    degree t of single-term generators.  Level t is, for each generator i,
+    the entries of level t - w_i whose last generator is at most i (a
+    prefix of ends[i] entries: a level is ordered by last generator), each
+    extended by i.  Only the last max(weights) levels are kept."""
+    if any(w < 1 for w in weights):
+        raise ValueError("generator degrees must be positive")
+    fkeys = variable_keys(len(weights))
+    levels = deque([([(0, 0, 1, 1, 0)], [1] * len(weights))], maxlen=max(weights, default=1))
+    for t in range(1, top + 1):
+        level: list[Entry] = []
+        ends = []
+        for i, (w, fkey, (key, num, den)) in enumerate(zip(weights, fkeys, terms)):
+            if w <= t:
+                below, stops = levels[-w]
+                bit = 1 << i
+                level += [(f + fkey, p + key, a * num, b * den, m | bit)
+                          for f, p, a, b, m in below[:stops[i]]]
+            ends.append(len(level))
+        below = None  # only the window keeps levels, none after the top
+        levels.append((level, ends))
+        if t == top:
+            levels.clear()
+        yield t, level
 
-    Columns whose products share a monomial key form rank-one blocks, and
-    every other member j of a block gives the kernel row
-    n_j*d_0*e_0 - n_0*d_j*e_j against its first member 0 (the product of
-    column j is n_j/d_j times the monomial); columns alone in their block
-    meet no kernel vector."""
-    leaves = sorted(
-        _term_products(weights, terms, degree), key=itemgetter(0), reverse=True
-    )
-    heads: dict[int, tuple[int, int, int]] = {}
-    kernel = []
-    for col, (_, (key, num, den)) in enumerate(leaves):
-        head = heads.setdefault(key, (col, num, den))
-        if head[0] != col:
-            col0, num0, den0 = head
-            kernel.append({col0: num * den0, col: -num0 * den})
-    return [key for key, _ in leaves], kernel
+
+def _fiber_relations(level: list[Entry], nformal: int) -> list[Polynomial]:
+    """The new relations of one level, by pivot: members of a fiber (one
+    product key) sharing a generator are joined, and the least formal keys
+    f_1 > ... > f_k of its components give x^f_j - (r_j/r_k)*x^f_k, j < k,
+    r the products' coefficients."""
+    first: dict[int, Entry] = {}
+    fibers: dict[int, list[Entry]] = {}
+    for entry in level:
+        head = first.setdefault(entry[1], entry)
+        if head is not entry:
+            fibers.setdefault(entry[1], [head]).append(entry)
+    rows: dict[int, Polynomial] = {}
+    for members in fibers.values():
+        if reduce(and_, [entry[4] for entry in members]):
+            continue  # a generator common to all: one component
+        parts: list[tuple[int, Entry]] = []  # (mask, least member), masks disjoint
+        for entry in members:
+            mask, least, kept = entry[4], entry, []
+            for part in parts:
+                if part[0] & mask:
+                    mask, least = mask | part[0], min(least, part[1])
+                else:
+                    kept.append(part)
+            parts = [*kept, (mask, least)]
+        free = sorted(least for _, least in parts)
+        fk, _, nk, dk, _ = free[0]
+        for fj, _, nj, dj, _ in free[1:]:
+            p, s = nj * dk, dj * nk  # r_j / r_k = p / s
+            if s < 0:
+                p, s = -p, -s
+            rows[fj] = _make(nformal, {fj: s, fk: -p}, s)
+    return [rows[f] for f in sorted(rows, reverse=True)]
 
 
 def indecomposables(
-    alg: LieAlgebra,
-    k: int,
-    previous: Sequence[Generator],
-    invariant: Sequence[Polynomial],
+    alg: LieAlgebra, k: int, previous: Sequence[Generator], invariant: Sequence[Polynomial]
 ) -> list[Polynomial]:
     """New degree-k generators: a complement of the span of products of
     earlier generators inside the degree-k invariants (invariant, the basis
@@ -650,14 +642,11 @@ def indecomposables(
     inv = list(invariant)
     if not inv:
         return []
-    lower = sorted(
-        (g for g in previous if g.degree < k), key=lambda g: (g.degree, g.label)
-    )
+    lower = sorted((g for g in previous if g.degree < k), key=lambda g: (g.degree, g.label))
     terms = _single_terms(lower)
     if terms is not None and all(len(b.num) == 1 for b in inv):
-        # single terms throughout: a monomial is new unless a product is it
-        products = _term_products([g.degree for g in lower], terms, k)
-        made = {key for _, (key, _, _) in products}
+        (_, level), = deque(_term_levels([g.degree for g in lower], terms, k), maxlen=1)
+        made = {entry[1] for entry in level}
         out = []
         for b in inv:
             (key,) = b.num
@@ -717,13 +706,7 @@ def generate(
         for idx, poly in enumerate(fresh, start=1):
             label = f"{label_prefix}{k}_{idx}" if len(fresh) > 1 else f"{label_prefix}{k}"
             gens.append(Generator(poly=poly, degree=k, label=label))
-    return GeneratorSet(
-        algebra=alg,
-        generators=gens,
-        subalgebra=sub,
-        max_degree=max_degree,
-        kernel_dims=kernel_dims,
-    )
+    return GeneratorSet(alg, gens, sub, max_degree, kernel_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -764,54 +747,52 @@ class RelationSet:
 def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
     """Degreewise basis of the polynomial relations among the generators.
 
-    Right after the degree-bound check comes the Jacobian criterion: when
-    the gradients of the m generators have rank m at one integer point, the
-    list is returned empty, with no columns, products or elimination, so
-    COLUMN_BUDGET does not apply.  This is an exact certificate, not a sampled
-    one.  The rank at a point is a lower bound on the rank over Q(x), which
-    is at most m, so that rank is m; over a field of characteristic zero
-    this is equivalent to algebraic independence (Jacobi), so no relation
-    exists in any degree.
+    After the degree-bound check, the Jacobian criterion is an exact
+    certificate: gradients of the m generators of rank m at one integer
+    point, a lower bound on their rank over Q(x), make them algebraically
+    independent (Jacobi, in characteristic zero), and the list comes back
+    empty with no columns, so COLUMN_BUDGET does not apply.
 
-    Otherwise, a relation of weighted degree d is a linear dependency among
-    the expansions of the formal monomials of weighted degree d.  Their
-    count table (_formal_counts) gives every degree's column count first, so
-    a degree over COLUMN_BUDGET raises BudgetExceededError before any
-    columns or products are built.  Per degree, the kernel comes by
-    elimination over the products (_product_kernel) or, for single-term
-    generators, off the blocks of equal product keys (_binomial_kernel).
-    Multiples of relations found in lower degree are reduced away, so every
-    reported relation is new; it is given in reduced echelon form over the
-    formal monomials, ordered by (total degree, exponents) descending.
+    Otherwise a relation of weighted degree d is a linear dependency among
+    the expansions of the formal monomials of weighted degree d, whose count
+    (_formal_counts) is checked against COLUMN_BUDGET before any product.
+    Per degree, the kernel comes by elimination over the products
+    (_product_kernel), less the multiples of lower relations, in reduced
+    echelon form over the formal monomials, ordered by (total degree,
+    exponents) descending.
+
+    Single-term generators need no elimination (_fiber_relations; Diaconis
+    and Sturmfels, Ann. Statist. 26, 1998; Charalambous, Katsabekis and
+    Thoma, Proc. AMS 135, 2007): binomials within fibers, the formal
+    monomials of one product key, span the kernel.  Members i*a and i*b are
+    joined by a multiple, as lower relations span the kernel of the fiber of
+    a and b; a multiple joins only members sharing its multiplier.  So the
+    multiples span the hyperplane of each component of shared generators,
+    pivots at all but its last member, and new relations join the last ones.
     """
     weights = gens.degrees()
     if weights and max_total_degree < max(weights):
         raise ConfigurationError(f"weighted-degree budget {max_total_degree} is "
                                  f"below the largest generator degree {max(weights)}")
     nformal = len(gens.generators)
-    found = RelationSet(
-        generator_labels=gens.labels(),
-        weights=weights,
-        max_degree=max_total_degree,
-        relations=[],
-    )
+    found = RelationSet(gens.labels(), weights, max_total_degree, [])
     if generic_jacobian_rank(gens.polys(), gens.algebra.dim) == nformal:
         return found
     counts = _formal_counts(weights, max_total_degree)[0]
     for d in range(1, max_total_degree + 1):
         if counts[d] > COLUMN_BUDGET:
-            raise BudgetExceededError(
-                f"{counts[d]} formal monomials at weighted degree {d}", degree=d
-            )
+            msg = f"{counts[d]} formal monomials at weighted degree {d}"
+            raise BudgetExceededError(msg, degree=d)
     relations = found.relations
     terms = _single_terms(gens.generators)
+    if terms is not None:
+        for d, level in _term_levels(weights, terms, max_total_degree):
+            relations += [Relation(d, formal) for formal in _fiber_relations(level, nformal)]
+        return found
     for d in range(1, max_total_degree + 1):
         if not counts[d]:
             continue
-        if terms is None:
-            cols, kernel = _product_kernel(gens.generators, d)
-        else:
-            cols, kernel = _binomial_kernel(weights, terms, d)
+        cols, kernel = _product_kernel(gens.generators, d)
         if not kernel:
             continue
         col_index = {key: i for i, key in enumerate(cols)}
@@ -830,8 +811,7 @@ def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
             if red:
                 old.insert(dict(red))
                 fresh.append(_make(nformal, {cols[ci]: v for ci, v in red.items()}, 1))
-        for formal in _canonical_polys(fresh, nformal):
-            relations.append(Relation(weighted_degree=d, formal=formal))
+        relations += [Relation(d, formal) for formal in _canonical_polys(fresh, nformal)]
     return found
 
 
@@ -862,9 +842,7 @@ def is_invariant(alg: LieAlgebra, sub: SubalgebraSpec, p: Polynomial) -> bool:
     return all(field(p).is_zero() for _, field in ops.others)
 
 
-def membership(
-    p: Polynomial, gens: GeneratorSet, max_total_degree: int
-) -> MembershipResult:
+def membership(p: Polynomial, gens: GeneratorSet, max_total_degree: int) -> MembershipResult:
     """Express p as a polynomial in the generators, weighted degree capped.
 
     The result is an expression in one formal variable per generator, or a
@@ -876,9 +854,8 @@ def membership(
     deg = p.degree
     if deg is not None and deg > max_total_degree:
         return MembershipResult("not_found_up_to_budget")
-    if gens.subalgebra is not None and not is_invariant(
-        gens.algebra, gens.subalgebra, p
-    ):
+    sub = gens.subalgebra
+    if sub is not None and not is_invariant(gens.algebra, sub, p):
         return MembershipResult("not_invariant")
     nformal = len(gens.generators)
     terms = _single_terms(gens.generators)
@@ -903,15 +880,11 @@ def _solve_by_products(
     `degree`, one formal variable per generator, from one exact solve over
     the products in column order; None when there is no solution."""
     # the products in column order, graded-lex descending by formal key
-    products = sorted(
-        _generator_products(gens, degree), key=itemgetter(0), reverse=True
-    )
+    products = sorted(_generator_products(gens, degree), key=itemgetter(0), reverse=True)
     # the rows are numerators, product i times its den, and the target is
     # the component times its den, so sum(a_i * row_i) == scale * target
     # gives the products the coefficients a_i * prod.den / (scale * den)
-    solved = linalg.express_in_rowspace(
-        [prod.num for _, prod in products], component.num
-    )
+    solved = linalg.express_in_rowspace([prod.num for _, prod in products], component.num)
     if solved is None:
         return None
     coeffs, scale = solved
@@ -923,20 +896,21 @@ def _solve_by_products(
 def _solve_by_factors(
     weights: Sequence[int], terms: Sequence[Term], degree: int, component: Polynomial
 ) -> Polynomial | None:
-    """_solve_by_products for single-term generators, with no products and
-    no solve: each term of the component goes to the product of its
-    monomial with the greatest formal key, the column the solve pivots on;
-    None when some term has no such product."""
-    best: dict[int, Term] = {}
-    for formal, (key, num, den) in _term_products(weights, terms, degree):
-        if key in component.num and (key not in best or formal > best[key][0]):
-            best[key] = (formal, num, den)
+    """_solve_by_products for single-term generators, with no product and no
+    solve: each term of the component goes to the formal monomial of
+    greatest key among those of its monomial, the column the solve pivots
+    on; None when some term has none."""
+    best: dict[int, Entry] = {}
+    (_, level), = deque(_term_levels(weights, terms, degree), maxlen=1)
+    for entry in level:
+        if entry[1] in component.num and entry > best.get(entry[1], (0,)):
+            best[entry[1]] = entry
     if len(best) < len(component.num):
         return None
-    scale = lcm(*(num for _, num, _ in best.values()))
+    scale = lcm(*(num for _, _, num, _, _ in best.values()))
     return _make(len(weights), {
         formal: component.num[key] * den * (scale // num)
-        for key, (formal, num, den) in best.items()
+        for formal, key, num, den, _ in best.values()
     }, component.den * scale)
 
 
@@ -960,16 +934,7 @@ class ClosureReport:
     def to_json(self) -> dict:
         return {
             "all_closed": self.all_closed,
-            "pairs": [
-                {
-                    "left": e.left,
-                    "right": e.right,
-                    "bracket_is_zero": e.bracket_is_zero,
-                    "closed": e.closed,
-                    "expression": e.expression,
-                }
-                for e in self.entries
-            ],
+            "pairs": [asdict(e) for e in self.entries],
         }
 
 
@@ -987,17 +952,8 @@ def bracket_closure_check(gens: GeneratorSet) -> ClosureReport:
             entries.append(ClosureEntry(gi.label, gj.label, True, True, None))
             continue
         result = membership(br, gens, gi.degree + gj.degree - 1)
-        entries.append(
-            ClosureEntry(
-                gi.label,
-                gj.label,
-                False,
-                result.found,
-                render_polynomial(result.expression, gens.labels())
-                if result.found
-                else None,
-            )
-        )
+        text = render_polynomial(result.expression, gens.labels()) if result.found else None
+        entries.append(ClosureEntry(gi.label, gj.label, False, result.found, text))
     return ClosureReport(entries)
 
 

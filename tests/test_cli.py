@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from poischain import builtin_sl, cli, cycles, dump_json
+from poischain import builtin_sl, cli, commutant, cycles, dump_json
 from poischain.algebra import ConfigurationError
 from poischain.chains import ChainFormationError
 from poischain.cli import (
@@ -922,6 +922,22 @@ def test_invalid_input_errors_share_one_type(capsys):
                 "--relations-degree", "2"]) == EXIT_INPUT
     assert capsys.readouterr().err == (
         "error: weighted-degree budget 2 is below the largest generator degree 3\n")
+
+
+def test_relation_budget_error_names_the_way_out(monkeypatch, capsys):
+    """The default relation budget of sl(5), twice the cap, reaches weighted
+    degree 8, over COLUMN_BUDGET; the one line names the largest budget that
+    fits and --skip-relations, or only the latter when no budget fits."""
+    assert run(["commutant", "--algebra", "sl5", "--subalgebra", "cartan"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: 30050 formal monomials at weighted degree 8; "
+        "rerun with --relations-degree 7 or --skip-relations\n")
+    # at sl(3), 6 columns at degree 2 are over a budget of 5, and a budget of
+    # 1 is below the largest generator degree, 3
+    monkeypatch.setattr(commutant, "COLUMN_BUDGET", 5)
+    assert run(["commutant", "--algebra", "sl3", "--subalgebra", "cartan"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: 6 formal monomials at weighted degree 2; rerun with --skip-relations\n")
 
 
 def test_bad_flow_step_fails_before_the_monitors_are_generated(monkeypatch, capsys):

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -25,8 +26,9 @@ from poischain import (
     span_subalgebra,
     torus_chain,
 )
-from poischain import commutant
+from poischain import commutant, linalg
 from poischain.commutant import GeneratorSet
+from poischain.poly import unpack, variable_keys
 
 from helpers import (
     reference_generate,
@@ -77,6 +79,94 @@ def test_torus_relations_match_elimination(n):
     assert [(r.weighted_degree, r.formal) for r in got.relations] == [
         (r.weighted_degree, r.formal) for r in want.relations
     ]
+
+
+@pytest.mark.parametrize("n, top, per_degree", [(5, 7, {6: 70, 7: 300}), (3, 16, {6: 1})])
+def test_torus_relations_at_larger_budgets_match_elimination(n, top, per_degree):
+    gens = _torus(n)
+    got = relation_basis(gens, top)
+    want = reference_relation_basis(gens, top)
+    assert Counter(r.weighted_degree for r in got.relations) == per_degree
+    assert [(r.weighted_degree, r.formal) for r in got.relations] == [
+        (r.weighted_degree, r.formal) for r in want.relations
+    ]
+
+
+def _seeded_graded_terms(seed, count=6):
+    """Single-term generators of degrees 1 to 4 (one of degree 4, so four
+    levels are kept) on sl(2)'s three coordinates with rational
+    coefficients; the last repeats an earlier monomial with another
+    coefficient."""
+    rng = random.Random(seed)
+    alg = builtin_sl(2)
+    polys = []
+    for degree in [4] + [rng.randint(1, 4) for _ in range(count - 2)]:
+        exps = Counter(rng.randrange(alg.dim) for _ in range(degree))
+        coeff = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+        polys.append(Polynomial(alg.dim, {Monomial(exps.items()): coeff}))
+    polys.append(polys[rng.randrange(count - 1)].scale(F(-5, 2)))
+    gens = [Generator(p, p.degree, f"g{i}") for i, p in enumerate(polys, start=1)]
+    return GeneratorSet(algebra=alg, generators=gens)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_graded_single_term_relations_match_elimination(seed):
+    gens = _seeded_graded_terms(seed)
+    assert max(gens.degrees()) == 4
+    got = relation_basis(gens, 9)
+    want = reference_relation_basis(gens, 9)
+    assert got.relations
+    assert [(r.weighted_degree, r.formal) for r in got.relations] == [
+        (r.weighted_degree, r.formal) for r in want.relations
+    ]
+
+
+@pytest.mark.parametrize("weights", [[1, 3, 3, 4], [2, 2, 5], [1], []])
+def test_term_levels_list_the_formal_monomials(weights):
+    """Each level holds the formal monomials of the walk, as many as the
+    count table says, each with its product's key and coefficient and the
+    mask of its generators."""
+    rng = random.Random(len(weights))
+    keys = variable_keys(3)
+    terms = [(keys[i % 3] + keys[0], rng.randint(-5, 5) or 1, rng.randint(1, 4))
+             for i in range(len(weights))]
+    top = 13
+    counts = commutant._formal_counts(weights, top)[0]
+    levels = list(commutant._term_levels(weights, terms, top))
+    assert [t for t, _ in levels] == list(range(1, top + 1))
+    for t, level in levels:
+        walk = sorted(key for key, _ in commutant._formal_monomials(weights, t))
+        assert sorted(entry[0] for entry in level) == walk
+        assert len(level) == counts[t]
+        for formal, product, num, den, mask in level:
+            exps = dict(unpack(formal, len(weights)))
+            assert product == sum(e * terms[i][0] for i, e in exps.items())
+            assert (num, den) == (
+                prod(terms[i][1] ** e for i, e in exps.items()),
+                prod(terms[i][2] ** e for i, e in exps.items()),
+            )
+            assert mask == sum(1 << i for i in exps)
+
+
+def test_toric_relations_build_no_echelon(monkeypatch):
+    """The sl(4) torus relations through weighted degree 10 come with no
+    Echelon and no canonical basis, while a set with one two-term member
+    still takes elimination.  Both sets have more generators than
+    coordinates, so the Jacobian rank, which eliminates too, cannot certify
+    them free; a stand-in returns its upper bound, the dimension."""
+    torus, summed = _torus(4), summed_torus_set(4)
+    want = relation_basis(torus, 10).relations
+    assert len(want) == 55 and len(torus) > torus.algebra.dim
+
+    def refused(*args):
+        raise AssertionError("elimination was used")
+
+    monkeypatch.setattr(commutant, "generic_jacobian_rank", lambda polys, dim: dim)
+    monkeypatch.setattr(linalg, "Echelon", refused)
+    monkeypatch.setattr(commutant, "_canonical_polys", refused)
+    assert relation_basis(torus, 10).relations == want
+    with pytest.raises(AssertionError, match="elimination was used"):
+        relation_basis(summed, 10)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -185,7 +275,7 @@ def test_one_multi_term_generator_takes_the_general_route(sl3, monkeypatch):
     def single_terms_used(*args):
         raise AssertionError("the single-term route was taken")
 
-    monkeypatch.setattr(commutant, "_term_products", single_terms_used)
+    monkeypatch.setattr(commutant, "_term_levels", single_terms_used)
     got_relations = relation_basis(gens, 5).relations
     # C2 is a combination of the quadratic torus generators
     assert [r.weighted_degree for r in got_relations][:1] == [2]
