@@ -681,6 +681,14 @@ def default_degree_cap(alg: LieAlgebra) -> int:
     return alg.rank() + 1
 
 
+def _new_generators(
+    alg: LieAlgebra, sub: SubalgebraSpec, k: int, previous: Sequence[Generator]
+) -> tuple[int, tuple[Polynomial, ...]]:
+    """The degree-k kernel dimension and new generator polynomials."""
+    inv = invariant_basis(alg, sub, k)
+    return len(inv), tuple(indecomposables(alg, k, previous, inv))
+
+
 def generate(
     alg: LieAlgebra,
     sub: SubalgebraSpec,
@@ -691,7 +699,10 @@ def generate(
     default default_degree_cap(alg); the cap used is kept as max_degree.
 
     Records the kernel dimension at each degree; generator counts per degree
-    never shrink when the cap grows (earlier degrees are unaffected).
+    never shrink when the cap grows (earlier degrees are unaffected).  So
+    each degree's kernel dimension and new generator polynomials are kept
+    with the algebra, and a later call for the same subalgebra computes
+    only the degrees not reached before.
     """
     if max_degree is None:
         max_degree = default_degree_cap(alg)
@@ -700,9 +711,9 @@ def generate(
     gens: list[Generator] = []
     kernel_dims: dict[int, int] = {}
     for k in range(1, max_degree + 1):
-        inv = invariant_basis(alg, sub, k)
-        kernel_dims[k] = len(inv)
-        fresh = indecomposables(alg, k, gens, inv)
+        kernel_dims[k], fresh = alg.derived(
+            ("generators", sub.vectors, k), partial(_new_generators, alg, sub, k, gens)
+        )
         for idx, poly in enumerate(fresh, start=1):
             label = f"{label_prefix}{k}_{idx}" if len(fresh) > 1 else f"{label_prefix}{k}"
             gens.append(Generator(poly=poly, degree=k, label=label))

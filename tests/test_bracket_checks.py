@@ -1,10 +1,13 @@
 """The four pairwise bracket checks (centrality, J-map, shift-family
 commutativity, closure) against their references in tests/helpers, which
 call lie_poisson_bracket once per pair: identical reports, pairs in the same
-order, on sl(3) and sl(4), with inputs whose brackets do not all vanish."""
+order, on sl(3) and sl(4), with inputs whose brackets do not all vanish.
+Shift families of central Casimirs are certified without brackets, on
+sl(2)-sl(5) and a direct sum."""
 
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -15,15 +18,18 @@ from poischain import (
     bracket_closure_check,
     builtin_sl,
     cartan_subalgebra,
+    casimir_mf,
     casimirs_by_kernel,
     chains,
+    direct_sum,
     generate,
     j_map_casimir_check,
     mf_commutativity_check,
     mf_generators,
     parse_polynomial,
+    trace_casimirs_sln,
 )
-from poischain.casimir_mf import CasimirSet
+from poischain.casimir_mf import CasimirSet, MFAlgebra
 from poischain.commutant import Generator
 
 from helpers import (
@@ -104,3 +110,56 @@ def test_bracket_closure_check_matches_reference(case, broken):
     assert report.to_json() == reference_bracket_closure_check(gens).to_json()
     assert len(report.entries) == len(gens) * (len(gens) + 1) // 2
     assert report.all_closed != broken
+
+
+def _shift(alg, kind):
+    """A regular Cartan shift (distinct eigenvalues), zero, or the e12
+    coordinate vector, a nilpotent shift."""
+    mu = [Fraction(0)] * alg.dim
+    if kind == "regular":
+        for v, idx in enumerate(alg.cartan_indices, start=1):
+            mu[idx] = Fraction(v)
+    elif kind == "nilpotent":
+        mu[next(i for i, lab in enumerate(alg.labels) if lab.startswith("e12"))] = Fraction(1)
+    return mu
+
+
+def _no_brackets(*args, **kwargs):
+    raise AssertionError("the certificate should need no bracket")
+
+
+@pytest.mark.parametrize("kind", ["regular", "zero", "nilpotent"])
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sl2+sl3"])
+def test_mf_certificate_matches_reference(name, kind):
+    if name == "sl2+sl3":
+        alg = direct_sum(builtin_sl(2), builtin_sl(3))
+    else:
+        alg = builtin_sl(int(name[2:]))
+    mf = mf_generators(casimirs_by_kernel(alg), _shift(alg, kind))
+    assert mf.shift_regular or kind != "regular"
+    report = mf_commutativity_check(mf)
+    assert report.to_json() == reference_mf_commutativity_check(mf).to_json()
+    assert report.commutative
+
+
+def test_mf_certificate_brackets_nothing(monkeypatch):
+    # the trace-route sl(4) Casimirs and their 9 shift coefficients
+    mf = mf_generators(trace_casimirs_sln(4), _shift(builtin_sl(4), "regular"))
+    monkeypatch.setattr(casimir_mf, "brackets", _no_brackets)
+    report = mf_commutativity_check(mf)
+    assert (report.pair_count, report.commutative) == (comb(9, 2), True)
+
+
+def test_mf_member_outside_the_shift_chains_is_bracketed(case):
+    # C2.d1 + e12 is no shift coefficient of a Casimir, so the certificate
+    # fails and the pairwise route finds its nonzero brackets
+    alg, _, cas, e12 = case
+    mf = mf_generators(cas, _shift(alg, "regular"))
+    gens = [
+        replace(g, poly=g.poly + e12.poly) if g.label == "C2.d1" else g
+        for g in mf.generators
+    ]
+    hand_built = MFAlgebra(mf.shift, mf.base, gens, mf.shift_regular)
+    report = mf_commutativity_check(hand_built)
+    assert report.to_json() == reference_mf_commutativity_check(hand_built).to_json()
+    assert not report.commutative

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from poischain import (
+    ConfigurationError,
     LieAlgebra,
     cartan_subalgebra,
     casimir_count_check,
@@ -100,7 +101,7 @@ def test_trace_casimirs_build_few_fractions(fraction_count):
     ],
 )
 def test_trace_casimirs_reject_bad_sizes(n, max_k, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ConfigurationError, match=message):
         trace_casimirs_sln(n, max_k)
 
 

@@ -23,14 +23,17 @@ from poischain import (
     generate,
     invariant_basis,
     is_invariant,
+    j_map_casimir_check,
     lie_poisson_bracket,
     membership,
+    mf_chain,
     mf_generators,
     monomial_basis,
     parse_polynomial,
     poisson_center_basis,
     relation_basis,
     span_subalgebra,
+    torus_chain,
     trace_casimirs_sln,
     validate_algebra,
     validate_subalgebra,
@@ -210,6 +213,55 @@ def test_generate_sl3_torus_census(sl3_torus, sl3):
         ours = [g.poly for g in sl3_torus.generators if g.degree == d]
         theirs = [g.poly for g in cycles.generators if g.degree == d]
         assert same_span(ours, theirs)
+
+
+def _chain_reports(alg):
+    sub = cartan_subalgebra(alg)
+    mu = [F(1), F(2)] + [F(0)] * 6
+    return [mf_chain(alg, sub, mu).to_json(), j_map_casimir_check(alg).to_json()]
+
+
+def test_generate_keeps_generators_with_the_algebra(monkeypatch):
+    # torus_chain leaves the Casimirs and the torus generators with the
+    # algebra, so the chains after it compute no invariant kernel
+    alg = builtin_sl(3)
+    torus_chain(alg)
+    calls = []
+    real = commutant.invariant_basis
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(commutant, "invariant_basis", counting)
+    reports = _chain_reports(alg)
+    assert calls == []
+    monkeypatch.undo()
+    assert reports == _chain_reports(builtin_sl(3))
+
+
+@pytest.mark.parametrize("make_sub", [full_subalgebra, cartan_subalgebra], ids=["full", "cartan"])
+def test_generate_at_a_lower_cap_after_a_higher_one(make_sub):
+    # to_json holds the labels, the cap and the kernel dimensions
+    alg = builtin_sl(3)
+    generate(alg, make_sub(alg), 4)
+    for prefix in ("q", "C"):
+        fresh = builtin_sl(3)
+        assert (
+            generate(alg, make_sub(alg), 3, label_prefix=prefix).to_json()
+            == generate(fresh, make_sub(fresh), 3, label_prefix=prefix).to_json()
+        )
+
+
+def test_generate_returns_a_fresh_set_each_call():
+    alg = builtin_sl(3)
+    sub = cartan_subalgebra(alg)
+    first = generate(alg, sub, 3)
+    expected = first.to_json()
+    first.generators.append(first.generators[0])
+    first.generators[1] = first.generators[2]
+    first.kernel_dims[9] = 1
+    assert generate(alg, sub, 3).to_json() == expected
 
 
 def test_indecomposables_exclude_products(sl2):
