@@ -419,6 +419,31 @@ def sl_size(alg: LieAlgebra) -> int | None:
     return alg.derived("sl size", match)
 
 
+def sl_flip(alg: LieAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The diagram flip tau(X) = -J X^T J of an sl(n) in the built-in
+    layout (sl_size), J the antidiagonal permutation matrix, as a signed
+    permutation of the coordinates: tau(x_v) = sign[v] * x_perm[v], so
+    h_i -> h_(n-i) and e_ij -> -e_(n+1-j)(n+1-i).  None for other algebras."""
+    n = sl_size(alg)
+    if n is None:
+        return None
+
+    def build() -> tuple[tuple[int, ...], tuple[int, ...]]:
+        perm, sign = [], []
+        for m in _sl_matrix_basis(n)[0]:
+            # tau maps the (r, c) entry x to -x at (n-1-c, n-1-r)
+            [(v, s)] = _sl_matrix_coords(
+                {(n - 1 - c, n - 1 - r): -x for (r, c), x in m.items()}, n
+            ).items()
+            if abs(s) != 1:
+                raise ValueError(f"flip image {s} * x_{v} is not a signed coordinate")
+            perm.append(v)
+            sign.append(s)
+        return tuple(perm), tuple(sign)
+
+    return alg.derived("sl flip", build)
+
+
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
     labels = tuple(f"{lab}.1" for lab in a.labels) + tuple(
         f"{lab}.2" for lab in b.labels

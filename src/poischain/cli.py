@@ -367,7 +367,10 @@ def cmd_casimirs(ns: argparse.Namespace) -> int:
         payload["count_check"] = count.to_json()
         _say(f"kernel route: {len(kernel_set)} generators, independent count "
              f"{count.independent_count} (expected {count.expected})")
-        if not count.matches:
+        # a count short of the corank may be the cap cutting off Casimirs
+        if count.independent_count < count.expected:
+            code = EXIT_INCONCLUSIVE
+        elif not count.matches:
             code = EXIT_NEGATIVE
     if n is not None:
         # the default cap of a built-in sl(n) is n

@@ -13,7 +13,9 @@ The other operators are applied one at a time on integer vectors over
 those monomials (_field_kernel), and polynomials are built only for the
 final reduced echelon basis with graded-lex pivots.  When the checks of
 _raising_fields pass, only the raising operators are applied: the n - 1
-simple ones for the full sl(n).
+simple ones for the full sl(n), and of those only one per orbit of the
+diagram flip, on the flip eigenvectors of sign (-1)^k (Chevalley's
+restriction theorem; _flip_route, invariant_basis).
 
 Relations, membership and new generators range over the formal generator
 monomials of one weighted degree (a generator weighs its degree).  For
@@ -40,7 +42,14 @@ from operator import and_, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
-from .algebra import ConfigurationError, LieAlgebra, SubalgebraSpec, Vector, vector_row
+from .algebra import (
+    ConfigurationError,
+    LieAlgebra,
+    SubalgebraSpec,
+    Vector,
+    sl_flip,
+    vector_row,
+)
 from .poly import (
     Monomial,
     Polynomial,
@@ -246,10 +255,12 @@ class _Operators:
     every coordinate, and others holds the non-diagonal fields still to
     apply, with their spanning vectors: only the raising fields in spanning
     order when _raising_fields shows that they suffice, else every one,
-    fewest nonzeros first."""
+    fewest nonzeros first.  flip is _flip_route's (perm, sign, positions in
+    others of the fields applied to the flip eigenvectors), or None."""
 
     weights: tuple[tuple[int, ...], ...]
     others: tuple[tuple[Vector, VectorField], ...]
+    flip: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None
 
 
 def _invariance_operators(alg: LieAlgebra, sub: SubalgebraSpec) -> _Operators:
@@ -279,14 +290,56 @@ def _build_operators(alg: LieAlgebra, vectors: Sequence[Vector]) -> _Operators:
     )
     if keep is None:
         roots.sort(key=lambda root: sum(len(component.num) for component in root[1]))
-    return _Operators(
-        weights,
-        tuple(
-            (vec, VectorField(field))
-            for i, (vec, field) in enumerate(roots)
-            if keep is None or i in keep
-        ),
+    others = tuple(
+        (vec, VectorField(field))
+        for i, (vec, field) in enumerate(roots)
+        if keep is None or i in keep
     )
+    flip = None if keep is None else _flip_route(
+        alg, vectors, [vec for vec, _ in diagonal], [vec for vec, _ in others]
+    )
+    return _Operators(weights, others, flip)
+
+
+def _flip_route(
+    alg: LieAlgebra,
+    vectors: Sequence[Vector],
+    diagonal: Sequence[Vector],
+    raising: Sequence[Vector],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
+    """The diagram flip (perm, sign) of algebra.sl_flip and the positions of
+    the first raising vector of each flip orbit; None unless the flip route
+    of invariant_basis applies: the vectors span a built-in sl(n), and the
+    flip is an involutive automorphism that keeps the diagonal span and
+    maps each raising vector to +- a raising vector."""
+    flip = sl_flip(alg)
+    if flip is None or len(linalg.Echelon(map(vector_row, vectors))) != alg.dim:
+        return None
+    perm, sign = flip
+    if any(perm[perm[v]] != v or sign[v] != sign[perm[v]] for v in range(alg.dim)):
+        return None
+
+    def image(row: linalg.Row, scale: int = 1) -> linalg.Row:
+        return {perm[v]: scale * sign[v] * c for v, c in row.items()}
+
+    rows, _ = alg.bracket_rows()
+    moved: list[dict[int, dict[int, int]]] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, out in row.items():
+            moved[perm[i]][perm[j]] = image(out, sign[i] * sign[j])
+    cartan = linalg.Echelon(map(vector_row, diagonal))
+    if moved != rows or any(cartan.reduce(image(vector_row(h))) for h in diagonal):
+        return None
+    kept = [vector_row(vec) for vec in raising]
+    half = []
+    for i, row in enumerate(kept):
+        pair = (image(row), image(row, -1))
+        j = next((j for j, other in enumerate(kept) if other in pair), None)
+        if j is None:
+            return None
+        if i <= j:
+            half.append(i)
+    return perm, sign, tuple(half)
 
 
 def _lie_closure(alg: LieAlgebra, gens: Sequence[linalg.Row]) -> linalg.Echelon:
@@ -419,6 +472,24 @@ def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polyno
 
     Returned as the unique reduced echelon basis with graded-lex pivots, so
     the output is deterministic and basis-order canonical.
+
+    For the full algebra of a built-in sl(n) (_flip_route), the kernel starts
+    from the (-1)^k-eigenvectors of the diagram flip tau(X) = -J X^T J on
+    the zero-weight monomials and applies the simple raising fields
+    E_alpha_1 .. E_alpha_floor(n/2) only.  That is exactly S^k(g)^G:
+    1. tau is an automorphism, so tau p is invariant with p.  Restricted to
+       the Cartan h, where tau acts as -w0, it is p|_h(-w0 .) = (-1)^k p|_h
+       by Chevalley's restriction theorem, S(g)^G = S(h)^W (Humphreys,
+       Introduction to Lie Algebras and Representation Theory, 23.1); that
+       restriction is injective on invariants, so tau p = (-1)^k p.
+    2. tau x^a = s(a) x^(tau a), s(a) the product of the coordinate signs,
+       so the eigenspace has one basis vector per tau-orbit of zero-weight
+       monomials (_flip_eigenvectors): x^a + (-1)^k s(a) x^(tau a), or
+       x^a alone for a fixed monomial with (-1)^k s(a) = 1.
+    3. tau conjugates the field of E_alpha_i into minus that of
+       E_alpha_(n-i), so an eigenvector killed by one is killed by both.
+    4. A zero-weight polynomial killed by the simple raising fields is
+       invariant (_raising_fields).
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -433,12 +504,44 @@ def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polyno
     )
     if not ops.others:
         return [_make(alg.dim, {key: 1}, 1) for key in zero_weight]
-    kernel = [{c: 1} for c in range(len(zero_weight))]
-    for _, field in ops.others:
+    if ops.flip is None:
+        kernel = [{c: 1} for c in range(len(zero_weight))]
+        fields = ops.others
+    else:
+        perm, sign, half = ops.flip
+        kernel = _flip_eigenvectors(zero_weight, perm, sign, (-1) ** k)
+        fields = tuple(ops.others[i] for i in half)
+    for _, field in fields:
         if kernel:
             kernel = _field_kernel(kernel, zero_weight, field)
     polys = [_make(alg.dim, {zero_weight[c]: v for c, v in vec.items()}, 1) for vec in kernel]
     return _canonical_polys(polys, alg.dim)
+
+
+def _flip_eigenvectors(
+    keys: list[int], perm: Sequence[int], sign: Sequence[int], eigenvalue: int
+) -> list[linalg.Row]:
+    """A basis of the eigenvalue-eigenspace of the involution tau: x_v ->
+    sign[v] * x_perm[v] on the span of the monomials keys[c], which tau must
+    permute: x^a + eigenvalue * s(a) * x^(tau a) for each 2-orbit, x^a for a
+    fixed monomial with eigenvalue * s(a) = 1, as integer rows over the
+    keys' positions."""
+    dim = len(perm)
+    images = [variable_keys(dim)[p] for p in perm]
+    index = {key: c for c, key in enumerate(keys)}
+    out: list[linalg.Row] = []
+    for c, key in enumerate(keys):
+        image, s = 0, eigenvalue
+        for v, e in unpack(key, dim):
+            image += e * images[v]
+            if sign[v] < 0 and e & 1:
+                s = -s
+        d = index[image]
+        if d > c:
+            out.append({c: 1, d: s})
+        elif d == c and s == 1:
+            out.append({c: 1})
+    return out
 
 
 def _combination(terms: Iterable[tuple[int, linalg.Row]]) -> linalg.Row:

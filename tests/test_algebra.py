@@ -29,6 +29,7 @@ from poischain import (
 from poischain.algebra import (
     _jacobi_witness,
     _sl_matrix_basis,
+    sl_flip,
     sl_size,
 )
 from poischain.cli import load_algebra
@@ -443,6 +444,42 @@ def test_sl_size_accepts_both_label_forms(sl3):
         cartan_indices=sl3.cartan_indices,
     )
     assert sl_size(sl3) == sl_size(alg) == 3
+
+
+def _is_involutive_automorphism(alg, perm, sign):
+    """x_v -> sign[v] * x_perm[v] squares to the identity and satisfies
+    C(pi i, pi j, pi k) * s_i * s_j = s_k * C(i, j, k) for all i, j, k."""
+    if any(perm[perm[v]] != v or sign[v] * sign[perm[v]] != 1 for v in range(alg.dim)):
+        return False
+    consts = {}
+    for (i, j, k), c in alg.structure.items():
+        consts[i, j, k], consts[j, i, k] = c, -c
+    moved = {(perm[i], perm[j], perm[k]): sign[i] * sign[j] * sign[k] * c
+             for (i, j, k), c in consts.items()}
+    return moved == consts
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sl_flip_is_an_involutive_automorphism(n):
+    alg = builtin_sl(n)
+    perm, sign = sl_flip(alg)
+    assert _is_involutive_automorphism(alg, perm, sign)
+    sep = "_" if n >= 10 else ""
+    at = alg.labels.index
+    for i in range(1, n):
+        assert (perm[at(f"h{i}")], sign[at(f"h{i}")]) == (at(f"h{n - i}"), 1)
+        e = at(f"e{i}{sep}{i + 1}")
+        assert (perm[e], sign[e]) == (at(f"e{n - i}{sep}{n - i + 1}"), -1)
+    for v in (0, alg.dim - 1):
+        broken = list(sign)
+        broken[v] *= -1
+        assert not _is_involutive_automorphism(alg, perm, broken), v
+
+
+def test_sl_flip_only_on_the_builtin_layout(sl3):
+    assert sl_flip(LieAlgebra.from_json(rescaled_sl_json(3))) is None
+    assert sl_flip(direct_sum(builtin_sl(2), builtin_sl(3))) is None
+    assert sl_flip(LieAlgebra.from_json(sl3.to_json())) == sl_flip(sl3)
 
 
 def test_sl_size_checks_the_structure_constants():

@@ -286,6 +286,15 @@ def test_casimirs_both_routes(capsys, tmp_path):
     assert data["routes_agree"] is True
 
 
+@pytest.mark.parametrize("cap, code", [(["--max-degree", "3"], EXIT_INCONCLUSIVE), ([], EXIT_OK)])
+def test_casimir_count_short_of_the_corank_is_inconclusive(capsys, cap, code):
+    """A cap of 3 drops C4 of sl(4): the count 2 against 3 cannot show that
+    Casimirs are missing, so it exits 2 like chain verify and mf."""
+    assert run(["casimirs", "--algebra", "sl4", "--method", "kernel", *cap]) == code
+    count = "2 (expected 3)" if cap else "3 (expected 3)"
+    assert f"independent count {count}" in capsys.readouterr().out
+
+
 def test_casimirs_both_routes_on_a_dumped_builtin_file(tmp_path):
     path = tmp_path / "sl4.json"
     path.write_text(dump_json(builtin_sl(4).to_json()))

@@ -38,7 +38,8 @@ from poischain import (
     validate_algebra,
     validate_subalgebra,
 )
-from poischain import commutant
+from poischain import commutant, dump_json
+from poischain.algebra import sl_flip, sl_size
 from poischain.commutant import (
     BudgetExceededError,
     GeneratorSet,
@@ -59,6 +60,7 @@ from helpers import (
     reference_invariant_basis,
     reference_is_invariant,
     reference_membership,
+    rescaled_sl_json,
     same_span,
     summed_torus_set,
     zero_weight_counts,
@@ -859,20 +861,38 @@ def test_zero_weight_monomials_match_an_independent_count(case):
         assert counts[6] == 12_300
 
 
+def _dumped_sl3_with_underscore_labels():
+    data = builtin_sl(3).to_json()
+    data["labels"] = [lab if lab[0] == "h" else f"{lab[:2]}_{lab[2:]}"
+                      for lab in data["labels"]]
+    return LieAlgebra.from_json(json.loads(dump_json(data)))
+
+
 # (algebra, subalgebra, degrees) on which the integer-vector chain of
-# invariant_basis is compared with the per-polynomial one
+# invariant_basis is compared with the per-polynomial one, which applies
+# every field of _invariance_operators to every zero-weight monomial
 CHAIN_CASES = {
-    **{f"sl{n}-full": (partial(builtin_sl, n), full_subalgebra, n) for n in range(2, 6)},
+    **{f"sl{n}-full": (partial(builtin_sl, n), full_subalgebra, n) for n in range(2, 7)},
+    "sl3-e1_2-file-full": (_dumped_sl3_with_underscore_labels, full_subalgebra, 3),
     "sl2+sl3-full": (lambda: direct_sum(builtin_sl(2), builtin_sl(3)), full_subalgebra, 4),
     **{case: (partial(builtin_sl, 4), partial(_span_of, labels=REDUCED_CASES[case][1]), 4)
        for case in ("levi-s(gl2+gl2)", "parabolic", "borel")},
     # no field is diagonal, so _raising_fields keeps every field
     "sl2-rotated-full": (_sl2_rotated, full_subalgebra, 4),
+    # the sl(3) labels, but not its structure constants (sl_size is None)
+    "sl3-rescaled-full": (lambda: LieAlgebra.from_json(rescaled_sl_json(3)),
+                          full_subalgebra, 3),
 }
+
+# the cases that take the diagram-flip route: the full built-in sl(n)
+FLIP_CASES = {f"sl{n}-full" for n in range(2, 7)} | {"sl3-e1_2-file-full"}
 
 
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
-def test_integer_vector_chain_matches_the_per_polynomial_chain(case):
+def test_integer_vector_chain_matches_the_per_polynomial_chain(case, monkeypatch):
+    """Odd degrees included.  The full built-in sl(n) applies floor(n/2)
+    raising fields, one per flip orbit, to the flip eigenvectors; every
+    other case applies all of its fields to the zero-weight monomials."""
     make_alg, make_sub, kmax = CHAIN_CASES[case]
     alg = make_alg()
     sub = make_sub(alg)
@@ -880,8 +900,52 @@ def test_integer_vector_chain_matches_the_per_polynomial_chain(case):
     assert ops.others
     if case == "sl2-rotated-full":
         assert not any(ops.weights) and len(ops.others) == 3
+    if case in FLIP_CASES:
+        n = sl_size(alg)
+        assert ops.flip is not None and len(ops.flip[2]) == n // 2
+        assert len(ops.others) == n - 1
+    else:
+        assert ops.flip is None
+    calls = []
+    field_kernel = commutant._field_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return field_kernel(*args)
+
+    monkeypatch.setattr(commutant, "_field_kernel", counted)
+    applied = len(ops.flip[2]) if ops.flip else len(ops.others)
     for k in range(kmax + 1):
-        assert invariant_basis(alg, sub, k) == reference_invariant_basis(alg, sub, k), k
+        calls.clear()
+        got = invariant_basis(alg, sub, k)
+        assert len(calls) <= applied, k
+        assert got == reference_invariant_basis(alg, sub, k), k
+
+
+def _restricted_partitions(k, parts):
+    """The number of partitions of k into the given parts (coin change)."""
+    ways = [1] + [0] * k
+    for part in parts:
+        for t in range(part, k + 1):
+            ways[t] += ways[t - part]
+    return ways[k]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_casimir_kernel_dims_follow_the_chevalley_series(n):
+    """dim S^k(sl_n)^G is the coefficient of t^k in prod 1/(1 - t^d),
+    d = 2..n (Chevalley): a dropped flip eigenspace would undercount it."""
+    dims = casimirs_by_kernel(builtin_sl(n), n).gens.kernel_dims
+    assert dims == {k: _restricted_partitions(k, range(2, n + 1)) for k in range(1, n + 1)}
+
+
+def test_flip_route_rejects_a_flip_that_is_no_automorphism(sl4, monkeypatch):
+    perm, sign = sl_flip(sl4)
+    broken = list(sign)
+    broken[sl4.labels.index("e12")] *= -1
+    monkeypatch.setattr(commutant, "sl_flip", lambda alg: (perm, tuple(broken)))
+    ops = commutant._build_operators(sl4, full_subalgebra(sl4).vectors)
+    assert ops.flip is None and len(ops.others) == 3
 
 
 def test_kernel_pipeline_builds_no_fraction(sl4, fraction_count):
