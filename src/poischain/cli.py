@@ -528,12 +528,13 @@ def cmd_flow(ns: argparse.Namespace) -> int:
 def _write_trajectory_csv(path: str, alg: LieAlgebra, result) -> None:
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", *alg.labels, *result.monitor_labels])
-            for t, state, values in zip(
-                result.times, result.states, result.monitor_values
-            ):
-                writer.writerow([repr(t), *map(repr, state), *map(repr, values)])
+            # labels may need quoting; a float repr never does, so the rows
+            # are csv.writer's bytes without it (its line ending is \r\n)
+            csv.writer(fh).writerow(["t", *alg.labels, *result.monitor_labels])
+            fh.writelines(
+                ",".join(map(repr, (t, *state, *values))) + "\r\n"
+                for t, state, values in zip(result.times, result.states, result.monitor_values)
+            )
     except OSError as exc:
         raise ConfigurationError(f"cannot write trajectory to {path!r}: {exc}")
 

@@ -3,8 +3,9 @@
 The vector field of a Hamiltonian H has exact components {H, x_k}, computed
 once in rational arithmetic; `integrate` runs the classical Runge-Kutta loop
 compiled to Python source (_compile_flow), with the floats of term-by-term
-evaluation.  The maximal drift of each monitor from its initial value is
-reported; centrality certificates should give drifts at the integrator's
+evaluation but no stages for zero field components.  The maximal drift of
+each distinct monitor from its initial value, read off its running extrema,
+is reported; centrality certificates should give drifts at the integrator's
 accuracy floor.
 """
 
@@ -71,17 +72,32 @@ class FlowResult:
         }
 
 
-def _poly_lines(target: str, poly: Polynomial, args: Sequence[str]) -> list[str]:
-    # one statement per term: CPython's compiler recurses on a long `+` chain.
-    # Terms go in canonical order; int true division rounds num / den
-    # correctly, so it is the float of the rational coefficient.
-    lines = [f"{target} = 0.0"]
+_CHUNK = 64  # terms per statement: CPython's compiler recurses on a long `+` chain
+
+
+def _terms(poly: Polynomial, args: Sequence[str]) -> list[str]:
+    # poly's terms in canonical order, each led by its sign as operator: with
+    # c the float of the coefficient (int true division rounds num / den
+    # correctly), `a + c*x` is exactly `a - |c|*x` for c < 0, signed zeros
+    # included, and a factor 1.0 changes no product
+    out = []
     for key in sorted(poly.num, reverse=True):
-        factors = [repr(poly.num[key] / poly.den)]
-        factors += [args[v] if e == 1 else f"{args[v]}**{e}"
-                    for v, e in unpack(key, poly.dim)]
-        lines.append(f"{target} += {'*'.join(factors)}")
-    return lines
+        c = poly.num[key] / poly.den
+        factors = [args[v] if e == 1 else f"{args[v]}**{e}" for v, e in unpack(key, poly.dim)]
+        if abs(c) != 1.0 or not factors:
+            factors.insert(0, repr(abs(c)))
+        out.append(f"{'-' if math.copysign(1.0, c) < 0 else '+'} {'*'.join(factors)}")
+    return out
+
+
+def _chained(target: str, start: str, terms: Sequence[str]) -> list[str]:
+    # `target = start + t1 - t2 ...`, evaluated left to right, continued as
+    # `target = target + ...` every _CHUNK terms
+    lines = []
+    for k in range(0, len(terms), _CHUNK):
+        lines.append(f"{target} = {start} {' '.join(terms[k:k + _CHUNK])}")
+        start = target
+    return lines or [f"{target} = {start}"]
 
 
 def _compile_flow(
@@ -89,45 +105,56 @@ def _compile_flow(
 ) -> Callable:
     """`run(x, steps, stride, record)`, the whole RK4 loop, from float reprs,
     integer indices and fixed names only.  Step i = 0 is the state x; every
-    later step applies the same float operations, in the same order, as
-    term-by-term evaluation (x**1 is x exactly): k = f(x), f at
-    x + (0.5*dt)*k twice and at x + dt*k, then x + dt/6.0*(a + 2b + 2c + d).
-    Each step then evaluates the monitors once; step 0's values are the
-    initial ones.  `run` returns the monitors' drifts from them, or the first
-    step whose values overflow or are not finite: their running sum is tested
-    first, and each value only when it is not finite, as finite values can
-    sum to inf."""
+    later step applies the float operations of term-by-term evaluation
+    (x**1 is x exactly): k = f(x), f at x + (0.5*dt)*k twice and at
+    x + dt*k, then x + dt/6.0*(a + 2b + 2c + d), each polynomial one
+    left-to-right sum from 0.0.  A zero field component gets no stages, as
+    they all give x_k + 0.0.  Each step then evaluates each distinct monitor
+    once; `run` returns the drifts max(H - I, I - L) from the initial value
+    I and the running extrema H, L (the largest |m - I|, as rounded
+    subtraction is monotone and sign-symmetric), or the first step whose
+    values overflow or are not finite: their sum s is tested first (s - s
+    is 0.0 only for finite s), and each value only when it is not, as
+    finite values can sum to inf."""
     dt, n, join = float(dt), len(field_polys), ", ".join
-    xs, ys = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
-    ms, inits, drifts = ([f"{p}{j}" for j in range(len(monitor_polys))] for p in "miD")
+    moving = [i for i, comp in enumerate(field_polys) if comp.num]
+    xs = [f"x{i}" for i in range(n)]
+    ys = [f"y{i}" if field_polys[i].num else f"x{i}" for i in range(n)]
+    slots: dict[Polynomial, int] = {}
+    per_label = [slots.setdefault(p, len(slots)) for p in monitor_polys]
+    ms, inits, highs, lows = ([f"{p}{j}" for j in range(len(slots))]
+                              for p in ("m", "i", "hi", "lo"))
 
     def stage(k: str, args: list[str]) -> list[str]:
-        return [line for i, comp in enumerate(field_polys)
-                for line in _poly_lines(f"{k}{i}", comp, args)]
+        return [line for i in moving
+                for line in _chained(f"{k}{i}", "0.0", _terms(field_polys[i], args))]
 
     def shift(k: str, scale: float) -> list[str]:
-        return [f"y{i} = x{i} + {scale!r}*{k}{i}" for i in range(n)]
+        return [f"y{i} = x{i} + {scale!r}*{k}{i}" for i in moving]
 
     update = [
-        *stage("a", xs), *shift("a", 0.5 * dt), *stage("b", ys),
-        *shift("b", 0.5 * dt), *stage("c", ys), *shift("c", dt), *stage("d", ys),
-        *(f"x{i} = x{i} + {dt / 6.0!r}*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})"
-          for i in range(n)),
+        *stage("a", xs), *(f"x{i} = x{i} + 0.0" for i in range(n) if not field_polys[i].num),
+        *shift("a", 0.5 * dt), *stage("b", ys), *shift("b", 0.5 * dt), *stage("c", ys),
+        *shift("c", dt), *stage("d", ys),
+        *(f"x{i} = x{i} + {dt / 6.0!r}*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})" for i in moving),
     ]
     body = [
         "if i:", *(f"    {line}" for line in update),
-        *(line for m, poly in zip(ms, monitor_polys) for line in _poly_lines(m, poly, xs)),
-        "s = 0.0", *(f"s += {v}" for v in xs + ms),
-        f"if not isfinite(s) and not all(map(isfinite, [{join(xs + ms)}])): return i",
-        f"if not i: [{join(inits)}] = [{join(ms)}]",
-        *(line for m, i0, d in zip(ms, inits, drifts)
-          for line in (f"d = abs({m} - {i0})", f"if d > {d}: {d} = d")),
-        f"if i % stride == 0 or i == steps: record(i, [{join(xs)}], [{join(ms)}])",
+        *(line for m, poly in zip(ms, slots) for line in _chained(m, "0.0", _terms(poly, xs))),
+        *_chained("s", xs[0], [f"+ {v}" for v in xs[1:] + ms]),
+        f"if s - s and not all(map(isfinite, [{join(xs + ms)}])): return i",
+        f"if not i: [{join(inits + highs + lows)}] = [{join(ms * 3)}]",
+        *(line for m, hi, lo in zip(ms, highs, lows)
+          for line in (f"if {m} > {hi}: {hi} = {m}", f"if {m} < {lo}: {lo} = {m}")),
+        "if i == nxt:",
+        "    nxt = min(nxt + stride, steps)",
+        f"    record(i, [{join(xs)}], [{join(ms[j] for j in per_label)}])",
     ]
+    drifts = [f"max({highs[j]} - {inits[j]}, {inits[j]} - {lows[j]})" for j in per_label]
     lines = [
         "def run(x, steps, stride, record):",
         f"    [{join(xs)}] = x",
-        f"    [{join(drifts)}] = [0.0] * {len(drifts)}",
+        "    nxt = 0",
         "    try:",
         "        for i in range(steps + 1):",
         *(f"            {line}" for line in body),
@@ -147,10 +174,16 @@ def integrate(problem: FlowProblem) -> FlowResult:
     under the label "H") is the maximum over all steps of the distance from
     its initial value; the trajectory itself is recorded at step 0, every
     max(1, steps // 1000) steps and at the last step, about 2,000 points at
-    most.
+    most.  A monitor (or H) whose dimension is not the algebra's is a
+    ConfigurationError, raised before anything is compiled.
     """
-    field_polys = hamiltonian_field(problem.hamiltonian, problem.algebra)
     monitors = [("H", problem.hamiltonian)] + list(problem.monitors)
+    dim = problem.algebra.dim
+    for name, poly in monitors:
+        if poly.dim != dim:
+            raise ConfigurationError(
+                f"monitor {name!r} has dimension {poly.dim}, the algebra {dim}")
+    field_polys = hamiltonian_field(problem.hamiltonian, problem.algebra)
     labels = [name for name, _ in monitors]
     run = _compile_flow(field_polys, [p for _, p in monitors], problem.dt)
 

@@ -2,16 +2,18 @@
 polynomials, span fingerprints, and slow reference routes for the kernel,
 bracket and product computations, the pairwise bracket checks, the Jacobi
 scan, the Killing and linear forms, the general relation, membership and
-new-generator routes, the flow integrator, the sl(n) cycle coordinates, the
-cycle relation families and balanced monomials, the trace-then-transport
-Casimirs and the field-by-field invariance test.  Oracles the package itself does not need live here too:
-the sl(n) trace form, the Killing-invariance witness, the inverse dual
-transport, the JSON terms of a polynomial and the Eulerian cycle
-decomposition of a balanced monomial.  The per-polynomial invariant chain
-and a count of zero-weight monomials check the weight-space kernels."""
+new-generator routes, the flow integrator and its trajectory CSV, the sl(n)
+cycle coordinates, the cycle relation families and balanced monomials, the
+trace-then-transport Casimirs and the field-by-field invariance test.
+Oracles the package itself does not need live here too: the sl(n) trace
+form, the Killing-invariance witness, the inverse dual transport, the JSON
+terms of a polynomial and the Eulerian cycle decomposition of a balanced
+monomial.  The per-polynomial invariant chain and a count of zero-weight
+monomials check the weight-space kernels."""
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from collections import Counter
@@ -623,6 +625,16 @@ def reference_integrate(problem):
         steps=steps,
         dt=problem.dt,
     )
+
+
+def reference_write_trajectory_csv(path, alg, result) -> None:
+    """The trajectory CSV through csv.writer, one row at a time.  Reference
+    for `cli._write_trajectory_csv`, which must write the same bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", *alg.labels, *result.monitor_labels])
+        for t, state, values in zip(result.times, result.states, result.monitor_values):
+            writer.writerow([repr(t), *map(repr, state), *map(repr, values)])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from poischain.cli import (
 )
 from poischain.commutant import BudgetExceededError
 
-from helpers import rescaled_sl_json
+from helpers import reference_write_trajectory_csv, rescaled_sl_json
 
 
 def run(argv):
@@ -440,6 +440,47 @@ def test_flow_with_auto_monitors_and_csv(tmp_path):
     assert header == "t,h1,e12,e21,H,C2"
     data = json.loads(out.read_text())
     assert data["flow"]["drifts"]["C2"] <= 1e-9
+
+
+SL2_ODD_LABELS = {
+    "name": "sl2 with labels that need quoting",
+    "dim": 3,
+    "labels": ["h", "a,b", 'x"y'],
+    "structure": [
+        {"i": 0, "j": 1, "k": 1, "c": "2"},
+        {"i": 0, "j": 2, "k": 2, "c": "-2"},
+        {"i": 1, "j": 2, "k": 0, "c": "1"},
+    ],
+    "cartan_indices": [0],
+}
+
+
+@pytest.mark.parametrize("algebra, header", [
+    pytest.param("sl2", "t,h1,e12,e21,H,C2", id="readme-sl2"),
+    pytest.param(SL2_ODD_LABELS, 't,h,"a,b","x""y",H,C2', id="quoted-labels"),
+])
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path, monkeypatch, algebra, header):
+    if isinstance(algebra, dict):
+        (tmp_path / "odd.json").write_text(json.dumps(algebra))
+        algebra = str(tmp_path / "odd.json")
+    original, results = cli.integrate, []
+
+    def keep(problem):
+        results.append(original(problem))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "integrate", keep)
+    # the README sl(2) flow; x1 is the positional spelling of the first label
+    csv_path = tmp_path / "trajectory.csv"
+    code = run(["flow", "--algebra", algebra, "--hamiltonian", "x1", "--x0", "1,1,1",
+                "--t", "10", "--dt", "0.001", "--monitor", "auto:casimirs",
+                "--csv", str(csv_path), "--out", str(tmp_path / "flow.json")])
+    assert code == EXIT_OK
+    (result,) = results
+    reference_write_trajectory_csv(tmp_path / "reference.csv", cli.load_algebra(algebra), result)
+    written = csv_path.read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.startswith(header.encode() + b"\r\n") and written.count(b"\r\n") == 1002
 
 
 def test_flow_divergence_exit_code(tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from poischain import (
+    ConfigurationError,
     FlowDivergenceError,
     builtin_sl,
     cartan_subalgebra,
@@ -127,7 +128,11 @@ def _bit_identity_cases(sl2, sl3, sl2_casimirs, sl3_casimirs, sl3_torus):
     def sl3_text(text):
         return parse_polynomial(text, 8, sl3.labels)
 
-    sl2_h1 = parse_polynomial("h1", 3, sl2.labels)
+    def sl2_text(text):
+        return parse_polynomial(text, 3, sl2.labels)
+
+    sl2_h1, sl2_ef = sl2_text("h1"), sl2_text("e12*e21")
+    linear = sum((Polynomial.variable(i, 8) for i in range(8)), Polynomial(8))
     sl5 = builtin_sl(5)
     sl5_torus = [(g.label, g.poly) for g in
                  generate(sl5, cartan_subalgebra(sl5), max_degree=5).generators]
@@ -162,6 +167,29 @@ def _bit_identity_cases(sl2, sl3, sl2_casimirs, sl3_casimirs, sl3_torus):
         "sl5 h1 + h2, 88 torus monitors": FlowProblem(
             sl5, parse_polynomial("h1 + h2", 24, sl5.labels), SL5_X0, 0.02, 1e-3, sl5_torus
         ),
+        # -0.0 on a coordinate whose field is zero (h1) and on one that moves
+        # (e12): both turn into 0.0 in the first step
+        "sl2 h1 from signed zeros":
+            FlowProblem(sl2, sl2_h1, [-0.0, -0.0, 0.0], 0.1, 1e-3, sl2_c2),
+        # field and monitors with coefficients +1 and -1, a constant -1, and
+        # -0.0 on still and moving coordinates
+        "sl3 e12*e21 - h1, unit coefficients and signed zeros": FlowProblem(
+            sl3, sl3_text("e12*e21 - h1"), [-0.0, -0.5, 0.8, -0.0, 0.6, -0.0, -0.9, 0.4],
+            1.0, 1e-3, [("unit", sl3_text("h1 - h2 + e12*e21 - e13*e31 - 1")), *sl3_cas],
+        ),
+        # H listed again as a monitor: one value, three labels
+        "sl2 e12*e21, H again as a monitor": FlowProblem(
+            sl2, sl2_ef, [0.4, -0.7, 0.9], 1.0, 1e-3, [("ef", sl2_ef), *sl2_c2, ("ef2", sl2_ef)]
+        ),
+        # e21 decays as exp(-2t): its drift is its initial value minus its least
+        "sl2 h1, a monitor below its initial value": sl2_problem(
+            sl2, monitors=[("e12", sl2_text("e12")), ("e21", sl2_text("e21"))]
+        ),
+        # (h1 + h2 + e12 + ... + e32)^3: field components of 84-100 terms,
+        # more than one 64-term statement each
+        "sl3 cube of the coordinate sum, long field components": FlowProblem(
+            sl3, linear.power(3), [0.1 * v for v in SL3_X0], 0.05, 1e-3, sl3_cas
+        ),
     }
 
 
@@ -185,6 +213,62 @@ def test_integrate_is_bit_identical_to_reference(
         assert all(c.is_zero() for c in
                    hamiltonian_field(problem.hamiltonian, problem.algebra))
         assert all(state == problem.x0 for state in outcomes[name][1])
+
+
+def test_integrate_matches_reference_to_the_bit(
+    sl2, sl3, sl2_casimirs, sl3_casimirs, sl3_torus
+):
+    """== takes -0.0 for 0.0; repr does not, so the signed-zero cases pin the
+    `+ 0.0` of a still coordinate and the `0.0 +` that starts every sum."""
+    cases = _bit_identity_cases(sl2, sl3, sl2_casimirs, sl3_casimirs, sl3_torus)
+    for name, problem in cases.items():
+        assert repr(_outcome(integrate, problem)) == repr(
+            _outcome(reference_integrate, problem)), name
+    zeros = integrate(cases["sl2 h1 from signed zeros"])
+    assert repr(zeros.states[:2]) == "[[-0.0, -0.0, 0.0], [0.0, 0.0, 0.0]]"
+    # every step is recorded: e12 only grows and e21 only decays
+    below = integrate(cases["sl2 h1, a monitor below its initial value"])
+    e12, e21 = ([row[j] for row in below.monitor_values] for j in (1, 2))
+    assert below.drifts["e12"] == max(e12) - e12[0] > e12[0] - min(e12) == 0.0
+    assert below.drifts["e21"] == e21[0] - min(e21) > max(e21) - e21[0] == 0.0
+    same = integrate(cases["sl2 e12*e21, H again as a monitor"])
+    assert same.drifts["H"] == same.drifts["ef"] == same.drifts["ef2"] > 0.0
+    long_field = hamiltonian_field(cases["sl3 cube of the coordinate sum, long field "
+                                         "components"].hamiltonian, sl3)
+    assert min(len(c.terms) for c in long_field) > flow._CHUNK
+
+
+def test_equal_monitors_share_one_evaluation(sl3, monkeypatch):
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(flow, "compile", spy, raising=False)
+    h = parse_polynomial("h1*e12*e21", 8, sl3.labels)
+    marker = parse_polynomial("3/7*h1^5*e32 + 1", 8, sl3.labels)
+    run = _compile_flow(hamiltonian_field(h, sl3), [h, marker, h, marker], 0.1)
+    (source,) = sources
+    assert source.count(f"{3 / 7!r}*x0**5*x7") == 1
+    assert source.count("x0*x2*x4") == 1
+    recorded = []
+    drifts = run(list(SL3_X0), 3, 1, lambda i, state, values: recorded.append(values))
+    assert len(drifts) == 4 and drifts[0] == drifts[2] and drifts[1] == drifts[3]
+    assert all(v[0] == v[2] and v[1] == v[3] for v in recorded)
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_monitor_of_another_dimension_is_refused(sl2, dim, monkeypatch):
+    # unchecked, dimension 8 indexes past sl2's three coordinates and
+    # dimension 2 is evaluated on the first two of them
+    def no_compile(*args):
+        raise AssertionError("compiled a flow with a monitor of the wrong dimension")
+
+    monkeypatch.setattr(flow, "_compile_flow", no_compile)
+    problem = sl2_problem(sl2, monitors=[("x1", Polynomial.variable(0, dim))])
+    with pytest.raises(ConfigurationError, match=f"monitor 'x1' has dimension {dim}"):
+        integrate(problem)
 
 
 def test_monitor_with_thousands_of_terms(sl3):
