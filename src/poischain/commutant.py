@@ -10,12 +10,16 @@ in a weight basis, as for the built-in sl(n)), has the monomials as
 eigenvectors, so the joint kernel of these diagonal operators is listed
 directly: the degree-k monomials of weight zero (_zero_weight_monomials).
 The other operators are applied one at a time on integer vectors over
-those monomials (_field_kernel), and polynomials are built only for the
-final reduced echelon basis with graded-lex pivots.  When the checks of
-_raising_fields pass, only the raising operators are applied: the n - 1
-simple ones for the full sl(n), and of those only one per orbit of the
-diagram flip, on the flip eigenvectors of sign (-1)^k (Chevalley's
-restriction theorem; _flip_route, invariant_basis).
+those monomials (_invariant_rows).  When the checks of _raising_fields
+pass, only the raising operators are applied: the n - 1 simple ones for the
+full sl(n), and of those only one per orbit of the diagram flip, on the
+flip eigenvectors of sign (-1)^k (Chevalley's restriction theorem;
+_flip_route, invariant_basis).
+
+Every kernel, of an invariance operator, of a generator's Hamiltonian field
+(poisson_center_basis) or of generator products (relation_basis), is one
+_kernel on integer rows, and every basis returned one _canonical over a
+graded-lex descending key list, the only place polynomials are built.
 
 Relations, membership and new generators range over the formal generator
 monomials of one weighted degree (a generator weighs its degree).  For
@@ -39,7 +43,7 @@ from functools import partial, reduce
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 from operator import and_, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .algebra import (
@@ -132,7 +136,7 @@ class GeneratorSet:
 
     @classmethod
     def from_json(cls, data: Mapping, alg: LieAlgebra) -> "GeneratorSet":
-        gens = []
+        gens: dict[str, Generator] = {}
         for entry in data["generators"]:
             raw = entry["poly"]
             if isinstance(raw, str):
@@ -149,13 +153,17 @@ class GeneratorSet:
                 raise ValueError(
                     f"generator degree {degree} is not the degree {poly.degree} of its poly"
                 )
-            label = str(entry.get("label", f"g{len(gens) + 1}"))
-            gens.append(Generator(poly, degree, label, flag))
+            label = entry.get("label", f"g{len(gens) + 1}")
+            if not isinstance(label, str):
+                raise ValueError(f"generator label must be a string, got {label!r}")
+            if label in gens:
+                raise ValueError(f"generator label {label!r} is used twice")
+            gens[label] = Generator(poly, degree, label, flag)
         cap = data.get("max_degree")
         dims = data.get("kernel_dims", {})
         return cls(
             algebra=alg,
-            generators=gens,
+            generators=list(gens.values()),
             max_degree=None if cap is None else _json_int(cap, "max_degree"),
             kernel_dims={int(k): _json_int(v, "kernel dim") for k, v in dims.items()},
         )
@@ -416,62 +424,42 @@ def _raising_fields(
 # kernels
 
 
-def _kernel_of_images(
-    images: Iterable[tuple[int, Polynomial]], ncols: int
-) -> list[linalg.Row]:
-    """Kernel of the linear map sending column i to its image polynomial,
-    given as (i, image) pairs in any order.  The rows hold the images'
-    integer numerators, so column i is image i times its denominator d_i; a
-    kernel vector x of that matrix gives the kernel vector (d_i * x_i) of
-    the map, to be normalized by the caller."""
+def _kernel(pairs: Iterable[tuple[linalg.Row, linalg.Row]]) -> list[linalg.Row]:
+    """The combinations of the vectors, integer rows over columns, that the
+    map annihilates, as primitive integer rows.  pairs yields each vector
+    with its image, all images over one denominator, and is consumed before
+    the elimination; the map's rows, one per image monomial, go sparsest
+    first."""
+    vectors: list[linalg.Row] = []
     rows: dict[int, linalg.Row] = {}
-    dens: dict[int, int] = {}
-    for col, img in images:
-        dens[col] = img.den
-        for key, v in img.num.items():
-            rows.setdefault(key, {})[col] = v
+    for j, (vec, image) in enumerate(pairs):
+        vectors.append(vec)
+        for m, v in image.items():
+            rows.setdefault(m, {})[j] = v
+    out = []
+    for x in linalg.nullspace(sorted(rows.values(), key=len), len(vectors)):
+        vec = _combination((a, vectors[j]) for j, a in x.items())
+        linalg.make_primitive(vec)
+        out.append(vec)
+    return out
+
+
+def _canonical(rows: Iterable[linalg.Row], keys: Sequence[int], dim: int) -> list[Polynomial]:
+    """The reduced echelon basis of the span of integer rows over the
+    positions of keys, a graded-lex descending key list, as polynomials
+    over their pivots: equal spans give equal lists."""
     return [
-        {c: v * dens.get(c, 1) for c, v in vec.items()}
-        for vec in linalg.nullspace(rows.values(), ncols)
+        _make(dim, {keys[c]: v for c, v in row.items()}, row[min(row)])
+        for row in linalg.canonical_rref(rows)
     ]
-
-
-def _kernel_of_map(
-    basis: Sequence[Polynomial], image_of: Callable[[Polynomial], Polynomial]
-) -> list[Polynomial]:
-    """Basis of the kernel of a linear map given by the images of a
-    nonempty basis of polynomials."""
-    images = [image_of(p) for p in basis]
-    if all(img.is_zero() for img in images):
-        return list(basis)
-    dim = basis[0].dim
-    return [
-        linear_combination(dim, ((c, basis[col]) for col, c in vec.items()))
-        for vec in _kernel_of_images(enumerate(images), len(basis))
-    ]
-
-
-def _graded_lex_index(polys: Iterable[Polynomial]) -> tuple[list[int], dict[int, int]]:
-    """The monomial keys of the polynomials in graded-lex descending order,
-    and the column index of each."""
-    keys = sorted({k for p in polys for k in p.num}, reverse=True)
-    return keys, {k: i for i, k in enumerate(keys)}
-
-
-def _canonical_polys(polys: Sequence[Polynomial], dim: int) -> list[Polynomial]:
-    """The reduced echelon basis of the span of the polynomials, with
-    graded-lex pivots: equal spans give equal lists."""
-    keys, index = _graded_lex_index(polys)
-    # a row holds the numerators of one polynomial, which spans the same line
-    reduced = linalg.canonical_rref({index[k]: v for k, v in p.num.items()} for p in polys)
-    return [_make(dim, {keys[c]: v for c, v in row.items()}, row[min(row)]) for row in reduced]
 
 
 def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polynomial]:
     """The degree-k polynomials annihilated by every operator of the subalgebra.
 
-    Returned as the unique reduced echelon basis with graded-lex pivots, so
-    the output is deterministic and basis-order canonical.
+    Returned as the unique reduced echelon basis with graded-lex pivots
+    (_canonical over the zero-weight keys of _invariant_rows), so the output
+    is deterministic and basis-order canonical.
 
     For the full algebra of a built-in sl(n) (_flip_route), the kernel starts
     from the (-1)^k-eigenvectors of the diagram flip tau(X) = -J X^T J on
@@ -491,31 +479,41 @@ def invariant_basis(alg: LieAlgebra, sub: SubalgebraSpec, k: int) -> list[Polyno
     4. A zero-weight polynomial killed by the simple raising fields is
        invariant (_raising_fields).
     """
+    keys, rows = _invariant_rows(alg, sub, k)
+    if rows is None:
+        return [_make(alg.dim, {key: 1}, 1) for key in keys]
+    return _canonical(rows, keys, alg.dim)
+
+
+def _invariant_rows(
+    alg: LieAlgebra, sub: SubalgebraSpec, k: int
+) -> tuple[list[int], list[linalg.Row] | None]:
+    """The degree-k zero-weight keys and a basis of the degree-k invariants
+    as integer rows over their positions, each non-diagonal field applied
+    by _kernel; the rows are None when no such field applies, as every key
+    is then invariant."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if k == 0:
-        return [Polynomial.one(alg.dim)]
     ops = _invariance_operators(alg, sub)
     # the keys depend only on the weights, which the Cartan and the full
     # subalgebra share, so they are built once per algebra and degree
-    zero_weight = alg.derived(
+    keys = alg.derived(
         ("zero weight monomials", ops.weights, k),
         partial(_zero_weight_monomials, ops.weights, k),
     )
     if not ops.others:
-        return [_make(alg.dim, {key: 1}, 1) for key in zero_weight]
+        return keys, None
     if ops.flip is None:
-        kernel = [{c: 1} for c in range(len(zero_weight))]
+        rows = [{c: 1} for c in range(len(keys))]
         fields = ops.others
     else:
         perm, sign, half = ops.flip
-        kernel = _flip_eigenvectors(zero_weight, perm, sign, (-1) ** k)
+        rows = _flip_eigenvectors(keys, perm, sign, (-1) ** k)
         fields = tuple(ops.others[i] for i in half)
     for _, field in fields:
-        if kernel:
-            kernel = _field_kernel(kernel, zero_weight, field)
-    polys = [_make(alg.dim, {zero_weight[c]: v for c, v in vec.items()}, 1) for vec in kernel]
-    return _canonical_polys(polys, alg.dim)
+        if rows:
+            rows = _kernel(_linear_images(rows, keys, field))
+    return keys, rows
 
 
 def _flip_eigenvectors(
@@ -554,25 +552,25 @@ def _combination(terms: Iterable[tuple[int, linalg.Row]]) -> linalg.Row:
     return {c: v for c, v in out.items() if v}
 
 
-def _field_kernel(
+def _linear_images(
     vectors: list[linalg.Row], keys: list[int], field: VectorField
-) -> list[linalg.Row]:
-    """The combinations of the vectors, integer rows over the monomials
-    keys[c], that the field annihilates.  A vector's image combines the
-    images of its monomials, each computed once; the rows of the map go to
-    nullspace sparsest first."""
+) -> Iterator[tuple[linalg.Row, linalg.Row]]:
+    """Each vector with its image under a linear field, over field.den: the
+    vectors are integer rows over the monomials keys[c], and the image of
+    each monomial is computed once, then freed when the last is taken."""
     images = field.monomial_images({keys[c] for vec in vectors for c in vec})
-    rows: dict[int, linalg.Row] = {}
-    for j, vec in enumerate(vectors):
-        for m, v in _combination((a, images[keys[c]]) for c, a in vec.items()).items():
-            rows.setdefault(m, {})[j] = v
-    del images  # freed before the elimination, which needs only the rows
-    out = []
-    for x in linalg.nullspace(sorted(rows.values(), key=len), len(vectors)):
-        vec = _combination((a, vectors[j]) for j, a in x.items())
-        linalg.make_primitive(vec)
-        out.append(vec)
-    return out
+    for vec in vectors:
+        yield vec, _combination((a, images[keys[c]]) for c, a in vec.items())
+
+
+def _field_images(
+    vectors: list[linalg.Row], keys: list[int], field: VectorField
+) -> Iterator[tuple[linalg.Row, linalg.Row]]:
+    """Each vector with its image under the field, over field.den: one field
+    call per vector, integer rows over the monomials keys[c]."""
+    for vec in vectors:
+        image = field(_make(field.dim, {keys[c]: v for c, v in vec.items()}, 1))
+        yield vec, {m: v * (field.den // image.den) for m, v in image.num.items()}
 
 
 def _formal_counts(weights: Sequence[int], degree: int) -> list[list[int]]:
@@ -642,17 +640,6 @@ def _generator_products(
     """The (formal key, product) pairs of the generator products of weighted
     degree `degree`, each generator weighing its degree."""
     return _formal_monomials([g.degree for g in gens], degree, [g.poly for g in gens])
-
-
-def _product_kernel(
-    gens: Sequence[Generator], degree: int
-) -> tuple[list[int], list[linalg.Row]]:
-    """The formal columns of weighted degree `degree` and a kernel basis of
-    their expansions, as integer rows, by elimination over the products."""
-    cols = _formal_columns([g.degree for g in gens], degree)
-    col_index = {key: i for i, key in enumerate(cols)}
-    images = ((col_index[key], prod) for key, prod in _generator_products(gens, degree))
-    return cols, _kernel_of_images(images, len(cols))
 
 
 Term = tuple[int, int, int]  # (monomial key, numerator, denominator)
@@ -757,7 +744,8 @@ def indecomposables(
                 made.add(key)
                 out.append(b.monic())
         return out
-    keys, index = _graded_lex_index(inv)
+    keys = sorted({key for b in inv for key in b.num}, reverse=True)
+    index = {key: i for i, key in enumerate(keys)}
     # rows hold numerators: a row's scale changes neither the span nor,
     # after monic(), the generators read off it
     ech = linalg.Echelon()
@@ -870,10 +858,10 @@ def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
     Otherwise a relation of weighted degree d is a linear dependency among
     the expansions of the formal monomials of weighted degree d, whose count
     (_formal_counts) is checked against COLUMN_BUDGET before any product.
-    Per degree, the kernel comes by elimination over the products
-    (_product_kernel), less the multiples of lower relations, in reduced
-    echelon form over the formal monomials, ordered by (total degree,
-    exponents) descending.
+    Per degree, the kernel comes by elimination over the products (_kernel,
+    each formal monomial scaled by its product's denominator), less the
+    multiples of lower relations, in reduced echelon form over the formal
+    monomials, ordered by (total degree, exponents) descending (_canonical).
 
     Single-term generators need no elimination (_fiber_relations; Diaconis
     and Sturmfels, Ann. Statist. 26, 1998; Charalambous, Katsabekis and
@@ -906,10 +894,13 @@ def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
     for d in range(1, max_total_degree + 1):
         if not counts[d]:
             continue
-        cols, kernel = _product_kernel(gens.generators, d)
+        cols = _formal_columns(weights, d)
+        col_index = {key: i for i, key in enumerate(cols)}
+        # a product's column scaled by its denominator maps to its numerators
+        kernel = _kernel(({col_index[key]: prod.den}, prod.num)
+                         for key, prod in _generator_products(gens.generators, d))
         if not kernel:
             continue
-        col_index = {key: i for i, key in enumerate(cols)}
         old = linalg.Echelon()
         multipliers: dict[int, list[int]] = {}
         for rel in relations:
@@ -924,8 +915,8 @@ def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
             red = old.reduce(vec)
             if red:
                 old.insert(dict(red))
-                fresh.append(_make(nformal, {cols[ci]: v for ci, v in red.items()}, 1))
-        relations += [Relation(d, formal) for formal in _canonical_polys(fresh, nformal)]
+                fresh.append(red)
+        relations += [Relation(d, formal) for formal in _canonical(fresh, cols, nformal)]
     return found
 
 
@@ -1077,11 +1068,15 @@ def poisson_center_basis(
     gens: GeneratorSet,
     k: int,
 ) -> list[Polynomial]:
-    """Degree-k invariants whose bracket with every generator vanishes."""
-    basis = invariant_basis(alg, sub, k)
+    """Degree-k invariants whose bracket with every generator vanishes: the
+    invariant rows of _invariant_rows, cut by one _kernel per generator."""
+    keys, rows = _invariant_rows(alg, sub, k)
+    if rows is None:
+        rows = [{c: 1} for c in range(len(keys))]
     for g in gens.generators:
-        if not basis:
+        if not rows:
             break
         # {p, g} = -{g, p}: the same kernel as p -> X_g(p)
-        basis = _kernel_of_map(basis, VectorField(hamiltonian_field(g.poly, alg)))
-    return _canonical_polys(basis, alg.dim)
+        rows = _kernel(_field_images(rows, keys, VectorField(hamiltonian_field(g.poly, alg))))
+    return _canonical(rows, keys, alg.dim)
+

@@ -174,17 +174,20 @@ def integrate(problem: FlowProblem) -> FlowResult:
     under the label "H") is the maximum over all steps of the distance from
     its initial value; the trajectory itself is recorded at step 0, every
     max(1, steps // 1000) steps and at the last step, about 2,000 points at
-    most.  A monitor (or H) whose dimension is not the algebra's is a
-    ConfigurationError, raised before anything is compiled.
+    most.  A monitor (or H) whose dimension is not the algebra's, or whose
+    label repeats an earlier one (H's included), as the drifts are keyed by
+    label, is a ConfigurationError, raised before anything is compiled.
     """
     monitors = [("H", problem.hamiltonian)] + list(problem.monitors)
     dim = problem.algebra.dim
-    for name, poly in monitors:
+    labels = [name for name, _ in monitors]
+    for i, (name, poly) in enumerate(monitors):
+        if labels.index(name) < i:
+            raise ConfigurationError(f"monitor label {name!r} is used twice (H: the Hamiltonian)")
         if poly.dim != dim:
             raise ConfigurationError(
                 f"monitor {name!r} has dimension {poly.dim}, the algebra {dim}")
     field_polys = hamiltonian_field(problem.hamiltonian, problem.algebra)
-    labels = [name for name, _ in monitors]
     run = _compile_flow(field_polys, [p for _, p in monitors], problem.dt)
 
     steps = max(1, round(problem.t_final / problem.dt))

@@ -9,7 +9,10 @@ Oracles the package itself does not need live here too: the sl(n) trace
 form, the Killing-invariance witness, the inverse dual transport, the JSON
 terms of a polynomial and the Eulerian cycle decomposition of a balanced
 monomial.  The per-polynomial invariant chain and a count of zero-weight
-monomials check the weight-space kernels."""
+monomials check the weight-space kernels, and the Poisson center by
+polynomial images checks poisson_center_basis, on the Levi subalgebras
+built here too.  The polynomial-image kernel and canonical basis those
+references were written against are kept here as their own code."""
 
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ from poischain import (
     membership,
     monomial_basis,
     render_polynomial,
+    span_subalgebra,
 )
 from poischain.algebra import BilinearForm, _linear_forms, _sl_matrix_basis
 from poischain.cycles import (
@@ -63,12 +67,9 @@ from poischain.commutant import (
     MembershipResult,
     Relation,
     RelationSet,
-    _canonical_polys,
     _formal_columns,
     _generator_products,
     _invariance_operators,
-    _kernel_of_images,
-    _kernel_of_map,
     _zero_weight_monomials,
     default_degree_cap,
 )
@@ -82,7 +83,7 @@ from poischain.linalg import (
     nullspace,
     row_from_rationals,
 )
-from poischain.poly import hamiltonian_field, linear_combination, pack, unpack
+from poischain.poly import _make, hamiltonian_field, linear_combination, pack, unpack
 
 
 @contextmanager
@@ -741,7 +742,7 @@ def reference_relation_basis(gens, max_total_degree: int) -> RelationSet:
         col_index = {key: i for i, key in enumerate(cols)}
         products = _generator_products(gens.generators, d)
         images = [(col_index[key], prod) for key, prod in products]
-        kernel = _kernel_of_images(images, len(cols))
+        kernel = kernel_of_images(images, len(cols))
         if not kernel:
             continue
         old = Echelon()
@@ -754,9 +755,25 @@ def reference_relation_basis(gens, max_total_degree: int) -> RelationSet:
             if red:
                 old.insert(dict(red))
                 fresh.append(_keyed_poly(cols, red, nformal))
-        for formal in _canonical_polys(fresh, nformal):
+        for formal in canonical_polys(fresh, nformal):
             found.relations.append(Relation(weighted_degree=d, formal=formal))
     return found
+
+
+def levi_subalgebra(alg, blocks):
+    """The block-diagonal Levi subalgebra s(gl_n1 + gl_n2 + ...) of the
+    built-in sl(n), n = sum(blocks) at most 9, spanned by the Cartan and the
+    matrix units e_ij with i != j in one block."""
+    n, start, labels = sum(blocks), 1, []
+    for size in blocks:
+        block = range(start, start + size)
+        labels += [f"e{i}{j}" for i in block for j in block if i != j]
+        start += size
+    labels = [f"h{i}" for i in range(1, n)] + labels
+    return span_subalgebra([
+        [Fraction(int(j == alg.labels.index(label))) for j in range(alg.dim)]
+        for label in labels
+    ])
 
 
 def summed_torus_set(n: int) -> GeneratorSet:
@@ -1027,8 +1044,8 @@ def zero_weight_counts(weights, kmax: int) -> list[int]:
 def reference_invariant_basis(alg, sub, k: int) -> list[Polynomial]:
     """Reference route for the chain of invariant_basis, the one it took
     before it ran on integer vectors: the zero-weight monomials as
-    polynomials, cut by one _kernel_of_map per non-diagonal field, each
-    image a polynomial, then normalized by _canonical_polys."""
+    polynomials, cut by one kernel_of_map per non-diagonal field, each
+    image a polynomial, then normalized by canonical_polys."""
     if k == 0:
         return [Polynomial.one(alg.dim)]
     ops = _invariance_operators(alg, sub)
@@ -1041,5 +1058,64 @@ def reference_invariant_basis(alg, sub, k: int) -> list[Polynomial]:
     for _, field in ops.others:
         if not basis:
             break
-        basis = _kernel_of_map(basis, field)
-    return _canonical_polys(basis, alg.dim)
+        basis = kernel_of_map(basis, field)
+    return canonical_polys(basis, alg.dim)
+
+
+def reference_poisson_center_basis(alg, sub, gens, k: int) -> list[Polynomial]:
+    """Reference route for poisson_center_basis, the polynomial route it took
+    before it ran on integer rows: reference_invariant_basis, cut by one
+    kernel_of_map per Hamiltonian field of a generator, then normalized by
+    canonical_polys."""
+    basis = reference_invariant_basis(alg, sub, k)
+    for g in gens.generators:
+        if not basis:
+            break
+        basis = kernel_of_map(basis, VectorField(hamiltonian_field(g.poly, alg)))
+    return canonical_polys(basis, alg.dim)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial-image kernel and canonical basis the reference routes were
+# written against, kept here as their own code
+
+
+def kernel_of_images(images, ncols: int) -> list[dict[int, int]]:
+    """Kernel of the linear map sending column i to its image polynomial,
+    given as (i, image) pairs in any order.  The rows hold the images'
+    integer numerators, so column i is image i times its denominator d_i; a
+    kernel vector x of that matrix gives the kernel vector (d_i * x_i) of
+    the map, to be normalized by the caller."""
+    rows: dict[int, dict[int, int]] = {}
+    dens: dict[int, int] = {}
+    for col, img in images:
+        dens[col] = img.den
+        for key, v in img.num.items():
+            rows.setdefault(key, {})[col] = v
+    return [
+        {c: v * dens.get(c, 1) for c, v in vec.items()}
+        for vec in nullspace(rows.values(), ncols)
+    ]
+
+
+def kernel_of_map(basis, image_of) -> list[Polynomial]:
+    """Basis of the kernel of a linear map given by the images of a
+    nonempty basis of polynomials."""
+    images = [image_of(p) for p in basis]
+    if all(img.is_zero() for img in images):
+        return list(basis)
+    dim = basis[0].dim
+    return [
+        linear_combination(dim, ((c, basis[col]) for col, c in vec.items()))
+        for vec in kernel_of_images(enumerate(images), len(basis))
+    ]
+
+
+def canonical_polys(polys, dim: int) -> list[Polynomial]:
+    """The reduced echelon basis of the span of the polynomials, with
+    graded-lex pivots: equal spans give equal lists."""
+    keys = sorted({k for p in polys for k in p.num}, reverse=True)
+    index = {k: i for i, k in enumerate(keys)}
+    # a row holds the numerators of one polynomial, which spans the same line
+    reduced = canonical_rref({index[k]: v for k, v in p.num.items()} for p in polys)
+    return [_make(dim, {keys[c]: v for c, v in row.items()}, row[min(row)]) for row in reduced]

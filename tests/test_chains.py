@@ -22,6 +22,7 @@ from poischain import (
     mf_chain,
     moment_map_base,
     parse_polynomial,
+    poisson_center_basis,
     span_subalgebra,
     torus_chain,
     trdeg,
@@ -32,6 +33,8 @@ from poischain.algebra import ConfigurationError
 from poischain.chains import j_map_components
 from poischain.commutant import Generator, GeneratorSet, _single_terms, default_degree_cap
 from poischain.sampling import generic_jacobian_rank
+
+from helpers import levi_subalgebra, reference_poisson_center_basis
 
 F = Fraction
 
@@ -276,6 +279,42 @@ def test_base_existence_report_json(sl3):
         "note": "center rank is a lower bound from degreewise computation up to "
                 "the cap 3; a negative verdict is relative to that cap",
     }
+
+
+# Levi blocks of the built-in sl(n): (verdict, center_trdeg, d_A, center_dims)
+# at the default cap n
+LEVI_VERDICTS = {
+    (2, 1): ("exists", 4, 4, {1: 1, 2: 3, 3: 4}),
+    (2, 2): ("does_not_exist_up_to_cap", 6, 7, {1: 1, 2: 4, 3: 5, 4: 12}),
+    (3, 1): ("does_not_exist_up_to_cap", 6, 9, {1: 1, 2: 3, 3: 5, 4: 9}),
+    (2, 1, 1): ("exists", 6, 5, {1: 2, 2: 5, 3: 9, 4: 17}),
+}
+
+
+@pytest.mark.parametrize("blocks", LEVI_VERDICTS, ids=str)
+def test_levi_base_existence(request, blocks):
+    alg = request.getfixturevalue(f"sl{sum(blocks)}")
+    rep = base_existence_verdict(alg, levi_subalgebra(alg, blocks))
+    assert (rep.verdict, rep.center_trdeg, rep.d_a, rep.center_dims) == LEVI_VERDICTS[blocks]
+
+
+@pytest.mark.parametrize("blocks, commutative", [
+    ((2, 1), True), ((1, 2), True), ((3, 1), True), ((1, 3), True),
+    ((2, 2), False), ((2, 1, 1), False),
+], ids=str)
+def test_levi_center_against_kramer_and_the_polynomial_route(request, blocks, commutative):
+    """S(g)^L is Poisson-commutative exactly when L = GL(n-1) x GL(1)
+    (Kramer, Arch. Math. 27, 1976), so the center has the invariants'
+    dimensions exactly there; and through degree 4 the center is the one the
+    polynomial-image route gives."""
+    alg = request.getfixturevalue(f"sl{sum(blocks)}")
+    sub = levi_subalgebra(alg, blocks)
+    intermediate = generate(alg, sub)
+    center = base_existence_verdict(alg, sub).center_dims
+    assert (center == intermediate.kernel_dims) == commutative
+    for k in range(1, 5):
+        got = poisson_center_basis(alg, sub, intermediate, k)
+        assert got == reference_poisson_center_basis(alg, sub, intermediate, k), k
 
 
 def test_leaf_dimension(sl2, sl3, sl4):

@@ -747,6 +747,16 @@ _MALFORMED_FILES = {
     # a declared degree that is not the degree of the poly
     "degree_mismatch_gen.json": {"generators": [{"poly": "h1^2", "degree": 1},
                                                 {"poly": "h1"}]},
+    # a label used twice (on central generators, a valid base otherwise), and
+    # a label that is not a string (JSON null)
+    "repeated_label_gen.json": {"generators": [{"poly": "h1^2 + 4*e12*e21", "label": "C"},
+                                               {"poly": "2*h1^2 + 8*e12*e21", "label": "C"}]},
+    "null_label_gen.json": {"generators": [{"poly": "h1", "label": None}]},
+    # monitors labelled as flow labels the Hamiltonian: e12, which grows as
+    # exp(2t) along the flow of h1, and the Casimir
+    "h_labels.json": {"generators": [{"poly": "e12", "label": "H"},
+                                     {"poly": "h1^2 + 4*e12*e21", "label": "H"}]},
+    "h_label.json": {"generators": [{"poly": "e12", "label": "H"}]},
 }
 
 # every subcommand that takes --algebra, with the other arguments it needs
@@ -778,7 +788,7 @@ _GENERATOR_CONTRACT = [
     for name in ("float_degree", "bool_degree", "string_cap", "float_kernel_dim",
                  "string_indecomposable", "zero_degree", "negative_degree", "constant",
                  "zero_poly", "float_exponent", "bool_exponent", "list_exps",
-                 "degree_mismatch")
+                 "degree_mismatch", "repeated_label", "null_label")
     for use, argv, prefix in (
         ("base", ["chain", "verify", "--algebra", "sl2", "--subalgebra", "cartan",
                   "--base"], "file:"),
@@ -850,6 +860,12 @@ _GENERATOR_CONTRACT = [
         pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "0.1",
                               "--monitor", "@float_gen.json"],
                      id="float-generator-monitor"),
+        pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "0.01",
+                              "--monitor", "@h_labels.json"],
+                     id="monitors-with-one-label-twice"),
+        pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "0.01",
+                              "--monitor", "@h_label.json"],
+                     id="monitor-labelled-as-the-hamiltonian"),
         pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "1e308", "--dt", "1e-308"],
                      id="infinite-step-count"),
         pytest.param(_FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "inf"],

@@ -47,7 +47,6 @@ from poischain.commutant import (
     _formal_counts,
     _generator_products,
     _invariance_operators,
-    _kernel_of_images,
     _zero_weight_monomials,
 )
 from poischain.poly import VectorField, hamiltonian_field, pack, unpack
@@ -56,10 +55,13 @@ from poischain.sampling import generic_jacobian_rank
 from helpers import (
     expand_formal,
     full_basis_invariants,
+    kernel_of_images,
     random_polynomial,
     reference_invariant_basis,
     reference_is_invariant,
     reference_membership,
+    reference_poisson_center_basis,
+    reference_relation_basis,
     rescaled_sl_json,
     same_span,
     summed_torus_set,
@@ -332,7 +334,7 @@ def test_free_certificate_matches_elimination(n):
         for key, prod in _generator_products(gens.generators, d):
             assert prod == expand_formal(gens, unpack(key, nformal))
             images.append((cols.setdefault(key, len(cols)), prod))
-        assert _kernel_of_images(images, len(cols)) == [], d
+        assert kernel_of_images(images, len(cols)) == [], d
 
 
 def test_dependent_family_keeps_elimination(sl3_casimirs):
@@ -588,6 +590,19 @@ def test_poisson_center_sl3_degree_one(sl3, sl3_torus):
     assert [p.render(sl3.labels) for p in c1] == ["h1", "h2"]
 
 
+def test_poisson_center_over_one_denominator(sl2):
+    """The field of 1/2*e12 has denominator 2, and its images of the torus
+    invariants h1^2 and e12*e21, -2*h1*e12 and 1/2*h1*e12, reduce to
+    different ones: only over one denominator is the kernel the Casimir
+    h1^2 + 4*e12*e21 (unscaled numerators give h1^2 + 2*e12*e21)."""
+    cart = cartan_subalgebra(sl2)
+    for text in ("e12", "1/2*e12"):
+        gens = GeneratorSet(sl2, [Generator(parse_polynomial(text, 3, sl2.labels), 1, "g")])
+        got = poisson_center_basis(sl2, cart, gens, 2)
+        assert [p.render(sl2.labels) for p in got] == ["h1^2 + 4*e12*e21"], text
+        assert got == reference_poisson_center_basis(sl2, cart, gens, 2), text
+
+
 def test_center_elements_commute_with_generators(sl3, sl3_torus):
     cart = cartan_subalgebra(sl3)
     for k in (1, 2):
@@ -613,6 +628,37 @@ def test_generator_degree_must_match_its_poly(sl2):
     data["generators"][0]["degree"] = 2
     gens = GeneratorSet.from_json(data, sl2)
     assert [r.render(gens) for r in relation_basis(gens, 4).relations] == ["g2^2 - g1"]
+
+
+def test_relations_of_products_over_one_denominator(sl2):
+    """The products g1^2 = h1^2/4, g2 and g3 have denominators 4, 3 and 5:
+    only over one denominator is their dependency 4*g1^2 - 3*g2 + 5*g3
+    (unscaled numerators give g1^2 - g2 + g3)."""
+    gens = GeneratorSet(sl2, [
+        Generator(parse_polynomial(text, 3, sl2.labels), degree, f"g{i}")
+        for i, (text, degree) in enumerate(
+            [("1/2*h1", 1), ("1/3*h1^2 + 1/3*e12*e21", 2), ("1/5*e12*e21", 2)], start=1)
+    ])
+    got = relation_basis(gens, 2).relations
+    assert [r.render(gens) for r in got] == ["g1^2 - 3/4*g2 + 5/4*g3"]
+    want = reference_relation_basis(gens, 2).relations
+    assert [r.formal for r in got] == [r.formal for r in want]
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ({"label": "H"}, {"label": "H"}, "label 'H' is used twice"),
+    # the second generator's default label is g2
+    ({"label": "g2"}, {}, "label 'g2' is used twice"),
+    ({}, {"label": None}, "label must be a string, got None"),
+    ({}, {"label": 3}, "label must be a string, got 3"),
+])
+def test_generator_labels_are_distinct_strings(sl2, first, second, message):
+    """Labels name formal variables, report entries and flow drifts, so a
+    repeated one or one that is not a string (str() made JSON null "None")
+    is refused."""
+    entries = [{"poly": "e12", **first}, {"poly": "h1^2 + 4*e12*e21", **second}]
+    with pytest.raises(ValueError, match=message):
+        GeneratorSet.from_json({"generators": entries}, sl2)
 
 
 def test_generate_with_one_dim_torus(sl3):
@@ -907,13 +953,13 @@ def test_integer_vector_chain_matches_the_per_polynomial_chain(case, monkeypatch
     else:
         assert ops.flip is None
     calls = []
-    field_kernel = commutant._field_kernel
+    kernel = commutant._kernel
 
     def counted(*args):
         calls.append(args)
-        return field_kernel(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(commutant, "_field_kernel", counted)
+    monkeypatch.setattr(commutant, "_kernel", counted)
     applied = len(ops.flip[2]) if ops.flip else len(ops.others)
     for k in range(kmax + 1):
         calls.clear()

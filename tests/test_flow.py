@@ -271,6 +271,21 @@ def test_monitor_of_another_dimension_is_refused(sl2, dim, monkeypatch):
         integrate(problem)
 
 
+@pytest.mark.parametrize("labels", [["H"], ["e12", "e12"], ["e12", "C2", "e12"]])
+def test_repeated_monitor_label_is_refused(sl2, labels, monkeypatch):
+    # the drifts are keyed by label: unchecked, a repeated label keeps one
+    # drift and silently drops the others (here e12's, which grows as exp(2t))
+    def no_compile(*args):
+        raise AssertionError("compiled a flow with a repeated monitor label")
+
+    monkeypatch.setattr(flow, "_compile_flow", no_compile)
+    e12 = parse_polynomial("e12", sl2.dim, sl2.labels)
+    problem = sl2_problem(sl2, monitors=[(label, e12) for label in labels])
+    message = f"monitor label '{labels[-1]}' is used twice"
+    with pytest.raises(ConfigurationError, match=message):
+        integrate(problem)
+
+
 def test_monitor_with_thousands_of_terms(sl3):
     # (h1 + h2 + e12 + ... + e32)^8 has C(15, 7) = 6,435 terms, beyond the
     # ~3,000 at which one long `+` expression overflows CPython's compiler

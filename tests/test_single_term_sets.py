@@ -163,7 +163,7 @@ def test_toric_relations_build_no_echelon(monkeypatch):
 
     monkeypatch.setattr(commutant, "generic_jacobian_rank", lambda polys, dim: dim)
     monkeypatch.setattr(linalg, "Echelon", refused)
-    monkeypatch.setattr(commutant, "_canonical_polys", refused)
+    monkeypatch.setattr(commutant, "_canonical", refused)
     assert relation_basis(torus, 10).relations == want
     with pytest.raises(AssertionError, match="elimination was used"):
         relation_basis(summed, 10)
