@@ -72,7 +72,8 @@ class LieAlgebra:
         """build(), called on the first request for this key and kept with
         the algebra: data derived from the structure constants, such as
         bracket_rows or the invariance operators of a subalgebra.  Callers
-        must not mutate the value."""
+        must not mutate the value; commutant._zero_weight_keys alone
+        deepens its own in place."""
         try:
             return self._derived[key]  # type: ignore[return-value]
         except KeyError:

@@ -8,13 +8,13 @@ degree-k part.
 An operator that scales every coordinate, x_v -> c_v x_v (a Cartan element
 in a weight basis, as for the built-in sl(n)), has the monomials as
 eigenvectors, so the joint kernel of these diagonal operators is listed
-directly: the degree-k monomials of weight zero (_zero_weight_monomials).
-The other operators are applied one at a time on integer vectors over
-those monomials (_invariant_rows).  When the checks of _raising_fields
-pass, only the raising operators are applied: the n - 1 simple ones for the
-full sl(n), and of those only one per orbit of the diagram flip, on the
-flip eigenvectors of sign (-1)^k (Chevalley's restriction theorem;
-_flip_route, invariant_basis).
+directly: the monomials of weight zero, of every degree through the cap
+from one walk (_zero_weight_levels).  The other operators are applied one
+at a time on integer vectors over those monomials (_invariant_rows).  When
+the checks of _raising_fields pass, only the raising operators are applied:
+the n - 1 simple ones for the full sl(n), and of those only one per orbit
+of the diagram flip, on the flip eigenvectors of sign (-1)^k (Chevalley's
+restriction theorem; _flip_route, invariant_basis).
 
 Every kernel, of an invariance operator, of a generator's Hamiltonian field
 (poisson_center_basis) or of generator products (relation_basis), is one
@@ -24,12 +24,13 @@ graded-lex descending key list, the only place polynomials are built.
 Relations, membership and new generators range over the formal generator
 monomials of one weighted degree (a generator weighs its degree).  For
 single-term generators c*x^a, as the torus generators of the built-in sl(n)
-are, these are listed level by level (_term_levels), each expanding to one
-term, so the relations are binomials (the toric ideal of a monomial map;
-Sturmfels, Groebner Bases and Convex Polytopes, ch. 4) and every answer is
-read off packed keys with no product and no elimination (_fiber_relations,
-_solve_by_factors, indecomposables).  Other sets take products along one
-walk (_formal_monomials) and elimination.  Either route builds each
+are, each expands to one term, so the relations are binomials (the toric
+ideal of a monomial map; Sturmfels, Groebner Bases and Convex Polytopes,
+ch. 4) and every answer is read off packed keys with no product and no
+elimination: relations from formal monomials listed level by level
+(_term_levels, _fiber_relations), new generators and membership from one
+entry per product key (_product_codes).  Other sets take products along
+one walk (_formal_monomials) and elimination.  Either route builds each
 homogeneous component of a membership expression as integer numerators
 over one denominator, with no Fraction; with integer spanning vectors, a
 torus chain builds none.
@@ -203,53 +204,75 @@ def _weight_codes(weights: Sequence[tuple[int, ...]], k: int) -> list[int]:
     return [sum(w * base**a for a, w in enumerate(wt)) for wt in weights]
 
 
-def _zero_weight_monomials(weights: Sequence[tuple[int, ...]], k: int) -> list[int]:
-    """The keys of the degree-k monomials of weight zero,
-    sum_v e_v * weights[v] = 0, in graded-lex descending order.
+def _zero_weight_levels(weights: Sequence[tuple[int, ...]], top: int) -> list[list[int]]:
+    """levels[k], k = 0..top: the keys of the degree-k monomials of weight
+    zero, sum_v e_v * weights[v] = 0, graded-lex descending.
 
     Coordinates of weight zero (the Cartan ones) never change the weight, so
-    the walk runs over the other coordinates, comparing weights by their
-    codes (_weight_codes), and fills whatever degree is left with every
-    monomial in the zero-weight ones.  It takes the first third of them
-    unpruned; from there on reach[i] maps every code the coordinates i.. can
-    make to the least degree that makes it, and the walk enters only
-    branches that can still end at weight zero within degree k.  The keys
-    are sorted once at the end.
+    one walk runs over the others, comparing weights by codes wide enough
+    for top (_weight_codes).  A leaf of code 0 after d factors is a degree-d
+    core, and level k holds each core of degree d <= k times each
+    degree-(k - d) monomial in the zero-weight coordinates.  The walk takes
+    the first third of its coordinates unpruned; from there on reach[i] maps
+    each code the coordinates i.. make within degree top to the least degree
+    that makes it, filled one degree at a time, and the walk enters only
+    branches that can end at code 0 within the degree left.  A least degree
+    answers that for any degree left, so one table at top prunes every
+    lower degree too, and the walk reaches each core of degree <= top once.
     """
     keys = variable_keys(len(weights))
     walked = [v for v, wt in enumerate(weights) if any(wt)]
     still = [v for v, wt in enumerate(weights) if not any(wt)]
-    every_code = _weight_codes(weights, k)
+    every_code = _weight_codes(weights, top)
     codes = [every_code[v] for v in walked]
     split = len(walked) // 3
-    reach: list[dict | None] = [None] * split + [{} for _ in walked[split:]] + [{0: 0}]
+    reach: list[dict | None] = [None] * len(walked) + [{0: 0}]
     for i in range(len(walked) - 1, split - 1, -1):
-        states, code = reach[i], codes[i]
-        for c, d in reach[i + 1].items():
-            for e in range(k - d + 1):
-                if states.get(c + e * code, k + 1) > d + e:
-                    states[c + e * code] = d + e
-    # fills[d]: the keys of the degree-d monomials in the zero-weight
-    # coordinates (only d = 0, the empty monomial, when there are none)
-    fills = [
-        [sum(keys[v] for v in combo) for combo in combinations_with_replacement(still, d)]
-        for d in range(k + 1)
-    ]
-    out: list[int] = []
+        states = reach[i] = dict(reach[i + 1])
+        step = codes[i]
+        layers: list[list[int]] = [[] for _ in range(top + 1)]
+        for c, d in states.items():
+            layers[d].append(c)
+        for d in range(top):
+            for c in layers[d]:
+                # a code lowered to an earlier layer was extended there
+                if states[c] == d and states.get(c + step, top + 1) > d + 1:
+                    states[c + step] = d + 1
+                    layers[d + 1].append(c + step)
+    cores: list[list[int]] = [[] for _ in range(top + 1)]  # by degree
 
     def walk(i: int, code: int, left: int, key: int) -> None:
         if i == len(walked):
-            out.extend(key + fill for fill in fills[left])
+            cores[top - left].append(key)
             return
         step, after, var = codes[i], reach[i + 1], keys[walked[i]]
         for e in range(left, -1, -1):
             nxt = code + e * step
-            if after is None or after.get(-nxt, k + 1) <= left - e:
+            if after is None or after.get(-nxt, top + 1) <= left - e:
                 walk(i + 1, nxt, left - e, key + e * var)
 
-    walk(0, 0, k, 0)
-    out.sort(reverse=True)
-    return out
+    walk(0, 0, top, 0)
+    # fills[d]: the keys of the degree-d monomials in the zero-weight
+    # coordinates (only d = 0, the empty monomial, when there are none)
+    fills = [list(map(sum, combinations_with_replacement([keys[v] for v in still], d)))
+             for d in range(top + 1)]
+    return [sorted((c + f for d in range(k + 1) for c in cores[d] for f in fills[k - d]),
+                   reverse=True) for k in range(top + 1)]
+
+
+def _zero_weight_monomials(weights: Sequence[tuple[int, ...]], k: int) -> list[int]:
+    """Level k of _zero_weight_levels(weights, k)."""
+    return _zero_weight_levels(weights, k)[k]
+
+
+def _zero_weight_keys(alg: LieAlgebra, weights: tuple, k: int) -> list[int]:
+    """Level k of the deepest walk kept with the algebra, replaced in place
+    by a walk through k when shallower; the Cartan and the full subalgebra
+    share it, having the same weights."""
+    levels = alg.derived(("zero weight monomials", weights), list)
+    if len(levels) <= k:
+        levels[:] = _zero_weight_levels(weights, k)
+    return levels[k]
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +518,7 @@ def _invariant_rows(
     if k < 0:
         raise ValueError("degree must be nonnegative")
     ops = _invariance_operators(alg, sub)
-    # the keys depend only on the weights, which the Cartan and the full
-    # subalgebra share, so they are built once per algebra and degree
-    keys = alg.derived(
-        ("zero weight monomials", ops.weights, k),
-        partial(_zero_weight_monomials, ops.weights, k),
-    )
+    keys = _zero_weight_keys(alg, ops.weights, k)
     if not ops.others:
         return keys, None
     if ops.flip is None:
@@ -686,6 +704,38 @@ def _term_levels(
         yield t, level
 
 
+def _product_codes(weights: Sequence[int], keys: Sequence[int], top: int) -> dict[int, int]:
+    """The product-key level of weighted degree top: each key of a product
+    of single-term generators (weight w_i, key key_i) of weight top, once,
+    mapped to a code of its greatest formal monomial, the digits n - a_1,
+    ..., n - a_m in base 2**n.bit_length() for indices a_1 <= ... <= a_m.
+
+    Codes compare as graded-lex formal keys (more factors, more digits; at
+    the first differing digit the smaller index is a variable the other has
+    fewer of).  Generators are added one at a time, each to level t >= w_i
+    in increasing t: level t - w_i (i already in it) plus key_i, with i
+    appended, the greater code kept.  Each candidate is a formal monomial
+    of q, none above the greatest, G; G less its last factor i is one of
+    q - key_i, no greater than the entry there, so the candidate of i is at
+    least G, hence G.
+    """
+    if any(w < 1 for w in weights):
+        raise ValueError("generator degrees must be positive")
+    n = len(weights)
+    width = n.bit_length()
+    levels: list[dict[int, int]] = [{0: 0}] + [{} for _ in range(top)]
+    for i, (w, key) in enumerate(zip(weights, keys)):
+        for t in range(w, top + 1):
+            level = levels[t]
+            get = level.get
+            for q, code in levels[t - w].items():
+                q += key
+                code = code << width | n - i
+                if get(q, 0) < code:
+                    level[q] = code
+    return levels[top]
+
+
 def _fiber_relations(level: list[Entry], nformal: int) -> list[Polynomial]:
     """The new relations of one level, by pivot: members of a fiber (one
     product key) sharing a generator are joined, and the least formal keys
@@ -727,16 +777,16 @@ def indecomposables(
     earlier generators inside the degree-k invariants (invariant, the basis
     invariant_basis returns at degree k), chosen by graded-lex pivot
     positions.  When the earlier generators and the invariants are all
-    single terms, that complement is the invariant monomials whose keys are
-    no product's key."""
+    single terms, the products span the monomials of their keys
+    (_product_codes), so a monomial whose key is absent lies outside that
+    span: it is indecomposable, and the pivot the elimination keeps."""
     inv = list(invariant)
     if not inv:
         return []
     lower = sorted((g for g in previous if g.degree < k), key=lambda g: (g.degree, g.label))
     terms = _single_terms(lower)
     if terms is not None and all(len(b.num) == 1 for b in inv):
-        (_, level), = deque(_term_levels([g.degree for g in lower], terms, k), maxlen=1)
-        made = {entry[1] for entry in level}
+        made = set(_product_codes([g.degree for g in lower], [key for key, _, _ in terms], k))
         out = []
         for b in inv:
             (key,) = b.num
@@ -799,6 +849,8 @@ def generate(
         max_degree = default_degree_cap(alg)
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
+    # one walk lists the zero-weight keys of every degree through the cap
+    _zero_weight_keys(alg, _invariance_operators(alg, sub).weights, max_degree)
     gens: list[Generator] = []
     kernel_dims: dict[int, int] = {}
     for k in range(1, max_degree + 1):
@@ -1003,19 +1055,30 @@ def _solve_by_factors(
 ) -> Polynomial | None:
     """_solve_by_products for single-term generators, with no product and no
     solve: each term of the component goes to the formal monomial of
-    greatest key among those of its monomial, the column the solve pivots
-    on; None when some term has none."""
-    best: dict[int, Entry] = {}
-    (_, level), = deque(_term_levels(weights, terms, degree), maxlen=1)
-    for entry in level:
-        if entry[1] in component.num and entry > best.get(entry[1], (0,)):
-            best[entry[1]] = entry
-    if len(best) < len(component.num):
+    greatest key among those of its monomial, decoded from _product_codes;
+    None when some term has none.  The solve's columns go by descending
+    formal key, and the products of one monomial are multiples of each
+    other, so the first, of greatest formal key, is the pivot."""
+    n = len(weights)
+    width = n.bit_length()
+    level = _product_codes(weights, [key for key, _, _ in terms], degree)
+    if any(key not in level for key in component.num):
         return None
-    scale = lcm(*(num for _, _, num, _, _ in best.values()))
-    return _make(len(weights), {
+    fkeys = variable_keys(n)
+    best = {}  # product key -> (formal key, numerator, denominator)
+    for key in component.num:
+        code, formal, num, den = level[key], 0, 1, 1
+        while code:
+            i = n - (code & (1 << width) - 1)
+            code >>= width
+            formal += fkeys[i]
+            num *= terms[i][1]
+            den *= terms[i][2]
+        best[key] = formal, num, den
+    scale = lcm(*(num for _, num, _ in best.values()))
+    return _make(n, {
         formal: component.num[key] * den * (scale // num)
-        for formal, key, num, den, _ in best.values()
+        for key, (formal, num, den) in best.items()
     }, component.den * scale)
 
 

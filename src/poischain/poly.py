@@ -430,8 +430,12 @@ def hamiltonian_field(p: Polynomial, alg) -> list[Polynomial]:
                 acc = out[j]
                 for k, c in bracket.items():
                     m2 = base + keys[k]
-                    acc[m2] = acc.get(m2, 0) + ne * c
-    return [_make(dim, {k: v for k, v in acc.items() if v}, den * p.den) for acc in out]
+                    # a cancelled sum goes at once: the dict holds live terms only
+                    if v := acc.get(m2, 0) + ne * c:
+                        acc[m2] = v
+                    else:
+                        del acc[m2]
+    return [_make(dim, acc, den * p.den) for acc in out]
 
 
 class VectorField:
@@ -469,8 +473,12 @@ class VectorField:
                 ne = num * e
                 for m, c in component:
                     m2 = base + m
-                    out[m2] = get(m2, 0) + ne * c
-        return _make(dim, {k: v for k, v in out.items() if v}, self.den * q.den)
+                    # a cancelled sum goes at once: the dict holds live terms only
+                    if v := get(m2, 0) + ne * c:
+                        out[m2] = v
+                    else:
+                        del out[m2]
+        return _make(dim, out, self.den * q.den)
 
     def monomial_images(self, keys: Iterable[int]) -> dict[int, dict[int, int]]:
         """The derivative along the field of each monomial key, as numerators

@@ -12,14 +12,16 @@ monomial.  The per-polynomial invariant chain and a count of zero-weight
 monomials check the weight-space kernels, and the Poisson center by
 polynomial images checks poisson_center_basis, on the Levi subalgebras
 built here too.  The polynomial-image kernel and canonical basis those
-references were written against are kept here as their own code."""
+references were written against are kept here as their own code, and so
+are the single-term new-generator and membership readers that listed one
+entry per formal monomial (_term_levels), against the product-key levels."""
 
 from __future__ import annotations
 
 import csv
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
@@ -70,6 +72,8 @@ from poischain.commutant import (
     _formal_columns,
     _generator_products,
     _invariance_operators,
+    _single_terms,
+    _term_levels,
     _zero_weight_monomials,
     default_degree_cap,
 )
@@ -855,6 +859,42 @@ def reference_indecomposables(alg, k: int, previous, invariant) -> list[Polynomi
         ech.insert(dict(red))
         out.append(_keyed_poly(keys, red, alg.dim).monic())
     return out
+
+
+def term_level_indecomposables(alg, k: int, previous, invariant) -> list[Polynomial]:
+    """indecomposables on single-term sets as it read the top level of
+    _term_levels, one entry per formal monomial: the invariant monomials, in
+    order, whose keys are no product's key and no earlier kept key's."""
+    lower = sorted((g for g in previous if g.degree < k), key=lambda g: (g.degree, g.label))
+    terms = _single_terms(lower)
+    levels = _term_levels([g.degree for g in lower], terms, k)
+    (_, level), = deque(levels, maxlen=1)
+    made = {entry[1] for entry in level}
+    out = []
+    for b in invariant:
+        (key,) = b.num
+        if key not in made:
+            made.add(key)
+            out.append(b.monic())
+    return out
+
+
+def term_level_solve_by_factors(weights, terms, degree: int, component) -> Polynomial | None:
+    """_solve_by_factors as it read the top level of _term_levels: each term
+    of the component goes to the entry of greatest formal key among those of
+    its monomial; None when some term has none."""
+    best = {}
+    (_, level), = deque(_term_levels(weights, terms, degree), maxlen=1)
+    for entry in level:
+        if entry[1] in component.num and entry > best.get(entry[1], (0,)):
+            best[entry[1]] = entry
+    if len(best) < len(component.num):
+        return None
+    scale = lcm(*(num for _, _, num, _, _ in best.values()))
+    return _make(len(weights), {
+        formal: component.num[key] * den * (scale // num)
+        for formal, key, num, den, _ in best.values()
+    }, component.den * scale)
 
 
 def reference_generate(alg, sub, max_degree: int):

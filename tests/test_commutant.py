@@ -47,6 +47,8 @@ from poischain.commutant import (
     _formal_counts,
     _generator_products,
     _invariance_operators,
+    _zero_weight_keys,
+    _zero_weight_levels,
     _zero_weight_monomials,
 )
 from poischain.poly import VectorField, hamiltonian_field, pack, unpack
@@ -859,22 +861,31 @@ def test_is_invariant_matches_every_spanning_operator(request, case):
         assert is_invariant(alg, sub, p) == expected
 
 
-def test_zero_weight_monomials_match_filtered_monomial_basis():
-    rng = random.Random(3)
-    for _ in range(60):
+def _random_weight_systems(seed, count):
+    """(weights, degree) pairs: up to six coordinates with up to three
+    weights each, drawn from {0, 1, -1, 2, -3} with 0 twice as likely."""
+    rng = random.Random(seed)
+    for _ in range(count):
         dim, rank, k = rng.randint(1, 6), rng.randint(0, 3), rng.randint(1, 4)
-        weights = [
+        yield [
             tuple(rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(rank))
             for _ in range(dim)
-        ]
-        expected = [
-            pack(m.exps, dim)
-            for m in monomial_basis(dim, k)
-            if not any(
-                sum(e * weights[v][a] for v, e in m.exps) for a in range(rank)
-            )
-        ]
-        assert _zero_weight_monomials(weights, k) == expected, (weights, k)
+        ], k
+
+
+def _filtered_monomial_basis(weights, k):
+    dim, rank = len(weights), len(weights[0])
+    return [
+        pack(m.exps, dim)
+        for m in monomial_basis(dim, k)
+        if not any(sum(e * weights[v][a] for v, e in m.exps) for a in range(rank))
+    ]
+
+
+def test_zero_weight_monomials_match_filtered_monomial_basis():
+    for weights, k in _random_weight_systems(3, 60):
+        assert _zero_weight_monomials(weights, k) == _filtered_monomial_basis(weights, k), (
+            weights, k)
 
 
 # (algebra, subalgebra, top degree) whose zero-weight keys are counted
@@ -905,6 +916,56 @@ def test_zero_weight_monomials_match_an_independent_count(case):
                            for a in range(len(weights[0])))
     if case == "sl6":
         assert counts[6] == 12_300
+
+
+def test_zero_weight_levels_match_filtered_monomial_basis():
+    """One walk through top lists every lower degree as the per-degree
+    filter of the whole monomial basis does, on the random weight systems
+    of the one-degree test, walked one degree higher."""
+    for weights, k in _random_weight_systems(3, 60):
+        top = k + 1
+        levels = _zero_weight_levels(weights, top)
+        assert len(levels) == top + 1
+        assert levels[0] == [0]
+        for d in range(1, top + 1):
+            assert levels[d] == _filtered_monomial_basis(weights, d), (weights, d)
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_WEIGHT_CASES))
+def test_zero_weight_levels_match_an_independent_count(case):
+    """The walk through the top degree lists every level as the one-degree
+    reader does, whose walk stops at that degree and which the count test
+    above checks against the (degree, weight) count."""
+    make_alg, make_sub, kmax = ZERO_WEIGHT_CASES[case]
+    alg = make_alg()
+    weights = _invariance_operators(alg, make_sub(alg)).weights
+    levels = _zero_weight_levels(weights, kmax)
+    assert levels[0] == [0] and len(levels) == kmax + 1
+    for k in range(1, kmax + 1):
+        assert levels[k] == _zero_weight_monomials(weights, k), k
+
+
+def test_zero_weight_keys_agree_in_either_order(monkeypatch):
+    """Asked degree by degree upwards, the algebra's keys are walked again
+    at each new degree; asked at the top first, they are walked once, and
+    the lower degrees are read off that walk.  Both give the same lists."""
+    walks = []
+    original = commutant._zero_weight_levels
+
+    def counted(weights, top):
+        walks.append(top)
+        return original(weights, top)
+
+    monkeypatch.setattr(commutant, "_zero_weight_levels", counted)
+    lists = {}
+    for order in ([1, 2, 3, 4, 5], [5, 3, 1, 4, 2]):
+        alg = builtin_sl(4)
+        weights = _invariance_operators(alg, cartan_subalgebra(alg)).weights
+        walks.clear()
+        lists[tuple(order)] = {k: _zero_weight_keys(alg, weights, k) for k in order}
+        assert walks == (order if order[0] == 1 else [5])
+        assert lists[tuple(order)] == {k: original(weights, k)[k] for k in order}
+    assert lists[(1, 2, 3, 4, 5)] == lists[(5, 3, 1, 4, 2)]
 
 
 def _dumped_sl3_with_underscore_labels():

@@ -1,6 +1,7 @@
 """Single-term generator sets: relations, membership and new generators read
 off packed keys, against the general route of products and elimination."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -23,10 +24,13 @@ from poischain import (
     membership,
     parse_polynomial,
     relation_basis,
+    render_polynomial,
     span_subalgebra,
     torus_chain,
+    trace_casimirs_sln,
 )
 from poischain import commutant, linalg
+from poischain.cli import main
 from poischain.commutant import GeneratorSet
 from poischain.poly import unpack, variable_keys
 
@@ -36,6 +40,8 @@ from helpers import (
     reference_membership,
     reference_relation_basis,
     summed_torus_set,
+    term_level_indecomposables,
+    term_level_solve_by_factors,
 )
 
 
@@ -275,7 +281,8 @@ def test_one_multi_term_generator_takes_the_general_route(sl3, monkeypatch):
     def single_terms_used(*args):
         raise AssertionError("the single-term route was taken")
 
-    monkeypatch.setattr(commutant, "_term_levels", single_terms_used)
+    for reader in ("_term_levels", "_product_codes"):
+        monkeypatch.setattr(commutant, reader, single_terms_used)
     got_relations = relation_basis(gens, 5).relations
     # C2 is a combination of the quadratic torus generators
     assert [r.weighted_degree for r in got_relations][:1] == [2]
@@ -302,16 +309,84 @@ def test_general_relation_route_is_independent_of_the_generator_basis():
 
 
 def test_torus_chain_enumerates_zero_weight_monomials_once_per_degree(monkeypatch):
-    """The Cartan generators and the Casimir kernel share the zero-weight
-    monomials of each degree through the algebra's memo."""
-    calls = Counter()
-    original = commutant._zero_weight_monomials
+    """The Cartan generators and the Casimir kernel read the zero-weight
+    monomials of every degree off one walk at the cap, kept with the
+    algebra."""
+    walks = []
+    original = commutant._zero_weight_levels
 
-    def counted(weights, k):
-        calls[k] += 1
-        return original(weights, k)
+    def counted(weights, top):
+        walks.append(top)
+        return original(weights, top)
 
-    monkeypatch.setattr(commutant, "_zero_weight_monomials", counted)
+    monkeypatch.setattr(commutant, "_zero_weight_levels", counted)
     report = torus_chain(builtin_sl(4))
     assert report.verdict == "superintegrable"
-    assert calls == {k: 1 for k in range(1, report.max_degree + 1)}
+    assert walks == [report.max_degree]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_product_key_generators_match_the_term_levels_reader(n):
+    """Degree by degree, the new generators read off the product keys equal
+    those of the reader that listed every formal monomial."""
+    alg = builtin_sl(n)
+    sub = cartan_subalgebra(alg)
+    gens = generate(alg, sub, n)
+    for k in range(1, n + 1):
+        inv = invariant_basis(alg, sub, k)
+        got = indecomposables(alg, k, gens.generators, inv)
+        assert got == term_level_indecomposables(alg, k, gens.generators, inv), k
+        assert got == [g.poly for g in gens.generators if g.degree == k], k
+
+
+def _rendered_membership(polys, gens, budget):
+    out = []
+    for p in polys:
+        result = membership(p, gens, budget)
+        text = result.found and render_polynomial(result.expression, gens.labels())
+        out.append((result.status, text))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_product_key_membership_matches_the_term_levels_reader(n, monkeypatch):
+    """The same rendered expressions as the reader that listed every formal
+    monomial, which pivots on the greatest formal key of each product key:
+    the trace Casimirs and seeded sums of generator products of degree at
+    most n in the torus generators through degree n, and, in those through
+    degree n - 1, a sum whose top component is the n-cycle, which no
+    product reaches."""
+    alg = builtin_sl(n)
+    gens = _torus(n)
+    rng = random.Random(n)
+    polys = trace_casimirs_sln(n).gens.polys()
+    for _ in range(4):
+        p = Polynomial.constant(F(rng.randint(-3, 3), 2), alg.dim)
+        for _ in range(3):
+            term = Polynomial.constant(F(rng.randint(1, 5), rng.randint(1, 4)), alg.dim)
+            for _ in range(3):
+                factor = rng.choice(gens.polys())
+                if term.degree + factor.degree <= n:
+                    term = term * factor
+            p = p + term
+        polys.append(p)
+    truncated = _torus(n, cap=n - 1)
+    cycle = "*".join(f"e{i}{i % n + 1}" for i in range(1, n + 1))
+    missed = parse_polynomial(f"{cycle} + 1/3*h1^2", alg.dim, alg.labels)
+    got = [_rendered_membership(polys, gens, n), _rendered_membership([missed], truncated, n)]
+    monkeypatch.setattr(commutant, "_solve_by_factors", term_level_solve_by_factors)
+    want = [_rendered_membership(polys, gens, n), _rendered_membership([missed], truncated, n)]
+    assert got == want
+    assert all(status == "found" for status, _ in got[0])
+    assert got[1] == [("not_found_up_to_budget", False)]
+
+
+def test_sl4_closure_report_matches_the_term_levels_reader(tmp_path, monkeypatch):
+    """The sl(4) commutant --closure report, byte for byte."""
+    argv = ["commutant", "--algebra", "sl4", "--subalgebra", "cartan", "--closure", "--out"]
+    assert main(argv + [str(tmp_path / "got.json")]) == 0
+    monkeypatch.setattr(commutant, "_solve_by_factors", term_level_solve_by_factors)
+    assert main(argv + [str(tmp_path / "want.json")]) == 0
+    got = (tmp_path / "got.json").read_bytes()
+    assert got == (tmp_path / "want.json").read_bytes()
+    assert json.loads(got)["closure"]["all_closed"] is True
