@@ -344,7 +344,11 @@ def cmd_commutant(ns: argparse.Namespace) -> int:
     if ns.closure:
         closure = bracket_closure_check(gens)
         payload["closure"] = closure.to_json()
-        _say("bracket closure: " + ("pass" if closure.all_closed else "FAIL"))
+        statuses = [e.status for e in closure.entries]
+        missed = statuses.count("not_found_up_to_budget")
+        _say("bracket closure: " + (
+            "FAIL" if "not_invariant" in statuses else
+            f"{missed} pair(s) not found up to their weighted degree" if missed else "pass"))
     emit_report(payload, ns.out)
     return EXIT_OK
 

@@ -17,8 +17,9 @@ of the diagram flip, on the flip eigenvectors of sign (-1)^k (Chevalley's
 restriction theorem; _flip_route, invariant_basis).
 
 Every kernel, of an invariance operator, of a generator's Hamiltonian field
-(poisson_center_basis) or of generator products (relation_basis), is one
-_kernel on integer rows, and every basis returned one _canonical over a
+(poisson_center_basis) or of generator products (relation_basis, and
+membership with the component as the last vector, _solve_by_products), is
+one _kernel on integer rows, and every basis returned one _canonical over a
 graded-lex descending key list, the only place polynomials are built.
 
 Relations, membership and new generators range over the formal generator
@@ -258,11 +259,6 @@ def _zero_weight_levels(weights: Sequence[tuple[int, ...]], top: int) -> list[li
              for d in range(top + 1)]
     return [sorted((c + f for d in range(k + 1) for c in cores[d] for f in fills[k - d]),
                    reverse=True) for k in range(top + 1)]
-
-
-def _zero_weight_monomials(weights: Sequence[tuple[int, ...]], k: int) -> list[int]:
-    """Level k of _zero_weight_levels(weights, k)."""
-    return _zero_weight_levels(weights, k)[k]
 
 
 def _zero_weight_keys(alg: LieAlgebra, weights: tuple, k: int) -> list[int]:
@@ -1005,8 +1001,9 @@ def membership(p: Polynomial, gens: GeneratorSet, max_total_degree: int) -> Memb
     The result is an expression in one formal variable per generator, or a
     'not found up to the budget' verdict (which is not a disproof).  Each
     homogeneous component is solved over the generator products of its
-    degree (_solve_by_products), or, for single-term generators, term by
-    term (_solve_by_factors), with the same result.
+    degree in column order (_solve_by_products), or, for single-term
+    generators, term by term (_solve_by_factors), with the same result:
+    each product dependent on the products before it gets coefficient zero.
     """
     deg = p.degree
     if deg is not None and deg > max_total_degree:
@@ -1034,20 +1031,29 @@ def _solve_by_products(
     gens: Sequence[Generator], degree: int, component: Polynomial
 ) -> Polynomial | None:
     """The component as a sum of generator products of weighted degree
-    `degree`, one formal variable per generator, from one exact solve over
-    the products in column order; None when there is no solution."""
+    `degree`, one formal variable per generator, from one _kernel over the
+    products in column order and the component last; None when there is no
+    solution.
+
+    Vector i is prod.den at i, its image the product's numerators, and the
+    component's is its den at n, so a kernel vector v nonzero at n gives
+    the component as sum(-v[i] / v[n] * product i).  Column n is free
+    exactly when the component lies in the products' span, and then one
+    kernel vector is nonzero at n: nullspace's vector of that free column,
+    zero at every other free column, so every product dependent on the
+    products before it gets coefficient zero."""
     # the products in column order, graded-lex descending by formal key
     products = sorted(_generator_products(gens, degree), key=itemgetter(0), reverse=True)
-    # the rows are numerators, product i times its den, and the target is
-    # the component times its den, so sum(a_i * row_i) == scale * target
-    # gives the products the coefficients a_i * prod.den / (scale * den)
-    solved = linalg.express_in_rowspace([prod.num for _, prod in products], component.num)
-    if solved is None:
+    n = len(products)
+    pairs = [({i: prod.den}, prod.num) for i, (_, prod) in enumerate(products)]
+    pairs.append(({n: component.den}, component.num))
+    v = next((v for v in _kernel(pairs) if n in v), None)
+    if v is None:
         return None
-    coeffs, scale = solved
+    sign = -1 if v[n] > 0 else 1
     return _make(len(gens), {
-        key: a * prod.den for (key, prod), a in zip(products, coeffs) if a
-    }, component.den * scale)
+        products[i][0]: sign * a for i, a in v.items() if i != n
+    }, abs(v[n]))
 
 
 def _solve_by_factors(
@@ -1089,6 +1095,7 @@ class ClosureEntry:
     bracket_is_zero: bool
     closed: bool
     expression: str | None
+    status: str | None  # membership's status; None for a zero bracket
 
 
 @dataclass
@@ -1110,18 +1117,22 @@ def bracket_closure_check(gens: GeneratorSet) -> ClosureReport:
     """Whether the generator brackets land back in the generated subalgebra.
 
     Each pairwise bracket of degrees (a, b) is searched for at weighted
-    degree a + b - 1, the degree the bracket actually has.
+    degree a + b - 1, the degree the bracket actually has, and keeps
+    membership's status.  A bracket of two invariants is invariant (Jacobi),
+    so for a generated set only not_invariant disproves closure; a bracket
+    not_found_up_to_budget may need generators above the set's cap.
     """
     pairs = list(combinations_with_replacement(gens.generators, 2))
     values = brackets(((gi.poly, gj.poly) for gi, gj in pairs), gens.algebra)
     entries = []
     for (gi, gj), br in zip(pairs, values):
         if br.is_zero():
-            entries.append(ClosureEntry(gi.label, gj.label, True, True, None))
+            entries.append(ClosureEntry(gi.label, gj.label, True, True, None, None))
             continue
         result = membership(br, gens, gi.degree + gj.degree - 1)
         text = render_polynomial(result.expression, gens.labels()) if result.found else None
-        entries.append(ClosureEntry(gi.label, gj.label, False, result.found, text))
+        entries.append(
+            ClosureEntry(gi.label, gj.label, False, result.found, text, result.status))
     return ClosureReport(entries)
 
 

@@ -4,17 +4,17 @@ Rows are sparse dicts mapping column index to a nonzero integer.  Elimination
 combines rows by cross multiplication and re-extracts integer content, so the
 whole pipeline stays in arbitrary-precision integers: every routine here
 takes integer rows, and nullspace, canonical_rref and matrix_inverse return
-them (an inverse row over its own pivot), det_exact an integer, and
-express_in_rowspace integer coefficients over one denominator.  Fraction
-appears only at the edge: row_from_rationals reads rational input.
+them (an inverse row over its own pivot) and det_exact an integer.
+Fraction appears only at the edge: row_from_rationals reads rational input.
 
 Echelon is the one elimination core: rank_of_rows, nullspace,
-canonical_rref, express_in_rowspace and matrix_inverse all insert rows into
-it.  A rank takes integer rows only: the sampled ranks evaluate theirs at
-integer points (sampling.generic_rank) and algebra.is_regular scales its
-point to integers, so no rational matrix is built for a rank.  Only
-det_exact eliminates on its own: Echelon keeps its rows primitive, which
-drops the row scales a determinant needs.
+canonical_rref and matrix_inverse all insert rows into it, and a linear
+solve is a nullspace with the target as the last column
+(commutant._solve_by_products).  A rank takes integer rows only: the
+sampled ranks evaluate theirs at integer points (sampling.generic_rank) and
+algebra.is_regular scales its point to integers, so no rational matrix is
+built for a rank.  Only det_exact eliminates on its own: Echelon keeps its
+rows primitive, which drops the row scales a determinant needs.
 """
 
 from __future__ import annotations
@@ -191,39 +191,6 @@ def canonical_rref(rows: Iterable[Row]) -> list[Row]:
     """
     pivots = Echelon(rows).pivots
     return [dict(sorted(row.items())) for _, row in sorted(pivots.items())]
-
-
-def express_in_rowspace(
-    rows: Sequence[Row], target: Row
-) -> tuple[list[int], int] | None:
-    """Integer coefficients a and a denominator d > 0 with
-    sum(a_i * rows_i) == d * target, or None if unsolvable.
-
-    The transposed system goes into one Echelon: each column of the rows is
-    an equation, with unknown i in column i and the target in column n =
-    len(rows).  It is unsolvable iff some equation reduces to a pivot at n.
-    Otherwise the free unknowns are set to zero and each pivot unknown is
-    read off its reduced row, its target entry over its positive pivot; d is
-    the lcm of the pivots.  The pivot unknowns are the rows independent of
-    the rows before them, so later dependent rows get coefficient zero.
-    """
-    n = len(rows)
-    equations: dict[int, Row] = {}
-    for i, row in enumerate(rows):
-        for col, v in row.items():
-            equations.setdefault(col, {})[i] = v
-    for col, v in target.items():
-        equations.setdefault(col, {})[n] = v
-    ech = Echelon()
-    for eq in equations.values():
-        if ech.insert(eq) == n:
-            return None
-    pivots = ech.pivots
-    den = lcm(*(prow[p] for p, prow in pivots.items()))
-    coeffs = [0] * n
-    for p, prow in pivots.items():
-        coeffs[p] = prow.get(n, 0) * (den // prow[p])
-    return coeffs, den
 
 
 def det_exact(rows: Sequence[Row]) -> int:

@@ -74,14 +74,13 @@ from poischain.commutant import (
     _invariance_operators,
     _single_terms,
     _term_levels,
-    _zero_weight_monomials,
+    _zero_weight_levels,
     default_degree_cap,
 )
 from poischain.flow import FlowDivergenceError, FlowResult
 from poischain.linalg import (
     Echelon,
     _eliminate,
-    express_in_rowspace,
     make_primitive,
     canonical_rref,
     nullspace,
@@ -229,16 +228,14 @@ def gauss_jordan_rows(rows) -> dict[int, dict[int, int]]:
     return stored
 
 
-_TAG = 1 << 40
-
-
 def tagged_solve(rows, target) -> list[Fraction] | None:
-    """Reference for express_in_rowspace by tag columns: row i carries a
-    unit tag at column _TAG + 1 + i and the target one at _TAG, and every
-    column below _TAG is eliminated by one-row Gauss-Jordan.  A dependent
-    row reduces to tags alone and is dropped, so later dependent rows get
-    coefficient zero; the target reduced to tags alone records its
-    expression."""
+    """Coefficients c with sum(c_i * rows_i) == target, or None, by tag
+    columns, the solve reference_membership makes: row i carries a unit tag
+    at column -2 - i and the target one at -1, below every column of the
+    rows, and every nonnegative column is eliminated by one-row
+    Gauss-Jordan.  A dependent row reduces to tags alone and is dropped, so
+    later dependent rows get coefficient zero; the target reduced to tags
+    alone records its expression."""
     stored: dict[int, dict[int, int]] = {}
 
     def reduce(r):
@@ -247,9 +244,9 @@ def tagged_solve(rows, target) -> list[Fraction] | None:
 
     for i, row in enumerate(rows):
         r = dict(row)
-        r[_TAG + 1 + i] = 1
+        r[-2 - i] = 1
         reduce(r)
-        real = [c for c in r if c < _TAG]
+        real = [c for c in r if c >= 0]
         if not real:
             continue
         piv = min(real)
@@ -259,11 +256,11 @@ def tagged_solve(rows, target) -> list[Fraction] | None:
                 _eliminate(prow, r, piv)
         stored[piv] = r
     goal = dict(target)
-    goal[_TAG] = 1
+    goal[-1] = 1
     reduce(goal)
-    if any(c < _TAG for c in goal):
+    if any(c >= 0 for c in goal):
         return None
-    return [Fraction(-goal.get(_TAG + 1 + i, 0), goal[_TAG]) for i in range(len(rows))]
+    return [Fraction(-goal.get(-2 - i, 0), goal[-1]) for i in range(len(rows))]
 
 
 def tagged_inverse(matrix) -> list[list[Fraction]] | None:
@@ -712,7 +709,7 @@ def reference_bracket_closure_check(gens) -> ClosureReport:
         for gj in gens.generators[i:]:
             br = lie_poisson_bracket(gi.poly, gj.poly, alg)
             if br.is_zero():
-                entries.append(ClosureEntry(gi.label, gj.label, True, True, None))
+                entries.append(ClosureEntry(gi.label, gj.label, True, True, None, None))
                 continue
             result = membership(br, gens, gi.degree + gj.degree - 1)
             entries.append(
@@ -724,6 +721,7 @@ def reference_bracket_closure_check(gens) -> ClosureReport:
                     render_polynomial(result.expression, gens.labels())
                     if result.found
                     else None,
+                    result.status,
                 )
             )
     return ClosureReport(entries)
@@ -802,8 +800,9 @@ def _keyed_poly(cols, row, dim: int) -> Polynomial:
 
 
 def reference_membership(p: Polynomial, gens, max_total_degree: int) -> MembershipResult:
-    """membership by one exact solve per homogeneous component over every
-    generator product of its degree, in column order."""
+    """membership by one tagged_solve per homogeneous component over every
+    generator product of its degree, in column order: a product dependent on
+    the products before it gets coefficient zero."""
     deg = p.degree
     if deg is not None and deg > max_total_degree:
         return MembershipResult("not_found_up_to_budget")
@@ -819,12 +818,11 @@ def reference_membership(p: Polynomial, gens, max_total_degree: int) -> Membersh
         products = sorted(
             _generator_products(gens.generators, d), key=lambda pair: pair[0], reverse=True
         )
-        solved = express_in_rowspace([prod.num for _, prod in products], component.num)
-        if solved is None:
+        coeffs = tagged_solve([prod.num for _, prod in products], component.num)
+        if coeffs is None:
             return MembershipResult("not_found_up_to_budget")
-        coeffs, den = solved
-        for (key, prod), a in zip(products, coeffs):
-            coeff = Fraction(a * prod.den, den * component.den)
+        for (key, prod), c in zip(products, coeffs):
+            coeff = c * prod.den / component.den
             term = Polynomial(nformal, {Monomial(unpack(key, nformal)): coeff})
             expression = expression + term
     return MembershipResult("found", expression)
@@ -927,9 +925,12 @@ def reference_edge_index(n: int) -> dict[tuple[int, int], int]:
 
 
 def reference_cycle_polynomial(cycle, n: int) -> Polynomial:
+    """The product of the coordinates of the cycle's edges (i, j), from each
+    index to the next, by reference_edge_index."""
     index = reference_edge_index(n)
     counts: dict[int, int] = {}
-    for e in cycle.edges():
+    idx = cycle.indices
+    for e in zip(idx, idx[1:] + idx[:1]):
         v = index[e]
         counts[v] = counts.get(v, 0) + 1
     return Polynomial(n * n - 1, {Monomial(counts.items()): 1})
@@ -1091,7 +1092,7 @@ def reference_invariant_basis(alg, sub, k: int) -> list[Polynomial]:
     ops = _invariance_operators(alg, sub)
     basis = [
         Polynomial(alg.dim, {Monomial(unpack(key, alg.dim)): 1})
-        for key in _zero_weight_monomials(ops.weights, k)
+        for key in _zero_weight_levels(ops.weights, k)[k]
     ]
     if not ops.others:
         return basis

@@ -33,6 +33,7 @@ from poischain.casimir_mf import CasimirSet, MFAlgebra
 from poischain.commutant import Generator
 
 from helpers import (
+    levi_subalgebra,
     reference_base_center_check,
     reference_bracket_closure_check,
     reference_j_map_casimir_check,
@@ -110,6 +111,32 @@ def test_bracket_closure_check_matches_reference(case, broken):
     assert report.to_json() == reference_bracket_closure_check(gens).to_json()
     assert len(report.entries) == len(gens) * (len(gens) + 1) // 2
     assert report.all_closed != broken
+
+
+@pytest.mark.parametrize("blocks, nonzero, missed, degrees", [
+    ((2, 1, 1), 42, 14, {5, 6}),
+    ((2, 2), 4, 4, {6}),
+])
+def test_closure_of_a_capped_set_keeps_membership_status(blocks, nonzero, missed, degrees):
+    """On sl(4) Levi generator sets at their cap 4, some brackets are not
+    found up to their weighted degree, all above the cap.  Each entry keeps
+    membership's status, so such a miss reads not_found_up_to_budget and no
+    bracket reads not_invariant; all_closed stays false."""
+    alg = builtin_sl(4)
+    gens = generate(alg, levi_subalgebra(alg, blocks))
+    report = bracket_closure_check(gens)
+    assert report.to_json() == reference_bracket_closure_check(gens).to_json()
+    weight = {g.label: g.degree for g in gens.generators}
+    statuses = {}
+    for e in report.entries:
+        statuses.setdefault(e.status, []).append(weight[e.left] + weight[e.right] - 1)
+        assert e.closed == (e.status in (None, "found"))
+        assert e.bracket_is_zero == (e.status is None)
+    assert "not_invariant" not in statuses
+    assert len(report.entries) - len(statuses[None]) == nonzero
+    assert len(statuses["not_found_up_to_budget"]) == missed
+    assert set(statuses["not_found_up_to_budget"]) == degrees
+    assert gens.max_degree == 4 and not report.all_closed
 
 
 def _shift(alg, kind):

@@ -8,10 +8,11 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
-from poischain import builtin_sl, cli, commutant, cycles, dump_json
+from poischain import Polynomial, builtin_sl, cli, commutant, cycles, dump_json
 from poischain.algebra import ConfigurationError
 from poischain.chains import ChainFormationError
 from poischain.cli import (
@@ -25,7 +26,7 @@ from poischain.cli import (
 )
 from poischain.commutant import BudgetExceededError
 
-from helpers import reference_write_trajectory_csv, rescaled_sl_json
+from helpers import levi_subalgebra, reference_write_trajectory_csv, rescaled_sl_json
 
 
 def run(argv):
@@ -160,6 +161,39 @@ def test_commutant_closure_report(tmp_path, capsys):
     pairs = data["closure"]["pairs"]
     assert data["closure"]["all_closed"] is True and len(pairs) == 28
     assert all(p["bracket_is_zero"] or p["expression"] for p in pairs)
+
+
+def test_commutant_closure_line_tells_a_cap_miss_from_a_failure(tmp_path, capsys, monkeypatch):
+    """Brackets not found up to their weighted degree are counted, not
+    called a failure; FAIL is kept for a bracket that is not invariant.
+    Either way all_closed is false and the exit code 0."""
+    alg = builtin_sl(4)
+    sub = tmp_path / "levi22.json"
+    sub.write_text(dump_json(levi_subalgebra(alg, (2, 2)).to_json()))
+    out = tmp_path / "report.json"
+    argv = ["commutant", "--algebra", "sl4", "--subalgebra", str(sub),
+            "--skip-relations", "--closure", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "bracket closure: 4 pair(s) not found up to their weighted degree" in lines
+    closure = json.loads(out.read_text())["closure"]
+    assert closure["all_closed"] is False
+    assert [p["status"] for p in closure["pairs"]].count("not_found_up_to_budget") == 4
+
+    generate = cli.generate
+
+    def with_e12(alg, sub, cap):  # e12 is not torus-invariant
+        gens = generate(alg, sub, cap)
+        e12 = commutant.Generator(Polynomial.variable(alg.labels.index("e12"), alg.dim), 1, "e12")
+        return replace(gens, generators=gens.generators + [e12])
+
+    monkeypatch.setattr(cli, "generate", with_e12)
+    argv = ["commutant", "--algebra", "sl3", "--subalgebra", "cartan",
+            "--skip-relations", "--closure", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    assert "bracket closure: FAIL" in capsys.readouterr().out.splitlines()
+    statuses = {p["status"] for p in json.loads(out.read_text())["closure"]["pairs"]}
+    assert "not_invariant" in statuses
 
 
 def test_chain_verify_superintegrable(capsys):

@@ -40,6 +40,7 @@ from poischain import (
 )
 from poischain import commutant, dump_json
 from poischain.algebra import sl_flip, sl_size
+from poischain.linalg import rank_of_rows
 from poischain.commutant import (
     BudgetExceededError,
     GeneratorSet,
@@ -49,7 +50,6 @@ from poischain.commutant import (
     _invariance_operators,
     _zero_weight_keys,
     _zero_weight_levels,
-    _zero_weight_monomials,
 )
 from poischain.poly import VectorField, hamiltonian_field, pack, unpack
 from poischain.sampling import generic_jacobian_rank
@@ -525,6 +525,25 @@ def test_membership_over_trace_casimirs_builds_no_fraction(sl3, sl3_casimirs, fr
         assert res.found and res.expression == reference_membership(p, trace, 4).expression
 
 
+def test_membership_by_products_zeroes_the_dependent_products():
+    """In the summed sl(3) torus set the 73 products of weighted degree 6
+    have rank 72: q3_1*q3_2 (x6*x7, last in column order) depends on the
+    products before it.  The solve sets it to zero, so q3_1*q3_2 +
+    q2_1*q2_2*q2_3 comes back in the other products, as the tagged
+    reference gives it."""
+    gens = summed_torus_set(3)
+    assert commutant._single_terms(gens.generators) is None
+    products = [prod for _, prod in _generator_products(gens.generators, 6)]
+    cols = {}
+    rows = [{cols.setdefault(m, len(cols)): v for m, v in prod.num.items()} for prod in products]
+    assert (len(rows), rank_of_rows(rows)) == (73, 72)
+    q = {g.label: g.poly for g in gens.generators}
+    p = q["q3_1"] * q["q3_2"] + q["q2_1"] * q["q2_2"] * q["q2_3"]
+    res = membership(p, gens, 6)
+    assert res.found and res.expression.render() == "2*x3*x4*x5 - x4^2*x5"
+    assert res.expression == reference_membership(p, gens, 6).expression
+
+
 def test_bracket_closure_sl3_torus(sl3_torus):
     report = bracket_closure_check(sl3_torus)
     assert all(e.closed for e in report.entries)
@@ -830,6 +849,21 @@ FALLBACK_CASES = {
 }
 
 
+def test_flip_route_refuses_a_raising_vector_with_no_flip_partner(sl4):
+    """The full sl(4) spanned with e12 scaled by 2: the flip sends 2*e12 to
+    +-2*e34, no kept raising vector, so the flip route is refused and the
+    three simple raising fields are applied to every zero-weight key, with
+    the full route's invariants."""
+    vectors = [_unit(sl4.dim, i) for i in range(sl4.dim)]
+    vectors[sl4.labels.index("e12")] = [2 * c for c in vectors[sl4.labels.index("e12")]]
+    sub = span_subalgebra(vectors)
+    ops = _invariance_operators(sl4, sub)
+    assert ops.flip is None and len(ops.others) == 3
+    assert _invariance_operators(sl4, full_subalgebra(sl4)).flip is not None
+    for k in range(1, 5):
+        assert invariant_basis(sl4, sub, k) == full_basis_invariants(sl4, sub, k), k
+
+
 @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
 def test_unchecked_reduction_keeps_every_field(sl4, case):
     make, applied, closed = FALLBACK_CASES[case]
@@ -884,7 +918,7 @@ def _filtered_monomial_basis(weights, k):
 
 def test_zero_weight_monomials_match_filtered_monomial_basis():
     for weights, k in _random_weight_systems(3, 60):
-        assert _zero_weight_monomials(weights, k) == _filtered_monomial_basis(weights, k), (
+        assert _zero_weight_levels(weights, k)[k] == _filtered_monomial_basis(weights, k), (
             weights, k)
 
 
@@ -906,7 +940,7 @@ def test_zero_weight_monomials_match_an_independent_count(case):
     weights = _invariance_operators(alg, make_sub(alg)).weights
     counts = zero_weight_counts(weights, kmax)
     for k in range(1, kmax + 1):
-        keys = _zero_weight_monomials(weights, k)
+        keys = _zero_weight_levels(weights, k)[k]
         assert len(keys) == counts[k], k
         assert keys == sorted(set(keys), reverse=True), k
         for key in keys:
@@ -933,16 +967,16 @@ def test_zero_weight_levels_match_filtered_monomial_basis():
 
 @pytest.mark.parametrize("case", sorted(ZERO_WEIGHT_CASES))
 def test_zero_weight_levels_match_an_independent_count(case):
-    """The walk through the top degree lists every level as the one-degree
-    reader does, whose walk stops at that degree and which the count test
-    above checks against the (degree, weight) count."""
+    """The walk through the top degree lists every level as a walk that
+    stops at that degree does, the level the count test above checks
+    against the (degree, weight) count."""
     make_alg, make_sub, kmax = ZERO_WEIGHT_CASES[case]
     alg = make_alg()
     weights = _invariance_operators(alg, make_sub(alg)).weights
     levels = _zero_weight_levels(weights, kmax)
     assert levels[0] == [0] and len(levels) == kmax + 1
     for k in range(1, kmax + 1):
-        assert levels[k] == _zero_weight_monomials(weights, k), k
+        assert levels[k] == _zero_weight_levels(weights, k)[k], k
 
 
 def test_zero_weight_keys_agree_in_either_order(monkeypatch):

@@ -18,7 +18,7 @@ from poischain import (
     parse_polynomial,
     relation_families_check,
 )
-from poischain import cycles
+from poischain import commutant, cycles
 from poischain.algebra import LieAlgebra, _sl_labels
 from poischain.commutant import BudgetExceededError
 from poischain.cycles import (
@@ -273,6 +273,24 @@ def test_oracle_cross_check(sl2, sl3):
     assert all(d.spans_equal for d in rep3.per_degree)
     assert all(d.balanced_count == d.kernel_dim for d in rep3.per_degree)
     assert [d.kernel_dim for d in rep3.per_degree][:3] == [2, 6, 12]
+
+
+def test_oracle_cross_check_walks_once_at_k_max(monkeypatch):
+    """The oracle asks for the top kernel first, so the zero-weight keys of
+    every degree come from one walk at k_max; the report stays in degree
+    order."""
+    walks = []
+    original = commutant._zero_weight_levels
+
+    def counted(weights, top):
+        walks.append(top)
+        return original(weights, top)
+
+    monkeypatch.setattr(commutant, "_zero_weight_levels", counted)
+    rep = oracle_cross_check(4, 5)
+    assert walks == [5]
+    assert [d.degree for d in rep.per_degree] == [1, 2, 3, 4, 5]
+    assert rep.all_equal
 
 
 def test_oracle_cross_check_sl10():

@@ -12,7 +12,6 @@ from poischain.linalg import (
     Echelon,
     canonical_rref,
     det_exact,
-    express_in_rowspace,
     matrix_inverse,
     nullspace,
     rank_of_rows,
@@ -20,6 +19,7 @@ from poischain.linalg import (
 )
 
 from poischain import builtin_sl, direct_sum, killing_form
+from poischain.commutant import _kernel
 
 from helpers import (
     dense_form,
@@ -227,38 +227,15 @@ def test_canonical_rref_idempotent_and_invariant_under_shuffle(seed):
     assert canonical_rref(scaled) == first
 
 
-def test_express_in_rowspace_solvable():
-    rows = [row([1, 0, 1]), row([0, 1, 1])]
-    target = row([2, 3, 5])
-    assert express_in_rowspace(rows, target) == ([2, 3], 1)
-
-
-def test_express_in_rowspace_unsolvable():
-    rows = [row([1, 0, 0])]
-    assert express_in_rowspace(rows, row([0, 1, 0])) is None
-
-
-def test_express_handles_dependent_rows():
-    rows = [
-        row([1, 1]),
-        row([2, 2]),
-        row([0, 1]),
-    ]
-    target = row([3, 4])
-    coeffs, den = express_in_rowspace(rows, target)
-    recon = [0, 0]
-    dense = [[1, 1], [2, 2], [0, 1]]
-    for c, entries in zip(coeffs, dense):
-        recon = [r + c * x for r, x in zip(recon, entries)]
-    assert recon == [3 * den, 4 * den]
-
-
-def test_express_in_rowspace_matches_tagged_solve():
-    """The transposed solve returns the tagged elimination's coefficients, as
-    integers over one positive denominator, on random systems with dependent
-    rows, empty rows, non-primitive rows and targets inside and outside the
-    row space."""
+def test_kernel_with_the_target_last_matches_tagged_solve():
+    """A solve as commutant._solve_by_products makes it: _kernel over the
+    rows, row i as the vector d_i at i, and the target last, d at n.  On
+    random systems with dependent rows, empty rows, non-primitive rows and
+    targets inside and outside the row space, one kernel vector v is
+    nonzero at n exactly when tagged_solve solves the system, and its
+    coefficients -v[i] / d_i * d / v[n] are tagged_solve's."""
     rng = random.Random(23)
+    scales = random.Random(29)  # the dens, drawn apart: the systems stay the same
     outcomes = set()
     for trial in range(300):
         nrows, ncols = rng.randint(0, 8), rng.randint(1, 7)
@@ -279,19 +256,20 @@ def test_express_in_rowspace_matches_tagged_solve():
                 for c, v in r.items():
                     target[c] = target.get(c, 0) + k * v
             target = {c: v for c, v in target.items() if v}
-        solved = express_in_rowspace(rows, target)
-        outcomes.add(solved is None)
-        if solved is None:
-            assert tagged_solve(rows, target) is None
+        n = len(rows)
+        dens = [scales.randint(1, 6) for _ in range(n + 1)]
+        pairs = [({i: d}, r) for i, (d, r) in enumerate(zip(dens, rows))]
+        kernel = _kernel(pairs + [({n: dens[n]}, target)])
+        hits = [v for v in kernel if n in v]
+        want = tagged_solve(rows, target)
+        outcomes.add(want is None)
+        assert len(hits) == (want is not None)
+        if want is None:
             continue
-        coeffs, den = solved
-        assert den > 0 and all(type(c) is int for c in coeffs)
-        assert [F(c, den) for c in coeffs] == tagged_solve(rows, target)
-        recon = {}
-        for c, r in zip(coeffs, rows):
-            for j, v in r.items():
-                recon[j] = recon.get(j, 0) + c * v
-        assert {j: v for j, v in recon.items() if v} == {j: den * v for j, v in target.items()}
+        (v,) = hits
+        assert all(type(a) is int for a in v.values())
+        got = [F(-v.get(i, 0) * dens[n], dens[i] * v[n]) for i in range(n)]
+        assert got == want
     assert outcomes == {False, True}
 
 

@@ -47,8 +47,6 @@ ALLOWED = {
     ("poly", "Polynomial.variables"): "the tests' check of which coordinates occur",
     ("poly", "Polynomial.evaluate"): "the exact evaluation the float oracles compare to",
     ("algebra", "LieAlgebra.bracket_coeffs"): "the double-sum bracket oracle",
-    ("commutant", "_zero_weight_monomials"): "the one-degree reader of the walk "
-    "that the invariant-basis reference lists its monomials with",
 }
 
 
