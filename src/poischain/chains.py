@@ -427,8 +427,8 @@ def j_map_casimir_check(
     generator, by the exact brackets of base_center_check."""
     sub = cartan_subalgebra(alg)
     torus = generate(alg, sub, max_degree)
-    components = moment_map_generators(alg, sub)
-    components += casimirs_by_kernel(alg, torus.max_degree).generators
+    components = [Generator(poly, poly.degree, label)
+                  for label, poly in j_map_components(alg, torus.max_degree)]
     base = GeneratorSet(alg, components)
     centrality = base_center_check(ChainSpec(sub, torus, base))
     failures = [
@@ -436,7 +436,7 @@ def j_map_casimir_check(
         for f in centrality.failures
     ]
     return JMapReport(
-        components=[g.label for g in components],
+        components=base.labels(),
         generator_labels=torus.labels(),
         zero_bracket_count=centrality.pair_count - len(failures),
         failures=failures,

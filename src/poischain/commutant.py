@@ -18,12 +18,15 @@ restriction theorem; _flip_route, invariant_basis).
 
 Every kernel, of an invariance operator, of a generator's Hamiltonian field
 (poisson_center_basis) or of generator products (relation_basis, and
-membership with the component as the last vector, _solve_by_products), is
+membership with the target as the last vector, _solve_by_products), is
 one _kernel on integer rows, and every basis returned one _canonical over a
 graded-lex descending key list, the only place polynomials are built.
 
-Relations, membership and new generators range over the formal generator
-monomials of one weighted degree (a generator weighs its degree).  For
+Relations and new generators range over the formal generator monomials of
+one weighted degree (a generator weighs its degree), membership over those
+of every degree of its target at once: products of different weighted
+degrees have disjoint monomial supports, so that kernel is block-diagonal,
+with the free columns of the per-degree solves.  For
 single-term generators c*x^a, as the torus generators of the built-in sl(n)
 are, each expands to one term, so the relations are binomials (the toric
 ideal of a monomial map; Sturmfels, Groebner Bases and Convex Polytopes,
@@ -31,10 +34,9 @@ ch. 4) and every answer is read off packed keys with no product and no
 elimination: relations from formal monomials listed level by level
 (_term_levels, _fiber_relations), new generators and membership from one
 entry per product key (_product_codes).  Other sets take products along
-one walk (_formal_monomials) and elimination.  Either route builds each
-homogeneous component of a membership expression as integer numerators
-over one denominator, with no Fraction; with integer spanning vectors, a
-torus chain builds none.
+one walk (_formal_monomials) and elimination.  Either route builds a
+membership expression as integer numerators over one denominator, with no
+Fraction; with integer spanning vectors, a torus chain builds none.
 """
 
 from __future__ import annotations
@@ -60,11 +62,11 @@ from .poly import (
     Monomial,
     Polynomial,
     VectorField,
+    W,
     _json_int,
     _make,
     brackets,
     hamiltonian_field,
-    linear_combination,
     parse_polynomial,
     polynomial_from_json,
     render_polynomial,
@@ -700,9 +702,9 @@ def _term_levels(
         yield t, level
 
 
-def _product_codes(weights: Sequence[int], keys: Sequence[int], top: int) -> dict[int, int]:
-    """The product-key level of weighted degree top: each key of a product
-    of single-term generators (weight w_i, key key_i) of weight top, once,
+def _product_codes(weights: Sequence[int], keys: Sequence[int], top: int) -> list[dict[int, int]]:
+    """The product-key levels t = 0..top: each key of a product of
+    single-term generators (weight w_i, key key_i) of weight t, once,
     mapped to a code of its greatest formal monomial, the digits n - a_1,
     ..., n - a_m in base 2**n.bit_length() for indices a_1 <= ... <= a_m.
 
@@ -729,7 +731,7 @@ def _product_codes(weights: Sequence[int], keys: Sequence[int], top: int) -> dic
                 code = code << width | n - i
                 if get(q, 0) < code:
                     level[q] = code
-    return levels[top]
+    return levels
 
 
 def _fiber_relations(level: list[Entry], nformal: int) -> list[Polynomial]:
@@ -779,10 +781,10 @@ def indecomposables(
     inv = list(invariant)
     if not inv:
         return []
-    lower = sorted((g for g in previous if g.degree < k), key=lambda g: (g.degree, g.label))
+    lower = [g for g in previous if g.degree < k]
     terms = _single_terms(lower)
     if terms is not None and all(len(b.num) == 1 for b in inv):
-        made = set(_product_codes([g.degree for g in lower], [key for key, _, _ in terms], k))
+        made = set(_product_codes([g.degree for g in lower], [t[0] for t in terms], k)[k])
         out = []
         for b in inv:
             (key,) = b.num
@@ -999,11 +1001,11 @@ def membership(p: Polynomial, gens: GeneratorSet, max_total_degree: int) -> Memb
     """Express p as a polynomial in the generators, weighted degree capped.
 
     The result is an expression in one formal variable per generator, or a
-    'not found up to the budget' verdict (which is not a disproof).  Each
-    homogeneous component is solved over the generator products of its
-    degree in column order (_solve_by_products), or, for single-term
-    generators, term by term (_solve_by_factors), with the same result:
-    each product dependent on the products before it gets coefficient zero.
+    'not found up to the budget' verdict (which is not a disproof), from one
+    solve over the generator products of every degree p has
+    (_solve_by_products) or, for single-term generators, term by term
+    (_solve_by_factors), with the same result: products of different
+    degrees have disjoint supports, so it sums the per-degree solves.
     """
     deg = p.degree
     if deg is not None and deg > max_total_degree:
@@ -1011,42 +1013,40 @@ def membership(p: Polynomial, gens: GeneratorSet, max_total_degree: int) -> Memb
     sub = gens.subalgebra
     if sub is not None and not is_invariant(gens.algebra, sub, p):
         return MembershipResult("not_invariant")
-    nformal = len(gens.generators)
     terms = _single_terms(gens.generators)
-    parts = []
-    for d, component in p.homogeneous_components().items():
-        if d == 0:
-            part = _make(nformal, component.num, component.den)  # key 0 in any dimension
-        elif terms is None:
-            part = _solve_by_products(gens.generators, d, component)
-        else:
-            part = _solve_by_factors(gens.degrees(), terms, d, component)
-        if part is None:
-            return MembershipResult("not_found_up_to_budget")
-        parts.append((1, part))
-    return MembershipResult("found", linear_combination(nformal, parts))
+    expression = (_solve_by_products(gens.generators, p) if terms is None
+                  else _solve_by_factors(gens.degrees(), terms, p))
+    if expression is None:
+        return MembershipResult("not_found_up_to_budget")
+    return MembershipResult("found", expression)
 
 
-def _solve_by_products(
-    gens: Sequence[Generator], degree: int, component: Polynomial
-) -> Polynomial | None:
-    """The component as a sum of generator products of weighted degree
-    `degree`, one formal variable per generator, from one _kernel over the
-    products in column order and the component last; None when there is no
-    solution.
+def _solve_by_products(gens: Sequence[Generator], p: Polynomial) -> Polynomial | None:
+    """p as a sum of generator products, one formal variable per generator,
+    from one _kernel over the products of every weighted degree p has (the
+    empty product 1 at degree 0) in column order and p last; None when
+    there is no solution.
 
-    Vector i is prod.den at i, its image the product's numerators, and the
-    component's is its den at n, so a kernel vector v nonzero at n gives
-    the component as sum(-v[i] / v[n] * product i).  Column n is free
-    exactly when the component lies in the products' span, and then one
-    kernel vector is nonzero at n: nullspace's vector of that free column,
-    zero at every other free column, so every product dependent on the
-    products before it gets coefficient zero."""
+    Vector i is prod.den at i, its image the product's numerators, and p's
+    is its den at n, so a kernel vector v nonzero at n gives p as
+    sum(-v[i] / v[n] * product i).  Column n is free exactly when p lies in
+    the products' span, and then one kernel vector is nonzero at n:
+    nullspace's vector of that free column, zero at every other free
+    column, so every product dependent on the products before it gets
+    coefficient zero.  The map is block-diagonal by degree (disjoint
+    supports), so its free columns and v are those of the per-degree
+    solves."""
+    shift = W * p.dim
+    one = Polynomial.one(p.dim)
     # the products in column order, graded-lex descending by formal key
-    products = sorted(_generator_products(gens, degree), key=itemgetter(0), reverse=True)
+    products = sorted(
+        ((key, one if prod is None else prod)
+         for d in {key >> shift for key in p.num}
+         for key, prod in _generator_products(gens, d)),
+        key=itemgetter(0), reverse=True)
     n = len(products)
     pairs = [({i: prod.den}, prod.num) for i, (_, prod) in enumerate(products)]
-    pairs.append(({n: component.den}, component.num))
+    pairs.append(({n: p.den}, p.num))
     v = next((v for v in _kernel(pairs) if n in v), None)
     if v is None:
         return None
@@ -1057,23 +1057,26 @@ def _solve_by_products(
 
 
 def _solve_by_factors(
-    weights: Sequence[int], terms: Sequence[Term], degree: int, component: Polynomial
+    weights: Sequence[int], terms: Sequence[Term], p: Polynomial
 ) -> Polynomial | None:
     """_solve_by_products for single-term generators, with no product and no
-    solve: each term of the component goes to the formal monomial of
-    greatest key among those of its monomial, decoded from _product_codes;
-    None when some term has none.  The solve's columns go by descending
-    formal key, and the products of one monomial are multiples of each
-    other, so the first, of greatest formal key, is the pivot."""
+    solve: each term of p goes to the formal monomial of greatest key among
+    those of its monomial, decoded from the _product_codes level of its
+    degree (level 0 has the empty product); None when some term has none.
+    The solve's columns go by descending formal key, and the products of one
+    monomial are multiples of each other, so the first, of greatest formal
+    key, is the pivot; degrees share no product, as in the solve."""
     n = len(weights)
     width = n.bit_length()
-    level = _product_codes(weights, [key for key, _, _ in terms], degree)
-    if any(key not in level for key in component.num):
-        return None
+    shift = W * p.dim
+    levels = _product_codes(weights, [key for key, _, _ in terms], p.degree or 0)
     fkeys = variable_keys(n)
     best = {}  # product key -> (formal key, numerator, denominator)
-    for key in component.num:
-        code, formal, num, den = level[key], 0, 1, 1
+    for key in p.num:
+        code = levels[key >> shift].get(key)
+        if code is None:
+            return None
+        formal, num, den = 0, 1, 1
         while code:
             i = n - (code & (1 << width) - 1)
             code >>= width
@@ -1083,9 +1086,9 @@ def _solve_by_factors(
         best[key] = formal, num, den
     scale = lcm(*(num for _, num, _ in best.values()))
     return _make(n, {
-        formal: component.num[key] * den * (scale // num)
+        formal: p.num[key] * den * (scale // num)
         for key, (formal, num, den) in best.items()
-    }, component.den * scale)
+    }, p.den * scale)
 
 
 @dataclass

@@ -295,13 +295,6 @@ class Polynomial:
             total += v
         return Fraction(1, self.den) * total
 
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        shift = W * self.dim
-        buckets: dict[int, dict[int, int]] = {}
-        for k, v in self.num.items():
-            buckets.setdefault(k >> shift, {})[k] = v
-        return {d: _make(self.dim, t, self.den) for d, t in sorted(buckets.items())}
-
     def substitute_linear(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute variable i by images[i] (an algebra homomorphism).
 

@@ -2,9 +2,11 @@
 polynomials, span fingerprints, and slow reference routes for the kernel,
 bracket and product computations, the pairwise bracket checks, the Jacobi
 scan, the Killing and linear forms, the general relation, membership and
-new-generator routes, the flow integrator and its trajectory CSV, the sl(n)
-cycle coordinates, the cycle relation families and balanced monomials, the
-trace-then-transport Casimirs and the field-by-field invariance test.
+new-generator routes (over their own walk of the formal monomials, and
+membership one homogeneous component at a time), the flow integrator and
+its trajectory CSV, the sl(n) cycle coordinates, the cycle relation families
+and balanced monomials, the trace-then-transport Casimirs and the
+field-by-field invariance test.
 Oracles the package itself does not need live here too: the sl(n) trace
 form, the Killing-invariance witness, the inverse dual transport, the JSON
 terms of a polynomial and the Eulerian cycle decomposition of a balanced
@@ -41,7 +43,6 @@ from poischain import (
     killing_form,
     leaf_dimension,
     lie_poisson_bracket,
-    membership,
     monomial_basis,
     render_polynomial,
     span_subalgebra,
@@ -69,8 +70,6 @@ from poischain.commutant import (
     MembershipResult,
     Relation,
     RelationSet,
-    _formal_columns,
-    _generator_products,
     _invariance_operators,
     _single_terms,
     _term_levels,
@@ -86,7 +85,7 @@ from poischain.linalg import (
     nullspace,
     row_from_rationals,
 )
-from poischain.poly import _make, hamiltonian_field, linear_combination, pack, unpack
+from poischain.poly import W, _make, hamiltonian_field, linear_combination, pack, unpack
 
 
 @contextmanager
@@ -711,7 +710,7 @@ def reference_bracket_closure_check(gens) -> ClosureReport:
             if br.is_zero():
                 entries.append(ClosureEntry(gi.label, gj.label, True, True, None, None))
                 continue
-            result = membership(br, gens, gi.degree + gj.degree - 1)
+            result = reference_membership(br, gens, gi.degree + gj.degree - 1)
             entries.append(
                 ClosureEntry(
                     gi.label,
@@ -732,6 +731,43 @@ def reference_bracket_closure_check(gens) -> ClosureReport:
 # every generator set: the general route, with no single-term shortcut
 
 
+def formal_products(weights, d: int, polys=None) -> list[tuple[int, Polynomial | None]]:
+    """(formal key, product) for each multiset of generator indices of
+    weight sum d, by a plain recursive walk over the indices in increasing
+    order with no count pruning, graded-lex descending by key; the product
+    is None without polys or for the empty multiset."""
+    keys = [pack(((i, 1),), len(weights)) for i in range(len(weights))]
+    out = []
+
+    def walk(start, left, key, prod):
+        if not left:
+            out.append((key, prod))
+            return
+        for i in range(start, len(weights)):
+            if weights[i] <= left:
+                factor = None if polys is None else polys[i]
+                longer = factor if prod is None else prod * factor
+                walk(i, left - weights[i], key + keys[i], longer)
+
+    walk(0, d, 0, None)
+    return sorted(out, key=lambda pair: pair[0], reverse=True)
+
+
+def formal_keys(weights, d: int) -> list[int]:
+    """The keys of formal_products, with no product."""
+    return [key for key, _ in formal_products(weights, d)]
+
+
+def homogeneous_components(p: Polynomial) -> dict[int, Polynomial]:
+    """The homogeneous components of p by increasing degree, each over p's
+    denominator reduced."""
+    shift = W * p.dim
+    buckets: dict[int, dict[int, int]] = {}
+    for k, v in p.num.items():
+        buckets.setdefault(k >> shift, {})[k] = v
+    return {d: _make(p.dim, t, p.den) for d, t in sorted(buckets.items())}
+
+
 def reference_relation_basis(gens, max_total_degree: int) -> RelationSet:
     """relation_basis with no Jacobian certificate and no budget: at each
     weighted degree, the kernel of the expanded products by elimination,
@@ -740,16 +776,16 @@ def reference_relation_basis(gens, max_total_degree: int) -> RelationSet:
     nformal = len(gens.generators)
     found = RelationSet(gens.labels(), weights, max_total_degree, [])
     for d in range(1, max_total_degree + 1):
-        cols = _formal_columns(weights, d)
+        products = formal_products(weights, d, gens.polys())
+        cols = [key for key, _ in products]
         col_index = {key: i for i, key in enumerate(cols)}
-        products = _generator_products(gens.generators, d)
         images = [(col_index[key], prod) for key, prod in products]
         kernel = kernel_of_images(images, len(cols))
         if not kernel:
             continue
         old = Echelon()
         for rel in found.relations:
-            for mult in _formal_columns(weights, d - rel.weighted_degree):
+            for mult in formal_keys(weights, d - rel.weighted_degree):
                 old.insert({col_index[key + mult]: v for key, v in rel.formal.num.items()})
         fresh = []
         for vec in kernel:
@@ -810,14 +846,12 @@ def reference_membership(p: Polynomial, gens, max_total_degree: int) -> Membersh
         return MembershipResult("not_invariant")
     nformal = len(gens.generators)
     expression = Polynomial(nformal)
-    for d, component in p.homogeneous_components().items():
+    for d, component in homogeneous_components(p).items():
         if d == 0:
             constant = Fraction(component.num[0], component.den)
             expression = expression + Polynomial.constant(constant, nformal)
             continue
-        products = sorted(
-            _generator_products(gens.generators, d), key=lambda pair: pair[0], reverse=True
-        )
+        products = formal_products(gens.degrees(), d, gens.polys())
         coeffs = tagged_solve([prod.num for _, prod in products], component.num)
         if coeffs is None:
             return MembershipResult("not_found_up_to_budget")
@@ -847,7 +881,7 @@ def reference_indecomposables(alg, k: int, previous, invariant) -> list[Polynomi
         return {index[key]: v for key, v in poly.num.items()}
 
     ech = Echelon()
-    for _, prod in _generator_products(lower, k):
+    for _, prod in formal_products([g.degree for g in lower], k, [g.poly for g in lower]):
         ech.insert(row(prod))
     out = []
     for b in inv:
@@ -877,10 +911,28 @@ def term_level_indecomposables(alg, k: int, previous, invariant) -> list[Polynom
     return out
 
 
-def term_level_solve_by_factors(weights, terms, degree: int, component) -> Polynomial | None:
-    """_solve_by_factors as it read the top level of _term_levels: each term
-    of the component goes to the entry of greatest formal key among those of
-    its monomial; None when some term has none."""
+def term_level_solve_by_factors(weights, terms, p: Polynomial) -> Polynomial | None:
+    """_solve_by_factors as it read the top level of _term_levels, one
+    homogeneous component at a time (_term_level_component), the constant
+    term as it is, and the parts summed; None when some component has no
+    solution."""
+    nformal = len(weights)
+    parts = []
+    for d, component in homogeneous_components(p).items():
+        if d == 0:
+            part = _make(nformal, component.num, component.den)  # key 0 in any dimension
+        else:
+            part = _term_level_component(weights, terms, d, component)
+        if part is None:
+            return None
+        parts.append((1, part))
+    return linear_combination(nformal, parts)
+
+
+def _term_level_component(weights, terms, degree: int, component) -> Polynomial | None:
+    """One homogeneous component as the top level of _term_levels reads it:
+    each term goes to the entry of greatest formal key among those of its
+    monomial; None when some term has none."""
     best = {}
     (_, level), = deque(_term_levels(weights, terms, degree), maxlen=1)
     for entry in level:

@@ -544,6 +544,51 @@ def test_membership_by_products_zeroes_the_dependent_products():
     assert res.expression == reference_membership(p, gens, 6).expression
 
 
+def test_membership_solves_every_degree_in_one_pass(sl3, sl3_torus, sl3_casimirs, monkeypatch):
+    """A target with components of degrees 2, 3 and 5 is solved in one
+    pass: one product-key table in the torus generators and one kernel in
+    the kernel Casimirs, not one per component, with the expressions the
+    per-component reference gives."""
+    c2, c3 = trace_casimirs_sln(3).gens.polys()
+    p = c2 * F(1, 2) - c3 + c2 * c3 * 3
+    calls = {"_product_codes": 0, "_kernel": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(commutant, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(commutant, name, counted)
+    for gens, route in ((sl3_torus, "_product_codes"), (sl3_casimirs.gens, "_kernel")):
+        before = dict(calls)
+        res = membership(p, gens, 5)
+        assert res.found and res.expression == reference_membership(p, gens, 5).expression
+        assert {k: calls[k] - before[k] for k in calls} == {
+            k: int(k == route) for k in calls}
+
+
+def test_indecomposables_do_not_depend_on_the_order_of_previous():
+    """Neither route of indecomposables reads the order of the earlier
+    generators: reversed and shuffled, they give the same new generators,
+    on the torus sets of sl(2)-sl(5), the full sets of sl(2)-sl(4) and the
+    summed sl(4) torus set."""
+    cases = []
+    for n in range(2, 6):
+        alg = builtin_sl(n)
+        cases.append((alg, cartan_subalgebra(alg), generate(alg, cartan_subalgebra(alg), n)))
+        if n < 5:
+            cases.append((alg, full_subalgebra(alg), generate(alg, full_subalgebra(alg), n)))
+    summed = summed_torus_set(4)
+    cases.append((summed.algebra, cartan_subalgebra(summed.algebra), summed))
+    rng = random.Random(38)
+    for alg, sub, gens in cases:
+        shuffled = list(gens.generators)
+        rng.shuffle(shuffled)
+        for k in range(1, max(gens.degrees()) + 1):
+            inv = invariant_basis(alg, sub, k)
+            want = commutant.indecomposables(alg, k, gens.generators, inv)
+            for previous in (gens.generators[::-1], shuffled):
+                assert commutant.indecomposables(alg, k, previous, inv) == want, (alg.name, k)
+
+
 def test_bracket_closure_sl3_torus(sl3_torus):
     report = bracket_closure_check(sl3_torus)
     assert all(e.closed for e in report.entries)

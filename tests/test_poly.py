@@ -29,6 +29,7 @@ from poischain.poly import (
 from helpers import (
     double_sum_bracket,
     from_reference,
+    homogeneous_components,
     polynomial_to_json,
     random_polynomial,
     random_reference,
@@ -106,7 +107,7 @@ def test_evaluate():
 
 def test_homogeneous_components():
     p = parse_polynomial("x1^2 + x1*x2 + x2 + 7", 2)
-    comps = p.homogeneous_components()
+    comps = homogeneous_components(p)
     assert sorted(comps) == [0, 2] or sorted(comps) == [0, 1, 2]
     total = Polynomial(2)
     for d, q in comps.items():

@@ -33,7 +33,6 @@ ALLOWED = {
     ("chains", "BaseExistenceReport"): "the result of base_existence_verdict",
     ("commutant", "poisson_center_basis"): "the Poisson center of an intermediate algebra",
     ("chains", "fiber_ideal_generators"): "the ideal of a joint level set of a chain",
-    ("chains", "j_map_components"): "the components of the paper's level map",
     # perfbench/tracing.py wraps these by name; they go when the benchmark changes
     ("commutant", "monomial_basis"): "traced as commutant.monomial_basis",
     ("linalg", "row_from_rationals"): "traced as linalg.row_from_rationals",
