@@ -12,7 +12,6 @@ the scale moves no operator, rank or verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -32,23 +31,53 @@ class ConfigurationError(ValueError):
     stated budget.  The command line prints one error line and exits 3."""
 
 
-@dataclass(eq=False)
-class LieAlgebra:
-    name: str
-    dim: int
-    labels: tuple[str, ...]
-    structure: dict[tuple[int, int, int], int | Fraction]
-    cartan_indices: tuple[int, ...] | None = None
+class Record:
+    """A plain value class: instances of one class are equal when the
+    attributes named in _fields are, and repr shows them in that order.
+    Defining __eq__ leaves records unhashable; the three that no caller
+    changes after __init__ (commutant.Generator and _Operators,
+    cycles.CycleMonomial) set __hash__ = Record._hash."""
 
-    def __post_init__(self) -> None:
-        self.labels = tuple(self.labels)
-        if len(self.labels) != self.dim:
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class LieAlgebra:
+    """Equal only to itself (and hashed by identity), as the data derived
+    from its structure constants is kept with the instance."""
+
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        labels: tuple[str, ...],
+        structure: dict[tuple[int, int, int], int | Fraction],
+        cartan_indices: tuple[int, ...] | None = None,
+    ) -> None:
+        self.name = name
+        self.dim = dim
+        self.labels = tuple(labels)
+        if len(self.labels) != dim:
             raise ValueError("label count does not match dimension")
-        if len(set(self.labels)) != self.dim:
+        if len(set(self.labels)) != dim:
             raise ValueError("duplicate basis labels")
         clean: dict[tuple[int, int, int], int | Fraction] = {}
-        for (i, j, k), c in self.structure.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
+        for (i, j, k), c in structure.items():
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"structure index out of range: {(i, j, k)}")
             if i >= j:
                 raise ValueError(
@@ -58,12 +87,13 @@ class LieAlgebra:
             if c:
                 clean[(i, j, k)] = c
         self.structure = clean
-        if self.cartan_indices is not None:
-            self.cartan_indices = tuple(self.cartan_indices)
-            if any(not 0 <= i < self.dim for i in self.cartan_indices):
+        if cartan_indices is not None:
+            cartan_indices = tuple(cartan_indices)
+            if any(not 0 <= i < dim for i in cartan_indices):
                 raise ValueError("Cartan index out of range")
-            if len(set(self.cartan_indices)) != len(self.cartan_indices):
+            if len(set(cartan_indices)) != len(cartan_indices):
                 raise ValueError("duplicate Cartan indices")
+        self.cartan_indices = cartan_indices
         self._derived: dict[Hashable, object] = {}
 
     # -- structure access ---------------------------------------------------
@@ -191,18 +221,24 @@ def _integer_vector(vec: Iterable) -> Vector:
 # validation
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    witness: tuple | None = None
+class CheckResult(Record):
+    _fields = ("name", "passed", "detail", "witness")
+
+    def __init__(
+        self, name: str, passed: bool, detail: str = "", witness: tuple | None = None
+    ) -> None:
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.witness = witness
 
 
-@dataclass
-class ValidationReport:
-    algebra: str
-    checks: list[CheckResult]
+class ValidationReport(Record):
+    _fields = ("algebra", "checks")
+
+    def __init__(self, algebra: str, checks: list[CheckResult]) -> None:
+        self.algebra = algebra
+        self.checks = checks
 
     @property
     def passed(self) -> bool:
@@ -278,12 +314,14 @@ def _jacobi_witness(alg: LieAlgebra) -> tuple[str, str, str, str] | None:
 # bilinear forms
 
 
-@dataclass
-class BilinearForm:
+class BilinearForm(Record):
     """B(X_i, X_j) = rows[i].get(j, 0) / den, in sparse integer rows."""
 
-    rows: tuple[linalg.Row, ...]
-    den: int = 1
+    _fields = ("rows", "den")
+
+    def __init__(self, rows: tuple[linalg.Row, ...], den: int = 1) -> None:
+        self.rows = rows
+        self.den = den
 
     @cached_property
     def inverse(self) -> list[tuple[linalg.Row, int]]:
@@ -469,16 +507,17 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
 # subalgebras
 
 
-@dataclass
-class SubalgebraSpec:
+class SubalgebraSpec(Record):
     """A Lie subalgebra given by integer spanning vectors, with declared flags."""
 
-    vectors: tuple[Vector, ...]
-    abelian: bool = False
-    name: str = "subalgebra"
+    _fields = ("vectors", "abelian", "name")
 
-    def __post_init__(self) -> None:
-        self.vectors = tuple(_integer_vector(vec) for vec in self.vectors)
+    def __init__(
+        self, vectors: tuple[Vector, ...], abelian: bool = False, name: str = "subalgebra"
+    ) -> None:
+        self.vectors = tuple(_integer_vector(vec) for vec in vectors)
+        self.abelian = abelian
+        self.name = name
 
     @property
     def size(self) -> int:

@@ -14,14 +14,14 @@ poly.brackets, one Hamiltonian field per left element.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 from .algebra import (
     ConfigurationError,
     LieAlgebra,
+    Record,
     SubalgebraSpec,
     builtin_sl,
     full_subalgebra,
@@ -57,12 +57,14 @@ REGULARITY_NOTE = (
 )
 
 
-@dataclass
-class CasimirSet:
+class CasimirSet(Record):
     """Central generators of the symmetric algebra, with their construction tag."""
 
-    gens: GeneratorSet
-    method: str  # "kernel" | "trace-transport"
+    _fields = ("gens", "method")
+
+    def __init__(self, gens: GeneratorSet, method: str) -> None:
+        self.gens = gens
+        self.method = method  # "kernel" | "trace-transport"
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -170,17 +172,35 @@ def trace_casimirs(alg: LieAlgebra, max_k: int | None = None) -> CasimirSet:
     return CasimirSet(gens=gen_set, method="trace-transport")
 
 
-@dataclass
-class CasimirCountReport:
-    independent_count: int
-    expected: int  # dim - generic commutator rank
-    dim: int
-    generic_commutator_rank: int
-    max_degree: int
-    matches: bool
+class CasimirCountReport(Record):
+    _fields = ("independent_count", "expected", "dim", "generic_commutator_rank",
+               "max_degree", "matches")
+
+    def __init__(
+        self,
+        independent_count: int,
+        expected: int,
+        dim: int,
+        generic_commutator_rank: int,
+        max_degree: int,
+        matches: bool,
+    ) -> None:
+        self.independent_count = independent_count
+        self.expected = expected  # dim - generic commutator rank
+        self.dim = dim
+        self.generic_commutator_rank = generic_commutator_rank
+        self.max_degree = max_degree
+        self.matches = matches
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "independent_count": self.independent_count,
+            "expected": self.expected,
+            "dim": self.dim,
+            "generic_commutator_rank": self.generic_commutator_rank,
+            "max_degree": self.max_degree,
+            "matches": self.matches,
+        }
 
 
 def casimir_count_check(
@@ -210,15 +230,23 @@ def casimir_count_check(
 # argument shift
 
 
-@dataclass
-class MFAlgebra:
+class MFAlgebra(Record):
     """Shift-coefficient family of the Casimirs along a fixed direction."""
 
-    shift: tuple[Fraction, ...]
-    base: CasimirSet
-    generators: list[Generator]
-    shift_regular: bool
-    note: ClassVar[str] = REGULARITY_NOTE
+    _fields = ("shift", "base", "generators", "shift_regular")
+    note = REGULARITY_NOTE
+
+    def __init__(
+        self,
+        shift: tuple[Fraction, ...],
+        base: CasimirSet,
+        generators: list[Generator],
+        shift_regular: bool,
+    ) -> None:
+        self.shift = shift
+        self.base = base
+        self.generators = generators
+        self.shift_regular = shift_regular
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -275,10 +303,12 @@ def mf_generators(cas: CasimirSet, mu: Sequence) -> MFAlgebra:
     )
 
 
-@dataclass
-class CommutativityReport:
-    pair_count: int
-    nonzero_pairs: list[tuple[str, str]]
+class CommutativityReport(Record):
+    _fields = ("pair_count", "nonzero_pairs")
+
+    def __init__(self, pair_count: int, nonzero_pairs: list[tuple[str, str]]) -> None:
+        self.pair_count = pair_count
+        self.nonzero_pairs = nonzero_pairs
 
     @property
     def commutative(self) -> bool:
@@ -324,16 +354,28 @@ def mf_commutativity_check(mf: MFAlgebra) -> CommutativityReport:
     return CommutativityReport(pair_count=len(pairs), nonzero_pairs=bad)
 
 
-@dataclass
-class MFRankReport:
-    jacobian_rank: int
-    expected: int  # b(g) = (dim + rank)/2
-    generator_count: int
-    shift_regular: bool
-    hypothesis_met: bool
-    matches: bool
-    relations: RelationSet | None
-    note: ClassVar[str] = REGULARITY_NOTE
+class MFRankReport(Record):
+    _fields = ("jacobian_rank", "expected", "generator_count", "shift_regular",
+               "hypothesis_met", "matches", "relations")
+    note = REGULARITY_NOTE
+
+    def __init__(
+        self,
+        jacobian_rank: int,
+        expected: int,
+        generator_count: int,
+        shift_regular: bool,
+        hypothesis_met: bool,
+        matches: bool,
+        relations: RelationSet | None,
+    ) -> None:
+        self.jacobian_rank = jacobian_rank
+        self.expected = expected  # b(g) = (dim + rank)/2
+        self.generator_count = generator_count
+        self.shift_regular = shift_regular
+        self.hypothesis_met = hypothesis_met
+        self.matches = matches
+        self.relations = relations
 
     def to_json(self) -> dict:
         out = {
@@ -382,11 +424,13 @@ def mf_rank_check(mf: MFAlgebra, seed: int = DEFAULT_SEED) -> MFRankReport:
     )
 
 
-@dataclass
-class InclusionReport:
-    centralizer_route: bool
-    operator_route: bool
-    witness: str | None  # label of a generator failing invariance
+class InclusionReport(Record):
+    _fields = ("centralizer_route", "operator_route", "witness")
+
+    def __init__(self, centralizer_route: bool, operator_route: bool, witness: str | None) -> None:
+        self.centralizer_route = centralizer_route
+        self.operator_route = operator_route
+        self.witness = witness  # label of a generator failing invariance
 
     @property
     def agree(self) -> bool:
@@ -429,14 +473,24 @@ def mf_inclusion_check(mf: MFAlgebra, sub: SubalgebraSpec) -> InclusionReport:
     )
 
 
-@dataclass
-class SandwichReport:
-    d_a: int
-    rank: int
-    hypothesis_met: bool  # d_A == rank
-    casimirs_in_family: bool
-    inclusion: InclusionReport
-    notes: list[str] = field(default_factory=list)
+class SandwichReport(Record):
+    _fields = ("d_a", "rank", "hypothesis_met", "casimirs_in_family", "inclusion", "notes")
+
+    def __init__(
+        self,
+        d_a: int,
+        rank: int,
+        hypothesis_met: bool,
+        casimirs_in_family: bool,
+        inclusion: InclusionReport,
+        notes: list[str] | None = None,
+    ) -> None:
+        self.d_a = d_a
+        self.rank = rank
+        self.hypothesis_met = hypothesis_met  # d_A == rank
+        self.casimirs_in_family = casimirs_in_family
+        self.inclusion = inclusion
+        self.notes = [] if notes is None else notes
 
     @property
     def sandwich_holds(self) -> bool:

@@ -12,7 +12,6 @@ rank falls short of the algebra's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -20,6 +19,7 @@ from typing import Sequence
 from .algebra import (
     ConfigurationError,
     LieAlgebra,
+    Record,
     SubalgebraSpec,
     cartan_subalgebra,
     full_subalgebra,
@@ -62,22 +62,32 @@ def trdeg(gens: GeneratorSet, seed: int = DEFAULT_SEED) -> int:
     return generic_jacobian_rank(gens.polys(), gens.algebra.dim, seed=seed)
 
 
-@dataclass
-class ChainSpec:
-    subalgebra: SubalgebraSpec
-    intermediate: GeneratorSet
-    base: GeneratorSet
-    base_kind: str = "explicit"  # casimirs | moment-map | mf | explicit
+class ChainSpec(Record):
+    _fields = ("subalgebra", "intermediate", "base", "base_kind")
+
+    def __init__(
+        self,
+        subalgebra: SubalgebraSpec,
+        intermediate: GeneratorSet,
+        base: GeneratorSet,
+        base_kind: str = "explicit",
+    ) -> None:
+        self.subalgebra = subalgebra
+        self.intermediate = intermediate
+        self.base = base
+        self.base_kind = base_kind  # casimirs | moment-map | mf | explicit
 
     @property
     def algebra(self) -> LieAlgebra:
         return self.intermediate.algebra
 
 
-@dataclass
-class CentralityReport:
-    pair_count: int
-    failures: list[dict]  # {base, intermediate, bracket}
+class CentralityReport(Record):
+    _fields = ("pair_count", "failures")
+
+    def __init__(self, pair_count: int, failures: list[dict]) -> None:
+        self.pair_count = pair_count
+        self.failures = failures  # {base, intermediate, bracket}
 
     @property
     def passed(self) -> bool:
@@ -113,24 +123,46 @@ def base_center_check(spec: ChainSpec) -> CentralityReport:
     return CentralityReport(len(spec.base) * len(spec.intermediate), failures)
 
 
-@dataclass
-class ChainReport:
-    algebra: str
-    subalgebra: str
-    base_kind: str
-    centrality: CentralityReport
-    trdeg_intermediate: int
-    trdeg_base: int
-    dim: int
-    dim_identity: bool
-    d_a: int
-    rank: int
-    kernel_dims: dict[int, int]
-    verdict: str  # superintegrable | not_superintegrable | inconclusive
-    cross_check_consistent: bool
-    max_degree: int | None
-    expected: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+class ChainReport(Record):
+    _fields = ("algebra", "subalgebra", "base_kind", "centrality", "trdeg_intermediate",
+               "trdeg_base", "dim", "dim_identity", "d_a", "rank", "kernel_dims", "verdict",
+               "cross_check_consistent", "max_degree", "expected", "notes")
+
+    def __init__(
+        self,
+        algebra: str,
+        subalgebra: str,
+        base_kind: str,
+        centrality: CentralityReport,
+        trdeg_intermediate: int,
+        trdeg_base: int,
+        dim: int,
+        dim_identity: bool,
+        d_a: int,
+        rank: int,
+        kernel_dims: dict[int, int],
+        verdict: str,
+        cross_check_consistent: bool,
+        max_degree: int | None,
+        expected: dict | None = None,
+        notes: list[str] | None = None,
+    ) -> None:
+        self.algebra = algebra
+        self.subalgebra = subalgebra
+        self.base_kind = base_kind
+        self.centrality = centrality
+        self.trdeg_intermediate = trdeg_intermediate
+        self.trdeg_base = trdeg_base
+        self.dim = dim
+        self.dim_identity = dim_identity
+        self.d_a = d_a
+        self.rank = rank
+        self.kernel_dims = kernel_dims
+        self.verdict = verdict  # superintegrable | not_superintegrable | inconclusive
+        self.cross_check_consistent = cross_check_consistent
+        self.max_degree = max_degree
+        self.expected = {} if expected is None else expected
+        self.notes = [] if notes is None else notes
 
     def to_json(self) -> dict:
         return {
@@ -317,14 +349,24 @@ def mf_chain(
     return chain_over(sub, base, "mf", cas.gens.max_degree, seed)
 
 
-@dataclass
-class BaseExistenceReport:
-    verdict: str  # exists | does_not_exist_up_to_cap
-    center_trdeg: int
-    d_a: int
-    max_degree: int
-    center_dims: dict[int, int]
-    note: str
+class BaseExistenceReport(Record):
+    _fields = ("verdict", "center_trdeg", "d_a", "max_degree", "center_dims", "note")
+
+    def __init__(
+        self,
+        verdict: str,
+        center_trdeg: int,
+        d_a: int,
+        max_degree: int,
+        center_dims: dict[int, int],
+        note: str,
+    ) -> None:
+        self.verdict = verdict  # exists | does_not_exist_up_to_cap
+        self.center_trdeg = center_trdeg
+        self.d_a = d_a
+        self.max_degree = max_degree
+        self.center_dims = center_dims
+        self.note = note
 
     def to_json(self) -> dict:
         return {
@@ -385,13 +427,22 @@ def leaf_dimension(alg: LieAlgebra, seed: int = DEFAULT_SEED) -> int:
     return alg.dim - 3 * alg.rank(seed=seed)
 
 
-@dataclass
-class JMapReport:
-    components: list[str]
-    generator_labels: list[str]
-    zero_bracket_count: int
-    failures: list[dict]
-    leaf_dim: int
+class JMapReport(Record):
+    _fields = ("components", "generator_labels", "zero_bracket_count", "failures", "leaf_dim")
+
+    def __init__(
+        self,
+        components: list[str],
+        generator_labels: list[str],
+        zero_bracket_count: int,
+        failures: list[dict],
+        leaf_dim: int,
+    ) -> None:
+        self.components = components
+        self.generator_labels = generator_labels
+        self.zero_bracket_count = zero_bracket_count
+        self.failures = failures
+        self.leaf_dim = leaf_dim
 
     @property
     def all_central(self) -> bool:

@@ -42,7 +42,6 @@ Fraction; with integer spanning vectors, a torus chain builds none.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
 from functools import partial, reduce
 from itertools import combinations, combinations_with_replacement
 from math import lcm
@@ -53,6 +52,7 @@ from . import linalg
 from .algebra import (
     ConfigurationError,
     LieAlgebra,
+    Record,
     SubalgebraSpec,
     Vector,
     sl_flip,
@@ -87,23 +87,43 @@ class BudgetExceededError(ConfigurationError):
         self.degree = degree
 
 
-@dataclass(frozen=True)
-class Generator:
-    poly: Polynomial
-    degree: int
-    label: str
-    indecomposable: bool = True
+class Generator(Record):
+    _fields = ("poly", "degree", "label", "indecomposable")
+    __hash__ = Record._hash
+
+    def __init__(
+        self, poly: Polynomial, degree: int, label: str, indecomposable: bool = True
+    ) -> None:
+        self.poly = poly
+        self.degree = degree
+        self.label = label
+        self.indecomposable = indecomposable
 
 
-@dataclass
-class GeneratorSet:
-    """A finite generator list for a polynomial subalgebra, with provenance."""
+class GeneratorSet(Record):
+    """A finite generator list for a polynomial subalgebra, with provenance.
 
-    algebra: LieAlgebra
-    generators: list[Generator]
-    subalgebra: SubalgebraSpec | None = None
-    max_degree: int | None = None
-    kernel_dims: dict[int, int] = field(default_factory=dict)
+    membership and relation_basis solve degree by degree, so they raise
+    ConfigurationError on the first generator whose polynomial is not
+    homogeneous of its stated degree (from_json checks only the top
+    degree).  Flow monitors and chain bases read from a file use the
+    polynomials only as targets or in brackets and accept any."""
+
+    _fields = ("algebra", "generators", "subalgebra", "max_degree", "kernel_dims")
+
+    def __init__(
+        self,
+        algebra: LieAlgebra,
+        generators: list[Generator],
+        subalgebra: SubalgebraSpec | None = None,
+        max_degree: int | None = None,
+        kernel_dims: dict[int, int] | None = None,
+    ) -> None:
+        self.algebra = algebra
+        self.generators = generators
+        self.subalgebra = subalgebra
+        self.max_degree = max_degree
+        self.kernel_dims = {} if kernel_dims is None else kernel_dims
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -277,8 +297,7 @@ def _zero_weight_keys(alg: LieAlgebra, weights: tuple, k: int) -> list[int]:
 # invariance operators
 
 
-@dataclass(frozen=True)
-class _Operators:
+class _Operators(Record):
     """The fields the invariants of one subalgebra are computed with:
     weights[v] is the weight of coordinate v under each field that scales
     every coordinate, and others holds the non-diagonal fields still to
@@ -287,9 +306,18 @@ class _Operators:
     fewest nonzeros first.  flip is _flip_route's (perm, sign, positions in
     others of the fields applied to the flip eigenvectors), or None."""
 
-    weights: tuple[tuple[int, ...], ...]
-    others: tuple[tuple[Vector, VectorField], ...]
-    flip: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None
+    _fields = ("weights", "others", "flip")
+    __hash__ = Record._hash
+
+    def __init__(
+        self,
+        weights: tuple[tuple[int, ...], ...],
+        others: tuple[tuple[Vector, VectorField], ...],
+        flip: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None,
+    ) -> None:
+        self.weights = weights
+        self.others = others
+        self.flip = flip
 
 
 def _invariance_operators(alg: LieAlgebra, sub: SubalgebraSpec) -> _Operators:
@@ -865,21 +893,31 @@ def generate(
 # relations, membership, closure, center
 
 
-@dataclass
-class Relation:
-    weighted_degree: int
-    formal: Polynomial  # polynomial in one formal variable per generator
+class Relation(Record):
+    _fields = ("weighted_degree", "formal")
+
+    def __init__(self, weighted_degree: int, formal: Polynomial) -> None:
+        self.weighted_degree = weighted_degree
+        self.formal = formal  # polynomial in one formal variable per generator
 
     def render(self, gens: GeneratorSet) -> str:
         return render_polynomial(self.formal, gens.labels())
 
 
-@dataclass
-class RelationSet:
-    generator_labels: list[str]
-    weights: list[int]
-    max_degree: int
-    relations: list[Relation]
+class RelationSet(Record):
+    _fields = ("generator_labels", "weights", "max_degree", "relations")
+
+    def __init__(
+        self,
+        generator_labels: list[str],
+        weights: list[int],
+        max_degree: int,
+        relations: list[Relation],
+    ) -> None:
+        self.generator_labels = generator_labels
+        self.weights = weights
+        self.max_degree = max_degree
+        self.relations = relations
 
     def to_json(self) -> dict:
         return {
@@ -894,6 +932,16 @@ class RelationSet:
                 for r in self.relations
             ],
         }
+
+
+def _require_homogeneous(gens: GeneratorSet) -> None:
+    """ConfigurationError naming the first generator with a monomial whose
+    degree is not the generator's degree."""
+    for g in gens.generators:
+        shift = W * g.poly.dim
+        if any(key >> shift != g.degree for key in g.poly.num):
+            raise ConfigurationError(
+                f"generator {g.label!r} is not homogeneous of its degree {g.degree}")
 
 
 def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
@@ -921,7 +969,9 @@ def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
     a and b; a multiple joins only members sharing its multiplier.  So the
     multiples span the hyperplane of each component of shared generators,
     pivots at all but its last member, and new relations join the last ones.
+    Every generator must be homogeneous of its degree (_require_homogeneous).
     """
+    _require_homogeneous(gens)
     weights = gens.degrees()
     if weights and max_total_degree < max(weights):
         raise ConfigurationError(f"weighted-degree budget {max_total_degree} is "
@@ -970,10 +1020,12 @@ def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
     return found
 
 
-@dataclass
-class MembershipResult:
-    status: str  # found | not_invariant | not_found_up_to_budget
-    expression: Polynomial | None = None
+class MembershipResult(Record):
+    _fields = ("status", "expression")
+
+    def __init__(self, status: str, expression: Polynomial | None = None) -> None:
+        self.status = status  # found | not_invariant | not_found_up_to_budget
+        self.expression = expression
 
     @property
     def found(self) -> bool:
@@ -1006,7 +1058,10 @@ def membership(p: Polynomial, gens: GeneratorSet, max_total_degree: int) -> Memb
     (_solve_by_products) or, for single-term generators, term by term
     (_solve_by_factors), with the same result: products of different
     degrees have disjoint supports, so it sums the per-degree solves.
+    That needs every generator homogeneous of its degree
+    (_require_homogeneous).
     """
+    _require_homogeneous(gens)
     deg = p.degree
     if deg is not None and deg > max_total_degree:
         return MembershipResult("not_found_up_to_budget")
@@ -1091,19 +1146,31 @@ def _solve_by_factors(
     }, p.den * scale)
 
 
-@dataclass
-class ClosureEntry:
-    left: str
-    right: str
-    bracket_is_zero: bool
-    closed: bool
-    expression: str | None
-    status: str | None  # membership's status; None for a zero bracket
+class ClosureEntry(Record):
+    _fields = ("left", "right", "bracket_is_zero", "closed", "expression", "status")
+
+    def __init__(
+        self,
+        left: str,
+        right: str,
+        bracket_is_zero: bool,
+        closed: bool,
+        expression: str | None,
+        status: str | None,
+    ) -> None:
+        self.left = left
+        self.right = right
+        self.bracket_is_zero = bracket_is_zero
+        self.closed = closed
+        self.expression = expression
+        self.status = status  # membership's status; None for a zero bracket
 
 
-@dataclass
-class ClosureReport:
-    entries: list[ClosureEntry]
+class ClosureReport(Record):
+    _fields = ("entries",)
+
+    def __init__(self, entries: list[ClosureEntry]) -> None:
+        self.entries = entries
 
     @property
     def all_closed(self) -> bool:
@@ -1112,7 +1179,17 @@ class ClosureReport:
     def to_json(self) -> dict:
         return {
             "all_closed": self.all_closed,
-            "pairs": [asdict(e) for e in self.entries],
+            "pairs": [
+                {
+                    "left": e.left,
+                    "right": e.right,
+                    "bracket_is_zero": e.bracket_is_zero,
+                    "closed": e.closed,
+                    "expression": e.expression,
+                    "status": e.status,
+                }
+                for e in self.entries
+            ],
         }
 
 

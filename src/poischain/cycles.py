@@ -17,7 +17,6 @@ and the relation families compare key sums.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Sequence
@@ -25,6 +24,7 @@ from typing import Sequence
 from .algebra import (
     ConfigurationError,
     LieAlgebra,
+    Record,
     builtin_sl,
     cartan_subalgebra,
     sl_size,
@@ -82,25 +82,24 @@ def _cycle_key(indices: Sequence[int], keys: dict[tuple[int, int], int]) -> int:
     return sum(keys[a, b] for a, b in zip(indices, (*indices[1:], indices[0])))
 
 
-@dataclass(frozen=True)
-class CycleMonomial:
+class CycleMonomial(Record):
     """A directed cycle on distinct indices, rotated so the smallest is first.
 
     Orientation is preserved: (1,2,3) and (1,3,2) are different monomials.
     """
 
-    indices: tuple[int, ...]
+    _fields = ("indices",)
+    __hash__ = Record._hash
 
-    def __post_init__(self) -> None:
-        idx = self.indices
-        if len(idx) < 2:
+    def __init__(self, indices: tuple[int, ...]) -> None:
+        if len(indices) < 2:
             raise ValueError("a cycle needs at least two indices")
-        if len(set(idx)) != len(idx):
+        if len(set(indices)) != len(indices):
             raise ValueError("cycle indices must be pairwise distinct")
-        if any(i < 1 for i in idx):
+        if any(i < 1 for i in indices):
             raise ValueError("indices are 1-based")
-        low = idx.index(min(idx))
-        object.__setattr__(self, "indices", idx[low:] + idx[:low])
+        low = indices.index(min(indices))
+        self.indices = indices[low:] + indices[:low]
 
     @property
     def label(self) -> str:
@@ -116,11 +115,13 @@ class CycleMonomial:
         return _make(n * n - 1, {_cycle_key(self.indices, _edge_keys(n)): 1}, 1)
 
 
-@dataclass
-class ExponentGraph:
+class ExponentGraph(Record):
     """Directed edge multiset extracted from a monomial's exponents."""
 
-    edges: dict[tuple[int, int], int]
+    _fields = ("edges",)
+
+    def __init__(self, edges: dict[tuple[int, int], int]) -> None:
+        self.edges = edges
 
     @classmethod
     def from_monomial(cls, mono: Monomial, alg: LieAlgebra) -> "ExponentGraph":
@@ -211,13 +212,22 @@ def phi_exponent(n: int, k: int) -> int:
     return math.factorial(n - 2) // math.factorial(n - k)
 
 
-@dataclass
-class FamilyResult:
-    family: str
-    instances_checked: int
-    failures: list[str]
-    convention: str
-    skipped: str | None = None
+class FamilyResult(Record):
+    _fields = ("family", "instances_checked", "failures", "convention", "skipped")
+
+    def __init__(
+        self,
+        family: str,
+        instances_checked: int,
+        failures: list[str],
+        convention: str,
+        skipped: str | None = None,
+    ) -> None:
+        self.family = family
+        self.instances_checked = instances_checked
+        self.failures = failures
+        self.convention = convention
+        self.skipped = skipped
 
     @property
     def passed(self) -> bool:
@@ -236,10 +246,12 @@ class FamilyResult:
         return out
 
 
-@dataclass
-class RelationFamiliesReport:
-    n: int
-    results: list[FamilyResult]
+class RelationFamiliesReport(Record):
+    _fields = ("n", "results")
+
+    def __init__(self, n: int, results: list[FamilyResult]) -> None:
+        self.n = n
+        self.results = results
 
     @property
     def all_passed(self) -> bool:
@@ -367,21 +379,30 @@ def relation_families_check(n: int) -> RelationFamiliesReport:
 # oracle cross-check against the kernel pipeline
 
 
-@dataclass
-class OracleDegreeResult:
-    degree: int
-    balanced_count: int
-    kernel_dim: int
-    spans_equal: bool
+class OracleDegreeResult(Record):
+    _fields = ("degree", "balanced_count", "kernel_dim", "spans_equal")
+
+    def __init__(self, degree: int, balanced_count: int, kernel_dim: int, spans_equal: bool) -> None:
+        self.degree = degree
+        self.balanced_count = balanced_count
+        self.kernel_dim = kernel_dim
+        self.spans_equal = spans_equal
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "degree": self.degree,
+            "balanced_count": self.balanced_count,
+            "kernel_dim": self.kernel_dim,
+            "spans_equal": self.spans_equal,
+        }
 
 
-@dataclass
-class OracleReport:
-    n: int
-    per_degree: list[OracleDegreeResult]
+class OracleReport(Record):
+    _fields = ("n", "per_degree")
+
+    def __init__(self, n: int, per_degree: list[OracleDegreeResult]) -> None:
+        self.n = n
+        self.per_degree = per_degree
 
     @property
     def all_equal(self) -> bool:

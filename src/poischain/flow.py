@@ -12,10 +12,9 @@ accuracy floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from .algebra import ConfigurationError, LieAlgebra
+from .algebra import ConfigurationError, LieAlgebra, Record
 from .poly import Polynomial, hamiltonian_field, unpack
 
 
@@ -27,35 +26,67 @@ class FlowDivergenceError(RuntimeError):
         self.time = time
 
 
-@dataclass
-class FlowProblem:
-    algebra: LieAlgebra
-    hamiltonian: Polynomial
-    x0: Sequence[float]
-    t_final: float
-    dt: float
-    monitors: list[tuple[str, Polynomial]] = field(default_factory=list)
+# the most Runge-Kutta steps one integration takes: 6-7 s at sl(2) on a
+# 2-vCPU Xeon VM (0.55-0.66 us per step), longer on larger algebras
+STEP_BUDGET = 10**7
 
-    def __post_init__(self) -> None:
-        if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
+
+class FlowProblem(Record):
+    """An initial-value problem, refused (ConfigurationError) unless t_final
+    and dt are positive and finite, round(t_final / dt) steps are at most
+    STEP_BUDGET, and x0 is a finite point of the algebra."""
+
+    _fields = ("algebra", "hamiltonian", "x0", "t_final", "dt", "monitors")
+
+    def __init__(
+        self,
+        algebra: LieAlgebra,
+        hamiltonian: Polynomial,
+        x0: Sequence[float],
+        t_final: float,
+        dt: float,
+        monitors: list[tuple[str, Polynomial]] | None = None,
+    ) -> None:
+        if not (0 < dt < math.inf and 0 < t_final < math.inf):
             raise ConfigurationError("time horizon and step must be positive and finite")
-        if not math.isfinite(self.t_final / self.dt):
+        steps = t_final / dt
+        if not math.isfinite(steps):
             raise ConfigurationError("time horizon / step must be a finite number of steps")
-        if len(self.x0) != self.algebra.dim:
+        if round(steps) > STEP_BUDGET:
+            raise ConfigurationError(f"time horizon / step is {steps:.6g} steps, "
+                                     f"above the step budget {STEP_BUDGET}")
+        if len(x0) != algebra.dim:
             raise ConfigurationError("initial point has the wrong dimension")
-        if not all(math.isfinite(v) for v in self.x0):
+        if not all(math.isfinite(v) for v in x0):
             raise ConfigurationError("initial point is not finite")
+        self.algebra = algebra
+        self.hamiltonian = hamiltonian
+        self.x0 = x0
+        self.t_final = t_final
+        self.dt = dt
+        self.monitors = [] if monitors is None else monitors
 
 
-@dataclass
-class FlowResult:
-    times: list[float]
-    states: list[list[float]]
-    monitor_labels: list[str]
-    monitor_values: list[list[float]]  # one row per recorded time
-    drifts: dict[str, float]
-    steps: int
-    dt: float
+class FlowResult(Record):
+    _fields = ("times", "states", "monitor_labels", "monitor_values", "drifts", "steps", "dt")
+
+    def __init__(
+        self,
+        times: list[float],
+        states: list[list[float]],
+        monitor_labels: list[str],
+        monitor_values: list[list[float]],
+        drifts: dict[str, float],
+        steps: int,
+        dt: float,
+    ) -> None:
+        self.times = times
+        self.states = states
+        self.monitor_labels = monitor_labels
+        self.monitor_values = monitor_values  # one row per recorded time
+        self.drifts = drifts
+        self.steps = steps
+        self.dt = dt
 
     @property
     def final_state(self) -> list[float]:
@@ -224,7 +255,8 @@ def observed_order(problem: FlowProblem, monitor: str | None = None) -> float:
     which callers should treat as "better than measurable".
     """
     coarse = integrate(problem)
-    fine = integrate(replace(problem, dt=problem.dt / 2.0))
+    fine = integrate(FlowProblem(problem.algebra, problem.hamiltonian, problem.x0,
+                                 problem.t_final, problem.dt / 2.0, problem.monitors))
 
     def pick(result: FlowResult) -> float:
         if monitor is not None:

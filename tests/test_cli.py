@@ -8,11 +8,10 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
-from poischain import Polynomial, builtin_sl, cli, commutant, cycles, dump_json
+from poischain import Polynomial, builtin_sl, cli, commutant, cycles, dump_json, flow
 from poischain.algebra import ConfigurationError
 from poischain.chains import ChainFormationError
 from poischain.cli import (
@@ -185,7 +184,8 @@ def test_commutant_closure_line_tells_a_cap_miss_from_a_failure(tmp_path, capsys
     def with_e12(alg, sub, cap):  # e12 is not torus-invariant
         gens = generate(alg, sub, cap)
         e12 = commutant.Generator(Polynomial.variable(alg.labels.index("e12"), alg.dim), 1, "e12")
-        return replace(gens, generators=gens.generators + [e12])
+        return commutant.GeneratorSet(alg, gens.generators + [e12], gens.subalgebra,
+                                      gens.max_degree, gens.kernel_dims)
 
     monkeypatch.setattr(cli, "generate", with_e12)
     argv = ["commutant", "--algebra", "sl3", "--subalgebra", "cartan",
@@ -1055,6 +1055,32 @@ def test_bad_flow_step_fails_before_the_monitors_are_generated(monkeypatch, caps
     assert code == EXIT_INPUT
     assert capsys.readouterr().err == (
         "error: time horizon and step must be positive and finite\n")
+
+
+def test_flow_over_the_step_budget_exits_3_with_one_line(monkeypatch, capsys):
+    """10^300 steps is a finite count; unchecked, the flow runs for ever."""
+
+    def no_compile(*args):
+        raise AssertionError("compiled a flow over the step budget")
+
+    monkeypatch.setattr(flow, "_compile_flow", no_compile)
+    assert run(_FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "1e-300"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: time horizon / step is 1e+300 steps, above the step budget 10000000\n")
+
+
+@pytest.mark.parametrize("poly, argv", [
+    ("h1^2 + e12", _FLOW + ["--x0", "1,1,1", "--t", "1", "--dt", "0.1", "--monitor"]),
+    ("h1^2 + e12*e21 + h1", ["chain", "verify", "--algebra", "sl2", "--subalgebra", "cartan",
+                             "--base"]),
+], ids=["flow-monitor", "chain-base"])
+def test_inhomogeneous_generator_file_is_accepted_as_targets(tmp_path, poly, argv):
+    # membership and relation_basis refuse such a generator; a monitor or a
+    # base generator is only a target or a bracket operand
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"generators": [{"label": "a", "poly": poly}]}))
+    spec = str(path) if argv[-1] == "--monitor" else f"file:{path}"
+    assert run(argv + [spec, "--out", str(tmp_path / "report.json")]) == EXIT_OK
 
 
 _MINIMAL_ARGV = {

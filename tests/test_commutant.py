@@ -10,6 +10,7 @@ from math import comb
 import pytest
 
 from poischain import (
+    ConfigurationError,
     Generator,
     LieAlgebra,
     Polynomial,
@@ -474,6 +475,28 @@ def test_membership_budget_miss(sl3, sl3_torus):
     p = parse_polynomial("e12*e23*e31", 8, sl3.labels).power(2)
     res = membership(p, sl3_torus, 1)
     assert res.status == "not_found_up_to_budget"
+
+
+def _sl2_file_set(sl2, *entries):
+    return GeneratorSet.from_json(
+        {"generators": [{"label": label, "poly": poly} for label, poly in entries]}, sl2)
+
+
+def test_membership_refuses_an_inhomogeneous_generator(sl2):
+    # a = h1^2 + e12 passes from_json (its top degree is 2), and e12 = a - d^2,
+    # yet the degree-1 solve never sees a: the answer was not_found_up_to_budget
+    gens = _sl2_file_set(sl2, ("a", "h1^2 + e12"), ("d", "h1"))
+    e12 = parse_polynomial("e12", sl2.dim, sl2.labels)
+    with pytest.raises(ConfigurationError, match="generator 'a' is not homogeneous of its degree 2"):
+        membership(e12, gens, 4)
+
+
+def test_relation_basis_refuses_an_inhomogeneous_generator(sl2):
+    # a - d^2 - c = 0, with Jacobian rank 2 of 3, but the per-degree
+    # comparison found no relation
+    gens = _sl2_file_set(sl2, ("a", "h1^2 + e12"), ("c", "e12"), ("d", "h1"))
+    with pytest.raises(ConfigurationError, match="generator 'a' is not homogeneous of its degree 2"):
+        relation_basis(gens, 4)
 
 
 def test_membership_constant(sl2_torus):

@@ -286,6 +286,16 @@ def test_repeated_monitor_label_is_refused(sl2, labels, monkeypatch):
         integrate(problem)
 
 
+def test_step_count_above_the_budget_is_refused(sl2):
+    # 10^300 steps is finite, and the flow ran until it was killed
+    with pytest.raises(ConfigurationError,
+                       match=r"1e\+300 steps, above the step budget 10000000"):
+        sl2_problem(sl2, t_final=1, dt=1e-300)
+    with pytest.raises(ConfigurationError, match="step budget"):
+        sl2_problem(sl2, t_final=flow.STEP_BUDGET + 1, dt=1)
+    assert sl2_problem(sl2, t_final=flow.STEP_BUDGET, dt=1).dt == 1
+
+
 def test_monitor_with_thousands_of_terms(sl3):
     # (h1 + h2 + e12 + ... + e32)^8 has C(15, 7) = 6,435 terms, beyond the
     # ~3,000 at which one long `+` expression overflows CPython's compiler
