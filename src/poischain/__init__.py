@@ -27,8 +27,6 @@ from .algebra import (
     validate_subalgebra,
 )
 from .casimir_mf import (
-    CasimirSet,
-    MFAlgebra,
     casimir_count_check,
     casimirs_by_kernel,
     mf_commutativity_check,

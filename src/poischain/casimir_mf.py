@@ -10,11 +10,14 @@ count reaches (dim + rank)/2 exactly when the direction is regular.  Its
 commutativity is certified by the Mishchenko-Fomenko argument when the
 Casimirs are central, and decided otherwise by exact pairwise brackets from
 poly.brackets, one Hamiltonian field per left element.
+
+Both are commutant.GeneratorSets: a Casimir set carries its construction in
+method ("kernel" or "trace-transport"), and a shift family its shift and
+the base set whose coefficients it lists.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -57,40 +60,12 @@ REGULARITY_NOTE = (
 )
 
 
-class CasimirSet(Record):
-    """Central generators of the symmetric algebra, with their construction tag."""
-
-    _fields = ("gens", "method")
-
-    def __init__(self, gens: GeneratorSet, method: str) -> None:
-        self.gens = gens
-        self.method = method  # "kernel" | "trace-transport"
-
-    @property
-    def algebra(self) -> LieAlgebra:
-        return self.gens.algebra
-
-    @property
-    def generators(self) -> list[Generator]:
-        return self.gens.generators
-
-    def polys(self) -> list[Polynomial]:
-        return self.gens.polys()
-
-    def __len__(self) -> int:
-        return len(self.gens.generators)
-
-    def to_json(self) -> dict:
-        out = self.gens.to_json()
-        out["method"] = self.method
-        return out
-
-
-def casimirs_by_kernel(alg: LieAlgebra, max_degree: int | None = None) -> CasimirSet:
+def casimirs_by_kernel(alg: LieAlgebra, max_degree: int | None = None) -> GeneratorSet:
     """Indecomposable invariants of the full algebra up to the degree cap
-    (generate's default when None)."""
+    (generate's default when None), with method "kernel"."""
     gens = generate(alg, full_subalgebra(alg), max_degree, label_prefix="C")
-    return CasimirSet(gens=gens, method="kernel")
+    gens.method = "kernel"
+    return gens
 
 
 def _symbolic_sl_matrix(
@@ -121,17 +96,17 @@ def _matrix_poly_mul(
     ]
 
 
-def trace_casimirs_sln(n: int, max_k: int | None = None) -> CasimirSet:
+def trace_casimirs_sln(n: int, max_k: int | None = None) -> GeneratorSet:
     """trace_casimirs on builtin_sl(n)."""
     if n < 2:
         raise ConfigurationError("need n >= 2")
     return trace_casimirs(builtin_sl(n), max_k)
 
 
-def trace_casimirs(alg: LieAlgebra, max_k: int | None = None) -> CasimirSet:
+def trace_casimirs(alg: LieAlgebra, max_k: int | None = None) -> GeneratorSet:
     """Power traces of the generic traceless matrix, in dual coordinates, on
     an sl(n) in the built-in layout (sl_size), rendered with its own name
-    and labels.
+    and labels, with method "trace-transport".
 
     The trace of the k-th matrix power is a polynomial in the coefficients of
     the matrix against the standard basis; composing with the inverse Killing
@@ -163,13 +138,13 @@ def trace_casimirs(alg: LieAlgebra, max_k: int | None = None) -> CasimirSet:
             alg.dim, ((a[r][c], b[c][r]) for r in range(n) for c in range(n))
         )
         gens.append(Generator(poly=trace.monic(), degree=k, label=f"c{k}"))
-    gen_set = GeneratorSet(
+    return GeneratorSet(
         algebra=alg,
         generators=gens,
         subalgebra=full_subalgebra(alg),
         max_degree=max_k,
+        method="trace-transport",
     )
-    return CasimirSet(gens=gen_set, method="trace-transport")
 
 
 class CasimirCountReport(Record):
@@ -204,7 +179,7 @@ class CasimirCountReport(Record):
 
 
 def casimir_count_check(
-    casimirs: CasimirSet, seed: int = DEFAULT_SEED
+    casimirs: GeneratorSet, seed: int = DEFAULT_SEED
 ) -> CasimirCountReport:
     """Independent Casimir count against the corank of the commutator matrix.
 
@@ -221,7 +196,7 @@ def casimir_count_check(
         expected=corank,
         dim=alg.dim,
         generic_commutator_rank=alg.dim - corank,
-        max_degree=casimirs.gens.max_degree,
+        max_degree=casimirs.max_degree,
         matches=count == corank,
     )
 
@@ -230,54 +205,9 @@ def casimir_count_check(
 # argument shift
 
 
-class MFAlgebra(Record):
-    """Shift-coefficient family of the Casimirs along a fixed direction."""
-
-    _fields = ("shift", "base", "generators", "shift_regular")
-    note = REGULARITY_NOTE
-
-    def __init__(
-        self,
-        shift: tuple[Fraction, ...],
-        base: CasimirSet,
-        generators: list[Generator],
-        shift_regular: bool,
-    ) -> None:
-        self.shift = shift
-        self.base = base
-        self.generators = generators
-        self.shift_regular = shift_regular
-
-    @property
-    def algebra(self) -> LieAlgebra:
-        return self.base.algebra
-
-    def polys(self) -> list[Polynomial]:
-        return [g.poly for g in self.generators]
-
-    def as_generator_set(self) -> GeneratorSet:
-        return GeneratorSet(algebra=self.algebra, generators=list(self.generators))
-
-    def to_json(self) -> dict:
-        alg = self.algebra
-        return {
-            "algebra": alg.name,
-            "shift": [str(c) for c in self.shift],
-            "shift_regular": self.shift_regular,
-            "note": self.note,
-            "generators": [
-                {
-                    "label": g.label,
-                    "degree": g.degree,
-                    "poly": render_polynomial(g.poly, alg.labels),
-                }
-                for g in self.generators
-            ],
-        }
-
-
-def mf_generators(cas: CasimirSet, mu: Sequence) -> MFAlgebra:
-    """All shift-parameter coefficients of each Casimir, top constant dropped.
+def mf_generators(cas: GeneratorSet, mu: Sequence) -> GeneratorSet:
+    """All shift-parameter coefficients of each Casimir, top constant dropped,
+    as a set with shift mu and base cas.
 
     Expanding P(x + t*mu) in t gives coefficients of orders 0..deg P; the
     order-0 coefficient is P itself and the top one is the constant P(mu),
@@ -297,10 +227,26 @@ def mf_generators(cas: CasimirSet, mu: Sequence) -> MFAlgebra:
             label = base_gen.label if j == 0 else f"{base_gen.label}.d{j}"
             degree = poly.degree or 0
             gens.append(Generator(poly=poly, degree=degree, label=label))
-    regular = is_regular(alg, point)
-    return MFAlgebra(
-        shift=point, base=cas, generators=gens, shift_regular=regular
-    )
+    return GeneratorSet(algebra=alg, generators=gens, shift=point, base=cas)
+
+
+def mf_family_json(mf: GeneratorSet, shift_regular: bool) -> dict:
+    """The family section of the mf report."""
+    alg = mf.algebra
+    return {
+        "algebra": alg.name,
+        "shift": [str(c) for c in mf.shift],
+        "shift_regular": shift_regular,
+        "note": REGULARITY_NOTE,
+        "generators": [
+            {
+                "label": g.label,
+                "degree": g.degree,
+                "poly": render_polynomial(g.poly, alg.labels),
+            }
+            for g in mf.generators
+        ],
+    }
 
 
 class CommutativityReport(Record):
@@ -322,7 +268,7 @@ class CommutativityReport(Record):
         }
 
 
-def mf_commutativity_check(mf: MFAlgebra) -> CommutativityReport:
+def mf_commutativity_check(mf: GeneratorSet) -> CommutativityReport:
     """Whether every pair of the shift family Poisson-commutes.
 
     First the Mishchenko-Fomenko certificate (Mishchenko and Fomenko 1978;
@@ -392,15 +338,17 @@ class MFRankReport(Record):
         return out
 
 
-def mf_rank_check(mf: MFAlgebra, seed: int = DEFAULT_SEED) -> MFRankReport:
+def mf_rank_check(mf: GeneratorSet, seed: int = DEFAULT_SEED) -> MFRankReport:
     """Independent count of the shift family against (dim + rank)/2.
 
-    When the shift is not regular the report flags the missing hypothesis and
-    still states the computed rank.  It also lists the polynomial relations
-    up to weighted degree twice the largest generator degree.  For a free
-    family, one whose gradients are independent, relation_basis certifies
-    that list empty by the Jacobian criterion, so "no relations up to
-    2 * max degree" then holds in every degree.
+    Regularity of the shift is tested at the default seed, whatever the
+    seed of the ranks.  When the shift is not regular the report flags the
+    missing hypothesis and still states the computed rank.  It also lists
+    the polynomial relations up to weighted degree twice the largest
+    generator degree.  For a free family, one whose gradients are
+    independent, relation_basis certifies that list empty by the Jacobian
+    criterion, so "no relations up to 2 * max degree" then holds in every
+    degree.
     """
     alg = mf.algebra
     rank_g = alg.rank(seed=seed)
@@ -412,13 +360,14 @@ def mf_rank_check(mf: MFAlgebra, seed: int = DEFAULT_SEED) -> MFRankReport:
     relations = None
     if mf.generators:
         max_deg = max(g.degree for g in mf.generators)
-        relations = relation_basis(mf.as_generator_set(), 2 * max_deg)
+        relations = relation_basis(mf, 2 * max_deg)
+    regular = is_regular(alg, mf.shift)
     return MFRankReport(
         jacobian_rank=jac,
         expected=b_g,
         generator_count=len(mf.generators),
-        shift_regular=mf.shift_regular,
-        hypothesis_met=mf.shift_regular,
+        shift_regular=regular,
+        hypothesis_met=regular,
         matches=jac == b_g,
         relations=relations,
     )
@@ -450,7 +399,7 @@ class InclusionReport(Record):
         }
 
 
-def mf_inclusion_check(mf: MFAlgebra, sub: SubalgebraSpec) -> InclusionReport:
+def mf_inclusion_check(mf: GeneratorSet, sub: SubalgebraSpec) -> InclusionReport:
     """Whether the shift family lands inside the invariants of the subalgebra.
 
     Two independent tests that must agree: the shift, moved to the algebra
@@ -509,7 +458,7 @@ class SandwichReport(Record):
 
 
 def sandwich_check(
-    mf: MFAlgebra,
+    mf: GeneratorSet,
     sub: SubalgebraSpec,
     seed: int = DEFAULT_SEED,
 ) -> SandwichReport:
@@ -517,9 +466,11 @@ def sandwich_check(
     from (mf.base) inside the shift family inside the invariants of the
     subalgebra.
 
-    The refinement is meaningful when the subalgebra's generic orbit
-    dimension equals the rank; a mismatch is reported as a failed hypothesis
-    while the two inclusions are still checked.
+    The Casimirs are in the family when every base polynomial is a member,
+    as the order-0 shift coefficient of p is p itself.  The refinement is
+    meaningful when the subalgebra's generic orbit dimension equals the
+    rank; a mismatch is reported as a failed hypothesis while the two
+    inclusions are still checked.
     """
     alg = mf.algebra
     d_a = orbit_dimension(alg, sub, seed=seed)
@@ -529,12 +480,8 @@ def sandwich_check(
         notes.append(
             f"hypothesis fails: generic orbit dimension {d_a} != rank {rank_g}"
         )
-    order_zero = {
-        g.label.split(".")[0]: g.poly for g in mf.generators if "." not in g.label
-    }
-    casimirs_in = all(
-        order_zero.get(c.label) == c.poly for c in mf.base.generators
-    )
+    members = set(mf.polys())
+    casimirs_in = all(c.poly in members for c in mf.base.generators)
     inclusion = mf_inclusion_check(mf, sub)
     if not inclusion.agree:
         notes.append("inclusion routes disagree; investigate")

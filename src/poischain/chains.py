@@ -291,7 +291,7 @@ def torus_chain(
     The expected ranks (dim - rank for the intermediate, rank for the base)
     are recorded in the report for comparison.
     """
-    base = casimirs_by_kernel(alg, max_degree).gens
+    base = casimirs_by_kernel(alg, max_degree)
     report = chain_over(cartan_subalgebra(alg), base, "casimirs", base.max_degree, seed)
     rank_g = alg.rank(seed=seed)
     report.expected = {
@@ -345,8 +345,7 @@ def mf_chain(
     """Chain with the argument-shift family as candidate base (never valid
     for a regular shift: its rank exceeds any orbit dimension bound)."""
     cas = casimirs_by_kernel(alg, max_degree)
-    base = mf_generators(cas, mu).as_generator_set()
-    return chain_over(sub, base, "mf", cas.gens.max_degree, seed)
+    return chain_over(sub, mf_generators(cas, mu), "mf", cas.max_degree, seed)
 
 
 class BaseExistenceReport(Record):

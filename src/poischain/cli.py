@@ -35,6 +35,7 @@ from .casimir_mf import (
     casimir_count_check,
     casimirs_by_kernel,
     mf_commutativity_check,
+    mf_family_json,
     mf_generators,
     mf_rank_check,
     sandwich_check,
@@ -327,8 +328,8 @@ def cmd_commutant(ns: argparse.Namespace) -> int:
     cap = gens.max_degree
     payload = gens.to_json()
     payload["subalgebra"] = sub.name
-    _say(f"{len(gens)} generators up to degree {cap} "
-         f"(kernel dims {gens.kernel_dims})")
+    # the relations come first: a budget error ends the run before any summary
+    relations = None
     if not ns.skip_relations:
         budget = ns.relations_degree or 2 * cap
         try:
@@ -339,6 +340,9 @@ def cmd_commutant(ns: argparse.Namespace) -> int:
             fits = exc.degree - 1
             hint = f"--relations-degree {fits} or " if fits >= max(gens.degrees()) else ""
             raise ConfigurationError(f"{exc}; rerun with {hint}--skip-relations") from None
+    _say(f"{len(gens)} generators up to degree {cap} "
+         f"(kernel dims {gens.kernel_dims})")
+    if relations is not None:
         payload["relations"] = relations.to_json()
         _say(f"{len(relations.relations)} relation(s) up to weighted degree {budget}")
     if ns.closure:
@@ -383,7 +387,7 @@ def cmd_casimirs(ns: argparse.Namespace) -> int:
         _say(f"trace route: {len(trace_set)} generators")
         if ns.method == "both":
             agree = all(
-                membership(g.poly, other.gens, g.degree).found
+                membership(g.poly, other, g.degree).found
                 for gens, other in ((trace_set, kernel_set), (kernel_set, trace_set))
                 for g in gens.generators
             )
@@ -398,25 +402,25 @@ def cmd_casimirs(ns: argparse.Namespace) -> int:
 def cmd_mf(ns: argparse.Namespace) -> int:
     alg = load_algebra(ns.algebra)
     mu = parse_shift(ns.shift, alg)
+    sub = load_subalgebra(ns.subalgebra, alg) if ns.subalgebra else None
     mf = mf_generators(casimirs_by_kernel(alg, ns.max_degree), mu)
     commutativity = mf_commutativity_check(mf)
     rank = mf_rank_check(mf, seed=ns.seed)
     payload = {
-        "family": mf.to_json(),
+        "family": mf_family_json(mf, rank.shift_regular),
         "commutativity": commutativity.to_json(),
         "rank_check": rank.to_json(),
     }
     _say(f"{len(mf.generators)} generators, shift "
-         + ("regular" if mf.shift_regular else "NOT regular"),
+         + ("regular" if rank.shift_regular else "NOT regular"),
          f"commutativity: {'pass' if commutativity.commutative else 'FAIL'}",
          f"independent count {rank.jacobian_rank} (target {rank.expected})")
     code = EXIT_OK if commutativity.commutative else EXIT_NEGATIVE
     # a regular shift below its target count: the degree cap may have cut
     # off Casimirs, so the count is inconclusive rather than negative
-    if code == EXIT_OK and mf.shift_regular and rank.jacobian_rank < rank.expected:
+    if code == EXIT_OK and rank.shift_regular and rank.jacobian_rank < rank.expected:
         code = EXIT_INCONCLUSIVE
-    if ns.subalgebra:
-        sub = load_subalgebra(ns.subalgebra, alg)
+    if sub is not None:
         sandwich = sandwich_check(mf, sub, seed=ns.seed)
         inclusion = sandwich.inclusion
         payload["inclusion"] = inclusion.to_json()
@@ -435,7 +439,7 @@ def cmd_chain_verify(ns: argparse.Namespace) -> int:
     sub = load_subalgebra(ns.subalgebra, alg)
     base_spec = ns.base
     if base_spec == "casimirs":
-        base = casimirs_by_kernel(alg, ns.max_degree).gens
+        base = casimirs_by_kernel(alg, ns.max_degree)
         report = chains.chain_over(sub, base, "casimirs", base.max_degree, ns.seed)
     elif base_spec.startswith("file:"):
         base = _load_generator_file(base_spec[5:], alg)
@@ -499,7 +503,7 @@ def _resolve_monitors(spec: str | None, alg: LieAlgebra):
     if spec == "auto:torus":
         gens = generate(alg, cartan_subalgebra(alg))
     elif spec == "auto:casimirs":
-        gens = casimirs_by_kernel(alg).gens
+        gens = casimirs_by_kernel(alg)
     else:
         gens = _load_generator_file(spec, alg)
     return [(g.label, g.poly) for g in gens.generators]

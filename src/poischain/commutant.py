@@ -37,11 +37,15 @@ entry per product key (_product_codes).  Other sets take products along
 one walk (_formal_monomials) and elimination.  Either route builds a
 membership expression as integer numerators over one denominator, with no
 Fraction; with integer spanning vectors, a torus chain builds none.
+
+GeneratorSet is the one generator-set type: commutants from generate,
+Casimir sets and argument-shift families (casimir_mf) alike.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, combinations_with_replacement
 from math import lcm
@@ -103,13 +107,18 @@ class Generator(Record):
 class GeneratorSet(Record):
     """A finite generator list for a polynomial subalgebra, with provenance.
 
+    A Casimir set carries its construction in method ("kernel" or
+    "trace-transport"), an argument-shift family its shift and the base set
+    whose shift coefficients it lists.
+
     membership and relation_basis solve degree by degree, so they raise
     ConfigurationError on the first generator whose polynomial is not
     homogeneous of its stated degree (from_json checks only the top
     degree).  Flow monitors and chain bases read from a file use the
     polynomials only as targets or in brackets and accept any."""
 
-    _fields = ("algebra", "generators", "subalgebra", "max_degree", "kernel_dims")
+    _fields = ("algebra", "generators", "subalgebra", "max_degree", "kernel_dims",
+               "method", "shift", "base")
 
     def __init__(
         self,
@@ -118,15 +127,29 @@ class GeneratorSet(Record):
         subalgebra: SubalgebraSpec | None = None,
         max_degree: int | None = None,
         kernel_dims: dict[int, int] | None = None,
+        method: str | None = None,
+        shift: tuple[Fraction, ...] | None = None,
+        base: GeneratorSet | None = None,
     ) -> None:
         self.algebra = algebra
         self.generators = generators
         self.subalgebra = subalgebra
         self.max_degree = max_degree
         self.kernel_dims = {} if kernel_dims is None else kernel_dims
+        self.method = method
+        self.shift = shift
+        self.base = base
 
     def __len__(self) -> int:
         return len(self.generators)
+
+    # perfbench/workloads.py reads these two; they go with the benchmark change
+    @property
+    def gens(self) -> GeneratorSet:
+        return self
+
+    def as_generator_set(self) -> GeneratorSet:
+        return self
 
     def polys(self) -> list[Polynomial]:
         return [g.poly for g in self.generators]
@@ -156,6 +179,8 @@ class GeneratorSet(Record):
             out["max_degree"] = self.max_degree
         if self.kernel_dims:
             out["kernel_dims"] = {str(k): v for k, v in sorted(self.kernel_dims.items())}
+        if self.method is not None:
+            out["method"] = self.method
         return out
 
     @classmethod

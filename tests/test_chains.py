@@ -183,7 +183,7 @@ def test_noncentral_base_rejected_with_witness(sl3, sl3_torus):
 def test_verdict_invariant_under_generator_presentation(sl3, sl3_torus):
     """Scaling and permuting generator lists must not change the verdict."""
     rng = random.Random(5)
-    base = casimirs_by_kernel(sl3, 3).gens
+    base = casimirs_by_kernel(sl3, 3)
     shuffled = list(sl3_torus.generators)
     rng.shuffle(shuffled)
     scaled = [
@@ -361,7 +361,7 @@ def test_base_center_check_direct(sl3, sl3_torus, sl3_casimirs):
     spec = ChainSpec(
         subalgebra=cartan_subalgebra(sl3),
         intermediate=sl3_torus,
-        base=sl3_casimirs.gens,
+        base=sl3_casimirs,
     )
     rep = base_center_check(spec)
     assert rep.pair_count == 2 * 7

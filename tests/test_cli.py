@@ -1024,6 +1024,18 @@ def test_invalid_input_errors_share_one_type(capsys):
         "error: weighted-degree budget 2 is below the largest generator degree 3\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["mf", "--algebra", "sl3", "--shift", "h:1,2", "--subalgebra", "nope.json"],
+    ["commutant", "--algebra", "sl3", "--subalgebra", "cartan", "--relations-degree", "2"],
+], ids=["mf-missing-subalgebra", "commutant-relations-budget"])
+def test_input_error_prints_no_summary_first(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_relation_budget_error_names_the_way_out(monkeypatch, capsys):
     """The default relation budget of sl(5), twice the cap, reaches weighted
     degree 8, over COLUMN_BUDGET; the one line names the largest budget that

@@ -342,9 +342,9 @@ def test_free_certificate_matches_elimination(n):
 
 def test_dependent_family_keeps_elimination(sl3_casimirs):
     """A family that is not free still gets its relations by elimination."""
-    c2, c3 = sl3_casimirs.gens.polys()
+    c2, c3 = sl3_casimirs.polys()
     gens = GeneratorSet(
-        algebra=sl3_casimirs.gens.algebra,
+        algebra=sl3_casimirs.algebra,
         generators=[
             Generator(poly=c2, degree=2, label="q2"),
             Generator(poly=c3, degree=3, label="q3"),
@@ -424,7 +424,7 @@ def _seeded_shift_family(n):
     alg = builtin_sl(n)
     eig = random.Random(11).sample(range(-9, 10), n)
     shift = [F(eig[i + 1] - eig[i]) for i in range(n - 1)] + [F(0)] * (n * n - n)
-    return mf_generators(casimirs_by_kernel(alg, n), shift).as_generator_set()
+    return mf_generators(casimirs_by_kernel(alg, n), shift)
 
 
 @pytest.mark.parametrize(
@@ -457,7 +457,7 @@ def test_generator_products_reject_degree_zero(sl2):
 
 
 def test_membership_found(sl2, sl2_torus, sl2_casimirs):
-    cas = sl2_casimirs.gens.polys()[0]
+    cas = sl2_casimirs.polys()[0]
     res = membership(cas, sl2_torus, 2)
     assert res.status == "found"
     assert res.expression.render(sl2_torus.labels()) == "q1^2 + 4*q2"
@@ -508,8 +508,8 @@ def test_membership_constant(sl2_torus):
 def test_membership_product_route_miss(sl3, sl3_casimirs):
     """C3 is no polynomial in C2: the product route (C2 has several terms)
     finds no product of weighted degree 3 and reports the budget miss."""
-    c3 = sl3_casimirs.gens.polys()[1]
-    low = casimirs_by_kernel(sl3, 2).gens
+    c3 = sl3_casimirs.polys()[1]
+    low = casimirs_by_kernel(sl3, 2)
     assert commutant._single_terms(low.generators) is None
     assert membership(c3, low, 3).status == "not_found_up_to_budget"
 
@@ -537,9 +537,9 @@ def test_membership_over_trace_casimirs_builds_no_fraction(sl3, sl3_casimirs, fr
     integer coefficients over one denominator: each kernel Casimir of sl(3),
     and a mixed-degree polynomial in them, is expressed in the trace
     Casimirs with no Fraction, as the reference solve expresses it."""
-    trace = trace_casimirs_sln(3).gens
+    trace = trace_casimirs_sln(3)
     assert commutant._single_terms(trace.generators) is None
-    c2, c3 = sl3_casimirs.gens.polys()
+    c2, c3 = sl3_casimirs.polys()
     targets = [c2, c3, c2 * c2 * F(1, 3) - c3 + Polynomial.constant(2, sl3.dim)]
     before = fraction_count()
     got = [membership(p, trace, 4) for p in targets]
@@ -572,7 +572,7 @@ def test_membership_solves_every_degree_in_one_pass(sl3, sl3_torus, sl3_casimirs
     pass: one product-key table in the torus generators and one kernel in
     the kernel Casimirs, not one per component, with the expressions the
     per-component reference gives."""
-    c2, c3 = trace_casimirs_sln(3).gens.polys()
+    c2, c3 = trace_casimirs_sln(3).polys()
     p = c2 * F(1, 2) - c3 + c2 * c3 * 3
     calls = {"_product_codes": 0, "_kernel": 0}
     for name in calls:
@@ -580,7 +580,7 @@ def test_membership_solves_every_degree_in_one_pass(sl3, sl3_torus, sl3_casimirs
             calls[name] += 1
             return inner(*args)
         monkeypatch.setattr(commutant, name, counted)
-    for gens, route in ((sl3_torus, "_product_codes"), (sl3_casimirs.gens, "_kernel")):
+    for gens, route in ((sl3_torus, "_product_codes"), (sl3_casimirs, "_kernel")):
         before = dict(calls)
         res = membership(p, gens, 5)
         assert res.found and res.expression == reference_membership(p, gens, 5).expression
@@ -661,7 +661,7 @@ def test_bracket_closure_expressions_expand_back(n):
 
 
 def test_bracket_closure_casimirs_all_zero(sl3, sl3_casimirs):
-    report = bracket_closure_check(sl3_casimirs.gens)
+    report = bracket_closure_check(sl3_casimirs)
     assert all(e.bracket_is_zero for e in report.entries)
 
 
@@ -1144,7 +1144,7 @@ def _restricted_partitions(k, parts):
 def test_casimir_kernel_dims_follow_the_chevalley_series(n):
     """dim S^k(sl_n)^G is the coefficient of t^k in prod 1/(1 - t^d),
     d = 2..n (Chevalley): a dropped flip eigenspace would undercount it."""
-    dims = casimirs_by_kernel(builtin_sl(n), n).gens.kernel_dims
+    dims = casimirs_by_kernel(builtin_sl(n), n).kernel_dims
     assert dims == {k: _restricted_partitions(k, range(2, n + 1)) for k in range(1, n + 1)}
 
 

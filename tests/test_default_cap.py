@@ -39,7 +39,7 @@ def _run(argv, report, capsys):
 @pytest.mark.parametrize("n", [3, 4], ids=["sl3", "sl4"])
 def test_no_max_degree_is_max_degree_n(tmp_path, capsys, n):
     casimir_file = tmp_path / "casimirs.json"
-    casimir_file.write_text(dump_json(casimirs_by_kernel(builtin_sl(n), n).gens.to_json()))
+    casimir_file.write_text(dump_json(casimirs_by_kernel(builtin_sl(n), n).to_json()))
     for name, argv in _commands(n, casimir_file).items():
         default = _run(argv, tmp_path / "default.json", capsys)
         explicit = _run(argv + ["--max-degree", str(n)], tmp_path / "explicit.json", capsys)
@@ -54,10 +54,10 @@ def test_auto_monitors_use_the_default_cap(tmp_path, n):
     alg = builtin_sl(n)
     expected = {
         "auto:torus": generate(alg, cartan_subalgebra(alg)).labels(),
-        "auto:casimirs": casimirs_by_kernel(alg).gens.labels(),
+        "auto:casimirs": casimirs_by_kernel(alg).labels(),
     }
     assert expected["auto:torus"] == generate(alg, cartan_subalgebra(alg), n).labels()
-    assert expected["auto:casimirs"] == casimirs_by_kernel(alg, n).gens.labels()
+    assert expected["auto:casimirs"] == casimirs_by_kernel(alg, n).labels()
     x0 = ",".join(["1"] * alg.dim)
     for monitor, labels in expected.items():
         path = tmp_path / "trajectory.csv"

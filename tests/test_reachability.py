@@ -16,6 +16,7 @@ code only the tests run; it moves to tests/helpers.py or goes.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +41,10 @@ ALLOWED = {
     # perfbench/workloads.py reads these in its reference checks
     ("poly", "Polynomial.terms"): "perfbench decodes relation certificates with it",
     ("poly", "Monomial.dense"): "perfbench decodes relation certificates with it",
+    ("commutant", "GeneratorSet.gens"):
+        "perfbench reads them; they go with the benchmark change (ROADMAP item 5)",
+    ("commutant", "GeneratorSet.as_generator_set"):
+        "perfbench reads them; they go with the benchmark change (ROADMAP item 5)",
     # the tests' reference oracles use these; the package itself needs none
     ("poly", "Polynomial.power"): "the Casimir and flow oracles raise to powers",
     ("poly", "Polynomial.partial_derivative"): "the double-sum bracket oracle",
@@ -185,3 +190,24 @@ def test_allow_list_names_no_reached_definition():
     roots, attrs = _roots(defs, imports)
     reached = _reach(roots, attrs, defs, imports, modules)
     assert sorted(set(ALLOWED) & reached) == []
+
+
+def test_only_perfbench_reads_the_generator_set_aliases():
+    """GeneratorSet.gens and GeneratorSet.as_generator_set() return the set
+    itself and stay only for perfbench/workloads.py: no package, script or
+    test line and no CI step reads them."""
+    alias = re.compile(r"\.gens\b|\.as_generator_set\(")
+    files = [
+        path
+        for folder in ("src", "scripts", "tests")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path != Path(__file__).resolve()
+    ]
+    files.append(ROOT / ".github" / "workflows" / "tests.yml")
+    found = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in files
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if alias.search(line)
+    ]
+    assert found == []

@@ -28,7 +28,7 @@ def test_readme_python_example():
         "['h1', 'h2', 'e12*e21', 'e13*e31', 'e23*e32', 'e12*e23*e31', 'e13*e21*e32']"
     ]
     # the trailing comments
-    assert namespace["cas"].gens.labels() == ["C2", "C3"]
+    assert namespace["cas"].labels() == ["C2", "C3"]
     assert len(namespace["shift"].generators) == 5
     assert namespace["report"].verdict == "superintegrable"
 
