@@ -18,8 +18,8 @@ from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from . import linalg
-from .poly import Polynomial, _from_fractions, _json_int, _make, as_fraction, as_point
-from .poly import variable_keys
+from .poly import Polynomial, _from_fractions, _json_int, _json_list, _make, as_fraction
+from .poly import as_point, variable_keys
 from .sampling import DEFAULT_SEED, generic_rank
 
 Vector = tuple[int, ...]
@@ -32,13 +32,36 @@ class ConfigurationError(ValueError):
 
 
 class Record:
-    """A plain value class: instances of one class are equal when the
-    attributes named in _fields are, and repr shows them in that order.
-    Defining __eq__ leaves records unhashable; the three that no caller
-    changes after __init__ (commutant.Generator and _Operators,
-    cycles.CycleMonomial) set __hash__ = Record._hash."""
+    """A plain value class: the constructor binds positional, then keyword
+    arguments to the attributes named in _fields, in order, and fills the
+    missing ones from _defaults (a fresh copy of a dict or list default per
+    instance); instances of one class are equal when those attributes are,
+    and repr shows them in that order.  Defining __eq__ leaves records
+    unhashable; the three that no caller changes after __init__
+    (commutant.Generator and _Operators, cycles.CycleMonomial) set
+    __hash__ = Record._hash."""
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} arguments, got {len(args)}")
+        for field, value in zip(fields, args):
+            setattr(self, field, value)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                value = kwargs.pop(field)
+            elif field in self._defaults:
+                value = self._defaults[field]
+                if isinstance(value, (dict, list)):
+                    value = value.copy()
+            else:
+                raise TypeError(f"{name} missing argument {field!r}")
+            setattr(self, field, value)
+        if kwargs:  # a name not in _fields, or one already given by position
+            raise TypeError(f"{name} got unknown or repeated arguments {sorted(kwargs)}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -186,23 +209,15 @@ class LieAlgebra:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ValueError(f"labels must be a list of strings, got {labels!r}")
         structure: dict[tuple[int, int, int], object] = {}
-        for entry in data.get("structure", ()):
+        for entry in _json_list(data.get("structure", []), "structure"):
             key = tuple(_json_int(entry[a], f"structure index {a}") for a in "ijk")
             if key in structure:
                 raise ValueError(f"duplicate structure entry for {key}")
             structure[key] = entry["c"]
         cartan = data.get("cartan_indices")
-        return cls(
-            name=str(data.get("name", "algebra")),
-            dim=dim,
-            labels=labels,
-            structure=structure,
-            cartan_indices=(
-                tuple(_json_int(i, "Cartan index") for i in cartan)
-                if cartan is not None
-                else None
-            ),
-        )
+        if cartan is not None:
+            cartan = [_json_int(i, "Cartan index") for i in _json_list(cartan, "cartan_indices")]
+        return cls(str(data.get("name", "algebra")), dim, labels, structure, cartan)
 
 
 def vector_row(vec: Vector) -> linalg.Row:
@@ -223,22 +238,11 @@ def _integer_vector(vec: Iterable) -> Vector:
 
 class CheckResult(Record):
     _fields = ("name", "passed", "detail", "witness")
-
-    def __init__(
-        self, name: str, passed: bool, detail: str = "", witness: tuple | None = None
-    ) -> None:
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-        self.witness = witness
+    _defaults = {"detail": "", "witness": None}
 
 
 class ValidationReport(Record):
     _fields = ("algebra", "checks")
-
-    def __init__(self, algebra: str, checks: list[CheckResult]) -> None:
-        self.algebra = algebra
-        self.checks = checks
 
     @property
     def passed(self) -> bool:
@@ -318,10 +322,7 @@ class BilinearForm(Record):
     """B(X_i, X_j) = rows[i].get(j, 0) / den, in sparse integer rows."""
 
     _fields = ("rows", "den")
-
-    def __init__(self, rows: tuple[linalg.Row, ...], den: int = 1) -> None:
-        self.rows = rows
-        self.den = den
+    _defaults = {"den": 1}
 
     @cached_property
     def inverse(self) -> list[tuple[linalg.Row, int]]:
@@ -535,7 +536,8 @@ class SubalgebraSpec(Record):
         abelian = data.get("abelian", False)
         if not isinstance(abelian, bool):
             raise ValueError(f"abelian must be a boolean, got {abelian!r}")
-        return cls(data["vectors"], abelian, str(data.get("name", "subalgebra")))
+        vectors = [_json_list(vec, "vector") for vec in _json_list(data["vectors"], "vectors")]
+        return cls(vectors, abelian, str(data.get("name", "subalgebra")))
 
 
 def cartan_subalgebra(alg: LieAlgebra) -> SubalgebraSpec:

@@ -39,7 +39,6 @@ from .algebra import (
 from .commutant import (
     Generator,
     GeneratorSet,
-    RelationSet,
     generate,
     is_invariant,
     relation_basis,
@@ -148,24 +147,10 @@ def trace_casimirs(alg: LieAlgebra, max_k: int | None = None) -> GeneratorSet:
 
 
 class CasimirCountReport(Record):
+    """expected is dim - generic_commutator_rank."""
+
     _fields = ("independent_count", "expected", "dim", "generic_commutator_rank",
                "max_degree", "matches")
-
-    def __init__(
-        self,
-        independent_count: int,
-        expected: int,
-        dim: int,
-        generic_commutator_rank: int,
-        max_degree: int,
-        matches: bool,
-    ) -> None:
-        self.independent_count = independent_count
-        self.expected = expected  # dim - generic commutator rank
-        self.dim = dim
-        self.generic_commutator_rank = generic_commutator_rank
-        self.max_degree = max_degree
-        self.matches = matches
 
     def to_json(self) -> dict:
         return {
@@ -252,10 +237,6 @@ def mf_family_json(mf: GeneratorSet, shift_regular: bool) -> dict:
 class CommutativityReport(Record):
     _fields = ("pair_count", "nonzero_pairs")
 
-    def __init__(self, pair_count: int, nonzero_pairs: list[tuple[str, str]]) -> None:
-        self.pair_count = pair_count
-        self.nonzero_pairs = nonzero_pairs
-
     @property
     def commutative(self) -> bool:
         return not self.nonzero_pairs
@@ -301,27 +282,11 @@ def mf_commutativity_check(mf: GeneratorSet) -> CommutativityReport:
 
 
 class MFRankReport(Record):
+    """expected is b(g) = (dim + rank)/2; relations is a RelationSet or None."""
+
     _fields = ("jacobian_rank", "expected", "generator_count", "shift_regular",
                "hypothesis_met", "matches", "relations")
     note = REGULARITY_NOTE
-
-    def __init__(
-        self,
-        jacobian_rank: int,
-        expected: int,
-        generator_count: int,
-        shift_regular: bool,
-        hypothesis_met: bool,
-        matches: bool,
-        relations: RelationSet | None,
-    ) -> None:
-        self.jacobian_rank = jacobian_rank
-        self.expected = expected  # b(g) = (dim + rank)/2
-        self.generator_count = generator_count
-        self.shift_regular = shift_regular
-        self.hypothesis_met = hypothesis_met
-        self.matches = matches
-        self.relations = relations
 
     def to_json(self) -> dict:
         out = {
@@ -374,12 +339,9 @@ def mf_rank_check(mf: GeneratorSet, seed: int = DEFAULT_SEED) -> MFRankReport:
 
 
 class InclusionReport(Record):
-    _fields = ("centralizer_route", "operator_route", "witness")
+    """witness is the label of a generator failing invariance, or None."""
 
-    def __init__(self, centralizer_route: bool, operator_route: bool, witness: str | None) -> None:
-        self.centralizer_route = centralizer_route
-        self.operator_route = operator_route
-        self.witness = witness  # label of a generator failing invariance
+    _fields = ("centralizer_route", "operator_route", "witness")
 
     @property
     def agree(self) -> bool:
@@ -423,23 +385,10 @@ def mf_inclusion_check(mf: GeneratorSet, sub: SubalgebraSpec) -> InclusionReport
 
 
 class SandwichReport(Record):
-    _fields = ("d_a", "rank", "hypothesis_met", "casimirs_in_family", "inclusion", "notes")
+    """hypothesis_met is d_A == rank."""
 
-    def __init__(
-        self,
-        d_a: int,
-        rank: int,
-        hypothesis_met: bool,
-        casimirs_in_family: bool,
-        inclusion: InclusionReport,
-        notes: list[str] | None = None,
-    ) -> None:
-        self.d_a = d_a
-        self.rank = rank
-        self.hypothesis_met = hypothesis_met  # d_A == rank
-        self.casimirs_in_family = casimirs_in_family
-        self.inclusion = inclusion
-        self.notes = [] if notes is None else notes
+    _fields = ("d_a", "rank", "hypothesis_met", "casimirs_in_family", "inclusion", "notes")
+    _defaults = {"notes": []}
 
     @property
     def sandwich_holds(self) -> bool:

@@ -63,19 +63,10 @@ def trdeg(gens: GeneratorSet, seed: int = DEFAULT_SEED) -> int:
 
 
 class ChainSpec(Record):
-    _fields = ("subalgebra", "intermediate", "base", "base_kind")
+    """base_kind is casimirs | moment-map | mf | explicit."""
 
-    def __init__(
-        self,
-        subalgebra: SubalgebraSpec,
-        intermediate: GeneratorSet,
-        base: GeneratorSet,
-        base_kind: str = "explicit",
-    ) -> None:
-        self.subalgebra = subalgebra
-        self.intermediate = intermediate
-        self.base = base
-        self.base_kind = base_kind  # casimirs | moment-map | mf | explicit
+    _fields = ("subalgebra", "intermediate", "base", "base_kind")
+    _defaults = {"base_kind": "explicit"}
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -83,11 +74,9 @@ class ChainSpec(Record):
 
 
 class CentralityReport(Record):
-    _fields = ("pair_count", "failures")
+    """Each failure is a dict {base, intermediate, bracket}."""
 
-    def __init__(self, pair_count: int, failures: list[dict]) -> None:
-        self.pair_count = pair_count
-        self.failures = failures  # {base, intermediate, bracket}
+    _fields = ("pair_count", "failures")
 
     @property
     def passed(self) -> bool:
@@ -124,45 +113,12 @@ def base_center_check(spec: ChainSpec) -> CentralityReport:
 
 
 class ChainReport(Record):
+    """verdict is superintegrable | not_superintegrable | inconclusive."""
+
     _fields = ("algebra", "subalgebra", "base_kind", "centrality", "trdeg_intermediate",
                "trdeg_base", "dim", "dim_identity", "d_a", "rank", "kernel_dims", "verdict",
                "cross_check_consistent", "max_degree", "expected", "notes")
-
-    def __init__(
-        self,
-        algebra: str,
-        subalgebra: str,
-        base_kind: str,
-        centrality: CentralityReport,
-        trdeg_intermediate: int,
-        trdeg_base: int,
-        dim: int,
-        dim_identity: bool,
-        d_a: int,
-        rank: int,
-        kernel_dims: dict[int, int],
-        verdict: str,
-        cross_check_consistent: bool,
-        max_degree: int | None,
-        expected: dict | None = None,
-        notes: list[str] | None = None,
-    ) -> None:
-        self.algebra = algebra
-        self.subalgebra = subalgebra
-        self.base_kind = base_kind
-        self.centrality = centrality
-        self.trdeg_intermediate = trdeg_intermediate
-        self.trdeg_base = trdeg_base
-        self.dim = dim
-        self.dim_identity = dim_identity
-        self.d_a = d_a
-        self.rank = rank
-        self.kernel_dims = kernel_dims
-        self.verdict = verdict  # superintegrable | not_superintegrable | inconclusive
-        self.cross_check_consistent = cross_check_consistent
-        self.max_degree = max_degree
-        self.expected = {} if expected is None else expected
-        self.notes = [] if notes is None else notes
+    _defaults = {"expected": {}, "notes": []}
 
     def to_json(self) -> dict:
         return {
@@ -189,8 +145,8 @@ class ChainReport(Record):
 def _check_base_containment(spec: ChainSpec) -> None:
     for b in spec.base.generators:
         budget = max(b.degree, b.poly.degree or 0, 1)
-        # only the status is kept, so no expression outlives its call: at
-        # sl(7) the one of C7 holds about 10^5 formal keys of 5 KB each
+        # only the status is read, so a single-term intermediate decodes no
+        # expression: at sl(7) the one of C7 has about 10^5 formal keys of 5 KB
         status = membership(b.poly, spec.intermediate, budget).status
         if status != "found":
             raise ChainFormationError(
@@ -349,23 +305,9 @@ def mf_chain(
 
 
 class BaseExistenceReport(Record):
-    _fields = ("verdict", "center_trdeg", "d_a", "max_degree", "center_dims", "note")
+    """verdict is exists | does_not_exist_up_to_cap."""
 
-    def __init__(
-        self,
-        verdict: str,
-        center_trdeg: int,
-        d_a: int,
-        max_degree: int,
-        center_dims: dict[int, int],
-        note: str,
-    ) -> None:
-        self.verdict = verdict  # exists | does_not_exist_up_to_cap
-        self.center_trdeg = center_trdeg
-        self.d_a = d_a
-        self.max_degree = max_degree
-        self.center_dims = center_dims
-        self.note = note
+    _fields = ("verdict", "center_trdeg", "d_a", "max_degree", "center_dims", "note")
 
     def to_json(self) -> dict:
         return {
@@ -428,20 +370,6 @@ def leaf_dimension(alg: LieAlgebra, seed: int = DEFAULT_SEED) -> int:
 
 class JMapReport(Record):
     _fields = ("components", "generator_labels", "zero_bracket_count", "failures", "leaf_dim")
-
-    def __init__(
-        self,
-        components: list[str],
-        generator_labels: list[str],
-        zero_bracket_count: int,
-        failures: list[dict],
-        leaf_dim: int,
-    ) -> None:
-        self.components = components
-        self.generator_labels = generator_labels
-        self.zero_bracket_count = zero_bracket_count
-        self.failures = failures
-        self.leaf_dim = leaf_dim
 
     @property
     def all_central(self) -> bool:

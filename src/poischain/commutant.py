@@ -45,7 +45,6 @@ Casimir sets and argument-shift families (casimir_mf) alike.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, combinations_with_replacement
 from math import lcm
@@ -68,6 +67,7 @@ from .poly import (
     VectorField,
     W,
     _json_int,
+    _json_list,
     _make,
     brackets,
     hamiltonian_field,
@@ -93,15 +93,8 @@ class BudgetExceededError(ConfigurationError):
 
 class Generator(Record):
     _fields = ("poly", "degree", "label", "indecomposable")
+    _defaults = {"indecomposable": True}
     __hash__ = Record._hash
-
-    def __init__(
-        self, poly: Polynomial, degree: int, label: str, indecomposable: bool = True
-    ) -> None:
-        self.poly = poly
-        self.degree = degree
-        self.label = label
-        self.indecomposable = indecomposable
 
 
 class GeneratorSet(Record):
@@ -119,26 +112,8 @@ class GeneratorSet(Record):
 
     _fields = ("algebra", "generators", "subalgebra", "max_degree", "kernel_dims",
                "method", "shift", "base")
-
-    def __init__(
-        self,
-        algebra: LieAlgebra,
-        generators: list[Generator],
-        subalgebra: SubalgebraSpec | None = None,
-        max_degree: int | None = None,
-        kernel_dims: dict[int, int] | None = None,
-        method: str | None = None,
-        shift: tuple[Fraction, ...] | None = None,
-        base: GeneratorSet | None = None,
-    ) -> None:
-        self.algebra = algebra
-        self.generators = generators
-        self.subalgebra = subalgebra
-        self.max_degree = max_degree
-        self.kernel_dims = {} if kernel_dims is None else kernel_dims
-        self.method = method
-        self.shift = shift
-        self.base = base
+    _defaults = {"subalgebra": None, "max_degree": None, "kernel_dims": {},
+                 "method": None, "shift": None, "base": None}
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -186,7 +161,7 @@ class GeneratorSet(Record):
     @classmethod
     def from_json(cls, data: Mapping, alg: LieAlgebra) -> "GeneratorSet":
         gens: dict[str, Generator] = {}
-        for entry in data["generators"]:
+        for entry in _json_list(data["generators"], "generators"):
             raw = entry["poly"]
             if isinstance(raw, str):
                 poly = parse_polynomial(raw, alg.dim, alg.labels)
@@ -210,6 +185,8 @@ class GeneratorSet(Record):
             gens[label] = Generator(poly, degree, label, flag)
         cap = data.get("max_degree")
         dims = data.get("kernel_dims", {})
+        if not isinstance(dims, dict):
+            raise ValueError(f"kernel_dims must be an object, got {dims!r}")
         return cls(
             algebra=alg,
             generators=list(gens.values()),
@@ -333,16 +310,6 @@ class _Operators(Record):
 
     _fields = ("weights", "others", "flip")
     __hash__ = Record._hash
-
-    def __init__(
-        self,
-        weights: tuple[tuple[int, ...], ...],
-        others: tuple[tuple[Vector, VectorField], ...],
-        flip: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None,
-    ) -> None:
-        self.weights = weights
-        self.others = others
-        self.flip = flip
 
 
 def _invariance_operators(alg: LieAlgebra, sub: SubalgebraSpec) -> _Operators:
@@ -919,11 +886,9 @@ def generate(
 
 
 class Relation(Record):
-    _fields = ("weighted_degree", "formal")
+    """formal is a polynomial in one formal variable per generator."""
 
-    def __init__(self, weighted_degree: int, formal: Polynomial) -> None:
-        self.weighted_degree = weighted_degree
-        self.formal = formal  # polynomial in one formal variable per generator
+    _fields = ("weighted_degree", "formal")
 
     def render(self, gens: GeneratorSet) -> str:
         return render_polynomial(self.formal, gens.labels())
@@ -931,18 +896,6 @@ class Relation(Record):
 
 class RelationSet(Record):
     _fields = ("generator_labels", "weights", "max_degree", "relations")
-
-    def __init__(
-        self,
-        generator_labels: list[str],
-        weights: list[int],
-        max_degree: int,
-        relations: list[Relation],
-    ) -> None:
-        self.generator_labels = generator_labels
-        self.weights = weights
-        self.max_degree = max_degree
-        self.relations = relations
 
     def to_json(self) -> dict:
         return {
@@ -1046,11 +999,24 @@ def relation_basis(gens: GeneratorSet, max_total_degree: int) -> RelationSet:
 
 
 class MembershipResult(Record):
-    _fields = ("status", "expression")
+    """status is found | not_invariant | not_found_up_to_budget.  expression
+    is p in one formal variable per generator when found, else None; the
+    single-term route passes its decoding step instead (_solve_by_factors),
+    run on the first read, so a check that reads only the status decodes
+    no formal key."""
 
-    def __init__(self, status: str, expression: Polynomial | None = None) -> None:
-        self.status = status  # found | not_invariant | not_found_up_to_budget
-        self.expression = expression
+    _fields = ("status", "expression")
+    _defaults = {"expression": None}
+
+    @property
+    def expression(self) -> Polynomial | None:
+        if isinstance(self._expression, partial):
+            self._expression = self._expression()
+        return self._expression
+
+    @expression.setter
+    def expression(self, value: Polynomial | partial | None) -> None:
+        self._expression = value
 
     @property
     def found(self) -> bool:
@@ -1138,24 +1104,31 @@ def _solve_by_products(gens: Sequence[Generator], p: Polynomial) -> Polynomial |
 
 def _solve_by_factors(
     weights: Sequence[int], terms: Sequence[Term], p: Polynomial
-) -> Polynomial | None:
+) -> partial | None:
     """_solve_by_products for single-term generators, with no product and no
     solve: each term of p goes to the formal monomial of greatest key among
-    those of its monomial, decoded from the _product_codes level of its
-    degree (level 0 has the empty product); None when some term has none.
-    The solve's columns go by descending formal key, and the products of one
-    monomial are multiples of each other, so the first, of greatest formal
-    key, is the pivot; degrees share no product, as in the solve."""
-    n = len(weights)
-    width = n.bit_length()
+    those of its monomial, coded in the _product_codes level of its degree
+    (level 0 has the empty product); None when some term has none, else the
+    step that decodes the codes (_decode_factors), not yet run.  The solve's
+    columns go by descending formal key, and the products of one monomial
+    are multiples of each other, so the first, of greatest formal key, is
+    the pivot; degrees share no product, as in the solve."""
     shift = W * p.dim
     levels = _product_codes(weights, [key for key, _, _ in terms], p.degree or 0)
+    codes = [levels[key >> shift].get(key) for key in p.num]
+    if None in codes:
+        return None
+    return partial(_decode_factors, terms, p, codes)
+
+
+def _decode_factors(terms: Sequence[Term], p: Polynomial, codes: list[int]) -> Polynomial:
+    """p in the formal variables, codes[j] coding the formal monomial of the
+    j-th term of p."""
+    n = len(terms)
+    width = n.bit_length()
     fkeys = variable_keys(n)
     best = {}  # product key -> (formal key, numerator, denominator)
-    for key in p.num:
-        code = levels[key >> shift].get(key)
-        if code is None:
-            return None
+    for key, code in zip(p.num, codes):
         formal, num, den = 0, 1, 1
         while code:
             i = n - (code & (1 << width) - 1)
@@ -1172,30 +1145,13 @@ def _solve_by_factors(
 
 
 class ClosureEntry(Record):
-    _fields = ("left", "right", "bracket_is_zero", "closed", "expression", "status")
+    """status is membership's status, None for a zero bracket."""
 
-    def __init__(
-        self,
-        left: str,
-        right: str,
-        bracket_is_zero: bool,
-        closed: bool,
-        expression: str | None,
-        status: str | None,
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.bracket_is_zero = bracket_is_zero
-        self.closed = closed
-        self.expression = expression
-        self.status = status  # membership's status; None for a zero bracket
+    _fields = ("left", "right", "bracket_is_zero", "closed", "expression", "status")
 
 
 class ClosureReport(Record):
     _fields = ("entries",)
-
-    def __init__(self, entries: list[ClosureEntry]) -> None:
-        self.entries = entries
 
     @property
     def all_closed(self) -> bool:

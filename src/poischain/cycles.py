@@ -120,9 +120,6 @@ class ExponentGraph(Record):
 
     _fields = ("edges",)
 
-    def __init__(self, edges: dict[tuple[int, int], int]) -> None:
-        self.edges = edges
-
     @classmethod
     def from_monomial(cls, mono: Monomial, alg: LieAlgebra) -> "ExponentGraph":
         coordinate_edges = _coordinate_edges(alg)
@@ -214,20 +211,7 @@ def phi_exponent(n: int, k: int) -> int:
 
 class FamilyResult(Record):
     _fields = ("family", "instances_checked", "failures", "convention", "skipped")
-
-    def __init__(
-        self,
-        family: str,
-        instances_checked: int,
-        failures: list[str],
-        convention: str,
-        skipped: str | None = None,
-    ) -> None:
-        self.family = family
-        self.instances_checked = instances_checked
-        self.failures = failures
-        self.convention = convention
-        self.skipped = skipped
+    _defaults = {"skipped": None}
 
     @property
     def passed(self) -> bool:
@@ -248,10 +232,6 @@ class FamilyResult(Record):
 
 class RelationFamiliesReport(Record):
     _fields = ("n", "results")
-
-    def __init__(self, n: int, results: list[FamilyResult]) -> None:
-        self.n = n
-        self.results = results
 
     @property
     def all_passed(self) -> bool:
@@ -382,12 +362,6 @@ def relation_families_check(n: int) -> RelationFamiliesReport:
 class OracleDegreeResult(Record):
     _fields = ("degree", "balanced_count", "kernel_dim", "spans_equal")
 
-    def __init__(self, degree: int, balanced_count: int, kernel_dim: int, spans_equal: bool) -> None:
-        self.degree = degree
-        self.balanced_count = balanced_count
-        self.kernel_dim = kernel_dim
-        self.spans_equal = spans_equal
-
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
@@ -399,10 +373,6 @@ class OracleDegreeResult(Record):
 
 class OracleReport(Record):
     _fields = ("n", "per_degree")
-
-    def __init__(self, n: int, per_degree: list[OracleDegreeResult]) -> None:
-        self.n = n
-        self.per_degree = per_degree
 
     @property
     def all_equal(self) -> bool:

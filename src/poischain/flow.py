@@ -68,25 +68,9 @@ class FlowProblem(Record):
 
 
 class FlowResult(Record):
-    _fields = ("times", "states", "monitor_labels", "monitor_values", "drifts", "steps", "dt")
+    """monitor_values has one row per recorded time."""
 
-    def __init__(
-        self,
-        times: list[float],
-        states: list[list[float]],
-        monitor_labels: list[str],
-        monitor_values: list[list[float]],
-        drifts: dict[str, float],
-        steps: int,
-        dt: float,
-    ) -> None:
-        self.times = times
-        self.states = states
-        self.monitor_labels = monitor_labels
-        self.monitor_values = monitor_values  # one row per recorded time
-        self.drifts = drifts
-        self.steps = steps
-        self.dt = dt
+    _fields = ("times", "states", "monitor_labels", "monitor_values", "drifts", "steps", "dt")
 
     @property
     def final_state(self) -> list[float]:

@@ -56,6 +56,14 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_list(value, what: str) -> list:
+    """A list read from JSON; an object or a string is rejected rather than
+    read key by key or character by character."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def as_point(values: Iterable, dim: int) -> tuple[Fraction, ...]:
     pt = tuple(as_fraction(v) for v in values)
     if len(pt) != dim:
@@ -640,10 +648,8 @@ def parse_polynomial(
 
 
 def polynomial_from_json(data, dim: int) -> Polynomial:
-    if not isinstance(data, list):
-        raise ValueError("polynomial JSON must be a list of terms")
     terms = []
-    for t in data:
+    for t in _json_list(data, "polynomial JSON"):
         coeff, exps = as_fraction(t["coeff"]), t.get("exps", {})
         if not isinstance(exps, dict):
             raise ValueError(f"exps must be an object, got {exps!r}")

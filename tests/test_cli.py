@@ -791,6 +791,17 @@ _MALFORMED_FILES = {
     "h_labels.json": {"generators": [{"poly": "e12", "label": "H"},
                                      {"poly": "h1^2 + 4*e12*e21", "label": "H"}]},
     "h_label.json": {"generators": [{"poly": "e12", "label": "H"}]},
+    # containers of the wrong JSON type: kernel_dims not an object, a
+    # generator list, vectors, structure or Cartan indices given as an object
+    # or a string, none of them to be read key by key or digit by digit
+    **{f"{kind}_kernel_dims_gen.json": {"generators": [{"poly": "h1"}], "kernel_dims": value}
+       for kind, value in (("list", [1]), ("string", "12"), ("number", 3),
+                           ("bool", True), ("null", None))},
+    "object_generators_gen.json": {"generators": {}},
+    "string_vector_sub.json": {"vectors": ["10000000"]},
+    "object_vectors_sub.json": {"vectors": {"10000000": 1}},
+    "object_structure.json": _SL2_JSON | {"structure": {}},
+    "object_cartan.json": _SL2_JSON | {"cartan_indices": {}},
 }
 
 # every subcommand that takes --algebra, with the other arguments it needs
@@ -822,7 +833,9 @@ _GENERATOR_CONTRACT = [
     for name in ("float_degree", "bool_degree", "string_cap", "float_kernel_dim",
                  "string_indecomposable", "zero_degree", "negative_degree", "constant",
                  "zero_poly", "float_exponent", "bool_exponent", "list_exps",
-                 "degree_mismatch", "repeated_label", "null_label")
+                 "degree_mismatch", "repeated_label", "null_label", "list_kernel_dims",
+                 "string_kernel_dims", "number_kernel_dims", "bool_kernel_dims",
+                 "null_kernel_dims", "object_generators")
     for use, argv, prefix in (
         ("base", ["chain", "verify", "--algebra", "sl2", "--subalgebra", "cartan",
                   "--base"], "file:"),
@@ -941,6 +954,14 @@ _GENERATOR_CONTRACT = [
                      id="trace-route-rescaled-sl3-file"),
         pytest.param(["casimirs", "--algebra", "@rescaled_sl3.json", "--method", "both"],
                      id="both-routes-rescaled-sl3-file"),
+        pytest.param(["commutant", "--algebra", "sl3", "--subalgebra",
+                      "@string_vector_sub.json"], id="subalgebra-vector-is-a-string"),
+        pytest.param(["commutant", "--algebra", "sl3", "--subalgebra",
+                      "@object_vectors_sub.json"], id="subalgebra-vectors-are-an-object"),
+        pytest.param(["algebra", "check", "--algebra", "@object_structure.json"],
+                     id="structure-is-an-object"),
+        pytest.param(["algebra", "check", "--algebra", "@object_cartan.json"],
+                     id="cartan-indices-are-an-object"),
         *_ALGEBRA_CONTRACT,
         *_GENERATOR_CONTRACT,
     ],

@@ -390,3 +390,20 @@ def test_sl4_closure_report_matches_the_term_levels_reader(tmp_path, monkeypatch
     got = (tmp_path / "got.json").read_bytes()
     assert got == (tmp_path / "want.json").read_bytes()
     assert json.loads(got)["closure"]["all_closed"] is True
+
+
+def test_status_only_membership_decodes_nothing(monkeypatch):
+    """The inclusion check of a chain reads only membership's status, so
+    with the decoding step raising, the sl(4) torus chain still comes out
+    superintegrable; reading an expression runs the step."""
+
+    def refuse(*args):
+        raise AssertionError("an expression was decoded")
+
+    monkeypatch.setattr(commutant, "_decode_factors", refuse)
+    assert torus_chain(builtin_sl(4)).verdict == "superintegrable"
+    gens = _torus(4)
+    result = membership(trace_casimirs_sln(4).polys()[-1], gens, 4)
+    assert result.status == "found"
+    with pytest.raises(AssertionError, match="decoded"):
+        result.expression
